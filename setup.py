@@ -1,26 +1,20 @@
 """Build hook for the optional compiled scan kernel.
 
 The package is fully functional without the extension (a pure-Python kernel
-is selected at import time when the compiled one is missing), so the build
-degrades gracefully when Cython is unavailable.
+is selected at import time when the compiled one is missing), so the
+extension is optional: without a working C compiler the build skips it
+instead of failing.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "bodenhu._kernel._speedups",
-                ["src/bodenhu/_kernel/_speedups.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "bodenhu._kernel._speedups",
+            ["src/bodenhu/_kernel/_speedups.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

@@ -4,15 +4,20 @@ Given a batch of partition shapes (tuples of support bitmasks), enumerate all
 degree assignments and all cyclic-order representatives, evaluate every
 rotation of the pairing sum via the rotation identity, and report the
 candidates that violate the smallness margin.  Twin of the compiled kernel in
-_speedups.pyx; outputs must match it exactly.
+_speedups.c; outputs must match it exactly.
 
-All quantities here are small machine integers: for N <= 30 the pairing is
-bounded by a few thousand, far inside 64-bit range.
+Both kernels accept at most MAX_SLOTS slots and MAX_BLOCKS blocks per scanned
+shape and raise ValueError beyond that.  Within those limits every quantity
+is a small machine integer: the pairing is bounded by a few thousand, far
+inside 64-bit range.
 """
 
 from __future__ import annotations
 
 import itertools
+
+MAX_SLOTS = 30
+MAX_BLOCKS = 16
 
 
 def scan_partition_batch(
@@ -37,13 +42,20 @@ def scan_partition_batch(
             order[0] == 0; rotations holds all L rotation values of the
             pairing sum for that ordering.
         stats: dict mapping s to [candidate_count, ordering_class_count].
+
+    Raises ValueError for n > MAX_SLOTS or a shape of more than MAX_BLOCKS
+    blocks that min_len does not skip.
     """
+    if n > MAX_SLOTS:
+        raise ValueError(f"kernel supports at most {MAX_SLOTS} slots")
     violations: list = []
     stats: dict = {}
     for pi, masks in enumerate(masks_list):
         L = len(masks)
         if L < min_len:
             continue
+        if L > MAX_BLOCKS:
+            raise ValueError(f"kernel supports at most {MAX_BLOCKS} blocks")
         positions = [
             [i + 1 for i in range(n) if mask >> i & 1] for mask in masks
         ]

@@ -7,8 +7,9 @@ fiber (dimension report for one partition), selftest (property suites).
 Exit codes follow one contract across subcommands: 0 when the queried
 statement holds, 1 when it fails and a witness is attached (this includes a
 successful counterexample construction, which certifies failure at its
-(N, s)), and 2 for usage or domain errors.  scan exits 0 exactly when every
-row agrees with the classification oracle.
+(N, s)), 2 for usage or domain errors, and 3 for an internal error (a failed
+invariant or a crash), which is reported on stderr.  scan exits 0 exactly
+when every row agrees with the classification oracle.
 
 Output is JSON by default, a plain table with --format table.  In the default
 deterministic mode identical invocations produce byte-identical output and
@@ -22,6 +23,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -639,6 +641,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:
+        # Status 1 means "witness found", so a crash must never exit with it.
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         cap = args.cap if args.cap is not None else _env_cap()
         config = RunConfig(

@@ -147,5 +147,6 @@ def fiber_report(xi: Partition, beta: WeightVector, g: int = 2) -> FiberReport:
         components.append((sigma, dim))
         margins.append(codim - 2 * dim)
     report = FiberReport(xi, g, tuple(components), codim, tuple(margins))
-    assert len(report.components) == math.factorial(len(xi) - 1)
+    if len(report.components) != math.factorial(len(xi) - 1):
+        raise AssertionError("fiber report must list every cyclic ordering")
     return report

@@ -256,7 +256,8 @@ def feasible(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
             if hi is None or bound < hi:
                 hi = bound
         if lo is not None and hi is not None:
-            assert lo < hi, "Fourier-Motzkin interval must be nonempty"
+            if not lo < hi:
+                raise AssertionError("Fourier-Motzkin interval must be nonempty")
             values[j] = (lo + hi) / 2
         elif hi is not None:
             values[j] = hi - 1

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bodenhu import cli
 from bodenhu.cli import main
 from conftest import ALPHA_9_4, ALPHA_11_3
 
@@ -318,3 +319,29 @@ class TestDeterminismAndCaps:
         )
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (AssertionError("injected invariant failure"), 3),
+            (MemoryError("injected"), 3),
+            (SystemError("injected"), 3),
+            (ValueError("kernel supports at most 30 slots"), 2),
+        ],
+        ids=["assertion", "memory", "system", "value"],
+    )
+    def test_exit_code_for_failure_in_scan(self, capsys, monkeypatch, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "scan_all_s", fail)
+        got, out, err = run_cli(capsys, "scan", "--nmax", "4")
+        assert got == code
+        assert out == ""
+        last = err.strip().splitlines()[-1]
+        if code == 3:
+            assert last == f"internal error: {type(exc).__name__}: {exc}"
+        else:
+            assert last == f"error: {exc}"

@@ -1,6 +1,21 @@
-"""Scan-kernel equivalence, stats accounting, and agreement with exact arithmetic."""
+"""Scan-kernel equivalence, stats accounting, and agreement with exact arithmetic.
 
+The compiled kernel is tested whether or not it was built in place: when
+bodenhu._kernel._speedups is not importable, the compiled_kernel fixture
+builds _speedups.c into a temporary directory and loads it from there.
+"""
+
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import pathlib
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tracemalloc
 
 import pytest
 
@@ -8,14 +23,54 @@ from bodenhu import MultiplicityVector, OrderedPartition, iter_partition_shapes
 from bodenhu._kernel import KERNEL_KIND, pure
 from bodenhu.smallness import rotation_deltas, violates_margin
 
-try:
-    from bodenhu._kernel import _speedups
-except ImportError:
-    _speedups = None
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-KERNELS = [pytest.param(pure, id="pure")]
-if _speedups is not None:
-    KERNELS.append(pytest.param(_speedups, id="compiled"))
+
+def _c_compiler():
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(shlex.split(cc)[0])
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The compiled kernel: the importable one, else a fresh temporary build."""
+    try:
+        from bodenhu._kernel import _speedups
+    except ImportError:
+        pass
+    else:
+        return _speedups
+    if _c_compiler() is None:
+        pytest.skip("no C compiler found to build the compiled kernel")
+    out = tmp_path_factory.mktemp("kernel_build")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out / "temp")],
+        cwd=REPO_ROOT, capture_output=True, text=True,
+    )
+    built = [
+        out / "bodenhu" / "_kernel" / f"_speedups{suffix}"
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    built = [path for path in built if path.exists()]
+    if not built:
+        pytest.fail(
+            "a C compiler is present but _speedups.c did not build:\n"
+            + build.stdout + build.stderr
+        )
+    spec = importlib.util.spec_from_file_location(
+        "bodenhu._kernel._speedups", built[0]
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def impl(request):
+    if request.param == "pure":
+        return pure
+    return request.getfixturevalue("compiled_kernel")
 
 
 def run_scan(impl, n, s_filter=0, semismall=False, min_len=3):
@@ -39,24 +94,67 @@ class TestKernelSelection:
         assert KERNEL_KIND in ("pure", "compiled")
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
+# Inputs off the canonical enumeration: blocks of rank below 2 (empty degree
+# range), an empty shape, negative and oversized masks.
+EDGE_CASES = [
+    (4, 0, False, 1, [(0, 0b1111)]),
+    (3, 0, False, 0, [()]),
+    (3, 0, True, 1, [(0b111,)]),
+    (3, 0, False, 1, [(0b111,), (0b1, 0b110)]),
+    (4, 0, False, 1, [(-1, -6)]),
+    (4, 3, True, 2, [(0b11 | 1 << 40, 0b1100)]),
+]
+
+
 class TestKernelEquivalence:
     @pytest.mark.parametrize("semismall", [False, True])
-    def test_bit_for_bit(self, semismall):
-        for n in range(4, 10):
+    def test_bit_for_bit(self, compiled_kernel, semismall):
+        for n in range(4, 11):
             expected = run_scan(pure, n, semismall=semismall)
-            assert run_scan(_speedups, n, semismall=semismall) == expected
+            assert run_scan(compiled_kernel, n, semismall=semismall) == expected
 
-    def test_bit_for_bit_with_filters(self):
-        assert run_scan(_speedups, 9, s_filter=4) == run_scan(
-            pure, 9, s_filter=4
-        )
-        assert run_scan(_speedups, 6, min_len=2) == run_scan(
-            pure, 6, min_len=2
-        )
+    def test_bit_for_bit_with_filters(self, compiled_kernel):
+        for n in range(6, 11):
+            for semismall in (False, True):
+                args = dict(s_filter=n // 2, semismall=semismall)
+                assert run_scan(compiled_kernel, n, **args) == run_scan(
+                    pure, n, **args
+                )
+        for n in range(2, 9):
+            for min_len in (1, 2):
+                for semismall in (False, True):
+                    args = dict(semismall=semismall, min_len=min_len)
+                    assert run_scan(compiled_kernel, n, **args) == run_scan(
+                        pure, n, **args
+                    )
+
+    @pytest.mark.parametrize("args", EDGE_CASES)
+    def test_edge_inputs_bit_for_bit(self, compiled_kernel, args):
+        expected = pure.scan_partition_batch(*args)
+        got = compiled_kernel.scan_partition_batch(*args)
+        assert got == expected
+        assert list(got[1]) == list(expected[1])  # same stats key order
+
+    def test_no_reference_leak(self, compiled_kernel):
+        # small mode with min_len=1 records violations (single blocks), so
+        # the tuple-building path runs on every call
+        shapes = list(iter_partition_shapes(8, 1))
+        tracemalloc.start()
+        try:
+            for call in range(1, 201):
+                result = compiled_kernel.scan_partition_batch(
+                    8, 0, False, 1, shapes
+                )
+                assert result[0]
+                del result
+                if call == 100:
+                    mid = tracemalloc.get_traced_memory()[0]
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert end <= mid
 
 
-@pytest.mark.parametrize("impl", KERNELS)
 class TestKernelBehaviour:
     def test_frozen_stats(self, impl):
         assert run_scan(impl, 6)[1] == {3: [15, 30]}
@@ -95,6 +193,27 @@ class TestKernelBehaviour:
     def test_min_len_skips_short_shapes(self, impl):
         full_block = ((1 << 5) - 1,)
         assert impl.scan_partition_batch(5, 0, False, 3, [full_block]) == (
+            [],
+            {},
+        )
+
+    def test_rank_below_two_yields_no_candidate(self, impl):
+        # a rank-1 block has the empty degree range (-(r-1), 0)
+        assert impl.scan_partition_batch(3, 0, False, 1, [(0b1, 0b110)]) == (
+            [],
+            {},
+        )
+        assert impl.scan_partition_batch(
+            5, 0, False, 3, [(0b1, 0b110, 0b11000)]
+        ) == ([], {})
+
+    def test_capacity_limits(self, impl):
+        with pytest.raises(ValueError, match="at most 30 slots"):
+            impl.scan_partition_batch(31, 0, False, 3, [])
+        blocks = tuple(0b11 << 2 * i for i in range(17))
+        with pytest.raises(ValueError, match="at most 16 blocks"):
+            impl.scan_partition_batch(30, 0, False, 3, [blocks])
+        assert impl.scan_partition_batch(30, 0, False, 18, [blocks]) == (
             [],
             {},
         )
