@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 
-MAX_SLOTS = 30
+from ..core import MAX_SLOTS
+
 MAX_BLOCKS = 16
 
 

@@ -24,14 +24,13 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
     DEFAULT_CAP,
+    MAX_SLOTS,
     ModuliContext,
     MultiplicityVector,
-    WeightVector,
     check_cap,
     parse_weight_vector,
 )
@@ -40,38 +39,34 @@ from .partitions import OrderedPartition, Partition, alpha_partitions
 from .smallness import (
     MODES,
     Witness,
-    check_criterion,
     classify,
     construction_transcript,
-    ordering_representatives,
+    first_violation,
+    rated_orderings,
     rotation_deltas,
     scan_all_s,
-    violates_margin,
 )
 from .moduli import fiber_report
 from . import selftest
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by all subcommands."""
-
-    output_format: str = "json"
-    deterministic: bool = True
-    cap_n: int = DEFAULT_CAP
-    genus: int = 2
-
-
-def _env_cap() -> int:
-    raw = os.environ.get("BODENHU_CAP_N")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BODENHU_CAP_N must be an integer, got {raw!r}") from exc
+def _resolve_cap(cap: Optional[int]) -> int:
+    """--cap, else BODENHU_CAP_N, else DEFAULT_CAP; never above MAX_SLOTS."""
+    if cap is None:
+        raw = os.environ.get("BODENHU_CAP_N", str(DEFAULT_CAP))
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise ValueError(
+                f"BODENHU_CAP_N must be an integer, got {raw!r}"
+            ) from exc
+    if cap > MAX_SLOTS:
+        raise ValueError(
+            f"cap {cap} exceeds the scan kernels' limit of {MAX_SLOTS} slots"
+        )
+    return cap
 
 
 def _fractions(values) -> list[str]:
@@ -98,22 +93,23 @@ def _witness_json(witness: Witness) -> dict:
     }
 
 
-def _block_text(b: MultiplicityVector) -> str:
-    return "{%s}:%d" % (",".join(str(i) for i in b.support), b.d_check)
+def _blocks_text(blocks: Sequence[dict]) -> str:
+    """Blocks of a payload as "{support}:degree", space separated."""
+    return " ".join(
+        "{%s}:%d" % (",".join(str(x) for x in b["support"]), b["degree"])
+        for b in blocks
+    )
 
 
 def _witness_text(witness_dict: Optional[dict]) -> str:
     if witness_dict is None:
         return "-"
     blocks = witness_dict["blocks"]
-    parts = []
-    for i in witness_dict["order"]:
-        b = blocks[i]
-        parts.append(
-            "{%s}:%d" % (",".join(str(x) for x in b["support"]), b["degree"])
-        )
     rots = ",".join(str(r) for r in witness_dict["rotation_deltas"])
-    return " ".join(parts) + f" rot=({rots})"
+    return (
+        _blocks_text([blocks[i] for i in witness_dict["order"]])
+        + f" rot=({rots})"
+    )
 
 
 def _render_table(
@@ -141,37 +137,39 @@ def _yn(flag: bool) -> str:
 # check
 
 
-def _cmd_check(args, config: RunConfig) -> tuple[int, dict]:
+def _cmd_check(args) -> tuple[int, dict]:
     alpha = parse_weight_vector(args.alpha)
-    check_cap(alpha.n, config.cap_n)
+    check_cap(alpha.n, args.cap)
     if args.s is not None and args.s != alpha.s:
         raise ValueError(
             f"--s {args.s} does not match the weight sum {alpha.s}"
         )
-    partitions = alpha_partitions(alpha, 1, config.cap_n)
+    # Listing ids index all partitions; dropping those shorter than 3 keeps
+    # the canonical order check_criterion scans, so the verdict comes from
+    # this listing.
     listing = []
-    for i, partition in enumerate(partitions):
+    rated = []
+    for i, partition in enumerate(alpha_partitions(alpha, 1, args.cap)):
         if len(partition) < 3:
             continue
-        orderings = []
-        for op in ordering_representatives(partition):
-            rots = rotation_deltas(op)
-            orderings.append(
-                {
-                    "order": _order_indices(partition, op),
-                    "rotation_deltas": list(rots),
-                    "violates": violates_margin(rots, args.mode),
-                }
-            )
+        orderings = list(rated_orderings(partition, args.mode))
+        rated.extend(orderings)
         listing.append(
             {
                 "id": i,
                 "length": len(partition),
                 "blocks": _blocks_json(partition.blocks),
-                "orderings": orderings,
+                "orderings": [
+                    {
+                        "order": _order_indices(partition, op),
+                        "rotation_deltas": list(rots),
+                        "violates": violates,
+                    }
+                    for op, rots, violates in orderings
+                ],
             }
         )
-    verdict = check_criterion(alpha, args.mode, config.cap_n)
+    verdict = first_violation(alpha, args.mode, rated)
     payload = {
         "command": "check",
         "n": alpha.n,
@@ -197,21 +195,14 @@ def _table_check(payload: dict) -> str:
         f"partitions of length >= 3: {len(payload['partitions'])}",
     ]
     for part in payload["partitions"]:
-        blocks = " ".join(
-            "{%s}:%d" % (",".join(str(x) for x in b["support"]), b["degree"])
-            for b in part["blocks"]
-        )
+        blocks = _blocks_text(part["blocks"])
         lines.append(f"  id {part['id']}  (L={part['length']})  {blocks}")
         for ordering in part["orderings"]:
             order = ",".join(str(i) for i in ordering["order"])
             rots = " ".join(f"{r:3d}" for r in ordering["rotation_deltas"])
             flag = "  violates" if ordering["violates"] else ""
             lines.append(f"    order ({order})  rotations {rots}{flag}")
-    lines.append(
-        "witness: " + _witness_text(payload["witness"])
-        if payload["witness"]
-        else "witness: -"
-    )
+    lines.append("witness: " + _witness_text(payload["witness"]))
     return "\n".join(lines)
 
 
@@ -219,19 +210,19 @@ def _table_check(payload: dict) -> str:
 # scan
 
 
-def _cmd_scan(args, config: RunConfig) -> tuple[int, dict]:
+def _cmd_scan(args) -> tuple[int, dict]:
     if args.nmax < 2:
         raise ValueError("--nmax must be at least 2")
-    check_cap(args.nmax, config.cap_n)
+    check_cap(args.nmax, args.cap)
     rows = []
     all_agree = True
     for n in range(2, args.nmax + 1):
         started = time.perf_counter()
-        per_s = scan_all_s(n, args.mode, config.cap_n)
+        per_s = scan_all_s(n, args.mode, args.cap)
         elapsed = (
-            None
-            if config.deterministic
-            else round((time.perf_counter() - started) * 1000.0, 1)
+            round((time.perf_counter() - started) * 1000.0, 1)
+            if args.no_deterministic
+            else None
         )
         for s in range(1, n):
             info = per_s[s]
@@ -240,7 +231,7 @@ def _cmd_scan(args, config: RunConfig) -> tuple[int, dict]:
             agree = verdict.holds == oracle
             all_agree = all_agree and agree
             walls = (
-                len(enumerate_walls(ModuliContext(n, s), config.cap_n))
+                len(enumerate_walls(ModuliContext(n, s), args.cap))
                 if args.with_walls
                 else None
             )
@@ -311,13 +302,10 @@ def _table_scan(payload: dict) -> str:
 # counterexample
 
 
-def _cmd_counterexample(args, config: RunConfig) -> tuple[int, dict]:
+def _cmd_counterexample(args) -> tuple[int, dict]:
     ctx = ModuliContext(args.n, args.s)
-    check_cap(args.n, config.cap_n)
-    alpha, op, checks = construction_transcript(ctx, args.t, config.cap_n)
-    bad = [name for name, ok, _ in checks if not ok]
-    if bad:
-        raise AssertionError(f"construction self-check failed: {bad}")
+    check_cap(args.n, args.cap)
+    alpha, op, checks = construction_transcript(ctx, args.t, args.cap)
     payload = {
         "command": "counterexample",
         "n": args.n,
@@ -337,10 +325,7 @@ def _cmd_counterexample(args, config: RunConfig) -> tuple[int, dict]:
 
 
 def _table_counterexample(payload: dict) -> str:
-    blocks = " ".join(
-        "{%s}:%d" % (",".join(str(x) for x in b["support"]), b["degree"])
-        for b in payload["triple"]["blocks"]
-    )
+    blocks = _blocks_text(payload["triple"]["blocks"])
     rots = ",".join(str(r) for r in payload["triple"]["rotation_deltas"])
     lines = [
         "counterexample n={n} s={s} t={t}".format(**payload),
@@ -359,10 +344,10 @@ def _table_counterexample(payload: dict) -> str:
 # walls
 
 
-def _cmd_walls(args, config: RunConfig) -> tuple[int, dict]:
+def _cmd_walls(args) -> tuple[int, dict]:
     ctx = ModuliContext(args.n, args.s)
-    check_cap(args.n, config.cap_n)
-    walls = enumerate_walls(ctx, config.cap_n)
+    check_cap(args.n, args.cap)
+    walls = enumerate_walls(ctx, args.cap)
     payload = {
         "command": "walls",
         "n": args.n,
@@ -393,10 +378,10 @@ def _table_walls(payload: dict) -> str:
 # fiber
 
 
-def _cmd_fiber(args, config: RunConfig) -> tuple[int, dict]:
+def _cmd_fiber(args) -> tuple[int, dict]:
     alpha = parse_weight_vector(args.alpha)
-    check_cap(alpha.n, config.cap_n)
-    partitions = alpha_partitions(alpha, 1, config.cap_n)
+    check_cap(alpha.n, args.cap)
+    partitions = alpha_partitions(alpha, 1, args.cap)
     if args.id is None:
         payload = {
             "command": "fiber",
@@ -420,12 +405,12 @@ def _cmd_fiber(args, config: RunConfig) -> tuple[int, dict]:
         )
     xi = partitions[args.id]
     beta = find_generic_near(alpha)
-    report = fiber_report(xi, beta, config.genus)
+    report = fiber_report(xi, beta, args.genus)
     payload = {
         "command": "fiber",
         "n": alpha.n,
         "s": alpha.s,
-        "genus": config.genus,
+        "genus": args.genus,
         "alpha": _fractions(alpha.entries),
         "beta": _fractions(beta.entries),
         "partition": {
@@ -452,15 +437,7 @@ def _table_fiber(payload: dict) -> str:
     if "partitions" in payload:
         headers = ("id", "length", "blocks")
         rows = [
-            (
-                str(p["id"]),
-                str(p["length"]),
-                " ".join(
-                    "{%s}:%d"
-                    % (",".join(str(x) for x in b["support"]), b["degree"])
-                    for b in p["blocks"]
-                ),
-            )
+            (str(p["id"]), str(p["length"]), _blocks_text(p["blocks"]))
             for p in payload["partitions"]
         ]
         table = _render_table(headers, rows, right={0, 1})
@@ -469,10 +446,7 @@ def _table_fiber(payload: dict) -> str:
             f" {len(payload['partitions'])} partitions"
             " (rerun with --id to pick one)\n" + table
         )
-    blocks = " ".join(
-        "{%s}:%d" % (",".join(str(x) for x in b["support"]), b["degree"])
-        for b in payload["partition"]["blocks"]
-    )
+    blocks = _blocks_text(payload["partition"]["blocks"])
     headers = ("order", "dim", "margin")
     rows = [
         (
@@ -502,7 +476,7 @@ def _table_fiber(payload: dict) -> str:
 # selftest
 
 
-def _cmd_selftest(args, config: RunConfig) -> tuple[int, dict]:
+def _cmd_selftest(args) -> tuple[int, dict]:
     results = selftest.run_all(args.seed, args.trials)
     ok = all(r.ok for r in results)
     payload = {
@@ -652,19 +626,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     try:
-        cap = args.cap if args.cap is not None else _env_cap()
-        config = RunConfig(
-            output_format=args.format,
-            deterministic=not args.no_deterministic,
-            cap_n=cap,
-            genus=getattr(args, "genus", 2),
-        )
+        args.cap = _resolve_cap(args.cap)
         run, render = _COMMANDS[args.command]
-        code, payload = run(args, config)
+        code, payload = run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(render(payload))

@@ -27,6 +27,7 @@ __all__ = [
     "NotGenericError",
     "ConstructionRangeError",
     "DEFAULT_CAP",
+    "MAX_SLOTS",
     "MultiplicityVector",
     "WeightVector",
     "ModuliContext",
@@ -46,6 +47,10 @@ Rational = Fraction
 # Enumeration routines refuse N beyond this unless the caller raises the cap
 # explicitly (the CLI exposes it via BODENHU_CAP_N).
 DEFAULT_CAP = 14
+
+# Both scan kernels keep per-slot state in fixed arrays of this size
+# (_kernel/_speedups.c has the same bound), so no cap may exceed it.
+MAX_SLOTS = 30
 
 
 class DimensionMismatchError(ValueError):
@@ -117,6 +122,13 @@ class MultiplicityVector:
                 raise ValueError(f"support index {idx} repeated")
             mults[idx - 1] = 1
         return cls(d_check, tuple(mults))
+
+    @classmethod
+    def from_mask(cls, n: int, d_check: int, mask: int) -> "MultiplicityVector":
+        """Build the 0/1 vector over n slots whose support_mask is mask."""
+        if mask >> n:
+            raise ValueError(f"support mask {mask:#x} has bits beyond slot {n}")
+        return cls(d_check, tuple(mask >> i & 1 for i in range(n)))
 
     @property
     def n(self) -> int:

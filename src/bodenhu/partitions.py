@@ -186,17 +186,11 @@ def alpha_partitions(
     out = []
     for masks in iter_partition_shapes(n, min_len, block_ok=integral):
         blocks = tuple(
-            MultiplicityVector.from_support(
-                n, -int(sums[mask]), _support(mask)
-            )
+            MultiplicityVector.from_mask(n, -int(sums[mask]), mask)
             for mask in masks
         )
         out.append(Partition(blocks))
     return out
-
-
-def _support(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _degree_ranges(masks: tuple[int, ...]) -> list[range]:
@@ -224,7 +218,7 @@ def feasible_partitions(
             )
             if witness is not None:
                 blocks = tuple(
-                    MultiplicityVector.from_support(n, d, _support(mask))
+                    MultiplicityVector.from_mask(n, d, mask)
                     for mask, d in zip(masks, degs)
                 )
                 yield Partition(blocks), witness

@@ -146,12 +146,6 @@ def _disjoint_mask_pairs(n: int):
             sub = (sub - 1) & rest
 
 
-def _from_mask(n: int, d: int, mask: int) -> MultiplicityVector:
-    return MultiplicityVector(
-        d, tuple(mask >> i & 1 for i in range(n))
-    )
-
-
 def _suite_parity(max_n: int, degrees: range) -> SuiteResult:
     """delta(m, m') has the parity of r*r' when no slot is shared."""
     rec = _Recorder("disjoint-parity")
@@ -159,8 +153,8 @@ def _suite_parity(max_n: int, degrees: range) -> SuiteResult:
         for mask, mask2 in _disjoint_mask_pairs(n):
             for d in degrees:
                 for d2 in degrees:
-                    m = _from_mask(n, d, mask)
-                    m2 = _from_mask(n, d2, mask2)
+                    m = MultiplicityVector.from_mask(n, d, mask)
+                    m2 = MultiplicityVector.from_mask(n, d2, mask2)
                     rec.check(
                         (delta(m, m2) - m.r * m2.r) % 2 == 0,
                         f"parity fails for {m}, {m2}",
@@ -183,7 +177,7 @@ def _suite_triple_bound(rng: random.Random, trials: int) -> SuiteResult:
     rec = _Recorder("triple-bound")
     for n in (2, 3):
         vectors = [
-            _from_mask(n, d, mask)
+            MultiplicityVector.from_mask(n, d, mask)
             for mask in range(1, 1 << n)
             for d in (-2, -1)
         ]
@@ -312,11 +306,7 @@ def _random_partition(
             i = open_blocks[rng.randrange(len(open_blocks))]
             extra[i] += 1
         blocks = tuple(
-            MultiplicityVector.from_support(
-                n,
-                -1 - e,
-                tuple(i + 1 for i in range(n) if mask >> i & 1),
-            )
+            MultiplicityVector.from_mask(n, -1 - e, mask)
             for mask, e in zip(masks, extra)
         )
         return Partition(blocks), s

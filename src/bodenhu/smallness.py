@@ -7,12 +7,15 @@ ordered candidate of length >= 3 has some rotation with value < L - 1
 (semismall: <= L - 1).  A witness against smallness is therefore an ordered
 candidate whose rotation values all sit at or above the margin.
 
-verify_conjecture quantifies over the whole weight space at once: the
-rotation values depend only on (supports, degrees, order), so it scans all
-combinatorial candidates with the integer kernel and runs the exact
-feasibility solver only on the rare violating ones.  Any feasibility witness
-transfers the violation to a concrete weight vector, which is then re-checked
-through check_criterion.
+At one weight vector, first_violation takes the first violating ordering in
+canonical order as the witness, for check_criterion and the CLI alike.
+
+verify_conjecture and scan_all_s quantify over the whole weight space through
+one shared scan: the rotation values depend only on (supports, degrees,
+order), so the integer kernel scans all combinatorial candidates and the
+exact feasibility solver runs only on the rare violating ones.  Per s, the
+first realisable violation yields a concrete weight vector, which is
+re-checked through check_criterion.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import weightspace
 from ._kernel import scan_partition_batch
@@ -50,6 +53,8 @@ __all__ = [
     "rotation_deltas",
     "violates_margin",
     "ordering_representatives",
+    "rated_orderings",
+    "first_violation",
     "check_criterion",
     "verify_conjecture",
     "scan_all_s",
@@ -118,26 +123,44 @@ def ordering_representatives(partition: Partition) -> Iterator[OrderedPartition]
         )
 
 
+def rated_orderings(
+    partition: Partition, mode: str
+) -> Iterator[tuple[OrderedPartition, tuple[int, ...], bool]]:
+    """Each ordering representative with its rotation values and margin test."""
+    for op in ordering_representatives(partition):
+        rots = rotation_deltas(op)
+        yield op, rots, violates_margin(rots, mode)
+
+
+def first_violation(
+    alpha: WeightVector,
+    mode: str,
+    rated: Iterable[tuple[OrderedPartition, tuple[int, ...], bool]],
+) -> Verdict:
+    """The verdict at alpha from its rated orderings, given in canonical order.
+
+    The first ordering that violates the margin is the witness; the criterion
+    holds when none does.
+    """
+    for op, rots, violates in rated:
+        if violates:
+            return Verdict(False, mode, Witness(op, rots, alpha))
+    return Verdict(True, mode, None)
+
+
 def check_criterion(
     alpha: WeightVector, mode: str, cap: int = DEFAULT_CAP
 ) -> Verdict:
     """Decide the criterion at one weight vector.
 
-    Enumerates the alpha-partitions of length >= 3 in canonical order and,
-    within each, the cyclic-order representatives in lex order; the first
-    ordering whose rotation values all clear the margin is the witness.
+    Rates the orderings of the alpha-partitions of length >= 3 in canonical
+    order (partitions in enumeration order, orderings in lex order) and
+    stops at the first violation.
     """
     _check_mode(mode)
-    for partition in alpha_partitions(alpha, min_len=3, cap=cap):
-        for op in ordering_representatives(partition):
-            rots = rotation_deltas(op)
-            if violates_margin(rots, mode):
-                return Verdict(False, mode, Witness(op, rots, alpha))
-    return Verdict(True, mode, None)
-
-
-def _mask_support(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    partitions = alpha_partitions(alpha, min_len=3, cap=cap)
+    rated = (r for p in partitions for r in rated_orderings(p, mode))
+    return first_violation(alpha, mode, rated)
 
 
 def _collect_violations(
@@ -190,12 +213,44 @@ def _first_feasible(
         if point is None:
             continue
         blocks = tuple(
-            MultiplicityVector.from_support(n, d, _mask_support(mask))
+            MultiplicityVector.from_mask(n, d, mask)
             for mask, d in zip(masks, degs)
         )
         seq = tuple(blocks[i] for i in order)
         return OrderedPartition(seq), rots, WeightVector(point)
     return None
+
+
+def _scan(n: int, s_filter: int, mode: str, cap: int) -> dict[int, dict]:
+    """The scan behind verify_conjecture and scan_all_s.
+
+    Scans every shape of length >= 3 with total degree -s_filter (every s
+    when s_filter is 0).  Per s, the first violating and realisable candidate
+    in canonical order is the witness, and its weight vector must fail
+    check_criterion too.  Returns s -> {"verdict": Verdict, "candidates": int,
+    "classes": int}.
+    """
+    _check_mode(mode)
+    records, stats = _collect_violations(n, s_filter, mode, cap)
+    by_s: dict[int, list] = {}
+    for rec in records:
+        by_s.setdefault(-sum(rec[1]), []).append(rec)
+    cache: dict = {}
+    out: dict[int, dict] = {}
+    for s in [s_filter] if s_filter else range(1, n):
+        found = _first_feasible(n, by_s.get(s, []), cache)
+        if found is None:
+            verdict = Verdict(True, mode, None)
+        else:
+            op, rots, alpha = found
+            if check_criterion(alpha, mode, cap).holds:
+                raise AssertionError(
+                    "witness weight vector failed the check_criterion re-check"
+                )
+            verdict = Verdict(False, mode, Witness(op, rots, alpha))
+        cand, classes = stats.get(s, [0, 0])
+        out[s] = {"verdict": verdict, "candidates": cand, "classes": classes}
+    return out
 
 
 def verify_conjecture(
@@ -209,18 +264,7 @@ def verify_conjecture(
     and realisable candidate in canonical order is the witness.  Every
     witness weight vector is re-checked through check_criterion.
     """
-    _check_mode(mode)
-    records, _ = _collect_violations(ctx.n, ctx.s, mode, cap)
-    found = _first_feasible(ctx.n, records, {})
-    if found is None:
-        return Verdict(True, mode, None)
-    op, rots, alpha = found
-    recheck = check_criterion(alpha, mode, cap)
-    if recheck.holds:
-        raise AssertionError(
-            "witness weight vector failed the check_criterion re-check"
-        )
-    return Verdict(False, mode, Witness(op, rots, alpha))
+    return _scan(ctx.n, ctx.s, mode, cap)[ctx.s]["verdict"]
 
 
 def scan_all_s(
@@ -231,28 +275,7 @@ def scan_all_s(
     Returns s -> {"verdict": Verdict, "candidates": int, "classes": int}
     where the counts cover length >= 3 shapes with that total degree.
     """
-    _check_mode(mode)
-    records, stats = _collect_violations(n, 0, mode, cap)
-    by_s: dict[int, list] = {}
-    for rec in records:
-        by_s.setdefault(-sum(rec[1]), []).append(rec)
-    cache: dict = {}
-    out: dict[int, dict] = {}
-    for s in range(1, n):
-        found = _first_feasible(n, by_s.get(s, []), cache)
-        if found is None:
-            verdict = Verdict(True, mode, None)
-        else:
-            op, rots, alpha = found
-            recheck = check_criterion(alpha, mode, cap)
-            if recheck.holds:
-                raise AssertionError(
-                    "witness weight vector failed the check_criterion re-check"
-                )
-            verdict = Verdict(False, mode, Witness(op, rots, alpha))
-        cand, classes = stats.get(s, [0, 0])
-        out[s] = {"verdict": verdict, "candidates": cand, "classes": classes}
-    return out
+    return _scan(n, 0, mode, cap)
 
 
 def classify(ctx: ModuliContext) -> bool:
@@ -348,14 +371,11 @@ def construct_counterexample(
 
     Covers N >= 9 with 4 <= s <= N-4 (adjustable group scale t, 1 <= t,
     9t <= N, 3t < s < N-3t) and N >= 11 with s in {3, N-3}; inputs with
-    s > N-s are built on the dual side and pulled back.  The construction is
-    verified before returning; (9,4) and (11,3) return the fixed reference
-    data.
+    s > N-s are built on the dual side and pulled back.  (9,4) and (11,3)
+    return the fixed reference data.  The construction is verified through
+    construction_transcript, which raises AssertionError if a check fails.
     """
-    alpha, op, checks = construction_transcript(ctx, t, cap)
-    bad = [name for name, ok, _ in checks if not ok]
-    if bad:
-        raise AssertionError(f"construction self-check failed: {bad}")
+    alpha, op, _ = construction_transcript(ctx, t, cap)
     return alpha, op
 
 
@@ -365,30 +385,33 @@ def construction_transcript(
     """The construction plus its verification checks, for reporting layers.
 
     Returns (alpha, ordered triple, checks) where each check is a
-    (name, passed, detail) tuple; construct_counterexample raises if any
-    check fails, this function hands them back verbatim.
+    (name, passed, detail) tuple.  This is the one place the checks run:
+    it raises AssertionError if any of them fails, so every returned check
+    has passed.
     """
-    return _construct_with_checks(ctx, t, cap)
+    alpha, op, expected = _construct(ctx, t)
+    checks = _postcondition_checks(alpha, op, expected, cap)
+    bad = [name for name, ok, _ in checks if not ok]
+    if bad:
+        raise AssertionError(f"construction self-check failed: {bad}")
+    return alpha, op, checks
 
 
-def _construct_with_checks(
-    ctx: ModuliContext, t: int = 1, cap: int = DEFAULT_CAP
-) -> tuple[WeightVector, OrderedPartition, list]:
+def _construct(
+    ctx: ModuliContext, t: int
+) -> tuple[WeightVector, OrderedPartition, tuple[int, ...]]:
+    """The unchecked construction and its expected rotation values."""
     n, s = ctx.n, ctx.s
     if t < 1:
         raise ValueError("group scale t must be a positive integer")
 
     if s > n - s:
-        dual_ctx = ModuliContext(n, n - s, ctx.g)
-        alpha_d, op_d, _ = _construct_with_checks(dual_ctx, t, cap)
+        alpha_d, op_d, e = _construct(ModuliContext(n, n - s, ctx.g), t)
         alpha = dual_weight(alpha_d)
-        seq = tuple(dual_mult(b) for b in reversed(op_d.seq))
-        op = OrderedPartition(seq)
+        op = OrderedPartition(tuple(dual_mult(b) for b in reversed(op_d.seq)))
         # Duality reverses the pairing, so the length-3 rotation values
         # (R0, R1, R2) of the original come back as (R0, R2, R1).
-        e = _expected_rotations(n, n - s, t)
-        expected = (e[0], e[2], e[1])
-        return alpha, op, _postcondition_checks(alpha, op, expected, cap)
+        return alpha, op, (e[0], e[2], e[1])
 
     if s == 3:
         if n < 11:
@@ -408,9 +431,7 @@ def _construct_with_checks(
         raise ConstructionRangeError(
             f"no known construction for (N, s) = ({n}, {s})"
         )
-    return alpha, op, _postcondition_checks(
-        alpha, op, _expected_rotations(n, s, t), cap
-    )
+    return alpha, op, _expected_rotations(n, s, t)
 
 
 def _reference(key: tuple[int, int]) -> tuple[WeightVector, OrderedPartition]:

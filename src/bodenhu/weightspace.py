@@ -337,10 +337,6 @@ def partition_system(
     return sys
 
 
-def _mask_support(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def enumerate_walls(ctx: ModuliContext, cap: int = DEFAULT_CAP) -> list[Wall]:
     """All nonempty walls of W(N,s), canonical representatives, sorted.
 
@@ -355,14 +351,14 @@ def enumerate_walls(ctx: ModuliContext, cap: int = DEFAULT_CAP) -> list[Wall]:
         r = mask.bit_count()
         if not 2 <= r <= n - 2:
             continue
-        support = _mask_support(mask)
         for d in range(-(r - 1), 0):
             # The complementary summand needs an admissible degree too.
             d2 = -s - d
             if not -(n - r) < d2 < 0:
                 continue
-            if feasible(wall_system(n, s, support, d)) is not None:
-                walls.append(Wall(MultiplicityVector.from_support(n, d, support)))
+            m = MultiplicityVector.from_mask(n, d, mask)
+            if feasible(wall_system(n, s, m.support, d)) is not None:
+                walls.append(Wall(m))
     return walls
 
 
@@ -392,7 +388,7 @@ def is_generic(alpha: WeightVector) -> tuple[bool, Optional[Wall]]:
             continue
         t = sums[mask]
         if t.denominator == 1:
-            m = MultiplicityVector.from_support(n, -int(t), _mask_support(mask))
+            m = MultiplicityVector.from_mask(n, -int(t), mask)
             return False, Wall(m)
     return True, None
 
@@ -422,7 +418,7 @@ def is_near(
     for mask in range(1, (1 << n) - 1):
         d_star = -(floor(sums_a[mask]) + 1)  # largest degree with deg_alpha < 0
         if d_star + sums_b[mask] >= 0:
-            m = MultiplicityVector.from_support(n, d_star, _mask_support(mask))
+            m = MultiplicityVector.from_mask(n, d_star, mask)
             return False, m
     return True, None
 

@@ -140,12 +140,6 @@ def _all_disjoint_pairs(n):
             sub = (sub - 1) & rest
 
 
-def _from_mask(n, d, mask):
-    return MultiplicityVector(
-        d, tuple(1 if mask >> i & 1 else 0 for i in range(n))
-    )
-
-
 def _triple_bound_holds_exactly(m1, m2, m3):
     lhs = (
         Fraction(delta(m1, m2), m1.r * m2.r)
@@ -160,8 +154,8 @@ def test_criterion_4_pairing_inequalities():
     # Parity: exhaustive over disjoint-support pairs, small slot counts.
     for n in range(2, 7):
         for mask1, mask2 in _all_disjoint_pairs(n):
-            base1 = _from_mask(n, -1, mask1)
-            base2 = _from_mask(n, -1, mask2)
+            base1 = MultiplicityVector.from_mask(n, -1, mask1)
+            base2 = MultiplicityVector.from_mask(n, -1, mask2)
             for d1 in range(-5, 0):
                 for d2 in range(-5, 0):
                     m1 = MultiplicityVector(d1, base1.mults)

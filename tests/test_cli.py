@@ -1,15 +1,74 @@
 """End-to-end CLI behaviour: exit codes, JSON payloads, determinism, caps."""
 
+import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from bodenhu import cli
+from bodenhu import MODES, WeightVector, check_criterion, cli, is_generic
 from bodenhu.cli import main
 from conftest import ALPHA_9_4, ALPHA_11_3
 
 ALPHA_9_4_ARG = ",".join(ALPHA_9_4)
 GENERIC_3 = "1/7,2/7,4/7"
+
+# sha256 of "<exit code>\n<stdout>" for each invocation, in the json and the
+# table format.  Stdout is a byte-stable contract, so any change to it shows
+# here.
+STDOUT_DIGESTS = {
+    "check-9-4": (
+        ["check", "--alpha", ALPHA_9_4_ARG],
+        "f7a9fd76fe13048172683b0dfbd72f10735c81672b974c9167fb305fa1a3ca3c",
+        "ea00d55f02dfe237e4ecb727d09b65775f1c0a48b604b074e9d45fe5bffc11d8",
+    ),
+    "check-generic": (
+        ["check", "--alpha", GENERIC_3],
+        "74da836b7a91416cb985a58ffefe82a66fbf339a617757d84d258de6ce973c0b",
+        "a459d70cca4df2f62e0f26e4eed1cf355263f4beb4f4258e45ce9a97be0dc6fe",
+    ),
+    "scan-9-small": (
+        ["scan", "--nmax", "9"],
+        "bc94b62e5aee26b6c4bb0ae9b347078225e5b075be3cb5c378589fe67dd13194",
+        "869904c62f555115feb595ef289a1f1cd20d4438554edeb261856efef61dc1eb",
+    ),
+    "scan-9-semismall": (
+        ["scan", "--nmax", "9", "--mode", "semismall"],
+        "e3c5681fd3b5fca3f4e3322f877f566ce123ea6c6b8d992bf3dae9619d24709e",
+        "74898c2d38592449ed0bd2413aef90ee7915fdba4203757bebf3cca5b034bd8a",
+    ),
+    "counterexample-9-4": (
+        ["counterexample", "--n", "9", "--s", "4"],
+        "346105beb545995a7dd0d539a0b9719d6cdb1825594d15c2ecbb2de84ae12c19",
+        "5784e5c94f0425926b6df7c08709c978f1fb6567371fc6fb3b3a0326d3257914",
+    ),
+    "counterexample-10-6": (
+        ["counterexample", "--n", "10", "--s", "6"],
+        "a541d025f5dc43ac69f0e56cba3a564548b1a49c90297399707d8b000448b466",
+        "41eb10a022c301c3c8c0b3a2bb496cfd9138ecc65f452cac6c50875b06ae1afd",
+    ),
+    "walls-6-3": (
+        ["walls", "--n", "6", "--s", "3"],
+        "2aa9e4a90261124e198d5e09381cb86e20e8b388e786c8cce0393ee98040b346",
+        "b7c05cbd771798cbc87f3c76f055c5910bf66b909617a7b8b71371bf12d87d3f",
+    ),
+    "fiber-list": (
+        ["fiber", "--alpha", ALPHA_9_4_ARG],
+        "da56b8b3ce0e349839ed184516a9fd81b1d3df53b3534f2ceac0bf516f23bd91",
+        "387ca2d5d14eee81b01871da94a9f4ec80d45ca1787cb6123fadb8a24ae857c9",
+    ),
+    "fiber-id-0": (
+        ["fiber", "--alpha", ALPHA_9_4_ARG, "--id", "0"],
+        "77c92897d6792b9c370a1739bd08f5858dc59bc1043b383a340053ba2d233064",
+        "94e920445e7caf280e70c500c452b3b5d658bc751794b9f0de908eeb402921ca",
+    ),
+    "selftest-20": (
+        ["selftest", "--trials", "20"],
+        "b45a44f2e2ff194d670255d35a79255ea7c0997e174fd11e56ebb2d568448eac",
+        "c081cb6c2cacfcdfadc63028a3d5776e85c2451fcdc1c5f10ab88b0e9133c2a8",
+    ),
+}
 
 
 def run_cli(capsys, *argv):
@@ -313,6 +372,29 @@ class TestDeterminismAndCaps:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flag, env", [(["--cap", "31"], None), ([], "31")], ids=["flag", "env"]
+    )
+    def test_cap_above_kernel_limit_is_refused_up_front(
+        self, capsys, monkeypatch, flag, env
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("scan started despite an unusable cap")
+
+        monkeypatch.setattr(cli, "scan_all_s", fail)
+        if env is not None:
+            monkeypatch.setenv("BODENHU_CAP_N", env)
+        code, out, err = run_cli(capsys, "scan", "--nmax", "31", *flag)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: cap 31 exceeds the scan kernels' limit of 30 slots\n"
+        )
+        code, out, err = run_cli(
+            capsys, "walls", "--n", "4", "--s", "2", "--cap", "30"
+        )
+        assert code == 0
+
     def test_check_respects_cap(self, capsys):
         code, out, err = run_cli(
             capsys, "check", "--alpha", ALPHA_9_4_ARG, "--cap", "8"
@@ -345,3 +427,47 @@ class TestInternalErrors:
             assert last == f"internal error: {type(exc).__name__}: {exc}"
         else:
             assert last == f"error: {exc}"
+
+
+def _nongeneric_alphas(seed, count):
+    """Seeded weight vectors k/12 with N in 5..10 that lie on some wall."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(5, 10)
+        ks = rng.sample(range(1, 12), n - 1)
+        last = -sum(ks) % 12
+        if not last or last in ks:
+            continue
+        alpha = WeightVector(tuple(Fraction(k, 12) for k in sorted(ks + [last])))
+        if not is_generic(alpha)[0]:
+            out.append(alpha)
+    return out
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("case", sorted(STDOUT_DIGESTS))
+    def test_stdout_digest(self, capsys, case, fmt):
+        argv, json_digest, table_digest = STDOUT_DIGESTS[case]
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+        assert digest == (json_digest if fmt == "json" else table_digest)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_check_agrees_with_check_criterion(self, capsys, mode):
+        alphas = _nongeneric_alphas(seed=12, count=30)
+        failing = 0
+        for alpha in alphas:
+            code, payload = run_json(
+                capsys, "check", "--alpha", str(alpha), "--mode", mode
+            )
+            verdict = check_criterion(alpha, mode)
+            assert payload["holds"] is verdict.holds
+            assert code == (0 if verdict.holds else 1)
+            expected = (
+                cli._witness_json(verdict.witness) if verdict.witness else None
+            )
+            assert payload["witness"] == expected
+            failing += not verdict.holds
+        assert failing > 0

@@ -172,6 +172,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             delta_seq(triple94[:1])
 
+    def test_from_mask_inverts_support_mask(self):
+        for n in range(1, 6):
+            for mask in range(1, 1 << n):
+                m = MultiplicityVector.from_mask(n, -1, mask)
+                assert m.n == n
+                assert m.support_mask == mask
+                assert m == MultiplicityVector.from_support(n, -1, m.support)
+        for mask in (0, 1 << 3, -1):
+            with pytest.raises(ValueError):
+                MultiplicityVector.from_mask(3, -1, mask)
+
 
 class TestPairingProperties:
     @given(mult_vectors())

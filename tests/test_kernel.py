@@ -1,8 +1,8 @@
 """Scan-kernel equivalence, stats accounting, and agreement with exact arithmetic.
 
-The compiled kernel is tested whether or not it was built in place: when
-bodenhu._kernel._speedups is not importable, the compiled_kernel fixture
-builds _speedups.c into a temporary directory and loads it from there.
+The compiled_kernel fixture always builds the current _speedups.c into a
+temporary directory and loads it from there, so an in-place build left over
+from an older source can never stand in for the code under test.
 """
 
 import importlib.machinery
@@ -33,13 +33,7 @@ def _c_compiler():
 
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
-    """The compiled kernel: the importable one, else a fresh temporary build."""
-    try:
-        from bodenhu._kernel import _speedups
-    except ImportError:
-        pass
-    else:
-        return _speedups
+    """The compiled kernel, freshly built from the current _speedups.c."""
     if _c_compiler() is None:
         pytest.skip("no C compiler found to build the compiled kernel")
     out = tmp_path_factory.mktemp("kernel_build")

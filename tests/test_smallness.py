@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bodenhu import smallness
 from bodenhu import (
     ConstructionRangeError,
     ModuliContext,
@@ -277,6 +278,18 @@ class TestConstructions:
         assert all(ok for _, ok, _ in checks)
         assert rotation_deltas(op) == (3, 3, 5)
         assert alpha.s == 5
+
+    def test_dual_construction_checks_once(self, monkeypatch):
+        calls = []
+        original = smallness.check_criterion
+
+        def counted(alpha, mode, cap):
+            calls.append(mode)
+            return original(alpha, mode, cap)
+
+        monkeypatch.setattr(smallness, "check_criterion", counted)
+        construct_counterexample(ModuliContext(10, 6))
+        assert sorted(calls) == ["semismall", "small"]
 
     def test_out_of_range(self):
         for n, s in ((8, 3), (9, 3), (10, 3), (8, 5), (10, 7)):
