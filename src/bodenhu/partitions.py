@@ -178,15 +178,13 @@ def alpha_partitions(
     """
     check_cap(alpha.n, cap)
     n = alpha.n
-    sums = weightspace.subset_sums(alpha.entries)
-
-    def integral(mask: int) -> bool:
-        return sums[mask].denominator == 1
+    denom, sums = weightspace.subset_sums(alpha.entries)
+    integral = {mask for mask, t in enumerate(sums) if t % denom == 0}
 
     out = []
-    for masks in iter_partition_shapes(n, min_len, block_ok=integral):
+    for masks in iter_partition_shapes(n, min_len, integral.__contains__):
         blocks = tuple(
-            MultiplicityVector.from_mask(n, -int(sums[mask]), mask)
+            MultiplicityVector.from_mask(n, -(sums[mask] // denom), mask)
             for mask in masks
         )
         out.append(Partition(blocks))

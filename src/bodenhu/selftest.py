@@ -229,42 +229,63 @@ def _suite_slope_bound(rng: random.Random, trials: int) -> SuiteResult:
     return rec.result()
 
 
-def _suite_rank_two_vanishing(max_n: int) -> SuiteResult:
+def _realisable_partitions(
+    max_n: int,
+) -> dict[tuple[int, int], list[Partition]]:
+    """(N, s) -> realisable partitions of length >= 2, for 4 <= N <= max_n.
+
+    Keys and partitions follow the feasible_partitions order, so the length
+    >= 3 entries of a list are that (N, s)'s length >= 3 stream.
+    """
+    return {
+        (n, s): [p for p, _ in feasible_partitions(ModuliContext(n, s), 2)]
+        for n in range(4, max_n + 1)
+        for s in range(1, n)
+    }
+
+
+def _suite_rank_two_vanishing(
+    realisable: dict[tuple[int, int], list[Partition]]
+) -> SuiteResult:
     """Rank-2 block pairs of any realisable partition pair to zero."""
     rec = _Recorder("rank-two-vanishing")
-    for n in range(4, max_n + 1):
-        for s in range(1, n):
-            for partition, _ in feasible_partitions(ModuliContext(n, s), 2):
-                pairs = [b for b in partition.blocks if b.r == 2]
-                for a, b in itertools.combinations(pairs, 2):
-                    rec.check(
-                        delta(a, b) == 0,
-                        f"nonzero delta for rank-2 pair {a}, {b} (n={n}, s={s})",
-                    )
+    for (n, s), partitions in realisable.items():
+        for partition in partitions:
+            pairs = [b for b in partition.blocks if b.r == 2]
+            for a, b in itertools.combinations(pairs, 2):
+                rec.check(
+                    delta(a, b) == 0,
+                    f"nonzero delta for rank-2 pair {a}, {b} (n={n}, s={s})",
+                )
     return rec.result()
 
 
-def _suite_rank_two_degree_one(max_n: int) -> SuiteResult:
+def _suite_rank_two_degree_one(
+    realisable: dict[tuple[int, int], list[Partition]]
+) -> SuiteResult:
     """The disjunction for degree -1 triples whose third block has rank 2.
 
-    For blocks m, m2, m3 of one realisable partition, all of degree -1 and
-    with m3 of rank 2: delta(m, m2) <= (r-4)(r'-2) - 2, or delta(m2, m3) <= 0,
-    or delta(m3, m) <= 0.
+    For blocks m, m2, m3 of one realisable partition with N >= 6 and s >= 3,
+    all of degree -1 and with m3 of rank 2: delta(m, m2) <= (r-4)(r'-2) - 2,
+    or delta(m2, m3) <= 0, or delta(m3, m) <= 0.
     """
     rec = _Recorder("rank-two-degree-one")
-    for n in range(6, max_n + 1):
-        for s in range(3, n):
-            for partition, _ in feasible_partitions(ModuliContext(n, s), 3):
-                ones = [b for b in partition.blocks if b.d_check == -1]
-                for m, m2, m3 in itertools.permutations(ones, 3):
-                    if m3.r != 2:
-                        continue
-                    rec.check(
-                        delta(m, m2) <= (m.r - 4) * (m2.r - 2) - 2
-                        or delta(m2, m3) <= 0
-                        or delta(m3, m) <= 0,
-                        f"disjunction fails for {m}, {m2}, {m3} (n={n}, s={s})",
-                    )
+    for (n, s), partitions in realisable.items():
+        if n < 6 or s < 3:
+            continue
+        for partition in partitions:
+            if len(partition) < 3:
+                continue
+            ones = [b for b in partition.blocks if b.d_check == -1]
+            for m, m2, m3 in itertools.permutations(ones, 3):
+                if m3.r != 2:
+                    continue
+                rec.check(
+                    delta(m, m2) <= (m.r - 4) * (m2.r - 2) - 2
+                    or delta(m2, m3) <= 0
+                    or delta(m3, m) <= 0,
+                    f"disjunction fails for {m}, {m2}, {m3} (n={n}, s={s})",
+                )
     return rec.result()
 
 
@@ -341,13 +362,14 @@ def _suite_rotation_identity(rng: random.Random, trials: int) -> SuiteResult:
 def run_all(seed: int = 0, trials: int = 2000) -> list[SuiteResult]:
     """Run every suite with one seeded generator; deterministic per seed."""
     rng = random.Random(seed)
+    realisable = _realisable_partitions(max_n=8)
     return [
         _suite_delta_algebra(rng, trials),
         _suite_parity(max_n=6, degrees=range(-5, 0)),
         _suite_triple_bound(rng, trials),
         _suite_slope_bound(rng, trials),
-        _suite_rank_two_vanishing(max_n=8),
-        _suite_rank_two_degree_one(max_n=8),
+        _suite_rank_two_vanishing(realisable),
+        _suite_rank_two_degree_one(realisable),
         _suite_hom_estimate(rng, trials // 2),
         _suite_rotation_identity(rng, max(trials // 4, 100)),
     ]

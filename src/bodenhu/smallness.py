@@ -35,7 +35,7 @@ from .core import (
     WeightVector,
     check_cap,
     deg_alpha,
-    delta_seq,
+    delta,
     dual_mult,
     dual_weight,
 )
@@ -100,10 +100,29 @@ def _check_mode(mode: str) -> None:
 
 
 def rotation_deltas(op: OrderedPartition) -> tuple[int, ...]:
-    """delta_seq of every rotation of the sequence, starting positions 0..L-1."""
+    """delta_seq of every rotation of the sequence, starting positions 0..L-1.
+
+    The L(L-1)/2 pairwise deltas are computed once.  Moving the head block
+    to the back reverses its pairs with every other block, and delta is
+    antisymmetric, so r_{l+1} = r_l - 2 * sum_j delta(seq[l], seq[j]).
+    """
     seq = op.seq
     L = len(seq)
-    return tuple(delta_seq(seq[l:] + seq[:l]) for l in range(L))
+    if L < 2:
+        raise ValueError("rotation values need at least two blocks")
+    outgoing = [0] * L  # outgoing[i] = sum_j delta(seq[i], seq[j])
+    r = 0
+    for i in range(L):
+        for j in range(i + 1, L):
+            d = delta(seq[i], seq[j])
+            outgoing[i] += d
+            outgoing[j] -= d
+            r += d
+    rots = [r]
+    for out in outgoing[:-1]:
+        r -= 2 * out
+        rots.append(r)
+    return tuple(rots)
 
 
 def violates_margin(rots: tuple[int, ...], mode: str) -> bool:

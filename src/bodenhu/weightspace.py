@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .core import (
@@ -363,14 +363,20 @@ def enumerate_walls(ctx: ModuliContext, cap: int = DEFAULT_CAP) -> list[Wall]:
 
 
 @lru_cache(maxsize=32)
-def subset_sums(entries: tuple[Fraction, ...]) -> list[Fraction]:
-    """sums[mask] = sum of entries over the bits of mask, for all masks."""
-    n = len(entries)
-    sums = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + entries[low.bit_length() - 1]
-    return sums
+def subset_sums(entries: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """(D, sums): the subset sums of entries, scaled to integers.
+
+    D is the lcm of the entry denominators and sums[mask] is D times the sum
+    of the entries over the bits of mask, for all masks.  A subset sum is an
+    integer iff sums[mask] % D == 0, and its floor is sums[mask] // D; both
+    are exact.  The cached value is immutable.
+    """
+    denom = lcm(*(e.denominator for e in entries))
+    sums = [0]
+    for e in entries:
+        x = e.numerator * (denom // e.denominator)
+        sums += [t + x for t in sums]
+    return denom, tuple(sums)
 
 
 def is_generic(alpha: WeightVector) -> tuple[bool, Optional[Wall]]:
@@ -381,14 +387,11 @@ def is_generic(alpha: WeightVector) -> tuple[bool, Optional[Wall]]:
     lies on it.
     """
     n = alpha.n
-    sums = subset_sums(alpha.entries)
+    denom, sums = subset_sums(alpha.entries)
     for mask in range(1, 1 << n, 2):
-        r = mask.bit_count()
-        if not 2 <= r <= n - 2:
-            continue
         t = sums[mask]
-        if t.denominator == 1:
-            m = MultiplicityVector.from_mask(n, -int(t), mask)
+        if t % denom == 0 and 2 <= mask.bit_count() <= n - 2:
+            m = MultiplicityVector.from_mask(n, -(t // denom), mask)
             return False, Wall(m)
     return True, None
 
@@ -413,13 +416,15 @@ def is_near(
             f"weight sums differ: {alpha.s} vs {beta.s}"
         )
     n = alpha.n
-    sums_a = subset_sums(alpha.entries)
-    sums_b = subset_sums(beta.entries)
-    for mask in range(1, (1 << n) - 1):
-        d_star = -(floor(sums_a[mask]) + 1)  # largest degree with deg_alpha < 0
-        if d_star + sums_b[mask] >= 0:
-            m = MultiplicityVector.from_mask(n, d_star, mask)
-            return False, m
+    den_a, sums_a = subset_sums(alpha.entries)
+    den_b, sums_b = subset_sums(beta.entries)
+    full = (1 << n) - 1
+    for mask, ta, tb in zip(range(1, full), sums_a[1:full], sums_b[1:full]):
+        # The largest degree with deg_alpha < 0 is -(floor(ta / den_a) + 1);
+        # it binds when deg_beta of that summand is >= 0.
+        k = ta // den_a + 1
+        if tb >= k * den_b:
+            return False, MultiplicityVector.from_mask(n, -k, mask)
     return True, None
 
 

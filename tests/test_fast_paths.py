@@ -1,0 +1,228 @@
+"""Integer fast paths against slow, independent Fraction references.
+
+The weight-space primitives run on integers over one common denominator and
+rotation_deltas walks a pairwise-delta table.  The references below are the
+direct definitions: Fraction subset sums with a denominator test, a floor per
+support, and delta_seq of every rotation.  Every return must match exactly,
+including the first wall or binding summand and the partition order.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from math import floor, lcm
+
+from hypothesis import given, settings, strategies as st
+
+from bodenhu import (
+    MultiplicityVector,
+    OrderedPartition,
+    Partition,
+    Wall,
+    WeightVector,
+    alpha_partitions,
+    delta_seq,
+    find_generic_near,
+    is_generic,
+    is_near,
+    iter_partition_shapes,
+    perturbation_direction,
+    rotation_deltas,
+)
+
+# Denominators as in the benchmark's query mix: dense (2N), medium, generic.
+KINDS = ("dense", "medium", "generic")
+
+
+def _denominator(n, kind):
+    return {"dense": 2 * n, "medium": 60, "generic": 997}[kind]
+
+
+def _weight_vector(rng, n, d):
+    """N distinct fractions k/d in (0, 1), sorted, summing to an integer."""
+    while True:
+        ks = rng.sample(range(1, d), n - 1)
+        last = -sum(ks) % d
+        if last and last not in ks:
+            entries = tuple(Fraction(k, d) for k in sorted(ks + [last]))
+            return WeightVector(entries)
+
+
+def ref_subset_sums(entries):
+    n = len(entries)
+    sums = [Fraction(0)] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + entries[low.bit_length() - 1]
+    return sums
+
+
+def ref_is_generic(alpha):
+    n = alpha.n
+    sums = ref_subset_sums(alpha.entries)
+    for mask in range(1, 1 << n, 2):
+        r = mask.bit_count()
+        if not 2 <= r <= n - 2:
+            continue
+        t = sums[mask]
+        if t.denominator == 1:
+            return False, Wall(MultiplicityVector.from_mask(n, -int(t), mask))
+    return True, None
+
+
+def ref_is_near(alpha, beta):
+    n = alpha.n
+    sums_a = ref_subset_sums(alpha.entries)
+    sums_b = ref_subset_sums(beta.entries)
+    for mask in range(1, (1 << n) - 1):
+        d_star = -(floor(sums_a[mask]) + 1)
+        if d_star + sums_b[mask] >= 0:
+            return False, MultiplicityVector.from_mask(n, d_star, mask)
+    return True, None
+
+
+def ref_alpha_partitions(alpha, min_len):
+    n = alpha.n
+    sums = ref_subset_sums(alpha.entries)
+
+    def integral(mask):
+        return sums[mask].denominator == 1
+
+    return [
+        Partition(
+            tuple(
+                MultiplicityVector.from_mask(n, -int(sums[mask]), mask)
+                for mask in masks
+            )
+        )
+        for masks in iter_partition_shapes(n, min_len, block_ok=integral)
+    ]
+
+
+def _common_denominator(alpha):
+    return lcm(*(e.denominator for e in alpha.entries))
+
+
+@st.composite
+def alphas(draw, min_n=3, max_n=10):
+    n = draw(st.integers(min_n, max_n))
+    kind = draw(st.sampled_from(KINDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return _weight_vector(rng, n, _denominator(n, kind))
+
+
+class TestWeightSpaceOracles:
+    @given(alphas())
+    @settings(max_examples=120, deadline=None)
+    def test_is_generic(self, alpha):
+        assert is_generic(alpha) == ref_is_generic(alpha)
+
+    @given(alphas(), alphas())
+    @settings(max_examples=120, deadline=None)
+    def test_is_near_between_draws(self, alpha, other):
+        if (alpha.n, alpha.s) != (other.n, other.s):
+            return
+        assert is_near(alpha, other) == ref_is_near(alpha, other)
+        assert is_near(other, alpha) == ref_is_near(other, alpha)
+
+    @given(alphas(max_n=9))
+    @settings(max_examples=60, deadline=None)
+    def test_alpha_partitions(self, alpha):
+        for min_len in (1, 3):
+            assert alpha_partitions(alpha, min_len) == ref_alpha_partitions(
+                alpha, min_len
+            )
+
+    @given(alphas(max_n=8))
+    @settings(max_examples=40, deadline=None)
+    def test_generic_near_points(self, alpha):
+        beta = find_generic_near(alpha)
+        assert is_generic(beta) == ref_is_generic(beta)
+        assert is_near(alpha, beta) == ref_is_near(alpha, beta)
+        assert is_near(beta, alpha) == ref_is_near(beta, alpha)
+
+
+def _perturbed(alpha, k, theta=None):
+    """alpha + eps*v (+ delta*w(theta)), the candidate form of find_generic_near.
+
+    eps = 1/(4 N maxden 2^k) with v the perturbation direction; the optional
+    zero-sum Vandermonde tweak w(theta) is scaled to move by at most eps.
+    """
+    n = alpha.n
+    max_den = max(e.denominator for e in alpha.entries)
+    eps = Fraction(1, 4 * n * max_den * 2**k)
+    v = perturbation_direction(alpha)
+    entries = [a + eps * x for a, x in zip(alpha.entries, v)]
+    if theta is not None:
+        powers = [Fraction(theta) ** (i + 1) for i in range(n)]
+        mean = sum(powers) / n
+        w = [p - mean for p in powers]
+        step = eps / max(abs(x) for x in w)
+        entries = [e + step * x for e, x in zip(entries, w)]
+    return WeightVector(tuple(entries))
+
+
+class TestLargeDenominators:
+    """Points whose common denominators exceed 2^64.
+
+    find_generic_near returns points with 10- to 42-bit denominators for
+    N <= 13, so the candidates it tries are built here with smaller steps:
+    the first-stage direction alone (which may stay on walls) and with a
+    Vandermonde tweak.
+    """
+
+    def points(self):
+        rng = random.Random(20)
+        for n in (8, 10):
+            for kind in KINDS:
+                alpha = _weight_vector(rng, n, _denominator(n, kind))
+                yield alpha, find_generic_near(alpha)
+                for k, theta in ((70, None), (70, 2), (70, 97)):
+                    yield alpha, _perturbed(alpha, k, theta)
+
+    def test_perturbed_denominators_exceed_64_bits(self):
+        big = [
+            _common_denominator(beta) > 2**64 for _, beta in self.points()
+        ]
+        assert big.count(True) == 18
+
+    def test_primitives_match_references(self):
+        for alpha, beta in self.points():
+            assert is_generic(alpha) == ref_is_generic(alpha)
+            assert is_generic(beta) == ref_is_generic(beta)
+            assert is_near(alpha, beta) == ref_is_near(alpha, beta)
+            assert is_near(beta, alpha) == ref_is_near(beta, alpha)
+            assert alpha_partitions(beta) == ref_alpha_partitions(beta, 1)
+
+
+@st.composite
+def ordered_partitions(draw):
+    """A random partition into blocks of size >= 2 with valid degrees."""
+    n = draw(st.integers(4, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    slots = list(range(1, n + 1))
+    rng.shuffle(slots)
+    sizes = []
+    left = n
+    while left:
+        size = left if left < 4 else rng.randint(2, min(4, left - 2))
+        sizes.append(size)
+        left -= size
+    blocks = []
+    for size in sizes:
+        support, slots = slots[:size], slots[size:]
+        d_check = rng.randint(-(size - 1), -1)
+        blocks.append(MultiplicityVector.from_support(n, d_check, support))
+    return tuple(blocks)
+
+
+class TestRotationOracle:
+    @given(ordered_partitions())
+    @settings(max_examples=60, deadline=None)
+    def test_every_ordering_matches_delta_seq(self, blocks):
+        for order in itertools.permutations(blocks):
+            seq = tuple(order)
+            expected = tuple(
+                delta_seq(seq[l:] + seq[:l]) for l in range(len(seq))
+            )
+            assert rotation_deltas(OrderedPartition(seq)) == expected

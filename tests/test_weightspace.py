@@ -153,14 +153,29 @@ class TestSubsetSums:
     )
     def test_matches_brute_force(self, entries):
         entries = tuple(entries)
-        sums = subset_sums(entries)
+        denom, sums = subset_sums(entries)
+        assert all(denom % e.denominator == 0 for e in entries)
         assert len(sums) == 1 << len(entries)
         for mask in range(1 << len(entries)):
             expected = sum(
                 (e for i, e in enumerate(entries) if mask >> i & 1),
                 Fraction(0),
             )
-            assert sums[mask] == expected
+            assert Fraction(sums[mask], denom) == expected
+
+    def test_denominator_is_the_lcm(self):
+        entries = (Fraction(1, 4), Fraction(1, 6), Fraction(-3, 10))
+        assert subset_sums(entries) == (60, (0, 15, 10, 25, -18, -3, -8, 7))
+
+    def test_cached_value_is_immutable(self):
+        entries = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+        first = subset_sums(entries)
+        with pytest.raises(TypeError):
+            first[1][3] = 7
+        with pytest.raises(TypeError):
+            first[0] = 7
+        again = subset_sums(entries)
+        assert again == first == (6, (0, 2, 3, 5, 4, 6, 7, 9))
 
 
 class TestGenericity:
