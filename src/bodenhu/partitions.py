@@ -211,9 +211,7 @@ def feasible_partitions(
         for degs in itertools.product(*_degree_ranges(masks)):
             if sum(degs) != -s:
                 continue
-            witness = weightspace.feasible(
-                weightspace.partition_system(n, list(zip(masks, degs)))
-            )
+            witness = weightspace.realise_blocks(n, list(zip(masks, degs)))
             if witness is not None:
                 blocks = tuple(
                     MultiplicityVector.from_mask(n, d, mask)

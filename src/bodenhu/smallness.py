@@ -225,9 +225,7 @@ def _first_feasible(
         if key in cache:
             point = cache[key]
         else:
-            point = weightspace.feasible(
-                weightspace.partition_system(n, list(zip(masks, degs)))
-            )
+            point = weightspace.realise_blocks(n, list(zip(masks, degs)))
             cache[key] = point
         if point is None:
             continue

@@ -3,19 +3,22 @@
 The open weight space is the rational polytope 0 < a_1 < ... < a_N < 1 with
 integer coordinate sum s.  Walls are the hyperplanes deg_alpha(m) = 0 cut out
 by proper summands m of the one-vector; a weight vector is generic when it
-lies on no wall.  Everything here is decided exactly: emptiness questions go
-through a rational Fourier-Motzkin solver that handles strict inequalities
-natively (strict + strict combines to strict), never through floats or an
-epsilon.
+lies on no wall.  Everything here is decided exactly, never through floats
+or an epsilon.  Whether a wall meets W(N,s) has a closed form (wall_meets):
+the closure is a simplex with known vertices.  Partition systems and general
+systems go through one Fourier-Motzkin solver on integer rows, which handles
+strict inequalities natively (strict + strict combines to strict);
+realise_blocks feeds it partition systems without building Fractions until
+the witness, feasible builds the rows of a general rational system.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .core import (
@@ -34,7 +37,9 @@ __all__ = [
     "interior_system",
     "wall_system",
     "partition_system",
+    "realise_blocks",
     "subset_sums",
+    "wall_meets",
     "enumerate_walls",
     "is_generic",
     "is_near",
@@ -48,9 +53,9 @@ class Wall:
     """A nonempty wall of W(N,s), named by its canonical summand (m_1 = 1).
 
     Instances are produced by enumerate_walls (which certifies nonemptiness
-    through the feasibility solver) and by is_generic (where the tested weight
-    vector itself lies on the wall); both construction sites guarantee the
-    wall meets the open weight space.
+    through the closed-form wall_meets) and by is_generic (where the tested
+    weight vector itself lies on the wall); both construction sites guarantee
+    the wall meets the open weight space.
     """
 
     m: MultiplicityVector
@@ -142,14 +147,90 @@ def _insert_row(rows: dict, coeffs: tuple[int, ...], b: int) -> None:
         rows[coeffs] = b
 
 
+def _solve_strict(rows: dict, k: int) -> Optional[list[Fraction]]:
+    """Fourier-Motzkin on primitive integer rows c.y < b over k variables.
+
+    rows maps coefficient tuples to bounds, in insertion order.  Returns the
+    witness values by reverse back-substitution, choosing interval midpoints
+    (or bound +/- 1 when one side is unbounded, 0 when both are), or None
+    when the rows are infeasible.
+    """
+    # Stage 3: Fourier-Motzkin over the k variables.
+    eliminated: list[tuple[int, list, list]] = []
+    remaining = list(range(k))
+    try:
+        while True:
+            best = None
+            for j in remaining:
+                pos = sum(1 for c in rows if c[j] > 0)
+                neg = sum(1 for c in rows if c[j] < 0)
+                if pos == 0 and neg == 0:
+                    continue
+                score = pos * neg
+                if best is None or score < best[0]:
+                    best = (score, j, pos, neg)
+            if best is None:
+                break
+            _, j, _, _ = best
+            uppers = [(c, b) for c, b in rows.items() if c[j] > 0]
+            lowers = [(c, b) for c, b in rows.items() if c[j] < 0]
+            keep = {c: b for c, b in rows.items() if c[j] == 0}
+            for cu, bu in uppers:
+                for cl, bl in lowers:
+                    a, m = cu[j], -cl[j]
+                    comb = tuple(m * u + a * l for u, l in zip(cu, cl))
+                    bc = m * bu + a * bl
+                    g = gcd(*comb, bc)
+                    if g > 1:
+                        comb = tuple(c // g for c in comb)
+                        bc //= g
+                    _insert_row(keep, comb, bc)
+            rows = keep
+            eliminated.append((j, lowers, uppers))
+            remaining.remove(j)
+    except _Infeasible:
+        return None
+
+    # Stage 4: reverse back-substitution, values nums[v] / den.  A row c.y < b
+    # bounds y_j by (b den - c.nums) / (c_j den); nums[j] is still 0.
+    nums, den = [0] * k, 1
+    for j, lowers, uppers in reversed(eliminated):
+        lo = hi = None
+        for c, b in lowers:
+            p, q = sum(map(mul, c, nums)) - b * den, -c[j] * den
+            if lo is None or p * lo[1] > lo[0] * q:
+                lo = (p, q)
+        for c, b in uppers:
+            p, q = b * den - sum(map(mul, c, nums)), c[j] * den
+            if hi is None or p * hi[1] < hi[0] * q:
+                hi = (p, q)
+        if lo is not None and hi is not None:
+            if not lo[0] * hi[1] < hi[0] * lo[1]:
+                raise AssertionError("Fourier-Motzkin interval must be nonempty")
+            p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        elif hi is not None:
+            p, q = hi[0] - hi[1], hi[1]
+        elif lo is not None:
+            p, q = lo[0] + lo[1], lo[1]
+        else:
+            p, q = 0, 1
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        scale = q // gcd(den, q)
+        if scale > 1:
+            nums = [x * scale for x in nums]
+            den *= scale
+        nums[j] = p * (den // q)
+    return [Fraction(x, den) for x in nums]
+
+
 def feasible(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     """Decide the system exactly; return a rational witness point or None.
 
     Equalities are eliminated first by Gauss-Jordan substitution (pivot on the
     lowest-index variable with a nonzero coefficient), then Fourier-Motzkin
-    runs on the strict inequalities over the free variables.  The witness is
-    reconstructed deterministically by reverse elimination, choosing interval
-    midpoints (or bound +/- 1 when one side is unbounded, 0 when both are).
+    (_solve_strict) runs on the strict inequalities over the free variables
+    and the pivots are recovered from the free values.
     """
     n = system.n_vars
 
@@ -180,8 +261,6 @@ def feasible(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
         pivots[pivot] = (expr, const)
 
     free = [v for v in range(n) if v not in pivots]
-    index_of = {v: i for i, v in enumerate(free)}
-    k = len(free)
 
     # Stage 2: substitute into the strict inequalities, over free vars only.
     rows: dict[tuple[int, ...], int] = {}
@@ -194,81 +273,15 @@ def feasible(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
             reduced = tuple(row[v] for v in free)
             ints, ib = _normalize_int_row(reduced, b)
             _insert_row(rows, ints, ib)
-
-        # Stage 3: Fourier-Motzkin over the free variables.
-        eliminated: list[tuple[int, list, list]] = []
-        remaining = list(range(k))
-        while True:
-            best = None
-            for j in remaining:
-                pos = sum(1 for c in rows if c[j] > 0)
-                neg = sum(1 for c in rows if c[j] < 0)
-                if pos == 0 and neg == 0:
-                    continue
-                score = pos * neg
-                if best is None or score < best[0]:
-                    best = (score, j, pos, neg)
-            if best is None:
-                break
-            _, j, _, _ = best
-            uppers = [(c, b) for c, b in rows.items() if c[j] > 0]
-            lowers = [(c, b) for c, b in rows.items() if c[j] < 0]
-            keep = {c: b for c, b in rows.items() if c[j] == 0}
-            for cu, bu in uppers:
-                for cl, bl in lowers:
-                    a, m = cu[j], -cl[j]
-                    comb = tuple(m * u + a * l for u, l in zip(cu, cl))
-                    bc = m * bu + a * bl
-                    g = 0
-                    for c in comb:
-                        g = gcd(g, c)
-                    g = gcd(g, bc)
-                    if g > 1:
-                        comb = tuple(c // g for c in comb)
-                        bc //= g
-                    _insert_row(keep, comb, bc)
-            rows = keep
-            eliminated.append((j, lowers, uppers))
-            remaining.remove(j)
     except _Infeasible:
         return None
-
-    # Stage 4: witness by reverse back-substitution.
-    values: list[Optional[Fraction]] = [None] * k
-    for j in remaining:
-        values[j] = Fraction(0)
-    for j, lowers, uppers in reversed(eliminated):
-        lo = hi = None
-        for c, b in lowers:
-            rest = sum(
-                (Fraction(c[v]) * values[v] for v in range(k) if v != j and c[v]),
-                Fraction(0),
-            )
-            bound = (Fraction(b) - rest) / c[j]  # c[j] < 0 flips to a lower bound
-            if lo is None or bound > lo:
-                lo = bound
-        for c, b in uppers:
-            rest = sum(
-                (Fraction(c[v]) * values[v] for v in range(k) if v != j and c[v]),
-                Fraction(0),
-            )
-            bound = (Fraction(b) - rest) / c[j]
-            if hi is None or bound < hi:
-                hi = bound
-        if lo is not None and hi is not None:
-            if not lo < hi:
-                raise AssertionError("Fourier-Motzkin interval must be nonempty")
-            values[j] = (lo + hi) / 2
-        elif hi is not None:
-            values[j] = hi - 1
-        elif lo is not None:
-            values[j] = lo + 1
-        else:
-            values[j] = Fraction(0)
+    values = _solve_strict(rows, len(free))
+    if values is None:
+        return None
 
     point: list[Fraction] = [Fraction(0)] * n
-    for v in free:
-        point[v] = values[index_of[v]]
+    for v, value in zip(free, values):
+        point[v] = value
     for pv, (pcoeffs, pconst) in pivots.items():
         acc = pconst
         for v in free:
@@ -276,6 +289,72 @@ def feasible(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
             if c:
                 acc += c * point[v]
         point[pv] = acc
+    return tuple(point)
+
+
+def realise_blocks(
+    n: int, blocks: Sequence[tuple[int, int]]
+) -> Optional[tuple[Fraction, ...]]:
+    """feasible(partition_system(n, blocks)), on integers until the witness.
+
+    The (mask, d_check) blocks must be nonempty, disjoint and cover every
+    slot.  A block whose own wall misses W(n,s) (wall_meets) already empties
+    the system.  Otherwise each block pivots on its lowest slot p,
+    x_p = -d_check - sum_{B - p} x_v, the pivot feasible picks too;
+    substituted into the chain rows, every coefficient stays in
+    {0, +-1, +-2}.  The rows reach _solve_strict in the same order and form
+    as from feasible, so the witness is the same.
+    """
+    pivots: dict[int, tuple[int, list[int]]] = {}  # p -> (d_check, B - p)
+    covered = 0
+    for mask, d_check in blocks:
+        if not mask or covered & mask:
+            raise ValueError("blocks must be nonempty and pairwise disjoint")
+        covered |= mask
+        slots = [v for v in range(n) if mask >> v & 1]
+        pivots[slots[0]] = (d_check, slots[1:])
+    if covered != (1 << n) - 1:
+        raise ValueError("blocks must cover every slot")
+    s = -sum(d_check for _, d_check in blocks)
+    if not 0 < s < n:
+        return None
+    if len(blocks) > 1 and not all(wall_meets(n, s, *block) for block in blocks):
+        return None
+    free = [v for v in range(n) if v not in pivots]
+    index_of = {v: i for i, v in enumerate(free)}
+
+    # The chain -x_1 < 0, x_i - x_{i+1} < 0, x_n < 1 as (slot, coeff) terms.
+    chain = [([(0, -1)], 0)]
+    chain += [([(i, 1), (i + 1, -1)], 0) for i in range(n - 1)]
+    chain.append(([(n - 1, 1)], 1))
+    rows: dict[tuple[int, ...], int] = {}
+    try:
+        for terms, b in chain:
+            row = [0] * len(free)
+            for v, a in terms:
+                if v in pivots:
+                    d_check, rest = pivots[v]
+                    b += a * d_check
+                    for w in rest:
+                        row[index_of[w]] -= a
+                else:
+                    row[index_of[v]] += a
+            g = gcd(*row, b)
+            if g > 1:
+                row = [c // g for c in row]
+                b //= g
+            _insert_row(rows, tuple(row), b)
+    except _Infeasible:
+        return None
+    values = _solve_strict(rows, len(free))
+    if values is None:
+        return None
+
+    point: list[Fraction] = [Fraction(0)] * n
+    for v, value in zip(free, values):
+        point[v] = value
+    for p, (d_check, rest) in pivots.items():
+        point[p] = Fraction(-d_check) - sum((point[w] for w in rest), Fraction(0))
     return tuple(point)
 
 
@@ -337,12 +416,44 @@ def partition_system(
     return sys
 
 
+def wall_meets(n: int, s: int, mask: int, d_check: int) -> bool:
+    """Whether the wall sum_{mask} x = -d_check meets the open W(n,s).
+
+    The closure of W(n,s) is the slice sum x = s of the order polytope of a
+    chain, a simplex whose vertices are the 0/1 step vectors u_j (ones on
+    the top j slots).  With f_j the number of mask slots among the top j,
+    the slice has the vertex u_s, with value f_s, and one vertex on each
+    edge [u_i, u_j] with i < s < j, with value
+    (f_i (j - s) + f_j (s - i)) / (j - i).  A hyperplane meets the relative
+    interior iff some vertex lies strictly on each side of it, unless it
+    contains the whole slice, which only the empty and the full support can
+    do; those are refused.  Values are compared cross-multiplied, so
+    everything stays in int.
+    """
+    if not 0 < mask < (1 << n) - 1:
+        raise ValueError("a wall support must be a proper nonempty subset")
+    t = -d_check
+    f = [0] * (n + 1)
+    for j in range(1, n + 1):
+        f[j] = f[j - 1] + (mask >> (n - j) & 1)
+    below = f[s] < t
+    above = f[s] > t
+    for i in range(s):
+        for j in range(s + 1, n + 1):
+            value, scale = f[i] * (j - s) + f[j] * (s - i), t * (j - i)
+            below = below or value < scale
+            above = above or value > scale
+            if below and above:
+                return True
+    return False
+
+
 def enumerate_walls(ctx: ModuliContext, cap: int = DEFAULT_CAP) -> list[Wall]:
     """All nonempty walls of W(N,s), canonical representatives, sorted.
 
     Candidates run over supports containing slot 1 (ascending bitmask) and
     degrees ascending; each is kept only if the wall actually meets the open
-    weight space, which the feasibility solver certifies.
+    weight space, which the closed form wall_meets decides.
     """
     check_cap(ctx.n, cap)
     n, s = ctx.n, ctx.s
@@ -356,9 +467,8 @@ def enumerate_walls(ctx: ModuliContext, cap: int = DEFAULT_CAP) -> list[Wall]:
             d2 = -s - d
             if not -(n - r) < d2 < 0:
                 continue
-            m = MultiplicityVector.from_mask(n, d, mask)
-            if feasible(wall_system(n, s, m.support, d)) is not None:
-                walls.append(Wall(m))
+            if wall_meets(n, s, mask, d):
+                walls.append(Wall(MultiplicityVector.from_mask(n, d, mask)))
     return walls
 
 

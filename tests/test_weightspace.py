@@ -1,7 +1,9 @@
 """Wall enumeration, genericity, nearness, and the exact feasibility solver."""
 
+import hashlib
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,13 +17,20 @@ from bodenhu import (
     deg_alpha,
     enumerate_walls,
     feasible,
+    feasible_partitions,
     find_generic_near,
     is_generic,
     is_near,
     perturbation_direction,
     subset_sums,
 )
-from bodenhu.weightspace import wall_system
+from bodenhu.partitions import iter_partition_shapes
+from bodenhu.weightspace import (
+    partition_system,
+    realise_blocks,
+    wall_meets,
+    wall_system,
+)
 
 ALPHA_5_2 = ("1/10", "1/5", "3/10", "1/2", "9/10")
 
@@ -109,6 +118,50 @@ class TestFeasible:
                             assert point is not None
 
 
+class TestRecordedWitnesses:
+    """Witnesses pinned by sha256 digests recorded with a Fraction solver.
+
+    The back-substitution runs on integers over a common denominator; being
+    exact, it must give every witness the Fraction arithmetic gave.
+    realise_blocks and feasible share it, so they cannot check it for each
+    other.
+    """
+
+    def test_feasible_partitions_up_to_8(self):
+        h = hashlib.sha256()
+        for n in range(2, 9):
+            for s in range(1, n):
+                for partition, point in feasible_partitions(ModuliContext(n, s)):
+                    line = f"{n} {s} {partition} {','.join(map(str, point))}\n"
+                    h.update(line.encode())
+        assert h.hexdigest() == (
+            "dc418655a77ef7cf60e3bf8cae2abeb4ac1338b3621e22b98d09f1bad919583e"
+        )
+
+    def test_random_rational_systems(self):
+        rng = random.Random(11)
+        h = hashlib.sha256()
+        for _ in range(1000):
+            n = rng.randint(1, 5)
+            system = LinearSystem(n)
+            for _ in range(rng.randint(0, 2)):
+                system.add_eq(
+                    [rng.randint(-3, 3) for _ in range(n)],
+                    Fraction(rng.randint(-8, 8), rng.randint(1, 3)),
+                )
+            for _ in range(rng.randint(1, 7)):
+                system.add_lt(
+                    [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)],
+                    rng.randint(-4, 4),
+                )
+            point = feasible(system)
+            text = None if point is None else ",".join(map(str, point))
+            h.update(f"{text}\n".encode())
+        assert h.hexdigest() == (
+            "b0357e6fe12d1b0c0be0a2c46ee78e2b3f0b7fdc299648ddc8192ecec9aff01d"
+        )
+
+
 class TestWalls:
     def test_no_walls_below_four_slots(self):
         assert enumerate_walls(ModuliContext(2, 1)) == []
@@ -141,6 +194,115 @@ class TestWalls:
             Wall(MultiplicityVector.from_support(4, -2, (1, 2)))
         with pytest.raises(ValueError):
             Wall(MultiplicityVector.from_support(4, -1, (1, 2, 3)))
+
+
+def fourier_motzkin_walls(n, s):
+    """enumerate_walls' candidates, filtered by the general solver."""
+    walls = []
+    for mask in range(1, 1 << n, 2):
+        r = mask.bit_count()
+        if not 2 <= r <= n - 2:
+            continue
+        for d in range(-(r - 1), 0):
+            if not -(n - r) < -s - d < 0:
+                continue
+            m = MultiplicityVector.from_mask(n, d, mask)
+            if feasible(wall_system(n, s, m.support, d)) is not None:
+                walls.append(Wall(m))
+    return walls
+
+
+class TestWallClosedForm:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_fourier_motzkin(self, n):
+        for s in range(1, n):
+            assert enumerate_walls(ModuliContext(n, s)) == fourier_motzkin_walls(
+                n, s
+            )
+
+    def test_every_support_and_degree(self):
+        """Also off the canonical candidates: any proper support, d in [-n, 0]."""
+        for n in range(2, 6):
+            for s in range(1, n):
+                for mask in range(1, (1 << n) - 1):
+                    support = [i + 1 for i in range(n) if mask >> i & 1]
+                    for d in range(-n, 1):
+                        expected = feasible(wall_system(n, s, support, d))
+                        assert wall_meets(n, s, mask, d) == (expected is not None)
+
+    def test_improper_supports_are_refused(self):
+        for mask in (0, 0b1111):
+            with pytest.raises(ValueError):
+                wall_meets(4, 2, mask, -1)
+
+    @pytest.mark.parametrize(
+        "s, support, d_check, point",
+        [
+            # Largest vertex value equal to -d: on an edge, and at u_s.
+            (2, (1, 2), -1, ("1/2", "1/2", "1/2", "1/2")),
+            (2, (1, 3), -1, (0, 0, 1, 1)),
+            (3, (1, 2, 5), -2, ("1/2", "1/2", "1/2", "1/2", 1)),
+            # Smallest vertex value equal to -d: on an edge, and at u_s.
+            (2, (1, 4, 5), -1, (0, "1/2", "1/2", "1/2", "1/2")),
+            (2, (1, 3, 5), -1, (0, 0, 0, 1, 1)),
+            (3, (1, 4, 5), -1, (0, "1/2", "1/2", "1/2", "1/2", 1)),
+        ],
+    )
+    def test_wall_touching_only_the_boundary_is_rejected(
+        self, s, support, d_check, point
+    ):
+        point = [Fraction(x) for x in point]
+        n = len(point)
+        # The wall meets the closure of W(n,s) at this vertex ...
+        assert 0 <= point[0] and point[-1] <= 1
+        assert all(a <= b for a, b in zip(point, point[1:]))
+        assert sum(point) == s
+        assert sum(point[i - 1] for i in support) == -d_check
+        # ... but not the open weight space.
+        mask = sum(1 << (i - 1) for i in support)
+        assert not wall_meets(n, s, mask, d_check)
+        assert feasible(wall_system(n, s, support, d_check)) is None
+
+
+class TestRealiseBlocks:
+    @staticmethod
+    def candidates(n, s):
+        for masks in iter_partition_shapes(n):
+            ranges = [range(-(m.bit_count() - 1), 0) for m in masks]
+            for degs in product(*ranges):
+                if sum(degs) == -s:
+                    yield list(zip(masks, degs))
+
+    @pytest.mark.parametrize(
+        "n, s", [(n, s) for n in range(2, 8) for s in range(1, n)] + [(8, 4)]
+    )
+    def test_matches_fourier_motzkin(self, n, s):
+        realised = 0
+        for blocks in self.candidates(n, s):
+            point = realise_blocks(n, blocks)
+            assert point == feasible(partition_system(n, blocks))
+            if point is not None:
+                assert all(type(x) is Fraction for x in point)
+                realised += 1
+        assert realised > 0
+
+    def test_any_degrees(self):
+        """Off the candidates too: degrees from -n to 1, s outside (0, n)."""
+        for n in range(1, 6):
+            for masks in iter_partition_shapes(n) if n > 1 else [(1,)]:
+                for degs in product(range(-n, 2), repeat=len(masks)):
+                    blocks = list(zip(masks, degs))
+                    assert realise_blocks(n, blocks) == feasible(
+                        partition_system(n, blocks)
+                    )
+
+    def test_blocks_must_partition_the_slots(self):
+        with pytest.raises(ValueError):
+            realise_blocks(4, [(0b0011, -1), (0b0110, -1)])
+        with pytest.raises(ValueError):
+            realise_blocks(4, [(0b0011, -1)])
+        with pytest.raises(ValueError):
+            realise_blocks(4, [(0, -1), (0b1111, -2)])
 
 
 class TestSubsetSums:
