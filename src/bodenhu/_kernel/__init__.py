@@ -1,25 +1,19 @@
 """Scan-kernel selection: the compiled extension when present, else pure Python.
 
 Both implementations expose the same scan_partition_batch and must agree bit
-for bit (the test suite enforces this).  Set BODENHU_PURE=1 to force the
-pure-Python kernel even when the extension is built.
+for bit (the test suite enforces this).  The pure kernel is the fallback
+when no compiled extension was built, and the oracle the tests import
+directly.
 """
 
-import os
+try:
+    from . import _speedups as _impl  # type: ignore[attr-defined]
 
-if os.environ.get("BODENHU_PURE"):
+    KERNEL_KIND = "compiled"
+except ImportError:
     from . import pure as _impl
 
     KERNEL_KIND = "pure"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-
-        KERNEL_KIND = "compiled"
-    except ImportError:
-        from . import pure as _impl
-
-        KERNEL_KIND = "pure"
 
 scan_partition_batch = _impl.scan_partition_batch
 

@@ -19,6 +19,7 @@ timing fields are null; --no-deterministic fills them in.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -345,18 +346,13 @@ def _table_counterexample(payload: dict) -> str:
 
 
 def _cmd_walls(args) -> tuple[int, dict]:
-    ctx = ModuliContext(args.n, args.s)
-    check_cap(args.n, args.cap)
-    walls = enumerate_walls(ctx, args.cap)
+    walls = enumerate_walls(ModuliContext(args.n, args.s), args.cap)
     payload = {
         "command": "walls",
         "n": args.n,
         "s": args.s,
         "count": len(walls),
-        "walls": [
-            {"support": list(w.m.support), "degree": w.m.d_check}
-            for w in walls
-        ],
+        "walls": _blocks_json([w.m for w in walls]),
     }
     return 0, payload
 
@@ -380,7 +376,6 @@ def _table_walls(payload: dict) -> str:
 
 def _cmd_fiber(args) -> tuple[int, dict]:
     alpha = parse_weight_vector(args.alpha)
-    check_cap(alpha.n, args.cap)
     partitions = alpha_partitions(alpha, 1, args.cap)
     if args.id is None:
         payload = {
@@ -529,6 +524,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

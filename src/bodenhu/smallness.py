@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import weightspace
 from ._kernel import scan_partition_batch
@@ -182,91 +182,61 @@ def check_criterion(
     return first_violation(alpha, mode, rated)
 
 
-def _collect_violations(
-    n: int, s_filter: int, mode: str, cap: int, min_len: int = 3
-) -> tuple[list, dict]:
-    """Run the kernel over every shape; returns (violation records, stats).
-
-    Records are (masks, degrees, order, rotations) in canonical enumeration
-    order; stats maps s to [candidate_count, ordering_class_count].
-    """
-    check_cap(n, cap)
-    semismall = mode == "semismall"
-    records: list = []
-    stats: dict = {}
-    batch: list = []
-
-    def flush() -> None:
-        if not batch:
-            return
-        viols, st = scan_partition_batch(n, s_filter, semismall, min_len, batch)
-        for pi, degs, order, rots in viols:
-            records.append((batch[pi], degs, order, rots))
-        for s, (cand, classes) in st.items():
-            acc = stats.setdefault(s, [0, 0])
-            acc[0] += cand
-            acc[1] += classes
-        batch.clear()
-
-    for masks in iter_partition_shapes(n, min_len):
-        batch.append(masks)
-        if len(batch) >= _BATCH:
-            flush()
-    flush()
-    return records, stats
-
-
-def _first_feasible(
-    n: int, records: list, cache: dict
-) -> Optional[tuple[OrderedPartition, tuple[int, ...], WeightVector]]:
-    """First violation whose shape is realisable; exact solver, memoised."""
-    for masks, degs, order, rots in records:
-        key = (masks, degs)
-        if key in cache:
-            point = cache[key]
-        else:
-            point = weightspace.realise_blocks(n, list(zip(masks, degs)))
-            cache[key] = point
-        if point is None:
-            continue
-        blocks = tuple(
-            MultiplicityVector.from_mask(n, d, mask)
-            for mask, d in zip(masks, degs)
-        )
-        seq = tuple(blocks[i] for i in order)
-        return OrderedPartition(seq), rots, WeightVector(point)
-    return None
-
-
 def _scan(n: int, s_filter: int, mode: str, cap: int) -> dict[int, dict]:
     """The scan behind verify_conjecture and scan_all_s.
 
-    Scans every shape of length >= 3 with total degree -s_filter (every s
-    when s_filter is 0).  Per s, the first violating and realisable candidate
-    in canonical order is the witness, and its weight vector must fail
-    check_criterion too.  Returns s -> {"verdict": Verdict, "candidates": int,
-    "classes": int}.
+    Streams every shape of length >= 3 through the kernel, keeping only
+    total degree -s_filter (every s when s_filter is 0).  Per s, the first
+    violating and realisable candidate in canonical order is the witness,
+    and its weight vector must fail check_criterion too.  The kernel reports
+    all orderings of a candidate consecutively, so a candidate that fails to
+    realise is solved once.  Returns s -> {"verdict": Verdict,
+    "candidates": int, "classes": int}.
     """
     _check_mode(mode)
-    records, stats = _collect_violations(n, s_filter, mode, cap)
-    by_s: dict[int, list] = {}
-    for rec in records:
-        by_s.setdefault(-sum(rec[1]), []).append(rec)
-    cache: dict = {}
-    out: dict[int, dict] = {}
-    for s in [s_filter] if s_filter else range(1, n):
-        found = _first_feasible(n, by_s.get(s, []), cache)
-        if found is None:
-            verdict = Verdict(True, mode, None)
-        else:
-            op, rots, alpha = found
+    check_cap(n, cap)
+    semismall = mode == "semismall"
+    stats: dict[int, list[int]] = {}
+    witnesses: dict[int, Witness] = {}
+    shapes = iter_partition_shapes(n, 3)
+    while batch := list(itertools.islice(shapes, _BATCH)):
+        viols, counts = scan_partition_batch(
+            n, s_filter, semismall, 3, batch
+        )
+        for s, (cand, classes) in counts.items():
+            acc = stats.setdefault(s, [0, 0])
+            acc[0] += cand
+            acc[1] += classes
+        unrealisable = None
+        for pi, degs, order, rots in viols:
+            s = -sum(degs)
+            if s in witnesses or (pi, degs) == unrealisable:
+                continue
+            masks = batch[pi]
+            point = weightspace.realise_blocks(n, list(zip(masks, degs)))
+            if point is None:
+                unrealisable = (pi, degs)
+                continue
+            blocks = tuple(
+                MultiplicityVector.from_mask(n, d, mask)
+                for mask, d in zip(masks, degs)
+            )
+            op = OrderedPartition(tuple(blocks[i] for i in order))
+            alpha = WeightVector(point)
             if check_criterion(alpha, mode, cap).holds:
                 raise AssertionError(
                     "witness weight vector failed the check_criterion re-check"
                 )
-            verdict = Verdict(False, mode, Witness(op, rots, alpha))
-        cand, classes = stats.get(s, [0, 0])
-        out[s] = {"verdict": verdict, "candidates": cand, "classes": classes}
+            witnesses[s] = Witness(op, rots, alpha)
+    out: dict[int, dict] = {}
+    for s in [s_filter] if s_filter else range(1, n):
+        witness = witnesses.get(s)
+        cand, classes = stats.get(s, (0, 0))
+        out[s] = {
+            "verdict": Verdict(witness is None, mode, witness),
+            "candidates": cand,
+            "classes": classes,
+        }
     return out
 
 
@@ -461,6 +431,19 @@ def _reference(key: tuple[int, int]) -> tuple[WeightVector, OrderedPartition]:
     return alpha, OrderedPartition(blocks)
 
 
+def _first_valid_weight(
+    entries_at: Callable[[Fraction], list[Fraction]]
+) -> WeightVector:
+    """WeightVector(entries_at(h)) at the first valid h = 1/8, 1/16, ..."""
+    h = Fraction(1, 8)
+    for _ in range(80):
+        try:
+            return WeightVector(tuple(entries_at(h)))
+        except ValueError:
+            h /= 2
+    raise AssertionError("no valid weight vector in 80 halvings of h")
+
+
 def _construct_middle(
     n: int, s: int, t: int
 ) -> tuple[WeightVector, OrderedPartition]:
@@ -471,8 +454,8 @@ def _construct_middle(
     n1 = s - 3 * t
     t0 = n0 * (n0 + 1) // 2
     t1 = n1 * (n1 + 1) // 2
-    h = Fraction(1, 8)
-    for _ in range(80):
+
+    def entries(h: Fraction) -> list[Fraction]:
         eps = h
         near0 = [eps * i / t0 for i in range(1, n0 + 1)]
         offsets = [
@@ -481,25 +464,17 @@ def _construct_middle(
         third = [Fraction(1, 3) + o for o in offsets]
         twothird = [Fraction(2, 3) + o for o in offsets]
         near1 = [1 - eps * (n1 + 1 - i) / t1 for i in range(1, n1 + 1)]
-        entries = tuple(near0 + third + twothird + near1)
-        try:
-            alpha = WeightVector(entries)
-        except ValueError:
-            h /= 2
-            continue
-        sup1 = tuple(range(1, n0 + 1)) + tuple(range(n - n1 + 1, n + 1))
-        m1 = MultiplicityVector.from_support(n, 3 * t - s, sup1)
-        m2 = MultiplicityVector.from_support(
-            n, -t, tuple(range(n0 + 1, n0 + 3 * t + 1))
-        )
-        m3 = MultiplicityVector.from_support(
-            n, -2 * t, tuple(range(n0 + 3 * t + 1, n0 + 6 * t + 1))
-        )
-        op = OrderedPartition((m1, m2, m3))
-        if rotation_deltas(op) == _expected_rotations(n, s, t):
-            return alpha, op
-        h /= 2
-    raise AssertionError("group construction failed to stabilise")
+        return near0 + third + twothird + near1
+
+    sup1 = tuple(range(1, n0 + 1)) + tuple(range(n - n1 + 1, n + 1))
+    m1 = MultiplicityVector.from_support(n, 3 * t - s, sup1)
+    m2 = MultiplicityVector.from_support(
+        n, -t, tuple(range(n0 + 1, n0 + 3 * t + 1))
+    )
+    m3 = MultiplicityVector.from_support(
+        n, -2 * t, tuple(range(n0 + 3 * t + 1, n0 + 6 * t + 1))
+    )
+    return _first_valid_weight(entries), OrderedPartition((m1, m2, m3))
 
 
 def _construct_s3(n: int) -> tuple[WeightVector, OrderedPartition]:
@@ -508,8 +483,8 @@ def _construct_s3(n: int) -> tuple[WeightVector, OrderedPartition]:
         return _reference((11, 3))
     k = n - 7
     tk = k * (k + 1) // 2
-    h = Fraction(1, 8)
-    for _ in range(80):
+
+    def entries(h: Fraction) -> list[Fraction]:
         eta = c = h
         near0 = [eta * i for i in range(1, k + 1)]
         eps = eta * (tk - 1)
@@ -521,19 +496,11 @@ def _construct_s3(n: int) -> tuple[WeightVector, OrderedPartition]:
         ]
         half = [(1 - eta) / 2 - c, (1 - eta) / 2 + c]
         last = Fraction(2, 3) + c - eps
-        entries = tuple(near0 + third + half + [last])
-        try:
-            alpha = WeightVector(entries)
-        except ValueError:
-            h /= 2
-            continue
-        m1 = MultiplicityVector.from_support(
-            n, -1, tuple(range(2, n - 6)) + (n - 5, n)
-        )
-        m2 = MultiplicityVector.from_support(n, -1, (n - 6, n - 4, n - 3))
-        m3 = MultiplicityVector.from_support(n, -1, (1, n - 2, n - 1))
-        op = OrderedPartition((m1, m2, m3))
-        if rotation_deltas(op) == _expected_rotations(n, 3, 1):
-            return alpha, op
-        h /= 2
-    raise AssertionError("s=3 construction failed to stabilise")
+        return near0 + third + half + [last]
+
+    m1 = MultiplicityVector.from_support(
+        n, -1, tuple(range(2, n - 6)) + (n - 5, n)
+    )
+    m2 = MultiplicityVector.from_support(n, -1, (n - 6, n - 4, n - 3))
+    m3 = MultiplicityVector.from_support(n, -1, (1, n - 2, n - 1))
+    return _first_valid_weight(entries), OrderedPartition((m1, m2, m3))

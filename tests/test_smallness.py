@@ -1,10 +1,11 @@
 """The rotation criterion, the full-space scan, and the counterexample builder."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from bodenhu import smallness
+from bodenhu import smallness, weightspace
 from bodenhu import (
     ConstructionRangeError,
     ModuliContext,
@@ -20,6 +21,7 @@ from bodenhu import (
     construction_transcript,
     deg_alpha,
     dual_weight,
+    feasible_partitions,
     scan_all_s,
     verify_conjecture,
 )
@@ -209,6 +211,78 @@ class TestScan:
         for s in (1, 2):
             assert results[s]["candidates"] == 0
             assert results[s]["verdict"].holds
+
+
+def definitional_witnesses(n):
+    """(mode, s) -> the first violating ordering of feasible_partitions, or None.
+
+    The slow path straight from the definition: feasible candidates of
+    length >= 3 in canonical order, each with its realising point, and their
+    ordering representatives in lex order.
+    """
+    out = {}
+    for s in range(1, n):
+        pending = set(MODES)
+        for partition, point in feasible_partitions(ModuliContext(n, s), 3):
+            for op in ordering_representatives(partition):
+                rots = rotation_deltas(op)
+                for mode in sorted(pending):
+                    if violates_margin(rots, mode):
+                        out[mode, s] = (op, rots, point)
+                        pending.discard(mode)
+            if not pending:
+                break
+        for mode in pending:
+            out[mode, s] = None
+    return out
+
+
+@pytest.fixture(scope="module")
+def counted_scans():
+    """scan_all_s for every N <= 10 and mode, and its realise_blocks calls."""
+    calls = Counter()
+    key = None
+    original = weightspace.realise_blocks
+
+    def counted(n, blocks):
+        calls[key] += 1
+        return original(n, blocks)
+
+    scans = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weightspace, "realise_blocks", counted)
+        for n in range(2, 11):
+            for mode in MODES:
+                key = (n, mode)
+                scans[key] = scan_all_s(n, mode)
+    return scans, calls
+
+
+class TestScanWitnessDefinition:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_witness_is_the_first_realisable_violation(self, n, counted_scans):
+        scans, _ = counted_scans
+        expected = definitional_witnesses(n)
+        for mode in MODES:
+            for s in range(1, n):
+                verdict = scans[n, mode][s]["verdict"]
+                first = expected[mode, s]
+                assert verdict.holds == (first is None), (n, s, mode)
+                if first is None:
+                    continue
+                op, rots, point = first
+                witness = verdict.witness
+                assert witness.ordered.seq == op.seq, (n, s, mode)
+                assert witness.rotation_deltas == rots
+                assert witness.alpha.entries == tuple(point)
+
+    def test_realise_blocks_calls(self, counted_scans):
+        _, calls = counted_scans
+        expected = {(9, "small"): 2, (9, "semismall"): 2,
+                    (10, "small"): 5, (10, "semismall"): 3}
+        for n in range(2, 11):
+            for mode in MODES:
+                assert calls[n, mode] == expected.get((n, mode), 0), (n, mode)
 
 
 class TestClassify:

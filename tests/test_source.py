@@ -8,14 +8,44 @@ import bodenhu
 PACKAGE = Path(bodenhu.__file__).parent
 
 
-def test_no_assert_statements():
-    """Invariants must survive python -O, which strips assert statements."""
+def parsed_modules():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
+    return [(path, ast.parse(path.read_text(), str(path))) for path in modules]
+
+
+def test_no_assert_statements():
+    """Invariants must survive python -O, which strips assert statements."""
     found = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for path, tree in parsed_modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def reads_environment(node):
+    """os.environ / os.getenv, or either name imported from os."""
+    names = ("environ", "getenv")
+    if isinstance(node, ast.Attribute):
+        return (
+            node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        )
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(a.name in names for a in node.names)
+    return False
+
+
+def test_only_the_cli_reads_the_environment():
+    """Library calls behave the same whatever the environment holds."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path, tree in parsed_modules()
+        if path != PACKAGE / "cli.py"
+        for node in ast.walk(tree)
+        if reads_environment(node)
     ]
     assert found == []
