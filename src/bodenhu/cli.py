@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
 import traceback
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .core import (
@@ -47,7 +47,7 @@ from .smallness import (
     rotation_deltas,
     scan_all_s,
 )
-from .moduli import fiber_report
+from .moduli import check_genus, fiber_report
 from . import selftest
 
 __all__ = ["main"]
@@ -68,6 +68,77 @@ def _resolve_cap(cap: Optional[int]) -> int:
             f"cap {cap} exceeds the scan kernels' limit of {MAX_SLOTS} slots"
         )
     return cap
+
+
+# json.dumps spells the non-finite floats this way (allow_nan=True).
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(payload) -> str:
+    """The bytes of json.dumps(payload, indent=2), built without its encoder.
+
+    With any indent the standard library runs its pure-Python encoder, one
+    generator frame per container.  Payloads hold only dicts with str keys,
+    lists, str, int, bool and None, plus the float timings of
+    --no-deterministic; a list of only ints or only strs is joined in one
+    go.  Any other type raises TypeError, as json.dumps does for Fraction.
+    """
+    out: list[str] = []
+    _encode(payload, "\n", out)
+    return "".join(out)
+
+
+def _encode(value, newline: str, out: list[str]) -> None:
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is float:
+        text = float.__repr__(value)
+        out.append(_NONFINITE.get(text, text))
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == {int} or kinds == {str}:
+            each = int.__repr__ if kinds == {int} else encode_basestring_ascii
+            out.append(
+                "[" + inner + ("," + inner).join(map(each, value))
+                + newline + "]"
+            )
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(
+                    f"keys must be str, not {type(key).__name__}"
+                )
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(
+            f"Object of type {kind.__name__} is not JSON serializable"
+        )
 
 
 def _fractions(values) -> list[str]:
@@ -376,6 +447,7 @@ def _table_walls(payload: dict) -> str:
 
 def _cmd_fiber(args) -> tuple[int, dict]:
     alpha = parse_weight_vector(args.alpha)
+    check_genus(args.genus)
     partitions = alpha_partitions(alpha, 1, args.cap)
     if args.id is None:
         payload = {
@@ -472,6 +544,8 @@ def _table_fiber(payload: dict) -> str:
 
 
 def _cmd_selftest(args) -> tuple[int, dict]:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     results = selftest.run_all(args.seed, args.trials)
     ok = all(r.ok for r in results)
     payload = {
@@ -629,7 +703,7 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(render(payload))
     return code

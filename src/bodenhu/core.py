@@ -130,6 +130,22 @@ class MultiplicityVector:
             raise ValueError(f"support mask {mask:#x} has bits beyond slot {n}")
         return cls(d_check, tuple(mask >> i & 1 for i in range(n)))
 
+    @classmethod
+    def _from_mask_unchecked(
+        cls, n: int, d_check: int, mask: int
+    ) -> "MultiplicityVector":
+        """from_mask without validation, for enumerators.
+
+        The caller guarantees an int d_check and 0 < mask < 2**n.
+        """
+        self = object.__new__(cls)
+        self.__dict__.update(
+            d_check=d_check,
+            mults=tuple(mask >> i & 1 for i in range(n)),
+            r=mask.bit_count(),
+        )
+        return self
+
     @property
     def n(self) -> int:
         return len(self.mults)

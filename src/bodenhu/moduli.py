@@ -30,6 +30,7 @@ from .smallness import ordering_representatives
 
 __all__ = [
     "FiberReport",
+    "check_genus",
     "moduli_dim",
     "stratum_codim",
     "fiber_component_dim",
@@ -37,7 +38,8 @@ __all__ = [
 ]
 
 
-def _check_genus(g: int) -> None:
+def check_genus(g: int) -> None:
+    """Reject a genus that is not an integer >= 2."""
     if not isinstance(g, int) or g < 2:
         raise ValueError(f"genus must be an integer >= 2, got {g!r}")
 
@@ -50,14 +52,14 @@ def moduli_dim(m: MultiplicityVector, g: int) -> Fraction:
     type stays Fraction so callers can feed the value back into exact
     arithmetic without conversion.
     """
-    _check_genus(g)
+    check_genus(g)
     square_sum = sum(c * c for c in m.mults)
     return Fraction(2 * g - 1, 2) * m.r**2 - Fraction(square_sum, 2) + 1
 
 
 def stratum_codim(xi: Partition, g: int) -> int:
     """Codimension 1 - L + (2g - 1) * (sum of rank products over pairs)."""
-    _check_genus(g)
+    check_genus(g)
     ranks = [b.r for b in xi.blocks]
     total = sum(ranks)
     pair_sum = (total * total - sum(r * r for r in ranks)) // 2
@@ -80,7 +82,7 @@ def fiber_component_dim(
     The blocks must have pairwise disjoint supports; the pair sum then always
     lands on an integer.
     """
-    _check_genus(g)
+    check_genus(g)
     blocks = _blocks_of(sigma)
     seen = 0
     for b in blocks:
@@ -135,7 +137,7 @@ def fiber_report(xi: Partition, beta: WeightVector, g: int = 2) -> FiberReport:
     whether it is near a weight vector that makes xi a partition is left to
     the caller.
     """
-    _check_genus(g)
+    check_genus(g)
     if xi.n != beta.n:
         raise ValueError(f"partition has {xi.n} slots, beta has {beta.n}")
     codim = stratum_codim(xi, g)

@@ -77,6 +77,13 @@ class Partition:
         _validate_blocks(blocks)
         object.__setattr__(self, "blocks", blocks)
 
+    @classmethod
+    def _unchecked(cls, blocks: tuple[MultiplicityVector, ...]) -> "Partition":
+        """A partition from blocks that are valid and sorted by support_mask."""
+        self = object.__new__(cls)
+        self.__dict__["blocks"] = blocks
+        return self
+
     @property
     def n(self) -> int:
         return self.blocks[0].n
@@ -103,6 +110,15 @@ class OrderedPartition:
         _validate_blocks(tuple(sorted(seq, key=lambda b: b.support_mask)))
         object.__setattr__(self, "seq", seq)
 
+    @classmethod
+    def _unchecked(
+        cls, seq: tuple[MultiplicityVector, ...]
+    ) -> "OrderedPartition":
+        """An ordered partition from blocks that form a valid partition."""
+        self = object.__new__(cls)
+        self.__dict__["seq"] = seq
+        return self
+
     @property
     def partition(self) -> Partition:
         return Partition(self.seq)
@@ -116,9 +132,8 @@ class OrderedPartition:
 
     def rotation(self, l: int) -> "OrderedPartition":
         """The rotation starting at position l (0 <= l < L)."""
-        L = len(self.seq)
-        l %= L
-        return OrderedPartition(self.seq[l:] + self.seq[:l])
+        l %= len(self.seq)
+        return OrderedPartition._unchecked(self.seq[l:] + self.seq[:l])
 
     def rotations(self) -> list["OrderedPartition"]:
         return [self.rotation(l) for l in range(len(self.seq))]
@@ -175,20 +190,24 @@ def alpha_partitions(
 
     A block with support B is admissible iff sum_B alpha is an integer; its
     degree is then forced to -sum_B alpha.  Deterministic enumeration order.
+
+    Each admissible mask gets one block, shared by every partition that uses
+    it.  Nothing is re-validated: the shapes are sorted set partitions into
+    blocks of size >= 2, and a block sum strictly between 0 and r puts its
+    degree in [-(r-1), -1].
     """
     check_cap(alpha.n, cap)
     n = alpha.n
     denom, sums = weightspace.subset_sums(alpha.entries)
-    integral = {mask for mask, t in enumerate(sums) if t % denom == 0}
-
-    out = []
-    for masks in iter_partition_shapes(n, min_len, integral.__contains__):
-        blocks = tuple(
-            MultiplicityVector.from_mask(n, -(sums[mask] // denom), mask)
-            for mask in masks
-        )
-        out.append(Partition(blocks))
-    return out
+    block_of = {
+        mask: MultiplicityVector._from_mask_unchecked(n, -(t // denom), mask)
+        for mask, t in enumerate(sums)
+        if mask and t % denom == 0
+    }
+    return [
+        Partition._unchecked(tuple(map(block_of.__getitem__, masks)))
+        for masks in iter_partition_shapes(n, min_len, block_of.__contains__)
+    ]
 
 
 def _degree_ranges(masks: tuple[int, ...]) -> list[range]:
@@ -214,10 +233,10 @@ def feasible_partitions(
             witness = weightspace.realise_blocks(n, list(zip(masks, degs)))
             if witness is not None:
                 blocks = tuple(
-                    MultiplicityVector.from_mask(n, d, mask)
+                    MultiplicityVector._from_mask_unchecked(n, d, mask)
                     for mask, d in zip(masks, degs)
                 )
-                yield Partition(blocks), witness
+                yield Partition._unchecked(blocks), witness
 
 
 def is_alpha_stable_seq(seq: OrderedPartition, alpha: WeightVector) -> bool:

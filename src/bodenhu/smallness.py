@@ -135,11 +135,9 @@ def violates_margin(rots: tuple[int, ...], mode: str) -> bool:
 
 def ordering_representatives(partition: Partition) -> Iterator[OrderedPartition]:
     """The (L-1)! cyclic-order representatives, first block fixed, lex order."""
-    blocks = partition.blocks
-    for perm in itertools.permutations(range(1, len(blocks))):
-        yield OrderedPartition(
-            (blocks[0],) + tuple(blocks[i] for i in perm)
-        )
+    first, rest = partition.blocks[:1], partition.blocks[1:]
+    for perm in itertools.permutations(rest):
+        yield OrderedPartition._unchecked(first + perm)
 
 
 def rated_orderings(

@@ -1,10 +1,11 @@
 """Shared fixtures: the frozen reference inputs used across test modules."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from bodenhu import MultiplicityVector, WeightVector
+from bodenhu import MultiplicityVector, Partition, WeightVector
 
 ALPHA_9_4 = (
     "1/15", "2/15", "1/7", "2/7", "4/7", "7/12", "2/3", "3/4", "4/5",
@@ -31,6 +32,51 @@ def build_triple(
         MultiplicityVector.from_support(n, d, support)
         for support, d in triple
     )
+
+
+# Denominators as in the benchmark's query mix: dense (2N), medium, generic.
+KINDS = ("dense", "medium", "generic")
+
+
+def denominator(n: int, kind: str) -> int:
+    return {"dense": 2 * n, "medium": 60, "generic": 997}[kind]
+
+
+def weight_vector(rng: random.Random, n: int, d: int) -> WeightVector:
+    """N distinct fractions k/d in (0, 1), sorted, summing to an integer."""
+    while True:
+        ks = rng.sample(range(1, d), n - 1)
+        last = -sum(ks) % d
+        if last and last not in ks:
+            entries = tuple(Fraction(k, d) for k in sorted(ks + [last]))
+            return WeightVector(entries)
+
+
+def seeded_alphas(seed: int, kind: str) -> list[WeightVector]:
+    """Four weight vectors of the given kind for each N = 4..10."""
+    rng = random.Random(seed)
+    return [
+        weight_vector(rng, n, denominator(n, kind))
+        for n in range(4, 11)
+        for _ in range(4)
+    ]
+
+
+def assert_public_rebuild(obj) -> None:
+    """obj equals, and hashes like, its rebuild through the public constructors.
+
+    Partition and OrderedPartition rebuilds re-run every validation; each
+    block is rebuilt from its support, which also re-derives its rank.
+    """
+    blocks = obj.blocks if isinstance(obj, Partition) else obj.seq
+    rebuilt = tuple(
+        MultiplicityVector.from_support(b.n, b.d_check, b.support)
+        for b in blocks
+    )
+    assert [b.r for b in blocks] == [b.r for b in rebuilt]
+    public = type(obj)(rebuilt)
+    assert obj == public
+    assert hash(obj) == hash(public)
 
 
 @pytest.fixture

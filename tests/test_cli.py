@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bodenhu import MODES, WeightVector, check_criterion, cli, is_generic
 from bodenhu.cli import main
@@ -13,6 +14,10 @@ from conftest import ALPHA_9_4, ALPHA_11_3
 
 ALPHA_9_4_ARG = ",".join(ALPHA_9_4)
 GENERIC_3 = "1/7,2/7,4/7"
+# A dense N=12 point (every entry k/24): 167 partitions of length >= 3 and
+# a check payload of about 200 kB; it fails in small mode and holds in
+# semismall mode.
+DENSE_12 = "1/24,1/8,5/24,1/3,5/12,1/2,7/12,5/8,2/3,3/4,19/24,23/24"
 
 # sha256 of "<exit code>\n<stdout>" for each invocation, in the json and the
 # table format.  Stdout is a byte-stable contract, so any change to it shows
@@ -62,6 +67,21 @@ STDOUT_DIGESTS = {
         ["fiber", "--alpha", ALPHA_9_4_ARG, "--id", "0"],
         "77c92897d6792b9c370a1739bd08f5858dc59bc1043b383a340053ba2d233064",
         "94e920445e7caf280e70c500c452b3b5d658bc751794b9f0de908eeb402921ca",
+    ),
+    "check-12-dense-small": (
+        ["check", "--alpha", DENSE_12],
+        "28a3725ad3cf85ab2135168b5fbc42fd0f48ba1e042f9e831c96b81c5a21ead9",
+        "77df173bc2f75d9d0dcd9b1e2e958a72bb022669078177f44df0a0c1e32feac8",
+    ),
+    "check-12-dense-semismall": (
+        ["check", "--alpha", DENSE_12, "--mode", "semismall"],
+        "2c78d1423b8eb8cf0a35a61c788dea508ce1ffb52739fe78df95e4865ce5b175",
+        "6aa05ead35e3e803e4b190a00aa859cf8108d03828bef9d0b470e8ae23fc6474",
+    ),
+    "fiber-12-dense-id-0": (
+        ["fiber", "--alpha", DENSE_12, "--id", "0"],
+        "fe50939d1bd3c5faea98e720e61c1c97023b7398f56aaf65897b1f280507d469",
+        "ef7427e55a4deea4cfbfc2f297a13a71a2b3703130b9c55f23a50300aa52776f",
     ),
     "selftest-20": (
         ["selftest", "--trials", "20"],
@@ -296,12 +316,14 @@ class TestFiber:
         assert "ids 0..4" in err
 
     def test_genus_validation(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "fiber", "--alpha", ALPHA_9_4_ARG, "--id", "0", "--genus", "1",
-        )
-        assert code == 2
-        assert err.startswith("error:")
+        for id_args in (["--id", "0"], []):  # the report and the listing
+            code, out, err = run_cli(
+                capsys,
+                "fiber", "--alpha", ALPHA_9_4_ARG, *id_args, "--genus", "1",
+            )
+            assert code == 2
+            assert out == ""
+            assert err == "error: genus must be an integer >= 2, got 1\n"
 
     def test_table_formats(self, capsys):
         code, out, err = run_cli(
@@ -334,6 +356,13 @@ class TestSelftest:
         )
         assert code == 0
         assert "8/8 suites passed" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        code, out, err = run_cli(capsys, "selftest", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --trials must be at least 1\n"
 
 
 class TestDeterminismAndCaps:
@@ -443,6 +472,48 @@ def _nongeneric_alphas(seed, count):
         if not is_generic(alpha)[0]:
             out.append(alpha)
     return out
+
+
+# Payload trees: the JSON payload types at any nesting, empty containers
+# included; text covers non-ASCII and control characters.
+PAYLOAD_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+PAYLOADS = st.recursive(
+    PAYLOAD_SCALARS,
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(st.integers(), max_size=6)
+    | st.lists(st.text(max_size=4), max_size=6)
+    | st.dictionaries(st.text(max_size=6), children, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestEncoder:
+    @settings(max_examples=300)
+    @given(PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Fraction(1, 3),
+            {1, 2},
+            (1, 2),
+            {"blocks": [{"support": [1, 2], "degree": Fraction(-1)}]},
+            {1: "int key"},
+            {"outer": {None: "None key"}},
+        ],
+        ids=["fraction", "set", "tuple", "nested-fraction", "int-key", "none-key"],
+    )
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._dumps(value)
 
 
 class TestByteIdentity:

@@ -29,24 +29,7 @@ from bodenhu import (
     perturbation_direction,
     rotation_deltas,
 )
-
-# Denominators as in the benchmark's query mix: dense (2N), medium, generic.
-KINDS = ("dense", "medium", "generic")
-
-
-def _denominator(n, kind):
-    return {"dense": 2 * n, "medium": 60, "generic": 997}[kind]
-
-
-def _weight_vector(rng, n, d):
-    """N distinct fractions k/d in (0, 1), sorted, summing to an integer."""
-    while True:
-        ks = rng.sample(range(1, d), n - 1)
-        last = -sum(ks) % d
-        if last and last not in ks:
-            entries = tuple(Fraction(k, d) for k in sorted(ks + [last]))
-            return WeightVector(entries)
-
+from conftest import KINDS, denominator, weight_vector
 
 def ref_subset_sums(entries):
     n = len(entries)
@@ -108,7 +91,7 @@ def alphas(draw, min_n=3, max_n=10):
     n = draw(st.integers(min_n, max_n))
     kind = draw(st.sampled_from(KINDS))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    return _weight_vector(rng, n, _denominator(n, kind))
+    return weight_vector(rng, n, denominator(n, kind))
 
 
 class TestWeightSpaceOracles:
@@ -175,7 +158,7 @@ class TestLargeDenominators:
         rng = random.Random(20)
         for n in (8, 10):
             for kind in KINDS:
-                alpha = _weight_vector(rng, n, _denominator(n, kind))
+                alpha = weight_vector(rng, n, denominator(n, kind))
                 yield alpha, find_generic_near(alpha)
                 for k, theta in ((70, None), (70, 2), (70, 97)):
                     yield alpha, _perturbed(alpha, k, theta)

@@ -19,6 +19,7 @@ from bodenhu import (
     iter_partition_shapes,
     stable_rotation,
 )
+from conftest import assert_public_rebuild, seeded_alphas
 
 # Counts of set partitions of n slots into blocks of size >= 2, n = 2..11.
 SHAPE_COUNTS = (1, 1, 4, 11, 41, 162, 715, 3425, 17722, 98253)
@@ -164,6 +165,28 @@ class TestAlphaPartitions:
         for partition in alpha_partitions(alpha94):
             for block in partition.blocks:
                 assert deg_alpha(block, alpha94) == 0
+
+
+class TestEnumeratedObjectsAreValid:
+    """Enumerators skip validation; the public constructors must agree."""
+
+    @pytest.mark.parametrize("kind", ["dense", "medium"])
+    def test_alpha_partitions(self, kind):
+        found = 0
+        for alpha in seeded_alphas(7, kind):
+            shared = {}
+            for partition in alpha_partitions(alpha):
+                assert_public_rebuild(partition)
+                for block in partition.blocks:
+                    assert shared.setdefault(block.support, block) is block
+                found += 1
+        assert found > 100
+
+    def test_feasible_partitions(self):
+        for n in range(2, 9):
+            for s in range(1, n):
+                for partition, _ in feasible_partitions(ModuliContext(n, s)):
+                    assert_public_rebuild(partition)
 
 
 class TestFeasiblePartitions:

@@ -15,6 +15,7 @@ from bodenhu import (
     Verdict,
     WeightVector,
     Witness,
+    alpha_partitions,
     check_criterion,
     classify,
     construct_counterexample,
@@ -22,6 +23,8 @@ from bodenhu import (
     deg_alpha,
     dual_weight,
     feasible_partitions,
+    fiber_report,
+    find_generic_near,
     scan_all_s,
     verify_conjecture,
 )
@@ -31,7 +34,14 @@ from bodenhu.smallness import (
     rotation_deltas,
     violates_margin,
 )
-from conftest import ALPHA_9_4, ALPHA_11_3, TRIPLE_9_4, TRIPLE_11_3
+from conftest import (
+    ALPHA_9_4,
+    ALPHA_11_3,
+    TRIPLE_9_4,
+    TRIPLE_11_3,
+    assert_public_rebuild,
+    seeded_alphas,
+)
 
 # Candidate and ordering-class counts per (n, s) for length >= 3 shapes.
 SCAN_COUNTS = {
@@ -89,6 +99,24 @@ class TestMargins:
         assert all(rep.seq[0] == partition.blocks[0] for rep in reps)
         assert reps[0].seq == partition.blocks
         assert {rep.partition for rep in reps} == {partition}
+
+
+class TestEnumeratedOrderingsAreValid:
+    """Orderings skip validation; the public constructor must agree."""
+
+    @pytest.mark.parametrize("kind", ["dense", "medium"])
+    def test_ordering_representatives_and_fiber_components(self, kind):
+        orderings = components = 0
+        for alpha in seeded_alphas(11, kind):
+            beta = find_generic_near(alpha)
+            for partition in alpha_partitions(alpha):
+                for rep in ordering_representatives(partition):
+                    assert_public_rebuild(rep)
+                    orderings += 1
+                for sigma, _ in fiber_report(partition, beta).components:
+                    assert_public_rebuild(sigma)
+                    components += 1
+        assert orderings == components > 100
 
 
 class TestCheckCriterion:

@@ -49,3 +49,33 @@ def test_only_the_cli_reads_the_environment():
         if reads_environment(node)
     ]
     assert found == []
+
+
+def test_no_indented_json_dumps():
+    """Payloads go through cli._dumps; json.dumps with an indent is slow."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "dumps" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert found == []
+
+
+# Private constructors that skip validation, and the enumeration modules
+# whose objects are valid by construction.
+UNCHECKED = ("_from_mask_unchecked", "_unchecked")
+ENUMERATORS = ("partitions.py", "smallness.py", "moduli.py")
+
+
+def test_unchecked_constructors_only_in_enumerators():
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path, tree in parsed_modules()
+        if path.relative_to(PACKAGE).as_posix() not in ENUMERATORS
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in UNCHECKED
+    ]
+    assert found == []
