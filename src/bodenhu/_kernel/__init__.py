@@ -1,20 +1,39 @@
-"""Scan-kernel selection: the compiled extension when present, else pure Python.
+"""Scan-kernel selection: the compiled extension when it fits, else pure Python.
 
-Both implementations expose the same scan_partition_batch and must agree bit
-for bit (the test suite enforces this).  The pure kernel is the fallback
-when no compiled extension was built, and the oracle the tests import
-directly.
+Both implementations expose the same scan_shapes and scan_partition_batch
+and must agree bit for bit (the test suite enforces this).  The compiled
+module is taken only if it has every entry point and the same KERNEL_API as
+pure.py, so an extension built from an older _speedups.c falls back to the
+pure kernel instead of failing at import.  The pure kernel is also the
+oracle the tests import directly.
 """
 
+from types import ModuleType
+from typing import Optional
+
+from . import pure
+
+ENTRY_POINTS = ("scan_shapes", "scan_partition_batch")
+
+
+def select(compiled: Optional[ModuleType]) -> tuple[ModuleType, str]:
+    """(kernel module, kind): compiled if it matches pure's API, else pure."""
+    if (
+        compiled is not None
+        and getattr(compiled, "KERNEL_API", None) == pure.KERNEL_API
+        and all(hasattr(compiled, name) for name in ENTRY_POINTS)
+    ):
+        return compiled, "compiled"
+    return pure, "pure"
+
+
 try:
-    from . import _speedups as _impl  # type: ignore[attr-defined]
-
-    KERNEL_KIND = "compiled"
+    from . import _speedups
 except ImportError:
-    from . import pure as _impl
+    _speedups = None
 
-    KERNEL_KIND = "pure"
-
+_impl, KERNEL_KIND = select(_speedups)
+scan_shapes = _impl.scan_shapes
 scan_partition_batch = _impl.scan_partition_batch
 
-__all__ = ["scan_partition_batch", "KERNEL_KIND"]
+__all__ = ["scan_shapes", "scan_partition_batch", "KERNEL_KIND"]

@@ -1,12 +1,25 @@
 /*
  * Compiled scan kernel, written against the CPython C API.
  *
- * Twin of pure.py: same arguments, same (violations, stats) result, bit for
- * bit, in the same enumeration order.  Per shape, the degree assignments run
- * as an odometer with the rightmost digit fastest, and the cyclic orders as
- * the lexicographic permutations of order[1:] with order[0] == 0.  The loops
- * run on C integers; Python objects are made only for a violation record and
- * for the stats dict, which is built once at the end of the call.
+ * Twin of pure.py: the same two entry points with the same arguments and the
+ * same (violations, stats) results, bit for bit, in the same order.
+ *
+ *   scan_shapes          enumerates the set partitions itself, in the
+ *                        canonical order of partitions.iter_partition_shapes
+ *                        (the block of the lowest free slot first, its
+ *                        co-members in ascending submask order), and scans
+ *                        each one.  This is the whole exhaustive scan.
+ *   scan_partition_batch scans shapes handed over by the caller.
+ *
+ * Both feed scan_shape.  Per shape, the degree assignments run as an
+ * odometer with the rightmost digit fastest, and the cyclic orders as the
+ * lexicographic permutations of order[1:] with order[0] == 0.  Reversing a
+ * cyclic order negates the multiset of its rotation values, so one r0 and
+ * one prefix scan of a representative with order[1] < order[L-1] decide it
+ * and its reverse (0, order[L-1], ..., order[1]) together; the records of
+ * each degree assignment are then sorted back into lexicographic order.
+ * The loops run on C integers; Python objects are made only for a violation
+ * record and for the stats dict, which is built once at the end of a call.
  *
  * Capacity: at most 30 slots and 16 blocks per shape (the package cap is 14
  * slots), the same limits pure.py enforces.  For those sizes every pairing
@@ -15,7 +28,10 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <string.h>
 
+/* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
+#define KERNEL_API 2
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -32,6 +48,23 @@ typedef struct {
     int seen[MAX_S + 1];
     int nseen;
 } Stats;
+
+/* One shape to scan.  key is the first field of its violation records: the
+ * batch index, or for scan_shapes (index < 0) the tuple of masks.  It is
+ * made on the shape's first violation and released by the caller. */
+typedef struct {
+    u64 masks[MAX_BLOCKS];
+    int L;
+    Py_ssize_t index;
+    PyObject *key;
+} Shape;
+
+/* What one call shares across its shapes. */
+typedef struct {
+    int n, s_filter, semismall, min_len;
+    PyObject *violations;
+    Stats stats;
+} Scan;
 
 /* Advance a[0..m-1] to the next lexicographic permutation; 0 after the last. */
 static int
@@ -70,22 +103,38 @@ int_tuple(const i64 *values, int len)
     return tup;
 }
 
-/* Append (pi, degs, order, rots) to violations; -1 on error. */
-static int
-record_violation(PyObject *violations, Py_ssize_t pi, const i64 *degs,
-                 const i64 *order, const i64 *q, i64 r0, int L)
+static PyObject *
+shape_key(const Shape *sh)
 {
-    i64 rots[MAX_BLOCKS];
-    i64 pre = 0;
+    i64 masks[MAX_BLOCKS];
+    if (sh->index >= 0)
+        return PyLong_FromSsize_t(sh->index);
+    for (int i = 0; i < sh->L; i++)
+        masks[i] = (i64)sh->masks[i];
+    return int_tuple(masks, sh->L);
+}
+
+/* Append (key, degs, order, rots) to the violations; -1 on error. */
+static int
+record_violation(Scan *scan, Shape *sh, const i64 *degs, const i64 *order,
+                 i64 p[][MAX_BLOCKS], const i64 *q)
+{
+    const int L = sh->L;
+    i64 rots[MAX_BLOCKS], r0 = 0, pre = 0;
+    for (int u = 0; u < L; u++)
+        for (int v = u + 1; v < L; v++)
+            r0 += p[order[u]][order[v]];
     for (int l = 0; l < L; l++) {
         rots[l] = r0 - 2 * pre;
         pre += q[order[l]];
     }
+    if (sh->key == NULL && (sh->key = shape_key(sh)) == NULL)
+        return -1;
     /* For L == 0 pure.py's order is still (0,). */
     PyObject *d = int_tuple(degs, L), *o = int_tuple(order, L > 0 ? L : 1);
     PyObject *r = int_tuple(rots, L);
-    PyObject *rec = (d && o && r) ? Py_BuildValue("(nOOO)", pi, d, o, r) : NULL;
-    int rc = rec ? PyList_Append(violations, rec) : -1;
+    PyObject *rec = (d && o && r) ? PyTuple_Pack(4, sh->key, d, o, r) : NULL;
+    int rc = rec ? PyList_Append(scan->violations, rec) : -1;
     Py_XDECREF(d);
     Py_XDECREF(o);
     Py_XDECREF(r);
@@ -93,38 +142,55 @@ record_violation(PyObject *violations, Py_ssize_t pi, const i64 *degs,
     return rc;
 }
 
-/* Scan one shape of L blocks; -1 on error. */
+/* Sort the records appended from index start on.  They differ only in their
+ * orders, so this puts them in lexicographic order; -1 on error. */
 static int
-scan_shape(int n, int s_filter, int semismall, Py_ssize_t pi,
-           const u64 *masks, int L, PyObject *violations, Stats *stats)
+sort_tail(PyObject *list, Py_ssize_t start)
 {
+    Py_ssize_t end = PyList_GET_SIZE(list);
+    if (end - start < 2)
+        return 0;
+    PyObject *tail = PyList_GetSlice(list, start, end);
+    int rc = (tail && PyList_Sort(tail) == 0)
+                 ? PyList_SetSlice(list, start, end, tail) : -1;
+    Py_XDECREF(tail);
+    return rc;
+}
+
+/* Scan one shape; -1 on error. */
+static int
+scan_shape(Scan *scan, Shape *sh)
+{
+    const int n = scan->n, L = sh->L;
     i64 ranks[MAX_BLOCKS], T[MAX_BLOCKS], degs[MAX_BLOCKS], lo[MAX_BLOCKS];
-    i64 q[MAX_BLOCKS], order[MAX_BLOCKS + 1];
+    i64 q[MAX_BLOCKS], order[MAX_BLOCKS + 1], reverse[MAX_BLOCKS];
     i64 X[MAX_BLOCKS][MAX_BLOCKS], p[MAX_BLOCKS][MAX_BLOCKS];
-    int pos[MAX_BLOCKS][MAX_SLOTS];
-    const i64 threshold = L - 1;
+    u64 sup[MAX_BLOCKS];
+    const u64 slots = n > 0 ? (1ULL << n) - 1 : 0;
+    /* a rotation meets the margin L - 1 (semismall: exceeds it) */
+    const i64 bar = L - 1 + (scan->semismall ? 1 : 0);
+    Stats *stats = &scan->stats;
     u64 nperm = 1;
 
     for (int i = 0; i < L; i++) {
-        ranks[i] = 0;
+        sup[i] = sh->masks[i] & slots;
+        ranks[i] = __builtin_popcountll(sup[i]);
         T[i] = 0;
-        for (int k = 0; k < n; k++) {
-            if (masks[i] >> k & 1) {
-                pos[i][ranks[i]++] = k + 1;
-                T[i] += n - 2 * (k + 1) + 1;
-            }
-        }
+        for (u64 m = sup[i]; m; m &= m - 1)
+            T[i] += n - 2 * __builtin_ctzll(m) - 1;
         /* degree range is -(rank - 1) .. -1: empty below rank 2 */
         if (ranks[i] < 2)
             return 0;
         lo[i] = -(ranks[i] - 1);
     }
+    /* X[i][j] counts the slot pairs (a in block i, b in block j) with
+     * b > a, minus those with b <= a */
     for (int i = 0; i < L; i++) {
         for (int j = i + 1; j < L; j++) {
             i64 x = 0;
-            for (int a = 0; a < ranks[i]; a++)
-                for (int b = 0; b < ranks[j]; b++)
-                    x += pos[j][b] > pos[i][a] ? 1 : -1;
+            for (u64 m = sup[i]; m; m &= m - 1)
+                x += 2 * __builtin_popcountll(sup[j] >> __builtin_ctzll(m) >> 1)
+                     - ranks[j];
             X[i][j] = x;
             X[j][i] = -x;
         }
@@ -138,7 +204,7 @@ scan_shape(int n, int s_filter, int semismall, Py_ssize_t pi,
         i64 s_val = 0;
         for (int i = 0; i < L; i++)
             s_val -= degs[i];
-        if (s_filter == 0 || s_val == s_filter) {
+        if (scan->s_filter == 0 || s_val == scan->s_filter) {
             if (stats->candidates[s_val] == 0)
                 stats->seen[stats->nseen++] = (int)s_val;
             stats->candidates[s_val] += 1;
@@ -152,10 +218,16 @@ scan_shape(int n, int s_filter, int semismall, Py_ssize_t pi,
                         p[i][j] = 2 * (ranks[i] * degs[j] - ranks[j] * degs[i])
                                   + X[i][j];
 
+            const Py_ssize_t first = PyList_GET_SIZE(scan->violations);
             for (int i = 0; i <= L; i++)
                 order[i] = i;
+            reverse[0] = 0;
             do {
-                i64 r0 = 0, pre = 0, maxpre = 0;
+                /* from L = 3 on, each reverse pair is decided by its lower
+                 * member; below that an order is its own reverse */
+                if (L >= 3 && order[1] > order[L - 1])
+                    continue;
+                i64 r0 = 0, pre = 0, maxpre = 0, minpre = 0;
                 for (int u = 0; u < L; u++) {
                     const i64 *pu = p[order[u]];
                     for (int v = u + 1; v < L; v++)
@@ -165,13 +237,22 @@ scan_shape(int n, int s_filter, int semismall, Py_ssize_t pi,
                     pre += q[order[l]];
                     if (pre > maxpre)
                         maxpre = pre;
+                    if (pre < minpre)
+                        minpre = pre;
                 }
-                i64 minrot = r0 - 2 * maxpre;
-                if (minrot > threshold || (!semismall && minrot == threshold)) {
-                    if (record_violation(violations, pi, degs, order, q, r0, L) < 0)
+                /* the least rotation value of the order, and of its reverse */
+                if (r0 - 2 * maxpre >= bar
+                    && record_violation(scan, sh, degs, order, p, q) < 0)
+                    return -1;
+                if (L >= 3 && 2 * minpre - r0 >= bar) {
+                    for (int u = 1; u < L; u++)
+                        reverse[u] = order[L - u];
+                    if (record_violation(scan, sh, degs, reverse, p, q) < 0)
                         return -1;
                 }
             } while (L > 1 && next_perm(order + 1, L - 1));
+            if (L >= 3 && sort_tail(scan->violations, first) < 0)
+                return -1;
         }
 
         /* advance the degree odometer, rightmost digit fastest */
@@ -182,6 +263,53 @@ scan_shape(int n, int s_filter, int semismall, Py_ssize_t pi,
             degs[k] = lo[k];
         }
         if (k < 0)
+            return 0;
+    }
+}
+
+/* Scan shape sh and release its key; -1 on error. */
+static int
+scan_and_release(Scan *scan, Shape *sh)
+{
+    int rc = scan_shape(scan, sh);
+    Py_CLEAR(sh->key);
+    return rc;
+}
+
+/* Enumerate the completions of the blocks acc[0..depth-1] over the slots of
+ * remaining, as partitions.iter_partition_shapes does, and scan each
+ * complete shape with its masks sorted ascending; -1 on error. */
+static int
+enumerate_shapes(Scan *scan, u64 remaining, u64 *acc, int depth)
+{
+    if (remaining == 0) {
+        Shape sh = {.L = depth, .index = -1, .key = NULL};
+        if (depth < scan->min_len)
+            return 0;
+        for (int i = 0; i < depth; i++) {
+            int j = i;
+            for (; j > 0 && sh.masks[j - 1] > acc[i]; j--)
+                sh.masks[j] = sh.masks[j - 1];
+            sh.masks[j] = acc[i];
+        }
+        return scan_and_release(scan, &sh);
+    }
+    if (depth + __builtin_popcountll(remaining) / 2 < scan->min_len)
+        return 0;
+    const u64 low = remaining & -remaining, rest = remaining ^ low;
+    if (rest == 0)
+        return 0; /* a lone slot cannot form a block of size >= 2 */
+    for (u64 s = rest & -rest;; s = (s - rest) & rest) {
+        const u64 left = rest ^ s;
+        if (__builtin_popcountll(left) != 1) {
+            /* a first block is the unit of work between Ctrl-C checks */
+            if (depth == 0 && PyErr_CheckSignals() < 0)
+                return -1;
+            acc[depth] = low | s;
+            if (enumerate_shapes(scan, left, acc, depth + 1) < 0)
+                return -1;
+        }
+        if (s == rest)
             return 0;
     }
 }
@@ -208,7 +336,64 @@ stats_dict(const Stats *stats)
     return dict;
 }
 
-PyDoc_STRVAR(scan_doc,
+/* Set up the state of one call; -1 on error. */
+static int
+scan_init(Scan *scan, int n, int s_filter, int semismall, int min_len)
+{
+    if (n > MAX_SLOTS) {
+        PyErr_SetString(PyExc_ValueError, "kernel supports at most 30 slots");
+        return -1;
+    }
+    memset(scan, 0, sizeof(*scan));
+    scan->n = n;
+    scan->s_filter = s_filter;
+    scan->semismall = semismall;
+    scan->min_len = min_len;
+    scan->violations = PyList_New(0);
+    return scan->violations ? 0 : -1;
+}
+
+/* (violations, stats) if ok, else NULL; releases the violations list. */
+static PyObject *
+scan_result(Scan *scan, int ok)
+{
+    PyObject *dict = ok ? stats_dict(&scan->stats) : NULL;
+    PyObject *result = dict ? PyTuple_Pack(2, scan->violations, dict) : NULL;
+    Py_XDECREF(dict);
+    Py_DECREF(scan->violations);
+    return result;
+}
+
+PyDoc_STRVAR(scan_shapes_doc,
+"scan_shapes(n, s_filter, semismall, min_len)\n"
+"--\n\n"
+"Enumerate every partition shape of n slots and scan it for\n"
+"rotation-criterion violations.\n\n"
+"Same contract as pure.scan_shapes; see that function's docstring.");
+
+static PyObject *
+scan_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"n", "s_filter", "semismall", "min_len", NULL};
+    int n, s_filter, semismall, min_len;
+    u64 acc[MAX_BLOCKS];
+    Scan scan;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iipi:scan_shapes", kwlist,
+                                     &n, &s_filter, &semismall, &min_len))
+        return NULL;
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "n must be non-negative");
+        return NULL;
+    }
+    if (scan_init(&scan, n, s_filter, semismall, min_len) < 0)
+        return NULL;
+    /* n <= 30 slots give at most 15 blocks of size >= 2: acc never overflows */
+    int ok = n < 2 || enumerate_shapes(&scan, (1ULL << n) - 1, acc, 0) == 0;
+    return scan_result(&scan, ok);
+}
+
+PyDoc_STRVAR(scan_batch_doc,
 "scan_partition_batch(n, s_filter, semismall, min_len, masks_list)\n"
 "--\n\n"
 "Scan a batch of partition shapes for rotation-criterion violations.\n\n"
@@ -219,28 +404,23 @@ scan_partition_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "s_filter", "semismall", "min_len",
                              "masks_list", NULL};
-    int n, s_filter, semismall, min_len;
-    PyObject *masks_arg, *shapes, *violations, *dict, *result = NULL;
-    Stats stats = {0};
+    int n, s_filter, semismall, min_len, ok = 0;
+    PyObject *masks_arg, *shapes;
+    Scan scan;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "iipiO:scan_partition_batch",
                                      kwlist, &n, &s_filter, &semismall,
                                      &min_len, &masks_arg))
         return NULL;
-    if (n > MAX_SLOTS) {
-        PyErr_SetString(PyExc_ValueError, "kernel supports at most 30 slots");
+    if (scan_init(&scan, n, s_filter, semismall, min_len) < 0)
         return NULL;
-    }
     shapes = PySequence_Fast(masks_arg, "masks_list must be iterable");
     if (shapes == NULL)
-        return NULL;
-    violations = PyList_New(0);
-    if (violations == NULL)
-        goto done;
+        return scan_result(&scan, 0);
 
     Py_ssize_t nshapes = PySequence_Fast_GET_SIZE(shapes);
     for (Py_ssize_t pi = 0; pi < nshapes; pi++) {
-        u64 masks[MAX_BLOCKS];
+        Shape sh = {.index = pi, .key = NULL};
         PyObject *shape = PySequence_Fast(PySequence_Fast_GET_ITEM(shapes, pi),
                                           "each shape must be iterable");
         if (shape == NULL)
@@ -256,35 +436,31 @@ scan_partition_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
                             "kernel supports at most 16 blocks");
             goto done;
         }
+        sh.L = (int)L;
         for (Py_ssize_t i = 0; i < L; i++) {
             /* the low bits of any int, negative ones too, as pure.py's >> */
-            masks[i] = PyLong_AsUnsignedLongLongMask(
+            sh.masks[i] = PyLong_AsUnsignedLongLongMask(
                 PySequence_Fast_GET_ITEM(shape, i));
-            if (masks[i] == (u64)-1 && PyErr_Occurred()) {
+            if (sh.masks[i] == (u64)-1 && PyErr_Occurred()) {
                 Py_DECREF(shape);
                 goto done;
             }
         }
         Py_DECREF(shape);
-        if (scan_shape(n, s_filter, semismall, pi, masks, (int)L, violations,
-                       &stats) < 0)
+        if (scan_and_release(&scan, &sh) < 0)
             goto done;
     }
-
-    dict = stats_dict(&stats);
-    if (dict != NULL) {
-        result = PyTuple_Pack(2, violations, dict);
-        Py_DECREF(dict);
-    }
+    ok = 1;
 done:
-    Py_XDECREF(violations);
     Py_DECREF(shapes);
-    return result;
+    return scan_result(&scan, ok);
 }
 
 static PyMethodDef speedups_methods[] = {
+    {"scan_shapes", (PyCFunction)(void (*)(void))scan_shapes,
+     METH_VARARGS | METH_KEYWORDS, scan_shapes_doc},
     {"scan_partition_batch", (PyCFunction)(void (*)(void))scan_partition_batch,
-     METH_VARARGS | METH_KEYWORDS, scan_doc},
+     METH_VARARGS | METH_KEYWORDS, scan_batch_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -304,5 +480,11 @@ static struct PyModuleDef speedups_module = {
 PyMODINIT_FUNC
 PyInit__speedups(void)
 {
-    return PyModule_Create(&speedups_module);
+    PyObject *module = PyModule_Create(&speedups_module);
+    if (module != NULL && PyModule_AddIntConstant(module, "KERNEL_API",
+                                                  KERNEL_API) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

@@ -1,10 +1,13 @@
 """Pure-Python scan kernel.
 
-Given a batch of partition shapes (tuples of support bitmasks), enumerate all
-degree assignments and all cyclic-order representatives, evaluate every
-rotation of the pairing sum via the rotation identity, and report the
-candidates that violate the smallness margin.  Twin of the compiled kernel in
-_speedups.c; outputs must match it exactly.
+Given partition shapes (tuples of support bitmasks), enumerate all degree
+assignments and all cyclic-order representatives, evaluate every rotation of
+the pairing sum via the rotation identity, and report the candidates that
+violate the smallness margin.  scan_partition_batch scans the shapes it is
+given; scan_shapes scans every shape of n slots, streamed from
+partitions.iter_partition_shapes.  This is the plain oracle: every ordering
+is evaluated on its own.  Twin of the compiled kernel in _speedups.c, which
+must match it exactly and carry the same KERNEL_API.
 
 Both kernels accept at most MAX_SLOTS slots and MAX_BLOCKS blocks per scanned
 shape and raise ValueError beyond that.  Within those limits every quantity
@@ -17,8 +20,45 @@ from __future__ import annotations
 import itertools
 
 from ..core import MAX_SLOTS
+from ..partitions import iter_partition_shapes
 
+# Bumped whenever an entry point is added or its contract changes;
+# _speedups.c defines the same number.
+KERNEL_API = 2
 MAX_BLOCKS = 16
+_BATCH = 4096
+
+
+def scan_shapes(
+    n: int, s_filter: int, semismall: bool, min_len: int
+) -> tuple[list, dict]:
+    """Scan every partition shape of n slots with at least min_len blocks.
+
+    The shapes are those of partitions.iter_partition_shapes(n, min_len), in
+    its order; the other arguments are as for scan_partition_batch.  Returns
+    (violations, stats) as scan_partition_batch does over all those shapes,
+    except that each record starts with the shape's mask tuple instead of
+    its batch index.
+
+    Raises ValueError for n < 0 or n > MAX_SLOTS.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n > MAX_SLOTS:
+        raise ValueError(f"kernel supports at most {MAX_SLOTS} slots")
+    violations: list = []
+    stats: dict = {}
+    shapes = iter_partition_shapes(n, min_len)
+    while batch := list(itertools.islice(shapes, _BATCH)):
+        viols, counts = scan_partition_batch(
+            n, s_filter, semismall, min_len, batch
+        )
+        violations.extend((batch[pi], *rest) for pi, *rest in viols)
+        for s, (cand, classes) in counts.items():
+            acc = stats.setdefault(s, [0, 0])
+            acc[0] += cand
+            acc[1] += classes
+    return violations, stats
 
 
 def scan_partition_batch(

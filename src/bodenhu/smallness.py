@@ -12,10 +12,11 @@ canonical order as the witness, for check_criterion and the CLI alike.
 
 verify_conjecture and scan_all_s quantify over the whole weight space through
 one shared scan: the rotation values depend only on (supports, degrees,
-order), so the integer kernel scans all combinatorial candidates and the
-exact feasibility solver runs only on the rare violating ones.  Per s, the
-first realisable violation yields a concrete weight vector, which is
-re-checked through check_criterion.
+order), so one call of the integer kernel's scan_shapes enumerates and
+scans all combinatorial candidates of an N, and the exact feasibility
+solver runs only on the rare violating ones.  Per s, the first realisable
+violation yields a concrete weight vector, which is re-checked through
+check_criterion.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import weightspace
-from ._kernel import scan_partition_batch
+from ._kernel import scan_shapes
 from .core import (
     DEFAULT_CAP,
     ConstructionRangeError,
@@ -43,7 +44,6 @@ from .partitions import (
     OrderedPartition,
     Partition,
     alpha_partitions,
-    iter_partition_shapes,
 )
 
 __all__ = [
@@ -64,8 +64,6 @@ __all__ = [
 ]
 
 MODES = ("small", "semismall")
-
-_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -183,49 +181,38 @@ def check_criterion(
 def _scan(n: int, s_filter: int, mode: str, cap: int) -> dict[int, dict]:
     """The scan behind verify_conjecture and scan_all_s.
 
-    Streams every shape of length >= 3 through the kernel, keeping only
-    total degree -s_filter (every s when s_filter is 0).  Per s, the first
-    violating and realisable candidate in canonical order is the witness,
-    and its weight vector must fail check_criterion too.  The kernel reports
-    all orderings of a candidate consecutively, so a candidate that fails to
-    realise is solved once.  Returns s -> {"verdict": Verdict,
-    "candidates": int, "classes": int}.
+    One kernel call enumerates and scans every shape of length >= 3,
+    keeping only total degree -s_filter (every s when s_filter is 0).  Per
+    s, the first violating and realisable candidate in canonical order is
+    the witness, and its weight vector must fail check_criterion too.  The
+    kernel reports all orderings of a candidate consecutively, so a
+    candidate that fails to realise is solved once.  Returns s ->
+    {"verdict": Verdict, "candidates": int, "classes": int}.
     """
     _check_mode(mode)
     check_cap(n, cap)
-    semismall = mode == "semismall"
-    stats: dict[int, list[int]] = {}
+    viols, stats = scan_shapes(n, s_filter, mode == "semismall", 3)
     witnesses: dict[int, Witness] = {}
-    shapes = iter_partition_shapes(n, 3)
-    while batch := list(itertools.islice(shapes, _BATCH)):
-        viols, counts = scan_partition_batch(
-            n, s_filter, semismall, 3, batch
+    unrealisable = None
+    for masks, degs, order, rots in viols:
+        s = -sum(degs)
+        if s in witnesses or (masks, degs) == unrealisable:
+            continue
+        point = weightspace.realise_blocks(n, list(zip(masks, degs)))
+        if point is None:
+            unrealisable = (masks, degs)
+            continue
+        blocks = tuple(
+            MultiplicityVector.from_mask(n, d, mask)
+            for mask, d in zip(masks, degs)
         )
-        for s, (cand, classes) in counts.items():
-            acc = stats.setdefault(s, [0, 0])
-            acc[0] += cand
-            acc[1] += classes
-        unrealisable = None
-        for pi, degs, order, rots in viols:
-            s = -sum(degs)
-            if s in witnesses or (pi, degs) == unrealisable:
-                continue
-            masks = batch[pi]
-            point = weightspace.realise_blocks(n, list(zip(masks, degs)))
-            if point is None:
-                unrealisable = (pi, degs)
-                continue
-            blocks = tuple(
-                MultiplicityVector.from_mask(n, d, mask)
-                for mask, d in zip(masks, degs)
+        op = OrderedPartition(tuple(blocks[i] for i in order))
+        alpha = WeightVector(point)
+        if check_criterion(alpha, mode, cap).holds:
+            raise AssertionError(
+                "witness weight vector failed the check_criterion re-check"
             )
-            op = OrderedPartition(tuple(blocks[i] for i in order))
-            alpha = WeightVector(point)
-            if check_criterion(alpha, mode, cap).holds:
-                raise AssertionError(
-                    "witness weight vector failed the check_criterion re-check"
-                )
-            witnesses[s] = Witness(op, rots, alpha)
+        witnesses[s] = Witness(op, rots, alpha)
     out: dict[int, dict] = {}
     for s in [s_filter] if s_filter else range(1, n):
         witness = witnesses.get(s)

@@ -43,6 +43,18 @@ STDOUT_DIGESTS = {
         "e3c5681fd3b5fca3f4e3322f877f566ce123ea6c6b8d992bf3dae9619d24709e",
         "74898c2d38592449ed0bd2413aef90ee7915fdba4203757bebf3cca5b034bd8a",
     ),
+    # N=11 is the first N whose s=3 row fails, so these pin a witness
+    # found through the scan.
+    "scan-11-small": (
+        ["scan", "--nmax", "11"],
+        "6da26ad37a413f693615a04df4780646bd66014bc8ee9d6bec2f1a4f9dcfa730",
+        "fc78ee8f852eaf1062e521d0f312fb3f550b8d222a44cfe525e8b02cc6ee6fcb",
+    ),
+    "scan-11-semismall": (
+        ["scan", "--nmax", "11", "--mode", "semismall"],
+        "a506d11bbb8b7674a0741d24049421f034a239c5b473bd276f29b47e06c6122e",
+        "fa93566a2370b1998d82cb7b2b88876a8a5b273d0cfa31c29361a53594fbd13d",
+    ),
     "counterexample-9-4": (
         ["counterexample", "--n", "9", "--s", "4"],
         "346105beb545995a7dd0d539a0b9719d6cdb1825594d15c2ecbb2de84ae12c19",

@@ -8,18 +8,24 @@ from an older source can never stand in for the code under test.
 import importlib.machinery
 import importlib.util
 import itertools
+import math
 import os
 import pathlib
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
+import time
 import tracemalloc
+import types
+from functools import lru_cache
 
 import pytest
 
 from bodenhu import MultiplicityVector, OrderedPartition, iter_partition_shapes
+from bodenhu import _kernel
 from bodenhu._kernel import KERNEL_KIND, pure
 from bodenhu.smallness import rotation_deltas, violates_margin
 
@@ -67,8 +73,19 @@ def impl(request):
     return request.getfixturevalue("compiled_kernel")
 
 
+@lru_cache(maxsize=None)
+def pure_scan_shapes(n, s_filter, semismall, min_len):
+    return pure.scan_shapes(n, s_filter, semismall, min_len)
+
+
 def run_scan(impl, n, s_filter=0, semismall=False, min_len=3):
     masks_list = list(iter_partition_shapes(n, min_len))
+    if impl is pure:
+        # pure.scan_shapes is the batch entry over these very shapes
+        # (TestScanShapes checks it); its results are cached for reuse
+        index = {masks: pi for pi, masks in enumerate(masks_list)}
+        viols, stats = pure_scan_shapes(n, s_filter, semismall, min_len)
+        return [(index[masks], *rest) for masks, *rest in viols], dict(stats)
     return impl.scan_partition_batch(n, s_filter, semismall, min_len, masks_list)
 
 
@@ -86,6 +103,37 @@ def blocks_of_record(n, masks_list, record):
 class TestKernelSelection:
     def test_kind_is_reported(self):
         assert KERNEL_KIND in ("pure", "compiled")
+
+    def test_fresh_build_is_selected(self, compiled_kernel):
+        assert compiled_kernel.KERNEL_API == pure.KERNEL_API
+        assert _kernel.select(compiled_kernel) == (compiled_kernel, "compiled")
+
+    def test_stale_builds_fall_back_to_pure(self, compiled_kernel):
+        # an extension built from an older _speedups.c: an entry point is
+        # missing, or the API number differs
+        older = types.ModuleType("_speedups")
+        older.KERNEL_API = pure.KERNEL_API
+        older.scan_partition_batch = compiled_kernel.scan_partition_batch
+        assert _kernel.select(older) == (pure, "pure")
+        other = types.ModuleType("_speedups")
+        other.KERNEL_API = pure.KERNEL_API + 1
+        for name in _kernel.ENTRY_POINTS:
+            setattr(other, name, getattr(compiled_kernel, name))
+        assert _kernel.select(other) == (pure, "pure")
+        assert _kernel.select(None) == (pure, "pure")
+
+    def test_source_compiles_without_warnings(self):
+        cc = _c_compiler()
+        if cc is None:
+            pytest.skip("no C compiler found")
+        include = sysconfig.get_paths()["include"]
+        source = REPO_ROOT / "src" / "bodenhu" / "_kernel" / "_speedups.c"
+        out = subprocess.run(
+            [cc, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
+             f"-I{include}", str(source)],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
 
 
 # Inputs off the canonical enumeration: blocks of rank below 2 (empty degree
@@ -147,6 +195,129 @@ class TestKernelEquivalence:
         finally:
             tracemalloc.stop()
         assert end <= mid
+
+
+class TestScanShapes:
+    def test_bit_for_bit(self, compiled_kernel):
+        for n in range(2, 11):
+            grid = itertools.product([n], (0, n // 2), (False, True), (1, 2, 3))
+            for args in grid:
+                expected = pure_scan_shapes(*args)
+                got = compiled_kernel.scan_shapes(*args)
+                assert got == expected, args
+                assert list(got[1]) == list(expected[1]), args  # key order
+
+    def test_equals_the_batch_entry(self, impl):
+        for n in range(2, 9 if impl is pure else 11):
+            for min_len in (1, 3):
+                for semismall in (False, True):
+                    masks_list = list(iter_partition_shapes(n, min_len))
+                    viols, stats = impl.scan_partition_batch(
+                        n, 0, semismall, min_len, masks_list
+                    )
+                    got = impl.scan_shapes(n, 0, semismall, min_len)
+                    assert got[0] == [
+                        (masks_list[pi], *rest) for pi, *rest in viols
+                    ]
+                    assert got[1] == stats
+                    assert list(got[1]) == list(stats)
+
+    def test_trivial_sizes(self, impl):
+        for n in (0, 1):
+            assert impl.scan_shapes(n, 0, False, 1) == ([], {})
+        assert impl.scan_shapes(2, 0, False, 1) == (
+            [((0b11,), (-1,), (0,), (0,))], {1: [1, 1]},
+        )
+
+    def test_capacity_limits(self, impl):
+        with pytest.raises(ValueError, match="at most 30 slots"):
+            impl.scan_shapes(31, 0, False, 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            impl.scan_shapes(-1, 0, False, 3)
+
+    def test_no_reference_leak(self, compiled_kernel):
+        # small mode with min_len=1 records violations (single blocks), so
+        # the record-building path runs on every call
+        tracemalloc.start()
+        try:
+            for call in range(1, 201):
+                result = compiled_kernel.scan_shapes(8, 0, False, 1)
+                assert result[0]
+                del result
+                if call == 100:
+                    mid = tracemalloc.get_traced_memory()[0]
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert end <= mid
+
+    def test_interruptible(self, compiled_kernel):
+        # a signal handler that raises (as SIGINT's does) must end a long
+        # scan: the enumerator checks for signals once per first block
+        class Stop(Exception):
+            pass
+
+        def stop(signum, frame):
+            raise Stop
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(Stop):
+                compiled_kernel.scan_shapes(13, 0, False, 3)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 2.0
+
+
+@lru_cache(maxsize=None)
+def labelled_count(m, L, s):
+    """Set partitions of m labelled slots into L blocks of size >= 2, each
+    block of rank r carrying a degree -e with 1 <= e <= r - 1, the e summing
+    to s.  Recurrence on the block holding the lowest slot (Flajolet and
+    Sedgewick, Analytic Combinatorics, ch. II)."""
+    if L == 0:
+        return int(m == 0 and s == 0)
+    return sum(
+        math.comb(m - 1, r - 1) * labelled_count(m - r, L - 1, s - e)
+        for r in range(2, m + 1)
+        for e in range(1, min(r - 1, s) + 1)
+    )
+
+
+def closed_form_stats(n, min_len=3):
+    """s -> [candidates, ordering classes], classes weighting by (L-1)!."""
+    out = {}
+    for L in range(min_len, n // 2 + 1):
+        for s in range(1, n):
+            count = labelled_count(n, L, s)
+            if count:
+                acc = out.setdefault(s, [0, 0])
+                acc[0] += count
+                acc[1] += count * math.factorial(L - 1)
+    return out
+
+
+class TestClosedFormCounts:
+    def test_compiled_counts(self, compiled_kernel):
+        for n in range(2, 13):
+            assert compiled_kernel.scan_shapes(n, 0, False, 3)[1] == (
+                closed_form_stats(n)
+            ), n
+
+    def test_pure_counts(self):
+        for n in range(2, 9):
+            for semismall in (False, True):
+                assert pure_scan_shapes(n, 0, semismall, 3)[1] == (
+                    closed_form_stats(n)
+                ), n
+
+    def test_frozen_values(self):
+        assert closed_form_stats(8) == {
+            3: [490, 980], 4: [875, 2170], 5: [490, 980],
+        }
 
 
 class TestKernelBehaviour:
@@ -245,3 +416,20 @@ class TestKernelBehaviour:
         viols, _ = run_scan(impl, 9)
         indices = [rec[0] for rec in viols]
         assert indices == sorted(indices)
+
+    def test_orderings_of_one_candidate_stay_lexicographic(self, impl):
+        # Two N=11 shapes with several violating orderings per candidate.
+        # (0, 2, 3, 1) is the reverse of (0, 1, 3, 2), which comes before
+        # (0, 2, 1, 3): a kernel that decides reverse pairs together must
+        # still report (0, 2, 1, 3) first.
+        shapes = [(52, 265, 704, 1026), (52, 264, 704, 1027)]
+        viols, _ = impl.scan_partition_batch(11, 0, False, 3, shapes)
+        degs = (-1, -1, -2, -1)
+        assert [rec[:3] for rec in viols] == [
+            (0, degs, (0, 2, 1, 3)),
+            (0, degs, (0, 2, 3, 1)),
+            (1, degs, (0, 1, 2, 3)),
+            (1, degs, (0, 2, 1, 3)),
+            (1, degs, (0, 2, 3, 1)),
+        ]
+        assert all(rec[3] == (3, 3, 3, 3) for rec in viols)
