@@ -40,10 +40,10 @@ from .partitions import OrderedPartition, Partition, alpha_partitions
 from .smallness import (
     MODES,
     Witness,
+    _rated_orders,
     classify,
     construction_transcript,
     first_violation,
-    rated_orderings,
     rotation_deltas,
     scan_all_s,
 )
@@ -224,8 +224,8 @@ def _cmd_check(args) -> tuple[int, dict]:
     for i, partition in enumerate(alpha_partitions(alpha, 1, args.cap)):
         if len(partition) < 3:
             continue
-        orderings = list(rated_orderings(partition, args.mode))
-        rated.extend(orderings)
+        orderings = list(_rated_orders(partition, args.mode))
+        rated.extend(triple for _, triple in orderings)
         listing.append(
             {
                 "id": i,
@@ -233,11 +233,11 @@ def _cmd_check(args) -> tuple[int, dict]:
                 "blocks": _blocks_json(partition.blocks),
                 "orderings": [
                     {
-                        "order": _order_indices(partition, op),
+                        "order": list(order),
                         "rotation_deltas": list(rots),
                         "violates": violates,
                     }
-                    for op, rots, violates in orderings
+                    for order, (_, rots, violates) in orderings
                 ],
             }
         )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -143,6 +144,7 @@ class MultiplicityVector:
             d_check=d_check,
             mults=tuple(mask >> i & 1 for i in range(n)),
             r=mask.bit_count(),
+            support_mask=mask,
         )
         return self
 
@@ -150,12 +152,12 @@ class MultiplicityVector:
     def n(self) -> int:
         return len(self.mults)
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         """1-based indices of the nonzero slots."""
         return tuple(i + 1 for i, m in enumerate(self.mults) if m)
 
-    @property
+    @cached_property
     def support_mask(self) -> int:
         """Bitmask of the support, slot n on bit n-1."""
         mask = 0

@@ -25,7 +25,12 @@ from .core import (
     delta_seq,
     h1_dim,
 )
-from .partitions import OrderedPartition, Partition, stable_rotation
+from .partitions import (
+    OrderedPartition,
+    Partition,
+    _require_generic,
+    _stable_rotation,
+)
 from .smallness import ordering_representatives
 
 __all__ = [
@@ -140,11 +145,12 @@ def fiber_report(xi: Partition, beta: WeightVector, g: int = 2) -> FiberReport:
     check_genus(g)
     if xi.n != beta.n:
         raise ValueError(f"partition has {xi.n} slots, beta has {beta.n}")
+    _require_generic(beta)
     codim = stratum_codim(xi, g)
     components = []
     margins = []
     for rep in ordering_representatives(xi):
-        sigma = rep.rotation(stable_rotation(rep, beta))
+        sigma = rep.rotation(_stable_rotation(rep, beta))
         dim = fiber_component_dim(sigma, g)
         components.append((sigma, dim))
         margins.append(codim - 2 * dim)

@@ -150,7 +150,8 @@ def iter_partition_shapes(
     """Stream set partitions of the n slots into blocks of size >= 2.
 
     Yields tuples of support bitmasks sorted ascending.  `block_ok` prunes
-    candidate blocks by mask before recursion (used for alpha-partitions).
+    candidate blocks by mask before recursion; with block_ok testing
+    admissibility at alpha it yields the shapes of alpha_partitions.
     """
     full = (1 << n) - 1
 
@@ -189,24 +190,51 @@ def alpha_partitions(
     """All partitions of the one-vector whose block degrees are exact at alpha.
 
     A block with support B is admissible iff sum_B alpha is an integer; its
-    degree is then forced to -sum_B alpha.  Deterministic enumeration order.
+    degree is then forced to -sum_B alpha.  The admissible masks come from
+    the meet-in-the-middle subset-sum search of weightspace, grouped by
+    lowest slot in ascending mask order.  The recursion covers the lowest
+    remaining slot with each admissible block of that slot that fits, so
+    it visits only admissible blocks and yields the shapes of
+    iter_partition_shapes(n, min_len, block_ok) in the same order.
 
-    Each admissible mask gets one block, shared by every partition that uses
-    it.  Nothing is re-validated: the shapes are sorted set partitions into
-    blocks of size >= 2, and a block sum strictly between 0 and r puts its
-    degree in [-(r-1), -1].
+    Each mask used by some partition gets one block, shared by every
+    partition that uses it.  Nothing is re-validated: the shapes are sorted
+    set partitions into blocks of size >= 2, and a block sum strictly
+    between 0 and r puts its degree in [-(r-1), -1].
     """
     check_cap(alpha.n, cap)
     n = alpha.n
     denom, sums = weightspace.subset_sums(alpha.entries)
+    by_low: list[list[int]] = [[] for _ in range(n)]
+    for mask in weightspace._integral_masks(denom, sums):
+        if mask.bit_count() >= 2:
+            by_low[(mask & -mask).bit_length() - 1].append(mask)
+    shapes: list[tuple[int, ...]] = []
+    acc: list[int] = []
+
+    def rec(remaining: int) -> None:
+        if not remaining:
+            if len(acc) >= min_len:
+                shapes.append(tuple(sorted(acc)))
+            return
+        if len(acc) + remaining.bit_count() // 2 < min_len:
+            return
+        for mask in by_low[(remaining & -remaining).bit_length() - 1]:
+            if mask & remaining == mask:
+                acc.append(mask)
+                rec(remaining ^ mask)
+                acc.pop()
+
+    rec((1 << n) - 1)
     block_of = {
-        mask: MultiplicityVector._from_mask_unchecked(n, -(t // denom), mask)
-        for mask, t in enumerate(sums)
-        if mask and t % denom == 0
+        mask: MultiplicityVector._from_mask_unchecked(
+            n, -(sums[mask] // denom), mask
+        )
+        for mask in {mask for masks in shapes for mask in masks}
     }
     return [
         Partition._unchecked(tuple(map(block_of.__getitem__, masks)))
-        for masks in iter_partition_shapes(n, min_len, block_of.__contains__)
+        for masks in shapes
     ]
 
 
@@ -266,9 +294,19 @@ def stable_rotation(seq: OrderedPartition, beta: WeightVector) -> int:
     d(l) = deg_beta(m^1 + ... + m^l) pairwise distinct, and the stable
     rotation starts right after the maximiser.
     """
+    _require_generic(beta)
+    return _stable_rotation(seq, beta)
+
+
+def _require_generic(beta: WeightVector) -> None:
+    """Raise NotGenericError naming the first wall when beta lies on one."""
     ok, wall = weightspace.is_generic(beta)
     if not ok:
         raise NotGenericError(f"beta lies on {wall}")
+
+
+def _stable_rotation(seq: OrderedPartition, beta: WeightVector) -> int:
+    """stable_rotation for a beta the caller has already checked generic."""
     blocks = seq.seq
     best_l, best_d, ties = 0, Fraction(0), 1
     d = Fraction(0)

@@ -36,7 +36,6 @@ from .core import (
     WeightVector,
     check_cap,
     deg_alpha,
-    delta,
     dual_mult,
     dual_weight,
 )
@@ -97,30 +96,71 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _pair_delta(a: int, da: int, b: int, db: int) -> int:
+    """delta of two disjoint 0/1 blocks, given by support mask and degree.
+
+    The cross term of delta is r_a r_b - 2 #{(i, j) in a x b : j < i},
+    counted with one popcount per slot of a.
+    """
+    ra, rb = a.bit_count(), b.bit_count()
+    below = 0
+    while a:
+        low = a & -a
+        below += (b & (low - 1)).bit_count()
+        a ^= low
+    return 2 * (ra * db - rb * da) + ra * rb - 2 * below
+
+
+def _pairing(
+    blocks: tuple[MultiplicityVector, ...]
+) -> tuple[list[list[int]], list[int]]:
+    """The matrix P[i][j] = delta(blocks[i], blocks[j]) and its row sums.
+
+    P is antisymmetric; the blocks must be disjoint 0/1 vectors.
+    """
+    L = len(blocks)
+    if L < 2:
+        raise ValueError("rotation values need at least two blocks")
+    keys = [(b.support_mask, b.d_check) for b in blocks]
+    pair = [[0] * L for _ in range(L)]
+    for i in range(L):
+        for j in range(i + 1, L):
+            d = _pair_delta(*keys[i], *keys[j])
+            pair[i][j] = d
+            pair[j][i] = -d
+    return pair, [sum(row) for row in pair]
+
+
+def _rotations(
+    pair: list[list[int]], out: list[int], order: tuple[int, ...]
+) -> tuple[int, ...]:
+    """delta_seq of every rotation of the blocks taken in the given order.
+
+    The first value sums pair over the ordered pairs.  Moving the head
+    block to the back reverses its pairs with every other block, so
+    r_{l+1} = r_l - 2 * out[order[l]], with out the row sums of pair.
+    """
+    r = 0
+    for i, a in enumerate(order):
+        row = pair[a]
+        for b in order[i + 1 :]:
+            r += row[b]
+    rots = [r]
+    for a in order[:-1]:
+        r -= 2 * out[a]
+        rots.append(r)
+    return tuple(rots)
+
+
 def rotation_deltas(op: OrderedPartition) -> tuple[int, ...]:
     """delta_seq of every rotation of the sequence, starting positions 0..L-1.
 
-    The L(L-1)/2 pairwise deltas are computed once.  Moving the head block
-    to the back reverses its pairs with every other block, and delta is
-    antisymmetric, so r_{l+1} = r_l - 2 * sum_j delta(seq[l], seq[j]).
+    The blocks are disjoint 0/1 vectors, so each of the L(L-1)/2 pairwise
+    deltas is read off their support masks with popcounts, once; the
+    rotation values then follow from the pairing matrix and its row sums.
     """
-    seq = op.seq
-    L = len(seq)
-    if L < 2:
-        raise ValueError("rotation values need at least two blocks")
-    outgoing = [0] * L  # outgoing[i] = sum_j delta(seq[i], seq[j])
-    r = 0
-    for i in range(L):
-        for j in range(i + 1, L):
-            d = delta(seq[i], seq[j])
-            outgoing[i] += d
-            outgoing[j] -= d
-            r += d
-    rots = [r]
-    for out in outgoing[:-1]:
-        r -= 2 * out
-        rots.append(r)
-    return tuple(rots)
+    pair, out = _pairing(op.seq)
+    return _rotations(pair, out, tuple(range(len(op.seq))))
 
 
 def violates_margin(rots: tuple[int, ...], mode: str) -> bool:
@@ -138,13 +178,31 @@ def ordering_representatives(partition: Partition) -> Iterator[OrderedPartition]
         yield OrderedPartition._unchecked(first + perm)
 
 
-def rated_orderings(
+_Rated = tuple[OrderedPartition, tuple[int, ...], bool]
+
+
+def _rated_orders(
     partition: Partition, mode: str
-) -> Iterator[tuple[OrderedPartition, tuple[int, ...], bool]]:
-    """Each ordering representative with its rotation values and margin test."""
-    for op in ordering_representatives(partition):
-        rots = rotation_deltas(op)
-        yield op, rots, violates_margin(rots, mode)
+) -> Iterator[tuple[tuple[int, ...], _Rated]]:
+    """The rated_orderings triples, each after its ordering's block indices."""
+    blocks = partition.blocks
+    pair, out = _pairing(blocks)
+    for perm in itertools.permutations(range(1, len(blocks))):
+        order = (0,) + perm
+        rots = _rotations(pair, out, order)
+        op = OrderedPartition._unchecked(tuple(map(blocks.__getitem__, order)))
+        yield order, (op, rots, violates_margin(rots, mode))
+
+
+def rated_orderings(partition: Partition, mode: str) -> Iterator[_Rated]:
+    """Each ordering representative with its rotation values and margin test.
+
+    The representatives run as in ordering_representatives.  One pairing
+    matrix per partition serves all (L-1)! of them; no delta is recomputed
+    per ordering.
+    """
+    for _, rated in _rated_orders(partition, mode):
+        yield rated
 
 
 def first_violation(

@@ -489,19 +489,44 @@ def subset_sums(entries: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
     return denom, tuple(sums)
 
 
+def _integral_masks(denom: int, sums: tuple[int, ...]) -> tuple[int, ...]:
+    """The masks whose subset sum is an integer, ascending.
+
+    Meet in the middle (Horowitz and Sahni 1974): split each mask into a
+    low half lo < 2^h and a high half hi, a multiple of 2^h.  sums is
+    additive over disjoint masks, so lo | hi is integral iff sums[lo] and
+    sums[hi] are opposite modulo denom.  The low halves are bucketed by
+    residue once and each high half makes one lookup, so the cost is
+    O(2^(N/2)) plus the output, not O(2^N).  Masks come out ascending:
+    high halves run ascending, and each bucket lists its low halves
+    ascending.
+    """
+    n = len(sums).bit_length() - 1
+    h = n // 2
+    buckets: dict[int, list[int]] = {}
+    for lo in range(1 << h):
+        buckets.setdefault(sums[lo] % denom, []).append(lo)
+    out: list[int] = []
+    for hi in range(0, 1 << n, 1 << h):
+        los = buckets.get(-sums[hi] % denom)
+        if los:
+            out.extend([lo | hi for lo in los])
+    return tuple(out)
+
+
 def is_generic(alpha: WeightVector) -> tuple[bool, Optional[Wall]]:
     """Whether alpha avoids every wall; on failure, the first violated wall.
 
-    Scans canonical supports (slot 1 included, ascending bitmask) for an
-    integral partial sum; the offending wall is nonempty because alpha itself
-    lies on it.
+    The first wall is the smallest canonical support (slot 1 included) of
+    rank 2..N-2 with an integral subset sum, taken from the ascending
+    meet-in-the-middle list of integral masks; the offending wall is
+    nonempty because alpha itself lies on it.
     """
     n = alpha.n
     denom, sums = subset_sums(alpha.entries)
-    for mask in range(1, 1 << n, 2):
-        t = sums[mask]
-        if t % denom == 0 and 2 <= mask.bit_count() <= n - 2:
-            m = MultiplicityVector.from_mask(n, -(t // denom), mask)
+    for mask in _integral_masks(denom, sums):
+        if mask & 1 and 2 <= mask.bit_count() <= n - 2:
+            m = MultiplicityVector.from_mask(n, -(sums[mask] // denom), mask)
             return False, Wall(m)
     return True, None
 

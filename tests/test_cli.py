@@ -18,6 +18,12 @@ GENERIC_3 = "1/7,2/7,4/7"
 # a check payload of about 200 kB; it fails in small mode and holds in
 # semismall mode.
 DENSE_12 = "1/24,1/8,5/24,1/3,5/12,1/2,7/12,5/8,2/3,3/4,19/24,23/24"
+# A medium N=14 point (every entry k/60), the heaviest class of the query
+# benchmark: 267 partitions of length >= 3 and a check payload of about
+# 320 kB; it fails in small mode and holds in semismall mode.
+MEDIUM_14 = (
+    "1/60,1/30,7/60,1/4,3/10,7/20,17/30,7/12,19/30,7/10,47/60,17/20,13/15,19/20"
+)
 
 # sha256 of "<exit code>\n<stdout>" for each invocation, in the json and the
 # table format.  Stdout is a byte-stable contract, so any change to it shows
@@ -94,6 +100,21 @@ STDOUT_DIGESTS = {
         ["fiber", "--alpha", DENSE_12, "--id", "0"],
         "fe50939d1bd3c5faea98e720e61c1c97023b7398f56aaf65897b1f280507d469",
         "ef7427e55a4deea4cfbfc2f297a13a71a2b3703130b9c55f23a50300aa52776f",
+    ),
+    "check-14-medium-small": (
+        ["check", "--alpha", MEDIUM_14],
+        "d7a0983b5f2cc7f828048655488f4596d375cda916be09bb486e6e564b9dae57",
+        "5bda7b2f4f952aeeaee75c2f539679ba90e1a9aabdef143443559a2bd3c86c3a",
+    ),
+    "check-14-medium-semismall": (
+        ["check", "--alpha", MEDIUM_14, "--mode", "semismall"],
+        "8e60c980ca9ccf237cdd33d5f25df38f46fcb2f2687484180a5d316747034090",
+        "f19ae20c86eb436b0c914b41afd00b7cdea8634844dab782fb5673a09c7619cb",
+    ),
+    "fiber-14-medium-id-0": (
+        ["fiber", "--alpha", MEDIUM_14, "--id", "0"],
+        "2d3ed9f4eeb59a8cc63432bcb230e3423ce882b4596ed0450572fe65b35b5677",
+        "3abcde771e428fd3cb8a9b58e31169f79e72533770d39809a8fe81006e1f18b3",
     ),
     "selftest-20": (
         ["selftest", "--trials", "20"],

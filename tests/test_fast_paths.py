@@ -1,10 +1,12 @@
 """Integer fast paths against slow, independent Fraction references.
 
-The weight-space primitives run on integers over one common denominator and
-rotation_deltas walks a pairwise-delta table.  The references below are the
-direct definitions: Fraction subset sums with a denominator test, a floor per
-support, and delta_seq of every rotation.  Every return must match exactly,
-including the first wall or binding summand and the partition order.
+The weight-space primitives run on integers over one common denominator, the
+integral subsets come from a meet-in-the-middle search, and the rotation
+values from a pairing matrix of support-mask popcounts.  The references
+below are the direct definitions: Fraction subset sums with a denominator
+test, a 2^N scan, a floor per support, core.delta per pair and delta_seq of
+every rotation.  Every return must match exactly, including the first wall
+or binding summand and the partition order.
 """
 
 import itertools
@@ -15,12 +17,14 @@ from math import floor, lcm
 from hypothesis import given, settings, strategies as st
 
 from bodenhu import (
+    MODES,
     MultiplicityVector,
     OrderedPartition,
     Partition,
     Wall,
     WeightVector,
     alpha_partitions,
+    delta,
     delta_seq,
     find_generic_near,
     is_generic,
@@ -28,7 +32,15 @@ from bodenhu import (
     iter_partition_shapes,
     perturbation_direction,
     rotation_deltas,
+    subset_sums,
 )
+from bodenhu.smallness import (
+    _pair_delta,
+    ordering_representatives,
+    rated_orderings,
+    violates_margin,
+)
+from bodenhu.weightspace import _integral_masks
 from conftest import KINDS, denominator, weight_vector
 
 def ref_subset_sums(entries):
@@ -82,6 +94,11 @@ def ref_alpha_partitions(alpha, min_len):
     ]
 
 
+def ref_integral_masks(alpha):
+    denom, sums = subset_sums(alpha.entries)
+    return [m for m in range(1 << alpha.n) if sums[m] % denom == 0]
+
+
 def _common_denominator(alpha):
     return lcm(*(e.denominator for e in alpha.entries))
 
@@ -115,6 +132,19 @@ class TestWeightSpaceOracles:
             assert alpha_partitions(alpha, min_len) == ref_alpha_partitions(
                 alpha, min_len
             )
+
+    @given(alphas(min_n=2, max_n=12))
+    @settings(max_examples=120, deadline=None)
+    def test_integral_masks(self, alpha):
+        masks = _integral_masks(*subset_sums(alpha.entries))
+        assert list(masks) == ref_integral_masks(alpha)
+
+    def test_alpha_partitions_at_13_and_14(self):
+        rng = random.Random(1314)
+        for n in (13, 14):
+            for kind in KINDS:
+                alpha = weight_vector(rng, n, denominator(n, kind))
+                assert alpha_partitions(alpha) == ref_alpha_partitions(alpha, 1)
 
     @given(alphas(max_n=8))
     @settings(max_examples=40, deadline=None)
@@ -177,6 +207,17 @@ class TestLargeDenominators:
             assert is_near(beta, alpha) == ref_is_near(beta, alpha)
             assert alpha_partitions(beta) == ref_alpha_partitions(beta, 1)
 
+    def test_integral_masks_match_references(self):
+        big = [
+            beta
+            for _, beta in self.points()
+            if _common_denominator(beta) > 2**64
+        ]
+        assert len(big) == 18
+        for beta in big:
+            masks = _integral_masks(*subset_sums(beta.entries))
+            assert list(masks) == ref_integral_masks(beta)
+
 
 @st.composite
 def ordered_partitions(draw):
@@ -209,3 +250,48 @@ class TestRotationOracle:
                 delta_seq(seq[l:] + seq[:l]) for l in range(len(seq))
             )
             assert rotation_deltas(OrderedPartition(seq)) == expected
+
+
+def _disjoint_pairs(n):
+    """Every ordered pair of disjoint nonempty support masks over n slots."""
+    for labels in itertools.product(range(3), repeat=n):
+        a = sum(1 << i for i, x in enumerate(labels) if x == 1)
+        b = sum(1 << i for i, x in enumerate(labels) if x == 2)
+        if a and b:
+            yield a, b
+
+
+class TestPairingOracle:
+    def test_pair_delta_matches_delta_exhaustively(self):
+        checked = 0
+        for n in range(2, 8):
+            for a, b in _disjoint_pairs(n):
+                for da, db in itertools.product((-2, -1, 0, 1), repeat=2):
+                    expected = delta(
+                        MultiplicityVector.from_mask(n, da, a),
+                        MultiplicityVector.from_mask(n, db, b),
+                    )
+                    assert _pair_delta(a, da, b, db) == expected
+                    checked += 1
+        assert checked == 16 * sum(3**n - 2 * 2**n + 1 for n in range(2, 8))
+
+    def test_rated_orderings_match_delta_seq(self):
+        rng = random.Random(412)
+        rated = 0
+        draws = itertools.product(range(4, 13), ("dense", "medium"), range(3))
+        for n, kind, _ in draws:
+            alpha = weight_vector(rng, n, denominator(n, kind))
+            for partition in alpha_partitions(alpha, 2):
+                reps = list(ordering_representatives(partition))
+                for mode in MODES:
+                    triples = list(rated_orderings(partition, mode))
+                    assert [op for op, _, _ in triples] == reps
+                    for op, rots, violates in triples:
+                        seq = op.seq
+                        assert rots == tuple(
+                            delta_seq(seq[l:] + seq[:l])
+                            for l in range(len(seq))
+                        )
+                        assert violates == violates_margin(rots, mode)
+                        rated += 1
+        assert rated > 5000

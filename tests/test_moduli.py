@@ -1,6 +1,7 @@
 """Dimension formulas, the codimension identity, and fiber reports."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,11 @@ from bodenhu import (
     fiber_report,
     find_generic_near,
     is_alpha_stable_seq,
+    is_generic,
     moduli_dim,
     stratum_codim,
 )
+from bodenhu import weightspace
 from bodenhu.smallness import ordering_representatives
 
 
@@ -176,8 +179,28 @@ class TestFiberReport:
         assert report.margins == (0,)
 
     def test_rejects_nongeneric_beta(self, alpha94, triple94):
-        with pytest.raises(NotGenericError):
+        message = f"^beta lies on {re.escape(str(is_generic(alpha94)[1]))}$"
+        with pytest.raises(NotGenericError, match=message):
             fiber_report(Partition(triple94), alpha94)
+
+    def test_checks_genericity_once(self, monkeypatch, alpha94):
+        """One is_generic call per report, however many orderings it has."""
+        calls = []
+        real = weightspace.is_generic
+
+        def counting(beta):
+            calls.append(beta)
+            return real(beta)
+
+        monkeypatch.setattr(weightspace, "is_generic", counting)
+        beta = find_generic_near(alpha94)
+        calls.clear()
+        partition = next(
+            p for p, _ in feasible_partitions(ModuliContext(9, 4), min_len=4)
+        )
+        report = fiber_report(partition, beta)
+        assert len(report.components) == 6
+        assert calls == [beta]
 
     def test_rejects_mismatched_slots(self, triple94):
         beta = WeightVector(

@@ -79,3 +79,21 @@ def test_unchecked_constructors_only_in_enumerators():
         if isinstance(node, ast.Attribute) and node.attr in UNCHECKED
     ]
     assert found == []
+
+
+# The single-alpha decision path reads pairwise deltas off support masks;
+# core.delta and delta_seq walk all N slots per pair and stay as oracles.
+DELTA_FREE = ("partitions.py", "smallness.py")
+
+
+def test_decision_path_does_not_call_delta():
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path, tree in parsed_modules()
+        if path.relative_to(PACKAGE).as_posix() in DELTA_FREE
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and {getattr(node.func, "attr", None), getattr(node.func, "id", None)}
+        & {"delta", "delta_seq"}
+    ]
+    assert found == []
