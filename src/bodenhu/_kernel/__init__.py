@@ -1,11 +1,13 @@
-"""Scan-kernel selection: the compiled extension when it fits, else pure Python.
+"""Kernel selection: the compiled extension when it fits, else pure Python.
 
-Both implementations expose the same scan_shapes and scan_partition_batch
-and must agree bit for bit (the test suite enforces this).  The compiled
-module is taken only if it has every entry point and the same KERNEL_API as
-pure.py, so an extension built from an older _speedups.c falls back to the
-pure kernel instead of failing at import.  The pure kernel is also the
-oracle the tests import directly.
+Both implementations expose the same scan entry points (scan_shapes,
+scan_partition_batch) and the same JSON writer (dumps, the text of
+json.dumps(payload, indent=2) for the CLI's payload types), and must agree
+bit for bit (the test suite enforces this).  The compiled module is taken
+only if it has every entry point and the same KERNEL_API as pure.py, so an
+extension built from an older _speedups.c falls back to the pure kernel
+instead of failing at import.  The pure kernel is also the oracle the tests
+import directly.
 """
 
 from types import ModuleType
@@ -13,7 +15,7 @@ from typing import Optional
 
 from . import pure
 
-ENTRY_POINTS = ("scan_shapes", "scan_partition_batch")
+ENTRY_POINTS = ("scan_shapes", "scan_partition_batch", "dumps")
 
 
 def select(compiled: Optional[ModuleType]) -> tuple[ModuleType, str]:
@@ -35,5 +37,6 @@ except ImportError:
 _impl, KERNEL_KIND = select(_speedups)
 scan_shapes = _impl.scan_shapes
 scan_partition_batch = _impl.scan_partition_batch
+dumps = _impl.dumps
 
-__all__ = ["scan_shapes", "scan_partition_batch", "KERNEL_KIND"]
+__all__ = ["scan_shapes", "scan_partition_batch", "dumps", "KERNEL_KIND"]

@@ -1,8 +1,9 @@
 /*
- * Compiled scan kernel, written against the CPython C API.
+ * Compiled scan kernel and JSON writer, written against the CPython C API.
  *
- * Twin of pure.py: the same two entry points with the same arguments and the
- * same (violations, stats) results, bit for bit, in the same order.
+ * Twin of pure.py: the same entry points with the same arguments and the
+ * same results, bit for bit.  The two scan entry points return the same
+ * (violations, stats) in the same order; dumps returns the same text.
  *
  *   scan_shapes          enumerates the set partitions itself, in the
  *                        canonical order of partitions.iter_partition_shapes
@@ -24,6 +25,9 @@
  * Capacity: at most 30 slots and 16 blocks per shape (the package cap is 14
  * slots), the same limits pure.py enforces.  For those sizes every pairing
  * and rotation value is far inside 64-bit range.
+ *
+ *   dumps                writes the text of json.dumps(payload, indent=2)
+ *                        into one growing byte buffer; see below.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -31,7 +35,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 2
+#define KERNEL_API 3
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -456,19 +460,268 @@ done:
     return scan_result(&scan, ok);
 }
 
+/*
+ * JSON writer.  The output is pure ASCII: strings go through
+ * json.encoder.encode_basestring_ascii unless they are printable ASCII
+ * without a quote or a backslash, which are copied as they are.  It accepts
+ * exactly pure.dumps's types (exact dict with str keys, list, str, int,
+ * bool, None, float) and raises the same TypeError for anything else.
+ */
+
+typedef struct {
+    char *data;
+    Py_ssize_t len;
+    Py_ssize_t cap;
+} Buf;
+
+/* json.encoder.encode_basestring_ascii, imported on the first dumps call */
+static PyObject *encode_ascii;
+
+/* Room for len more bytes at the end of b; returns where they start. */
+static char *
+buf_grow(Buf *b, Py_ssize_t len)
+{
+    if (b->len + len > b->cap) {
+        Py_ssize_t cap = b->cap ? b->cap : 4096;
+        while (cap < b->len + len)
+            cap *= 2;
+        char *data = PyMem_Realloc(b->data, cap);
+        if (data == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        b->data = data;
+        b->cap = cap;
+    }
+    b->len += len;
+    return b->data + b->len - len;
+}
+
+static int
+buf_write(Buf *b, const char *text, Py_ssize_t len)
+{
+    char *out = buf_grow(b, len);
+    if (out == NULL)
+        return -1;
+    memcpy(out, text, len);
+    return 0;
+}
+
+/* An optional separator (sep != 0), a newline and two spaces per level. */
+static int
+buf_newline(Buf *b, char sep, int depth)
+{
+    Py_ssize_t len = (sep != 0) + 1 + 2 * (Py_ssize_t)depth;
+    char *out = buf_grow(b, len);
+    if (out == NULL)
+        return -1;
+    memset(out, ' ', len);
+    if (sep != 0)
+        *out++ = sep;
+    *out = '\n';
+    return 0;
+}
+
+/* Append an ASCII str, consuming the reference; text may be NULL. */
+static int
+buf_steal_ascii(Buf *b, PyObject *text)
+{
+    if (text == NULL)
+        return -1;
+    int rc = -1;
+    if (!PyUnicode_Check(text) || !PyUnicode_IS_ASCII(text))
+        PyErr_SetString(PyExc_SystemError, "JSON text must be an ASCII str");
+    else
+        rc = buf_write(b, (const char *)PyUnicode_1BYTE_DATA(text),
+                       PyUnicode_GET_LENGTH(text));
+    Py_DECREF(text);
+    return rc;
+}
+
+static const char *
+type_name(PyObject *value)
+{
+    const char *name = Py_TYPE(value)->tp_name;
+    const char *dot = strrchr(name, '.');
+    return dot != NULL ? dot + 1 : name;
+}
+
+static int
+write_str(Buf *b, PyObject *text)
+{
+    if (PyUnicode_IS_ASCII(text)) {
+        const Py_UCS1 *chars = PyUnicode_1BYTE_DATA(text);
+        Py_ssize_t len = PyUnicode_GET_LENGTH(text);
+        Py_ssize_t i = 0;
+        while (i < len && chars[i] >= 0x20 && chars[i] < 0x7f
+               && chars[i] != '"' && chars[i] != '\\')
+            i++;
+        if (i == len) {
+            char *out = buf_grow(b, len + 2);
+            if (out == NULL)
+                return -1;
+            out[0] = '"';
+            memcpy(out + 1, chars, len);
+            out[len + 1] = '"';
+            return 0;
+        }
+    }
+    return buf_steal_ascii(b, PyObject_CallOneArg(encode_ascii, text));
+}
+
+static int
+write_int(Buf *b, PyObject *value)
+{
+    int overflow;
+    long long x = PyLong_AsLongLongAndOverflow(value, &overflow);
+    if (overflow)
+        return buf_steal_ascii(b, PyLong_Type.tp_repr(value));
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    char digits[32];
+    int len = snprintf(digits, sizeof digits, "%lld", x);
+    return buf_write(b, digits, len);
+}
+
+static int
+write_float(Buf *b, PyObject *value)
+{
+    double x = PyFloat_AS_DOUBLE(value);
+    if (Py_IS_NAN(x))
+        return buf_write(b, "NaN", 3);
+    if (Py_IS_INFINITY(x) && x > 0)
+        return buf_write(b, "Infinity", 8);
+    if (Py_IS_INFINITY(x))
+        return buf_write(b, "-Infinity", 9);
+    return buf_steal_ascii(b, PyFloat_Type.tp_repr(value));
+}
+
+static int write_value(Buf *b, PyObject *value, int depth);
+
+/* Items are held while they are written: writing allocates, and a garbage
+ * collection it triggers could run code that mutates the payload. */
+static int
+write_list(Buf *b, PyObject *list, int depth)
+{
+    if (PyList_GET_SIZE(list) == 0)
+        return buf_write(b, "[]", 2);
+    if (Py_EnterRecursiveCall(" while encoding a JSON array"))
+        return -1;
+    int rc = 0;
+    for (Py_ssize_t i = 0; rc == 0 && i < PyList_GET_SIZE(list); i++) {
+        PyObject *item = PyList_GET_ITEM(list, i);
+        Py_INCREF(item);
+        if (buf_newline(b, i ? ',' : '[', depth + 1) < 0
+            || write_value(b, item, depth + 1) < 0)
+            rc = -1;
+        Py_DECREF(item);
+    }
+    Py_LeaveRecursiveCall();
+    if (rc < 0 || buf_newline(b, 0, depth) < 0)
+        return -1;
+    return buf_write(b, "]", 1);
+}
+
+static int
+write_dict(Buf *b, PyObject *dict, int depth)
+{
+    if (PyDict_GET_SIZE(dict) == 0)
+        return buf_write(b, "{}", 2);
+    if (Py_EnterRecursiveCall(" while encoding a JSON object"))
+        return -1;
+    Py_ssize_t pos = 0;
+    PyObject *key;
+    PyObject *item;
+    char sep = '{';
+    int rc = 0;
+    while (rc == 0 && PyDict_Next(dict, &pos, &key, &item)) {
+        if (!PyUnicode_CheckExact(key)) {
+            PyErr_Format(PyExc_TypeError, "keys must be str, not %s",
+                         type_name(key));
+            rc = -1;
+            break;
+        }
+        Py_INCREF(key);
+        Py_INCREF(item);
+        if (buf_newline(b, sep, depth + 1) < 0 || write_str(b, key) < 0
+            || buf_write(b, ": ", 2) < 0 || write_value(b, item, depth + 1) < 0)
+            rc = -1;
+        Py_DECREF(key);
+        Py_DECREF(item);
+        sep = ',';
+    }
+    Py_LeaveRecursiveCall();
+    if (rc < 0 || buf_newline(b, 0, depth) < 0)
+        return -1;
+    return buf_write(b, "}", 1);
+}
+
+static int
+write_value(Buf *b, PyObject *value, int depth)
+{
+    if (PyUnicode_CheckExact(value))
+        return write_str(b, value);
+    if (PyLong_CheckExact(value))
+        return write_int(b, value);
+    if (value == Py_None)
+        return buf_write(b, "null", 4);
+    if (value == Py_True)
+        return buf_write(b, "true", 4);
+    if (value == Py_False)
+        return buf_write(b, "false", 5);
+    if (PyFloat_CheckExact(value))
+        return write_float(b, value);
+    if (PyList_CheckExact(value))
+        return write_list(b, value, depth);
+    if (PyDict_CheckExact(value))
+        return write_dict(b, value, depth);
+    PyErr_Format(PyExc_TypeError, "Object of type %s is not JSON serializable",
+                 type_name(value));
+    return -1;
+}
+
+PyDoc_STRVAR(dumps_doc,
+"dumps(payload) -> str\n\n"
+"The text of json.dumps(payload, indent=2); see pure.dumps.");
+
+static PyObject *
+dumps(PyObject *Py_UNUSED(self), PyObject *payload)
+{
+    if (encode_ascii == NULL) {
+        PyObject *encoder = PyImport_ImportModule("json.encoder");
+        if (encoder == NULL)
+            return NULL;
+        encode_ascii = PyObject_GetAttrString(encoder,
+                                              "encode_basestring_ascii");
+        Py_DECREF(encoder);
+        if (encode_ascii == NULL)
+            return NULL;
+    }
+    Buf b = {NULL, 0, 0};
+    PyObject *result = NULL;
+    if (write_value(&b, payload, 0) == 0) {
+        result = PyUnicode_New(b.len, 127);
+        if (result != NULL)
+            memcpy(PyUnicode_1BYTE_DATA(result), b.data, b.len);
+    }
+    PyMem_Free(b.data);
+    return result;
+}
+
 static PyMethodDef speedups_methods[] = {
     {"scan_shapes", (PyCFunction)(void (*)(void))scan_shapes,
      METH_VARARGS | METH_KEYWORDS, scan_shapes_doc},
     {"scan_partition_batch", (PyCFunction)(void (*)(void))scan_partition_batch,
      METH_VARARGS | METH_KEYWORDS, scan_batch_doc},
+    {"dumps", dumps, METH_O, dumps_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef speedups_module = {
     PyModuleDef_HEAD_INIT,
     "bodenhu._kernel._speedups",
-    "Compiled scan kernel; twin of pure.py, same contract, bit-identical "
-    "output.",
+    "Compiled scan kernel and JSON writer; twin of pure.py, same contract, "
+    "bit-identical output.",
     -1,
     speedups_methods,
     NULL,

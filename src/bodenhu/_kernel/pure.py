@@ -1,4 +1,4 @@
-"""Pure-Python scan kernel.
+"""Pure-Python scan kernel and JSON writer.
 
 Given partition shapes (tuples of support bitmasks), enumerate all degree
 assignments and all cyclic-order representatives, evaluate every rotation of
@@ -6,8 +6,9 @@ the pairing sum via the rotation identity, and report the candidates that
 violate the smallness margin.  scan_partition_batch scans the shapes it is
 given; scan_shapes scans every shape of n slots, streamed from
 partitions.iter_partition_shapes.  This is the plain oracle: every ordering
-is evaluated on its own.  Twin of the compiled kernel in _speedups.c, which
-must match it exactly and carry the same KERNEL_API.
+is evaluated on its own.  dumps writes the CLI's JSON payloads.  Twin of
+the compiled kernel in _speedups.c, which must match it exactly and carry
+the same KERNEL_API.
 
 Both kernels accept at most MAX_SLOTS slots and MAX_BLOCKS blocks per scanned
 shape and raise ValueError beyond that.  Within those limits every quantity
@@ -18,13 +19,14 @@ inside 64-bit range.
 from __future__ import annotations
 
 import itertools
+from json.encoder import encode_basestring_ascii
 
 from ..core import MAX_SLOTS
 from ..partitions import iter_partition_shapes
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 2
+KERNEL_API = 3
 MAX_BLOCKS = 16
 _BATCH = 4096
 
@@ -162,3 +164,75 @@ def scan_partition_batch(
                             pre += q[order[l]]
                     violations.append((pi, degs, order, tuple(rots)))
     return violations, stats
+
+
+# json.dumps spells the non-finite floats this way (allow_nan=True).
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def dumps(payload) -> str:
+    """The text of json.dumps(payload, indent=2), built without its encoder.
+
+    With any indent the standard library runs its pure-Python encoder, one
+    generator frame per container.  Payloads hold only exact dicts with str
+    keys, lists, str, int, bool and None, plus the float timings of
+    --no-deterministic; a list of only ints or only strs is joined in one
+    go.  Any other type raises TypeError, as json.dumps does for Fraction,
+    and nesting deeper than the recursion limit raises RecursionError.
+    """
+    out: list[str] = []
+    _encode(payload, "\n", out)
+    return "".join(out)
+
+
+def _encode(value, newline: str, out: list[str]) -> None:
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is float:
+        text = float.__repr__(value)
+        out.append(_NONFINITE.get(text, text))
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == {int} or kinds == {str}:
+            each = int.__repr__ if kinds == {int} else encode_basestring_ascii
+            out.append(
+                "[" + inner + ("," + inner).join(map(each, value))
+                + newline + "]"
+            )
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(
+                    f"keys must be str, not {type(key).__name__}"
+                )
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(
+            f"Object of type {kind.__name__} is not JSON serializable"
+        )

@@ -24,9 +24,9 @@ import os
 import sys
 import time
 import traceback
-from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
+from ._kernel import dumps
 from .core import (
     DEFAULT_CAP,
     MAX_SLOTS,
@@ -68,77 +68,6 @@ def _resolve_cap(cap: Optional[int]) -> int:
             f"cap {cap} exceeds the scan kernels' limit of {MAX_SLOTS} slots"
         )
     return cap
-
-
-# json.dumps spells the non-finite floats this way (allow_nan=True).
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _dumps(payload) -> str:
-    """The bytes of json.dumps(payload, indent=2), built without its encoder.
-
-    With any indent the standard library runs its pure-Python encoder, one
-    generator frame per container.  Payloads hold only dicts with str keys,
-    lists, str, int, bool and None, plus the float timings of
-    --no-deterministic; a list of only ints or only strs is joined in one
-    go.  Any other type raises TypeError, as json.dumps does for Fraction.
-    """
-    out: list[str] = []
-    _encode(payload, "\n", out)
-    return "".join(out)
-
-
-def _encode(value, newline: str, out: list[str]) -> None:
-    kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif value is None:
-        out.append("null")
-    elif kind is bool:
-        out.append("true" if value else "false")
-    elif kind is float:
-        text = float.__repr__(value)
-        out.append(_NONFINITE.get(text, text))
-    elif kind is list:
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        kinds = set(map(type, value))
-        if kinds == {int} or kinds == {str}:
-            each = int.__repr__ if kinds == {int} else encode_basestring_ascii
-            out.append(
-                "[" + inner + ("," + inner).join(map(each, value))
-                + newline + "]"
-            )
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _encode(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(
-                    f"keys must be str, not {type(key).__name__}"
-                )
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _encode(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(
-            f"Object of type {kind.__name__} is not JSON serializable"
-        )
 
 
 def _fractions(values) -> list[str]:
@@ -703,7 +632,7 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(_dumps(payload))
+        print(dumps(payload))
     else:
         print(render(payload))
     return code

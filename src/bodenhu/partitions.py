@@ -204,9 +204,9 @@ def alpha_partitions(
     """
     check_cap(alpha.n, cap)
     n = alpha.n
-    denom, sums = weightspace.subset_sums(alpha.entries)
+    denom, h, low, high = weightspace._half_sums(alpha.entries)
     by_low: list[list[int]] = [[] for _ in range(n)]
-    for mask in weightspace._integral_masks(denom, sums):
+    for mask in weightspace._integral_masks(denom, h, low, high):
         if mask.bit_count() >= 2:
             by_low[(mask & -mask).bit_length() - 1].append(mask)
     shapes: list[tuple[int, ...]] = []
@@ -226,9 +226,10 @@ def alpha_partitions(
                 acc.pop()
 
     rec((1 << n) - 1)
+    low_bits = (1 << h) - 1
     block_of = {
         mask: MultiplicityVector._from_mask_unchecked(
-            n, -(sums[mask] // denom), mask
+            n, -((low[mask & low_bits] + high[mask >> h]) // denom), mask
         )
         for mask in {mask for masks in shapes for mask in masks}
     }

@@ -14,6 +14,7 @@ the witness, feasible builds the rows of a general rational system.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -472,45 +473,67 @@ def enumerate_walls(ctx: ModuliContext, cap: int = DEFAULT_CAP) -> list[Wall]:
     return walls
 
 
-@lru_cache(maxsize=32)
-def subset_sums(entries: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
-    """(D, sums): the subset sums of entries, scaled to integers.
+def _half_sums(
+    entries: Sequence[Fraction],
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """(D, h, low, high): the subset sums of two halves of entries, scaled.
 
-    D is the lcm of the entry denominators and sums[mask] is D times the sum
-    of the entries over the bits of mask, for all masks.  A subset sum is an
-    integer iff sums[mask] % D == 0, and its floor is sums[mask] // D; both
-    are exact.  The cached value is immutable.
+    D is the lcm of the entry denominators and h = N // 2.  low[lo] is D
+    times the sum of the first h entries over the bits of lo, and high[hi]
+    that of the other N - h entries over the bits of hi, so the scaled
+    subset sum of a mask is low[mask & (2^h - 1)] + high[mask >> h].  A
+    subset sum is an integer iff its scaled sum is divisible by D, and its
+    floor is the scaled sum // D; both are exact.  The tables have 2^h and
+    2^(N-h) entries, so every single-alpha decision costs O(2^(N/2)) plus
+    what it visits, never O(2^N).
     """
     denom = lcm(*(e.denominator for e in entries))
-    sums = [0]
-    for e in entries:
-        x = e.numerator * (denom // e.denominator)
-        sums += [t + x for t in sums]
-    return denom, tuple(sums)
+    scaled = [e.numerator * (denom // e.denominator) for e in entries]
+    h = len(entries) // 2
+    halves = []
+    for part in (scaled[:h], scaled[h:]):
+        sums = [0]
+        for x in part:
+            sums += [t + x for t in sums]
+        halves.append(tuple(sums))
+    return denom, h, halves[0], halves[1]
 
 
-def _integral_masks(denom: int, sums: tuple[int, ...]) -> tuple[int, ...]:
+@lru_cache(maxsize=32)
+def subset_sums(entries: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """(D, sums): the subset sums of entries over all 2^N masks, scaled.
+
+    sums[mask] is D times the sum of the entries over the bits of mask,
+    assembled from the two half tables of _half_sums (high halves outer, so
+    the masks run ascending).  The decision primitives work on the halves
+    directly; this full table is for callers that want every mask.  The
+    cached value is immutable.
+    """
+    denom, _, low, high = _half_sums(entries)
+    return denom, tuple([t + u for u in high for t in low])
+
+
+def _integral_masks(
+    denom: int, h: int, low: tuple[int, ...], high: tuple[int, ...]
+) -> tuple[int, ...]:
     """The masks whose subset sum is an integer, ascending.
 
-    Meet in the middle (Horowitz and Sahni 1974): split each mask into a
-    low half lo < 2^h and a high half hi, a multiple of 2^h.  sums is
-    additive over disjoint masks, so lo | hi is integral iff sums[lo] and
-    sums[hi] are opposite modulo denom.  The low halves are bucketed by
-    residue once and each high half makes one lookup, so the cost is
-    O(2^(N/2)) plus the output, not O(2^N).  Masks come out ascending:
-    high halves run ascending, and each bucket lists its low halves
-    ascending.
+    Meet in the middle (Horowitz and Sahni 1974) over the half tables of
+    _half_sums: lo | hi << h is integral iff low[lo] and high[hi] are
+    opposite modulo denom.  The low halves are bucketed by residue once and
+    each high half makes one lookup, so the cost is O(2^(N/2)) plus the
+    output.  Masks come out ascending: high halves run ascending, and each
+    bucket lists its low halves ascending.
     """
-    n = len(sums).bit_length() - 1
-    h = n // 2
     buckets: dict[int, list[int]] = {}
-    for lo in range(1 << h):
-        buckets.setdefault(sums[lo] % denom, []).append(lo)
+    for lo, t in enumerate(low):
+        buckets.setdefault(t % denom, []).append(lo)
     out: list[int] = []
-    for hi in range(0, 1 << n, 1 << h):
-        los = buckets.get(-sums[hi] % denom)
+    for hi, t in enumerate(high):
+        los = buckets.get(-t % denom)
         if los:
-            out.extend([lo | hi for lo in los])
+            shifted = hi << h
+            out.extend([lo | shifted for lo in los])
     return tuple(out)
 
 
@@ -523,10 +546,11 @@ def is_generic(alpha: WeightVector) -> tuple[bool, Optional[Wall]]:
     nonempty because alpha itself lies on it.
     """
     n = alpha.n
-    denom, sums = subset_sums(alpha.entries)
-    for mask in _integral_masks(denom, sums):
+    denom, h, low, high = _half_sums(alpha.entries)
+    for mask in _integral_masks(denom, h, low, high):
         if mask & 1 and 2 <= mask.bit_count() <= n - 2:
-            m = MultiplicityVector.from_mask(n, -(sums[mask] // denom), mask)
+            total = low[mask & ((1 << h) - 1)] + high[mask >> h]
+            m = MultiplicityVector.from_mask(n, -(total // denom), mask)
             return False, Wall(m)
     return True, None
 
@@ -541,6 +565,16 @@ def is_near(
     check per support suffices.  On failure the first binding summand (by
     ascending support bitmask) is returned; it need not lie on a nonempty
     wall, so it is reported as a raw vector rather than a Wall.
+
+    Only masks close below an integer can bind.  With A and B the subset
+    sums of alpha and beta, B(m) - A(m) <= up = sum max(0, beta_i - alpha_i),
+    and m binds iff B(m) >= floor(A(m)) + 1, so a binding m has
+    frac(A(m)) >= 1 - up: its scaled sum lies in the residues
+    [D - width, D - 1] modulo D, width = floor(up D).  The low halves are
+    sorted by residue; for each high half two bisections find the low
+    halves that land in that range (which may wrap around), and only those
+    masks are tested exactly, in ascending order.  Near alpha, up is tiny
+    and the range holds almost no masks.
     """
     if alpha.n != beta.n:
         raise DimensionMismatchError(
@@ -551,15 +585,38 @@ def is_near(
             f"weight sums differ: {alpha.s} vs {beta.s}"
         )
     n = alpha.n
-    den_a, sums_a = subset_sums(alpha.entries)
-    den_b, sums_b = subset_sums(beta.entries)
+    den_a, h, low_a, high_a = _half_sums(alpha.entries)
+    den_b, _, low_b, high_b = _half_sums(beta.entries)
+    up = sum(
+        (max(b - a, 0) for a, b in zip(alpha.entries, beta.entries)),
+        Fraction(0),
+    )
+    width = up.numerator * den_a // up.denominator
+    by_residue = sorted(range(len(low_a)), key=lambda lo: low_a[lo] % den_a)
+    residues = [low_a[lo] % den_a for lo in by_residue]
     full = (1 << n) - 1
-    for mask, ta, tb in zip(range(1, full), sums_a[1:full], sums_b[1:full]):
-        # The largest degree with deg_alpha < 0 is -(floor(ta / den_a) + 1);
-        # it binds when deg_beta of that summand is >= 0.
-        k = ta // den_a + 1
-        if tb >= k * den_b:
-            return False, MultiplicityVector.from_mask(n, -k, mask)
+    for hi, (ta_hi, tb_hi) in enumerate(zip(high_a, high_b)):
+        if width >= den_a:
+            los = by_residue
+        else:
+            # low[lo] + high[hi] lands in [D - width, D - 1] iff low[lo]
+            # lies in [start, start + width) modulo D.
+            start = (-width - ta_hi) % den_a
+            stop = start + width
+            los = by_residue[
+                bisect_left(residues, start):bisect_left(residues, stop)
+            ]
+            if stop > den_a:
+                los += by_residue[:bisect_left(residues, stop - den_a)]
+        for lo in sorted(los):
+            mask = lo | hi << h
+            if mask == 0 or mask == full:
+                continue
+            # The largest degree with deg_alpha < 0 is -(floor(A) + 1); it
+            # binds when deg_beta of that summand is >= 0.
+            k = (low_a[lo] + ta_hi) // den_a + 1
+            if low_b[lo] + tb_hi >= k * den_b:
+                return False, MultiplicityVector.from_mask(n, -k, mask)
     return True, None
 
 

@@ -1,11 +1,23 @@
-"""Shared fixtures: the frozen reference inputs used across test modules."""
+"""Shared fixtures: the frozen reference inputs used across test modules,
+and the compiled kernel built fresh from the current _speedups.c."""
 
+import importlib.machinery
+import importlib.util
+import os
+import pathlib
 import random
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 from fractions import Fraction
 
 import pytest
 
 from bodenhu import MultiplicityVector, Partition, WeightVector
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 ALPHA_9_4 = (
     "1/15", "2/15", "1/7", "2/7", "4/7", "7/12", "2/3", "3/4", "4/5",
@@ -97,3 +109,37 @@ def alpha113() -> WeightVector:
 @pytest.fixture
 def triple113() -> tuple[MultiplicityVector, ...]:
     return build_triple(11, TRIPLE_11_3)
+
+
+def c_compiler():
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(shlex.split(cc)[0])
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The compiled kernel, freshly built from the current _speedups.c."""
+    if c_compiler() is None:
+        pytest.skip("no C compiler found to build the compiled kernel")
+    out = tmp_path_factory.mktemp("kernel_build")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out / "temp")],
+        cwd=REPO_ROOT, capture_output=True, text=True,
+    )
+    built = [
+        out / "bodenhu" / "_kernel" / f"_speedups{suffix}"
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    built = [path for path in built if path.exists()]
+    if not built:
+        pytest.fail(
+            "a C compiler is present but _speedups.c did not build:\n"
+            + build.stdout + build.stderr
+        )
+    spec = importlib.util.spec_from_file_location(
+        "bodenhu._kernel._speedups", built[0]
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

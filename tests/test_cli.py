@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bodenhu import MODES, WeightVector, check_criterion, cli, is_generic
+from bodenhu import _kernel
+from bodenhu._kernel import pure
 from bodenhu.cli import main
-from conftest import ALPHA_9_4, ALPHA_11_3
+from conftest import ALPHA_9_4, ALPHA_11_3, c_compiler
 
 ALPHA_9_4_ARG = ",".join(ALPHA_9_4)
 GENERIC_3 = "1/7,2/7,4/7"
@@ -23,6 +25,18 @@ DENSE_12 = "1/24,1/8,5/24,1/3,5/12,1/2,7/12,5/8,2/3,3/4,19/24,23/24"
 # 320 kB; it fails in small mode and holds in semismall mode.
 MEDIUM_14 = (
     "1/60,1/30,7/60,1/4,3/10,7/20,17/30,7/12,19/30,7/10,47/60,17/20,13/15,19/20"
+)
+# A dense N=13 point (every entry k/26): 542 partitions, 385 of length >= 3.
+DENSE_13 = (
+    "1/13,5/26,3/13,4/13,9/26,5/13,6/13,19/26,10/13,21/26,11/13,23/26,25/26"
+)
+# An N=8 point on a wall whose common denominator is 2^79: the dense k/16
+# point moved by 2^-70 along its perturbation direction.
+BIG_DENOMINATOR_8 = (
+    "75557863725914323419137/604462909807314587353088,3/16,5/16,"
+    "226673591177742970257407/604462909807314587353088,"
+    "377789318629571617095681/604462909807314587353088,11/16,"
+    "453347182355485940514815/604462909807314587353088,15/16"
 )
 
 # sha256 of "<exit code>\n<stdout>" for each invocation, in the json and the
@@ -115,6 +129,16 @@ STDOUT_DIGESTS = {
         ["fiber", "--alpha", MEDIUM_14, "--id", "0"],
         "2d3ed9f4eeb59a8cc63432bcb230e3423ce882b4596ed0450572fe65b35b5677",
         "3abcde771e428fd3cb8a9b58e31169f79e72533770d39809a8fe81006e1f18b3",
+    ),
+    "fiber-13-dense-id-0": (
+        ["fiber", "--alpha", DENSE_13, "--id", "0"],
+        "411ab3bdb2636f868b67ddacd099e4e081cc460058ba2c647db76604defaf932",
+        "e2b25c8afe6407d659072297a0775f1ec560959b8e31e0ae44cfa9d560451a6a",
+    ),
+    "check-big-denominator": (
+        ["check", "--alpha", BIG_DENOMINATOR_8],
+        "f151e8c7068488b80935f6f42c58e95507cced4b5b969f05d12e39f102d9ffcf",
+        "143b07e76d3bd5049435cc8de3ca4015d7c342393047c9ea77af74d4e6c43080",
     ),
     "selftest-20": (
         ["selftest", "--trials", "20"],
@@ -526,11 +550,23 @@ PAYLOADS = st.recursive(
 )
 
 
+@pytest.fixture(scope="session")
+def writers(request):
+    """pure.dumps, and the compiled dumps freshly built wherever a C
+    compiler exists, so the pure writer is checked even without one."""
+    if c_compiler() is None:
+        return [pure.dumps]
+    return [pure.dumps, request.getfixturevalue("compiled_kernel").dumps]
+
+
 class TestEncoder:
+    """Both JSON writers against json.dumps(payload, indent=2)."""
+
     @settings(max_examples=300)
     @given(PAYLOADS)
-    def test_matches_json_dumps(self, payload):
-        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+    def test_matches_json_dumps(self, writers, payload):
+        expected = json.dumps(payload, indent=2)
+        assert [dumps(payload) for dumps in writers] == [expected] * len(writers)
 
     @pytest.mark.parametrize(
         "value",
@@ -544,9 +580,25 @@ class TestEncoder:
         ],
         ids=["fraction", "set", "tuple", "nested-fraction", "int-key", "none-key"],
     )
-    def test_other_types_raise(self, value):
-        with pytest.raises(TypeError):
-            cli._dumps(value)
+    def test_other_types_raise(self, writers, value):
+        messages = set()
+        for dumps in writers:
+            with pytest.raises(TypeError) as info:
+                dumps(value)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    def test_strings_at_the_plain_copy_boundaries(self, writers):
+        # the compiled writer copies printable ASCII without a quote or a
+        # backslash as it is; every other string goes through the escaper
+        texts = [" ", "~", "\x1f", "\x7f", '"', "\\", "\x00", "\xe9",
+                 "\u2028", "\ud800", "\U0001f600", "plain text"]
+        payload = {text: [text, f"a{text}b"] for text in texts}
+        expected = json.dumps(payload, indent=2)
+        assert [dumps(payload) for dumps in writers] == [expected] * len(writers)
+
+    def test_cli_writes_through_the_selected_kernel(self):
+        assert cli.dumps is _kernel.dumps
 
 
 class TestByteIdentity:

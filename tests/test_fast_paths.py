@@ -40,7 +40,7 @@ from bodenhu.smallness import (
     rated_orderings,
     violates_margin,
 )
-from bodenhu.weightspace import _integral_masks
+from bodenhu.weightspace import _half_sums, _integral_masks
 from conftest import KINDS, denominator, weight_vector
 
 def ref_subset_sums(entries):
@@ -136,7 +136,7 @@ class TestWeightSpaceOracles:
     @given(alphas(min_n=2, max_n=12))
     @settings(max_examples=120, deadline=None)
     def test_integral_masks(self, alpha):
-        masks = _integral_masks(*subset_sums(alpha.entries))
+        masks = _integral_masks(*_half_sums(alpha.entries))
         assert list(masks) == ref_integral_masks(alpha)
 
     def test_alpha_partitions_at_13_and_14(self):
@@ -153,6 +153,85 @@ class TestWeightSpaceOracles:
         assert is_generic(beta) == ref_is_generic(beta)
         assert is_near(alpha, beta) == ref_is_near(alpha, beta)
         assert is_near(beta, alpha) == ref_is_near(beta, alpha)
+
+
+def _window(alpha, beta):
+    """(D, width): is_near(alpha, beta) tests only the masks whose scaled
+    alpha sum lies in [D - width, D - 1] modulo D."""
+    denom = _common_denominator(alpha)
+    up = sum(max(b - a, 0) for a, b in zip(alpha.entries, beta.entries))
+    return denom, floor(up * denom)
+
+
+def _is_interior(entries):
+    return 0 < entries[0] and entries[-1] < 1 and all(
+        a < b for a, b in zip(entries, entries[1:])
+    )
+
+
+class TestNearWindow:
+    """is_near's residue window at its edges, against the 2^N reference."""
+
+    def test_beta_equal_to_alpha(self):
+        rng = random.Random(5)
+        for n in range(3, 13):
+            for kind in KINDS:
+                alpha = weight_vector(rng, n, denominator(n, kind))
+                assert _window(alpha, alpha)[1] == 0
+                assert is_near(alpha, alpha) == ref_is_near(alpha, alpha)
+
+    def test_window_covering_every_residue(self):
+        # alpha bunched near 0 and 1, beta evenly spaced: the same (N, s),
+        # and up = sum max(0, beta_i - alpha_i) >= 1 both ways
+        covered = 0
+        for n in (8, 10, 12):
+            low = [Fraction(k, 100) for k in range(1, n // 2 + 1)]
+            alpha = WeightVector(tuple(low + [1 - x for x in reversed(low)]))
+            beta = WeightVector(tuple(Fraction(k, n + 1) for k in range(1, n + 1)))
+            for a, b in ((alpha, beta), (beta, alpha)):
+                denom, width = _window(a, b)
+                assert width >= denom
+                assert is_near(a, b) == ref_is_near(a, b)
+                covered += 1
+        assert covered == 6
+
+    def test_binding_mask_at_the_window_edge(self):
+        # beta moves alpha_i up and alpha_j down by w/D, so up = w/D and
+        # width = w exactly; a mask holding i but not j whose scaled sum has
+        # residue D - w then gains exactly enough to reach the next integer
+        rng = random.Random(77)
+        edge = 0
+        for n in range(4, 9):
+            for kind in KINDS:
+                alpha = weight_vector(rng, n, denominator(n, kind))
+                denom = _common_denominator(alpha)
+                sums = ref_subset_sums(alpha.entries)
+                for i, j in itertools.permutations(range(n), 2):
+                    for w in (1, 2, 3):
+                        entries = list(alpha.entries)
+                        entries[i] += Fraction(w, denom)
+                        entries[j] -= Fraction(w, denom)
+                        if not _is_interior(entries):
+                            continue
+                        beta = WeightVector(tuple(entries))
+                        assert _window(alpha, beta) == (denom, w)
+                        expected = ref_is_near(alpha, beta)
+                        assert is_near(alpha, beta) == expected
+                        ok, m = expected
+                        if not ok:
+                            residue = int(sums[m.support_mask] * denom) % denom
+                            edge += residue == denom - w
+        assert edge >= 100
+
+    def test_large_denominator_points(self):
+        checked = 0
+        for alpha, beta in TestLargeDenominators().points():
+            if _common_denominator(beta) <= 2**64:
+                continue
+            for a, b in ((alpha, beta), (beta, alpha), (beta, beta)):
+                assert is_near(a, b) == ref_is_near(a, b)
+            checked += 1
+        assert checked == 18
 
 
 def _perturbed(alpha, k, theta=None):
@@ -215,7 +294,7 @@ class TestLargeDenominators:
         ]
         assert len(big) == 18
         for beta in big:
-            masks = _integral_masks(*subset_sums(beta.entries))
+            masks = _integral_masks(*_half_sums(beta.entries))
             assert list(masks) == ref_integral_masks(beta)
 
 

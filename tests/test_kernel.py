@@ -1,21 +1,15 @@
-"""Scan-kernel equivalence, stats accounting, and agreement with exact arithmetic.
+"""Kernel equivalence, stats accounting, and agreement with exact arithmetic.
 
-The compiled_kernel fixture always builds the current _speedups.c into a
-temporary directory and loads it from there, so an in-place build left over
-from an older source can never stand in for the code under test.
+The compiled_kernel fixture (conftest.py) always builds the current
+_speedups.c into a temporary directory and loads it from there, so an
+in-place build left over from an older source can never stand in for the
+code under test.
 """
 
-import importlib.machinery
-import importlib.util
 import itertools
 import math
-import os
-import pathlib
-import shlex
-import shutil
 import signal
 import subprocess
-import sys
 import sysconfig
 import time
 import tracemalloc
@@ -28,42 +22,7 @@ from bodenhu import MultiplicityVector, OrderedPartition, iter_partition_shapes
 from bodenhu import _kernel
 from bodenhu._kernel import KERNEL_KIND, pure
 from bodenhu.smallness import rotation_deltas, violates_margin
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def _c_compiler():
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    return shutil.which(shlex.split(cc)[0])
-
-
-@pytest.fixture(scope="session")
-def compiled_kernel(tmp_path_factory):
-    """The compiled kernel, freshly built from the current _speedups.c."""
-    if _c_compiler() is None:
-        pytest.skip("no C compiler found to build the compiled kernel")
-    out = tmp_path_factory.mktemp("kernel_build")
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out), "--build-temp", str(out / "temp")],
-        cwd=REPO_ROOT, capture_output=True, text=True,
-    )
-    built = [
-        out / "bodenhu" / "_kernel" / f"_speedups{suffix}"
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES
-    ]
-    built = [path for path in built if path.exists()]
-    if not built:
-        pytest.fail(
-            "a C compiler is present but _speedups.c did not build:\n"
-            + build.stdout + build.stderr
-        )
-    spec = importlib.util.spec_from_file_location(
-        "bodenhu._kernel._speedups", built[0]
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import REPO_ROOT, c_compiler
 
 
 @pytest.fixture(params=["pure", "compiled"])
@@ -123,7 +82,7 @@ class TestKernelSelection:
         assert _kernel.select(None) == (pure, "pure")
 
     def test_source_compiles_without_warnings(self):
-        cc = _c_compiler()
+        cc = c_compiler()
         if cc is None:
             pytest.skip("no C compiler found")
         include = sysconfig.get_paths()["include"]
@@ -270,6 +229,74 @@ class TestScanShapes:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 2.0
+
+
+def nested_lists(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestDumps:
+    """Nesting limits of both JSON writers, and the compiled one's references
+    and selection; TestEncoder in test_cli.py checks both writers against
+    json.dumps on random payloads."""
+
+    def test_deep_nesting_raises_recursion_error(self, impl):
+        deep = nested_lists(100_000)
+        with pytest.raises(RecursionError):
+            impl.dumps(deep)
+        with pytest.raises(RecursionError):
+            impl.dumps({"a": deep})
+
+    def test_nesting_below_the_limit_encodes(self, impl):
+        value = nested_lists(200)
+        assert impl.dumps(value) == pure.dumps(value)
+
+    def test_no_reference_leak(self, compiled_kernel):
+        # every branch: escaped and plain strings, small and big ints,
+        # finite and non-finite floats, and a TypeError halfway through
+        payload = {
+            "plain": "abc",
+            "escaped": 'a"b\\c\u00e9\n',
+            "ints": [0, -1, 2**70],
+            "floats": [1.5, float("nan"), float("-inf")],
+            "flags": [True, False, None, {}, []],
+        }
+        bad = [payload, {"x": 1j}]
+        with pytest.raises(TypeError):
+            compiled_kernel.dumps(bad)
+        tracemalloc.start()
+        try:
+            for call in range(1, 201):
+                text = compiled_kernel.dumps(payload)
+                del text
+                try:
+                    compiled_kernel.dumps(bad)
+                except TypeError:
+                    pass
+                if call == 100:
+                    mid = tracemalloc.get_traced_memory()[0]
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert end <= mid
+
+    def test_builds_without_dumps_fall_back_to_pure(self, compiled_kernel):
+        # an extension built before dumps existed: the entry point is
+        # missing, or it carries the previous API number
+        without = types.ModuleType("_speedups")
+        without.KERNEL_API = pure.KERNEL_API
+        without.scan_shapes = compiled_kernel.scan_shapes
+        without.scan_partition_batch = compiled_kernel.scan_partition_batch
+        assert _kernel.select(without) == (pure, "pure")
+        older = types.ModuleType("_speedups")
+        older.KERNEL_API = 2
+        for name in _kernel.ENTRY_POINTS:
+            setattr(older, name, getattr(compiled_kernel, name))
+        assert _kernel.select(older) == (pure, "pure")
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 3
 
 
 @lru_cache(maxsize=None)

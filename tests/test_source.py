@@ -52,7 +52,7 @@ def test_only_the_cli_reads_the_environment():
 
 
 def test_no_indented_json_dumps():
-    """Payloads go through cli._dumps; json.dumps with an indent is slow."""
+    """Payloads go through _kernel.dumps; json.dumps with an indent is slow."""
     found = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
         for path, tree in parsed_modules()
@@ -95,5 +95,21 @@ def test_decision_path_does_not_call_delta():
         if isinstance(node, ast.Call)
         and {getattr(node.func, "attr", None), getattr(node.func, "id", None)}
         & {"delta", "delta_seq"}
+    ]
+    assert found == []
+
+
+def test_only_subset_sums_builds_the_full_table():
+    """check and fiber decide from the two half tables of _half_sums.
+
+    subset_sums builds all 2^N subset sums and stays public with its cache;
+    nothing in the package may call or otherwise refer to it.
+    """
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "subset_sums")
+        or (isinstance(node, ast.Attribute) and node.attr == "subset_sums")
     ]
     assert found == []
