@@ -1,30 +1,47 @@
 """Kernel selection: the compiled extension when it fits, else pure Python.
 
 Both implementations expose the same scan entry points (scan_shapes,
-scan_partition_batch) and the same JSON writer (dumps, the text of
-json.dumps(payload, indent=2) for the CLI's payload types), and must agree
-bit for bit (the test suite enforces this).  The compiled module is taken
-only if it has every entry point and the same KERNEL_API as pure.py, so an
-extension built from an older _speedups.c falls back to the pure kernel
-instead of failing at import.  The pure kernel is also the oracle the tests
-import directly.
+scan_partition_batch), the same single-alpha entry points (alpha_shapes,
+the partitions of the admissible blocks at one weight vector, and
+rate_orders, the rated cyclic orderings of one partition) and the same
+JSON writer (dumps, the text of json.dumps(payload, indent=2) for the CLI's
+payload types), and must agree bit for bit (the test suite enforces this).
+The compiled module is taken only if it has every entry point and the same
+KERNEL_API as pure.py, so an extension built from an older _speedups.c
+falls back to the pure kernel instead of failing at import.  KERNEL_KIND
+names the kernel in use; KERNEL_FALLBACK, a read-only attribute, says why
+the compiled one was refused (None when it runs).  The pure kernel is also
+the oracle the tests import directly.
 """
 
+import sys
 from types import ModuleType
 from typing import Optional
 
 from . import pure
 
-ENTRY_POINTS = ("scan_shapes", "scan_partition_batch", "dumps")
+ENTRY_POINTS = (
+    "scan_shapes", "scan_partition_batch", "alpha_shapes", "rate_orders",
+    "dumps",
+)
+
+
+def refusal(compiled: Optional[ModuleType]) -> Optional[str]:
+    """Why the compiled module cannot serve as the kernel, or None if it can."""
+    if compiled is None:
+        return "no extension"
+    api = getattr(compiled, "KERNEL_API", None)
+    if api != pure.KERNEL_API:
+        return f"API mismatch: extension {api}, pure.py {pure.KERNEL_API}"
+    missing = [name for name in ENTRY_POINTS if not hasattr(compiled, name)]
+    if missing:
+        return "missing entries: " + ", ".join(missing)
+    return None
 
 
 def select(compiled: Optional[ModuleType]) -> tuple[ModuleType, str]:
     """(kernel module, kind): compiled if it matches pure's API, else pure."""
-    if (
-        compiled is not None
-        and getattr(compiled, "KERNEL_API", None) == pure.KERNEL_API
-        and all(hasattr(compiled, name) for name in ENTRY_POINTS)
-    ):
+    if refusal(compiled) is None:
         return compiled, "compiled"
     return pure, "pure"
 
@@ -35,8 +52,24 @@ except ImportError:
     _speedups = None
 
 _impl, KERNEL_KIND = select(_speedups)
+_FALLBACK = refusal(_speedups)
 scan_shapes = _impl.scan_shapes
 scan_partition_batch = _impl.scan_partition_batch
+alpha_shapes = _impl.alpha_shapes
+rate_orders = _impl.rate_orders
 dumps = _impl.dumps
 
-__all__ = ["scan_shapes", "scan_partition_batch", "dumps", "KERNEL_KIND"]
+
+class _KernelModule(ModuleType):
+    @property
+    def KERNEL_FALLBACK(self) -> Optional[str]:
+        """Why the compiled kernel was refused; None when it is in use."""
+        return _FALLBACK
+
+
+sys.modules[__name__].__class__ = _KernelModule
+
+__all__ = [
+    "scan_shapes", "scan_partition_batch", "alpha_shapes", "rate_orders",
+    "dumps", "KERNEL_KIND", "KERNEL_FALLBACK",
+]

@@ -1,9 +1,11 @@
 /*
- * Compiled scan kernel and JSON writer, written against the CPython C API.
+ * Compiled kernel, written against the CPython C API: the scan, the
+ * single-alpha decision and the JSON writer.
  *
  * Twin of pure.py: the same entry points with the same arguments and the
  * same results, bit for bit.  The two scan entry points return the same
- * (violations, stats) in the same order; dumps returns the same text.
+ * (violations, stats) in the same order; alpha_shapes and rate_orders
+ * return the same lists; dumps returns the same text.
  *
  *   scan_shapes          enumerates the set partitions itself, in the
  *                        canonical order of partitions.iter_partition_shapes
@@ -26,6 +28,9 @@
  * slots), the same limits pure.py enforces.  For those sizes every pairing
  * and rotation value is far inside 64-bit range.
  *
+ *   alpha_shapes         lists the partitions of n slots into the
+ *                        admissible blocks at one weight vector.
+ *   rate_orders          rates every cyclic ordering of one partition.
  *   dumps                writes the text of json.dumps(payload, indent=2)
  *                        into one growing byte buffer; see below.
  */
@@ -35,11 +40,13 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 3
+#define KERNEL_API 4
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
 #define MAX_S (MAX_BLOCKS * MAX_SLOTS)
+/* rate_orders' degree bound: every rotation value stays below 2^50 */
+#define MAX_DEGREE (1LL << 32)
 
 typedef long long i64;
 typedef unsigned long long u64;
@@ -461,6 +468,310 @@ done:
 }
 
 /*
+ * Single-alpha entry points.  alpha_shapes keeps the caller's int objects:
+ * each emitted shape holds the very masks it was given, as pure.py's does.
+ * Its per-slot block lists are one array of the input's size, grouped by
+ * lowest slot with a counting sort that keeps the input order.
+ */
+
+typedef struct {
+    int min_len;
+    const u64 *masks;            /* the blocks, grouped by lowest slot */
+    PyObject **ints;             /* the caller's int for each entry */
+    Py_ssize_t start[MAX_SLOTS + 1]; /* slot i: start[i] .. start[i+1]-1 */
+    Py_ssize_t acc[MAX_BLOCKS];  /* chosen blocks, as indices into masks */
+    unsigned long visits;
+    PyObject *shapes;
+} ShapeSearch;
+
+/* Append the chosen blocks as a tuple of masks, ascending; -1 on error. */
+static int
+emit_shape(ShapeSearch *ss, int depth)
+{
+    Py_ssize_t idx[MAX_BLOCKS];
+    for (int i = 0; i < depth; i++) {
+        int j = i;
+        for (; j > 0 && ss->masks[idx[j - 1]] > ss->masks[ss->acc[i]]; j--)
+            idx[j] = idx[j - 1];
+        idx[j] = ss->acc[i];
+    }
+    PyObject *shape = PyTuple_New(depth);
+    if (shape == NULL)
+        return -1;
+    for (int i = 0; i < depth; i++) {
+        Py_INCREF(ss->ints[idx[i]]);
+        PyTuple_SET_ITEM(shape, i, ss->ints[idx[i]]);
+    }
+    int rc = PyList_Append(ss->shapes, shape);
+    Py_DECREF(shape);
+    return rc;
+}
+
+/* Cover the lowest slot of remaining with each block of that slot that
+ * fits.  Blocks have rank >= 2 within 30 slots, so depth stays below 16.
+ * -1 on error. */
+static int
+search_shapes(ShapeSearch *ss, u64 remaining, int depth)
+{
+    if (remaining == 0)
+        return depth >= ss->min_len ? emit_shape(ss, depth) : 0;
+    if (depth + __builtin_popcountll(remaining) / 2 < ss->min_len)
+        return 0;
+    /* a search can run long without emitting a shape */
+    if ((++ss->visits & 0xfff) == 0 && PyErr_CheckSignals() < 0)
+        return -1;
+    const int slot = __builtin_ctzll(remaining);
+    for (Py_ssize_t i = ss->start[slot]; i < ss->start[slot + 1]; i++) {
+        const u64 m = ss->masks[i];
+        if ((m & remaining) == m) {
+            ss->acc[depth] = i;
+            if (search_shapes(ss, remaining ^ m, depth + 1) < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(alpha_shapes_doc,
+"alpha_shapes(n, masks, min_len)\n"
+"--\n\n"
+"The partitions of n slots into the given admissible blocks, as sorted\n"
+"mask tuples.\n\n"
+"Same contract as pure.alpha_shapes; see that function's docstring.");
+
+static PyObject *
+alpha_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"n", "masks", "min_len", NULL};
+    int n, min_len;
+    PyObject *masks_arg, *given, *result = NULL;
+    Py_ssize_t count[MAX_SLOTS + 1] = {0}, fill[MAX_SLOTS];
+    ShapeSearch ss;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOi:alpha_shapes", kwlist,
+                                     &n, &masks_arg, &min_len))
+        return NULL;
+    if (n < 0 || n > MAX_SLOTS) {
+        PyErr_SetString(PyExc_ValueError, "kernel supports 0 to 30 slots");
+        return NULL;
+    }
+    given = PySequence_Fast(masks_arg, "masks must be iterable");
+    if (given == NULL)
+        return NULL;
+    const Py_ssize_t k = PySequence_Fast_GET_SIZE(given);
+    u64 *values = PyMem_Malloc((k + 1) * sizeof(u64));
+    u64 *grouped = PyMem_Malloc((k + 1) * sizeof(u64));
+    PyObject **ints = PyMem_Malloc((k + 1) * sizeof(PyObject *));
+    if (values == NULL || grouped == NULL || ints == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < k; i++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(given, i);
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(item, &overflow);
+        if (v == -1 && PyErr_Occurred())
+            goto done;
+        if (overflow || v <= 0 || (u64)v >> n
+            || __builtin_popcountll((u64)v) < 2) {
+            PyErr_Format(PyExc_ValueError,
+                         "mask %R is not a block of rank >= 2 within %d slots",
+                         item, n);
+            goto done;
+        }
+        values[i] = (u64)v;
+        count[__builtin_ctzll((u64)v) + 1]++;
+    }
+    memset(&ss, 0, sizeof(ss));
+    for (int slot = 0; slot < n; slot++) {
+        ss.start[slot + 1] = ss.start[slot] + count[slot + 1];
+        fill[slot] = ss.start[slot];
+    }
+    /* the borrowed ints stay alive: given holds them until the end */
+    for (Py_ssize_t i = 0; i < k; i++) {
+        Py_ssize_t at = fill[__builtin_ctzll(values[i])]++;
+        grouped[at] = values[i];
+        ints[at] = PySequence_Fast_GET_ITEM(given, i);
+    }
+    ss.min_len = min_len;
+    ss.masks = grouped;
+    ss.ints = ints;
+    ss.shapes = PyList_New(0);
+    if (ss.shapes == NULL)
+        goto done;
+    if (n >= 2 && search_shapes(&ss, (1ULL << n) - 1, 0) < 0)
+        Py_CLEAR(ss.shapes);
+    result = ss.shapes;
+done:
+    PyMem_Free(values);
+    PyMem_Free(grouped);
+    PyMem_Free(ints);
+    Py_DECREF(given);
+    return result;
+}
+
+/* Interned keys of rate_orders' dicts, made when the module is created. */
+static PyObject *key_order, *key_rotations, *key_violates;
+
+static PyObject *
+int_list(const i64 *values, int len)
+{
+    PyObject *list = PyList_New(len);
+    if (list == NULL)
+        return NULL;
+    for (int i = 0; i < len; i++) {
+        PyObject *v = PyLong_FromLongLong(values[i]);
+        if (v == NULL) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, v);
+    }
+    return list;
+}
+
+/* {"order": [...], "rotation_deltas": [...], "violates": flag}, or NULL. */
+static PyObject *
+rated_order(const i64 *order, const i64 *rots, int L, int violates)
+{
+    PyObject *o = int_list(order, L), *r = int_list(rots, L);
+    PyObject *dict = (o && r) ? PyDict_New() : NULL;
+    if (dict != NULL
+        && (PyDict_SetItem(dict, key_order, o) < 0
+            || PyDict_SetItem(dict, key_rotations, r) < 0
+            || PyDict_SetItem(dict, key_violates,
+                              violates ? Py_True : Py_False) < 0))
+        Py_CLEAR(dict);
+    Py_XDECREF(o);
+    Py_XDECREF(r);
+    return dict;
+}
+
+/* Read item as an integer in lo..hi into *out; -1 with an exception set
+ * (ValueError naming what when it is out of range). */
+static int
+bounded_int(PyObject *item, i64 lo, i64 hi, const char *what, i64 *out)
+{
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(item, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || v < lo || v > hi) {
+        PyErr_Format(PyExc_ValueError, what, item);
+        return -1;
+    }
+    *out = v;
+    return 0;
+}
+
+PyDoc_STRVAR(rate_orders_doc,
+"rate_orders(masks, degs, semismall)\n"
+"--\n\n"
+"Every cyclic ordering of one partition, rated by its rotation values.\n\n"
+"Same contract as pure.rate_orders; see that function's docstring.");
+
+static PyObject *
+rate_orders(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"masks", "degs", "semismall", NULL};
+    PyObject *masks_arg, *degs_arg, *masks, *degs = NULL;
+    PyObject *orderings = NULL, *result = NULL;
+    int semismall;
+    i64 mask[MAX_BLOCKS], deg[MAX_BLOCKS], q[MAX_BLOCKS];
+    i64 pair[MAX_BLOCKS][MAX_BLOCKS], order[MAX_BLOCKS], rots[MAX_BLOCKS];
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOp:rate_orders", kwlist,
+                                     &masks_arg, &degs_arg, &semismall))
+        return NULL;
+    masks = PySequence_Fast(masks_arg, "masks must be iterable");
+    if (masks == NULL)
+        return NULL;
+    degs = PySequence_Fast(degs_arg, "degs must be iterable");
+    if (degs == NULL)
+        goto done;
+    const Py_ssize_t L = PySequence_Fast_GET_SIZE(masks);
+    if (L < 2) {
+        PyErr_SetString(PyExc_ValueError,
+                        "rotation values need at least two blocks");
+        goto done;
+    }
+    if (L > MAX_BLOCKS) {
+        PyErr_SetString(PyExc_ValueError, "kernel supports at most 16 blocks");
+        goto done;
+    }
+    if (PySequence_Fast_GET_SIZE(degs) != L) {
+        PyErr_SetString(PyExc_ValueError,
+                        "masks and degrees differ in length");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < L; i++) {
+        if (bounded_int(PySequence_Fast_GET_ITEM(masks, i), 1,
+                        (1LL << MAX_SLOTS) - 1,
+                        "mask %R outside 1..2^30 - 1", &mask[i]) < 0
+            || bounded_int(PySequence_Fast_GET_ITEM(degs, i), -MAX_DEGREE,
+                           MAX_DEGREE, "degree %R outside -2^32..2^32",
+                           &deg[i]) < 0)
+            goto done;
+    }
+    /* delta(A, B) = 2(r_A d_B - r_B d_A) + r_A r_B - 2 #{(a, b) : b < a} */
+    for (int i = 0; i < L; i++) {
+        const i64 ra = __builtin_popcountll(mask[i]);
+        q[i] = 0;
+        pair[i][i] = 0;
+        for (int j = i + 1; j < L; j++) {
+            const i64 rb = __builtin_popcountll(mask[j]);
+            i64 below = 0;
+            for (u64 a = mask[i]; a; a &= a - 1)
+                below += __builtin_popcountll(mask[j] & ((a & -a) - 1));
+            pair[i][j] = 2 * (ra * deg[j] - rb * deg[i]) + ra * rb - 2 * below;
+            pair[j][i] = -pair[i][j];
+        }
+    }
+    for (int i = 0; i < L; i++)
+        for (int j = 0; j < L; j++)
+            q[i] += pair[i][j];
+
+    Py_ssize_t nperm = 1, first = -1, idx = 0;
+    for (int i = 2; i < L; i++)
+        nperm *= i;
+    orderings = PyList_New(nperm);
+    if (orderings == NULL)
+        goto done;
+    const i64 bar = semismall ? L : L - 1;
+    for (int i = 0; i < L; i++)
+        order[i] = i;
+    do {
+        /* r_{l+1} = r_l - 2 q[order[l]] */
+        i64 r = 0;
+        for (int u = 0; u < L; u++)
+            for (int v = u + 1; v < L; v++)
+                r += pair[order[u]][order[v]];
+        i64 least = r;
+        rots[0] = r;
+        for (int l = 0; l + 1 < L; l++) {
+            r -= 2 * q[order[l]];
+            rots[l + 1] = r;
+            if (r < least)
+                least = r;
+        }
+        if (least >= bar && first < 0)
+            first = idx;
+        PyObject *rated = rated_order(order, rots, (int)L, least >= bar);
+        if (rated == NULL)
+            goto done;
+        PyList_SET_ITEM(orderings, idx, rated);
+        if ((++idx & 0x3ff) == 0 && PyErr_CheckSignals() < 0)
+            goto done;
+    } while (next_perm(order + 1, (int)L - 1));
+    result = Py_BuildValue("(On)", orderings, first);
+done:
+    Py_XDECREF(orderings);
+    Py_XDECREF(degs);
+    Py_DECREF(masks);
+    return result;
+}
+
+/*
  * JSON writer.  The output is pure ASCII: strings go through
  * json.encoder.encode_basestring_ascii unless they are printable ASCII
  * without a quote or a backslash, which are copied as they are.  It accepts
@@ -713,6 +1024,10 @@ static PyMethodDef speedups_methods[] = {
      METH_VARARGS | METH_KEYWORDS, scan_shapes_doc},
     {"scan_partition_batch", (PyCFunction)(void (*)(void))scan_partition_batch,
      METH_VARARGS | METH_KEYWORDS, scan_batch_doc},
+    {"alpha_shapes", (PyCFunction)(void (*)(void))alpha_shapes,
+     METH_VARARGS | METH_KEYWORDS, alpha_shapes_doc},
+    {"rate_orders", (PyCFunction)(void (*)(void))rate_orders,
+     METH_VARARGS | METH_KEYWORDS, rate_orders_doc},
     {"dumps", dumps, METH_O, dumps_doc},
     {NULL, NULL, 0, NULL},
 };
@@ -720,7 +1035,7 @@ static PyMethodDef speedups_methods[] = {
 static struct PyModuleDef speedups_module = {
     PyModuleDef_HEAD_INIT,
     "bodenhu._kernel._speedups",
-    "Compiled scan kernel and JSON writer; twin of pure.py, same contract, "
+    "Compiled kernel and JSON writer; twin of pure.py, same contract, "
     "bit-identical output.",
     -1,
     speedups_methods,
@@ -733,6 +1048,16 @@ static struct PyModuleDef speedups_module = {
 PyMODINIT_FUNC
 PyInit__speedups(void)
 {
+    if (key_order == NULL
+        && ((key_order = PyUnicode_InternFromString("order")) == NULL
+            || (key_rotations = PyUnicode_InternFromString("rotation_deltas"))
+                   == NULL
+            || (key_violates = PyUnicode_InternFromString("violates"))
+                   == NULL)) {
+        Py_CLEAR(key_order);
+        Py_CLEAR(key_rotations);
+        return NULL;
+    }
     PyObject *module = PyModule_Create(&speedups_module);
     if (module != NULL && PyModule_AddIntConstant(module, "KERNEL_API",
                                                   KERNEL_API) < 0) {

@@ -1,4 +1,4 @@
-"""Pure-Python scan kernel and JSON writer.
+"""Pure-Python kernel: the scan, the single-alpha decision and the JSON writer.
 
 Given partition shapes (tuples of support bitmasks), enumerate all degree
 assignments and all cyclic-order representatives, evaluate every rotation of
@@ -6,14 +6,21 @@ the pairing sum via the rotation identity, and report the candidates that
 violate the smallness margin.  scan_partition_batch scans the shapes it is
 given; scan_shapes scans every shape of n slots, streamed from
 partitions.iter_partition_shapes.  This is the plain oracle: every ordering
-is evaluated on its own.  dumps writes the CLI's JSON payloads.  Twin of
-the compiled kernel in _speedups.c, which must match it exactly and carry
-the same KERNEL_API.
+is evaluated on its own.
+
+At one weight vector, alpha_shapes lists the partitions built from the
+admissible blocks, and rate_orders rates every cyclic ordering of one of
+them from a pairing matrix of support-mask popcounts.  These hold the
+package's only copy of that recursion and of the pairing and rotation
+formulas.  dumps writes the CLI's JSON payloads.  Twin of the compiled
+kernel in _speedups.c, which must match it exactly and carry the same
+KERNEL_API.
 
 Both kernels accept at most MAX_SLOTS slots and MAX_BLOCKS blocks per scanned
 shape and raise ValueError beyond that.  Within those limits every quantity
 is a small machine integer: the pairing is bounded by a few thousand, far
-inside 64-bit range.
+inside 64-bit range.  rate_orders also takes degrees up to MAX_DEGREE in
+absolute value, which keeps every rotation value below 2^50.
 """
 
 from __future__ import annotations
@@ -26,8 +33,9 @@ from ..partitions import iter_partition_shapes
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 3
+KERNEL_API = 4
 MAX_BLOCKS = 16
+MAX_DEGREE = 1 << 32
 _BATCH = 4096
 
 
@@ -164,6 +172,126 @@ def scan_partition_batch(
                             pre += q[order[l]]
                     violations.append((pi, degs, order, tuple(rots)))
     return violations, stats
+
+
+def alpha_shapes(n: int, masks, min_len: int) -> list[tuple[int, ...]]:
+    """The partitions of n slots into the given blocks, as sorted mask tuples.
+
+    masks are the admissible blocks at one weight vector, ascending, each of
+    rank >= 2 within the n slots.  They are grouped by lowest slot, keeping
+    their order; the recursion covers the lowest uncovered slot with each
+    block of that slot that fits, and stops once fewer than min_len blocks
+    can be reached.  With the ascending admissible masks this lists the
+    shapes of partitions.iter_partition_shapes(n, min_len, block_ok) in the
+    same order, without probing every submask.
+
+    Raises ValueError for n outside 0..MAX_SLOTS or a mask outside the n
+    slots or of rank below 2.
+    """
+    if not 0 <= n <= MAX_SLOTS:
+        raise ValueError(f"kernel supports 0 to {MAX_SLOTS} slots")
+    by_low: list[list[int]] = [[] for _ in range(n)]
+    for mask in masks:
+        if not 0 < mask < 1 << n or mask.bit_count() < 2:
+            raise ValueError(
+                f"mask {mask} is not a block of rank >= 2 within {n} slots"
+            )
+        by_low[(mask & -mask).bit_length() - 1].append(mask)
+    shapes: list[tuple[int, ...]] = []
+    acc: list[int] = []
+
+    def rec(remaining: int) -> None:
+        if not remaining:
+            if len(acc) >= min_len:
+                shapes.append(tuple(sorted(acc)))
+            return
+        if len(acc) + remaining.bit_count() // 2 < min_len:
+            return
+        for mask in by_low[(remaining & -remaining).bit_length() - 1]:
+            if mask & remaining == mask:
+                acc.append(mask)
+                rec(remaining ^ mask)
+                acc.pop()
+
+    if n >= 2:
+        rec((1 << n) - 1)
+    return shapes
+
+
+def _pair_delta(a: int, da: int, b: int, db: int) -> int:
+    """delta of two disjoint 0/1 blocks, given by support mask and degree.
+
+    The cross term of delta is r_a r_b - 2 #{(i, j) in a x b : j < i},
+    counted with one popcount per slot of a.
+    """
+    ra, rb = a.bit_count(), b.bit_count()
+    below = 0
+    while a:
+        low = a & -a
+        below += (b & (low - 1)).bit_count()
+        a ^= low
+    return 2 * (ra * db - rb * da) + ra * rb - 2 * below
+
+
+def rate_orders(masks, degs, semismall: bool) -> tuple[list[dict], int]:
+    """Every cyclic ordering of one partition, rated by its rotation values.
+
+    masks and degs give the blocks: disjoint supports (not checked) and
+    their degrees.  One pairing matrix P[i][j] = delta(block i, block j)
+    serves every ordering.  An ordering's first rotation value sums P over
+    its ordered pairs; moving the head block to the back reverses its pairs
+    with every other block, so r_{l+1} = r_l - 2 q[order[l]], with q the row
+    sums of P.  An ordering violates the margin when its least rotation
+    value is at least L - 1 (semismall: above it).
+
+    Returns (orderings, first).  orderings holds one dict {"order",
+    "rotation_deltas", "violates"} per ordering, ready for JSON, in the lex
+    order of itertools.permutations(range(1, L)) behind block 0; first is
+    the index of the first violating ordering, or -1.
+
+    Raises ValueError unless 2 <= L <= MAX_BLOCKS, len(degs) == L, every
+    mask lies in 1..2^MAX_SLOTS - 1 and every |degree| <= MAX_DEGREE.
+    """
+    L = len(masks)
+    if L < 2:
+        raise ValueError("rotation values need at least two blocks")
+    if L > MAX_BLOCKS:
+        raise ValueError(f"kernel supports at most {MAX_BLOCKS} blocks")
+    if len(degs) != L:
+        raise ValueError("masks and degrees differ in length")
+    for mask, d in zip(masks, degs):
+        if not 0 < mask < 1 << MAX_SLOTS:
+            raise ValueError(f"mask {mask} outside 1..2^{MAX_SLOTS} - 1")
+        if not -MAX_DEGREE <= d <= MAX_DEGREE:
+            raise ValueError(f"degree {d} outside -2^32..2^32")
+    pair = [[0] * L for _ in range(L)]
+    for i in range(L):
+        for j in range(i + 1, L):
+            d = _pair_delta(masks[i], degs[i], masks[j], degs[j])
+            pair[i][j] = d
+            pair[j][i] = -d
+    q = [sum(row) for row in pair]
+    bar = L if semismall else L - 1
+    orderings: list[dict] = []
+    first = -1
+    for perm in itertools.permutations(range(1, L)):
+        order = (0,) + perm
+        r = 0
+        for i, a in enumerate(order):
+            row = pair[a]
+            for b in order[i + 1 :]:
+                r += row[b]
+        rots = [r]
+        for a in order[:-1]:
+            r -= 2 * q[a]
+            rots.append(r)
+        violates = min(rots) >= bar
+        if violates and first < 0:
+            first = len(orderings)
+        orderings.append(
+            {"order": list(order), "rotation_deltas": rots, "violates": violates}
+        )
+    return orderings, first
 
 
 # json.dumps spells the non-finite floats this way (allow_nan=True).

@@ -26,7 +26,7 @@ import time
 import traceback
 from typing import Optional, Sequence
 
-from ._kernel import dumps
+from ._kernel import dumps, rate_orders
 from .core import (
     DEFAULT_CAP,
     MAX_SLOTS,
@@ -36,14 +36,13 @@ from .core import (
     parse_weight_vector,
 )
 from .weightspace import enumerate_walls, find_generic_near
-from .partitions import OrderedPartition, Partition, alpha_partitions
+from .partitions import OrderedPartition, Partition, _alpha_shapes
 from .smallness import (
     MODES,
     Witness,
-    _rated_orders,
+    _witness,
     classify,
     construction_transcript,
-    first_violation,
     rotation_deltas,
     scan_all_s,
 )
@@ -78,6 +77,17 @@ def _blocks_json(blocks: Sequence[MultiplicityVector]) -> list[dict]:
     return [
         {"support": list(b.support), "degree": b.d_check} for b in blocks
     ]
+
+
+def _mask_blocks(n: int, degree: dict[int, int]) -> dict[int, dict]:
+    """The payload block of each mask, shared by every listing entry."""
+    return {
+        mask: {
+            "support": [i + 1 for i in range(n) if mask >> i & 1],
+            "degree": d,
+        }
+        for mask, d in degree.items()
+    }
 
 
 def _order_indices(partition: Partition, op: OrderedPartition) -> list[int]:
@@ -148,40 +158,36 @@ def _cmd_check(args) -> tuple[int, dict]:
     # Listing ids index all partitions; dropping those shorter than 3 keeps
     # the canonical order check_criterion scans, so the verdict comes from
     # this listing.
+    shapes, degree = _alpha_shapes(alpha, 1, args.cap)
+    blocks = _mask_blocks(alpha.n, degree)
     listing = []
-    rated = []
-    for i, partition in enumerate(alpha_partitions(alpha, 1, args.cap)):
-        if len(partition) < 3:
+    witness = None
+    for i, masks in enumerate(shapes):
+        if len(masks) < 3:
             continue
-        orderings = list(_rated_orders(partition, args.mode))
-        rated.extend(triple for _, triple in orderings)
+        degs = [degree[mask] for mask in masks]
+        orderings, first = rate_orders(masks, degs, args.mode == "semismall")
+        if first >= 0 and witness is None:
+            witness = _witness(alpha, masks, degs, orderings[first])
         listing.append(
             {
                 "id": i,
-                "length": len(partition),
-                "blocks": _blocks_json(partition.blocks),
-                "orderings": [
-                    {
-                        "order": list(order),
-                        "rotation_deltas": list(rots),
-                        "violates": violates,
-                    }
-                    for order, (_, rots, violates) in orderings
-                ],
+                "length": len(masks),
+                "blocks": [blocks[mask] for mask in masks],
+                "orderings": orderings,
             }
         )
-    verdict = first_violation(alpha, args.mode, rated)
     payload = {
         "command": "check",
         "n": alpha.n,
         "s": alpha.s,
         "mode": args.mode,
         "alpha": _fractions(alpha.entries),
-        "holds": verdict.holds,
-        "witness": _witness_json(verdict.witness) if verdict.witness else None,
+        "holds": witness is None,
+        "witness": _witness_json(witness) if witness else None,
         "partitions": listing,
     }
-    return (0 if verdict.holds else 1), payload
+    return (0 if witness is None else 1), payload
 
 
 def _table_check(payload: dict) -> str:
@@ -377,8 +383,9 @@ def _table_walls(payload: dict) -> str:
 def _cmd_fiber(args) -> tuple[int, dict]:
     alpha = parse_weight_vector(args.alpha)
     check_genus(args.genus)
-    partitions = alpha_partitions(alpha, 1, args.cap)
+    shapes, degree = _alpha_shapes(alpha, 1, args.cap)
     if args.id is None:
+        blocks = _mask_blocks(alpha.n, degree)
         payload = {
             "command": "fiber",
             "n": alpha.n,
@@ -387,19 +394,24 @@ def _cmd_fiber(args) -> tuple[int, dict]:
             "partitions": [
                 {
                     "id": i,
-                    "length": len(p),
-                    "blocks": _blocks_json(p.blocks),
+                    "length": len(masks),
+                    "blocks": [blocks[mask] for mask in masks],
                 }
-                for i, p in enumerate(partitions)
+                for i, masks in enumerate(shapes)
             ],
         }
         return 0, payload
-    if not 0 <= args.id < len(partitions):
+    if not 0 <= args.id < len(shapes):
         raise ValueError(
             f"unknown partition id {args.id}; this alpha has"
-            f" ids 0..{len(partitions) - 1}"
+            f" ids 0..{len(shapes) - 1}"
         )
-    xi = partitions[args.id]
+    xi = Partition(
+        tuple(
+            MultiplicityVector.from_mask(alpha.n, degree[mask], mask)
+            for mask in shapes[args.id]
+        )
+    )
     beta = find_generic_near(alpha)
     report = fiber_report(xi, beta, args.genus)
     payload = {

@@ -184,54 +184,55 @@ def iter_partition_shapes(
         yield from rec(full, [])
 
 
+def _alpha_shapes(
+    alpha: WeightVector, min_len: int, cap: int
+) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+    """The shapes of alpha_partitions as mask tuples, and each used degree.
+
+    A block with support B is admissible iff sum_B alpha is an integer; its
+    degree is then forced to -sum_B alpha.  The admissible masks come from
+    the meet-in-the-middle subset-sum search of weightspace, ascending, and
+    the kernel's alpha_shapes lists the partitions into them.  Returns the
+    shapes and a dict from every mask they use to its degree.
+    """
+    # partitions must not import _kernel at load time: pure.py imports
+    # iter_partition_shapes from here.
+    from ._kernel import alpha_shapes
+
+    check_cap(alpha.n, cap)
+    denom, h, low, high = weightspace._half_sums(alpha.entries)
+    masks = [
+        mask
+        for mask in weightspace._integral_masks(denom, h, low, high)
+        if mask.bit_count() >= 2
+    ]
+    shapes = alpha_shapes(alpha.n, masks, min_len)
+    low_bits = (1 << h) - 1
+    degree = {
+        mask: -((low[mask & low_bits] + high[mask >> h]) // denom)
+        for mask in set().union(*shapes)
+    }
+    return shapes, degree
+
+
 def alpha_partitions(
     alpha: WeightVector, min_len: int = 1, cap: int = DEFAULT_CAP
 ) -> list[Partition]:
     """All partitions of the one-vector whose block degrees are exact at alpha.
 
-    A block with support B is admissible iff sum_B alpha is an integer; its
-    degree is then forced to -sum_B alpha.  The admissible masks come from
-    the meet-in-the-middle subset-sum search of weightspace, grouped by
-    lowest slot in ascending mask order.  The recursion covers the lowest
-    remaining slot with each admissible block of that slot that fits, so
-    it visits only admissible blocks and yields the shapes of
-    iter_partition_shapes(n, min_len, block_ok) in the same order.
-
-    Each mask used by some partition gets one block, shared by every
-    partition that uses it.  Nothing is re-validated: the shapes are sorted
-    set partitions into blocks of size >= 2, and a block sum strictly
-    between 0 and r puts its degree in [-(r-1), -1].
+    The partitions of _alpha_shapes, in the order of
+    iter_partition_shapes(n, min_len, block_ok) with block_ok testing
+    admissibility at alpha.  Each mask used by some partition gets one
+    block, shared by every partition that uses it.  Nothing is
+    re-validated: the shapes are sorted set partitions into blocks of size
+    >= 2, and a block sum strictly between 0 and r puts its degree in
+    [-(r-1), -1].
     """
-    check_cap(alpha.n, cap)
     n = alpha.n
-    denom, h, low, high = weightspace._half_sums(alpha.entries)
-    by_low: list[list[int]] = [[] for _ in range(n)]
-    for mask in weightspace._integral_masks(denom, h, low, high):
-        if mask.bit_count() >= 2:
-            by_low[(mask & -mask).bit_length() - 1].append(mask)
-    shapes: list[tuple[int, ...]] = []
-    acc: list[int] = []
-
-    def rec(remaining: int) -> None:
-        if not remaining:
-            if len(acc) >= min_len:
-                shapes.append(tuple(sorted(acc)))
-            return
-        if len(acc) + remaining.bit_count() // 2 < min_len:
-            return
-        for mask in by_low[(remaining & -remaining).bit_length() - 1]:
-            if mask & remaining == mask:
-                acc.append(mask)
-                rec(remaining ^ mask)
-                acc.pop()
-
-    rec((1 << n) - 1)
-    low_bits = (1 << h) - 1
+    shapes, degree = _alpha_shapes(alpha, min_len, cap)
     block_of = {
-        mask: MultiplicityVector._from_mask_unchecked(
-            n, -((low[mask & low_bits] + high[mask >> h]) // denom), mask
-        )
-        for mask in {mask for masks in shapes for mask in masks}
+        mask: MultiplicityVector._from_mask_unchecked(n, d, mask)
+        for mask, d in degree.items()
     }
     return [
         Partition._unchecked(tuple(map(block_of.__getitem__, masks)))

@@ -7,8 +7,9 @@ ordered candidate of length >= 3 has some rotation with value < L - 1
 (semismall: <= L - 1).  A witness against smallness is therefore an ordered
 candidate whose rotation values all sit at or above the margin.
 
-At one weight vector, first_violation takes the first violating ordering in
-canonical order as the witness, for check_criterion and the CLI alike.
+At one weight vector the first violating ordering in canonical order is
+the witness, for check_criterion and the CLI alike; both rate the
+orderings through the kernel's rate_orders.
 
 verify_conjecture and scan_all_s quantify over the whole weight space through
 one shared scan: the rotation values depend only on (supports, degrees,
@@ -24,10 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import weightspace
-from ._kernel import scan_shapes
+from ._kernel import rate_orders, scan_shapes
 from .core import (
     DEFAULT_CAP,
     ConstructionRangeError,
@@ -42,7 +43,7 @@ from .core import (
 from .partitions import (
     OrderedPartition,
     Partition,
-    alpha_partitions,
+    _alpha_shapes,
 )
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "violates_margin",
     "ordering_representatives",
     "rated_orderings",
-    "first_violation",
     "check_criterion",
     "verify_conjecture",
     "scan_all_s",
@@ -96,71 +96,22 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _pair_delta(a: int, da: int, b: int, db: int) -> int:
-    """delta of two disjoint 0/1 blocks, given by support mask and degree.
-
-    The cross term of delta is r_a r_b - 2 #{(i, j) in a x b : j < i},
-    counted with one popcount per slot of a.
-    """
-    ra, rb = a.bit_count(), b.bit_count()
-    below = 0
-    while a:
-        low = a & -a
-        below += (b & (low - 1)).bit_count()
-        a ^= low
-    return 2 * (ra * db - rb * da) + ra * rb - 2 * below
-
-
-def _pairing(
+def _keys(
     blocks: tuple[MultiplicityVector, ...]
-) -> tuple[list[list[int]], list[int]]:
-    """The matrix P[i][j] = delta(blocks[i], blocks[j]) and its row sums.
-
-    P is antisymmetric; the blocks must be disjoint 0/1 vectors.
-    """
-    L = len(blocks)
-    if L < 2:
-        raise ValueError("rotation values need at least two blocks")
-    keys = [(b.support_mask, b.d_check) for b in blocks]
-    pair = [[0] * L for _ in range(L)]
-    for i in range(L):
-        for j in range(i + 1, L):
-            d = _pair_delta(*keys[i], *keys[j])
-            pair[i][j] = d
-            pair[j][i] = -d
-    return pair, [sum(row) for row in pair]
-
-
-def _rotations(
-    pair: list[list[int]], out: list[int], order: tuple[int, ...]
-) -> tuple[int, ...]:
-    """delta_seq of every rotation of the blocks taken in the given order.
-
-    The first value sums pair over the ordered pairs.  Moving the head
-    block to the back reverses its pairs with every other block, so
-    r_{l+1} = r_l - 2 * out[order[l]], with out the row sums of pair.
-    """
-    r = 0
-    for i, a in enumerate(order):
-        row = pair[a]
-        for b in order[i + 1 :]:
-            r += row[b]
-    rots = [r]
-    for a in order[:-1]:
-        r -= 2 * out[a]
-        rots.append(r)
-    return tuple(rots)
+) -> tuple[list[int], list[int]]:
+    """The support masks and the degrees of blocks, for rate_orders."""
+    return [b.support_mask for b in blocks], [b.d_check for b in blocks]
 
 
 def rotation_deltas(op: OrderedPartition) -> tuple[int, ...]:
     """delta_seq of every rotation of the sequence, starting positions 0..L-1.
 
-    The blocks are disjoint 0/1 vectors, so each of the L(L-1)/2 pairwise
-    deltas is read off their support masks with popcounts, once; the
-    rotation values then follow from the pairing matrix and its row sums.
+    The blocks are disjoint 0/1 vectors, so the kernel's rate_orders reads
+    each pairwise delta off their support masks with popcounts.  It rates
+    all (L-1)! orderings of the blocks; the sequence itself is the first.
     """
-    pair, out = _pairing(op.seq)
-    return _rotations(pair, out, tuple(range(len(op.seq))))
+    orderings, _ = rate_orders(*_keys(op.seq), False)
+    return tuple(orderings[0]["rotation_deltas"])
 
 
 def violates_margin(rots: tuple[int, ...], mode: str) -> bool:
@@ -178,47 +129,36 @@ def ordering_representatives(partition: Partition) -> Iterator[OrderedPartition]
         yield OrderedPartition._unchecked(first + perm)
 
 
-_Rated = tuple[OrderedPartition, tuple[int, ...], bool]
-
-
-def _rated_orders(
+def rated_orderings(
     partition: Partition, mode: str
-) -> Iterator[tuple[tuple[int, ...], _Rated]]:
-    """The rated_orderings triples, each after its ordering's block indices."""
-    blocks = partition.blocks
-    pair, out = _pairing(blocks)
-    for perm in itertools.permutations(range(1, len(blocks))):
-        order = (0,) + perm
-        rots = _rotations(pair, out, order)
-        op = OrderedPartition._unchecked(tuple(map(blocks.__getitem__, order)))
-        yield order, (op, rots, violates_margin(rots, mode))
-
-
-def rated_orderings(partition: Partition, mode: str) -> Iterator[_Rated]:
+) -> Iterator[tuple[OrderedPartition, tuple[int, ...], bool]]:
     """Each ordering representative with its rotation values and margin test.
 
-    The representatives run as in ordering_representatives.  One pairing
-    matrix per partition serves all (L-1)! of them; no delta is recomputed
-    per ordering.
+    The representatives run as in ordering_representatives.  The kernel's
+    rate_orders rates all (L-1)! of them from one pairing matrix.
     """
-    for _, rated in _rated_orders(partition, mode):
-        yield rated
+    _check_mode(mode)
+    blocks = partition.blocks
+    orderings, _ = rate_orders(*_keys(blocks), mode == "semismall")
+    for rated in orderings:
+        op = OrderedPartition._unchecked(
+            tuple(map(blocks.__getitem__, rated["order"]))
+        )
+        yield op, tuple(rated["rotation_deltas"]), rated["violates"]
 
 
-def first_violation(
-    alpha: WeightVector,
-    mode: str,
-    rated: Iterable[tuple[OrderedPartition, tuple[int, ...], bool]],
-) -> Verdict:
-    """The verdict at alpha from its rated orderings, given in canonical order.
-
-    The first ordering that violates the margin is the witness; the criterion
-    holds when none does.
-    """
-    for op, rots, violates in rated:
-        if violates:
-            return Verdict(False, mode, Witness(op, rots, alpha))
-    return Verdict(True, mode, None)
+def _witness(
+    alpha: WeightVector, masks: tuple[int, ...], degs: list[int], rated: dict
+) -> Witness:
+    """The witness at alpha from one rated ordering of the shape masks."""
+    blocks = tuple(
+        MultiplicityVector._from_mask_unchecked(alpha.n, d, mask)
+        for mask, d in zip(masks, degs)
+    )
+    op = OrderedPartition._unchecked(
+        tuple(map(blocks.__getitem__, rated["order"]))
+    )
+    return Witness(op, tuple(rated["rotation_deltas"]), alpha)
 
 
 def check_criterion(
@@ -228,12 +168,18 @@ def check_criterion(
 
     Rates the orderings of the alpha-partitions of length >= 3 in canonical
     order (partitions in enumeration order, orderings in lex order) and
-    stops at the first violation.
+    stops at the first partition with a violation; its first violating
+    ordering is the witness.
     """
     _check_mode(mode)
-    partitions = alpha_partitions(alpha, min_len=3, cap=cap)
-    rated = (r for p in partitions for r in rated_orderings(p, mode))
-    return first_violation(alpha, mode, rated)
+    shapes, degree = _alpha_shapes(alpha, 3, cap)
+    for masks in shapes:
+        degs = [degree[mask] for mask in masks]
+        orderings, first = rate_orders(masks, degs, mode == "semismall")
+        if first >= 0:
+            witness = _witness(alpha, masks, degs, orderings[first])
+            return Verdict(False, mode, witness)
+    return Verdict(True, mode, None)
 
 
 def _scan(n: int, s_filter: int, mode: str, cap: int) -> dict[int, dict]:

@@ -12,10 +12,12 @@ import subprocess
 import sys
 import sysconfig
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from bodenhu import MultiplicityVector, Partition, WeightVector
+from bodenhu.weightspace import _half_sums, _integral_masks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -72,6 +74,32 @@ def seeded_alphas(seed: int, kind: str) -> list[WeightVector]:
         for n in range(4, 11)
         for _ in range(4)
     ]
+
+
+@lru_cache(maxsize=None)
+def seeded_blocks() -> tuple[tuple[int, tuple[int, ...], dict[int, int]], ...]:
+    """(N, masks, degree) for one alpha of each kind and each N = 4..14.
+
+    masks are the blocks of rank >= 2 whose alpha sum is an integer,
+    ascending, and degree maps each to minus that sum.
+    """
+    rng = random.Random(1412)
+    out = []
+    for n in range(4, 15):
+        for kind in KINDS:
+            alpha = weight_vector(rng, n, denominator(n, kind))
+            denom, h, low, high = _half_sums(alpha.entries)
+            masks = tuple(
+                mask
+                for mask in _integral_masks(denom, h, low, high)
+                if mask.bit_count() >= 2
+            )
+            degree = {
+                mask: -((low[mask & ((1 << h) - 1)] + high[mask >> h]) // denom)
+                for mask in masks
+            }
+            out.append((n, masks, degree))
+    return tuple(out)
 
 
 def assert_public_rebuild(obj) -> None:

@@ -135,6 +135,16 @@ STDOUT_DIGESTS = {
         "411ab3bdb2636f868b67ddacd099e4e081cc460058ba2c647db76604defaf932",
         "e2b25c8afe6407d659072297a0775f1ec560959b8e31e0ae44cfa9d560451a6a",
     ),
+    "check-13-dense-semismall": (
+        ["check", "--alpha", DENSE_13, "--mode", "semismall"],
+        "c090e8612dcef8bf621f8664ad1b32613e9f283936d99232289bdd12fdbeb7b8",
+        "5e104989228956482a34fec5ca98481ec6d00d4dc2eabcd78e37c0acdd4d91fa",
+    ),
+    "fiber-13-dense-list": (
+        ["fiber", "--alpha", DENSE_13],
+        "bb5c40ba4db8cc57f1c7381b4ee25e8692dc51f570377587bf347a888425875e",
+        "15dbcda7f24327cba7347cc425f37c5a4d705f15d67ba6c6cebeefa692dc43ad",
+    ),
     "check-big-denominator": (
         ["check", "--alpha", BIG_DENOMINATOR_8],
         "f151e8c7068488b80935f6f42c58e95507cced4b5b969f05d12e39f102d9ffcf",

@@ -34,14 +34,15 @@ from bodenhu import (
     rotation_deltas,
     subset_sums,
 )
+from bodenhu._kernel import pure
+from bodenhu._kernel.pure import _pair_delta
 from bodenhu.smallness import (
-    _pair_delta,
     ordering_representatives,
     rated_orderings,
     violates_margin,
 )
 from bodenhu.weightspace import _half_sums, _integral_masks
-from conftest import KINDS, denominator, weight_vector
+from conftest import KINDS, denominator, seeded_blocks, weight_vector
 
 def ref_subset_sums(entries):
     n = len(entries)
@@ -138,6 +139,16 @@ class TestWeightSpaceOracles:
     def test_integral_masks(self, alpha):
         masks = _integral_masks(*_half_sums(alpha.entries))
         assert list(masks) == ref_integral_masks(alpha)
+
+    def test_pure_alpha_shapes(self):
+        # the pure kernel's recursion over the admissible blocks against the
+        # unpruned enumeration with an admissibility test
+        for n, masks, _ in seeded_blocks():
+            for min_len in (1, 3):
+                expected = list(
+                    iter_partition_shapes(n, min_len, set(masks).__contains__)
+                )
+                assert pure.alpha_shapes(n, masks, min_len) == expected
 
     def test_alpha_partitions_at_13_and_14(self):
         rng = random.Random(1314)
@@ -353,6 +364,39 @@ class TestPairingOracle:
                     assert _pair_delta(a, da, b, db) == expected
                     checked += 1
         assert checked == 16 * sum(3**n - 2 * 2**n + 1 for n in range(2, 8))
+
+    def test_pure_rate_orders_match_delta_seq(self):
+        rated = 0
+        for n, masks, degree in seeded_blocks():
+            for shape in pure.alpha_shapes(n, masks, 2):
+                blocks = [
+                    MultiplicityVector.from_mask(n, degree[mask], mask)
+                    for mask in shape
+                ]
+                degs = [degree[mask] for mask in shape]
+                for mode in MODES:
+                    orderings, first = pure.rate_orders(
+                        shape, degs, mode == "semismall"
+                    )
+                    orders = [
+                        (0,) + perm
+                        for perm in itertools.permutations(range(1, len(shape)))
+                    ]
+                    assert [o["order"] for o in orderings] == list(map(list, orders))
+                    flags = []
+                    for rated_order, order in zip(orderings, orders):
+                        seq = [blocks[i] for i in order]
+                        rots = [
+                            delta_seq(seq[l:] + seq[:l]) for l in range(len(seq))
+                        ]
+                        assert rated_order["rotation_deltas"] == rots
+                        assert rated_order["violates"] == violates_margin(
+                            tuple(rots), mode
+                        )
+                        flags.append(rated_order["violates"])
+                    assert first == (flags.index(True) if True in flags else -1)
+                    rated += len(orderings)
+        assert rated == 2 * 11430
 
     def test_rated_orderings_match_delta_seq(self):
         rng = random.Random(412)

@@ -22,7 +22,7 @@ from bodenhu import MultiplicityVector, OrderedPartition, iter_partition_shapes
 from bodenhu import _kernel
 from bodenhu._kernel import KERNEL_KIND, pure
 from bodenhu.smallness import rotation_deltas, violates_margin
-from conftest import REPO_ROOT, c_compiler
+from conftest import REPO_ROOT, c_compiler, seeded_blocks
 
 
 @pytest.fixture(params=["pure", "compiled"])
@@ -80,6 +80,33 @@ class TestKernelSelection:
             setattr(other, name, getattr(compiled_kernel, name))
         assert _kernel.select(other) == (pure, "pure")
         assert _kernel.select(None) == (pure, "pure")
+
+    def test_refusal_names_the_reason(self, compiled_kernel):
+        # stubs for the ways an in-place build can be refused: none at all,
+        # one from before the single-alpha entries (API 3), and one with the
+        # current number but without those entries
+        assert _kernel.refusal(compiled_kernel) is None
+        assert _kernel.refusal(None) == "no extension"
+        older = types.ModuleType("_speedups")
+        older.KERNEL_API = 3
+        for name in _kernel.ENTRY_POINTS:
+            setattr(older, name, getattr(compiled_kernel, name))
+        assert _kernel.refusal(older) == "API mismatch: extension 3, pure.py 4"
+        assert _kernel.select(older) == (pure, "pure")
+        without = types.ModuleType("_speedups")
+        without.KERNEL_API = pure.KERNEL_API
+        for name in ("scan_shapes", "scan_partition_batch", "dumps"):
+            setattr(without, name, getattr(compiled_kernel, name))
+        assert _kernel.refusal(without) == (
+            "missing entries: alpha_shapes, rate_orders"
+        )
+        assert _kernel.select(without) == (pure, "pure")
+
+    def test_fallback_is_recorded_and_read_only(self):
+        assert _kernel.KERNEL_FALLBACK == _kernel.refusal(_kernel._speedups)
+        assert (_kernel.KERNEL_FALLBACK is None) == (KERNEL_KIND == "compiled")
+        with pytest.raises(AttributeError):
+            _kernel.KERNEL_FALLBACK = None
 
     def test_source_compiles_without_warnings(self):
         cc = c_compiler()
@@ -231,6 +258,241 @@ class TestScanShapes:
         assert time.monotonic() - start < 2.0
 
 
+def shape_cases():
+    """(n, masks, min_len) over the seeded admissible blocks, N = 4..14."""
+    for n, masks, _ in seeded_blocks():
+        for min_len in (1, 3):
+            yield n, list(masks), min_len
+
+
+def rated_cases():
+    """(masks, degs) of every shape of length >= 2 of the seeded alphas."""
+    for n, masks, degree in seeded_blocks():
+        for shape in pure.alpha_shapes(n, masks, 2):
+            yield shape, [degree[mask] for mask in shape]
+
+
+def same_outcome(call_a, call_b):
+    """Both calls return equal values, or both raise the same exception type."""
+    outcomes = []
+    for call in (call_a, call_b):
+        try:
+            outcomes.append(("value", call()))
+        except Exception as exc:  # the type is what is compared
+            outcomes.append(("raised", type(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+# (n, masks, min_len): no admissible block, slots 3 and 4 covered by no
+# block, min_len pruning, too few slots, and masks each twin must reject.
+SHAPE_EDGE_CASES = [
+    (4, [], 1),
+    (4, [0b0011], 1),
+    (5, [0b00011, 0b01100, 0b00101], 1),
+    (4, [0b0011, 0b1100, 0b1111], 2),
+    (4, [0b0011, 0b1100, 0b1111], 3),
+    (4, [0b0011, 0b1100, 0b1111], 0),
+    (0, [], 0),
+    (1, [], 1),
+    (4, [0], 1),
+    (4, [0b0100], 1),
+    (4, [0b10011], 1),
+    (4, [-3], 1),
+    (31, [], 1),
+    (-1, [], 1),
+]
+
+
+class TestAlphaShapes:
+    def test_bit_for_bit(self, compiled_kernel):
+        for args in shape_cases():
+            assert compiled_kernel.alpha_shapes(*args) == pure.alpha_shapes(
+                *args
+            ), args
+
+    @pytest.mark.parametrize("args", SHAPE_EDGE_CASES)
+    def test_edge_inputs(self, compiled_kernel, args):
+        same_outcome(
+            lambda: compiled_kernel.alpha_shapes(*args),
+            lambda: pure.alpha_shapes(*args),
+        )
+
+    def test_edge_values(self, impl):
+        assert impl.alpha_shapes(4, [], 1) == []
+        assert impl.alpha_shapes(5, [0b00011, 0b01100, 0b00101], 1) == []
+        masks = [0b0011, 0b1100, 0b1111]
+        assert impl.alpha_shapes(4, masks, 1) == [(0b0011, 0b1100), (0b1111,)]
+        assert impl.alpha_shapes(4, masks, 2) == [(0b0011, 0b1100)]
+        assert impl.alpha_shapes(4, masks, 3) == []
+        with pytest.raises(ValueError, match="rank >= 2 within 4 slots"):
+            impl.alpha_shapes(4, [0b10011], 1)
+
+    def test_no_reference_leak(self, compiled_kernel):
+        n, masks, _ = seeded_blocks()[-3]  # dense N=14
+        tracemalloc.start()
+        try:
+            for call in range(1, 201):
+                result = compiled_kernel.alpha_shapes(n, list(masks), 1)
+                assert result
+                del result
+                try:
+                    compiled_kernel.alpha_shapes(n, [3, 1 << n], 1)
+                except ValueError:
+                    pass
+                if call == 100:
+                    mid = tracemalloc.get_traced_memory()[0]
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert end <= mid
+
+    def test_interruptible(self, compiled_kernel):
+        # every pair of 29 slots: an odd slot count leaves no partition, so
+        # the search runs for ages without emitting a shape; it checks for
+        # signals every few thousand nodes
+        pairs = [(1 << i) | (1 << j) for i in range(29) for j in range(i + 1, 29)]
+
+        class Stop(Exception):
+            pass
+
+        def stop(signum, frame):
+            raise Stop
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(Stop):
+                compiled_kernel.alpha_shapes(29, sorted(pairs), 1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 2.0
+
+
+# (masks, degs): the smallest partition, then inputs both twins must
+# reject: fewer than two or more than MAX_BLOCKS blocks, mismatched
+# lengths, and masks or degrees outside the documented range.
+RATE_EDGE_CASES = [
+    ([0b0011, 0b1100], [-1, -1]),
+    ([0b0011, 0b1100], [-(1 << 32), 1 << 32]),
+    ([], []),
+    ([0b11], [-1]),
+    ([0b11 << 2 * i for i in range(17)], [-1] * 17),
+    ([0b0011, 0b1100], [-1]),
+    ([0b0011, 0b1100], [-1, (1 << 32) + 1]),
+    ([0b0011, 0b1100], [-(1 << 32) - 1, -1]),
+    ([0, 0b1100], [-1, -1]),
+    ([0b11, 1 << 30], [-1, -1]),
+    ([0b11, -4], [-1, -1]),
+    ([0b11, 1 << 70], [-1, -1]),
+]
+
+
+class TestRateOrders:
+    @pytest.mark.parametrize("semismall", [False, True])
+    def test_bit_for_bit(self, compiled_kernel, semismall):
+        rated = 0
+        for masks, degs in rated_cases():
+            expected = pure.rate_orders(masks, degs, semismall)
+            assert compiled_kernel.rate_orders(masks, degs, semismall) == (
+                expected
+            )
+            rated += len(expected[0])
+        assert rated == 11430
+
+    @pytest.mark.parametrize("args", RATE_EDGE_CASES)
+    def test_edge_inputs(self, compiled_kernel, args):
+        for semismall in (False, True):
+            same_outcome(
+                lambda: compiled_kernel.rate_orders(*args, semismall),
+                lambda: pure.rate_orders(*args, semismall),
+            )
+
+    def test_rejections(self, impl):
+        for masks, degs in RATE_EDGE_CASES[2:]:
+            with pytest.raises(ValueError):
+                impl.rate_orders(masks, degs, False)
+
+    def test_length_two(self, impl):
+        # {1,2}:-1 then {3,4}:-1 over 4 slots
+        assert impl.rate_orders([0b0011, 0b1100], [-1, -1], False) == (
+            [{"order": [0, 1], "rotation_deltas": [4, -4], "violates": False}],
+            -1,
+        )
+
+    def test_no_reference_leak(self, compiled_kernel):
+        # the (9, 4) reference triple: its first ordering violates
+        masks, degs = [0b11100, 0b11100000, 0b100000011], [-1, -2, -1]
+        assert compiled_kernel.rate_orders(masks, degs, False)[1] == 0
+        tracemalloc.start()
+        try:
+            for call in range(1, 201):
+                result = compiled_kernel.rate_orders(masks, degs, False)
+                del result
+                try:
+                    compiled_kernel.rate_orders(masks, [-1, -1, 1 << 40], False)
+                except ValueError:
+                    pass
+                if call == 100:
+                    mid = tracemalloc.get_traced_memory()[0]
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert end <= mid
+
+
+def reversed_mask(n, mask):
+    return sum(1 << (n - 1 - i) for i in range(n) if mask >> i & 1)
+
+
+def dual_record(n, masks, degs, order):
+    """The dual of an ordered candidate as a canonical (masks, degs, order).
+
+    Duality reverses the slots, sends a block's degree d to -r - d and
+    reverses the sequence; the canonical form sorts the blocks by mask and
+    starts the cyclic order at block 0.
+    """
+    seq = [
+        (reversed_mask(n, masks[i]), -masks[i].bit_count() - degs[i])
+        for i in reversed(order)
+    ]
+    shape = sorted(seq)
+    index = [shape.index(block) for block in seq]
+    start = index.index(0)
+    return (
+        tuple(mask for mask, _ in shape),
+        tuple(d for _, d in shape),
+        tuple(index[start:] + index[:start]),
+    )
+
+
+class TestDuality:
+    """The scan's violations at s and at N - s correspond under duality."""
+
+    @pytest.mark.parametrize("semismall", [False, True])
+    def test_dual_of_every_violation_is_a_violation(
+        self, compiled_kernel, semismall
+    ):
+        checked = 0
+        for n in range(9, 13):
+            viols, stats = compiled_kernel.scan_shapes(n, 0, semismall, 3)
+            for s in stats:
+                assert stats[s] == stats[n - s], (n, s)
+            by_s = {}
+            for masks, degs, order, rots in viols:
+                by_s.setdefault(-sum(degs), {})[masks, degs, order] = rots
+            for s, records in by_s.items():
+                dual = by_s.get(n - s, {})
+                assert len(dual) == len(records), (n, s)
+                for (masks, degs, order), rots in records.items():
+                    image = dual_record(n, masks, degs, order)
+                    assert sorted(dual[image]) == sorted(rots), (n, s, image)
+                    checked += 1
+        assert checked == (223 if semismall else 1122)
+
+
 def nested_lists(depth):
     value = []
     for _ in range(depth):
@@ -296,7 +558,7 @@ class TestDumps:
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 3
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 4
 
 
 @lru_cache(maxsize=None)

@@ -113,3 +113,72 @@ def test_only_subset_sums_builds_the_full_table():
         or (isinstance(node, ast.Attribute) and node.attr == "subset_sums")
     ]
     assert found == []
+
+
+def recursive_functions(tree):
+    """Qualified names of the functions that call themselves by name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                name = ".".join(scope + [child.name])
+                if any(
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == child.name
+                    for call in ast.walk(child)
+                ):
+                    found.append(name)
+                visit(child, scope + [child.name])
+            else:
+                visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+# Beside the kernel, the only recursions are the unpruned shape enumeration
+# (the oracle for the kernel's admissible-block recursion) and the dual
+# construction of a counterexample.
+OTHER_RECURSIONS = [
+    "partitions.py:iter_partition_shapes.rec",
+    "smallness.py:_construct",
+]
+KERNEL_FORMULAS = {"_pair_delta", "_pairing", "_rotations", "rate_orders",
+                   "alpha_shapes", "_rated_orders"}
+
+
+def test_single_alpha_formulas_live_in_the_pure_kernel():
+    """The pairing and rotation formulas and the admissible-block recursion
+    are defined once, in _kernel/pure.py, as the twin of _speedups.c."""
+    outside = [
+        (path.relative_to(PACKAGE).as_posix(), tree)
+        for path, tree in parsed_modules()
+        if path != PACKAGE / "_kernel" / "pure.py"
+    ]
+    defined = [
+        f"{path}:{node.name}"
+        for path, tree in outside
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in KERNEL_FORMULAS
+    ]
+    assert defined == []
+    recursions = [
+        f"{path}:{name}"
+        for path, tree in outside
+        for name in recursive_functions(tree)
+    ]
+    assert recursions == OTHER_RECURSIONS
+
+
+def test_cli_does_not_rate_through_partition_objects():
+    """check takes its listing straight from the kernel's rate_orders."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "rated_orderings")
+        or (isinstance(node, ast.Attribute) and node.attr == "rated_orderings")
+        or (isinstance(node, ast.alias) and node.name == "rated_orderings")
+    ]
+    assert found == []
