@@ -24,6 +24,12 @@
  * The loops run on C integers; Python objects are made only for a violation
  * record and for the stats dict, which is built once at the end of a call.
  *
+ * Each formula is written once, as in pure.py: cross_terms, place_degrees
+ * and rotations.  rate_orders takes q as the row sums of P; scan_shape, as
+ * pure.py's scan does, takes the closed form q[i] = delta(block i,
+ * one-vector), O(L) instead of O(L^2) per candidate, and calls rotations
+ * only to record a violation.
+ *
  * Capacity: at most 30 slots and 16 blocks per shape (the package cap is 14
  * slots), the same limits pure.py enforces.  For those sizes every pairing
  * and rotation value is far inside 64-bit range.
@@ -78,7 +84,7 @@ typedef struct {
 } Scan;
 
 /* Advance a[0..m-1] to the next lexicographic permutation; 0 after the last. */
-static int
+static inline int
 next_perm(i64 *a, int m)
 {
     int i = m - 2, j;
@@ -97,21 +103,25 @@ next_perm(i64 *a, int m)
     return 1;
 }
 
+/* A new list (as_list) or tuple of the values; NULL on error. */
 static PyObject *
-int_tuple(const i64 *values, int len)
+int_seq(const i64 *values, int len, int as_list)
 {
-    PyObject *tup = PyTuple_New(len);
-    if (tup == NULL)
+    PyObject *seq = as_list ? PyList_New(len) : PyTuple_New(len);
+    if (seq == NULL)
         return NULL;
     for (int i = 0; i < len; i++) {
         PyObject *v = PyLong_FromLongLong(values[i]);
         if (v == NULL) {
-            Py_DECREF(tup);
+            Py_DECREF(seq);
             return NULL;
         }
-        PyTuple_SET_ITEM(tup, i, v);
+        if (as_list)
+            PyList_SET_ITEM(seq, i, v);
+        else
+            PyTuple_SET_ITEM(seq, i, v);
     }
-    return tup;
+    return seq;
 }
 
 static PyObject *
@@ -122,7 +132,56 @@ shape_key(const Shape *sh)
         return PyLong_FromSsize_t(sh->index);
     for (int i = 0; i < sh->L; i++)
         masks[i] = (i64)sh->masks[i];
-    return int_tuple(masks, sh->L);
+    return int_seq(masks, sh->L, 0);
+}
+
+/* X[i][j] = #{(a, b) in block i x block j : b > a} - #{b <= a}, slot a on
+ * bit a: on disjoint blocks r_i r_j - 2 #{b < a}, delta's cross term. */
+static inline void
+cross_terms(int L, const u64 *sup, i64 X[][MAX_BLOCKS])
+{
+    for (int j = 0; j < L; j++) {
+        const i64 rank = __builtin_popcountll(sup[j]);
+        X[j][j] = 0;
+        for (int i = 0; i < j; i++) {
+            i64 x = 0;
+            for (u64 m = sup[i]; m; m &= m - 1)
+                x += 2 * __builtin_popcountll(sup[j] >> __builtin_ctzll(m) >> 1)
+                     - rank;
+            X[i][j] = x;
+            X[j][i] = -x;
+        }
+    }
+}
+
+/* P[i][j] = 2(r_i d_j - r_j d_i) + X[i][j], the pairing matrix. */
+static inline void
+place_degrees(int L, const i64 *ranks, const i64 *degs, i64 X[][MAX_BLOCKS],
+              i64 p[][MAX_BLOCKS])
+{
+    for (int i = 0; i < L; i++)
+        for (int j = 0; j < L; j++)
+            p[i][j] = 2 * (ranks[i] * degs[j] - ranks[j] * degs[i]) + X[i][j];
+}
+
+/* The L rotation values of order into rots: r_0 sums p over its ordered
+ * pairs, r_{l+1} = r_l - 2 q[order[l]].  Returns the least. */
+static inline i64
+rotations(int L, i64 p[][MAX_BLOCKS], const i64 *q, const i64 *order,
+          i64 *rots)
+{
+    i64 r = 0, least;
+    for (int u = 0; u < L; u++)
+        for (int v = u + 1; v < L; v++)
+            r += p[order[u]][order[v]];
+    least = r;
+    for (int l = 0; l < L; l++) {
+        rots[l] = r;
+        if (r < least)
+            least = r;
+        r -= 2 * q[order[l]];
+    }
+    return least;
 }
 
 /* Append (key, degs, order, rots) to the violations; -1 on error. */
@@ -131,19 +190,13 @@ record_violation(Scan *scan, Shape *sh, const i64 *degs, const i64 *order,
                  i64 p[][MAX_BLOCKS], const i64 *q)
 {
     const int L = sh->L;
-    i64 rots[MAX_BLOCKS], r0 = 0, pre = 0;
-    for (int u = 0; u < L; u++)
-        for (int v = u + 1; v < L; v++)
-            r0 += p[order[u]][order[v]];
-    for (int l = 0; l < L; l++) {
-        rots[l] = r0 - 2 * pre;
-        pre += q[order[l]];
-    }
+    i64 rots[MAX_BLOCKS];
+    rotations(L, p, q, order, rots);
     if (sh->key == NULL && (sh->key = shape_key(sh)) == NULL)
         return -1;
     /* For L == 0 pure.py's order is still (0,). */
-    PyObject *d = int_tuple(degs, L), *o = int_tuple(order, L > 0 ? L : 1);
-    PyObject *r = int_tuple(rots, L);
+    PyObject *d = int_seq(degs, L, 0), *o = int_seq(order, L > 0 ? L : 1, 0);
+    PyObject *r = int_seq(rots, L, 0);
     PyObject *rec = (d && o && r) ? PyTuple_Pack(4, sh->key, d, o, r) : NULL;
     int rc = rec ? PyList_Append(scan->violations, rec) : -1;
     Py_XDECREF(d);
@@ -194,18 +247,7 @@ scan_shape(Scan *scan, Shape *sh)
             return 0;
         lo[i] = -(ranks[i] - 1);
     }
-    /* X[i][j] counts the slot pairs (a in block i, b in block j) with
-     * b > a, minus those with b <= a */
-    for (int i = 0; i < L; i++) {
-        for (int j = i + 1; j < L; j++) {
-            i64 x = 0;
-            for (u64 m = sup[i]; m; m &= m - 1)
-                x += 2 * __builtin_popcountll(sup[j] >> __builtin_ctzll(m) >> 1)
-                     - ranks[j];
-            X[i][j] = x;
-            X[j][i] = -x;
-        }
-    }
+    cross_terms(L, sup, X);
     for (int i = 2; i < L; i++)
         nperm *= (u64)i;
 
@@ -221,13 +263,10 @@ scan_shape(Scan *scan, Shape *sh)
             stats->candidates[s_val] += 1;
             stats->classes[s_val] += nperm;
 
+            /* q[i] = delta(block i, one-vector), in closed form */
             for (int i = 0; i < L; i++)
                 q[i] = -2 * ranks[i] * s_val - 2 * n * degs[i] + T[i];
-            for (int i = 0; i < L; i++)
-                for (int j = 0; j < L; j++)
-                    if (i != j)
-                        p[i][j] = 2 * (ranks[i] * degs[j] - ranks[j] * degs[i])
-                                  + X[i][j];
+            place_degrees(L, ranks, degs, X, p);
 
             const Py_ssize_t first = PyList_GET_SIZE(scan->violations);
             for (int i = 0; i <= L; i++)
@@ -613,28 +652,11 @@ done:
 /* Interned keys of rate_orders' dicts, made when the module is created. */
 static PyObject *key_order, *key_rotations, *key_violates;
 
-static PyObject *
-int_list(const i64 *values, int len)
-{
-    PyObject *list = PyList_New(len);
-    if (list == NULL)
-        return NULL;
-    for (int i = 0; i < len; i++) {
-        PyObject *v = PyLong_FromLongLong(values[i]);
-        if (v == NULL) {
-            Py_DECREF(list);
-            return NULL;
-        }
-        PyList_SET_ITEM(list, i, v);
-    }
-    return list;
-}
-
 /* {"order": [...], "rotation_deltas": [...], "violates": flag}, or NULL. */
 static PyObject *
 rated_order(const i64 *order, const i64 *rots, int L, int violates)
 {
-    PyObject *o = int_list(order, L), *r = int_list(rots, L);
+    PyObject *o = int_seq(order, L, 1), *r = int_seq(rots, L, 1);
     PyObject *dict = (o && r) ? PyDict_New() : NULL;
     if (dict != NULL
         && (PyDict_SetItem(dict, key_order, o) < 0
@@ -677,8 +699,10 @@ rate_orders(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     PyObject *masks_arg, *degs_arg, *masks, *degs = NULL;
     PyObject *orderings = NULL, *result = NULL;
     int semismall;
-    i64 mask[MAX_BLOCKS], deg[MAX_BLOCKS], q[MAX_BLOCKS];
-    i64 pair[MAX_BLOCKS][MAX_BLOCKS], order[MAX_BLOCKS], rots[MAX_BLOCKS];
+    u64 sup[MAX_BLOCKS];
+    i64 mask, rank[MAX_BLOCKS], deg[MAX_BLOCKS], q[MAX_BLOCKS];
+    i64 X[MAX_BLOCKS][MAX_BLOCKS], pair[MAX_BLOCKS][MAX_BLOCKS];
+    i64 order[MAX_BLOCKS], rots[MAX_BLOCKS];
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOp:rate_orders", kwlist,
                                      &masks_arg, &degs_arg, &semismall))
@@ -707,29 +731,21 @@ rate_orders(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     for (Py_ssize_t i = 0; i < L; i++) {
         if (bounded_int(PySequence_Fast_GET_ITEM(masks, i), 1,
                         (1LL << MAX_SLOTS) - 1,
-                        "mask %R outside 1..2^30 - 1", &mask[i]) < 0
+                        "mask %R outside 1..2^30 - 1", &mask) < 0
             || bounded_int(PySequence_Fast_GET_ITEM(degs, i), -MAX_DEGREE,
                            MAX_DEGREE, "degree %R outside -2^32..2^32",
                            &deg[i]) < 0)
             goto done;
+        sup[i] = (u64)mask;
+        rank[i] = __builtin_popcountll(sup[i]);
     }
-    /* delta(A, B) = 2(r_A d_B - r_B d_A) + r_A r_B - 2 #{(a, b) : b < a} */
+    cross_terms((int)L, sup, X);
+    place_degrees((int)L, rank, deg, X, pair);
     for (int i = 0; i < L; i++) {
-        const i64 ra = __builtin_popcountll(mask[i]);
         q[i] = 0;
-        pair[i][i] = 0;
-        for (int j = i + 1; j < L; j++) {
-            const i64 rb = __builtin_popcountll(mask[j]);
-            i64 below = 0;
-            for (u64 a = mask[i]; a; a &= a - 1)
-                below += __builtin_popcountll(mask[j] & ((a & -a) - 1));
-            pair[i][j] = 2 * (ra * deg[j] - rb * deg[i]) + ra * rb - 2 * below;
-            pair[j][i] = -pair[i][j];
-        }
-    }
-    for (int i = 0; i < L; i++)
         for (int j = 0; j < L; j++)
             q[i] += pair[i][j];
+    }
 
     Py_ssize_t nperm = 1, first = -1, idx = 0;
     for (int i = 2; i < L; i++)
@@ -741,19 +757,7 @@ rate_orders(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     for (int i = 0; i < L; i++)
         order[i] = i;
     do {
-        /* r_{l+1} = r_l - 2 q[order[l]] */
-        i64 r = 0;
-        for (int u = 0; u < L; u++)
-            for (int v = u + 1; v < L; v++)
-                r += pair[order[u]][order[v]];
-        i64 least = r;
-        rots[0] = r;
-        for (int l = 0; l + 1 < L; l++) {
-            r -= 2 * q[order[l]];
-            rots[l + 1] = r;
-            if (r < least)
-                least = r;
-        }
+        const i64 least = rotations((int)L, pair, q, order, rots);
         if (least >= bar && first < 0)
             first = idx;
         PyObject *rated = rated_order(order, rots, (int)L, least >= bar);

@@ -1,19 +1,21 @@
 """Pure-Python kernel: the scan, the single-alpha decision and the JSON writer.
 
-Given partition shapes (tuples of support bitmasks), enumerate all degree
-assignments and all cyclic-order representatives, evaluate every rotation of
-the pairing sum via the rotation identity, and report the candidates that
-violate the smallness margin.  scan_partition_batch scans the shapes it is
-given; scan_shapes scans every shape of n slots, streamed from
-partitions.iter_partition_shapes.  This is the plain oracle: every ordering
-is evaluated on its own.
+Each formula is written once: the pairing matrix P[i][j] = delta(block i,
+block j) = 2(r_i d_j - r_j d_i) + X[i][j] (_cross_terms builds X from the
+supports, _place_degrees adds the degrees) and the rotation walk from r_0,
+the sum of P over an ordering's pairs, by r_{l+1} = r_l - 2 q[order[l]]:
+moving the head block to the back reverses its pairs (_rotations).
 
-At one weight vector, alpha_shapes lists the partitions built from the
-admissible blocks, and rate_orders rates every cyclic ordering of one of
-them from a pairing matrix of support-mask popcounts.  These hold the
-package's only copy of that recursion and of the pairing and rotation
-formulas.  dumps writes the CLI's JSON payloads.  Twin of the compiled
-kernel in _speedups.c, which must match it exactly and carry the same
+scan_shapes (every shape of iter_partition_shapes) and scan_partition_batch
+(the shapes given) run _scan_shape per shape.  It takes q in closed form,
+delta(block, one-vector), O(L) per candidate against O(L^2) for row sums,
+since building P and q is most of the scan's time, and walks the rotations
+only for a violation.  This is the plain oracle: every ordering is
+evaluated on its own.  alpha_shapes lists the partitions into the
+admissible blocks at one weight vector, and rate_orders rates every
+ordering of one of them from _pairing, P with its row sums.  dumps writes
+the CLI's JSON payloads.  Twin of the compiled kernel in _speedups.c, with
+the same decomposition; it must match it exactly and carry the same
 KERNEL_API.
 
 Both kernels accept at most MAX_SLOTS slots and MAX_BLOCKS blocks per scanned
@@ -27,16 +29,102 @@ from __future__ import annotations
 
 import itertools
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from ..core import MAX_SLOTS
-from ..partitions import iter_partition_shapes
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
 KERNEL_API = 4
 MAX_BLOCKS = 16
 MAX_DEGREE = 1 << 32
-_BATCH = 4096
+
+
+def iter_partition_shapes(n: int, min_len: int = 1) -> Iterator[tuple[int, ...]]:
+    """Stream the set partitions of n slots into at least min_len blocks of
+    size >= 2, as ascending mask tuples.  The block of the lowest free slot
+    comes first, its co-members in ascending submask order, as in
+    enumerate_shapes of _speedups.c."""
+
+    def rec(remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        if not remaining:
+            if len(acc) >= min_len:
+                yield tuple(sorted(acc))
+            return
+        if len(acc) + remaining.bit_count() // 2 < min_len:
+            return
+        low = remaining & -remaining
+        rest = remaining ^ low
+        if not rest:
+            return  # a lone slot cannot form a block of size >= 2
+        s = rest & -rest
+        while True:
+            left = rest ^ s
+            if left.bit_count() != 1:
+                acc.append(low | s)
+                yield from rec(left, acc)
+                acc.pop()
+            if s == rest:
+                break
+            s = (s - rest) & rest
+
+    if n >= 2:
+        yield from rec((1 << n) - 1, [])
+
+
+def _cross_terms(sups) -> list[list[int]]:
+    """X[i][j] = #{(a, b) in block i x block j : b > a} - #{b <= a}, slot a
+    on bit a: on disjoint blocks r_i r_j - 2 #{b < a}, delta's cross term."""
+    L = len(sups)
+    cross = [[0] * L for _ in range(L)]
+    for j, sup in enumerate(sups):
+        rank = sup.bit_count()
+        for i in range(j):
+            x = 0
+            m = sups[i]
+            while m:
+                low = m & -m
+                x += 2 * (sup >> low.bit_length()).bit_count() - rank
+                m ^= low
+            cross[i][j] = x
+            cross[j][i] = -x
+    return cross
+
+
+def _place_degrees(ranks, degs, cross) -> list[list[int]]:
+    """P[i][j] = 2(r_i d_j - r_j d_i) + X[i][j], the pairing matrix."""
+    L = len(ranks)
+    pair = []
+    for i in range(L):
+        row = cross[i][:]
+        ri, di = 2 * ranks[i], 2 * degs[i]
+        for j in range(L):
+            row[j] += ri * degs[j] - ranks[j] * di
+        pair.append(row)
+    return pair
+
+
+def _pairing(masks, degs) -> tuple[list[list[int]], list[int]]:
+    """The pairing matrix of one partition and its row sums q."""
+    pair = _place_degrees(
+        [mask.bit_count() for mask in masks], degs, _cross_terms(masks)
+    )
+    return pair, [sum(row) for row in pair]
+
+
+def _rotations(pair, q, order) -> list[int]:
+    """The L rotation values of order, from r_0 and the row sums q."""
+    L = len(q)
+    r = 0
+    for u in range(L):
+        row = pair[order[u]]
+        for v in range(u + 1, L):
+            r += row[order[v]]
+    rots = []
+    for a in order[:L]:
+        rots.append(r)
+        r -= 2 * q[a]
+    return rots
 
 
 def scan_shapes(
@@ -44,8 +132,8 @@ def scan_shapes(
 ) -> tuple[list, dict]:
     """Scan every partition shape of n slots with at least min_len blocks.
 
-    The shapes are those of partitions.iter_partition_shapes(n, min_len), in
-    its order; the other arguments are as for scan_partition_batch.  Returns
+    The shapes are those of iter_partition_shapes(n, min_len), in its order;
+    the other arguments are as for scan_partition_batch.  Returns
     (violations, stats) as scan_partition_batch does over all those shapes,
     except that each record starts with the shape's mask tuple instead of
     its batch index.
@@ -58,16 +146,8 @@ def scan_shapes(
         raise ValueError(f"kernel supports at most {MAX_SLOTS} slots")
     violations: list = []
     stats: dict = {}
-    shapes = iter_partition_shapes(n, min_len)
-    while batch := list(itertools.islice(shapes, _BATCH)):
-        viols, counts = scan_partition_batch(
-            n, s_filter, semismall, min_len, batch
-        )
-        violations.extend((batch[pi], *rest) for pi, *rest in viols)
-        for s, (cand, classes) in counts.items():
-            acc = stats.setdefault(s, [0, 0])
-            acc[0] += cand
-            acc[1] += classes
+    for masks in iter_partition_shapes(n, min_len):
+        _scan_shape(n, s_filter, semismall, masks, masks, violations, stats)
     return violations, stats
 
 
@@ -102,76 +182,52 @@ def scan_partition_batch(
     violations: list = []
     stats: dict = {}
     for pi, masks in enumerate(masks_list):
-        L = len(masks)
-        if L < min_len:
+        if len(masks) < min_len:
             continue
-        if L > MAX_BLOCKS:
+        if len(masks) > MAX_BLOCKS:
             raise ValueError(f"kernel supports at most {MAX_BLOCKS} blocks")
-        positions = [
-            [i + 1 for i in range(n) if mask >> i & 1] for mask in masks
-        ]
-        ranks = [len(pos) for pos in positions]
-        T = [sum(n - 2 * a + 1 for a in pos) for pos in positions]
-        X = [[0] * L for _ in range(L)]
-        for i in range(L):
-            for j in range(i + 1, L):
-                x = 0
-                for a in positions[i]:
-                    for b in positions[j]:
-                        x += 1 if b > a else -1
-                X[i][j] = x
-                X[j][i] = -x
-        perms = list(itertools.permutations(range(1, L)))
-        nperm = len(perms)
-        threshold = L - 1
-        for degs in itertools.product(
-            *[range(-(r - 1), 0) for r in ranks]
-        ):
-            s_val = -sum(degs)
-            if s_filter and s_val != s_filter:
-                continue
-            st = stats.get(s_val)
-            if st is None:
-                st = stats[s_val] = [0, 0]
-            st[0] += 1
-            st[1] += nperm
-            q = [
-                -2 * ranks[i] * s_val - 2 * n * degs[i] + T[i]
-                for i in range(L)
-            ]
-            p = [[0] * L for _ in range(L)]
-            for i in range(L):
-                for j in range(L):
-                    if i != j:
-                        p[i][j] = (
-                            2 * (ranks[i] * degs[j] - ranks[j] * degs[i])
-                            + X[i][j]
-                        )
-            for perm in perms:
-                order = (0,) + perm
-                r0 = 0
-                for u in range(L):
-                    pu = p[order[u]]
-                    for v in range(u + 1, L):
-                        r0 += pu[order[v]]
-                pre = 0
-                maxpre = 0
-                for l in range(L - 1):
-                    pre += q[order[l]]
-                    if pre > maxpre:
-                        maxpre = pre
-                minrot = r0 - 2 * maxpre
-                if minrot > threshold or (
-                    not semismall and minrot == threshold
-                ):
-                    rots = []
-                    pre = 0
-                    for l in range(L):
-                        rots.append(r0 - 2 * pre)
-                        if l < L - 1:
-                            pre += q[order[l]]
-                    violations.append((pi, degs, order, tuple(rots)))
+        _scan_shape(n, s_filter, semismall, pi, masks, violations, stats)
     return violations, stats
+
+
+def _scan_shape(n, s_filter, semismall, key, masks, violations, stats) -> None:
+    """Scan one shape: append its violation records, each led by key, and
+    count its candidates and ordering classes into stats.  Only the slots
+    below n count; a block of rank below 2 has no degree."""
+    L = len(masks)
+    sups = [mask & ((1 << n) - 1) for mask in masks]
+    ranks = [sup.bit_count() for sup in sups]
+    T = [sum(n - 2 * a - 1 for a in range(n) if sup >> a & 1) for sup in sups]
+    cross = _cross_terms(sups)
+    orders = [(0,) + perm for perm in itertools.permutations(range(1, L))]
+    nperm = len(orders)
+    bar = L if semismall else L - 1
+    for degs in itertools.product(*[range(1 - r, 0) for r in ranks]):
+        s = -sum(degs)
+        if s_filter and s != s_filter:
+            continue
+        st = stats.get(s)
+        if st is None:
+            st = stats[s] = [0, 0]
+        st[0] += 1
+        st[1] += nperm
+        # q[i] = delta(block i, one-vector), in closed form
+        q = [T[i] - 2 * ranks[i] * s - 2 * n * degs[i] for i in range(L)]
+        pair = _place_degrees(ranks, degs, cross)
+        for order in orders:
+            r0 = 0
+            for u in range(L):
+                pu = pair[order[u]]
+                for v in range(u + 1, L):
+                    r0 += pu[order[v]]
+            pre = maxpre = 0
+            for l in range(L - 1):
+                pre += q[order[l]]
+                if pre > maxpre:
+                    maxpre = pre
+            if r0 - 2 * maxpre >= bar:
+                rots = tuple(_rotations(pair, q, order))
+                violations.append((key, degs, order, rots))
 
 
 def alpha_shapes(n: int, masks, min_len: int) -> list[tuple[int, ...]]:
@@ -181,9 +237,9 @@ def alpha_shapes(n: int, masks, min_len: int) -> list[tuple[int, ...]]:
     rank >= 2 within the n slots.  They are grouped by lowest slot, keeping
     their order; the recursion covers the lowest uncovered slot with each
     block of that slot that fits, and stops once fewer than min_len blocks
-    can be reached.  With the ascending admissible masks this lists the
-    shapes of partitions.iter_partition_shapes(n, min_len, block_ok) in the
-    same order, without probing every submask.
+    can be reached.  With the ascending admissible masks this lists, in the
+    same order, the shapes of iter_partition_shapes(n, min_len) whose blocks
+    are all admissible, without probing every submask.
 
     Raises ValueError for n outside 0..MAX_SLOTS or a mask outside the n
     slots or of rank below 2.
@@ -218,31 +274,12 @@ def alpha_shapes(n: int, masks, min_len: int) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _pair_delta(a: int, da: int, b: int, db: int) -> int:
-    """delta of two disjoint 0/1 blocks, given by support mask and degree.
-
-    The cross term of delta is r_a r_b - 2 #{(i, j) in a x b : j < i},
-    counted with one popcount per slot of a.
-    """
-    ra, rb = a.bit_count(), b.bit_count()
-    below = 0
-    while a:
-        low = a & -a
-        below += (b & (low - 1)).bit_count()
-        a ^= low
-    return 2 * (ra * db - rb * da) + ra * rb - 2 * below
-
-
 def rate_orders(masks, degs, semismall: bool) -> tuple[list[dict], int]:
     """Every cyclic ordering of one partition, rated by its rotation values.
 
     masks and degs give the blocks: disjoint supports (not checked) and
-    their degrees.  One pairing matrix P[i][j] = delta(block i, block j)
-    serves every ordering.  An ordering's first rotation value sums P over
-    its ordered pairs; moving the head block to the back reverses its pairs
-    with every other block, so r_{l+1} = r_l - 2 q[order[l]], with q the row
-    sums of P.  An ordering violates the margin when its least rotation
-    value is at least L - 1 (semismall: above it).
+    their degrees.  An ordering violates the margin when its least
+    rotation value is at least L - 1 (semismall: above it).
 
     Returns (orderings, first).  orderings holds one dict {"order",
     "rotation_deltas", "violates"} per ordering, ready for JSON, in the lex
@@ -264,27 +301,13 @@ def rate_orders(masks, degs, semismall: bool) -> tuple[list[dict], int]:
             raise ValueError(f"mask {mask} outside 1..2^{MAX_SLOTS} - 1")
         if not -MAX_DEGREE <= d <= MAX_DEGREE:
             raise ValueError(f"degree {d} outside -2^32..2^32")
-    pair = [[0] * L for _ in range(L)]
-    for i in range(L):
-        for j in range(i + 1, L):
-            d = _pair_delta(masks[i], degs[i], masks[j], degs[j])
-            pair[i][j] = d
-            pair[j][i] = -d
-    q = [sum(row) for row in pair]
+    pair, q = _pairing(masks, degs)
     bar = L if semismall else L - 1
     orderings: list[dict] = []
     first = -1
     for perm in itertools.permutations(range(1, L)):
         order = (0,) + perm
-        r = 0
-        for i, a in enumerate(order):
-            row = pair[a]
-            for b in order[i + 1 :]:
-                r += row[b]
-        rots = [r]
-        for a in order[:-1]:
-            r -= 2 * q[a]
-            rots.append(r)
+        rots = _rotations(pair, q, order)
         violates = min(rots) >= bar
         if violates and first < 0:
             first = len(orderings)

@@ -8,7 +8,8 @@ support bitmask (slot n on bit n-1).
 Enumeration streams partitions in a fixed recursion order: the block holding
 the lowest unassigned slot is chosen first and its co-members run in ascending
 bitmask order, so streams are deterministic, resumable, and chunkable by first
-block.  Degree assignments for a fixed shape run lexicographically.
+block.  Degree assignments for a fixed shape run lexicographically.  The pure
+kernel holds the shape stream, re-exported here as iter_partition_shapes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterator
 
 from .core import (
     DEFAULT_CAP,
@@ -28,6 +29,8 @@ from .core import (
     deg_alpha,
 )
 from . import weightspace
+from ._kernel import alpha_shapes
+from ._kernel.pure import iter_partition_shapes
 
 __all__ = [
     "Partition",
@@ -142,48 +145,6 @@ class OrderedPartition:
         return " -> ".join(str(b) for b in self.seq)
 
 
-def iter_partition_shapes(
-    n: int,
-    min_len: int = 1,
-    block_ok: Optional[Callable[[int], bool]] = None,
-) -> Iterator[tuple[int, ...]]:
-    """Stream set partitions of the n slots into blocks of size >= 2.
-
-    Yields tuples of support bitmasks sorted ascending.  `block_ok` prunes
-    candidate blocks by mask before recursion; with block_ok testing
-    admissibility at alpha it yields the shapes of alpha_partitions.
-    """
-    full = (1 << n) - 1
-
-    def rec(remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if not remaining:
-            if len(acc) >= min_len:
-                yield tuple(sorted(acc))
-            return
-        size_left = remaining.bit_count()
-        if len(acc) + size_left // 2 < min_len:
-            return
-        low = remaining & -remaining
-        rest = remaining ^ low
-        if not rest:
-            return  # a lone slot cannot form a block of size >= 2
-        s = rest & -rest
-        while True:
-            left = rest ^ s
-            if left.bit_count() != 1:
-                mask = low | s
-                if block_ok is None or block_ok(mask):
-                    acc.append(mask)
-                    yield from rec(left, acc)
-                    acc.pop()
-            if s == rest:
-                break
-            s = (s - rest) & rest
-
-    if n >= 2:
-        yield from rec(full, [])
-
-
 def _alpha_shapes(
     alpha: WeightVector, min_len: int, cap: int
 ) -> tuple[list[tuple[int, ...]], dict[int, int]]:
@@ -195,10 +156,6 @@ def _alpha_shapes(
     the kernel's alpha_shapes lists the partitions into them.  Returns the
     shapes and a dict from every mask they use to its degree.
     """
-    # partitions must not import _kernel at load time: pure.py imports
-    # iter_partition_shapes from here.
-    from ._kernel import alpha_shapes
-
     check_cap(alpha.n, cap)
     denom, h, low, high = weightspace._half_sums(alpha.entries)
     masks = [
@@ -220,9 +177,9 @@ def alpha_partitions(
 ) -> list[Partition]:
     """All partitions of the one-vector whose block degrees are exact at alpha.
 
-    The partitions of _alpha_shapes, in the order of
-    iter_partition_shapes(n, min_len, block_ok) with block_ok testing
-    admissibility at alpha.  Each mask used by some partition gets one
+    The partitions of _alpha_shapes: the shapes of
+    iter_partition_shapes(n, min_len) whose blocks are all admissible at
+    alpha, in that order.  Each mask used by some partition gets one
     block, shared by every partition that uses it.  Nothing is
     re-validated: the shapes are sorted set partitions into blocks of size
     >= 2, and a block sum strictly between 0 and r puts its degree in
@@ -240,10 +197,6 @@ def alpha_partitions(
     ]
 
 
-def _degree_ranges(masks: tuple[int, ...]) -> list[range]:
-    return [range(-(mask.bit_count() - 1), 0) for mask in masks]
-
-
 def feasible_partitions(
     ctx: ModuliContext, min_len: int = 1, cap: int = DEFAULT_CAP
 ) -> Iterator[tuple[Partition, tuple[Fraction, ...]]]:
@@ -257,7 +210,8 @@ def feasible_partitions(
     check_cap(ctx.n, cap)
     n, s = ctx.n, ctx.s
     for masks in iter_partition_shapes(n, min_len):
-        for degs in itertools.product(*_degree_ranges(masks)):
+        ranges = [range(1 - mask.bit_count(), 0) for mask in masks]
+        for degs in itertools.product(*ranges):
             if sum(degs) != -s:
                 continue
             witness = weightspace.realise_blocks(n, list(zip(masks, degs)))
@@ -275,18 +229,16 @@ def is_alpha_stable_seq(seq: OrderedPartition, alpha: WeightVector) -> bool:
     Requires the full sum to have degree zero at alpha (it is the one-vector
     of some (N, s), so this is a consistency check on alpha).
     """
-    blocks = seq.seq
-    total = blocks[0]
-    for b in blocks[1:]:
-        total = total + b
-    if deg_alpha(total, alpha) != 0:
+    degrees = _prefix_degrees(seq.seq, alpha)
+    if degrees[-1] != 0:
         raise ValueError("total degree at alpha must be zero")
-    partial = None
-    for b in blocks[:-1]:
-        partial = b if partial is None else partial + b
-        if deg_alpha(partial, alpha) >= 0:
-            return False
-    return True
+    return all(d < 0 for d in degrees[:-1])
+
+
+def _prefix_degrees(blocks, alpha: WeightVector) -> list[Fraction]:
+    """deg_alpha of each leading partial sum m^1 + ... + m^l, l = 1..L: by
+    linearity, the running sums of the block degrees."""
+    return list(itertools.accumulate(deg_alpha(b, alpha) for b in blocks))
 
 
 def stable_rotation(seq: OrderedPartition, beta: WeightVector) -> int:
@@ -309,13 +261,8 @@ def _require_generic(beta: WeightVector) -> None:
 
 def _stable_rotation(seq: OrderedPartition, beta: WeightVector) -> int:
     """stable_rotation for a beta the caller has already checked generic."""
-    blocks = seq.seq
     best_l, best_d, ties = 0, Fraction(0), 1
-    d = Fraction(0)
-    partial = None
-    for l, b in enumerate(blocks[:-1], start=1):
-        partial = b if partial is None else partial + b
-        d = deg_alpha(partial, beta)
+    for l, d in enumerate(_prefix_degrees(seq.seq[:-1], beta), start=1):
         if d == best_d:
             ties += 1
         elif d > best_d:

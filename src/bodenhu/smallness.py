@@ -29,6 +29,7 @@ from typing import Callable, Iterator, Optional
 
 from . import weightspace
 from ._kernel import rate_orders, scan_shapes
+from ._kernel.pure import _pairing, _rotations
 from .core import (
     DEFAULT_CAP,
     ConstructionRangeError,
@@ -106,14 +107,13 @@ def _keys(
 def rotation_deltas(op: OrderedPartition) -> tuple[int, ...]:
     """delta_seq of every rotation of the sequence, starting positions 0..L-1.
 
-    The blocks are disjoint 0/1 vectors, so the kernel's rate_orders reads
-    each pairwise delta off their support masks with popcounts.  It rates
-    all (L-1)! orderings of the blocks, the sequence itself first, so the
-    cost grows with (L-1)!: fine for the L <= 7 of N <= 14, but about
-    0.1 s at L = 9 and tenfold per further block.
+    The blocks are disjoint 0/1 vectors, so the pure kernel's pairing
+    matrix reads each pairwise delta off their support masks with
+    popcounts, and its rotation walk rates the sequence itself: O(L^2)
+    work, however long the sequence.
     """
-    orderings, _ = rate_orders(*_keys(op.seq), False)
-    return tuple(orderings[0]["rotation_deltas"])
+    pair, q = _pairing(*_keys(op.seq))
+    return tuple(_rotations(pair, q, range(len(op.seq))))
 
 
 def violates_margin(rots: tuple[int, ...], mode: str) -> bool:
@@ -150,16 +150,15 @@ def rated_orderings(
 
 
 def _witness(
-    alpha: WeightVector, masks: tuple[int, ...], degs: list[int], rated: dict
+    alpha: WeightVector, masks: tuple[int, ...], degs, rated: dict
 ) -> Witness:
-    """The witness at alpha from one rated ordering of the shape masks."""
-    blocks = tuple(
-        MultiplicityVector._from_mask_unchecked(alpha.n, d, mask)
+    """The witness at alpha from one rated ordering of the shape masks,
+    validated by the checked constructors whichever kernel found it."""
+    blocks = [
+        MultiplicityVector.from_mask(alpha.n, d, mask)
         for mask, d in zip(masks, degs)
-    )
-    op = OrderedPartition._unchecked(
-        tuple(map(blocks.__getitem__, rated["order"]))
-    )
+    ]
+    op = OrderedPartition(tuple(blocks[i] for i in rated["order"]))
     return Witness(op, tuple(rated["rotation_deltas"]), alpha)
 
 
@@ -208,17 +207,14 @@ def _scan(n: int, s_filter: int, mode: str, cap: int) -> dict[int, dict]:
         if point is None:
             unrealisable = (masks, degs)
             continue
-        blocks = tuple(
-            MultiplicityVector.from_mask(n, d, mask)
-            for mask, d in zip(masks, degs)
-        )
-        op = OrderedPartition(tuple(blocks[i] for i in order))
         alpha = WeightVector(point)
         if check_criterion(alpha, mode, cap).holds:
             raise AssertionError(
                 "witness weight vector failed the check_criterion re-check"
             )
-        witnesses[s] = Witness(op, rots, alpha)
+        witnesses[s] = _witness(
+            alpha, masks, degs, {"order": order, "rotation_deltas": rots}
+        )
     out: dict[int, dict] = {}
     for s in [s_filter] if s_filter else range(1, n):
         witness = witnesses.get(s)

@@ -76,6 +76,40 @@ def seeded_alphas(seed: int, kind: str) -> list[WeightVector]:
     ]
 
 
+def admissible_shapes(
+    n: int, min_len: int, masks
+) -> list[tuple[int, ...]]:
+    """The partitions of n slots into the given blocks of rank >= 2 with at
+    least min_len blocks, as ascending mask tuples, in canonical order.
+
+    Canonical order is lexicographic in the blocks taken by lowest slot, with
+    masks compared as integers: the order of iter_partition_shapes, which
+    TestShapeEnumeration pins to this function.  The partitions come from a
+    memoised cover of each slot set, so the reference needs neither the
+    unpruned stream (24 million shapes at N = 14) nor the kernel recursion.
+    """
+    blocks = [mask for mask in masks if mask.bit_count() >= 2]
+
+    @lru_cache(maxsize=None)
+    def covers(remaining):
+        if not remaining:
+            return [()]
+        low = remaining & -remaining
+        return [
+            (mask,) + rest
+            for mask in blocks
+            if mask & low and mask & remaining == mask
+            for rest in covers(remaining ^ mask)
+        ]
+
+    shapes = covers((1 << n) - 1) if n >= 2 else []
+    return [
+        tuple(sorted(shape))
+        for shape in sorted(shapes)
+        if len(shape) >= min_len
+    ]
+
+
 @lru_cache(maxsize=None)
 def seeded_blocks() -> tuple[tuple[int, tuple[int, ...], dict[int, int]], ...]:
     """(N, masks, degree) for one alpha of each kind and each N = 4..14.

@@ -29,20 +29,25 @@ from bodenhu import (
     find_generic_near,
     is_generic,
     is_near,
-    iter_partition_shapes,
     perturbation_direction,
     rotation_deltas,
     subset_sums,
 )
+from bodenhu import smallness
 from bodenhu._kernel import pure
-from bodenhu._kernel.pure import _pair_delta
 from bodenhu.smallness import (
     ordering_representatives,
     rated_orderings,
     violates_margin,
 )
 from bodenhu.weightspace import _half_sums, _integral_masks
-from conftest import KINDS, denominator, seeded_blocks, weight_vector
+from conftest import (
+    KINDS,
+    admissible_shapes,
+    denominator,
+    seeded_blocks,
+    weight_vector,
+)
 
 def ref_subset_sums(entries):
     n = len(entries)
@@ -80,10 +85,7 @@ def ref_is_near(alpha, beta):
 def ref_alpha_partitions(alpha, min_len):
     n = alpha.n
     sums = ref_subset_sums(alpha.entries)
-
-    def integral(mask):
-        return sums[mask].denominator == 1
-
+    integral = [mask for mask in range(1, 1 << n) if sums[mask].denominator == 1]
     return [
         Partition(
             tuple(
@@ -91,7 +93,7 @@ def ref_alpha_partitions(alpha, min_len):
                 for mask in masks
             )
         )
-        for masks in iter_partition_shapes(n, min_len, block_ok=integral)
+        for masks in admissible_shapes(n, min_len, integral)
     ]
 
 
@@ -142,12 +144,10 @@ class TestWeightSpaceOracles:
 
     def test_pure_alpha_shapes(self):
         # the pure kernel's recursion over the admissible blocks against the
-        # unpruned enumeration with an admissibility test
+        # canonical order of the partitions into them
         for n, masks, _ in seeded_blocks():
             for min_len in (1, 3):
-                expected = list(
-                    iter_partition_shapes(n, min_len, set(masks).__contains__)
-                )
+                expected = admissible_shapes(n, min_len, masks)
                 assert pure.alpha_shapes(n, masks, min_len) == expected
 
     def test_alpha_partitions_at_13_and_14(self):
@@ -341,6 +341,24 @@ class TestRotationOracle:
             )
             assert rotation_deltas(OrderedPartition(seq)) == expected
 
+    def test_long_sequence_is_rated_alone(self, monkeypatch):
+        # nine blocks over 20 slots: the sequence itself is rated, not all
+        # 8! orderings of its blocks
+        def every_ordering(*args):
+            raise AssertionError("rotation_deltas rated every ordering")
+
+        monkeypatch.setattr(smallness, "rate_orders", every_ordering)
+        rng = random.Random(9)
+        slots = rng.sample(range(1, 21), 20)
+        seq = []
+        for size in (2, 3, 2, 2, 2, 3, 2, 2, 2):
+            support, slots = slots[:size], slots[size:]
+            d_check = rng.randint(-(size - 1), -1)
+            seq.append(MultiplicityVector.from_support(20, d_check, support))
+        seq = tuple(seq)
+        expected = tuple(delta_seq(seq[l:] + seq[:l]) for l in range(9))
+        assert rotation_deltas(OrderedPartition(seq)) == expected
+
 
 def _disjoint_pairs(n):
     """Every ordered pair of disjoint nonempty support masks over n slots."""
@@ -361,7 +379,8 @@ class TestPairingOracle:
                         MultiplicityVector.from_mask(n, da, a),
                         MultiplicityVector.from_mask(n, db, b),
                     )
-                    assert _pair_delta(a, da, b, db) == expected
+                    pair, _ = pure._pairing([a, b], [da, db])
+                    assert pair[0][1] == expected
                     checked += 1
         assert checked == 16 * sum(3**n - 2 * 2**n + 1 for n in range(2, 8))
 

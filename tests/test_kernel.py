@@ -18,10 +18,15 @@ from functools import lru_cache
 
 import pytest
 
-from bodenhu import MultiplicityVector, OrderedPartition, iter_partition_shapes
+from bodenhu import (
+    MultiplicityVector,
+    OrderedPartition,
+    delta_seq,
+    iter_partition_shapes,
+)
 from bodenhu import _kernel
 from bodenhu._kernel import KERNEL_KIND, pure
-from bodenhu.smallness import rotation_deltas, violates_margin
+from bodenhu.smallness import violates_margin
 from conftest import REPO_ROOT, c_compiler, seeded_blocks
 
 
@@ -695,9 +700,10 @@ class TestKernelBehaviour:
             for rec in viols[:80]:
                 pi, degs, order, rots = rec
                 assert order[0] == 0
-                seq = blocks_of_record(9, masks_list, rec)
-                op = OrderedPartition(seq)
-                assert rotation_deltas(op) == rots
+                seq = OrderedPartition(blocks_of_record(9, masks_list, rec)).seq
+                assert rots == tuple(
+                    delta_seq(seq[l:] + seq[:l]) for l in range(len(seq))
+                )
                 mode = "semismall" if semismall else "small"
                 assert violates_margin(rots, mode)
 

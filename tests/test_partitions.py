@@ -19,7 +19,7 @@ from bodenhu import (
     iter_partition_shapes,
     stable_rotation,
 )
-from conftest import assert_public_rebuild, seeded_alphas
+from conftest import admissible_shapes, assert_public_rebuild, seeded_alphas
 
 # Counts of set partitions of n slots into blocks of size >= 2, n = 2..11.
 SHAPE_COUNTS = (1, 1, 4, 11, 41, 162, 715, 3425, 17722, 98253)
@@ -67,6 +67,15 @@ class TestShapeEnumeration:
                     assert not covered & mask
                     covered |= mask
                 assert covered == (1 << n) - 1
+
+    def test_order_is_lexicographic_by_lowest_slot(self):
+        # the canonical order that admissible_shapes, the oracle of the
+        # kernels' alpha_shapes, spells out
+        for n in range(0, 10):
+            for min_len in (1, 3):
+                assert list(iter_partition_shapes(n, min_len)) == (
+                    admissible_shapes(n, min_len, range(1, 1 << n))
+                )
 
     def test_min_len_only_prunes(self):
         for n in range(2, 9):

@@ -137,20 +137,20 @@ def recursive_functions(tree):
     return found
 
 
-# Beside the kernel, the only recursions are the unpruned shape enumeration
-# (the oracle for the kernel's admissible-block recursion) and the dual
-# construction of a counterexample.
+# Beside the kernel, the only recursion is the dual construction of a
+# counterexample.
 OTHER_RECURSIONS = [
-    "partitions.py:iter_partition_shapes.rec",
     "smallness.py:_construct",
 ]
-KERNEL_FORMULAS = {"_pair_delta", "_pairing", "_rotations", "rate_orders",
-                   "alpha_shapes", "_rated_orders"}
+KERNEL_FORMULAS = {"_pair_delta", "_cross_terms", "_place_degrees", "_pairing",
+                   "_rotations", "_scan_shape", "rate_orders", "alpha_shapes",
+                   "_rated_orders", "iter_partition_shapes"}
 
 
 def test_single_alpha_formulas_live_in_the_pure_kernel():
-    """The pairing and rotation formulas and the admissible-block recursion
-    are defined once, in _kernel/pure.py, as the twin of _speedups.c."""
+    """The pairing and rotation formulas, the per-shape scan and the shape
+    recursions are defined once, in _kernel/pure.py, as the twin of
+    _speedups.c."""
     outside = [
         (path.relative_to(PACKAGE).as_posix(), tree)
         for path, tree in parsed_modules()
