@@ -3,17 +3,23 @@
 Both implementations expose the same scan entry points (scan_shapes,
 scan_partition_batch), the same single-alpha entry points (alpha_shapes,
 the partitions of the admissible blocks at one weight vector, and
-rate_orders, the rated cyclic orderings of one partition) and the same
-JSON writer (dumps, the text of json.dumps(payload, indent=2) for the CLI's
-payload types), and must agree bit for bit (the test suite enforces this).
-The compiled module is taken only if it has every entry point and the same
-KERNEL_API as pure.py, so an extension built from an older _speedups.c
-falls back to the pure kernel instead of failing at import.  KERNEL_KIND
-names the kernel in use; KERNEL_FALLBACK, a read-only attribute, says why
-the compiled one was refused (None when it runs).  The pure kernel is also
-the oracle the tests import directly.
+rate_orders, the rated cyclic orderings of one partition), the same
+realisation entry points (realise, a witness point for one candidate
+partition, and realise_shapes, every realisable candidate of one (n, s)
+with its witness) and the same JSON writer (dumps, the text of
+json.dumps(payload, indent=2) for the CLI's payload types), and must agree
+bit for bit (the test suite enforces this).  The compiled module is taken
+only if it has every entry point and the same KERNEL_API as pure.py, so an
+extension built from an older _speedups.c falls back to the pure kernel
+instead of failing at import.  KERNEL_KIND names the kernel in use;
+KERNEL_FALLBACK, a read-only attribute, says why the compiled one was
+refused (None when it runs).  The compiled realisation works in checked
+64-bit integers and raises OverflowError where they would not suffice;
+on_overflow_pure re-runs that one call on pure.py, the only per-call
+fallback.  The pure kernel is also the oracle the tests import directly.
 """
 
+import functools
 import sys
 from types import ModuleType
 from typing import Optional
@@ -22,7 +28,7 @@ from . import pure
 
 ENTRY_POINTS = (
     "scan_shapes", "scan_partition_batch", "alpha_shapes", "rate_orders",
-    "dumps",
+    "realise", "realise_shapes", "dumps",
 )
 
 
@@ -46,6 +52,24 @@ def select(compiled: Optional[ModuleType]) -> tuple[ModuleType, str]:
     return pure, "pure"
 
 
+def on_overflow_pure(compiled_entry, pure_entry):
+    """compiled_entry, re-run on pure_entry when it raises OverflowError.
+
+    The compiled realisation works in checked 64-bit integers and raises
+    OverflowError where Python's would grow; pure's exact ints then decide
+    that one call.
+    """
+
+    @functools.wraps(pure_entry)
+    def entry(*args):
+        try:
+            return compiled_entry(*args)
+        except OverflowError:
+            return pure_entry(*args)
+
+    return entry
+
+
 try:
     from . import _speedups
 except ImportError:
@@ -58,6 +82,11 @@ scan_partition_batch = _impl.scan_partition_batch
 alpha_shapes = _impl.alpha_shapes
 rate_orders = _impl.rate_orders
 dumps = _impl.dumps
+realise = _impl.realise
+realise_shapes = _impl.realise_shapes
+if _impl is not pure:
+    realise = on_overflow_pure(realise, pure.realise)
+    realise_shapes = on_overflow_pure(realise_shapes, pure.realise_shapes)
 
 
 class _KernelModule(ModuleType):
@@ -71,5 +100,5 @@ sys.modules[__name__].__class__ = _KernelModule
 
 __all__ = [
     "scan_shapes", "scan_partition_batch", "alpha_shapes", "rate_orders",
-    "dumps", "KERNEL_KIND", "KERNEL_FALLBACK",
+    "realise", "realise_shapes", "dumps", "KERNEL_KIND", "KERNEL_FALLBACK",
 ]

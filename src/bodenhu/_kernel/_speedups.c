@@ -1,11 +1,13 @@
 /*
  * Compiled kernel, written against the CPython C API: the scan, the
- * single-alpha decision and the JSON writer.
+ * single-alpha decision, the realisation of candidate partitions and the
+ * JSON writer.
  *
  * Twin of pure.py: the same entry points with the same arguments and the
  * same results, bit for bit.  The two scan entry points return the same
- * (violations, stats) in the same order; alpha_shapes and rate_orders
- * return the same lists; dumps returns the same text.
+ * (violations, stats) in the same order; alpha_shapes, rate_orders and
+ * realise_shapes return the same lists; realise returns the same witness;
+ * dumps returns the same text.
  *
  *   scan_shapes          enumerates the set partitions itself, in the
  *                        canonical order of partitions.iter_partition_shapes
@@ -14,7 +16,9 @@
  *                        each one.  This is the whole exhaustive scan.
  *   scan_partition_batch scans shapes handed over by the caller.
  *
- * Both feed scan_shape.  Per shape, the degree assignments run as an
+ * scan_shapes and realise_shapes share one shape walk, enumerate_shapes,
+ * which hands each shape to a per-shape callback.  Both scan entries feed
+ * scan_shape.  Per shape, the degree assignments run as an
  * odometer with the rightmost digit fastest, and the cyclic orders as the
  * lexicographic permutations of order[1:] with order[0] == 0.  Reversing a
  * cyclic order negates the multiset of its rotation values, so one r0 and
@@ -37,8 +41,20 @@
  *   alpha_shapes         lists the partitions of n slots into the
  *                        admissible blocks at one weight vector.
  *   rate_orders          rates every cyclic ordering of one partition.
+ *   realise              decides one candidate partition: a witness point
+ *                        (nums, den) of W(n, s), or None.
+ *   realise_shapes       realises every candidate of one (n, s): the shapes
+ *                        of the shape walk, the degrees as an odometer with
+ *                        the rightmost digit fastest (itertools.product
+ *                        order).
  *   dumps                writes the text of json.dumps(payload, indent=2)
  *                        into one growing byte buffer; see below.
+ *
+ * The realisation runs pure.py's Fourier-Motzkin step for step in int64,
+ * every sum and product checked with __builtin_*_overflow.  For N <= 9 the
+ * largest row entry is 468 and the largest witness integer 161,280, far
+ * inside that range; past it the entries raise OverflowError and
+ * _kernel/__init__.py re-runs the call on pure.py.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -46,7 +62,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 4
+#define KERNEL_API 5
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -78,7 +94,7 @@ typedef struct {
 
 /* What one call shares across its shapes. */
 typedef struct {
-    int n, s_filter, semismall, min_len;
+    int n, s_filter, semismall;
     PyObject *violations;
     Stats stats;
 } Scan;
@@ -319,22 +335,34 @@ scan_shape(Scan *scan, Shape *sh)
 
 /* Scan shape sh and release its key; -1 on error. */
 static int
-scan_and_release(Scan *scan, Shape *sh)
+scan_and_release(void *scan, Shape *sh)
 {
     int rc = scan_shape(scan, sh);
     Py_CLEAR(sh->key);
     return rc;
 }
 
+/* A walk over the set partitions of the slots into blocks of size >= 2:
+ * visit(ctx, sh) runs on every shape of at least min_len blocks and
+ * returns -1 on error.  acc holds the blocks chosen so far; n <= 30 slots
+ * give at most 15 of them. */
+typedef struct {
+    int min_len;
+    int (*visit)(void *ctx, Shape *sh);
+    void *ctx;
+    u64 acc[MAX_BLOCKS];
+} ShapeWalk;
+
 /* Enumerate the completions of the blocks acc[0..depth-1] over the slots of
- * remaining, as partitions.iter_partition_shapes does, and scan each
+ * remaining, as partitions.iter_partition_shapes does, and visit each
  * complete shape with its masks sorted ascending; -1 on error. */
 static int
-enumerate_shapes(Scan *scan, u64 remaining, u64 *acc, int depth)
+enumerate_shapes(ShapeWalk *walk, u64 remaining, int depth)
 {
+    const u64 *acc = walk->acc;
     if (remaining == 0) {
         Shape sh = {.L = depth, .index = -1, .key = NULL};
-        if (depth < scan->min_len)
+        if (depth < walk->min_len)
             return 0;
         for (int i = 0; i < depth; i++) {
             int j = i;
@@ -342,9 +370,9 @@ enumerate_shapes(Scan *scan, u64 remaining, u64 *acc, int depth)
                 sh.masks[j] = sh.masks[j - 1];
             sh.masks[j] = acc[i];
         }
-        return scan_and_release(scan, &sh);
+        return walk->visit(walk->ctx, &sh);
     }
-    if (depth + __builtin_popcountll(remaining) / 2 < scan->min_len)
+    if (depth + __builtin_popcountll(remaining) / 2 < walk->min_len)
         return 0;
     const u64 low = remaining & -remaining, rest = remaining ^ low;
     if (rest == 0)
@@ -355,8 +383,8 @@ enumerate_shapes(Scan *scan, u64 remaining, u64 *acc, int depth)
             /* a first block is the unit of work between Ctrl-C checks */
             if (depth == 0 && PyErr_CheckSignals() < 0)
                 return -1;
-            acc[depth] = low | s;
-            if (enumerate_shapes(scan, left, acc, depth + 1) < 0)
+            walk->acc[depth] = low | s;
+            if (enumerate_shapes(walk, left, depth + 1) < 0)
                 return -1;
         }
         if (s == rest)
@@ -388,7 +416,7 @@ stats_dict(const Stats *stats)
 
 /* Set up the state of one call; -1 on error. */
 static int
-scan_init(Scan *scan, int n, int s_filter, int semismall, int min_len)
+scan_init(Scan *scan, int n, int s_filter, int semismall)
 {
     if (n > MAX_SLOTS) {
         PyErr_SetString(PyExc_ValueError, "kernel supports at most 30 slots");
@@ -398,7 +426,6 @@ scan_init(Scan *scan, int n, int s_filter, int semismall, int min_len)
     scan->n = n;
     scan->s_filter = s_filter;
     scan->semismall = semismall;
-    scan->min_len = min_len;
     scan->violations = PyList_New(0);
     return scan->violations ? 0 : -1;
 }
@@ -426,7 +453,6 @@ scan_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "s_filter", "semismall", "min_len", NULL};
     int n, s_filter, semismall, min_len;
-    u64 acc[MAX_BLOCKS];
     Scan scan;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "iipi:scan_shapes", kwlist,
@@ -436,10 +462,11 @@ scan_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "n must be non-negative");
         return NULL;
     }
-    if (scan_init(&scan, n, s_filter, semismall, min_len) < 0)
+    if (scan_init(&scan, n, s_filter, semismall) < 0)
         return NULL;
-    /* n <= 30 slots give at most 15 blocks of size >= 2: acc never overflows */
-    int ok = n < 2 || enumerate_shapes(&scan, (1ULL << n) - 1, acc, 0) == 0;
+    ShapeWalk walk = {.min_len = min_len, .visit = scan_and_release,
+                      .ctx = &scan};
+    int ok = n < 2 || enumerate_shapes(&walk, (1ULL << n) - 1, 0) == 0;
     return scan_result(&scan, ok);
 }
 
@@ -462,7 +489,7 @@ scan_partition_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
                                      kwlist, &n, &s_filter, &semismall,
                                      &min_len, &masks_arg))
         return NULL;
-    if (scan_init(&scan, n, s_filter, semismall, min_len) < 0)
+    if (scan_init(&scan, n, s_filter, semismall) < 0)
         return NULL;
     shapes = PySequence_Fast(masks_arg, "masks_list must be iterable");
     if (shapes == NULL)
@@ -776,6 +803,554 @@ done:
 }
 
 /*
+ * Partition realisation, step for step as pure.py's realise and
+ * _solve_strict, so the witnesses are the same integers: the wall gate, the
+ * pivot on each block's lowest slot, the chain rows in order, each divided
+ * by the gcd of its coefficients and bound, deduplicated keeping the
+ * tightest bound, Fourier-Motzkin eliminating the lowest-index variable of
+ * least pos * neg, and back-substitution of midpoints on integers over a
+ * common denominator.  Every product and sum is checked; one that leaves
+ * int64 raises OverflowError, on which _kernel/__init__.py re-runs the call
+ * on pure.py.
+ */
+
+enum { FM_OK = 0, FM_EMPTY = 1, FM_OVERFLOW = -1, FM_NOMEM = -2,
+       FM_BROKEN = -3 };
+
+/* Return FM_OVERFLOW from the enclosing function when cond holds. */
+#define CHECKED(cond)                                                       \
+    do {                                                                    \
+        if (cond)                                                           \
+            return FM_OVERFLOW;                                             \
+    } while (0)
+#define ADD(a, b, out) __builtin_add_overflow((a), (b), (out))
+#define SUB(a, b, out) __builtin_sub_overflow((a), (b), (out))
+#define MUL(a, b, out) __builtin_mul_overflow((a), (b), (out))
+
+/* Strict rows c.y < b over k variables, in insertion order, each stored as
+ * its k coefficients followed by b; size counts int64 entries. */
+typedef struct {
+    i64 *data;
+    Py_ssize_t len, size;
+} Rows;
+
+/* The Fourier-Motzkin workspace of one call, reused by its candidates:
+ * rows[0] holds the chain rows and rows[t + 1] those left after the t-th
+ * elimination, which removed variable elim[t]. */
+typedef struct {
+    Rows rows[MAX_SLOTS + 1];
+    int elim[MAX_SLOTS];
+} FM;
+
+static void
+fm_free(FM *fm)
+{
+    for (int t = 0; t <= MAX_SLOTS; t++)
+        PyMem_Free(fm->rows[t].data);
+}
+
+/* Set the exception for a failed FM_ code; returns -1. */
+static int
+fm_raise(int rc)
+{
+    if (rc == FM_NOMEM)
+        PyErr_NoMemory();
+    else if (rc == FM_OVERFLOW)
+        PyErr_SetString(PyExc_OverflowError,
+                        "realisation leaves 64-bit integers");
+    else
+        PyErr_SetString(PyExc_AssertionError,
+                        "Fourier-Motzkin interval must be nonempty");
+    return -1;
+}
+
+static inline u64
+gcd_u64(u64 a, u64 b)
+{
+    while (b) {
+        const u64 r = a % b;
+        a = b;
+        b = r;
+    }
+    return a;
+}
+
+static inline u64
+abs_u64(i64 x)
+{
+    return x < 0 ? -(u64)x : (u64)x;
+}
+
+/* Append a copy of row (stride entries, not inside r) to r. */
+static int
+rows_push(Rows *r, const i64 *row, int stride)
+{
+    if ((r->len + 1) * stride > r->size) {
+        Py_ssize_t size = r->size ? 2 * r->size : 64 * (MAX_SLOTS + 1);
+        while (size < (r->len + 1) * stride)
+            size *= 2;
+        i64 *data = PyMem_Realloc(r->data, size * sizeof(i64));
+        if (data == NULL)
+            return FM_NOMEM;
+        r->data = data;
+        r->size = size;
+    }
+    memcpy(r->data + r->len++ * stride, row, stride * sizeof(i64));
+    return FM_OK;
+}
+
+/* Divide row (k coefficients and b) by the gcd of its entries, then add it
+ * to r unless a row with the same coefficients is there, which keeps the
+ * smaller b.  A zero row 0 < b is dropped, or FM_EMPTY when b <= 0. */
+static int
+insert_row(Rows *r, i64 *row, int k)
+{
+    u64 g = 0;
+    int zero = 1;
+    for (int v = 0; v <= k; v++)
+        g = gcd_u64(g, abs_u64(row[v]));
+    CHECKED(g > (u64)INT64_MAX);
+    for (int v = 0; v <= k; v++) {
+        if (g > 1)
+            row[v] /= (i64)g;
+        if (v < k && row[v])
+            zero = 0;
+    }
+    if (zero)
+        return row[k] <= 0 ? FM_EMPTY : FM_OK;
+    for (Py_ssize_t i = 0; i < r->len; i++) {
+        i64 *old = r->data + i * (k + 1);
+        if (memcmp(old, row, k * sizeof(i64)) == 0) {
+            if (row[k] < old[k])
+                old[k] = row[k];
+            return FM_OK;
+        }
+    }
+    return rows_push(r, row, k + 1);
+}
+
+/* *less = a b < c d. */
+static inline int
+products_less(i64 a, i64 b, i64 c, i64 d, int *less)
+{
+    i64 x, y;
+    CHECKED(MUL(a, b, &x) || MUL(c, d, &y));
+    *less = x < y;
+    return FM_OK;
+}
+
+/* Eliminate the variables of fm->rows[0] until none has a nonzero
+ * coefficient, then back-substitute: values[0..k-1] over *den, or
+ * FM_EMPTY. */
+static int
+fm_solve(FM *fm, int k, i64 *values, i64 *den)
+{
+    const int stride = k + 1;
+    int steps = 0, rc;
+    u64 done = 0;
+    i64 row[MAX_SLOTS + 1];
+    for (;;) {
+        const Rows *rows = &fm->rows[steps];
+        int j = -1;
+        i64 best = 0;
+        for (int v = 0; v < k; v++) {
+            i64 pos = 0, neg = 0;
+            if (done >> v & 1)
+                continue;
+            for (Py_ssize_t i = 0; i < rows->len; i++) {
+                const i64 c = rows->data[i * stride + v];
+                pos += c > 0;
+                neg += c < 0;
+            }
+            if ((pos || neg) && (j < 0 || pos * neg < best)) {
+                j = v;
+                best = pos * neg;
+            }
+        }
+        if (j < 0)
+            break;
+        Rows *keep = &fm->rows[steps + 1];
+        keep->len = 0;
+        for (Py_ssize_t i = 0; i < rows->len; i++)
+            if (rows->data[i * stride + j] == 0
+                && (rc = rows_push(keep, rows->data + i * stride, stride)))
+                return rc;
+        for (Py_ssize_t u = 0; u < rows->len; u++) {
+            const i64 *cu = rows->data + u * stride;
+            if (cu[j] <= 0)
+                continue;
+            for (Py_ssize_t l = 0; l < rows->len; l++) {
+                const i64 *cl = rows->data + l * stride;
+                i64 m, x, y;
+                if (cl[j] >= 0)
+                    continue;
+                CHECKED(SUB((i64)0, cl[j], &m));
+                for (int v = 0; v <= k; v++)
+                    CHECKED(MUL(m, cu[v], &x) || MUL(cu[j], cl[v], &y)
+                            || ADD(x, y, &row[v]));
+                if ((rc = insert_row(keep, row, k)) != FM_OK)
+                    return rc;
+            }
+        }
+        fm->elim[steps++] = j;
+        done |= 1ULL << j;
+    }
+
+    /* A row c.y < b bounds y_j by (b den - c.values) / (c_j den): below
+     * when c_j < 0, above when c_j > 0.  values[j] is still 0. */
+    *den = 1;
+    for (int v = 0; v < k; v++)
+        values[v] = 0;
+    while (steps-- > 0) {
+        const int j = fm->elim[steps];
+        const Rows *rows = &fm->rows[steps];
+        int has_lo = 0, has_hi = 0, less;
+        i64 lo_p = 0, lo_q = 1, hi_p = 0, hi_q = 1, p, q, g, scale;
+        for (Py_ssize_t i = 0; i < rows->len; i++) {
+            const i64 *c = rows->data + i * stride;
+            i64 dot = 0, bd, x;
+            if (c[j] == 0)
+                continue;
+            for (int v = 0; v < k; v++)
+                CHECKED(MUL(c[v], values[v], &x) || ADD(dot, x, &dot));
+            CHECKED(MUL(c[k], *den, &bd));
+            if (c[j] < 0) {
+                CHECKED(SUB((i64)0, c[j], &x) || SUB(dot, bd, &p)
+                        || MUL(x, *den, &q));
+                if (has_lo && (rc = products_less(lo_p, q, p, lo_q, &less)))
+                    return rc;
+                if (!has_lo || less) {
+                    lo_p = p;
+                    lo_q = q;
+                    has_lo = 1;
+                }
+            } else {
+                CHECKED(SUB(bd, dot, &p) || MUL(c[j], *den, &q));
+                if (has_hi && (rc = products_less(p, hi_q, hi_p, q, &less)))
+                    return rc;
+                if (!has_hi || less) {
+                    hi_p = p;
+                    hi_q = q;
+                    has_hi = 1;
+                }
+            }
+        }
+        if (has_lo && has_hi) {
+            i64 x, y;
+            if ((rc = products_less(lo_p, hi_q, hi_p, lo_q, &less)))
+                return rc;
+            if (!less)
+                return FM_BROKEN;
+            CHECKED(MUL(lo_p, hi_q, &x) || MUL(hi_p, lo_q, &y)
+                    || ADD(x, y, &p) || MUL(lo_q, hi_q, &x)
+                    || MUL((i64)2, x, &q));
+        } else if (has_hi) {
+            CHECKED(SUB(hi_p, hi_q, &p));
+            q = hi_q;
+        } else if (has_lo) {
+            CHECKED(ADD(lo_p, lo_q, &p));
+            q = lo_q;
+        } else {
+            p = 0;
+            q = 1;
+        }
+        /* q > 0, so the gcd fits */
+        g = (i64)gcd_u64(abs_u64(p), (u64)q);
+        p /= g;
+        q /= g;
+        scale = q / (i64)gcd_u64((u64)*den, (u64)q);
+        if (scale > 1) {
+            for (int v = 0; v < k; v++)
+                CHECKED(MUL(values[v], scale, &values[v]));
+            CHECKED(MUL(*den, scale, den));
+        }
+        CHECKED(MUL(p, *den / q, &values[j]));
+    }
+    return FM_OK;
+}
+
+/* pure.wall_meets for a proper mask: *meets says whether the wall
+ * sum_{mask} x = -d_check meets the open W(n, s). */
+static int
+wall_meets(int n, int s, u64 mask, i64 d_check, int *meets)
+{
+    i64 t, f[MAX_SLOTS + 1] = {0};
+    CHECKED(SUB((i64)0, d_check, &t));
+    for (int j = 1; j <= n; j++)
+        f[j] = f[j - 1] + (i64)(mask >> (n - j) & 1);
+    int below = f[s] < t, above = f[s] > t;
+    *meets = 1;
+    for (int i = 0; i < s; i++)
+        for (int j = s + 1; j <= n; j++) {
+            const i64 value = f[i] * (j - s) + f[j] * (s - i);
+            i64 scale;
+            CHECKED(MUL(t, (i64)(j - i), &scale));
+            below |= value < scale;
+            above |= value > scale;
+            if (below && above)
+                return FM_OK;
+        }
+    *meets = 0;
+    return FM_OK;
+}
+
+/* Decide the blocks masks[0..L-1] with degrees degs, nonempty, disjoint
+ * and covering the n slots: FM_OK with the witness nums[0..n-1] over *den,
+ * or FM_EMPTY when no point of W(n, s) realises them. */
+static int
+realise_blocks(FM *fm, int n, int L, const u64 *masks, const i64 *degs,
+               i64 *nums, i64 *den)
+{
+    i64 s = 0, deg_of[MAX_SLOTS], values[MAX_SLOTS], row[MAX_SLOTS + 1];
+    u64 pivots = 0, rest[MAX_SLOTS];
+    int index_of[MAX_SLOTS], k = 0, meets, rc;
+
+    for (int i = 0; i < L; i++)
+        CHECKED(SUB(s, degs[i], &s));
+    if (s <= 0 || s >= n)
+        return FM_EMPTY;
+    for (int i = 0; L > 1 && i < L; i++) {
+        if ((rc = wall_meets(n, (int)s, masks[i], degs[i], &meets)))
+            return rc;
+        if (!meets)
+            return FM_EMPTY;
+    }
+    /* pivot p of a block: x_p = -d_check - sum of x over rest[p] */
+    for (int i = 0; i < L; i++) {
+        const int p = __builtin_ctzll(masks[i]);
+        pivots |= 1ULL << p;
+        deg_of[p] = degs[i];
+        rest[p] = masks[i] & (masks[i] - 1);
+    }
+    for (int v = 0; v < n; v++)
+        index_of[v] = pivots >> v & 1 ? -1 : k++;
+
+    /* the chain -x_1 < 0, x_i - x_{i+1} < 0, x_n < 1: row r has +x_r
+     * (slot r - 1) unless r = 0 and -x_{r+1} (slot r) unless r = n */
+    fm->rows[0].len = 0;
+    for (int r = 0; r <= n; r++) {
+        memset(row, 0, (k + 1) * sizeof(i64));
+        row[k] = r == n;
+        for (int term = 0; term < 2; term++) {
+            const int v = r - 1 + term, a = term ? -1 : 1;
+            if (v < 0 || v >= n)
+                continue;
+            if (index_of[v] >= 0) {
+                row[index_of[v]] += a;
+                continue;
+            }
+            CHECKED(a > 0 ? ADD(row[k], deg_of[v], &row[k])
+                          : SUB(row[k], deg_of[v], &row[k]));
+            for (u64 m = rest[v]; m; m &= m - 1)
+                row[index_of[__builtin_ctzll(m)]] -= a;
+        }
+        if ((rc = insert_row(&fm->rows[0], row, k)) != FM_OK)
+            return rc;
+    }
+    if ((rc = fm_solve(fm, k, values, den)) != FM_OK)
+        return rc;
+
+    for (int v = 0; v < n; v++)
+        if (index_of[v] >= 0)
+            nums[v] = values[index_of[v]];
+    for (int p = 0; p < n; p++) {
+        if (index_of[p] >= 0)
+            continue;
+        CHECKED(MUL(deg_of[p], *den, &nums[p])
+                || SUB((i64)0, nums[p], &nums[p]));
+        for (u64 m = rest[p]; m; m &= m - 1)
+            CHECKED(SUB(nums[p], nums[__builtin_ctzll(m)], &nums[p]));
+    }
+    return FM_OK;
+}
+
+/* (nums, den) as a new tuple, or NULL. */
+static PyObject *
+witness(const i64 *nums, int n, i64 den)
+{
+    PyObject *t = int_seq(nums, n, 0), *d = PyLong_FromLongLong(den);
+    PyObject *pair = (t && d) ? PyTuple_Pack(2, t, d) : NULL;
+    Py_XDECREF(t);
+    Py_XDECREF(d);
+    return pair;
+}
+
+PyDoc_STRVAR(realise_doc,
+"realise(n, masks, degs)\n"
+"--\n\n"
+"(nums, den), a point of W(n, s) realising the blocks, or None.\n\n"
+"Same contract as pure.realise; see that function's docstring.  Raises\n"
+"OverflowError where 64-bit integers do not suffice.");
+
+static PyObject *
+realise(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"n", "masks", "degs", NULL};
+    PyObject *masks_arg, *degs_arg, *masks, *degs = NULL, *result = NULL;
+    u64 block[MAX_SLOTS], covered = 0;
+    i64 deg[MAX_SLOTS], nums[MAX_SLOTS], den;
+    int n;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOO:realise", kwlist, &n,
+                                     &masks_arg, &degs_arg))
+        return NULL;
+    if (n < 0 || n > MAX_SLOTS) {
+        PyErr_SetString(PyExc_ValueError, "kernel supports 0 to 30 slots");
+        return NULL;
+    }
+    masks = PySequence_Fast(masks_arg, "masks must be iterable");
+    if (masks == NULL)
+        return NULL;
+    degs = PySequence_Fast(degs_arg, "degs must be iterable");
+    if (degs == NULL)
+        goto done;
+    const Py_ssize_t L = PySequence_Fast_GET_SIZE(masks);
+    if (PySequence_Fast_GET_SIZE(degs) != L) {
+        PyErr_SetString(PyExc_ValueError, "masks and degrees differ in length");
+        goto done;
+    }
+    /* each accepted mask covers a new slot, so at most n <= 30 are */
+    for (Py_ssize_t i = 0; i < L; i++) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(
+            PySequence_Fast_GET_ITEM(masks, i), &overflow);
+        if (v == -1 && PyErr_Occurred())
+            goto done;
+        if (overflow || v <= 0 || (u64)v >> n || (covered & (u64)v)) {
+            PyErr_SetString(PyExc_ValueError, "blocks must be nonempty, "
+                            "pairwise disjoint and within n slots");
+            goto done;
+        }
+        covered |= (u64)v;
+        block[i] = (u64)v;
+    }
+    if (covered != (n ? ~0ULL >> (64 - n) : 0)) {
+        PyErr_SetString(PyExc_ValueError, "blocks must cover every slot");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < L; i++) {
+        deg[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(degs, i));
+        if (deg[i] == -1 && PyErr_Occurred())
+            goto done;
+    }
+    FM fm;
+    memset(&fm, 0, sizeof(fm));
+    const int rc = realise_blocks(&fm, n, (int)L, block, deg, nums, &den);
+    fm_free(&fm);
+    if (rc == FM_OK)
+        result = witness(nums, n, den);
+    else if (rc == FM_EMPTY)
+        result = Py_NewRef(Py_None);
+    else
+        fm_raise(rc);
+done:
+    Py_XDECREF(degs);
+    Py_DECREF(masks);
+    return result;
+}
+
+/* What realise_shapes shares across its shapes. */
+typedef struct {
+    int n, s;
+    FM fm;
+    PyObject *found;
+} Realisation;
+
+/* Append (masks, degs, nums, den) to found; -1 on error. */
+static int
+record_found(PyObject *found, const Shape *sh, const i64 *degs,
+             const i64 *nums, int n, i64 den)
+{
+    i64 masks[MAX_BLOCKS];
+    for (int i = 0; i < sh->L; i++)
+        masks[i] = (i64)sh->masks[i];
+    PyObject *m = int_seq(masks, sh->L, 0), *d = int_seq(degs, sh->L, 0);
+    PyObject *x = int_seq(nums, n, 0), *q = PyLong_FromLongLong(den);
+    PyObject *rec = (m && d && x && q) ? PyTuple_Pack(4, m, d, x, q) : NULL;
+    int rc = rec ? PyList_Append(found, rec) : -1;
+    Py_XDECREF(m);
+    Py_XDECREF(d);
+    Py_XDECREF(x);
+    Py_XDECREF(q);
+    Py_XDECREF(rec);
+    return rc;
+}
+
+/* Realise every degree assignment of shape sh that sums to -s, the
+ * degrees -(r_i - 1)..-1 as an odometer, rightmost digit fastest; -1 on
+ * error. */
+static int
+realise_shape(void *ctx, Shape *sh)
+{
+    Realisation *re = ctx;
+    const int L = sh->L;
+    i64 degs[MAX_BLOCKS], lo[MAX_BLOCKS], nums[MAX_SLOTS], den, most = 0;
+    for (int i = 0; i < L; i++) {
+        lo[i] = degs[i] = 1 - __builtin_popcountll(sh->masks[i]);
+        most -= lo[i];
+    }
+    if (re->s < L || re->s > most)
+        return 0; /* no assignment sums to -s */
+    for (;;) {
+        i64 s = 0;
+        for (int i = 0; i < L; i++)
+            s -= degs[i];
+        if (s == re->s) {
+            const int rc = realise_blocks(&re->fm, re->n, L, sh->masks, degs,
+                                          nums, &den);
+            if (rc < 0)
+                return fm_raise(rc);
+            if (rc == FM_OK
+                && record_found(re->found, sh, degs, nums, re->n, den) < 0)
+                return -1;
+        }
+        int k = L - 1;
+        for (; k >= 0; k--) {
+            if (++degs[k] <= -1)
+                break;
+            degs[k] = lo[k];
+        }
+        if (k < 0)
+            return 0;
+    }
+}
+
+PyDoc_STRVAR(realise_shapes_doc,
+"realise_shapes(n, s, min_len)\n"
+"--\n\n"
+"Every candidate partition of n slots with total degree -s that some\n"
+"point of W(n, s) realises, as (masks, degs, nums, den).\n\n"
+"Same contract as pure.realise_shapes; see that function's docstring.\n"
+"Raises OverflowError where 64-bit integers do not suffice.");
+
+static PyObject *
+realise_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"n", "s", "min_len", NULL};
+    int n, s, min_len;
+    Realisation re;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iii:realise_shapes", kwlist,
+                                     &n, &s, &min_len))
+        return NULL;
+    if (n < 0 || n > MAX_SLOTS) {
+        PyErr_SetString(PyExc_ValueError, "kernel supports 0 to 30 slots");
+        return NULL;
+    }
+    memset(&re, 0, sizeof(re));
+    re.n = n;
+    re.s = s;
+    re.found = PyList_New(0);
+    if (re.found == NULL)
+        return NULL;
+    ShapeWalk walk = {.min_len = min_len, .visit = realise_shape, .ctx = &re};
+    if (0 < s && s < n && enumerate_shapes(&walk, (1ULL << n) - 1, 0) < 0)
+        Py_CLEAR(re.found);
+    fm_free(&re.fm);
+    return re.found;
+}
+
+/*
  * JSON writer.  The output is pure ASCII: strings go through
  * json.encoder.encode_basestring_ascii unless they are printable ASCII
  * without a quote or a backslash, which are copied as they are.  It accepts
@@ -1032,6 +1607,10 @@ static PyMethodDef speedups_methods[] = {
      METH_VARARGS | METH_KEYWORDS, alpha_shapes_doc},
     {"rate_orders", (PyCFunction)(void (*)(void))rate_orders,
      METH_VARARGS | METH_KEYWORDS, rate_orders_doc},
+    {"realise", (PyCFunction)(void (*)(void))realise,
+     METH_VARARGS | METH_KEYWORDS, realise_doc},
+    {"realise_shapes", (PyCFunction)(void (*)(void))realise_shapes,
+     METH_VARARGS | METH_KEYWORDS, realise_shapes_doc},
     {"dumps", dumps, METH_O, dumps_doc},
     {NULL, NULL, 0, NULL},
 };

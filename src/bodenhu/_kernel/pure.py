@@ -1,4 +1,5 @@
-"""Pure-Python kernel: the scan, the single-alpha decision and the JSON writer.
+"""Pure-Python kernel: the scan, the single-alpha decision, the realisation
+of candidate partitions and the JSON writer.
 
 Each formula is written once: the pairing matrix P[i][j] = delta(block i,
 block j) = 2(r_i d_j - r_j d_i) + X[i][j] (_cross_terms builds X from the
@@ -18,6 +19,16 @@ the CLI's JSON payloads.  Twin of the compiled kernel in _speedups.c, with
 the same decomposition; it must match it exactly and carry the same
 KERNEL_API.
 
+realise decides one candidate partition of the slots: the closed-form wall
+gate wall_meets, a pivot on each block's lowest slot, and the package's one
+Fourier-Motzkin solver, _solve_strict, on the integer chain rows, with the
+witness as integers over one denominator.  realise_shapes runs it over
+every candidate of one (n, s) in the order of iter_partition_shapes and
+itertools.product.  weightspace builds its general rational systems on the
+same _insert_row and _solve_strict, and its walls on wall_meets.  Here the
+integers grow as they must; the compiled twin checks every 64-bit
+operation and hands a call that overflows back to this one.
+
 Both kernels accept at most MAX_SLOTS slots and MAX_BLOCKS blocks per scanned
 shape and raise ValueError beyond that.  Within those limits every quantity
 is a small machine integer: the pairing is bounded by a few thousand, far
@@ -29,13 +40,15 @@ from __future__ import annotations
 
 import itertools
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
+from math import gcd
+from operator import mul
+from typing import Iterator, Optional
 
 from ..core import MAX_SLOTS
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 4
+KERNEL_API = 5
 MAX_BLOCKS = 16
 MAX_DEGREE = 1 << 32
 
@@ -315,6 +328,242 @@ def rate_orders(masks, degs, semismall: bool) -> tuple[list[dict], int]:
             {"order": list(order), "rotation_deltas": rots, "violates": violates}
         )
     return orderings, first
+
+
+class _Infeasible(Exception):
+    """A row 0 < b with b <= 0: the strict system has no solution."""
+
+
+def _insert_row(rows: dict, coeffs: tuple[int, ...], b: int) -> None:
+    """Dedupe rows by coefficient vector, keeping the tightest bound."""
+    if not any(coeffs):
+        if b <= 0:
+            raise _Infeasible
+        return
+    old = rows.get(coeffs)
+    if old is None or b < old:
+        rows[coeffs] = b
+
+
+def _solve_strict(rows: dict, k: int) -> Optional[tuple[list[int], int]]:
+    """Fourier-Motzkin on primitive integer rows c.y < b over k variables.
+
+    rows maps coefficient tuples to bounds, in insertion order.  Each step
+    eliminates the lowest-index variable with the least pos * neg product,
+    combining every upper row with every lower row (Schrijver, Theory of
+    Linear and Integer Programming, section 12.2); strict + strict stays
+    strict.  Returns the witness (nums, den), y_v = nums[v] / den, by
+    reverse back-substitution, choosing interval midpoints (or bound +/- 1
+    when one side is unbounded, 0 when both are), or None when the rows are
+    infeasible.
+    """
+    eliminated: list[tuple[int, list, list]] = []
+    remaining = list(range(k))
+    try:
+        while True:
+            best = None
+            for j in remaining:
+                pos = sum(1 for c in rows if c[j] > 0)
+                neg = sum(1 for c in rows if c[j] < 0)
+                if pos == 0 and neg == 0:
+                    continue
+                score = pos * neg
+                if best is None or score < best[0]:
+                    best = (score, j, pos, neg)
+            if best is None:
+                break
+            _, j, _, _ = best
+            uppers = [(c, b) for c, b in rows.items() if c[j] > 0]
+            lowers = [(c, b) for c, b in rows.items() if c[j] < 0]
+            keep = {c: b for c, b in rows.items() if c[j] == 0}
+            for cu, bu in uppers:
+                for cl, bl in lowers:
+                    a, m = cu[j], -cl[j]
+                    comb = tuple(m * u + a * l for u, l in zip(cu, cl))
+                    bc = m * bu + a * bl
+                    g = gcd(*comb, bc)
+                    if g > 1:
+                        comb = tuple(c // g for c in comb)
+                        bc //= g
+                    _insert_row(keep, comb, bc)
+            rows = keep
+            eliminated.append((j, lowers, uppers))
+            remaining.remove(j)
+    except _Infeasible:
+        return None
+
+    # Reverse back-substitution, values nums[v] / den.  A row c.y < b bounds
+    # y_j by (b den - c.nums) / (c_j den); nums[j] is still 0.
+    nums, den = [0] * k, 1
+    for j, lowers, uppers in reversed(eliminated):
+        lo = hi = None
+        for c, b in lowers:
+            p, q = sum(map(mul, c, nums)) - b * den, -c[j] * den
+            if lo is None or p * lo[1] > lo[0] * q:
+                lo = (p, q)
+        for c, b in uppers:
+            p, q = b * den - sum(map(mul, c, nums)), c[j] * den
+            if hi is None or p * hi[1] < hi[0] * q:
+                hi = (p, q)
+        if lo is not None and hi is not None:
+            if not lo[0] * hi[1] < hi[0] * lo[1]:
+                raise AssertionError("Fourier-Motzkin interval must be nonempty")
+            p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        elif hi is not None:
+            p, q = hi[0] - hi[1], hi[1]
+        elif lo is not None:
+            p, q = lo[0] + lo[1], lo[1]
+        else:
+            p, q = 0, 1
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        scale = q // gcd(den, q)
+        if scale > 1:
+            nums = [x * scale for x in nums]
+            den *= scale
+        nums[j] = p * (den // q)
+    return nums, den
+
+
+def wall_meets(n: int, s: int, mask: int, d_check: int) -> bool:
+    """Whether the wall sum_{mask} x = -d_check meets the open W(n,s).
+
+    The closure of W(n,s) is the slice sum x = s of the order polytope of a
+    chain, a simplex whose vertices are the 0/1 step vectors u_j (ones on
+    the top j slots).  With f_j the number of mask slots among the top j,
+    the slice has the vertex u_s, with value f_s, and one vertex on each
+    edge [u_i, u_j] with i < s < j, with value
+    (f_i (j - s) + f_j (s - i)) / (j - i).  A hyperplane meets the relative
+    interior iff some vertex lies strictly on each side of it, unless it
+    contains the whole slice, which only the empty and the full support can
+    do; those are refused.  Values are compared cross-multiplied, so
+    everything stays in int.
+    """
+    if not 0 < mask < (1 << n) - 1:
+        raise ValueError("a wall support must be a proper nonempty subset")
+    t = -d_check
+    f = [0] * (n + 1)
+    for j in range(1, n + 1):
+        f[j] = f[j - 1] + (mask >> (n - j) & 1)
+    below = f[s] < t
+    above = f[s] > t
+    for i in range(s):
+        for j in range(s + 1, n + 1):
+            value, scale = f[i] * (j - s) + f[j] * (s - i), t * (j - i)
+            below = below or value < scale
+            above = above or value > scale
+            if below and above:
+                return True
+    return False
+
+
+def realise(n: int, masks, degs) -> Optional[tuple[tuple[int, ...], int]]:
+    """A point of the open chamber where each block sums to minus its degree.
+
+    masks and degs give the blocks (mask, d_check), which must be nonempty,
+    pairwise disjoint and cover the n slots; s = -sum(degs).  Returns
+    (nums, den), the witness x_v = nums[v] / den of Fourier-Motzkin on the
+    partition system 0 < x_1 < ... < x_n < 1, sum_B x = -d_check, or None
+    when no point of W(n,s) realises the blocks.
+
+    A block whose own wall misses W(n,s) (wall_meets) already empties the
+    system.  Otherwise each block pivots on its lowest slot p,
+    x_p = -d_check - sum_{B - p} x_v, the pivot a Gauss-Jordan elimination
+    of the equalities picks too; substituted into the chain rows
+    -x_1 < 0, x_i - x_{i+1} < 0, x_n < 1, every coefficient stays in
+    {0, +-1, +-2}.  Each row is divided by the gcd of its coefficients and
+    bound, and _solve_strict solves the rest over the free slots.
+
+    Raises ValueError for n outside 0..MAX_SLOTS, lengths that differ, or
+    blocks that do not partition the n slots.
+    """
+    if not 0 <= n <= MAX_SLOTS:
+        raise ValueError(f"kernel supports 0 to {MAX_SLOTS} slots")
+    if len(masks) != len(degs):
+        raise ValueError("masks and degrees differ in length")
+    pivots: dict[int, tuple[int, list[int]]] = {}  # p -> (d_check, B - p)
+    covered = 0
+    for mask, d_check in zip(masks, degs):
+        if not 0 < mask < 1 << n or covered & mask:
+            raise ValueError(
+                "blocks must be nonempty, pairwise disjoint and within n slots"
+            )
+        covered |= mask
+        slots = [v for v in range(n) if mask >> v & 1]
+        pivots[slots[0]] = (d_check, slots[1:])
+    if covered != (1 << n) - 1:
+        raise ValueError("blocks must cover every slot")
+    s = -sum(degs)
+    if not 0 < s < n:
+        return None
+    if len(masks) > 1 and not all(
+        wall_meets(n, s, mask, d_check) for mask, d_check in zip(masks, degs)
+    ):
+        return None
+    free = [v for v in range(n) if v not in pivots]
+    index_of = {v: i for i, v in enumerate(free)}
+
+    # The chain -x_1 < 0, x_i - x_{i+1} < 0, x_n < 1 as (slot, coeff) terms.
+    chain = [([(0, -1)], 0)]
+    chain += [([(i, 1), (i + 1, -1)], 0) for i in range(n - 1)]
+    chain.append(([(n - 1, 1)], 1))
+    rows: dict[tuple[int, ...], int] = {}
+    try:
+        for terms, b in chain:
+            row = [0] * len(free)
+            for v, a in terms:
+                if v in pivots:
+                    d_check, rest = pivots[v]
+                    b += a * d_check
+                    for w in rest:
+                        row[index_of[w]] -= a
+                else:
+                    row[index_of[v]] += a
+            g = gcd(*row, b)
+            if g > 1:
+                row = [c // g for c in row]
+                b //= g
+            _insert_row(rows, tuple(row), b)
+    except _Infeasible:
+        return None
+    found = _solve_strict(rows, len(free))
+    if found is None:
+        return None
+
+    values, den = found
+    nums = [0] * n
+    for v, x in zip(free, values):
+        nums[v] = x
+    for p, (d_check, rest) in pivots.items():
+        nums[p] = -d_check * den - sum(nums[w] for w in rest)
+    return tuple(nums), den
+
+
+def realise_shapes(n: int, s: int, min_len: int) -> list[tuple]:
+    """Every candidate partition of n slots with total degree -s that some
+    point of W(n,s) realises, with its witness.
+
+    The candidates are the shapes of iter_partition_shapes(n, min_len), in
+    its order, each with its degree assignments d_i in -(r_i - 1)..-1
+    summing to -s, in itertools.product order (the rightmost degree
+    fastest).  Returns [(masks, degs, nums, den), ...] over the candidates
+    realise accepts, (nums, den) its witness.
+
+    Raises ValueError for n outside 0..MAX_SLOTS.
+    """
+    if not 0 <= n <= MAX_SLOTS:
+        raise ValueError(f"kernel supports 0 to {MAX_SLOTS} slots")
+    found: list[tuple] = []
+    if not 0 < s < n:
+        return found
+    for masks in iter_partition_shapes(n, min_len):
+        ranges = [range(1 - mask.bit_count(), 0) for mask in masks]
+        for degs in itertools.product(*ranges):
+            if sum(degs) == -s:
+                witness = realise(n, masks, degs)
+                if witness is not None:
+                    found.append((masks, degs, *witness))
+    return found
 
 
 # json.dumps spells the non-finite floats this way (allow_nan=True).

@@ -29,7 +29,7 @@ from .core import (
     deg_alpha,
 )
 from . import weightspace
-from ._kernel import alpha_shapes
+from ._kernel import alpha_shapes, realise_shapes
 from ._kernel.pure import iter_partition_shapes
 
 __all__ = [
@@ -205,22 +205,18 @@ def feasible_partitions(
     For each shape (ascending recursion order) and degree assignment
     (lexicographic, total -s), the exact feasibility solver either certifies a
     weight vector realising the partition (yielded as the witness) or rules
-    the candidate out.  Exhaustive and deterministic.
+    the candidate out.  Exhaustive and deterministic: one call of the
+    kernel's realise_shapes decides every candidate.
     """
     check_cap(ctx.n, cap)
-    n, s = ctx.n, ctx.s
-    for masks in iter_partition_shapes(n, min_len):
-        ranges = [range(1 - mask.bit_count(), 0) for mask in masks]
-        for degs in itertools.product(*ranges):
-            if sum(degs) != -s:
-                continue
-            witness = weightspace.realise_blocks(n, list(zip(masks, degs)))
-            if witness is not None:
-                blocks = tuple(
-                    MultiplicityVector._from_mask_unchecked(n, d, mask)
-                    for mask, d in zip(masks, degs)
-                )
-                yield Partition._unchecked(blocks), witness
+    n = ctx.n
+    for masks, degs, nums, den in realise_shapes(n, ctx.s, min_len):
+        blocks = tuple(
+            MultiplicityVector._from_mask_unchecked(n, d, mask)
+            for mask, d in zip(masks, degs)
+        )
+        witness = tuple(Fraction(x, den) for x in nums)
+        yield Partition._unchecked(blocks), witness
 
 
 def is_alpha_stable_seq(seq: OrderedPartition, alpha: WeightVector) -> bool:

@@ -28,6 +28,7 @@ from .core import (
     WeightVector,
     deg_alpha,
     delta,
+    delta_seq,
     hom_degree,
 )
 from .partitions import (
@@ -338,6 +339,8 @@ def _suite_rotation_identity(rng: random.Random, trials: int) -> SuiteResult:
 
     The prefix sums run over delta(block, one-vector) in sequence order; this
     identity is what lets the scanner evaluate all rotations in linear time.
+    Each value of rotation_deltas is also compared with delta_seq of that
+    rotation, so the suite checks the identity on delta_seq itself.
     """
     rec = _Recorder("rotation-identity")
     shapes_by_n: dict[int, list[tuple[int, ...]]] = {}
@@ -351,7 +354,9 @@ def _suite_rotation_identity(rng: random.Random, trials: int) -> SuiteResult:
         prefix = 0
         ok = True
         for l, block in enumerate(op.seq):
-            if rots[l] != rots[0] - 2 * prefix:
+            if rots[l] != rots[0] - 2 * prefix or rots[l] != delta_seq(
+                op.rotation(l).seq
+            ):
                 ok = False
                 break
             prefix += delta(block, one)

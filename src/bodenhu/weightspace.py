@@ -7,9 +7,11 @@ lies on no wall.  Everything here is decided exactly, never through floats
 or an epsilon.  Whether a wall meets W(N,s) has a closed form (wall_meets):
 the closure is a simplex with known vertices.  Partition systems and general
 systems go through one Fourier-Motzkin solver on integer rows, which handles
-strict inequalities natively (strict + strict combines to strict);
-realise_blocks feeds it partition systems without building Fractions until
-the witness, feasible builds the rows of a general rational system.
+strict inequalities natively (strict + strict combines to strict).  The
+solver and wall_meets live in the pure kernel (_kernel/pure.py) and are
+imported from there.  realise_blocks decides partition systems through the
+kernel's realise, compiled when it is built, and turns only the witness
+into Fractions; feasible builds the rows of a general rational system.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from .core import (
@@ -30,6 +31,8 @@ from .core import (
     WeightVector,
     check_cap,
 )
+from ._kernel import realise
+from ._kernel.pure import _Infeasible, _insert_row, _solve_strict, wall_meets
 
 __all__ = [
     "Wall",
@@ -133,98 +136,6 @@ def _normalize_int_row(
     return tuple(ints), b
 
 
-class _Infeasible(Exception):
-    pass
-
-
-def _insert_row(rows: dict, coeffs: tuple[int, ...], b: int) -> None:
-    """Dedupe rows by coefficient vector, keeping the tightest bound."""
-    if not any(coeffs):
-        if b <= 0:
-            raise _Infeasible
-        return
-    old = rows.get(coeffs)
-    if old is None or b < old:
-        rows[coeffs] = b
-
-
-def _solve_strict(rows: dict, k: int) -> Optional[list[Fraction]]:
-    """Fourier-Motzkin on primitive integer rows c.y < b over k variables.
-
-    rows maps coefficient tuples to bounds, in insertion order.  Returns the
-    witness values by reverse back-substitution, choosing interval midpoints
-    (or bound +/- 1 when one side is unbounded, 0 when both are), or None
-    when the rows are infeasible.
-    """
-    # Stage 3: Fourier-Motzkin over the k variables.
-    eliminated: list[tuple[int, list, list]] = []
-    remaining = list(range(k))
-    try:
-        while True:
-            best = None
-            for j in remaining:
-                pos = sum(1 for c in rows if c[j] > 0)
-                neg = sum(1 for c in rows if c[j] < 0)
-                if pos == 0 and neg == 0:
-                    continue
-                score = pos * neg
-                if best is None or score < best[0]:
-                    best = (score, j, pos, neg)
-            if best is None:
-                break
-            _, j, _, _ = best
-            uppers = [(c, b) for c, b in rows.items() if c[j] > 0]
-            lowers = [(c, b) for c, b in rows.items() if c[j] < 0]
-            keep = {c: b for c, b in rows.items() if c[j] == 0}
-            for cu, bu in uppers:
-                for cl, bl in lowers:
-                    a, m = cu[j], -cl[j]
-                    comb = tuple(m * u + a * l for u, l in zip(cu, cl))
-                    bc = m * bu + a * bl
-                    g = gcd(*comb, bc)
-                    if g > 1:
-                        comb = tuple(c // g for c in comb)
-                        bc //= g
-                    _insert_row(keep, comb, bc)
-            rows = keep
-            eliminated.append((j, lowers, uppers))
-            remaining.remove(j)
-    except _Infeasible:
-        return None
-
-    # Stage 4: reverse back-substitution, values nums[v] / den.  A row c.y < b
-    # bounds y_j by (b den - c.nums) / (c_j den); nums[j] is still 0.
-    nums, den = [0] * k, 1
-    for j, lowers, uppers in reversed(eliminated):
-        lo = hi = None
-        for c, b in lowers:
-            p, q = sum(map(mul, c, nums)) - b * den, -c[j] * den
-            if lo is None or p * lo[1] > lo[0] * q:
-                lo = (p, q)
-        for c, b in uppers:
-            p, q = b * den - sum(map(mul, c, nums)), c[j] * den
-            if hi is None or p * hi[1] < hi[0] * q:
-                hi = (p, q)
-        if lo is not None and hi is not None:
-            if not lo[0] * hi[1] < hi[0] * lo[1]:
-                raise AssertionError("Fourier-Motzkin interval must be nonempty")
-            p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
-        elif hi is not None:
-            p, q = hi[0] - hi[1], hi[1]
-        elif lo is not None:
-            p, q = lo[0] + lo[1], lo[1]
-        else:
-            p, q = 0, 1
-        g = gcd(p, q)
-        p, q = p // g, q // g
-        scale = q // gcd(den, q)
-        if scale > 1:
-            nums = [x * scale for x in nums]
-            den *= scale
-        nums[j] = p * (den // q)
-    return [Fraction(x, den) for x in nums]
-
-
 def feasible(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     """Decide the system exactly; return a rational witness point or None.
 
@@ -276,13 +187,14 @@ def feasible(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
             _insert_row(rows, ints, ib)
     except _Infeasible:
         return None
-    values = _solve_strict(rows, len(free))
-    if values is None:
+    found = _solve_strict(rows, len(free))
+    if found is None:
         return None
 
+    values, den = found
     point: list[Fraction] = [Fraction(0)] * n
     for v, value in zip(free, values):
-        point[v] = value
+        point[v] = Fraction(value, den)
     for pv, (pcoeffs, pconst) in pivots.items():
         acc = pconst
         for v in free:
@@ -299,64 +211,16 @@ def realise_blocks(
     """feasible(partition_system(n, blocks)), on integers until the witness.
 
     The (mask, d_check) blocks must be nonempty, disjoint and cover every
-    slot.  A block whose own wall misses W(n,s) (wall_meets) already empties
-    the system.  Otherwise each block pivots on its lowest slot p,
-    x_p = -d_check - sum_{B - p} x_v, the pivot feasible picks too;
-    substituted into the chain rows, every coefficient stays in
-    {0, +-1, +-2}.  The rows reach _solve_strict in the same order and form
-    as from feasible, so the witness is the same.
+    slot; otherwise, and for n above the kernel's 30 slots, ValueError.
+    The kernel's realise decides them: the wall gate, the pivot on each
+    block's lowest slot and Fourier-Motzkin on the chain rows, the steps
+    feasible takes on the same system, so the witness is the same.
     """
-    pivots: dict[int, tuple[int, list[int]]] = {}  # p -> (d_check, B - p)
-    covered = 0
-    for mask, d_check in blocks:
-        if not mask or covered & mask:
-            raise ValueError("blocks must be nonempty and pairwise disjoint")
-        covered |= mask
-        slots = [v for v in range(n) if mask >> v & 1]
-        pivots[slots[0]] = (d_check, slots[1:])
-    if covered != (1 << n) - 1:
-        raise ValueError("blocks must cover every slot")
-    s = -sum(d_check for _, d_check in blocks)
-    if not 0 < s < n:
+    found = realise(n, [mask for mask, _ in blocks], [d for _, d in blocks])
+    if found is None:
         return None
-    if len(blocks) > 1 and not all(wall_meets(n, s, *block) for block in blocks):
-        return None
-    free = [v for v in range(n) if v not in pivots]
-    index_of = {v: i for i, v in enumerate(free)}
-
-    # The chain -x_1 < 0, x_i - x_{i+1} < 0, x_n < 1 as (slot, coeff) terms.
-    chain = [([(0, -1)], 0)]
-    chain += [([(i, 1), (i + 1, -1)], 0) for i in range(n - 1)]
-    chain.append(([(n - 1, 1)], 1))
-    rows: dict[tuple[int, ...], int] = {}
-    try:
-        for terms, b in chain:
-            row = [0] * len(free)
-            for v, a in terms:
-                if v in pivots:
-                    d_check, rest = pivots[v]
-                    b += a * d_check
-                    for w in rest:
-                        row[index_of[w]] -= a
-                else:
-                    row[index_of[v]] += a
-            g = gcd(*row, b)
-            if g > 1:
-                row = [c // g for c in row]
-                b //= g
-            _insert_row(rows, tuple(row), b)
-    except _Infeasible:
-        return None
-    values = _solve_strict(rows, len(free))
-    if values is None:
-        return None
-
-    point: list[Fraction] = [Fraction(0)] * n
-    for v, value in zip(free, values):
-        point[v] = value
-    for p, (d_check, rest) in pivots.items():
-        point[p] = Fraction(-d_check) - sum((point[w] for w in rest), Fraction(0))
-    return tuple(point)
+    nums, den = found
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def _unit(n: int, j: int, value=1) -> tuple[Fraction, ...]:
@@ -415,38 +279,6 @@ def partition_system(
     if covered != (1 << n) - 1:
         raise ValueError("blocks must cover every slot")
     return sys
-
-
-def wall_meets(n: int, s: int, mask: int, d_check: int) -> bool:
-    """Whether the wall sum_{mask} x = -d_check meets the open W(n,s).
-
-    The closure of W(n,s) is the slice sum x = s of the order polytope of a
-    chain, a simplex whose vertices are the 0/1 step vectors u_j (ones on
-    the top j slots).  With f_j the number of mask slots among the top j,
-    the slice has the vertex u_s, with value f_s, and one vertex on each
-    edge [u_i, u_j] with i < s < j, with value
-    (f_i (j - s) + f_j (s - i)) / (j - i).  A hyperplane meets the relative
-    interior iff some vertex lies strictly on each side of it, unless it
-    contains the whole slice, which only the empty and the full support can
-    do; those are refused.  Values are compared cross-multiplied, so
-    everything stays in int.
-    """
-    if not 0 < mask < (1 << n) - 1:
-        raise ValueError("a wall support must be a proper nonempty subset")
-    t = -d_check
-    f = [0] * (n + 1)
-    for j in range(1, n + 1):
-        f[j] = f[j - 1] + (mask >> (n - j) & 1)
-    below = f[s] < t
-    above = f[s] > t
-    for i in range(s):
-        for j in range(s + 1, n + 1):
-            value, scale = f[i] * (j - s) + f[j] * (s - i), t * (j - i)
-            below = below or value < scale
-            above = above or value > scale
-            if below and above:
-                return True
-    return False
 
 
 def enumerate_walls(ctx: ModuliContext, cap: int = DEFAULT_CAP) -> list[Wall]:

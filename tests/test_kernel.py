@@ -6,6 +6,7 @@ in-place build left over from an older source can never stand in for the
 code under test.
 """
 
+import gc
 import itertools
 import math
 import signal
@@ -88,22 +89,23 @@ class TestKernelSelection:
 
     def test_refusal_names_the_reason(self, compiled_kernel):
         # stubs for the ways an in-place build can be refused: none at all,
-        # one from before the single-alpha entries (API 3), and one with the
+        # one from before the realisation entries (API 4), and one with the
         # current number but without those entries
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
         older = types.ModuleType("_speedups")
-        older.KERNEL_API = 3
+        older.KERNEL_API = 4
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
-        assert _kernel.refusal(older) == "API mismatch: extension 3, pure.py 4"
+        assert _kernel.refusal(older) == "API mismatch: extension 4, pure.py 5"
         assert _kernel.select(older) == (pure, "pure")
         without = types.ModuleType("_speedups")
         without.KERNEL_API = pure.KERNEL_API
-        for name in ("scan_shapes", "scan_partition_batch", "dumps"):
+        for name in ("scan_shapes", "scan_partition_batch", "alpha_shapes",
+                     "rate_orders", "dumps"):
             setattr(without, name, getattr(compiled_kernel, name))
         assert _kernel.refusal(without) == (
-            "missing entries: alpha_shapes, rate_orders"
+            "missing entries: realise, realise_shapes"
         )
         assert _kernel.select(without) == (pure, "pure")
 
@@ -448,6 +450,152 @@ class TestRateOrders:
         assert end <= mid
 
 
+# (n, masks, degs) that realise must reject: blocks that overlap, leave a
+# slot uncovered or are empty, then n out of range, lengths that differ, and
+# masks outside the n slots.
+REALISE_EDGE_CASES = [
+    (4, [0b0011, 0b0110], [-1, -1]),
+    (4, [0b0011], [-1]),
+    (4, [0, 0b1111], [-1, -2]),
+    (31, [], []),
+    (-1, [], []),
+    (4, [0b0011, 0b1100], [-1]),
+    (4, [0b10011, 0b1100], [-1, -1]),
+    (4, [-4, 0b0011], [-1, -1]),
+    (4, [1 << 70, 0b1111], [-1, -1]),
+]
+
+# Degrees whose wall gate scales past 2^63: the compiled twin raises
+# OverflowError where pure's ints decide the candidate.
+OVERFLOWING = (4, [0b0011, 0b1100], [-(1 << 62), (1 << 62) - 2])
+
+
+@lru_cache(maxsize=None)
+def pure_realise_shapes(n, s, min_len):
+    return pure.realise_shapes(n, s, min_len)
+
+
+class TestRealise:
+    def test_shapes_bit_for_bit(self, compiled_kernel):
+        for n in range(0, 10):
+            for s in range(-1, n + 2):
+                for min_len in (1, 3):
+                    assert compiled_kernel.realise_shapes(n, s, min_len) == (
+                        pure_realise_shapes(n, s, min_len)
+                    ), (n, s, min_len)
+
+    def test_shapes_are_the_realisable_candidates(self, impl):
+        # realise_shapes keeps exactly the candidates realise accepts, with
+        # their witnesses, in shape order and then product order
+        for n in range(2, 8):
+            for s in range(1, n):
+                expected = []
+                for masks in iter_partition_shapes(n, 1):
+                    ranges = [range(1 - m.bit_count(), 0) for m in masks]
+                    for degs in itertools.product(*ranges):
+                        found = (
+                            impl.realise(n, masks, degs)
+                            if sum(degs) == -s else None
+                        )
+                        if found is not None:
+                            expected.append((masks, degs, *found))
+                assert impl.realise_shapes(n, s, 1) == expected, (n, s)
+
+    def test_any_degrees_bit_for_bit(self, compiled_kernel):
+        # the inputs of test_weightspace's test_any_degrees: degrees from -n
+        # to 1, so s also falls outside (0, n)
+        for n in range(1, 6):
+            for masks in iter_partition_shapes(n) if n > 1 else [(1,)]:
+                for degs in itertools.product(range(-n, 2), repeat=len(masks)):
+                    assert compiled_kernel.realise(n, masks, degs) == (
+                        pure.realise(n, masks, degs)
+                    ), (n, masks, degs)
+
+    @pytest.mark.parametrize("args", REALISE_EDGE_CASES)
+    def test_edge_inputs(self, compiled_kernel, args):
+        outcome = same_outcome(
+            lambda: compiled_kernel.realise(*args),
+            lambda: pure.realise(*args),
+        )
+        assert outcome == ("raised", ValueError)
+
+    def test_shape_edge_values(self, impl):
+        for n in (0, 1):
+            assert impl.realise_shapes(n, 0, 1) == []
+        assert impl.realise_shapes(4, 0, 1) == []
+        assert impl.realise_shapes(4, 4, 1) == []
+        for n in (31, -1):
+            with pytest.raises(ValueError, match="0 to 30 slots"):
+                impl.realise_shapes(n, 1, 1)
+
+    def test_overflow_reruns_on_pure(self, compiled_kernel):
+        def overflowing(*args):
+            raise OverflowError("stub")
+
+        for name, args in (
+            ("realise", (4, [0b1001, 0b0110], [-1, -1])),
+            ("realise_shapes", (7, 3, 1)),
+        ):
+            entry = _kernel.on_overflow_pure(overflowing, getattr(pure, name))
+            assert entry(*args) == getattr(pure, name)(*args)
+            assert entry.__name__ == name
+        with pytest.raises(OverflowError):
+            compiled_kernel.realise(*OVERFLOWING)
+        guarded = _kernel.on_overflow_pure(compiled_kernel.realise, pure.realise)
+        assert guarded(*OVERFLOWING) == pure.realise(*OVERFLOWING) is None
+        assert _kernel.realise(*OVERFLOWING) is None
+
+    def test_no_reference_leak(self, compiled_kernel):
+        tracemalloc.start()
+        try:
+            for call in range(1, 201):
+                result = compiled_kernel.realise_shapes(6, 3, 1)
+                assert result
+                del result
+                assert compiled_kernel.realise(4, [0b1001, 0b0110], [-1, -1])
+                for args, error in (
+                    (REALISE_EDGE_CASES[0], ValueError),
+                    (OVERFLOWING, OverflowError),
+                ):
+                    try:
+                        compiled_kernel.realise(*args)
+                    except error:
+                        pass
+                if call == 100:
+                    mid = tracemalloc.get_traced_memory()[0]
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert end <= mid
+
+    def test_interruptible(self, compiled_kernel):
+        # N = 12 at s = 6 runs for seconds; the shape walk checks for
+        # signals once per first block.  The call allocates a record per
+        # realised candidate, so a collection could run a gc callback
+        # (hypothesis installs one) that takes the signal and swallows the
+        # handler's exception; collections are off for the call.
+        class Stop(Exception):
+            pass
+
+        def stop(signum, frame):
+            raise Stop
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        collecting = gc.isenabled()
+        start = time.monotonic()
+        try:
+            gc.disable()
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(Stop):
+                compiled_kernel.realise_shapes(12, 6, 1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            if collecting:
+                gc.enable()
+        assert time.monotonic() - start < 2.0
+
+
 def reversed_mask(n, mask):
     return sum(1 << (n - 1 - i) for i in range(n) if mask >> i & 1)
 
@@ -563,7 +711,7 @@ class TestDumps:
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 4
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 5
 
 
 @lru_cache(maxsize=None)

@@ -144,13 +144,14 @@ OTHER_RECURSIONS = [
 ]
 KERNEL_FORMULAS = {"_pair_delta", "_cross_terms", "_place_degrees", "_pairing",
                    "_rotations", "_scan_shape", "rate_orders", "alpha_shapes",
-                   "_rated_orders", "iter_partition_shapes"}
+                   "_rated_orders", "iter_partition_shapes", "_solve_strict",
+                   "_insert_row", "wall_meets", "realise", "realise_shapes"}
 
 
 def test_single_alpha_formulas_live_in_the_pure_kernel():
-    """The pairing and rotation formulas, the per-shape scan and the shape
-    recursions are defined once, in _kernel/pure.py, as the twin of
-    _speedups.c."""
+    """The pairing and rotation formulas, the per-shape scan, the shape
+    recursions and the Fourier-Motzkin realisation are defined once, in
+    _kernel/pure.py, as the twin of _speedups.c."""
     outside = [
         (path.relative_to(PACKAGE).as_posix(), tree)
         for path, tree in parsed_modules()
@@ -169,6 +170,20 @@ def test_single_alpha_formulas_live_in_the_pure_kernel():
         for name in recursive_functions(tree)
     ]
     assert recursions == OTHER_RECURSIONS
+
+
+def test_partitions_leave_the_degree_loop_to_the_kernel():
+    """feasible_partitions takes its candidates from the kernel's
+    realise_shapes; partitions.py runs no product over degree ranges."""
+    tree = ast.parse((PACKAGE / "partitions.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "product")
+        or (isinstance(node, ast.Attribute) and node.attr == "product")
+        or (isinstance(node, ast.alias) and node.name == "product")
+    ]
+    assert found == []
 
 
 def test_cli_does_not_rate_through_partition_objects():
