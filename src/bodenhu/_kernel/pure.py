@@ -12,7 +12,10 @@ scan_shapes (every shape of iter_partition_shapes) and scan_partition_batch
 delta(block, one-vector), O(L) per candidate against O(L^2) for row sums,
 since building P and q is most of the scan's time, and walks the rotations
 only for a violation.  This is the plain oracle: every ordering is
-evaluated on its own.  alpha_shapes lists the partitions into the
+evaluated on its own.  It is deliberately unpruned: the compiled twin skips
+the ordering walk of each candidate whose rotation bound B - 2 max |q| lies
+below the margin (see _speedups.c), and this full walk is what that bound
+is checked against.  alpha_shapes lists the partitions into the
 admissible blocks at one weight vector, and rate_orders rates every
 ordering of one of them from _pairing, P with its row sums.  dumps writes
 the CLI's JSON payloads.  Twin of the compiled kernel in _speedups.c, with

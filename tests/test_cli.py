@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bodenhu import MODES, WeightVector, check_criterion, cli, is_generic
-from bodenhu import _kernel
+from bodenhu import _kernel, smallness
 from bodenhu._kernel import pure
 from bodenhu.cli import main
 from conftest import ALPHA_9_4, ALPHA_11_3, c_compiler
@@ -74,6 +74,17 @@ STDOUT_DIGESTS = {
         ["scan", "--nmax", "11", "--mode", "semismall"],
         "a506d11bbb8b7674a0741d24049421f034a239c5b473bd276f29b47e06c6122e",
         "fa93566a2370b1998d82cb7b2b88876a8a5b273d0cfa31c29361a53594fbd13d",
+    ),
+    # N=12 through the compiled kernel (see COMPILED_SCAN_CASES).
+    "scan-12-small": (
+        ["scan", "--nmax", "12"],
+        "3b66e8cc957c323e60a773502c71218c95c6b00f82d218a3a36687f03f158b5f",
+        "21076b3bfaf837b94f0ad13e4c61e4d84f7a6c73dbf7079e251d817eb0f80362",
+    ),
+    "scan-12-semismall": (
+        ["scan", "--nmax", "12", "--mode", "semismall"],
+        "97a5b2b09144a7174c23f9952556a154853ceaca1939727d074d223be4f7ad24",
+        "6903654634e02c3ab79beb0e621117938daef7031fd9aa8adc7adc4946468acb",
     ),
     "counterexample-9-4": (
         ["counterexample", "--n", "9", "--s", "4"],
@@ -156,6 +167,10 @@ STDOUT_DIGESTS = {
         "c081cb6c2cacfcdfadc63028a3d5776e85c2451fcdc1c5f10ab88b0e9133c2a8",
     ),
 }
+# Cases that scan on the freshly built compiled kernel, whatever kernel the
+# package selected: they pin its rotation bound at N = 12, where the pure
+# kernel would take minutes.
+COMPILED_SCAN_CASES = {"scan-12-small", "scan-12-semismall"}
 
 
 def run_cli(capsys, *argv):
@@ -614,8 +629,11 @@ class TestEncoder:
 class TestByteIdentity:
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("case", sorted(STDOUT_DIGESTS))
-    def test_stdout_digest(self, capsys, case, fmt):
+    def test_stdout_digest(self, capsys, monkeypatch, request, case, fmt):
         argv, json_digest, table_digest = STDOUT_DIGESTS[case]
+        if case in COMPILED_SCAN_CASES:
+            compiled = request.getfixturevalue("compiled_kernel")
+            monkeypatch.setattr(smallness, "scan_shapes", compiled.scan_shapes)
         code, out, _ = run_cli(capsys, *argv, "--format", fmt)
         digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         assert digest == (json_digest if fmt == "json" else table_digest)

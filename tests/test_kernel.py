@@ -7,6 +7,7 @@ code under test.
 """
 
 import gc
+import hashlib
 import itertools
 import math
 import signal
@@ -41,6 +42,25 @@ def impl(request):
 @lru_cache(maxsize=None)
 def pure_scan_shapes(n, s_filter, semismall, min_len):
     return pure.scan_shapes(n, s_filter, semismall, min_len)
+
+
+@lru_cache(maxsize=None)
+def compiled_full_scan(kernel, n, semismall):
+    """The compiled scan_shapes(n, 0, semismall, 3), the CLI's scan, shared by
+    the tests that reach past the compiled == pure range."""
+    return kernel.scan_shapes(n, 0, semismall, 3)
+
+
+# sha256 of repr(scan_shapes(n, 0, semismall, 3)) from the compiled kernel
+# before it skipped any ordering walk by the rotation bound.  They pin that
+# the bound drops no violation and no count past the range of the compiled
+# == pure tests; at N = 11 and 12 some violations have zero slack.
+UNPRUNED_SCAN_DIGESTS = {
+    (11, False): "42edaafb5a967216109ec068f20670226bdb7ad5f6a4705eb5c0f4b0b26e67f5",
+    (11, True): "8e87a3015c301380df8f91b99193d0abb761134468af3c6800549319ffb633f2",
+    (12, False): "d831ed9ec304be3b889cc8f978f4f33da691b8ec4f4620ea26f31358b37bb57b",
+    (12, True): "76d60b125b0e1efed5522344a57d03de4984a16839f45f32d8fa50b4b75dfa6a",
+}
 
 
 def run_scan(impl, n, s_filter=0, semismall=False, min_len=3):
@@ -130,7 +150,9 @@ class TestKernelSelection:
 
 
 # Inputs off the canonical enumeration: blocks of rank below 2 (empty degree
-# range), an empty shape, negative and oversized masks.
+# range), an empty shape, negative and oversized masks, and a shape that
+# leaves slots uncovered, where the compiled kernel's rotation bound does
+# not hold and must not skip a walk.
 EDGE_CASES = [
     (4, 0, False, 1, [(0, 0b1111)]),
     (3, 0, False, 0, [()]),
@@ -138,6 +160,7 @@ EDGE_CASES = [
     (3, 0, False, 1, [(0b111,), (0b1, 0b110)]),
     (4, 0, False, 1, [(-1, -6)]),
     (4, 3, True, 2, [(0b11 | 1 << 40, 0b1100)]),
+    (4, 0, False, 1, [(0b0011, 0b1100), (0b0110,)]),
 ]
 
 
@@ -244,9 +267,20 @@ class TestScanShapes:
             tracemalloc.stop()
         assert end <= mid
 
+    @pytest.mark.parametrize("n, semismall", sorted(UNPRUNED_SCAN_DIGESTS))
+    def test_rotation_bound_drops_nothing(self, compiled_kernel, n, semismall):
+        got = compiled_full_scan(compiled_kernel, n, semismall)
+        digest = hashlib.sha256(repr(got).encode()).hexdigest()
+        assert digest == UNPRUNED_SCAN_DIGESTS[n, semismall]
+
     def test_interruptible(self, compiled_kernel):
         # a signal handler that raises (as SIGINT's does) must end a long
-        # scan: the enumerator checks for signals once per first block
+        # scan: N = 14 runs for about 20 s, far past the bound below (N = 13
+        # no longer does), and the enumerator checks for signals once per
+        # choice of the first two blocks.  The call allocates a record per
+        # violation, so a collection could run a gc callback (hypothesis
+        # installs one) that takes the signal and swallows the handler's
+        # exception; collections are off for the call.
         class Stop(Exception):
             pass
 
@@ -254,14 +288,18 @@ class TestScanShapes:
             raise Stop
 
         previous = signal.signal(signal.SIGALRM, stop)
+        collecting = gc.isenabled()
         start = time.monotonic()
         try:
+            gc.disable()
             signal.setitimer(signal.ITIMER_REAL, 0.2)
             with pytest.raises(Stop):
-                compiled_kernel.scan_shapes(13, 0, False, 3)
+                compiled_kernel.scan_shapes(14, 0, False, 3)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+            if collecting:
+                gc.enable()
         assert time.monotonic() - start < 2.0
 
 
@@ -570,10 +608,11 @@ class TestRealise:
 
     def test_interruptible(self, compiled_kernel):
         # N = 12 at s = 6 runs for seconds; the shape walk checks for
-        # signals once per first block.  The call allocates a record per
-        # realised candidate, so a collection could run a gc callback
-        # (hypothesis installs one) that takes the signal and swallows the
-        # handler's exception; collections are off for the call.
+        # signals once per choice of the first two blocks.  The call
+        # allocates a record per realised candidate, so a collection could
+        # run a gc callback (hypothesis installs one) that takes the signal
+        # and swallows the handler's exception; collections are off for the
+        # call.
         class Stop(Exception):
             pass
 
@@ -630,7 +669,7 @@ class TestDuality:
     ):
         checked = 0
         for n in range(9, 13):
-            viols, stats = compiled_kernel.scan_shapes(n, 0, semismall, 3)
+            viols, stats = compiled_full_scan(compiled_kernel, n, semismall)
             for s in stats:
                 assert stats[s] == stats[n - s], (n, s)
             by_s = {}
@@ -744,10 +783,13 @@ def closed_form_stats(n, min_len=3):
 
 class TestClosedFormCounts:
     def test_compiled_counts(self, compiled_kernel):
+        # the rotation bound uses each mode's own margin, so each mode shows
+        # on its own that a skipped ordering walk still counts
         for n in range(2, 13):
-            assert compiled_kernel.scan_shapes(n, 0, False, 3)[1] == (
-                closed_form_stats(n)
-            ), n
+            for semismall in (False, True):
+                assert compiled_full_scan(compiled_kernel, n, semismall)[1] == (
+                    closed_form_stats(n)
+                ), (n, semismall)
 
     def test_pure_counts(self):
         for n in range(2, 9):
