@@ -266,8 +266,8 @@ sort_tail(PyObject *list, Py_ssize_t start)
     return rc;
 }
 
-/* Walk the cyclic orders of one candidate, its pairing matrix p, and append
- * its violations in lexicographic order; -1 on error. */
+/* Walk the cyclic orders of one candidate with pairing matrix p and append
+ * its violations, in lexicographic order; -1 on error. */
 static int
 walk_orders(Scan *scan, Shape *sh, const i64 *degs, i64 p[][MAX_BLOCKS],
             const i64 *q, i64 bar)
@@ -374,8 +374,9 @@ scan_shape(Scan *scan, Shape *sh)
             i64 qmax = 0;
             for (int i = 0; i < L; i++) {
                 q[i] = -2 * ranks[i] * s_val - 2 * n * degs[i] + T[i];
-                if (llabs(q[i]) > qmax)
-                    qmax = llabs(q[i]);
+                const i64 size = llabs(q[i]);
+                if (size > qmax)
+                    qmax = size;
             }
             /* below the bound B - 2 max |q| no order meets the margin */
             if (!bounded || head[L - 1] - 2 * qmax >= bar) {
