@@ -8,11 +8,13 @@ realisation entry points (realise, a witness point for one candidate
 partition, and realise_shapes, every realisable candidate of one (n, s)
 with its witness) and the same JSON writer (dumps, the text of
 json.dumps(payload, indent=2) for the CLI's payload types), and must agree
-bit for bit (the test suite enforces this).  The compiled module is taken
-only if it has every entry point and the same KERNEL_API as pure.py, so an
-extension built from an older _speedups.c falls back to the pure kernel
-instead of failing at import.  KERNEL_KIND names the kernel in use;
-KERNEL_FALLBACK, a read-only attribute, says why the compiled one was
+bit for bit (the test suite enforces this).  Block input has one rule in
+both: the shapes of scan_partition_batch and the blocks of realise must be
+set partitions of the n slots, and anything else raises ValueError.  The
+compiled module is taken only if it has every entry point and the same
+KERNEL_API as pure.py, so an extension built from an older _speedups.c
+falls back to the pure kernel instead of failing at import.  KERNEL_KIND
+names the kernel in use; KERNEL_FALLBACK says why the compiled one was
 refused (None when it runs).  The compiled realisation works in checked
 64-bit integers and raises OverflowError where they would not suffice;
 on_overflow_pure re-runs that one call on pure.py, the only per-call
@@ -20,7 +22,6 @@ fallback.  The pure kernel is also the oracle the tests import directly.
 """
 
 import functools
-import sys
 from types import ModuleType
 from typing import Optional
 
@@ -76,7 +77,7 @@ except ImportError:
     _speedups = None
 
 _impl, KERNEL_KIND = select(_speedups)
-_FALLBACK = refusal(_speedups)
+KERNEL_FALLBACK = refusal(_speedups)
 scan_shapes = _impl.scan_shapes
 scan_partition_batch = _impl.scan_partition_batch
 alpha_shapes = _impl.alpha_shapes
@@ -87,16 +88,6 @@ realise_shapes = _impl.realise_shapes
 if _impl is not pure:
     realise = on_overflow_pure(realise, pure.realise)
     realise_shapes = on_overflow_pure(realise_shapes, pure.realise_shapes)
-
-
-class _KernelModule(ModuleType):
-    @property
-    def KERNEL_FALLBACK(self) -> Optional[str]:
-        """Why the compiled kernel was refused; None when it is in use."""
-        return _FALLBACK
-
-
-sys.modules[__name__].__class__ = _KernelModule
 
 __all__ = [
     "scan_shapes", "scan_partition_batch", "alpha_shapes", "rate_orders",

@@ -16,11 +16,17 @@
  *                        each one.  This is the whole exhaustive scan.
  *   scan_partition_batch scans shapes handed over by the caller.
  *
+ * Every shape is a set partition of the n slots: the shape walk makes only
+ * those, and read_partition refuses any other block input (the shapes of a
+ * batch, the blocks of realise) with ValueError, as pure.py does.  A shape's
+ * violation records start with its tuple of masks.
+ *
  * scan_shapes and realise_shapes share one shape walk, enumerate_shapes,
  * which hands each shape to a per-shape callback.  Both scan entries feed
- * scan_shape.  Per shape, the degree assignments run as an
- * odometer with the rightmost digit fastest, and the cyclic orders as the
- * lexicographic permutations of order[1:] with order[0] == 0.  Reversing a
+ * scan_shape.  Per shape, the degree assignments run as an odometer with
+ * the rightmost digit fastest (next_degrees, shared with realise_shape),
+ * and the cyclic orders as the lexicographic permutations of order[1:] with
+ * order[0] == 0.  On a partition q is the row sums of P, and reversing a
  * cyclic order negates the multiset of its rotation values, so one r0 and
  * one prefix scan of a representative with order[1] < order[L-1] decide it
  * and its reverse (0, order[L-1], ..., order[1]) together; the records of
@@ -46,12 +52,11 @@
  * is not slack: some violations at N = 11 and 12 meet it with equality, as
  * does every one-block violation, so B - 2 max |q| <= bar would drop them.
  * The argument needs q to be the row sums of P (so the values run round the
- * cycle), true of blocks that partition the n slots; other shapes
- * (scan_partition_batch takes any masks) are walked unbounded.
+ * cycle), true of every shape since each partitions the n slots.
  * B costs O(L) per candidate: head[m] holds the sum over the pairs
- * i < j <= m and depends only on digits 0..m of the degree odometer, so
- * when digit k moves, head[k..L-1] are rebuilt from head[k-1], and a move
- * of the last digit alone adds the L - 1 terms |P[i][L-1]|.  At N = 10 the
+ * i < j < m and depends only on digits 0..m-1 of the degree odometer, so
+ * when digit k moves, head[k+1..L] are rebuilt from head[k], and a move of
+ * the last digit alone adds the L - 1 terms |P[i][L-1]|.  At N = 10 the
  * walk runs for 0.29% of the candidates in small mode and 0.17% in
  * semismall mode (the one-sided B - 2 max q would keep 5.1% and 2.6%);
  * pure.py keeps the unbounded walk as the oracle.
@@ -84,7 +89,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 5
+#define KERNEL_API 6
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -104,13 +109,12 @@ typedef struct {
     int nseen;
 } Stats;
 
-/* One shape to scan.  key is the first field of its violation records: the
- * batch index, or for scan_shapes (index < 0) the tuple of masks.  It is
- * made on the shape's first violation and released by the caller. */
+/* One shape to scan: blocks that partition the n slots.  key, the tuple of
+ * masks that leads its violation records, is made on the shape's first
+ * violation and released by the caller. */
 typedef struct {
     u64 masks[MAX_BLOCKS];
     int L;
-    Py_ssize_t index;
     PyObject *key;
 } Shape;
 
@@ -141,6 +145,20 @@ next_perm(i64 *a, int m)
     return 1;
 }
 
+/* Advance the degree odometer degs, digit i over lo[i]..-1, rightmost digit
+ * fastest.  Returns the lowest digit that moved (the digits after it were
+ * reset), or -1 after the last assignment. */
+static inline int
+next_degrees(int L, i64 *degs, const i64 *lo)
+{
+    for (int k = L - 1; k >= 0; k--) {
+        if (++degs[k] <= -1)
+            return k;
+        degs[k] = lo[k];
+    }
+    return -1;
+}
+
 /* A new list (as_list) or tuple of the values; NULL on error. */
 static PyObject *
 int_seq(const i64 *values, int len, int as_list)
@@ -162,15 +180,48 @@ int_seq(const i64 *values, int len, int as_list)
     return seq;
 }
 
+/* The masks of sh as a new tuple; NULL on error. */
 static PyObject *
-shape_key(const Shape *sh)
+masks_tuple(const Shape *sh)
 {
     i64 masks[MAX_BLOCKS];
-    if (sh->index >= 0)
-        return PyLong_FromSsize_t(sh->index);
     for (int i = 0; i < sh->L; i++)
         masks[i] = (i64)sh->masks[i];
     return int_seq(masks, sh->L, 0);
+}
+
+/* Read the block masks of seq, a PySequence_Fast, into masks and check that
+ * they partition the n slots, as pure._read_partition does: n in 0..30, and
+ * masks nonempty, within the n slots, pairwise disjoint and covering every
+ * slot.  Each mask written covers a new slot, so at most n are.  -1 with
+ * ValueError set when they do not. */
+static int
+read_partition(int n, PyObject *seq, u64 *masks)
+{
+    u64 covered = 0;
+    if (n < 0 || n > MAX_SLOTS) {
+        PyErr_SetString(PyExc_ValueError, "kernel supports 0 to 30 slots");
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(
+            PySequence_Fast_GET_ITEM(seq, i), &overflow);
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        if (overflow || v <= 0 || (u64)v >> n || (covered & (u64)v)) {
+            PyErr_SetString(PyExc_ValueError, "blocks must be nonempty, "
+                            "pairwise disjoint and within n slots");
+            return -1;
+        }
+        covered |= (u64)v;
+        masks[i] = (u64)v;
+    }
+    if (covered != (1ULL << n) - 1) {
+        PyErr_SetString(PyExc_ValueError, "blocks must cover every slot");
+        return -1;
+    }
+    return 0;
 }
 
 /* X[i][j] = #{(a, b) in block i x block j : b > a} - #{b <= a}, slot a on
@@ -237,10 +288,9 @@ record_violation(Scan *scan, Shape *sh, const i64 *degs, const i64 *order,
     const int L = sh->L;
     i64 rots[MAX_BLOCKS];
     rotations(L, p, q, order, rots);
-    if (sh->key == NULL && (sh->key = shape_key(sh)) == NULL)
+    if (sh->key == NULL && (sh->key = masks_tuple(sh)) == NULL)
         return -1;
-    /* For L == 0 pure.py's order is still (0,). */
-    PyObject *d = int_seq(degs, L, 0), *o = int_seq(order, L > 0 ? L : 1, 0);
+    PyObject *d = int_seq(degs, L, 0), *o = int_seq(order, L, 0);
     PyObject *r = int_seq(rots, L, 0);
     PyObject *rec = (d && o && r) ? PyTuple_Pack(4, sh->key, d, o, r) : NULL;
     int rc = rec ? PyList_Append(scan->violations, rec) : -1;
@@ -317,52 +367,41 @@ scan_shape(Scan *scan, Shape *sh)
 {
     const int n = scan->n, L = sh->L;
     i64 ranks[MAX_BLOCKS], T[MAX_BLOCKS], degs[MAX_BLOCKS], lo[MAX_BLOCKS];
-    i64 q[MAX_BLOCKS], head[MAX_BLOCKS];
+    i64 q[MAX_BLOCKS], head[MAX_BLOCKS + 1];
     i64 X[MAX_BLOCKS][MAX_BLOCKS], p[MAX_BLOCKS][MAX_BLOCKS];
-    u64 sup[MAX_BLOCKS], covered = 0;
-    const u64 slots = n > 0 ? (1ULL << n) - 1 : 0;
     /* a rotation meets the margin L - 1 (semismall: exceeds it) */
     const i64 bar = L - 1 + (scan->semismall ? 1 : 0);
     Stats *stats = &scan->stats;
     u64 nperm = 1;
-    int total_rank = 0;
 
     for (int i = 0; i < L; i++) {
-        sup[i] = sh->masks[i] & slots;
-        ranks[i] = __builtin_popcountll(sup[i]);
-        covered |= sup[i];
-        total_rank += (int)ranks[i];
+        ranks[i] = __builtin_popcountll(sh->masks[i]);
         T[i] = 0;
-        for (u64 m = sup[i]; m; m &= m - 1)
+        for (u64 m = sh->masks[i]; m; m &= m - 1)
             T[i] += n - 2 * __builtin_ctzll(m) - 1;
         /* degree range is -(rank - 1) .. -1: empty below rank 2 */
         if (ranks[i] < 2)
             return 0;
-        lo[i] = -(ranks[i] - 1);
+        lo[i] = degs[i] = -(ranks[i] - 1);
     }
-    /* the rotation bound holds where q is the row sums of P: on blocks that
-     * partition the n slots, as every shape of scan_shapes does */
-    const int bounded = L > 0 && covered == slots && total_rank == n;
-    cross_terms(L, sup, X);
+    cross_terms(L, sh->masks, X);
     for (int i = 2; i < L; i++)
         nperm *= (u64)i;
 
-    for (int i = 0; i < L; i++)
-        degs[i] = lo[i];
-    head[0] = 0;
-    /* the lowest odometer digit that moved since head was brought up to date */
+    /* head[m] = sum of |P[i][j]| over i < j < m, so B = head[L]; it depends
+     * on digits 0..m-1 of the degree odometer, and a moved digit k changes
+     * head[k + 1] and every later one */
+    head[0] = head[1] = 0;
     int moved = 0;
-    for (;;) {
+    do {
         i64 s_val = 0;
         for (int i = 0; i < L; i++)
             s_val -= degs[i];
-        /* head[m] = sum of |P[i][j]| over i < j <= m; a moved digit k
-         * changes head[k] and every later one */
-        for (int m = moved > 1 ? moved : 1; bounded && m < L; m++) {
-            i64 h = head[m - 1];
+        for (int m = moved > 1 ? moved : 1; m < L; m++) {
+            i64 h = head[m];
             for (int i = 0; i < m; i++)
                 h += llabs(pairing(ranks, degs, X, i, m));
-            head[m] = h;
+            head[m + 1] = h;
         }
         if (scan->s_filter == 0 || s_val == scan->s_filter) {
             if (stats->candidates[s_val] == 0)
@@ -379,24 +418,14 @@ scan_shape(Scan *scan, Shape *sh)
                     qmax = size;
             }
             /* below the bound B - 2 max |q| no order meets the margin */
-            if (!bounded || head[L - 1] - 2 * qmax >= bar) {
+            if (head[L] - 2 * qmax >= bar) {
                 place_degrees(L, ranks, degs, X, p);
                 if (walk_orders(scan, sh, degs, p, q, bar) < 0)
                     return -1;
             }
         }
-
-        /* advance the degree odometer, rightmost digit fastest */
-        int k = L - 1;
-        for (; k >= 0; k--) {
-            if (++degs[k] <= -1)
-                break;
-            degs[k] = lo[k];
-        }
-        if (k < 0)
-            return 0;
-        moved = k;
-    }
+    } while ((moved = next_degrees(L, degs, lo)) >= 0);
+    return 0;
 }
 
 /* Scan shape sh and release its key; -1 on error. */
@@ -427,7 +456,7 @@ enumerate_shapes(ShapeWalk *walk, u64 remaining, int depth)
 {
     const u64 *acc = walk->acc;
     if (remaining == 0) {
-        Shape sh = {.L = depth, .index = -1, .key = NULL};
+        Shape sh = {.L = depth, .key = NULL};
         if (depth < walk->min_len)
             return 0;
         for (int i = 0; i < depth; i++) {
@@ -486,6 +515,10 @@ stats_dict(const Stats *stats)
 static int
 scan_init(Scan *scan, int n, int s_filter, int semismall)
 {
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "n must be non-negative");
+        return -1;
+    }
     if (n > MAX_SLOTS) {
         PyErr_SetString(PyExc_ValueError, "kernel supports at most 30 slots");
         return -1;
@@ -526,10 +559,6 @@ scan_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "iipi:scan_shapes", kwlist,
                                      &n, &s_filter, &semismall, &min_len))
         return NULL;
-    if (n < 0) {
-        PyErr_SetString(PyExc_ValueError, "n must be non-negative");
-        return NULL;
-    }
     if (scan_init(&scan, n, s_filter, semismall) < 0)
         return NULL;
     ShapeWalk walk = {.min_len = min_len, .visit = scan_and_release,
@@ -565,34 +594,25 @@ scan_partition_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 
     Py_ssize_t nshapes = PySequence_Fast_GET_SIZE(shapes);
     for (Py_ssize_t pi = 0; pi < nshapes; pi++) {
-        Shape sh = {.index = pi, .key = NULL};
+        Shape sh = {.key = NULL};
         PyObject *shape = PySequence_Fast(PySequence_Fast_GET_ITEM(shapes, pi),
                                           "each shape must be iterable");
         if (shape == NULL)
             goto done;
-        Py_ssize_t L = PySequence_Fast_GET_SIZE(shape);
-        if (L < min_len) {
-            Py_DECREF(shape);
-            continue;
-        }
-        if (L > MAX_BLOCKS) {
-            Py_DECREF(shape);
+        const Py_ssize_t L = PySequence_Fast_GET_SIZE(shape);
+        int rc = 0;
+        if (L >= min_len && L > MAX_BLOCKS) {
             PyErr_SetString(PyExc_ValueError,
                             "kernel supports at most 16 blocks");
-            goto done;
-        }
-        sh.L = (int)L;
-        for (Py_ssize_t i = 0; i < L; i++) {
-            /* the low bits of any int, negative ones too, as pure.py's >> */
-            sh.masks[i] = PyLong_AsUnsignedLongLongMask(
-                PySequence_Fast_GET_ITEM(shape, i));
-            if (sh.masks[i] == (u64)-1 && PyErr_Occurred()) {
-                Py_DECREF(shape);
-                goto done;
-            }
+            rc = -1;
+        } else if (L >= min_len) {
+            sh.L = (int)L;
+            rc = read_partition(n, shape, sh.masks);
+            if (rc == 0)
+                rc = scan_and_release(&scan, &sh);
         }
         Py_DECREF(shape);
-        if (scan_and_release(&scan, &sh) < 0)
+        if (rc < 0)
             goto done;
     }
     ok = 1;
@@ -1255,45 +1275,24 @@ realise(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "masks", "degs", NULL};
     PyObject *masks_arg, *degs_arg, *masks, *degs = NULL, *result = NULL;
-    u64 block[MAX_SLOTS], covered = 0;
+    u64 block[MAX_SLOTS];
     i64 deg[MAX_SLOTS], nums[MAX_SLOTS], den;
     int n;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOO:realise", kwlist, &n,
                                      &masks_arg, &degs_arg))
         return NULL;
-    if (n < 0 || n > MAX_SLOTS) {
-        PyErr_SetString(PyExc_ValueError, "kernel supports 0 to 30 slots");
-        return NULL;
-    }
     masks = PySequence_Fast(masks_arg, "masks must be iterable");
     if (masks == NULL)
         return NULL;
+    if (read_partition(n, masks, block) < 0)
+        goto done;
     degs = PySequence_Fast(degs_arg, "degs must be iterable");
     if (degs == NULL)
         goto done;
     const Py_ssize_t L = PySequence_Fast_GET_SIZE(masks);
     if (PySequence_Fast_GET_SIZE(degs) != L) {
         PyErr_SetString(PyExc_ValueError, "masks and degrees differ in length");
-        goto done;
-    }
-    /* each accepted mask covers a new slot, so at most n <= 30 are */
-    for (Py_ssize_t i = 0; i < L; i++) {
-        int overflow;
-        long long v = PyLong_AsLongLongAndOverflow(
-            PySequence_Fast_GET_ITEM(masks, i), &overflow);
-        if (v == -1 && PyErr_Occurred())
-            goto done;
-        if (overflow || v <= 0 || (u64)v >> n || (covered & (u64)v)) {
-            PyErr_SetString(PyExc_ValueError, "blocks must be nonempty, "
-                            "pairwise disjoint and within n slots");
-            goto done;
-        }
-        covered |= (u64)v;
-        block[i] = (u64)v;
-    }
-    if (covered != (n ? ~0ULL >> (64 - n) : 0)) {
-        PyErr_SetString(PyExc_ValueError, "blocks must cover every slot");
         goto done;
     }
     for (Py_ssize_t i = 0; i < L; i++) {
@@ -1329,10 +1328,7 @@ static int
 record_found(PyObject *found, const Shape *sh, const i64 *degs,
              const i64 *nums, int n, i64 den)
 {
-    i64 masks[MAX_BLOCKS];
-    for (int i = 0; i < sh->L; i++)
-        masks[i] = (i64)sh->masks[i];
-    PyObject *m = int_seq(masks, sh->L, 0), *d = int_seq(degs, sh->L, 0);
+    PyObject *m = masks_tuple(sh), *d = int_seq(degs, sh->L, 0);
     PyObject *x = int_seq(nums, n, 0), *q = PyLong_FromLongLong(den);
     PyObject *rec = (m && d && x && q) ? PyTuple_Pack(4, m, d, x, q) : NULL;
     int rc = rec ? PyList_Append(found, rec) : -1;
@@ -1359,7 +1355,7 @@ realise_shape(void *ctx, Shape *sh)
     }
     if (re->s < L || re->s > most)
         return 0; /* no assignment sums to -s */
-    for (;;) {
+    do {
         i64 s = 0;
         for (int i = 0; i < L; i++)
             s -= degs[i];
@@ -1372,15 +1368,8 @@ realise_shape(void *ctx, Shape *sh)
                 && record_found(re->found, sh, degs, nums, re->n, den) < 0)
                 return -1;
         }
-        int k = L - 1;
-        for (; k >= 0; k--) {
-            if (++degs[k] <= -1)
-                break;
-            degs[k] = lo[k];
-        }
-        if (k < 0)
-            return 0;
-    }
+    } while (next_degrees(L, degs, lo) >= 0);
+    return 0;
 }
 
 PyDoc_STRVAR(realise_shapes_doc,

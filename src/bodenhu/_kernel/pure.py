@@ -7,11 +7,14 @@ supports, _place_degrees adds the degrees) and the rotation walk from r_0,
 the sum of P over an ordering's pairs, by r_{l+1} = r_l - 2 q[order[l]]:
 moving the head block to the back reverses its pairs (_rotations).
 
-scan_shapes (every shape of iter_partition_shapes) and scan_partition_batch
-(the shapes given) run _scan_shape per shape.  It takes q in closed form,
-delta(block, one-vector), O(L) per candidate against O(L^2) for row sums,
-since building P and q is most of the scan's time, and walks the rotations
-only for a violation.  This is the plain oracle: every ordering is
+Block input has one rule in both twins: the shapes of scan_partition_batch
+and the blocks of realise must be set partitions of the n slots, which
+_read_partition checks; anything else raises ValueError.
+scan_partition_batch runs _scan_shape on each shape, and scan_shapes is that
+batch over every shape of iter_partition_shapes.  _scan_shape takes q in
+closed form, delta(block, one-vector), O(L) per candidate against O(L^2) for
+row sums, since building P and q is most of the scan's time, and walks the
+rotations only for a violation.  This is the plain oracle: every ordering is
 evaluated on its own.  It is deliberately unpruned: the compiled twin skips
 the ordering walk of each candidate whose rotation bound B - 2 max |q| lies
 below the margin (see _speedups.c), and this full walk is what that bound
@@ -51,7 +54,7 @@ from ..core import MAX_SLOTS
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 5
+KERNEL_API = 6
 MAX_BLOCKS = 16
 MAX_DEGREE = 1 << 32
 
@@ -143,28 +146,37 @@ def _rotations(pair, q, order) -> list[int]:
     return rots
 
 
+def _read_partition(n: int, masks) -> tuple[int, ...]:
+    """masks as a tuple, once they are checked to partition the n slots.
+
+    Raises ValueError for n outside 0..MAX_SLOTS, or unless the masks are
+    nonempty, within the n slots, pairwise disjoint and cover every slot.
+    A block of rank 1 is allowed; it has no degree.
+    """
+    if not 0 <= n <= MAX_SLOTS:
+        raise ValueError(f"kernel supports 0 to {MAX_SLOTS} slots")
+    masks = tuple(masks)
+    covered = 0
+    for mask in masks:
+        if not 0 < mask < 1 << n or covered & mask:
+            raise ValueError(
+                "blocks must be nonempty, pairwise disjoint and within n slots"
+            )
+        covered |= mask
+    if covered != (1 << n) - 1:
+        raise ValueError("blocks must cover every slot")
+    return masks
+
+
 def scan_shapes(
     n: int, s_filter: int, semismall: bool, min_len: int
 ) -> tuple[list, dict]:
-    """Scan every partition shape of n slots with at least min_len blocks.
-
-    The shapes are those of iter_partition_shapes(n, min_len), in its order;
-    the other arguments are as for scan_partition_batch.  Returns
-    (violations, stats) as scan_partition_batch does over all those shapes,
-    except that each record starts with the shape's mask tuple instead of
-    its batch index.
-
-    Raises ValueError for n < 0 or n > MAX_SLOTS.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > MAX_SLOTS:
-        raise ValueError(f"kernel supports at most {MAX_SLOTS} slots")
-    violations: list = []
-    stats: dict = {}
-    for masks in iter_partition_shapes(n, min_len):
-        _scan_shape(n, s_filter, semismall, masks, masks, violations, stats)
-    return violations, stats
+    """Scan every partition shape of n slots with at least min_len blocks:
+    scan_partition_batch over the shapes of iter_partition_shapes(n, min_len),
+    in its order.  Raises ValueError for n < 0 or n > MAX_SLOTS."""
+    return scan_partition_batch(
+        n, s_filter, semismall, min_len, iter_partition_shapes(n, min_len)
+    )
 
 
 def scan_partition_batch(
@@ -172,7 +184,7 @@ def scan_partition_batch(
     s_filter: int,
     semismall: bool,
     min_len: int,
-    masks_list: list,
+    masks_list,
 ) -> tuple[list, dict]:
     """Scan a batch of partition shapes for rotation-criterion violations.
 
@@ -181,41 +193,47 @@ def scan_partition_batch(
         s_filter: keep only degree assignments with total -s_filter (0 = all).
         semismall: test the semismall margin (strict >) instead of small (>=).
         min_len: skip shapes with fewer blocks.
-        masks_list: one tuple of block bitmasks per shape, blocks ascending.
+        masks_list: the shapes, each a set partition of the n slots given as
+            a sequence of block bitmasks.
 
     Returns (violations, stats):
-        violations: list of (shape_index, degrees, order, rotations) in
-            enumeration order; order is a tuple of block indices with
-            order[0] == 0; rotations holds all L rotation values of the
-            pairing sum for that ordering.
+        violations: list of (masks, degrees, order, rotations) in
+            enumeration order; masks is the shape as a tuple, order a tuple
+            of block indices with order[0] == 0; rotations holds all L
+            rotation values of the pairing sum for that ordering.
         stats: dict mapping s to [candidate_count, ordering_class_count].
 
-    Raises ValueError for n > MAX_SLOTS or a shape of more than MAX_BLOCKS
-    blocks that min_len does not skip.
+    Raises ValueError for n < 0, n > MAX_SLOTS, and for a shape that
+    min_len does not skip but has more than MAX_BLOCKS blocks or does not
+    partition the n slots.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n > MAX_SLOTS:
         raise ValueError(f"kernel supports at most {MAX_SLOTS} slots")
     violations: list = []
     stats: dict = {}
-    for pi, masks in enumerate(masks_list):
+    for masks in masks_list:
         if len(masks) < min_len:
             continue
         if len(masks) > MAX_BLOCKS:
             raise ValueError(f"kernel supports at most {MAX_BLOCKS} blocks")
-        _scan_shape(n, s_filter, semismall, pi, masks, violations, stats)
+        masks = _read_partition(n, masks)
+        _scan_shape(n, s_filter, semismall, masks, violations, stats)
     return violations, stats
 
 
-def _scan_shape(n, s_filter, semismall, key, masks, violations, stats) -> None:
-    """Scan one shape: append its violation records, each led by key, and
-    count its candidates and ordering classes into stats.  Only the slots
-    below n count; a block of rank below 2 has no degree."""
+def _scan_shape(n, s_filter, semismall, masks, violations, stats) -> None:
+    """Scan one partition of the slots: append its violation records, each
+    led by masks, and count its candidates and ordering classes into stats.
+    A block of rank below 2 has no degree, so its shape has no candidate."""
     L = len(masks)
-    sups = [mask & ((1 << n) - 1) for mask in masks]
-    ranks = [sup.bit_count() for sup in sups]
-    T = [sum(n - 2 * a - 1 for a in range(n) if sup >> a & 1) for sup in sups]
-    cross = _cross_terms(sups)
-    orders = [(0,) + perm for perm in itertools.permutations(range(1, L))]
+    ranks = [mask.bit_count() for mask in masks]
+    T = [sum(n - 2 * a - 1 for a in range(n) if mask >> a & 1) for mask in masks]
+    cross = _cross_terms(masks)
+    # the orders with block 0 first; the partition of no slots has only ()
+    head = (0,) if L else ()
+    orders = [head + perm for perm in itertools.permutations(range(1, L))]
     nperm = len(orders)
     bar = L if semismall else L - 1
     for degs in itertools.product(*[range(1 - r, 0) for r in ranks]):
@@ -243,7 +261,7 @@ def _scan_shape(n, s_filter, semismall, key, masks, violations, stats) -> None:
                     maxpre = pre
             if r0 - 2 * maxpre >= bar:
                 rots = tuple(_rotations(pair, q, order))
-                violations.append((key, degs, order, rots))
+                violations.append((masks, degs, order, rots))
 
 
 def alpha_shapes(n: int, masks, min_len: int) -> list[tuple[int, ...]]:
@@ -477,25 +495,15 @@ def realise(n: int, masks, degs) -> Optional[tuple[tuple[int, ...], int]]:
     {0, +-1, +-2}.  Each row is divided by the gcd of its coefficients and
     bound, and _solve_strict solves the rest over the free slots.
 
-    Raises ValueError for n outside 0..MAX_SLOTS, lengths that differ, or
-    blocks that do not partition the n slots.
+    Raises ValueError as _read_partition does, or for lengths that differ.
     """
-    if not 0 <= n <= MAX_SLOTS:
-        raise ValueError(f"kernel supports 0 to {MAX_SLOTS} slots")
+    masks = _read_partition(n, masks)
     if len(masks) != len(degs):
         raise ValueError("masks and degrees differ in length")
     pivots: dict[int, tuple[int, list[int]]] = {}  # p -> (d_check, B - p)
-    covered = 0
     for mask, d_check in zip(masks, degs):
-        if not 0 < mask < 1 << n or covered & mask:
-            raise ValueError(
-                "blocks must be nonempty, pairwise disjoint and within n slots"
-            )
-        covered |= mask
         slots = [v for v in range(n) if mask >> v & 1]
         pivots[slots[0]] = (d_check, slots[1:])
-    if covered != (1 << n) - 1:
-        raise ValueError("blocks must cover every slot")
     s = -sum(degs)
     if not 0 < s < n:
         return None

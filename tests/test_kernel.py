@@ -10,6 +10,7 @@ import gc
 import hashlib
 import itertools
 import math
+import random
 import signal
 import subprocess
 import sysconfig
@@ -64,23 +65,22 @@ UNPRUNED_SCAN_DIGESTS = {
 
 
 def run_scan(impl, n, s_filter=0, semismall=False, min_len=3):
-    masks_list = list(iter_partition_shapes(n, min_len))
     if impl is pure:
         # pure.scan_shapes is the batch entry over these very shapes
         # (TestScanShapes checks it); its results are cached for reuse
-        index = {masks: pi for pi, masks in enumerate(masks_list)}
         viols, stats = pure_scan_shapes(n, s_filter, semismall, min_len)
-        return [(index[masks], *rest) for masks, *rest in viols], dict(stats)
+        return list(viols), dict(stats)
+    masks_list = list(iter_partition_shapes(n, min_len))
     return impl.scan_partition_batch(n, s_filter, semismall, min_len, masks_list)
 
 
-def blocks_of_record(n, masks_list, record):
-    pi, degs, order, _ = record
+def blocks_of_record(n, record):
+    masks, degs, order, _ = record
     blocks = tuple(
         MultiplicityVector(
             d, tuple(1 if mask >> i & 1 else 0 for i in range(n))
         )
-        for mask, d in zip(masks_list[pi], degs)
+        for mask, d in zip(masks, degs)
     )
     return tuple(blocks[i] for i in order)
 
@@ -109,15 +109,16 @@ class TestKernelSelection:
 
     def test_refusal_names_the_reason(self, compiled_kernel):
         # stubs for the ways an in-place build can be refused: none at all,
-        # one from before the realisation entries (API 4), and one with the
-        # current number but without those entries
+        # one from before batch input had to partition the slots (API 5),
+        # and one with the current number but without the realisation
+        # entries
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
         older = types.ModuleType("_speedups")
-        older.KERNEL_API = 4
+        older.KERNEL_API = 5
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
-        assert _kernel.refusal(older) == "API mismatch: extension 4, pure.py 5"
+        assert _kernel.refusal(older) == "API mismatch: extension 5, pure.py 6"
         assert _kernel.select(older) == (pure, "pure")
         without = types.ModuleType("_speedups")
         without.KERNEL_API = pure.KERNEL_API
@@ -129,39 +130,75 @@ class TestKernelSelection:
         )
         assert _kernel.select(without) == (pure, "pure")
 
-    def test_fallback_is_recorded_and_read_only(self):
+    def test_fallback_is_recorded(self):
         assert _kernel.KERNEL_FALLBACK == _kernel.refusal(_kernel._speedups)
         assert (_kernel.KERNEL_FALLBACK is None) == (KERNEL_KIND == "compiled")
-        with pytest.raises(AttributeError):
-            _kernel.KERNEL_FALLBACK = None
 
-    def test_source_compiles_without_warnings(self):
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # at the build's -O3, so that warnings which need flow analysis,
+        # such as maybe-uninitialized, fail too
         cc = c_compiler()
         if cc is None:
             pytest.skip("no C compiler found")
         include = sysconfig.get_paths()["include"]
         source = REPO_ROOT / "src" / "bodenhu" / "_kernel" / "_speedups.c"
         out = subprocess.run(
-            [cc, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
-             f"-I{include}", str(source)],
+            [cc, "-O3", "-Wall", "-Wextra", "-Werror", f"-I{include}",
+             "-c", str(source), "-o", str(tmp_path / "_speedups.o")],
             capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr
 
 
-# Inputs off the canonical enumeration: blocks of rank below 2 (empty degree
-# range), an empty shape, negative and oversized masks, and a shape that
-# leaves slots uncovered, where the compiled kernel's rotation bound does
-# not hold and must not skip a walk.
+# Partition inputs off the canonical enumeration: the partition of no slots,
+# one block, a block of rank 1 (empty degree range), blocks out of ascending
+# order and given as a list, a shape min_len skips before it is read, and an
+# s filter over shapes of unequal length.
 EDGE_CASES = [
-    (4, 0, False, 1, [(0, 0b1111)]),
-    (3, 0, False, 0, [()]),
+    (0, 0, False, 0, [()]),
+    (0, 0, True, 0, [()]),
     (3, 0, True, 1, [(0b111,)]),
     (3, 0, False, 1, [(0b111,), (0b1, 0b110)]),
-    (4, 0, False, 1, [(-1, -6)]),
-    (4, 3, True, 2, [(0b11 | 1 << 40, 0b1100)]),
-    (4, 0, False, 1, [(0b0011, 0b1100), (0b0110,)]),
+    (5, 0, False, 1, [(0b11000, 0b00110, 0b00001), [0b10100, 0b01011]]),
+    (4, 0, False, 2, [(0b0011,), (0b1100, 0b0011)]),
+    (6, 3, True, 1, [(0b110000, 0b001100, 0b000011), (0b111000, 0b000111)]),
 ]
+
+# (n, masks): block input that is not a set partition of the n slots,
+# which every entry taking blocks must refuse in both twins.  Blocks that
+# overlap (the whole of three slots thrice, where the twins once disagreed,
+# and two that share a slot), leave a slot uncovered or are empty, negative
+# masks, masks past the n slots, the empty shape of a nonempty slot set,
+# and n outside 0..30.
+NON_PARTITIONS = [
+    (3, (0b111, 0b111, 0b111)),
+    (4, (0b0011, 0b0110)),
+    (4, (0b0011,)),
+    (4, (0b0011, 0b1100, 0b0000)),
+    (4, (0, 0b1111)),
+    (4, (-1, -6)),
+    (4, (-4, 0b0011)),
+    (4, (0b10011, 0b1100)),
+    (4, (0b11 | 1 << 40, 0b1100)),
+    (4, (1 << 70, 0b1111)),
+    (3, ()),
+    (-1, (0b11,)),
+    (31, ()),
+]
+
+
+def shuffled_partitions(seed, count):
+    """count random set partitions (n, masks) of n = 4..9 slots into 1 to 4
+    blocks, the masks in random order rather than ascending."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 9)
+        L = rng.randint(1, 4)
+        slots = rng.sample(range(n), n)
+        cuts = [0, *sorted(rng.sample(range(1, n), L - 1)), n]
+        yield n, tuple(
+            sum(1 << v for v in slots[a:b]) for a, b in zip(cuts, cuts[1:])
+        )
 
 
 class TestKernelEquivalence:
@@ -193,10 +230,39 @@ class TestKernelEquivalence:
         assert got == expected
         assert list(got[1]) == list(expected[1])  # same stats key order
 
+    @pytest.mark.parametrize("n, masks", NON_PARTITIONS)
+    def test_non_partitions_raise(self, impl, n, masks):
+        for semismall in (False, True):
+            with pytest.raises(ValueError):
+                impl.scan_partition_batch(n, 0, semismall, 0, [masks])
+        with pytest.raises(ValueError):
+            impl.realise(n, masks, [-1] * len(masks))
+
+    def test_shuffled_partitions_bit_for_bit(self, compiled_kernel):
+        # the rotation bound and the reverse-pair shortcut hold on every
+        # partition, not only on the ascending masks of the enumeration
+        by_n = {}
+        for n, masks in shuffled_partitions(1604, 3600):
+            by_n.setdefault(n, []).append(masks)
+        records = unordered = 0
+        for n, shapes in sorted(by_n.items()):
+            unordered += sum(list(masks) != sorted(masks) for masks in shapes)
+            for semismall in (False, True):
+                args = (n, 0, semismall, 1, shapes)
+                expected = pure.scan_partition_batch(*args)
+                got = compiled_kernel.scan_partition_batch(*args)
+                assert got == expected, (n, semismall)
+                assert list(got[1]) == list(expected[1])
+                records += len(got[0])
+        assert unordered > 1000
+        assert records > 1000
+
     def test_no_reference_leak(self, compiled_kernel):
         # small mode with min_len=1 records violations (single blocks), so
-        # the tuple-building path runs on every call
+        # the tuple-building path runs on every call; a batch whose last
+        # shape is refused runs the error path after its records are made
         shapes = list(iter_partition_shapes(8, 1))
+        refused = [shapes[0], (0b11,)]
         tracemalloc.start()
         try:
             for call in range(1, 201):
@@ -205,6 +271,10 @@ class TestKernelEquivalence:
                 )
                 assert result[0]
                 del result
+                try:
+                    compiled_kernel.scan_partition_batch(8, 0, False, 1, refused)
+                except ValueError:
+                    pass
                 if call == 100:
                     mid = tracemalloc.get_traced_memory()[0]
             end = tracemalloc.get_traced_memory()[0]
@@ -228,15 +298,12 @@ class TestScanShapes:
             for min_len in (1, 3):
                 for semismall in (False, True):
                     masks_list = list(iter_partition_shapes(n, min_len))
-                    viols, stats = impl.scan_partition_batch(
+                    expected = impl.scan_partition_batch(
                         n, 0, semismall, min_len, masks_list
                     )
                     got = impl.scan_shapes(n, 0, semismall, min_len)
-                    assert got[0] == [
-                        (masks_list[pi], *rest) for pi, *rest in viols
-                    ]
-                    assert got[1] == stats
-                    assert list(got[1]) == list(stats)
+                    assert got == expected
+                    assert list(got[1]) == list(expected[1])
 
     def test_trivial_sizes(self, impl):
         for n in (0, 1):
@@ -750,7 +817,7 @@ class TestDumps:
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 5
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 6
 
 
 @lru_cache(maxsize=None)
@@ -870,9 +937,8 @@ class TestKernelBehaviour:
     def test_length_two_never_violates(self, impl):
         for n in (4, 5, 6):
             viols, _ = run_scan(impl, n, min_len=2)
-            masks_list = list(iter_partition_shapes(n, 2))
             for rec in viols:
-                assert len(masks_list[rec[0]]) >= 3
+                assert len(rec[0]) >= 3
 
     def test_no_violations_through_eight_slots(self, impl):
         for n in range(4, 9):
@@ -888,9 +954,9 @@ class TestKernelBehaviour:
             )
             assert viols
             for rec in viols[:80]:
-                pi, degs, order, rots = rec
+                _, degs, order, rots = rec
                 assert order[0] == 0
-                seq = OrderedPartition(blocks_of_record(9, masks_list, rec)).seq
+                seq = OrderedPartition(blocks_of_record(9, rec)).seq
                 assert rots == tuple(
                     delta_seq(seq[l:] + seq[:l]) for l in range(len(seq))
                 )
@@ -899,7 +965,8 @@ class TestKernelBehaviour:
 
     def test_records_stay_in_enumeration_order(self, impl):
         viols, _ = run_scan(impl, 9)
-        indices = [rec[0] for rec in viols]
+        index = {masks: pi for pi, masks in enumerate(iter_partition_shapes(9, 3))}
+        indices = [index[rec[0]] for rec in viols]
         assert indices == sorted(indices)
 
     def test_orderings_of_one_candidate_stay_lexicographic(self, impl):
@@ -911,10 +978,10 @@ class TestKernelBehaviour:
         viols, _ = impl.scan_partition_batch(11, 0, False, 3, shapes)
         degs = (-1, -1, -2, -1)
         assert [rec[:3] for rec in viols] == [
-            (0, degs, (0, 2, 1, 3)),
-            (0, degs, (0, 2, 3, 1)),
-            (1, degs, (0, 1, 2, 3)),
-            (1, degs, (0, 2, 1, 3)),
-            (1, degs, (0, 2, 3, 1)),
+            (shapes[0], degs, (0, 2, 1, 3)),
+            (shapes[0], degs, (0, 2, 3, 1)),
+            (shapes[1], degs, (0, 1, 2, 3)),
+            (shapes[1], degs, (0, 2, 1, 3)),
+            (shapes[1], degs, (0, 2, 3, 1)),
         ]
         assert all(rec[3] == (3, 3, 3, 3) for rec in viols)
