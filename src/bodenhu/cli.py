@@ -33,6 +33,7 @@ from .core import (
     ModuliContext,
     MultiplicityVector,
     check_cap,
+    mask_support,
     parse_weight_vector,
 )
 from .weightspace import enumerate_walls, find_generic_near
@@ -79,13 +80,10 @@ def _blocks_json(blocks: Sequence[MultiplicityVector]) -> list[dict]:
     ]
 
 
-def _mask_blocks(n: int, degree: dict[int, int]) -> dict[int, dict]:
+def _mask_blocks(degree: dict[int, int]) -> dict[int, dict]:
     """The payload block of each mask, shared by every listing entry."""
     return {
-        mask: {
-            "support": [i + 1 for i in range(n) if mask >> i & 1],
-            "degree": d,
-        }
+        mask: {"support": mask_support(mask), "degree": d}
         for mask, d in degree.items()
     }
 
@@ -159,7 +157,7 @@ def _cmd_check(args) -> tuple[int, dict]:
     # the canonical order check_criterion scans, so the verdict comes from
     # this listing.
     shapes, degree = _alpha_shapes(alpha, 1, args.cap)
-    blocks = _mask_blocks(alpha.n, degree)
+    blocks = _mask_blocks(degree)
     listing = []
     witness = None
     for i, masks in enumerate(shapes):
@@ -385,7 +383,7 @@ def _cmd_fiber(args) -> tuple[int, dict]:
     check_genus(args.genus)
     shapes, degree = _alpha_shapes(alpha, 1, args.cap)
     if args.id is None:
-        blocks = _mask_blocks(alpha.n, degree)
+        blocks = _mask_blocks(degree)
         payload = {
             "command": "fiber",
             "n": alpha.n,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "MultiplicityVector",
     "WeightVector",
     "ModuliContext",
+    "mask_support",
     "parse_rational",
     "parse_weight_vector",
     "deg_alpha",
@@ -84,6 +86,16 @@ def check_cap(n: int, cap: int = DEFAULT_CAP) -> None:
         raise CapExceededError(f"N={n} exceeds the enumeration cap {cap}")
 
 
+def mask_support(mask: int) -> list[int]:
+    """The 1-based slots of the set bits of mask (slot n on bit n-1), ascending."""
+    support = []
+    while mask:
+        low = mask & -mask
+        support.append(low.bit_length())
+        mask ^= low
+    return support
+
+
 @dataclass(frozen=True)
 class MultiplicityVector:
     """A vector (r, d | m_1, ..., m_N) of slot multiplicities with degree offset.
@@ -129,7 +141,9 @@ class MultiplicityVector:
         """Build the 0/1 vector over n slots whose support_mask is mask."""
         if mask >> n:
             raise ValueError(f"support mask {mask:#x} has bits beyond slot {n}")
-        return cls(d_check, tuple(mask >> i & 1 for i in range(n)))
+        m = cls(d_check, tuple(mask >> i & 1 for i in range(n)))
+        m.__dict__["support_mask"] = mask
+        return m
 
     @classmethod
     def _from_mask_unchecked(
@@ -155,16 +169,12 @@ class MultiplicityVector:
     @cached_property
     def support(self) -> tuple[int, ...]:
         """1-based indices of the nonzero slots."""
-        return tuple(i + 1 for i, m in enumerate(self.mults) if m)
+        return tuple(mask_support(self.support_mask))
 
     @cached_property
     def support_mask(self) -> int:
         """Bitmask of the support, slot n on bit n-1."""
-        mask = 0
-        for i, m in enumerate(self.mults):
-            if m:
-                mask |= 1 << i
-        return mask
+        return sum(1 << i for i, m in enumerate(self.mults) if m)
 
     def is_zero_one(self) -> bool:
         return all(m in (0, 1) for m in self.mults)
@@ -183,35 +193,102 @@ class MultiplicityVector:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """A point of the open weight space W(N,s): 0 < a_1 < ... < a_N < 1, sum s."""
+    """A point of the open weight space W(N,s): 0 < a_1 < ... < a_N < 1, sum s.
+
+    Validation computes the scaled-integer form once, denom (the lcm D of
+    the entry denominators) and nums (the entries times D), and checks
+    those integers.  The single-alpha decisions read the tables below, each
+    built on first use and kept on this instance only; none of them, nor
+    denom and nums, takes part in ==, hash or repr.
+    """
 
     entries: tuple[Fraction, ...]
     s: int = field(init=False, repr=False, compare=False)
+    denom: int = field(init=False, repr=False, compare=False)
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = tuple(Fraction(e) for e in self.entries)
+        # Fraction(e) would copy an entry that already is a Fraction.
+        entries = tuple(
+            e if type(e) is Fraction else Fraction(e) for e in self.entries
+        )
         if len(entries) < 2:
             raise ValueError("a weight vector needs at least two entries")
-        if entries[0] <= 0 or entries[-1] >= 1:
+        denom = lcm(*(e.denominator for e in entries))
+        nums = tuple(e.numerator * (denom // e.denominator) for e in entries)
+        if nums[0] <= 0 or nums[-1] >= denom:
             raise ValueError("weights must lie strictly between 0 and 1")
-        for a, b in zip(entries, entries[1:]):
-            if a >= b:
-                raise ValueError("weights must be strictly increasing")
-        total = sum(entries)
-        if total.denominator != 1:
-            raise ValueError(f"weights must sum to an integer, got {total}")
-        s = int(total)
+        if any(a >= b for a, b in zip(nums, nums[1:])):
+            raise ValueError("weights must be strictly increasing")
+        s, rest = divmod(sum(nums), denom)
+        if rest:
+            raise ValueError(f"weights must sum to an integer, got {sum(entries)}")
         if not 0 < s < len(entries):
             raise ValueError(f"weight sum s={s} outside 0 < s < N={len(entries)}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "s", s)
+        self.__dict__.update(entries=entries, s=s, denom=denom, nums=nums)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def half_sums(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(h, low, high): the subset sums of nums[:h] and nums[h:], h = N // 2.
+
+        So no single-alpha decision builds a table of all 2^N sums."""
+        h = len(self.nums) // 2
+        return h, _subset_sum_table(self.nums[:h]), _subset_sum_table(self.nums[h:])
+
+    def scaled_sum(self, mask: int) -> int:
+        """D times the sum of the entries over the bits of mask."""
+        h, low, high = self.half_sums
+        return low[mask & ((1 << h) - 1)] + high[mask >> h]
+
+    @cached_property
+    def integral_masks(self) -> tuple[int, ...]:
+        """The masks whose subset sum is an integer, ascending.
+
+        Meet in the middle (Horowitz and Sahni 1974): lo | hi << h is
+        integral iff low[lo] and high[hi] are opposite modulo D, so the low
+        halves are bucketed by residue and each high half makes one lookup.
+        """
+        h, low, high = self.half_sums
+        buckets: dict[int, list[int]] = {}
+        for lo, t in enumerate(low):
+            buckets.setdefault(t % self.denom, []).append(lo)
+        out: list[int] = []
+        for hi, t in enumerate(high):
+            los = buckets.get(-t % self.denom)
+            if los:
+                out.extend([lo | hi << h for lo in los])
+        return tuple(out)
+
+    @cached_property
+    def wall_mask(self) -> int:
+        """The smallest integral mask holding slot 1 with rank 2..N-2 (the
+        first wall through alpha), or 0 when alpha is generic."""
+        for mask in self.integral_masks:
+            if mask & 1 and 2 <= mask.bit_count() <= self.n - 2:
+                return mask
+        return 0
+
+    @cached_property
+    def residue_order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The low halves sorted by low[lo] mod D, and those residues."""
+        _, low, _ = self.half_sums
+        order = sorted(range(len(low)), key=lambda lo: low[lo] % self.denom)
+        return tuple(order), tuple(low[lo] % self.denom for lo in order)
+
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.entries)
+
+
+def _subset_sum_table(values: Sequence[int]) -> tuple[int, ...]:
+    """sums[mask] = the sum of values over the bits of mask, for every mask."""
+    sums = [0]
+    for x in values:
+        sums += [t + x for t in sums]
+    return tuple(sums)
 
 
 def parse_weight_vector(text: str) -> WeightVector:
@@ -319,9 +396,10 @@ def h1_dim(m: MultiplicityVector, m2: MultiplicityVector, g: int) -> Fraction:
     _require_same_n(m, m2)
     if g < 2:
         raise ValueError("genus must be at least 2")
+    return Fraction(_twice_h1_dim(m, m2, g), 2)
+
+
+def _twice_h1_dim(m: MultiplicityVector, m2: MultiplicityVector, g: int) -> int:
+    """2 * h1_dim: (2g - 1) r r' - sum_n m_n m'_n - delta(m, m'), unchecked."""
     dot = sum(a * b for a, b in zip(m.mults, m2.mults))
-    return (
-        (g - Fraction(1, 2)) * m.r * m2.r
-        - Fraction(dot, 2)
-        - Fraction(delta(m, m2), 2)
-    )
+    return (2 * g - 1) * m.r * m2.r - dot - delta(m, m2)

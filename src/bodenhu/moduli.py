@@ -22,8 +22,8 @@ from typing import Sequence
 from .core import (
     MultiplicityVector,
     WeightVector,
+    _twice_h1_dim,
     delta_seq,
-    h1_dim,
 )
 from .partitions import (
     OrderedPartition,
@@ -85,7 +85,7 @@ def fiber_component_dim(
     """Dimension 1 - L + sum over pairs l1 < l2 of h1_dim(later, earlier).
 
     The blocks must have pairwise disjoint supports; the pair sum then always
-    lands on an integer.
+    lands on an integer.  It is summed doubled, in integers.
     """
     check_genus(g)
     blocks = _blocks_of(sigma)
@@ -94,13 +94,13 @@ def fiber_component_dim(
         if seen & b.support_mask:
             raise ValueError("blocks must have pairwise disjoint supports")
         seen |= b.support_mask
-    total = Fraction(1 - len(blocks))
+    twice = 2 * (1 - len(blocks))
     for l1, earlier in enumerate(blocks):
         for later in blocks[l1 + 1 :]:
-            total += h1_dim(later, earlier, g)
-    if total.denominator != 1:
-        raise AssertionError(f"fiber component dimension {total} is not integral")
-    return int(total)
+            twice += _twice_h1_dim(later, earlier, g)
+    if twice % 2:
+        raise AssertionError(f"fiber component dimension {twice}/2 is not integral")
+    return twice // 2
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,12 @@ from typing import Iterator
 
 from .core import (
     DEFAULT_CAP,
+    DimensionMismatchError,
     ModuliContext,
     MultiplicityVector,
     NotGenericError,
     WeightVector,
     check_cap,
-    deg_alpha,
 )
 from . import weightspace
 from ._kernel import alpha_shapes, realise_shapes
@@ -151,22 +151,17 @@ def _alpha_shapes(
     """The shapes of alpha_partitions as mask tuples, and each used degree.
 
     A block with support B is admissible iff sum_B alpha is an integer; its
-    degree is then forced to -sum_B alpha.  The admissible masks come from
-    the meet-in-the-middle subset-sum search of weightspace, ascending, and
-    the kernel's alpha_shapes lists the partitions into them.  Returns the
-    shapes and a dict from every mask they use to its degree.
+    degree is then forced to -sum_B alpha.  The admissible masks are
+    alpha.integral_masks, from a meet-in-the-middle subset-sum search,
+    ascending, and the kernel's alpha_shapes lists the partitions into
+    them.  Returns the shapes and a dict from every mask they use to its
+    degree.
     """
     check_cap(alpha.n, cap)
-    denom, h, low, high = weightspace._half_sums(alpha.entries)
-    masks = [
-        mask
-        for mask in weightspace._integral_masks(denom, h, low, high)
-        if mask.bit_count() >= 2
-    ]
+    masks = [mask for mask in alpha.integral_masks if mask.bit_count() >= 2]
     shapes = alpha_shapes(alpha.n, masks, min_len)
-    low_bits = (1 << h) - 1
     degree = {
-        mask: -((low[mask & low_bits] + high[mask >> h]) // denom)
+        mask: -(alpha.scaled_sum(mask) // alpha.denom)
         for mask in set().union(*shapes)
     }
     return shapes, degree
@@ -225,16 +220,23 @@ def is_alpha_stable_seq(seq: OrderedPartition, alpha: WeightVector) -> bool:
     Requires the full sum to have degree zero at alpha (it is the one-vector
     of some (N, s), so this is a consistency check on alpha).
     """
-    degrees = _prefix_degrees(seq.seq, alpha)
+    degrees = _scaled_prefix_degrees(seq, alpha)
     if degrees[-1] != 0:
         raise ValueError("total degree at alpha must be zero")
     return all(d < 0 for d in degrees[:-1])
 
 
-def _prefix_degrees(blocks, alpha: WeightVector) -> list[Fraction]:
-    """deg_alpha of each leading partial sum m^1 + ... + m^l, l = 1..L: by
-    linearity, the running sums of the block degrees."""
-    return list(itertools.accumulate(deg_alpha(b, alpha) for b in blocks))
+def _scaled_prefix_degrees(seq: OrderedPartition, alpha: WeightVector) -> list[int]:
+    """D times deg_alpha of each leading partial sum m^1 + ... + m^l, l = 1..L:
+    the running sums of d D + alpha.scaled_sum(support) over the 0/1 blocks."""
+    if seq.n != alpha.n:
+        raise DimensionMismatchError(f"slot counts differ: {seq.n} vs {alpha.n}")
+    denom = alpha.denom
+    return list(
+        itertools.accumulate(
+            b.d_check * denom + alpha.scaled_sum(b.support_mask) for b in seq.seq
+        )
+    )
 
 
 def stable_rotation(seq: OrderedPartition, beta: WeightVector) -> int:
@@ -257,8 +259,8 @@ def _require_generic(beta: WeightVector) -> None:
 
 def _stable_rotation(seq: OrderedPartition, beta: WeightVector) -> int:
     """stable_rotation for a beta the caller has already checked generic."""
-    best_l, best_d, ties = 0, Fraction(0), 1
-    for l, d in enumerate(_prefix_degrees(seq.seq[:-1], beta), start=1):
+    best_l, best_d, ties = 0, 0, 1
+    for l, d in enumerate(_scaled_prefix_degrees(seq, beta)[:-1], start=1):
         if d == best_d:
             ties += 1
         elif d > best_d:

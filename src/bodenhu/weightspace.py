@@ -29,6 +29,7 @@ from .core import (
     ModuliContext,
     MultiplicityVector,
     WeightVector,
+    _subset_sum_table,
     check_cap,
 )
 from ._kernel import realise
@@ -305,86 +306,34 @@ def enumerate_walls(ctx: ModuliContext, cap: int = DEFAULT_CAP) -> list[Wall]:
     return walls
 
 
-def _half_sums(
-    entries: Sequence[Fraction],
-) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """(D, h, low, high): the subset sums of two halves of entries, scaled.
-
-    D is the lcm of the entry denominators and h = N // 2.  low[lo] is D
-    times the sum of the first h entries over the bits of lo, and high[hi]
-    that of the other N - h entries over the bits of hi, so the scaled
-    subset sum of a mask is low[mask & (2^h - 1)] + high[mask >> h].  A
-    subset sum is an integer iff its scaled sum is divisible by D, and its
-    floor is the scaled sum // D; both are exact.  The tables have 2^h and
-    2^(N-h) entries, so every single-alpha decision costs O(2^(N/2)) plus
-    what it visits, never O(2^N).
-    """
-    denom = lcm(*(e.denominator for e in entries))
-    scaled = [e.numerator * (denom // e.denominator) for e in entries]
-    h = len(entries) // 2
-    halves = []
-    for part in (scaled[:h], scaled[h:]):
-        sums = [0]
-        for x in part:
-            sums += [t + x for t in sums]
-        halves.append(tuple(sums))
-    return denom, h, halves[0], halves[1]
-
-
 @lru_cache(maxsize=32)
 def subset_sums(entries: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
     """(D, sums): the subset sums of entries over all 2^N masks, scaled.
 
-    sums[mask] is D times the sum of the entries over the bits of mask,
-    assembled from the two half tables of _half_sums (high halves outer, so
-    the masks run ascending).  The decision primitives work on the halves
-    directly; this full table is for callers that want every mask.  The
-    cached value is immutable.
+    sums[mask] is D times the sum of the entries over the bits of mask, and
+    D is the lcm of the entry denominators.  The decision primitives work
+    on the two half tables of WeightVector.half_sums; this full table is
+    for callers that want every mask.  The cached value is immutable.
     """
-    denom, _, low, high = _half_sums(entries)
-    return denom, tuple([t + u for u in high for t in low])
-
-
-def _integral_masks(
-    denom: int, h: int, low: tuple[int, ...], high: tuple[int, ...]
-) -> tuple[int, ...]:
-    """The masks whose subset sum is an integer, ascending.
-
-    Meet in the middle (Horowitz and Sahni 1974) over the half tables of
-    _half_sums: lo | hi << h is integral iff low[lo] and high[hi] are
-    opposite modulo denom.  The low halves are bucketed by residue once and
-    each high half makes one lookup, so the cost is O(2^(N/2)) plus the
-    output.  Masks come out ascending: high halves run ascending, and each
-    bucket lists its low halves ascending.
-    """
-    buckets: dict[int, list[int]] = {}
-    for lo, t in enumerate(low):
-        buckets.setdefault(t % denom, []).append(lo)
-    out: list[int] = []
-    for hi, t in enumerate(high):
-        los = buckets.get(-t % denom)
-        if los:
-            shifted = hi << h
-            out.extend([lo | shifted for lo in los])
-    return tuple(out)
+    denom = lcm(*(e.denominator for e in entries))
+    return denom, _subset_sum_table(
+        [e.numerator * (denom // e.denominator) for e in entries]
+    )
 
 
 def is_generic(alpha: WeightVector) -> tuple[bool, Optional[Wall]]:
     """Whether alpha avoids every wall; on failure, the first violated wall.
 
     The first wall is the smallest canonical support (slot 1 included) of
-    rank 2..N-2 with an integral subset sum, taken from the ascending
-    meet-in-the-middle list of integral masks; the offending wall is
-    nonempty because alpha itself lies on it.
+    rank 2..N-2 with an integral subset sum: alpha.wall_mask, taken from the
+    ascending meet-in-the-middle list of integral masks and kept on alpha.
+    The offending wall is nonempty because alpha itself lies on it.
     """
-    n = alpha.n
-    denom, h, low, high = _half_sums(alpha.entries)
-    for mask in _integral_masks(denom, h, low, high):
-        if mask & 1 and 2 <= mask.bit_count() <= n - 2:
-            total = low[mask & ((1 << h) - 1)] + high[mask >> h]
-            m = MultiplicityVector.from_mask(n, -(total // denom), mask)
-            return False, Wall(m)
-    return True, None
+    mask = alpha.wall_mask
+    if not mask:
+        return True, None
+    degree = -(alpha.scaled_sum(mask) // alpha.denom)
+    return False, Wall(MultiplicityVector.from_mask(alpha.n, degree, mask))
 
 
 def is_near(
@@ -402,11 +351,12 @@ def is_near(
     sums of alpha and beta, B(m) - A(m) <= up = sum max(0, beta_i - alpha_i),
     and m binds iff B(m) >= floor(A(m)) + 1, so a binding m has
     frac(A(m)) >= 1 - up: its scaled sum lies in the residues
-    [D - width, D - 1] modulo D, width = floor(up D).  The low halves are
-    sorted by residue; for each high half two bisections find the low
-    halves that land in that range (which may wrap around), and only those
-    masks are tested exactly, in ascending order.  Near alpha, up is tiny
-    and the range holds almost no masks.
+    [D - width, D - 1] modulo D, width = floor(up D).  With numerators a_i
+    over D and b_i over E, width = sum max(b_i D - a_i E, 0) // E.  The low
+    halves are sorted by residue (alpha.residue_order); for each high half
+    two bisections find the low halves that land in that range (which may
+    wrap around), and only those masks are tested exactly, in ascending
+    order.  Near alpha, up is tiny and the range holds almost no masks.
     """
     if alpha.n != beta.n:
         raise DimensionMismatchError(
@@ -417,15 +367,13 @@ def is_near(
             f"weight sums differ: {alpha.s} vs {beta.s}"
         )
     n = alpha.n
-    den_a, h, low_a, high_a = _half_sums(alpha.entries)
-    den_b, _, low_b, high_b = _half_sums(beta.entries)
-    up = sum(
-        (max(b - a, 0) for a, b in zip(alpha.entries, beta.entries)),
-        Fraction(0),
-    )
-    width = up.numerator * den_a // up.denominator
-    by_residue = sorted(range(len(low_a)), key=lambda lo: low_a[lo] % den_a)
-    residues = [low_a[lo] % den_a for lo in by_residue]
+    den_a, den_b = alpha.denom, beta.denom
+    h, low_a, high_a = alpha.half_sums
+    _, low_b, high_b = beta.half_sums
+    width = sum(
+        max(b * den_a - a * den_b, 0) for a, b in zip(alpha.nums, beta.nums)
+    ) // den_b
+    by_residue, residues = alpha.residue_order
     full = (1 << n) - 1
     for hi, (ta_hi, tb_hi) in enumerate(zip(high_a, high_b)):
         if width >= den_a:
@@ -459,16 +407,24 @@ def perturbation_direction(alpha: WeightVector) -> tuple[Fraction, ...]:
     deg_alpha of every summand whose wall passes through alpha, which is what
     makes alpha + eps*v near alpha.
     """
-    n, s = alpha.n, alpha.s
-    return tuple(
-        2 * n * a - 2 * s + n - 2 * (i + 1) + 1 for i, a in enumerate(alpha.entries)
-    )
+    return tuple(Fraction(x, alpha.denom) for x in _scaled_direction(alpha))
 
 
-def _is_interior(entries: Sequence[Fraction]) -> bool:
-    if entries[0] <= 0 or entries[-1] >= 1:
-        return False
-    return all(a < b for a, b in zip(entries, entries[1:]))
+def _scaled_direction(alpha: WeightVector) -> list[int]:
+    """D times perturbation_direction(alpha), as integers."""
+    n, s, denom = alpha.n, alpha.s, alpha.denom
+    return [
+        2 * n * a + (n - 2 * s - 2 * i - 1) * denom for i, a in enumerate(alpha.nums)
+    ]
+
+
+def _interior_point(nums: Sequence[int], denom: int) -> Optional[WeightVector]:
+    """nums / denom, or None when it leaves the chamber (the caller keeps
+    the sum s of alpha, so only the chamber checks can fail)."""
+    try:
+        return WeightVector(tuple(Fraction(x, denom) for x in nums))
+    except ValueError:
+        return None
 
 
 _THETA_PRIMES = (
@@ -485,43 +441,47 @@ def find_generic_near(alpha: WeightVector) -> WeightVector:
     the point is interior and near alpha; then a zero-sum Vandermonde tweak
     delta*w(theta), w_n(theta) = theta^n - (sum_k theta^k)/N, over successive
     primes theta with delta halving, until the result is generic while staying
-    near both alpha and the first-stage point.
+    near both alpha and the first-stage point.  Each candidate is built as
+    integer numerators over one denominator: eps = 1/scale, and
+    delta*w(theta) = W/scale with W = N w(theta) integral.
     """
-    ok, _ = is_generic(alpha)
-    if ok:
+    if is_generic(alpha)[0]:
         return alpha
 
-    n = alpha.n
-    v = perturbation_direction(alpha)
+    n, denom = alpha.n, alpha.denom
+    v = _scaled_direction(alpha)
     max_den = max(e.denominator for e in alpha.entries)
-    base = alpha.entries
+    base = alpha
     if any(v):
-        eps = Fraction(1, 4 * n * max_den)
+        scale = 4 * n * max_den
         for _ in range(200):
-            cand = tuple(a + eps * vn for a, vn in zip(alpha.entries, v))
-            if _is_interior(cand) and is_near(alpha, WeightVector(cand))[0]:
+            cand = _interior_point(
+                [a * scale + x for a, x in zip(alpha.nums, v)], denom * scale
+            )
+            if cand is not None and is_near(alpha, cand)[0]:
                 base = cand
                 break
-            eps /= 2
+            scale *= 2
         else:
             raise AssertionError("eps halving failed to stay interior and near")
-    base_wv = WeightVector(base)
 
     for theta in _THETA_PRIMES:
-        powers = [Fraction(theta) ** (i + 1) for i in range(n)]
-        mean = sum(powers, Fraction(0)) / n
-        w = [p - mean for p in powers]
+        powers = [theta ** (i + 1) for i in range(n)]
+        total = sum(powers)
+        w = [n * p - total for p in powers]
         # Scale so the first candidate moves by at most 1/(4*N*maxden).
-        delta_step = Fraction(1, 4 * n * max_den) / max(abs(x) for x in w)
+        scale = 4 * n * max_den * max(abs(x) for x in w)
         for _ in range(80):
-            cand = tuple(b + delta_step * wn for b, wn in zip(base, w))
-            if _is_interior(cand):
-                beta = WeightVector(cand)
-                if (
-                    is_generic(beta)[0]
-                    and is_near(base_wv, beta)[0]
-                    and is_near(alpha, beta)[0]
-                ):
-                    return beta
-            delta_step /= 2
+            beta = _interior_point(
+                [b * scale + base.denom * x for b, x in zip(base.nums, w)],
+                base.denom * scale,
+            )
+            if (
+                beta is not None
+                and is_generic(beta)[0]
+                and is_near(base, beta)[0]
+                and is_near(alpha, beta)[0]
+            ):
+                return beta
+            scale *= 2
     raise AssertionError("generic perturbation not found; should be unreachable")

@@ -17,7 +17,6 @@ from functools import lru_cache
 import pytest
 
 from bodenhu import MultiplicityVector, Partition, WeightVector
-from bodenhu.weightspace import _half_sums, _integral_masks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -122,15 +121,11 @@ def seeded_blocks() -> tuple[tuple[int, tuple[int, ...], dict[int, int]], ...]:
     for n in range(4, 15):
         for kind in KINDS:
             alpha = weight_vector(rng, n, denominator(n, kind))
-            denom, h, low, high = _half_sums(alpha.entries)
             masks = tuple(
-                mask
-                for mask in _integral_masks(denom, h, low, high)
-                if mask.bit_count() >= 2
+                mask for mask in alpha.integral_masks if mask.bit_count() >= 2
             )
             degree = {
-                mask: -((low[mask & ((1 << h) - 1)] + high[mask >> h]) // denom)
-                for mask in masks
+                mask: -(alpha.scaled_sum(mask) // alpha.denom) for mask in masks
             }
             out.append((n, masks, degree))
     return tuple(out)

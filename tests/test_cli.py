@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bodenhu import MODES, WeightVector, check_criterion, cli, is_generic
+from bodenhu import (
+    MODES,
+    WeightVector,
+    check_criterion,
+    cli,
+    is_generic,
+    parse_weight_vector,
+)
 from bodenhu import _kernel, smallness
 from bodenhu._kernel import pure
 from bodenhu.cli import main
@@ -37,6 +44,18 @@ BIG_DENOMINATOR_8 = (
     "226673591177742970257407/604462909807314587353088,"
     "377789318629571617095681/604462909807314587353088,11/16,"
     "453347182355485940514815/604462909807314587353088,15/16"
+)
+
+# An N=14 point of the query benchmark's medium class (every entry k/60):
+# 133 partitions of length >= 3; it fails in small mode.
+QUERY_14 = (
+    "1/60,1/15,1/6,7/30,1/4,1/3,7/20,23/60,29/60,17/30,37/60,43/60,9/10,11/12"
+)
+# An N=13 point with the prime denominator 997 that still lies on walls: 12
+# partitions, 3 of length >= 3; fiber moves off its walls to a generic beta.
+NONGENERIC_13 = (
+    "167/997,316/997,519/997,538/997,548/997,574/997,619/997,632/997,"
+    "720/997,736/997,765/997,879/997,963/997"
 )
 
 # sha256 of "<exit code>\n<stdout>" for each invocation, in the json and the
@@ -161,6 +180,36 @@ STDOUT_DIGESTS = {
         "f151e8c7068488b80935f6f42c58e95507cced4b5b969f05d12e39f102d9ffcf",
         "143b07e76d3bd5049435cc8de3ca4015d7c342393047c9ea77af74d4e6c43080",
     ),
+    "check-14-query-small": (
+        ["check", "--alpha", QUERY_14],
+        "048fb70639a20be3eb64f9370b051c60805d36ff77e4141db9a7ce9fbe9caaf1",
+        "60de0d6c1de689b13fc94d97a7c76f9dd6517c95970d8bd375c9a227856a0bce",
+    ),
+    "check-14-query-semismall": (
+        ["check", "--alpha", QUERY_14, "--mode", "semismall"],
+        "b5e9cd161363a00a495f95b0deb5c1f6b5a25ec33d61362c20189b360d33c56d",
+        "5353a5b933528a8cc0d04807e8f1fb91bfc6d570d91bf02149bfe24bbb676d3d",
+    ),
+    "fiber-14-query-id-0": (
+        ["fiber", "--alpha", QUERY_14, "--id", "0"],
+        "5048ce4166572dcb86232b15dba8367898f156f1e0f20bce4a38e17b363c637c",
+        "34a52cb4a0b54d2cff9340b79767a8579931f0e0956e382f92523071a79f30cd",
+    ),
+    "check-13-nongeneric-small": (
+        ["check", "--alpha", NONGENERIC_13],
+        "ceaa8a11312114e152b0bb8a58b729fa18e9a2944b012cce1817085b80fa00f1",
+        "7c1d5652cdaaa378809453da6bb247afdf8d761632d72195faa26d3252d2e02e",
+    ),
+    "check-13-nongeneric-semismall": (
+        ["check", "--alpha", NONGENERIC_13, "--mode", "semismall"],
+        "4981bc169373d32ebc44ff1c3af5dd2965f5dbc3dd6bb4737809642ce24c2586",
+        "cb4c961bf8869fc6e25b3abf908c7add99f394cdc27e93ae8ab3e0feec079401",
+    ),
+    "fiber-13-nongeneric-id-0": (
+        ["fiber", "--alpha", NONGENERIC_13, "--id", "0"],
+        "1be37696ca26c7110ed73ec3c24a8e7767abde1d7184a120eaf452df0f039cf4",
+        "d2c1e218a5c3b35ce08deab7ab8c15b30195e40e2ff1f5ec7467351dc278d5b1",
+    ),
     "selftest-20": (
         ["selftest", "--trials", "20"],
         "b45a44f2e2ff194d670255d35a79255ea7c0997e174fd11e56ebb2d568448eac",
@@ -171,6 +220,23 @@ STDOUT_DIGESTS = {
 # package selected: they pin its rotation bound at N = 12, where the pure
 # kernel would take minutes.
 COMPILED_SCAN_CASES = {"scan-12-small", "scan-12-semismall"}
+
+
+# One alpha per rejection class of WeightVector, with its exact message.  A
+# sum s outside 0 < s < N has no entry here: N entries strictly between 0
+# and 1 sum to strictly between 0 and N, so the earlier checks catch it.
+REJECTED_ALPHAS = [
+    ("1/2", "a weight vector needs at least two entries"),
+    ("", "a weight vector needs at least two entries"),
+    ("0,1/3,2/3", "weights must lie strictly between 0 and 1"),
+    ("-1/3,2/3,2/3", "weights must lie strictly between 0 and 1"),
+    ("1/3,2/3,1", "weights must lie strictly between 0 and 1"),
+    ("1/3,1/3,1/3", "weights must be strictly increasing"),
+    ("1/2,1/4,1/4", "weights must be strictly increasing"),
+    ("1/5,2/5,3/5,4/5,1/2", "weights must be strictly increasing"),
+    ("1/7,2/7,5/7", "weights must sum to an integer, got 8/7"),
+    ("1/3,1/2,2/3", "weights must sum to an integer, got 3/2"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +298,14 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("text, message", REJECTED_ALPHAS)
+    def test_rejected_alpha(self, capsys, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_weight_vector(text)
+        assert str(info.value) == message
+        code, out, err = run_cli(capsys, "check", f"--alpha={text}")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_malformed_alpha(self, capsys):
         code, out, err = run_cli(capsys, "check", "--alpha", "1/7,junk,4/7")

@@ -1,5 +1,6 @@
 """Frozen values and algebraic properties of the degree and pairing formulas."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,16 @@ from bodenhu import (
     delta_seq,
     dual_mult,
     dual_weight,
+    alpha_partitions,
+    find_generic_near,
     h1_dim,
     hom_degree,
+    is_generic,
+    is_near,
     parse_rational,
     parse_weight_vector,
 )
+from bodenhu.core import mask_support
 
 
 @st.composite
@@ -178,10 +184,42 @@ class TestValidation:
                 m = MultiplicityVector.from_mask(n, -1, mask)
                 assert m.n == n
                 assert m.support_mask == mask
+                assert MultiplicityVector(-1, m.mults).support_mask == mask
                 assert m == MultiplicityVector.from_support(n, -1, m.support)
         for mask in (0, 1 << 3, -1):
             with pytest.raises(ValueError):
                 MultiplicityVector.from_mask(3, -1, mask)
+
+    def test_mask_support(self):
+        for mask in range(1 << 10):
+            expected = [i + 1 for i in range(10) if mask >> i & 1]
+            assert mask_support(mask) == expected
+
+
+class TestScaledForm:
+    def test_scaled_integers(self, alpha94):
+        assert alpha94.denom == 420
+        assert alpha94.nums == tuple(e * 420 for e in alpha94.entries)
+        for mask in range(1 << 9):
+            total = sum(e for i, e in enumerate(alpha94.entries) if mask >> i & 1)
+            assert alpha94.scaled_sum(mask) == total * 420
+
+    def test_filled_tables_leave_identity_alone(self, alpha94):
+        filled = WeightVector(alpha94.entries)
+        is_near(filled, find_generic_near(filled))
+        alpha_partitions(filled)
+        for name in ("half_sums", "integral_masks", "wall_mask", "residue_order"):
+            assert name in vars(filled) and name not in vars(alpha94)
+        for copy in (filled, pickle.loads(pickle.dumps(filled)),
+                     pickle.loads(pickle.dumps(alpha94))):
+            assert copy == alpha94
+            assert hash(copy) == hash(alpha94)
+            assert repr(copy) == repr(alpha94)
+            assert (copy.s, copy.denom, copy.nums) == (
+                alpha94.s, alpha94.denom, alpha94.nums
+            )
+            assert is_generic(copy) == is_generic(alpha94)
+        assert repr(alpha94) == f"WeightVector(entries={alpha94.entries!r})"
 
 
 class TestPairingProperties:

@@ -18,15 +18,20 @@ from hypothesis import given, settings, strategies as st
 
 from bodenhu import (
     MODES,
+    ModuliContext,
     MultiplicityVector,
     OrderedPartition,
     Partition,
     Wall,
     WeightVector,
     alpha_partitions,
+    deg_alpha,
     delta,
     delta_seq,
+    feasible_partitions,
+    fiber_component_dim,
     find_generic_near,
+    h1_dim,
     is_generic,
     is_near,
     perturbation_direction,
@@ -35,12 +40,12 @@ from bodenhu import (
 )
 from bodenhu import smallness
 from bodenhu._kernel import pure
+from bodenhu.partitions import _stable_rotation
 from bodenhu.smallness import (
     ordering_representatives,
     rated_orderings,
     violates_margin,
 )
-from bodenhu.weightspace import _half_sums, _integral_masks
 from conftest import (
     KINDS,
     admissible_shapes,
@@ -102,6 +107,54 @@ def ref_integral_masks(alpha):
     return [m for m in range(1 << alpha.n) if sums[m] % denom == 0]
 
 
+def ref_find_generic_near(alpha):
+    """find_generic_near with Fraction candidates and the 2^N references."""
+    if ref_is_generic(alpha)[0]:
+        return alpha
+    n = alpha.n
+    v = perturbation_direction(alpha)
+    max_den = max(e.denominator for e in alpha.entries)
+    base = alpha
+    if any(v):
+        eps = Fraction(1, 4 * n * max_den)
+        while True:
+            cand = [a + eps * x for a, x in zip(alpha.entries, v)]
+            if _is_interior(cand):
+                cand = WeightVector(tuple(cand))
+                if ref_is_near(alpha, cand)[0]:
+                    base = cand
+                    break
+            eps /= 2
+    for theta in (2, 3, 5, 7, 11, 13):
+        powers = [Fraction(theta) ** (i + 1) for i in range(n)]
+        mean = sum(powers) / n
+        w = [p - mean for p in powers]
+        step = Fraction(1, 4 * n * max_den) / max(abs(x) for x in w)
+        for _ in range(80):
+            cand = [b + step * x for b, x in zip(base.entries, w)]
+            if _is_interior(cand):
+                beta = WeightVector(tuple(cand))
+                if (
+                    ref_is_generic(beta)[0]
+                    and ref_is_near(base, beta)[0]
+                    and ref_is_near(alpha, beta)[0]
+                ):
+                    return beta
+            step /= 2
+    raise AssertionError("reference search left its theta range")
+
+
+def ref_stable_rotation(seq, beta):
+    """The rotation after the unique maximum of the Fraction deg_beta of the
+    proper prefixes, the empty prefix (degree 0) included."""
+    degrees = [Fraction(0)]
+    for block in seq.seq[:-1]:
+        degrees.append(degrees[-1] + deg_alpha(block, beta))
+    best = max(degrees)
+    assert degrees.count(best) == 1
+    return degrees.index(best)
+
+
 def _common_denominator(alpha):
     return lcm(*(e.denominator for e in alpha.entries))
 
@@ -139,8 +192,7 @@ class TestWeightSpaceOracles:
     @given(alphas(min_n=2, max_n=12))
     @settings(max_examples=120, deadline=None)
     def test_integral_masks(self, alpha):
-        masks = _integral_masks(*_half_sums(alpha.entries))
-        assert list(masks) == ref_integral_masks(alpha)
+        assert list(alpha.integral_masks) == ref_integral_masks(alpha)
 
     def test_pure_alpha_shapes(self):
         # the pure kernel's recursion over the admissible blocks against the
@@ -164,6 +216,73 @@ class TestWeightSpaceOracles:
         assert is_generic(beta) == ref_is_generic(beta)
         assert is_near(alpha, beta) == ref_is_near(alpha, beta)
         assert is_near(beta, alpha) == ref_is_near(beta, alpha)
+
+
+class TestScaledIntegerConsumers:
+    """The consumers of WeightVector's scaled integers and cached tables
+    against Fraction definitions."""
+
+    def test_stable_rotation_matches_fraction_prefix_degrees(self):
+        rng = random.Random(914)
+        checked = 0
+        for n in range(9, 15):
+            for kind in KINDS:
+                alpha = weight_vector(rng, n, denominator(n, kind))
+                beta = find_generic_near(alpha)
+                partitions = [p for p in alpha_partitions(alpha, 2) if len(p) <= 5]
+                for partition in partitions[:20]:
+                    for rep in ordering_representatives(partition):
+                        for l in range(len(rep)):
+                            seq = rep.rotation(l)
+                            expected = ref_stable_rotation(seq, beta)
+                            assert _stable_rotation(seq, beta) == expected
+                            checked += 1
+        assert checked > 1000
+
+    def test_fiber_component_dim_matches_h1_dim(self):
+        checked = 0
+        for partition, _ in feasible_partitions(ModuliContext(9, 4)):
+            for rep in ordering_representatives(partition):
+                blocks = rep.seq
+                for g in (2, 3):
+                    expected = 1 - len(blocks) + sum(
+                        h1_dim(later, earlier, g)
+                        for i, earlier in enumerate(blocks)
+                        for later in blocks[i + 1 :]
+                    )
+                    assert fiber_component_dim(rep, g) == expected
+                    checked += 1
+        assert checked > 1000
+
+    def test_cached_verdicts_match_references(self):
+        # twice on one instance (the second call reads its tables), then on
+        # equal fresh instances
+        rng = random.Random(1717)
+        for n in range(3, 11):
+            for kind in KINDS:
+                alpha = weight_vector(rng, n, denominator(n, kind))
+                beta = find_generic_near(alpha)
+                for a, b in ((alpha, beta), (beta, alpha)):
+                    generic, near = ref_is_generic(a), ref_is_near(a, b)
+                    for _ in range(2):
+                        assert is_generic(a) == generic
+                        assert is_near(a, b) == near
+                    fresh_a = WeightVector(a.entries)
+                    fresh_b = WeightVector(b.entries)
+                    assert is_generic(fresh_a) == generic
+                    assert is_near(fresh_a, fresh_b) == near
+
+    def test_find_generic_near_matches_fraction_candidates(self):
+        rng = random.Random(2024)
+        moved = 0
+        for n in range(3, 11):
+            for kind in KINDS:
+                for _ in range(2):
+                    alpha = weight_vector(rng, n, denominator(n, kind))
+                    beta = find_generic_near(alpha)
+                    assert beta == ref_find_generic_near(alpha)
+                    moved += beta != alpha
+        assert moved > 20
 
 
 def _window(alpha, beta):
@@ -305,8 +424,7 @@ class TestLargeDenominators:
         ]
         assert len(big) == 18
         for beta in big:
-            masks = _integral_masks(*_half_sums(beta.entries))
-            assert list(masks) == ref_integral_masks(beta)
+            assert list(beta.integral_masks) == ref_integral_masks(beta)
 
 
 @st.composite

@@ -99,8 +99,56 @@ def test_decision_path_does_not_call_delta():
     assert found == []
 
 
+# The single-alpha decisions read WeightVector's scaled integers; Fractions
+# stay at parsing and output.
+INTEGER_DECISIONS = {
+    "weightspace.py": {"is_generic", "is_near"},
+    "partitions.py": {"_stable_rotation", "is_alpha_stable_seq"},
+    "moduli.py": {"fiber_component_dim"},
+}
+
+
+def test_single_alpha_decisions_do_not_name_fraction():
+    checked, found = set(), []
+    for path, tree in parsed_modules():
+        names = INTEGER_DECISIONS.get(path.relative_to(PACKAGE).as_posix(), ())
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef) and func.name in names:
+                checked.add(func.name)
+                found += [
+                    f"{path.name}:{func.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if (isinstance(node, ast.Name) and node.id == "Fraction")
+                    or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+                ]
+    assert checked == set().union(*INTEGER_DECISIONS.values())
+    assert found == []
+
+
+def decorator_name(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return getattr(target, "id", None) or getattr(target, "attr", None)
+
+
+def test_weight_space_caches_only_subset_sums():
+    """A weight vector's tables live on the WeightVector instance, never in
+    a cache of the weight-space or partition modules keyed by alpha."""
+    found = [
+        f"{path.name}:{node.name}"
+        for path, tree in parsed_modules()
+        if path.relative_to(PACKAGE).as_posix() in ("weightspace.py", "partitions.py")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and any(
+            decorator_name(d) in ("lru_cache", "cache", "cached_property")
+            for d in node.decorator_list
+        )
+    ]
+    assert found == ["weightspace.py:subset_sums"]
+
+
 def test_only_subset_sums_builds_the_full_table():
-    """check and fiber decide from the two half tables of _half_sums.
+    """check and fiber decide from the two half tables of WeightVector.half_sums.
 
     subset_sums builds all 2^N subset sums and stays public with its cache;
     nothing in the package may call or otherwise refer to it.
