@@ -9,8 +9,8 @@ partition, and realise_shapes, every realisable candidate of one (n, s)
 with its witness) and the same JSON writer (dumps, the text of
 json.dumps(payload, indent=2) for the CLI's payload types), and must agree
 bit for bit (the test suite enforces this).  Block input has one rule in
-both: the shapes of scan_partition_batch and the blocks of realise must be
-set partitions of the n slots, and anything else raises ValueError.  The
+both: the shapes of scan_partition_batch and the blocks of realise and
+rate_orders must partition the n slots, or the call raises ValueError.  The
 compiled module is taken only if it has every entry point and the same
 KERNEL_API as pure.py, so an extension built from an older _speedups.c
 falls back to the pure kernel instead of failing at import.  KERNEL_KIND

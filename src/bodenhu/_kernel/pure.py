@@ -8,22 +8,25 @@ the sum of P over an ordering's pairs, by r_{l+1} = r_l - 2 q[order[l]]:
 moving the head block to the back reverses its pairs (_rotations).
 
 Block input has one rule in both twins: the shapes of scan_partition_batch
-and the blocks of realise must be set partitions of the n slots, which
-_read_partition checks; anything else raises ValueError.
+and the blocks of realise and rate_orders must be set partitions of the n
+slots, which _read_partition checks; anything else raises ValueError.
 scan_partition_batch runs _scan_shape on each shape, and scan_shapes is that
 batch over every shape of iter_partition_shapes.  _scan_shape takes q in
 closed form, delta(block, one-vector), O(L) per candidate against O(L^2) for
-row sums, since building P and q is most of the scan's time, and walks the
-rotations only for a violation.  This is the plain oracle: every ordering is
-evaluated on its own.  It is deliberately unpruned: the compiled twin skips
-the ordering walk of each candidate whose rotation bound B - 2 max |q| lies
-below the margin (see _speedups.c), and this full walk is what that bound
-is checked against.  alpha_shapes lists the partitions into the
-admissible blocks at one weight vector, and rate_orders rates every
-ordering of one of them from _pairing, P with its row sums.  dumps writes
-the CLI's JSON payloads.  Twin of the compiled kernel in _speedups.c, with
-the same decomposition; it must match it exactly and carry the same
-KERNEL_API.
+row sums, since building P and q is most of the scan's time, and inlines r_0
+and the prefix maximum, calling _rotations only for a violation: through
+_rotations the N = 11 scan was slower in 9 of 10 concurrent pairs, by 5%
+(small) and 12% (semismall) in the median and up to 31%.  This is the
+plain oracle: every ordering is evaluated on its own.  It is deliberately
+unpruned: the compiled twin skips the ordering walk of each candidate whose
+rotation bound B - 2 max |q| lies below the margin (see _speedups.c), and
+this full walk is what that bound is checked against.  alpha_shapes lists
+the partitions into the admissible blocks at one weight vector, by a second
+shape walk over the listed blocks rather than every submask (both twins
+keep both walks), and rate_orders rates every ordering of one of them from
+_pairing, P with its row sums.  dumps writes the CLI's JSON payloads.  Twin
+of the compiled kernel in _speedups.c, with the same decomposition; it must
+match it exactly and carry the same KERNEL_API.
 
 realise decides one candidate partition of the slots: the closed-form wall
 gate wall_meets, a pivot on each block's lowest slot, and the package's one
@@ -54,7 +57,7 @@ from ..core import MAX_SLOTS
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 6
+KERNEL_API = 7
 MAX_BLOCKS = 16
 MAX_DEGREE = 1 << 32
 
@@ -308,20 +311,21 @@ def alpha_shapes(n: int, masks, min_len: int) -> list[tuple[int, ...]]:
     return shapes
 
 
-def rate_orders(masks, degs, semismall: bool) -> tuple[list[dict], int]:
+def rate_orders(n: int, masks, degs, semismall: bool) -> tuple[list[dict], int]:
     """Every cyclic ordering of one partition, rated by its rotation values.
 
-    masks and degs give the blocks: disjoint supports (not checked) and
-    their degrees.  An ordering violates the margin when its least
-    rotation value is at least L - 1 (semismall: above it).
+    masks and degs give the blocks, which must partition the n slots as
+    _read_partition checks, and their degrees.  An ordering violates the
+    margin when its least rotation value is at least L - 1 (semismall:
+    above it).
 
     Returns (orderings, first).  orderings holds one dict {"order",
     "rotation_deltas", "violates"} per ordering, ready for JSON, in the lex
     order of itertools.permutations(range(1, L)) behind block 0; first is
     the index of the first violating ordering, or -1.
 
-    Raises ValueError unless 2 <= L <= MAX_BLOCKS, len(degs) == L, every
-    mask lies in 1..2^MAX_SLOTS - 1 and every |degree| <= MAX_DEGREE.
+    Raises ValueError as _read_partition does, or unless 2 <= L <=
+    MAX_BLOCKS, len(degs) == L and every |degree| <= MAX_DEGREE.
     """
     L = len(masks)
     if L < 2:
@@ -330,9 +334,8 @@ def rate_orders(masks, degs, semismall: bool) -> tuple[list[dict], int]:
         raise ValueError(f"kernel supports at most {MAX_BLOCKS} blocks")
     if len(degs) != L:
         raise ValueError("masks and degrees differ in length")
-    for mask, d in zip(masks, degs):
-        if not 0 < mask < 1 << MAX_SLOTS:
-            raise ValueError(f"mask {mask} outside 1..2^{MAX_SLOTS} - 1")
+    masks = _read_partition(n, masks)
+    for d in degs:
         if not -MAX_DEGREE <= d <= MAX_DEGREE:
             raise ValueError(f"degree {d} outside -2^32..2^32")
     pair, q = _pairing(masks, degs)

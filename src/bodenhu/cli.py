@@ -160,11 +160,12 @@ def _cmd_check(args) -> tuple[int, dict]:
     blocks = _mask_blocks(degree)
     listing = []
     witness = None
+    semismall = args.mode == "semismall"
     for i, masks in enumerate(shapes):
         if len(masks) < 3:
             continue
         degs = [degree[mask] for mask in masks]
-        orderings, first = rate_orders(masks, degs, args.mode == "semismall")
+        orderings, first = rate_orders(alpha.n, masks, degs, semismall)
         if first >= 0 and witness is None:
             witness = _witness(alpha, masks, degs, orderings[first])
         listing.append(

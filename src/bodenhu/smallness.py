@@ -141,7 +141,7 @@ def rated_orderings(
     """
     _check_mode(mode)
     blocks = partition.blocks
-    orderings, _ = rate_orders(*_keys(blocks), mode == "semismall")
+    orderings, _ = rate_orders(partition.n, *_keys(blocks), mode == "semismall")
     for rated in orderings:
         op = OrderedPartition._unchecked(
             tuple(map(blocks.__getitem__, rated["order"]))
@@ -176,7 +176,7 @@ def check_criterion(
     shapes, degree = _alpha_shapes(alpha, 3, cap)
     for masks in shapes:
         degs = [degree[mask] for mask in masks]
-        orderings, first = rate_orders(masks, degs, mode == "semismall")
+        orderings, first = rate_orders(alpha.n, masks, degs, mode == "semismall")
         if first >= 0:
             witness = _witness(alpha, masks, degs, orderings[first])
             return Verdict(False, mode, witness)
@@ -318,7 +318,7 @@ def _postcondition_checks(
             f"{rots} expected {expected}",
         )
     )
-    margin_ok = min(rots) > len(op.seq) - 1
+    margin_ok = violates_margin(rots, "semismall")
     checks.append(
         (
             "violates small and semismall margins",

@@ -513,7 +513,7 @@ class TestPairingOracle:
                 degs = [degree[mask] for mask in shape]
                 for mode in MODES:
                     orderings, first = pure.rate_orders(
-                        shape, degs, mode == "semismall"
+                        n, shape, degs, mode == "semismall"
                     )
                     orders = [
                         (0,) + perm

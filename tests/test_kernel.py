@@ -109,16 +109,16 @@ class TestKernelSelection:
 
     def test_refusal_names_the_reason(self, compiled_kernel):
         # stubs for the ways an in-place build can be refused: none at all,
-        # one from before batch input had to partition the slots (API 5),
-        # and one with the current number but without the realisation
-        # entries
+        # one from before rate_orders took n and had to be given a partition
+        # of the slots (API 6), and one with the current number but without
+        # the realisation entries
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
         older = types.ModuleType("_speedups")
-        older.KERNEL_API = 5
+        older.KERNEL_API = 6
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
-        assert _kernel.refusal(older) == "API mismatch: extension 5, pure.py 6"
+        assert _kernel.refusal(older) == "API mismatch: extension 6, pure.py 7"
         assert _kernel.select(older) == (pure, "pure")
         without = types.ModuleType("_speedups")
         without.KERNEL_API = pure.KERNEL_API
@@ -378,10 +378,10 @@ def shape_cases():
 
 
 def rated_cases():
-    """(masks, degs) of every shape of length >= 2 of the seeded alphas."""
+    """(n, masks, degs) of every shape of length >= 2 of the seeded alphas."""
     for n, masks, degree in seeded_blocks():
         for shape in pure.alpha_shapes(n, masks, 2):
-            yield shape, [degree[mask] for mask in shape]
+            yield n, shape, [degree[mask] for mask in shape]
 
 
 def same_outcome(call_a, call_b):
@@ -483,22 +483,24 @@ class TestAlphaShapes:
         assert time.monotonic() - start < 2.0
 
 
-# (masks, degs): the smallest partition, then inputs both twins must
-# reject: fewer than two or more than MAX_BLOCKS blocks, mismatched
-# lengths, and masks or degrees outside the documented range.
+# (n, masks, degs): the smallest partition, then inputs both twins must
+# reject: fewer than two or more than MAX_BLOCKS blocks (17 singletons that
+# do partition their slots), mismatched lengths, degrees outside the
+# documented range, and masks that are not a partition of the n slots (the
+# rest of that rule is NON_PARTITIONS).
 RATE_EDGE_CASES = [
-    ([0b0011, 0b1100], [-1, -1]),
-    ([0b0011, 0b1100], [-(1 << 32), 1 << 32]),
-    ([], []),
-    ([0b11], [-1]),
-    ([0b11 << 2 * i for i in range(17)], [-1] * 17),
-    ([0b0011, 0b1100], [-1]),
-    ([0b0011, 0b1100], [-1, (1 << 32) + 1]),
-    ([0b0011, 0b1100], [-(1 << 32) - 1, -1]),
-    ([0, 0b1100], [-1, -1]),
-    ([0b11, 1 << 30], [-1, -1]),
-    ([0b11, -4], [-1, -1]),
-    ([0b11, 1 << 70], [-1, -1]),
+    (4, [0b0011, 0b1100], [-1, -1]),
+    (4, [0b0011, 0b1100], [-(1 << 32), 1 << 32]),
+    (0, [], []),
+    (2, [0b11], [-1]),
+    (17, [1 << i for i in range(17)], [-1] * 17),
+    (4, [0b0011, 0b1100], [-1]),
+    (4, [0b0011, 0b1100], [-1, (1 << 32) + 1]),
+    (4, [0b0011, 0b1100], [-(1 << 32) - 1, -1]),
+    (4, [0, 0b1100], [-1, -1]),
+    (30, [0b11, 1 << 30], [-1, -1]),
+    (4, [0b11, -4], [-1, -1]),
+    (4, [0b11, 1 << 70], [-1, -1]),
 ]
 
 
@@ -506,9 +508,9 @@ class TestRateOrders:
     @pytest.mark.parametrize("semismall", [False, True])
     def test_bit_for_bit(self, compiled_kernel, semismall):
         rated = 0
-        for masks, degs in rated_cases():
-            expected = pure.rate_orders(masks, degs, semismall)
-            assert compiled_kernel.rate_orders(masks, degs, semismall) == (
+        for n, masks, degs in rated_cases():
+            expected = pure.rate_orders(n, masks, degs, semismall)
+            assert compiled_kernel.rate_orders(n, masks, degs, semismall) == (
                 expected
             )
             rated += len(expected[0])
@@ -523,13 +525,24 @@ class TestRateOrders:
             )
 
     def test_rejections(self, impl):
-        for masks, degs in RATE_EDGE_CASES[2:]:
+        for n, masks, degs in RATE_EDGE_CASES[2:]:
             with pytest.raises(ValueError):
-                impl.rate_orders(masks, degs, False)
+                impl.rate_orders(n, masks, degs, False)
+
+    @pytest.mark.parametrize("semismall", [False, True])
+    @pytest.mark.parametrize("n, masks", NON_PARTITIONS)
+    def test_non_partitions_raise(self, compiled_kernel, n, masks, semismall):
+        # the rule of every entry taking blocks: three copies of the whole of
+        # three slots once gave rotation values [-6, 2, 2] in both twins
+        degs = [-1] * len(masks)
+        assert same_outcome(
+            lambda: compiled_kernel.rate_orders(n, masks, degs, semismall),
+            lambda: pure.rate_orders(n, masks, degs, semismall),
+        ) == ("raised", ValueError)
 
     def test_length_two(self, impl):
         # {1,2}:-1 then {3,4}:-1 over 4 slots
-        assert impl.rate_orders([0b0011, 0b1100], [-1, -1], False) == (
+        assert impl.rate_orders(4, [0b0011, 0b1100], [-1, -1], False) == (
             [{"order": [0, 1], "rotation_deltas": [4, -4], "violates": False}],
             -1,
         )
@@ -537,14 +550,16 @@ class TestRateOrders:
     def test_no_reference_leak(self, compiled_kernel):
         # the (9, 4) reference triple: its first ordering violates
         masks, degs = [0b11100, 0b11100000, 0b100000011], [-1, -2, -1]
-        assert compiled_kernel.rate_orders(masks, degs, False)[1] == 0
+        assert compiled_kernel.rate_orders(9, masks, degs, False)[1] == 0
         tracemalloc.start()
         try:
             for call in range(1, 201):
-                result = compiled_kernel.rate_orders(masks, degs, False)
+                result = compiled_kernel.rate_orders(9, masks, degs, False)
                 del result
                 try:
-                    compiled_kernel.rate_orders(masks, [-1, -1, 1 << 40], False)
+                    compiled_kernel.rate_orders(
+                        9, masks, [-1, -1, 1 << 40], False
+                    )
                 except ValueError:
                     pass
                 if call == 100:
@@ -817,7 +832,7 @@ class TestDumps:
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 6
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 7
 
 
 @lru_cache(maxsize=None)

@@ -245,3 +245,20 @@ def test_cli_does_not_rate_through_partition_objects():
         or (isinstance(node, ast.alias) and node.name == "rated_orderings")
     ]
     assert found == []
+
+
+def test_pure_block_entries_read_one_partition_rule():
+    """Every pure-kernel entry taking blocks reads them through
+    _read_partition, the twin of the compiled read_partition."""
+    tree = ast.parse((PACKAGE / "_kernel" / "pure.py").read_text())
+    readers = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "_read_partition"
+            for call in ast.walk(node)
+        )
+    }
+    assert {"realise", "rate_orders", "scan_partition_batch"} <= readers
