@@ -21,9 +21,11 @@
  * batch, the blocks of realise and rate_orders) with ValueError, as pure.py
  * does.  A shape's violation records start with its tuple of masks.
  *
- * scan_shapes and realise_shapes share one shape walk, enumerate_shapes,
- * which hands each shape to a per-shape callback; alpha_shapes has its own,
- * search_shapes, over the listed admissible blocks instead of every submask.
+ * One shape walk, walk_shapes, serves scan_shapes, realise_shapes and
+ * alpha_shapes and hands each shape to a per-entry callback.  They differ
+ * only in where the blocks of the lowest free slot come from: every submask
+ * of the free slots for scan_shapes and realise_shapes, the listed
+ * admissible blocks for alpha_shapes.
  * Both scan entries feed scan_shape.  Per shape, the degree assignments run
  * as an odometer with the rightmost digit fastest (next_degrees, shared with
  * realise_shape), and the cyclic orders as the lexicographic permutations
@@ -67,7 +69,8 @@
  * pure.py keeps the unbounded walk as the oracle.
  *
  * Capacity: at most 30 slots and 16 blocks per shape (the package cap is 14
- * slots), the same limits pure.py enforces.  For those sizes every pairing
+ * slots), the same limits pure.py enforces; every entry reads n through
+ * read_n, as pure.py's through _read_n.  For those sizes every pairing
  * and rotation value is far inside 64-bit range.
  *
  *   alpha_shapes         lists the partitions of n slots into the
@@ -94,7 +97,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 7
+#define KERNEL_API 8
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -195,19 +198,35 @@ masks_tuple(const Shape *sh)
     return int_seq(masks, sh->L, 0);
 }
 
+/* The "O&" converter of every entry's n, as pure._read_n: an integer
+ * (TypeError otherwise) in 0..30 (ValueError otherwise) into *(int *)out.
+ * 1 on success, 0 with the exception set. */
+static int
+read_n(PyObject *obj, void *out)
+{
+    int overflow;
+    PyObject *index = PyNumber_Index(obj);
+    if (index == NULL)
+        return 0;
+    const long n = PyLong_AsLongAndOverflow(index, &overflow);
+    Py_DECREF(index);
+    if (overflow || n < 0 || n > MAX_SLOTS) {
+        PyErr_SetString(PyExc_ValueError, "kernel supports 0 to 30 slots");
+        return 0;
+    }
+    *(int *)out = (int)n;
+    return 1;
+}
+
 /* Read the block masks of seq, a PySequence_Fast, into masks and check that
- * they partition the n slots, as pure._read_partition does: n in 0..30, and
- * masks nonempty, within the n slots, pairwise disjoint and covering every
- * slot.  Each mask written covers a new slot, so at most n are.  -1 with
- * ValueError set when they do not. */
+ * they partition the n slots, as pure._read_partition does: nonempty,
+ * within the n slots, pairwise disjoint and covering every slot.  Each mask
+ * written covers a new slot, so at most n are.  -1 with ValueError set when
+ * they do not. */
 static int
 read_partition(int n, PyObject *seq, u64 *masks)
 {
     u64 covered = 0;
-    if (n < 0 || n > MAX_SLOTS) {
-        PyErr_SetString(PyExc_ValueError, "kernel supports 0 to 30 slots");
-        return -1;
-    }
     for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
         int overflow;
         long long v = PyLong_AsLongLongAndOverflow(
@@ -454,22 +473,34 @@ scan_and_release(void *scan, Shape *sh)
 
 /* A walk over the set partitions of the slots into blocks of size >= 2:
  * visit(ctx, sh) runs on every shape of at least min_len blocks and
- * returns -1 on error.  acc holds the blocks chosen so far; n <= 30 slots
- * give at most 15 of them. */
+ * returns -1 on error.  The blocks come from blocks, grouped by lowest
+ * slot (slot i: start[i] .. start[i+1]-1), or from every submask of the
+ * free slots when blocks is NULL.  acc holds the blocks chosen so far;
+ * n <= 30 slots give at most 15 of them. */
 typedef struct {
     int min_len;
     int (*visit)(void *ctx, Shape *sh);
     void *ctx;
+    const u64 *blocks;
+    Py_ssize_t start[MAX_SLOTS + 1];
+    unsigned long nodes;
     u64 acc[MAX_BLOCKS];
 } ShapeWalk;
 
 /* Enumerate the completions of the blocks acc[0..depth-1] over the slots of
- * remaining, as partitions.iter_partition_shapes does, and visit each
- * complete shape with its masks sorted ascending; -1 on error. */
+ * remaining, covering its lowest slot first, and visit each complete shape
+ * with its masks sorted ascending; -1 on error.  Every submask gives the
+ * order of partitions.iter_partition_shapes, and so do the listed blocks
+ * when they are ascending. */
 static int
-enumerate_shapes(ShapeWalk *walk, u64 remaining, int depth)
+walk_shapes(ShapeWalk *walk, u64 remaining, int depth)
 {
     const u64 *acc = walk->acc;
+    /* below the first block {0, 1} alone lies the whole walk of n - 2
+     * slots, and a walk over listed blocks can run long without a shape */
+    if (((++walk->nodes & 0xfff) == 0 || depth <= 1)
+        && PyErr_CheckSignals() < 0)
+        return -1;
     if (remaining == 0) {
         Shape sh = {.L = depth, .key = NULL};
         if (depth < walk->min_len)
@@ -484,23 +515,32 @@ enumerate_shapes(ShapeWalk *walk, u64 remaining, int depth)
     }
     if (depth + __builtin_popcountll(remaining) / 2 < walk->min_len)
         return 0;
+    /* the blocks of the lowest free slot: its listed blocks that fit, in
+     * their order, or that slot with each nonempty submask s of the other
+     * free slots, ascending, that leaves no lone slot (none when it is lone
+     * itself) */
     const u64 low = remaining & -remaining, rest = remaining ^ low;
-    if (rest == 0)
-        return 0; /* a lone slot cannot form a block of size >= 2 */
-    for (u64 s = rest & -rest;; s = (s - rest) & rest) {
-        const u64 left = rest ^ s;
-        if (__builtin_popcountll(left) != 1) {
-            /* a choice of the first two blocks is the unit of work between
-             * Ctrl-C checks: below the first block {0, 1} alone lies the
-             * whole scan of n - 2 slots */
-            if (depth <= 1 && PyErr_CheckSignals() < 0)
-                return -1;
-            walk->acc[depth] = low | s;
-            if (enumerate_shapes(walk, left, depth + 1) < 0)
-                return -1;
+    const int slot = __builtin_ctzll(low);
+    Py_ssize_t i = walk->start[slot];
+    for (u64 s = 0;;) {
+        u64 m;
+        if (walk->blocks) {
+            if (i == walk->start[slot + 1])
+                return 0;
+            m = walk->blocks[i++];
+            if ((m & remaining) != m)
+                continue;
+        } else {
+            if (s == rest)
+                return 0;
+            s = (s - rest) & rest;
+            m = low | s;
+            if (__builtin_popcountll(rest ^ s) == 1)
+                continue;
         }
-        if (s == rest)
-            return 0;
+        walk->acc[depth] = m;
+        if (walk_shapes(walk, remaining ^ m, depth + 1) < 0)
+            return -1;
     }
 }
 
@@ -530,14 +570,6 @@ stats_dict(const Stats *stats)
 static int
 scan_init(Scan *scan, int n, int s_filter, int semismall)
 {
-    if (n < 0) {
-        PyErr_SetString(PyExc_ValueError, "n must be non-negative");
-        return -1;
-    }
-    if (n > MAX_SLOTS) {
-        PyErr_SetString(PyExc_ValueError, "kernel supports at most 30 slots");
-        return -1;
-    }
     memset(scan, 0, sizeof(*scan));
     scan->n = n;
     scan->s_filter = s_filter;
@@ -571,14 +603,15 @@ scan_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     int n, s_filter, semismall, min_len;
     Scan scan;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iipi:scan_shapes", kwlist,
-                                     &n, &s_filter, &semismall, &min_len))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&ipi:scan_shapes", kwlist,
+                                     read_n, &n, &s_filter, &semismall,
+                                     &min_len))
         return NULL;
     if (scan_init(&scan, n, s_filter, semismall) < 0)
         return NULL;
     ShapeWalk walk = {.min_len = min_len, .visit = scan_and_release,
                       .ctx = &scan};
-    int ok = n < 2 || enumerate_shapes(&walk, (1ULL << n) - 1, 0) == 0;
+    int ok = n < 2 || walk_shapes(&walk, (1ULL << n) - 1, 0) == 0;
     return scan_result(&scan, ok);
 }
 
@@ -597,9 +630,9 @@ scan_partition_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     PyObject *masks_arg, *shapes;
     Scan scan;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iipiO:scan_partition_batch",
-                                     kwlist, &n, &s_filter, &semismall,
-                                     &min_len, &masks_arg))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&ipiO:scan_partition_batch",
+                                     kwlist, read_n, &n, &s_filter,
+                                     &semismall, &min_len, &masks_arg))
         return NULL;
     if (scan_init(&scan, n, s_filter, semismall) < 0)
         return NULL;
@@ -636,69 +669,14 @@ done:
     return scan_result(&scan, ok);
 }
 
-/*
- * Single-alpha entry points.  alpha_shapes keeps the caller's int objects:
- * each emitted shape holds the very masks it was given, as pure.py's does.
- * Its per-slot block lists are one array of the input's size, grouped by
- * lowest slot with a counting sort that keeps the input order.
- */
-
-typedef struct {
-    int min_len;
-    const u64 *masks;            /* the blocks, grouped by lowest slot */
-    PyObject **ints;             /* the caller's int for each entry */
-    Py_ssize_t start[MAX_SLOTS + 1]; /* slot i: start[i] .. start[i+1]-1 */
-    Py_ssize_t acc[MAX_BLOCKS];  /* chosen blocks, as indices into masks */
-    unsigned long visits;
-    PyObject *shapes;
-} ShapeSearch;
-
-/* Append the chosen blocks as a tuple of masks, ascending; -1 on error. */
+/* Append the masks of sh to the list ctx as a tuple; -1 on error. */
 static int
-emit_shape(ShapeSearch *ss, int depth)
+append_shape(void *ctx, Shape *sh)
 {
-    Py_ssize_t idx[MAX_BLOCKS];
-    for (int i = 0; i < depth; i++) {
-        int j = i;
-        for (; j > 0 && ss->masks[idx[j - 1]] > ss->masks[ss->acc[i]]; j--)
-            idx[j] = idx[j - 1];
-        idx[j] = ss->acc[i];
-    }
-    PyObject *shape = PyTuple_New(depth);
-    if (shape == NULL)
-        return -1;
-    for (int i = 0; i < depth; i++) {
-        Py_INCREF(ss->ints[idx[i]]);
-        PyTuple_SET_ITEM(shape, i, ss->ints[idx[i]]);
-    }
-    int rc = PyList_Append(ss->shapes, shape);
-    Py_DECREF(shape);
+    PyObject *shape = masks_tuple(sh);
+    int rc = shape ? PyList_Append(ctx, shape) : -1;
+    Py_XDECREF(shape);
     return rc;
-}
-
-/* Cover the lowest slot of remaining with each block of that slot that
- * fits.  Blocks have rank >= 2 within 30 slots, so depth stays below 16.
- * -1 on error. */
-static int
-search_shapes(ShapeSearch *ss, u64 remaining, int depth)
-{
-    if (remaining == 0)
-        return depth >= ss->min_len ? emit_shape(ss, depth) : 0;
-    if (depth + __builtin_popcountll(remaining) / 2 < ss->min_len)
-        return 0;
-    /* a search can run long without emitting a shape */
-    if ((++ss->visits & 0xfff) == 0 && PyErr_CheckSignals() < 0)
-        return -1;
-    const int slot = __builtin_ctzll(remaining);
-    for (Py_ssize_t i = ss->start[slot]; i < ss->start[slot + 1]; i++) {
-        const u64 m = ss->masks[i];
-        if ((m & remaining) == m) {
-            ss->acc[depth] = i;
-            if (search_shapes(ss, remaining ^ m, depth + 1) < 0)
-                return -1;
-        }
-    }
-    return 0;
 }
 
 PyDoc_STRVAR(alpha_shapes_doc,
@@ -708,30 +686,26 @@ PyDoc_STRVAR(alpha_shapes_doc,
 "mask tuples.\n\n"
 "Same contract as pure.alpha_shapes; see that function's docstring.");
 
+/* The shape walk over the given blocks, grouped by lowest slot with a
+ * counting sort that keeps the input order. */
 static PyObject *
 alpha_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "masks", "min_len", NULL};
     int n, min_len;
-    PyObject *masks_arg, *given, *result = NULL;
+    PyObject *masks_arg, *given, *shapes = NULL;
     Py_ssize_t count[MAX_SLOTS + 1] = {0}, fill[MAX_SLOTS];
-    ShapeSearch ss;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOi:alpha_shapes", kwlist,
-                                     &n, &masks_arg, &min_len))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&Oi:alpha_shapes", kwlist,
+                                     read_n, &n, &masks_arg, &min_len))
         return NULL;
-    if (n < 0 || n > MAX_SLOTS) {
-        PyErr_SetString(PyExc_ValueError, "kernel supports 0 to 30 slots");
-        return NULL;
-    }
     given = PySequence_Fast(masks_arg, "masks must be iterable");
     if (given == NULL)
         return NULL;
     const Py_ssize_t k = PySequence_Fast_GET_SIZE(given);
     u64 *values = PyMem_Malloc((k + 1) * sizeof(u64));
     u64 *grouped = PyMem_Malloc((k + 1) * sizeof(u64));
-    PyObject **ints = PyMem_Malloc((k + 1) * sizeof(PyObject *));
-    if (values == NULL || grouped == NULL || ints == NULL) {
+    if (values == NULL || grouped == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -751,32 +725,24 @@ alpha_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
         values[i] = (u64)v;
         count[__builtin_ctzll((u64)v) + 1]++;
     }
-    memset(&ss, 0, sizeof(ss));
-    for (int slot = 0; slot < n; slot++) {
-        ss.start[slot + 1] = ss.start[slot] + count[slot + 1];
-        fill[slot] = ss.start[slot];
-    }
-    /* the borrowed ints stay alive: given holds them until the end */
-    for (Py_ssize_t i = 0; i < k; i++) {
-        Py_ssize_t at = fill[__builtin_ctzll(values[i])]++;
-        grouped[at] = values[i];
-        ints[at] = PySequence_Fast_GET_ITEM(given, i);
-    }
-    ss.min_len = min_len;
-    ss.masks = grouped;
-    ss.ints = ints;
-    ss.shapes = PyList_New(0);
-    if (ss.shapes == NULL)
+    shapes = PyList_New(0);
+    if (shapes == NULL)
         goto done;
-    if (n >= 2 && search_shapes(&ss, (1ULL << n) - 1, 0) < 0)
-        Py_CLEAR(ss.shapes);
-    result = ss.shapes;
+    ShapeWalk walk = {.min_len = min_len, .visit = append_shape,
+                      .ctx = shapes, .blocks = grouped};
+    for (int slot = 0; slot < n; slot++) {
+        walk.start[slot + 1] = walk.start[slot] + count[slot + 1];
+        fill[slot] = walk.start[slot];
+    }
+    for (Py_ssize_t i = 0; i < k; i++)
+        grouped[fill[__builtin_ctzll(values[i])]++] = values[i];
+    if (n >= 2 && walk_shapes(&walk, (1ULL << n) - 1, 0) < 0)
+        Py_CLEAR(shapes);
 done:
     PyMem_Free(values);
     PyMem_Free(grouped);
-    PyMem_Free(ints);
     Py_DECREF(given);
-    return result;
+    return shapes;
 }
 
 /* Interned keys of rate_orders' dicts, made when the module is created. */
@@ -817,8 +783,9 @@ rate_orders(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     i64 X[MAX_BLOCKS][MAX_BLOCKS], pair[MAX_BLOCKS][MAX_BLOCKS];
     i64 order[MAX_BLOCKS], rots[MAX_BLOCKS];
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOp:rate_orders", kwlist,
-                                     &n, &masks_arg, &degs_arg, &semismall))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OOp:rate_orders", kwlist,
+                                     read_n, &n, &masks_arg, &degs_arg,
+                                     &semismall))
         return NULL;
     masks = PySequence_Fast(masks_arg, "masks must be iterable");
     if (masks == NULL)
@@ -1281,8 +1248,8 @@ realise(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     i64 deg[MAX_SLOTS], nums[MAX_SLOTS], den;
     int n;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOO:realise", kwlist, &n,
-                                     &masks_arg, &degs_arg))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OO:realise", kwlist,
+                                     read_n, &n, &masks_arg, &degs_arg))
         return NULL;
     masks = PySequence_Fast(masks_arg, "masks must be iterable");
     if (masks == NULL)
@@ -1381,13 +1348,9 @@ realise_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     int n, s, min_len;
     Realisation re;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iii:realise_shapes", kwlist,
-                                     &n, &s, &min_len))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&ii:realise_shapes",
+                                     kwlist, read_n, &n, &s, &min_len))
         return NULL;
-    if (n < 0 || n > MAX_SLOTS) {
-        PyErr_SetString(PyExc_ValueError, "kernel supports 0 to 30 slots");
-        return NULL;
-    }
     memset(&re, 0, sizeof(re));
     re.n = n;
     re.s = s;
@@ -1395,7 +1358,7 @@ realise_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     if (re.found == NULL)
         return NULL;
     ShapeWalk walk = {.min_len = min_len, .visit = realise_shape, .ctx = &re};
-    if (0 < s && s < n && enumerate_shapes(&walk, (1ULL << n) - 1, 0) < 0)
+    if (0 < s && s < n && walk_shapes(&walk, (1ULL << n) - 1, 0) < 0)
         Py_CLEAR(re.found);
     fm_free(&re.fm);
     return re.found;

@@ -21,12 +21,12 @@ plain oracle: every ordering is evaluated on its own.  It is deliberately
 unpruned: the compiled twin skips the ordering walk of each candidate whose
 rotation bound B - 2 max |q| lies below the margin (see _speedups.c), and
 this full walk is what that bound is checked against.  alpha_shapes lists
-the partitions into the admissible blocks at one weight vector, by a second
-shape walk over the listed blocks rather than every submask (both twins
-keep both walks), and rate_orders rates every ordering of one of them from
-_pairing, P with its row sums.  dumps writes the CLI's JSON payloads.  Twin
-of the compiled kernel in _speedups.c, with the same decomposition; it must
-match it exactly and carry the same KERNEL_API.
+the partitions into the admissible blocks at one weight vector through the
+same shape walk, _walk_shapes, with the listed blocks in place of every
+submask, and rate_orders rates every ordering of one of them from _pairing,
+P with its row sums.  dumps writes the CLI's JSON payloads.  Twin of the
+compiled kernel in _speedups.c, with the same decomposition; it must match
+it exactly and carry the same KERNEL_API.
 
 realise decides one candidate partition of the slots: the closed-form wall
 gate wall_meets, a pivot on each block's lowest slot, and the package's one
@@ -38,8 +38,10 @@ same _insert_row and _solve_strict, and its walls on wall_meets.  Here the
 integers grow as they must; the compiled twin checks every 64-bit
 operation and hands a call that overflows back to this one.
 
-Both kernels accept at most MAX_SLOTS slots and MAX_BLOCKS blocks per scanned
-shape and raise ValueError beyond that.  Within those limits every quantity
+Every entry reads n through _read_n, the twin of the compiled read_n: an
+integer (else TypeError) of at most MAX_SLOTS slots (else ValueError).  Both
+kernels accept at most MAX_BLOCKS blocks per scanned shape and raise
+ValueError beyond that.  Within those limits every quantity
 is a small machine integer: the pairing is bounded by a few thousand, far
 inside 64-bit range.  rate_orders also takes degrees up to MAX_DEGREE in
 absolute value, which keeps every rotation value below 2^50.
@@ -50,25 +52,35 @@ from __future__ import annotations
 import itertools
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import Iterator, Optional
 
 from ..core import MAX_SLOTS
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 7
+KERNEL_API = 8
 MAX_BLOCKS = 16
 MAX_DEGREE = 1 << 32
 
 
 def iter_partition_shapes(n: int, min_len: int = 1) -> Iterator[tuple[int, ...]]:
     """Stream the set partitions of n slots into at least min_len blocks of
-    size >= 2, as ascending mask tuples.  The block of the lowest free slot
-    comes first, its co-members in ascending submask order, as in
-    enumerate_shapes of _speedups.c."""
+    size >= 2, as ascending mask tuples: the shape walk over every submask.
+    The block of the lowest free slot comes first, its co-members in
+    ascending submask order, as in walk_shapes of _speedups.c."""
+    return _walk_shapes(n, min_len, None)
 
-    def rec(remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+
+def _walk_shapes(n: int, min_len: int, by_low) -> Iterator[tuple[int, ...]]:
+    """The one shape walk: cover the lowest free slot with each of its
+    blocks, ascending, prune once fewer than min_len blocks can be reached,
+    and yield each shape with its masks sorted ascending.  A slot's blocks
+    are those of by_low[slot] that fit, or, with by_low None, the slot with
+    each nonempty submask of the other free slots that leaves no lone slot."""
+    acc: list[int] = []
+
+    def rec(remaining: int) -> Iterator[tuple[int, ...]]:
         if not remaining:
             if len(acc) >= min_len:
                 yield tuple(sorted(acc))
@@ -76,22 +88,22 @@ def iter_partition_shapes(n: int, min_len: int = 1) -> Iterator[tuple[int, ...]]
         if len(acc) + remaining.bit_count() // 2 < min_len:
             return
         low = remaining & -remaining
-        rest = remaining ^ low
-        if not rest:
-            return  # a lone slot cannot form a block of size >= 2
-        s = rest & -rest
-        while True:
-            left = rest ^ s
-            if left.bit_count() != 1:
-                acc.append(low | s)
-                yield from rec(left, acc)
-                acc.pop()
-            if s == rest:
-                break
-            s = (s - rest) & rest
+        if by_low is not None:
+            slot = low.bit_length() - 1
+            blocks = [m for m in by_low[slot] if m & remaining == m]
+        else:
+            rest, s, blocks = remaining ^ low, 0, []
+            while s != rest:
+                s = (s - rest) & rest
+                if (rest ^ s).bit_count() != 1:
+                    blocks.append(low | s)
+        for block in blocks:
+            acc.append(block)
+            yield from rec(remaining ^ block)
+            acc.pop()
 
     if n >= 2:
-        yield from rec((1 << n) - 1, [])
+        yield from rec((1 << n) - 1)
 
 
 def _cross_terms(sups) -> list[list[int]]:
@@ -149,15 +161,22 @@ def _rotations(pair, q, order) -> list[int]:
     return rots
 
 
+def _read_n(n) -> int:
+    """n as an int, the slot count of every entry: TypeError unless it is an
+    integer, ValueError unless it lies in 0..MAX_SLOTS."""
+    n = index(n)
+    if not 0 <= n <= MAX_SLOTS:
+        raise ValueError(f"kernel supports 0 to {MAX_SLOTS} slots")
+    return n
+
+
 def _read_partition(n: int, masks) -> tuple[int, ...]:
     """masks as a tuple, once they are checked to partition the n slots.
 
-    Raises ValueError for n outside 0..MAX_SLOTS, or unless the masks are
-    nonempty, within the n slots, pairwise disjoint and cover every slot.
-    A block of rank 1 is allowed; it has no degree.
+    Raises ValueError unless the masks are nonempty, within the n slots,
+    pairwise disjoint and cover every slot.  A block of rank 1 is allowed;
+    it has no degree.
     """
-    if not 0 <= n <= MAX_SLOTS:
-        raise ValueError(f"kernel supports 0 to {MAX_SLOTS} slots")
     masks = tuple(masks)
     covered = 0
     for mask in masks:
@@ -176,7 +195,7 @@ def scan_shapes(
 ) -> tuple[list, dict]:
     """Scan every partition shape of n slots with at least min_len blocks:
     scan_partition_batch over the shapes of iter_partition_shapes(n, min_len),
-    in its order.  Raises ValueError for n < 0 or n > MAX_SLOTS."""
+    in its order.  Raises as scan_partition_batch does."""
     return scan_partition_batch(
         n, s_filter, semismall, min_len, iter_partition_shapes(n, min_len)
     )
@@ -206,14 +225,11 @@ def scan_partition_batch(
             rotation values of the pairing sum for that ordering.
         stats: dict mapping s to [candidate_count, ordering_class_count].
 
-    Raises ValueError for n < 0, n > MAX_SLOTS, and for a shape that
-    min_len does not skip but has more than MAX_BLOCKS blocks or does not
-    partition the n slots.
+    Raises as _read_n does, and ValueError for a shape that min_len does
+    not skip but has more than MAX_BLOCKS blocks or does not partition the
+    n slots.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > MAX_SLOTS:
-        raise ValueError(f"kernel supports at most {MAX_SLOTS} slots")
+    n = _read_n(n)
     violations: list = []
     stats: dict = {}
     for masks in masks_list:
@@ -272,17 +288,15 @@ def alpha_shapes(n: int, masks, min_len: int) -> list[tuple[int, ...]]:
 
     masks are the admissible blocks at one weight vector, ascending, each of
     rank >= 2 within the n slots.  They are grouped by lowest slot, keeping
-    their order; the recursion covers the lowest uncovered slot with each
-    block of that slot that fits, and stops once fewer than min_len blocks
-    can be reached.  With the ascending admissible masks this lists, in the
+    their order, and are the block source of the one shape walk,
+    _walk_shapes.  With the ascending admissible masks this lists, in the
     same order, the shapes of iter_partition_shapes(n, min_len) whose blocks
     are all admissible, without probing every submask.
 
-    Raises ValueError for n outside 0..MAX_SLOTS or a mask outside the n
-    slots or of rank below 2.
+    Raises as _read_n does, or ValueError for a mask outside the n slots or
+    of rank below 2.
     """
-    if not 0 <= n <= MAX_SLOTS:
-        raise ValueError(f"kernel supports 0 to {MAX_SLOTS} slots")
+    n = _read_n(n)
     by_low: list[list[int]] = [[] for _ in range(n)]
     for mask in masks:
         if not 0 < mask < 1 << n or mask.bit_count() < 2:
@@ -290,25 +304,7 @@ def alpha_shapes(n: int, masks, min_len: int) -> list[tuple[int, ...]]:
                 f"mask {mask} is not a block of rank >= 2 within {n} slots"
             )
         by_low[(mask & -mask).bit_length() - 1].append(mask)
-    shapes: list[tuple[int, ...]] = []
-    acc: list[int] = []
-
-    def rec(remaining: int) -> None:
-        if not remaining:
-            if len(acc) >= min_len:
-                shapes.append(tuple(sorted(acc)))
-            return
-        if len(acc) + remaining.bit_count() // 2 < min_len:
-            return
-        for mask in by_low[(remaining & -remaining).bit_length() - 1]:
-            if mask & remaining == mask:
-                acc.append(mask)
-                rec(remaining ^ mask)
-                acc.pop()
-
-    if n >= 2:
-        rec((1 << n) - 1)
-    return shapes
+    return list(_walk_shapes(n, min_len, by_low))
 
 
 def rate_orders(n: int, masks, degs, semismall: bool) -> tuple[list[dict], int]:
@@ -324,9 +320,10 @@ def rate_orders(n: int, masks, degs, semismall: bool) -> tuple[list[dict], int]:
     order of itertools.permutations(range(1, L)) behind block 0; first is
     the index of the first violating ordering, or -1.
 
-    Raises ValueError as _read_partition does, or unless 2 <= L <=
-    MAX_BLOCKS, len(degs) == L and every |degree| <= MAX_DEGREE.
+    Raises as _read_n and _read_partition do, or ValueError unless 2 <= L
+    <= MAX_BLOCKS, len(degs) == L and every |degree| <= MAX_DEGREE.
     """
+    n = _read_n(n)
     L = len(masks)
     if L < 2:
         raise ValueError("rotation values need at least two blocks")
@@ -498,8 +495,10 @@ def realise(n: int, masks, degs) -> Optional[tuple[tuple[int, ...], int]]:
     {0, +-1, +-2}.  Each row is divided by the gcd of its coefficients and
     bound, and _solve_strict solves the rest over the free slots.
 
-    Raises ValueError as _read_partition does, or for lengths that differ.
+    Raises as _read_n and _read_partition do, or ValueError for lengths
+    that differ.
     """
+    n = _read_n(n)
     masks = _read_partition(n, masks)
     if len(masks) != len(degs):
         raise ValueError("masks and degrees differ in length")
@@ -563,10 +562,9 @@ def realise_shapes(n: int, s: int, min_len: int) -> list[tuple]:
     fastest).  Returns [(masks, degs, nums, den), ...] over the candidates
     realise accepts, (nums, den) its witness.
 
-    Raises ValueError for n outside 0..MAX_SLOTS.
+    Raises as _read_n does.
     """
-    if not 0 <= n <= MAX_SLOTS:
-        raise ValueError(f"kernel supports 0 to {MAX_SLOTS} slots")
+    n = _read_n(n)
     found: list[tuple] = []
     if not 0 < s < n:
         return found

@@ -595,7 +595,7 @@ class TestInternalErrors:
             (AssertionError("injected invariant failure"), 3),
             (MemoryError("injected"), 3),
             (SystemError("injected"), 3),
-            (ValueError("kernel supports at most 30 slots"), 2),
+            (ValueError("kernel supports 0 to 30 slots"), 2),
         ],
         ids=["assertion", "memory", "system", "value"],
     )

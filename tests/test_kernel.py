@@ -109,16 +109,15 @@ class TestKernelSelection:
 
     def test_refusal_names_the_reason(self, compiled_kernel):
         # stubs for the ways an in-place build can be refused: none at all,
-        # one from before rate_orders took n and had to be given a partition
-        # of the slots (API 6), and one with the current number but without
-        # the realisation entries
+        # one from before every entry read n through one reader (API 7), and
+        # one with the current number but without the realisation entries
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
         older = types.ModuleType("_speedups")
-        older.KERNEL_API = 6
+        older.KERNEL_API = 7
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
-        assert _kernel.refusal(older) == "API mismatch: extension 6, pure.py 7"
+        assert _kernel.refusal(older) == "API mismatch: extension 7, pure.py 8"
         assert _kernel.select(older) == (pure, "pure")
         without = types.ModuleType("_speedups")
         without.KERNEL_API = pure.KERNEL_API
@@ -313,9 +312,9 @@ class TestScanShapes:
         )
 
     def test_capacity_limits(self, impl):
-        with pytest.raises(ValueError, match="at most 30 slots"):
+        with pytest.raises(ValueError, match="0 to 30 slots"):
             impl.scan_shapes(31, 0, False, 3)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="0 to 30 slots"):
             impl.scan_shapes(-1, 0, False, 3)
 
     def test_no_reference_leak(self, compiled_kernel):
@@ -440,6 +439,17 @@ class TestAlphaShapes:
         with pytest.raises(ValueError, match="rank >= 2 within 4 slots"):
             impl.alpha_shapes(4, [0b10011], 1)
 
+    def test_every_block_gives_the_submask_walk(self, impl):
+        # the listed blocks and every submask are the two block sources of
+        # one shape walk: listing every block of rank >= 2, ascending, must
+        # give the shapes of iter_partition_shapes in its order
+        for n in range(11):
+            masks = [mask for mask in range(1 << n) if mask.bit_count() >= 2]
+            for min_len in (1, 3):
+                assert impl.alpha_shapes(n, masks, min_len) == list(
+                    iter_partition_shapes(n, min_len)
+                ), (n, min_len)
+
     def test_no_reference_leak(self, compiled_kernel):
         n, masks, _ = seeded_blocks()[-3]  # dense N=14
         tracemalloc.start()
@@ -481,6 +491,40 @@ class TestAlphaShapes:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 2.0
+
+
+# Every kernel entry that takes n, with arguments that are valid at n = 2,
+# and slot counts for them: valid, outside 0..30 (also past C long), and not
+# an integer.
+N_ENTRIES = [
+    ("scan_shapes", (0, False, 3)),
+    ("scan_partition_batch", (0, False, 1, [(0b11,)])),
+    ("alpha_shapes", ([0b11], 1)),
+    ("rate_orders", ([0b01, 0b10], [-1, -1], False)),
+    ("realise", ([0b11], [-1])),
+    ("realise_shapes", (1, 1)),
+]
+SLOT_COUNTS = [2, -1, 31, 1 << 70, -(1 << 70), 1.5]
+
+
+class TestSlotCount:
+    @pytest.mark.parametrize("n", SLOT_COUNTS)
+    @pytest.mark.parametrize("name, args", N_ENTRIES)
+    def test_one_reader(self, compiled_kernel, name, args, n):
+        outcome = same_outcome(
+            lambda: getattr(compiled_kernel, name)(n, *args),
+            lambda: getattr(pure, name)(n, *args),
+        )
+        if n == 2:
+            assert outcome[0] == "value"
+        elif isinstance(n, float):
+            assert outcome == ("raised", TypeError)
+        else:
+            for impl in (compiled_kernel, pure):
+                with pytest.raises(
+                    ValueError, match="^kernel supports 0 to 30 slots$"
+                ):
+                    getattr(impl, name)(n, *args)
 
 
 # (n, masks, degs): the smallest partition, then inputs both twins must
@@ -832,7 +876,7 @@ class TestDumps:
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 7
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 8
 
 
 @lru_cache(maxsize=None)
@@ -939,7 +983,7 @@ class TestKernelBehaviour:
         ) == ([], {})
 
     def test_capacity_limits(self, impl):
-        with pytest.raises(ValueError, match="at most 30 slots"):
+        with pytest.raises(ValueError, match="0 to 30 slots"):
             impl.scan_partition_batch(31, 0, False, 3, [])
         blocks = tuple(0b11 << 2 * i for i in range(17))
         with pytest.raises(ValueError, match="at most 16 blocks"):

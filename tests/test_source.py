@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import bodenhu
@@ -192,8 +193,9 @@ OTHER_RECURSIONS = [
 ]
 KERNEL_FORMULAS = {"_pair_delta", "_cross_terms", "_place_degrees", "_pairing",
                    "_rotations", "_scan_shape", "rate_orders", "alpha_shapes",
-                   "_rated_orders", "iter_partition_shapes", "_solve_strict",
-                   "_insert_row", "wall_meets", "realise", "realise_shapes"}
+                   "_rated_orders", "iter_partition_shapes", "_walk_shapes",
+                   "_solve_strict", "_insert_row", "wall_meets", "realise",
+                   "realise_shapes"}
 
 
 def test_single_alpha_formulas_live_in_the_pure_kernel():
@@ -262,3 +264,27 @@ def test_pure_block_entries_read_one_partition_rule():
         )
     }
     assert {"realise", "rate_orders", "scan_partition_batch"} <= readers
+
+
+def c_recursive_functions(source):
+    """Names of the C functions defined in source that call themselves."""
+    definitions = re.finditer(
+        r"^(\w+)\([^;{]*?\)\n\{\n(.*?)^\}", source, re.M | re.S
+    )
+    return [
+        match[1]
+        for match in definitions
+        if re.search(rf"\b{match[1]}\(", match[2])
+    ]
+
+
+def test_each_twin_has_one_shape_walk():
+    """The scan, the realisation and alpha_shapes walk their shapes through
+    one recursion per twin, differing only in its block source.  Beside it
+    only pure's JSON writer recurses; the compiled writer's recursion runs
+    through write_value and is not a self-call."""
+    kernel = PACKAGE / "_kernel"
+    pure_tree = ast.parse((kernel / "pure.py").read_text())
+    assert recursive_functions(pure_tree) == ["_walk_shapes.rec", "_encode"]
+    source = (kernel / "_speedups.c").read_text()
+    assert c_recursive_functions(source) == ["walk_shapes"]
