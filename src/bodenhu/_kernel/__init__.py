@@ -10,15 +10,18 @@ with its witness) and the same JSON writer (dumps, the text of
 json.dumps(payload, indent=2) for the CLI's payload types), and must agree
 bit for bit (the test suite enforces this).  Block input has one rule in
 both: the shapes of scan_partition_batch and the blocks of realise and
-rate_orders must partition the n slots, or the call raises ValueError.  The
+rate_orders must partition the n slots, or the call raises ValueError.
+Both read every argument through one reader per kind (slot count, integer,
+integer list, partition) before any other check: a non-integer raises
+TypeError, and an integer counts at its exact value however large.  The
 compiled module is taken only if it has every entry point and the same
 KERNEL_API as pure.py, so an extension built from an older _speedups.c
 falls back to the pure kernel instead of failing at import.  KERNEL_KIND
 names the kernel in use; KERNEL_FALLBACK says why the compiled one was
 refused (None when it runs).  The compiled realisation works in checked
-64-bit integers and raises OverflowError where they would not suffice;
-on_overflow_pure re-runs that one call on pure.py, the only per-call
-fallback.  The pure kernel is also the oracle the tests import directly.
+64-bit integers and raises OverflowError where they would not suffice, or
+for a degree past 64 bits; on_overflow_pure re-runs that one call on
+pure.py, the only per-call fallback, which no other argument reaches.  The pure kernel is also the oracle the tests import directly.
 """
 
 import functools

@@ -69,9 +69,17 @@
  * pure.py keeps the unbounded walk as the oracle.
  *
  * Capacity: at most 30 slots and 16 blocks per shape (the package cap is 14
- * slots), the same limits pure.py enforces; every entry reads n through
- * read_n, as pure.py's through _read_n.  For those sizes every pairing
+ * slots), the same limits pure.py enforces.  For those sizes every pairing
  * and rotation value is far inside 64-bit range.
+ *
+ * Arguments: every entry reads each argument through one reader per kind,
+ * as pure.py's through its _read_*: read_n (the slot count), read_int (an
+ * integer, saturated at the ends of int64, where it still compares as the
+ * exact value), read_ints (a list of masks or degrees, copied into a fixed
+ * array) and read_partition (read masks that partition the slots).  A
+ * non-integer raises TypeError before any other check, as in pure.py, and
+ * no integer argument raises OverflowError but a degree of realise past
+ * int64 (see below).
  *
  *   alpha_shapes         lists the partitions of n slots into the
  *                        admissible blocks at one weight vector.
@@ -88,8 +96,8 @@
  * The realisation runs pure.py's Fourier-Motzkin step for step in int64,
  * every sum and product checked with __builtin_*_overflow.  For N <= 9 the
  * largest row entry is 468 and the largest witness integer 161,280, far
- * inside that range; past it the entries raise OverflowError and
- * _kernel/__init__.py re-runs the call on pure.py.
+ * inside that range; past it, or for a degree past int64, the entries raise
+ * OverflowError and _kernel/__init__.py re-runs the call on pure.py.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -97,7 +105,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 8
+#define KERNEL_API 9
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -128,7 +136,8 @@ typedef struct {
 
 /* What one call shares across its shapes. */
 typedef struct {
-    int n, s_filter, semismall;
+    int n, semismall;
+    i64 s_filter;
     PyObject *violations;
     Stats stats;
 } Scan;
@@ -198,19 +207,35 @@ masks_tuple(const Shape *sh)
     return int_seq(masks, sh->L, 0);
 }
 
-/* The "O&" converter of every entry's n, as pure._read_n: an integer
- * (TypeError otherwise) in 0..30 (ValueError otherwise) into *(int *)out.
- * 1 on success, 0 with the exception set. */
+/* The argument readers (see the header): the "O&" converters read_int,
+ * read_n and read_ints return 1 on success and 0 with the exception set;
+ * each entry passes all its arguments through one
+ * PyArg_ParseTupleAndKeywords call. */
+
+/* An integer (TypeError otherwise) into *(i64 *)out, saturated at the ends
+ * of int64: every comparison an entry makes with a number inside int64
+ * comes out as it would for the exact value.  realise_blocks, the one place
+ * that computes with what was read, refuses a degree at either end. */
+static int
+read_int(PyObject *obj, void *out)
+{
+    int overflow;
+    const i64 v = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return 0;
+    *(i64 *)out = overflow > 0 ? INT64_MAX : overflow < 0 ? INT64_MIN : v;
+    return 1;
+}
+
+/* The slot count n: read_int, then 0..30 (ValueError otherwise), into
+ * *(int *)out. */
 static int
 read_n(PyObject *obj, void *out)
 {
-    int overflow;
-    PyObject *index = PyNumber_Index(obj);
-    if (index == NULL)
+    i64 n;
+    if (!read_int(obj, &n))
         return 0;
-    const long n = PyLong_AsLongAndOverflow(index, &overflow);
-    Py_DECREF(index);
-    if (overflow || n < 0 || n > MAX_SLOTS) {
+    if (n < 0 || n > MAX_SLOTS) {
         PyErr_SetString(PyExc_ValueError, "kernel supports 0 to 30 slots");
         return 0;
     }
@@ -218,22 +243,54 @@ read_n(PyObject *obj, void *out)
     return 1;
 }
 
-/* Read the block masks of seq, a PySequence_Fast, into masks and check that
- * they partition the n slots, as pure._read_partition does: nonempty,
- * within the n slots, pairwise disjoint and covering every slot.  Each mask
- * written covers a new slot, so at most n are.  -1 with ValueError set when
- * they do not. */
+/* A list of masks or degrees: len counts every value given, and v holds the
+ * first MAX_SLOTS of them (past those, each overwrites v[MAX_SLOTS]).  No
+ * entry uses more: a partition of n <= 30 slots has at most n blocks. */
+typedef struct {
+    i64 v[MAX_SLOTS + 1];
+    Py_ssize_t len;
+} Ints;
+
+/* An iterable (TypeError otherwise) of integers, each read as read_int
+ * does, into *(Ints *)out; nothing is held afterwards.  A list is read in
+ * place, as pure.py's iteration reads it: each item is held while it is
+ * read and the length is taken again after it, since an __index__ method
+ * may change the list. */
 static int
-read_partition(int n, PyObject *seq, u64 *masks)
+read_ints(PyObject *obj, void *out)
+{
+    Ints *ints = out;
+    PyObject *seq = PySequence_Fast(obj, "expected an iterable of integers");
+    if (seq == NULL)
+        return 0;
+    int ok = 1;
+    Py_ssize_t i = 0;
+    for (; ok && i < PySequence_Fast_GET_SIZE(seq); i++) {
+        PyObject *item = Py_NewRef(PySequence_Fast_GET_ITEM(seq, i));
+        ok = read_int(item, &ints->v[i < MAX_SLOTS ? i : MAX_SLOTS]);
+        Py_DECREF(item);
+    }
+    ints->len = i;
+    Py_DECREF(seq);
+    return ok;
+}
+
+/* Check that the read blocks partition the n slots, as
+ * pure._read_partition does: at most most of them (most <= MAX_SLOTS),
+ * nonempty, within the n slots, pairwise disjoint and covering every slot;
+ * copy them into masks.  -1 with ValueError set when they do not. */
+static int
+read_partition(int n, const Ints *blocks, u64 *masks, int most)
 {
     u64 covered = 0;
-    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
-        int overflow;
-        long long v = PyLong_AsLongLongAndOverflow(
-            PySequence_Fast_GET_ITEM(seq, i), &overflow);
-        if (v == -1 && PyErr_Occurred())
-            return -1;
-        if (overflow || v <= 0 || (u64)v >> n || (covered & (u64)v)) {
+    if (blocks->len > most) {
+        PyErr_Format(PyExc_ValueError, "kernel supports at most %d blocks",
+                     most);
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < blocks->len; i++) {
+        const i64 v = blocks->v[i];
+        if (v <= 0 || (u64)v >> n || (covered & (u64)v)) {
             PyErr_SetString(PyExc_ValueError, "blocks must be nonempty, "
                             "pairwise disjoint and within n slots");
             return -1;
@@ -478,7 +535,7 @@ scan_and_release(void *scan, Shape *sh)
  * free slots when blocks is NULL.  acc holds the blocks chosen so far;
  * n <= 30 slots give at most 15 of them. */
 typedef struct {
-    int min_len;
+    i64 min_len;
     int (*visit)(void *ctx, Shape *sh);
     void *ctx;
     const u64 *blocks;
@@ -568,7 +625,7 @@ stats_dict(const Stats *stats)
 
 /* Set up the state of one call; -1 on error. */
 static int
-scan_init(Scan *scan, int n, int s_filter, int semismall)
+scan_init(Scan *scan, int n, i64 s_filter, int semismall)
 {
     memset(scan, 0, sizeof(*scan));
     scan->n = n;
@@ -600,14 +657,14 @@ static PyObject *
 scan_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "s_filter", "semismall", "min_len", NULL};
-    int n, s_filter, semismall, min_len;
+    int n, semismall;
+    i64 s_filter, min_len;
     Scan scan;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&ipi:scan_shapes", kwlist,
-                                     read_n, &n, &s_filter, &semismall,
-                                     &min_len))
-        return NULL;
-    if (scan_init(&scan, n, s_filter, semismall) < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&pO&:scan_shapes", kwlist,
+                                     read_n, &n, read_int, &s_filter,
+                                     &semismall, read_int, &min_len)
+        || scan_init(&scan, n, s_filter, semismall) < 0)
         return NULL;
     ShapeWalk walk = {.min_len = min_len, .visit = scan_and_release,
                       .ctx = &scan};
@@ -621,52 +678,54 @@ PyDoc_STRVAR(scan_batch_doc,
 "Scan a batch of partition shapes for rotation-criterion violations.\n\n"
 "Same contract as pure.scan_partition_batch; see that function's docstring.");
 
+/* Scan one shape of a batch unless it has fewer than min_len blocks, which
+ * pure.py skips before reading it; -1 on error. */
+static int
+scan_given(Scan *scan, PyObject *shape, i64 min_len)
+{
+    Shape sh = {.key = NULL};
+    Ints blocks;
+    const Py_ssize_t L = PyObject_Length(shape);
+    if (L < 0)
+        return -1;
+    if (L < min_len)
+        return 0;
+    if (L > MAX_BLOCKS) {
+        PyErr_SetString(PyExc_ValueError, "kernel supports at most 16 blocks");
+        return -1;
+    }
+    if (!read_ints(shape, &blocks)
+        || read_partition(scan->n, &blocks, sh.masks, MAX_BLOCKS) < 0)
+        return -1;
+    sh.L = (int)blocks.len;
+    return scan_and_release(scan, &sh);
+}
+
 static PyObject *
 scan_partition_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "s_filter", "semismall", "min_len",
                              "masks_list", NULL};
-    int n, s_filter, semismall, min_len, ok = 0;
-    PyObject *masks_arg, *shapes;
+    int n, semismall;
+    i64 s_filter, min_len;
+    PyObject *masks_list, *shape;
     Scan scan;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&ipiO:scan_partition_batch",
-                                     kwlist, read_n, &n, &s_filter,
-                                     &semismall, &min_len, &masks_arg))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds,
+                                     "O&O&pO&O:scan_partition_batch", kwlist,
+                                     read_n, &n, read_int, &s_filter,
+                                     &semismall, read_int, &min_len,
+                                     &masks_list)
+        || scan_init(&scan, n, s_filter, semismall) < 0)
         return NULL;
-    if (scan_init(&scan, n, s_filter, semismall) < 0)
-        return NULL;
-    shapes = PySequence_Fast(masks_arg, "masks_list must be iterable");
-    if (shapes == NULL)
-        return scan_result(&scan, 0);
-
-    Py_ssize_t nshapes = PySequence_Fast_GET_SIZE(shapes);
-    for (Py_ssize_t pi = 0; pi < nshapes; pi++) {
-        Shape sh = {.key = NULL};
-        PyObject *shape = PySequence_Fast(PySequence_Fast_GET_ITEM(shapes, pi),
-                                          "each shape must be iterable");
-        if (shape == NULL)
-            goto done;
-        const Py_ssize_t L = PySequence_Fast_GET_SIZE(shape);
-        int rc = 0;
-        if (L >= min_len && L > MAX_BLOCKS) {
-            PyErr_SetString(PyExc_ValueError,
-                            "kernel supports at most 16 blocks");
-            rc = -1;
-        } else if (L >= min_len) {
-            sh.L = (int)L;
-            rc = read_partition(n, shape, sh.masks);
-            if (rc == 0)
-                rc = scan_and_release(&scan, &sh);
-        }
+    PyObject *shapes = PyObject_GetIter(masks_list);
+    int ok = shapes != NULL;
+    while (ok && (shape = PyIter_Next(shapes)) != NULL) {
+        ok = scan_given(&scan, shape, min_len) == 0;
         Py_DECREF(shape);
-        if (rc < 0)
-            goto done;
     }
-    ok = 1;
-done:
-    Py_DECREF(shapes);
-    return scan_result(&scan, ok);
+    Py_XDECREF(shapes);
+    return scan_result(&scan, ok && !PyErr_Occurred());
 }
 
 /* Append the masks of sh to the list ctx as a tuple; -1 on error. */
@@ -692,17 +751,20 @@ static PyObject *
 alpha_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "masks", "min_len", NULL};
-    int n, min_len;
-    PyObject *masks_arg, *given, *shapes = NULL;
+    int n;
+    i64 min_len, v;
+    PyObject *masks, *given, *shapes = NULL;
     Py_ssize_t count[MAX_SLOTS + 1] = {0}, fill[MAX_SLOTS];
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&Oi:alpha_shapes", kwlist,
-                                     read_n, &n, &masks_arg, &min_len))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OO&:alpha_shapes", kwlist,
+                                     read_n, &n, &masks, read_int, &min_len))
         return NULL;
-    given = PySequence_Fast(masks_arg, "masks must be iterable");
+    /* any number of masks, so read_ints, which keeps MAX_SLOTS, does not
+     * serve: each is read in turn, as pure.py does */
+    given = PySequence_Tuple(masks);
     if (given == NULL)
         return NULL;
-    const Py_ssize_t k = PySequence_Fast_GET_SIZE(given);
+    const Py_ssize_t k = PyTuple_GET_SIZE(given);
     u64 *values = PyMem_Malloc((k + 1) * sizeof(u64));
     u64 *grouped = PyMem_Malloc((k + 1) * sizeof(u64));
     if (values == NULL || grouped == NULL) {
@@ -710,13 +772,10 @@ alpha_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
         goto done;
     }
     for (Py_ssize_t i = 0; i < k; i++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(given, i);
-        int overflow;
-        long long v = PyLong_AsLongLongAndOverflow(item, &overflow);
-        if (v == -1 && PyErr_Occurred())
+        PyObject *item = PyTuple_GET_ITEM(given, i);
+        if (!read_int(item, &v))
             goto done;
-        if (overflow || v <= 0 || (u64)v >> n
-            || __builtin_popcountll((u64)v) < 2) {
+        if (v <= 0 || (u64)v >> n || __builtin_popcountll((u64)v) < 2) {
             PyErr_Format(PyExc_ValueError,
                          "mask %R is not a block of rank >= 2 within %d slots",
                          item, n);
@@ -775,56 +834,40 @@ static PyObject *
 rate_orders(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "masks", "degs", "semismall", NULL};
-    PyObject *masks_arg, *degs_arg, *masks, *degs = NULL;
-    PyObject *orderings = NULL, *result = NULL;
-    int n, semismall;
+    Ints masks, degs;
+    int n, semismall, ok = 1;
     u64 sup[MAX_BLOCKS];
-    i64 rank[MAX_BLOCKS], deg[MAX_BLOCKS], q[MAX_BLOCKS];
+    i64 rank[MAX_BLOCKS], q[MAX_BLOCKS];
     i64 X[MAX_BLOCKS][MAX_BLOCKS], pair[MAX_BLOCKS][MAX_BLOCKS];
     i64 order[MAX_BLOCKS], rots[MAX_BLOCKS];
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OOp:rate_orders", kwlist,
-                                     read_n, &n, &masks_arg, &degs_arg,
-                                     &semismall))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&O&p:rate_orders", kwlist,
+                                     read_n, &n, read_ints, &masks, read_ints,
+                                     &degs, &semismall))
         return NULL;
-    masks = PySequence_Fast(masks_arg, "masks must be iterable");
-    if (masks == NULL)
-        return NULL;
-    degs = PySequence_Fast(degs_arg, "degs must be iterable");
-    if (degs == NULL)
-        goto done;
-    const Py_ssize_t L = PySequence_Fast_GET_SIZE(masks);
-    if (L < 2) {
+    if (masks.len < 2) {
         PyErr_SetString(PyExc_ValueError,
                         "rotation values need at least two blocks");
-        goto done;
+        return NULL;
     }
-    if (L > MAX_BLOCKS) {
-        PyErr_SetString(PyExc_ValueError, "kernel supports at most 16 blocks");
-        goto done;
-    }
-    if (PySequence_Fast_GET_SIZE(degs) != L) {
+    if (degs.len != masks.len) {
         PyErr_SetString(PyExc_ValueError,
                         "masks and degrees differ in length");
-        goto done;
+        return NULL;
     }
-    if (read_partition(n, masks, sup) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < L; i++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(degs, i);
-        int overflow;
-        deg[i] = PyLong_AsLongLongAndOverflow(item, &overflow);
-        if (deg[i] == -1 && PyErr_Occurred())
-            goto done;
-        if (overflow || deg[i] < -MAX_DEGREE || deg[i] > MAX_DEGREE) {
-            PyErr_Format(PyExc_ValueError, "degree %R outside -2^32..2^32",
-                         item);
-            goto done;
+    if (read_partition(n, &masks, sup, MAX_BLOCKS) < 0)
+        return NULL;
+    const int L = (int)masks.len;
+    for (int i = 0; i < L; i++) {
+        if (degs.v[i] < -MAX_DEGREE || degs.v[i] > MAX_DEGREE) {
+            PyErr_SetString(PyExc_ValueError,
+                            "degrees must lie within -2^32..2^32");
+            return NULL;
         }
         rank[i] = __builtin_popcountll(sup[i]);
     }
-    cross_terms((int)L, sup, X);
-    place_degrees((int)L, rank, deg, X, pair);
+    cross_terms(L, sup, X);
+    place_degrees(L, rank, degs.v, X, pair);
     for (int i = 0; i < L; i++) {
         q[i] = 0;
         for (int j = 0; j < L; j++)
@@ -834,28 +877,24 @@ rate_orders(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     Py_ssize_t nperm = 1, first = -1, idx = 0;
     for (int i = 2; i < L; i++)
         nperm *= i;
-    orderings = PyList_New(nperm);
+    PyObject *orderings = PyList_New(nperm);
     if (orderings == NULL)
-        goto done;
+        return NULL;
     const i64 bar = semismall ? L : L - 1;
     for (int i = 0; i < L; i++)
         order[i] = i;
     do {
-        const i64 least = rotations((int)L, pair, q, order, rots);
+        const i64 least = rotations(L, pair, q, order, rots);
         if (least >= bar && first < 0)
             first = idx;
-        PyObject *rated = rated_order(order, rots, (int)L, least >= bar);
-        if (rated == NULL)
-            goto done;
-        PyList_SET_ITEM(orderings, idx, rated);
-        if ((++idx & 0x3ff) == 0 && PyErr_CheckSignals() < 0)
-            goto done;
-    } while (next_perm(order + 1, (int)L - 1));
-    result = Py_BuildValue("(On)", orderings, first);
-done:
-    Py_XDECREF(orderings);
-    Py_XDECREF(degs);
-    Py_DECREF(masks);
+        PyObject *rated = rated_order(order, rots, L, least >= bar);
+        if (rated != NULL)
+            PyList_SET_ITEM(orderings, idx, rated);
+        ok = rated != NULL
+             && ((++idx & 0x3ff) != 0 || PyErr_CheckSignals() == 0);
+    } while (ok && next_perm(order + 1, L - 1));
+    PyObject *result = ok ? Py_BuildValue("(On)", orderings, first) : NULL;
+    Py_DECREF(orderings);
     return result;
 }
 
@@ -1162,8 +1201,10 @@ realise_blocks(FM *fm, int n, int L, const u64 *masks, const i64 *degs,
     u64 pivots = 0, rest[MAX_SLOTS];
     int index_of[MAX_SLOTS], k = 0, meets, rc;
 
+    /* a degree at either end of int64 may stand for one read_int saturated */
     for (int i = 0; i < L; i++)
-        CHECKED(SUB(s, degs[i], &s));
+        CHECKED(degs[i] == INT64_MIN || degs[i] == INT64_MAX
+                || SUB(s, degs[i], &s));
     if (s <= 0 || s >= n)
         return FM_EMPTY;
     for (int i = 0; L > 1 && i < L; i++) {
@@ -1243,51 +1284,37 @@ static PyObject *
 realise(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "masks", "degs", NULL};
-    PyObject *masks_arg, *degs_arg, *masks, *degs = NULL, *result = NULL;
-    u64 block[MAX_SLOTS];
-    i64 deg[MAX_SLOTS], nums[MAX_SLOTS], den;
+    Ints blocks, degs;
+    u64 masks[MAX_SLOTS];
+    i64 nums[MAX_SLOTS], den;
     int n;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OO:realise", kwlist,
-                                     read_n, &n, &masks_arg, &degs_arg))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&O&:realise", kwlist,
+                                     read_n, &n, read_ints, &blocks,
+                                     read_ints, &degs)
+        || read_partition(n, &blocks, masks, MAX_SLOTS) < 0)
         return NULL;
-    masks = PySequence_Fast(masks_arg, "masks must be iterable");
-    if (masks == NULL)
-        return NULL;
-    if (read_partition(n, masks, block) < 0)
-        goto done;
-    degs = PySequence_Fast(degs_arg, "degs must be iterable");
-    if (degs == NULL)
-        goto done;
-    const Py_ssize_t L = PySequence_Fast_GET_SIZE(masks);
-    if (PySequence_Fast_GET_SIZE(degs) != L) {
+    if (degs.len != blocks.len) {
         PyErr_SetString(PyExc_ValueError, "masks and degrees differ in length");
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < L; i++) {
-        deg[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(degs, i));
-        if (deg[i] == -1 && PyErr_Occurred())
-            goto done;
+        return NULL;
     }
     FM fm;
     memset(&fm, 0, sizeof(fm));
-    const int rc = realise_blocks(&fm, n, (int)L, block, deg, nums, &den);
+    const int rc = realise_blocks(&fm, n, (int)blocks.len, masks, degs.v,
+                                  nums, &den);
     fm_free(&fm);
     if (rc == FM_OK)
-        result = witness(nums, n, den);
-    else if (rc == FM_EMPTY)
-        result = Py_NewRef(Py_None);
-    else
-        fm_raise(rc);
-done:
-    Py_XDECREF(degs);
-    Py_DECREF(masks);
-    return result;
+        return witness(nums, n, den);
+    if (rc == FM_EMPTY)
+        return Py_NewRef(Py_None);
+    fm_raise(rc);
+    return NULL;
 }
 
 /* What realise_shapes shares across its shapes. */
 typedef struct {
-    int n, s;
+    int n;
+    i64 s;
     FM fm;
     PyObject *found;
 } Realisation;
@@ -1345,20 +1372,18 @@ static PyObject *
 realise_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "s", "min_len", NULL};
-    int n, s, min_len;
+    i64 min_len;
     Realisation re;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&ii:realise_shapes",
-                                     kwlist, read_n, &n, &s, &min_len))
-        return NULL;
     memset(&re, 0, sizeof(re));
-    re.n = n;
-    re.s = s;
-    re.found = PyList_New(0);
-    if (re.found == NULL)
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&O&:realise_shapes",
+                                     kwlist, read_n, &re.n, read_int, &re.s,
+                                     read_int, &min_len)
+        || (re.found = PyList_New(0)) == NULL)
         return NULL;
     ShapeWalk walk = {.min_len = min_len, .visit = realise_shape, .ctx = &re};
-    if (0 < s && s < n && walk_shapes(&walk, (1ULL << n) - 1, 0) < 0)
+    if (0 < re.s && re.s < re.n
+        && walk_shapes(&walk, (1ULL << re.n) - 1, 0) < 0)
         Py_CLEAR(re.found);
     fm_free(&re.fm);
     return re.found;

@@ -38,13 +38,14 @@ same _insert_row and _solve_strict, and its walls on wall_meets.  Here the
 integers grow as they must; the compiled twin checks every 64-bit
 operation and hands a call that overflows back to this one.
 
-Every entry reads n through _read_n, the twin of the compiled read_n: an
-integer (else TypeError) of at most MAX_SLOTS slots (else ValueError).  Both
+Every entry reads each argument through one reader per kind, twins of the
+compiled ones: _read_n, _read_int, _read_ints and _read_partition, all before
+any other check (a batch measures each shape against min_len first).  Both
 kernels accept at most MAX_BLOCKS blocks per scanned shape and raise
-ValueError beyond that.  Within those limits every quantity
-is a small machine integer: the pairing is bounded by a few thousand, far
-inside 64-bit range.  rate_orders also takes degrees up to MAX_DEGREE in
-absolute value, which keeps every rotation value below 2^50.
+ValueError beyond that.  Within those limits every quantity is a small
+machine integer: the pairing is bounded by a few thousand, far inside 64-bit
+range.  rate_orders also takes degrees up to MAX_DEGREE in absolute value,
+which keeps every rotation value below 2^50.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from ..core import MAX_SLOTS
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 8
+KERNEL_API = 9
 MAX_BLOCKS = 16
 MAX_DEGREE = 1 << 32
 
@@ -161,23 +162,32 @@ def _rotations(pair, q, order) -> list[int]:
     return rots
 
 
+def _read_int(value) -> int:
+    """value as an int: TypeError unless it is an integer."""
+    return index(value)
+
+
+def _read_ints(values) -> tuple[int, ...]:
+    """values, an iterable, as a tuple of ints, each read by _read_int."""
+    return tuple(map(_read_int, values))
+
+
 def _read_n(n) -> int:
-    """n as an int, the slot count of every entry: TypeError unless it is an
-    integer, ValueError unless it lies in 0..MAX_SLOTS."""
-    n = index(n)
+    """n as an int, the slot count of every entry: read by _read_int, and
+    ValueError unless it lies in 0..MAX_SLOTS."""
+    n = _read_int(n)
     if not 0 <= n <= MAX_SLOTS:
         raise ValueError(f"kernel supports 0 to {MAX_SLOTS} slots")
     return n
 
 
-def _read_partition(n: int, masks) -> tuple[int, ...]:
-    """masks as a tuple, once they are checked to partition the n slots.
+def _read_partition(n: int, masks: tuple[int, ...]) -> tuple[int, ...]:
+    """masks from _read_ints, once checked to partition the n slots.
 
     Raises ValueError unless the masks are nonempty, within the n slots,
     pairwise disjoint and cover every slot.  A block of rank 1 is allowed;
     it has no degree.
     """
-    masks = tuple(masks)
     covered = 0
     for mask in masks:
         if not 0 < mask < 1 << n or covered & mask:
@@ -196,6 +206,7 @@ def scan_shapes(
     """Scan every partition shape of n slots with at least min_len blocks:
     scan_partition_batch over the shapes of iter_partition_shapes(n, min_len),
     in its order.  Raises as scan_partition_batch does."""
+    n, min_len = _read_n(n), _read_int(min_len)
     return scan_partition_batch(
         n, s_filter, semismall, min_len, iter_partition_shapes(n, min_len)
     )
@@ -225,11 +236,11 @@ def scan_partition_batch(
             rotation values of the pairing sum for that ordering.
         stats: dict mapping s to [candidate_count, ordering_class_count].
 
-    Raises as _read_n does, and ValueError for a shape that min_len does
+    Raises as the readers do, and ValueError for a shape that min_len does
     not skip but has more than MAX_BLOCKS blocks or does not partition the
-    n slots.
+    n slots; a shape is measured, and skipped, before it is read.
     """
-    n = _read_n(n)
+    n, s_filter, min_len = _read_n(n), _read_int(s_filter), _read_int(min_len)
     violations: list = []
     stats: dict = {}
     for masks in masks_list:
@@ -237,7 +248,7 @@ def scan_partition_batch(
             continue
         if len(masks) > MAX_BLOCKS:
             raise ValueError(f"kernel supports at most {MAX_BLOCKS} blocks")
-        masks = _read_partition(n, masks)
+        masks = _read_partition(n, _read_ints(masks))
         _scan_shape(n, s_filter, semismall, masks, violations, stats)
     return violations, stats
 
@@ -293,12 +304,12 @@ def alpha_shapes(n: int, masks, min_len: int) -> list[tuple[int, ...]]:
     same order, the shapes of iter_partition_shapes(n, min_len) whose blocks
     are all admissible, without probing every submask.
 
-    Raises as _read_n does, or ValueError for a mask outside the n slots or
-    of rank below 2.
+    Raises as the readers do, each mask read in turn, or ValueError for a
+    mask outside the n slots or of rank below 2.
     """
-    n = _read_n(n)
+    n, min_len = _read_n(n), _read_int(min_len)
     by_low: list[list[int]] = [[] for _ in range(n)]
-    for mask in masks:
+    for mask in map(_read_int, masks):
         if not 0 < mask < 1 << n or mask.bit_count() < 2:
             raise ValueError(
                 f"mask {mask} is not a block of rank >= 2 within {n} slots"
@@ -320,10 +331,10 @@ def rate_orders(n: int, masks, degs, semismall: bool) -> tuple[list[dict], int]:
     order of itertools.permutations(range(1, L)) behind block 0; first is
     the index of the first violating ordering, or -1.
 
-    Raises as _read_n and _read_partition do, or ValueError unless 2 <= L
-    <= MAX_BLOCKS, len(degs) == L and every |degree| <= MAX_DEGREE.
+    Raises as the readers do, or ValueError unless 2 <= L <= MAX_BLOCKS,
+    len(degs) == L and every |degree| <= MAX_DEGREE.
     """
-    n = _read_n(n)
+    n, masks, degs = _read_n(n), _read_ints(masks), _read_ints(degs)
     L = len(masks)
     if L < 2:
         raise ValueError("rotation values need at least two blocks")
@@ -331,10 +342,10 @@ def rate_orders(n: int, masks, degs, semismall: bool) -> tuple[list[dict], int]:
         raise ValueError(f"kernel supports at most {MAX_BLOCKS} blocks")
     if len(degs) != L:
         raise ValueError("masks and degrees differ in length")
-    masks = _read_partition(n, masks)
+    _read_partition(n, masks)
     for d in degs:
         if not -MAX_DEGREE <= d <= MAX_DEGREE:
-            raise ValueError(f"degree {d} outside -2^32..2^32")
+            raise ValueError("degrees must lie within -2^32..2^32")
     pair, q = _pairing(masks, degs)
     bar = L if semismall else L - 1
     orderings: list[dict] = []
@@ -495,11 +506,10 @@ def realise(n: int, masks, degs) -> Optional[tuple[tuple[int, ...], int]]:
     {0, +-1, +-2}.  Each row is divided by the gcd of its coefficients and
     bound, and _solve_strict solves the rest over the free slots.
 
-    Raises as _read_n and _read_partition do, or ValueError for lengths
-    that differ.
+    Raises as the readers do, or ValueError for lengths that differ.
     """
-    n = _read_n(n)
-    masks = _read_partition(n, masks)
+    n, masks, degs = _read_n(n), _read_ints(masks), _read_ints(degs)
+    _read_partition(n, masks)
     if len(masks) != len(degs):
         raise ValueError("masks and degrees differ in length")
     pivots: dict[int, tuple[int, list[int]]] = {}  # p -> (d_check, B - p)
@@ -562,9 +572,9 @@ def realise_shapes(n: int, s: int, min_len: int) -> list[tuple]:
     fastest).  Returns [(masks, degs, nums, den), ...] over the candidates
     realise accepts, (nums, den) its witness.
 
-    Raises as _read_n does.
+    Raises as the readers do.
     """
-    n = _read_n(n)
+    n, s, min_len = _read_n(n), _read_int(s), _read_int(min_len)
     found: list[tuple] = []
     if not 0 < s < n:
         return found

@@ -109,15 +109,16 @@ class TestKernelSelection:
 
     def test_refusal_names_the_reason(self, compiled_kernel):
         # stubs for the ways an in-place build can be refused: none at all,
-        # one from before every entry read n through one reader (API 7), and
-        # one with the current number but without the realisation entries
+        # one from before every argument was read through one reader per
+        # kind (API 8), and one with the current number but without the
+        # realisation entries
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
         older = types.ModuleType("_speedups")
-        older.KERNEL_API = 7
+        older.KERNEL_API = 8
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
-        assert _kernel.refusal(older) == "API mismatch: extension 7, pure.py 8"
+        assert _kernel.refusal(older) == "API mismatch: extension 8, pure.py 9"
         assert _kernel.select(older) == (pure, "pure")
         without = types.ModuleType("_speedups")
         without.KERNEL_API = pure.KERNEL_API
@@ -383,6 +384,18 @@ def rated_cases():
             yield n, shape, [degree[mask] for mask in shape]
 
 
+def refusal_type(args):
+    """The exception both twins raise for refused arguments: TypeError where
+    one of them, or an item of one, is a float, which no reader takes, else
+    ValueError."""
+    items = [
+        item
+        for arg in args
+        for item in (arg if isinstance(arg, (list, tuple)) else [arg])
+    ]
+    return TypeError if any(isinstance(x, float) for x in items) else ValueError
+
+
 def same_outcome(call_a, call_b):
     """Both calls return equal values, or both raise the same exception type."""
     outcomes = []
@@ -396,7 +409,8 @@ def same_outcome(call_a, call_b):
 
 
 # (n, masks, min_len): no admissible block, slots 3 and 4 covered by no
-# block, min_len pruning, too few slots, and masks each twin must reject.
+# block, min_len pruning, too few slots, and masks each twin must reject,
+# among them a float.
 SHAPE_EDGE_CASES = [
     (4, [], 1),
     (4, [0b0011], 1),
@@ -412,6 +426,7 @@ SHAPE_EDGE_CASES = [
     (4, [-3], 1),
     (31, [], 1),
     (-1, [], 1),
+    (4, [0b0011, 12.0], 1),
 ]
 
 
@@ -527,11 +542,78 @@ class TestSlotCount:
                     getattr(impl, name)(n, *args)
 
 
+# Every integer argument of every entry but n: the entry, arguments valid
+# at their n, and the places of the integers in them (an argument's index,
+# then an item's for each mask and degree).  Each takes every value of
+# INTEGER_VALUES: past C int, past int64 either way, a float, a bool and an
+# object that is an integer only through __index__.
+INTEGER_ARGUMENTS = [
+    ("scan_shapes", (6, 0, False, 3), [(1,), (3,)]),
+    ("scan_partition_batch", (4, 0, False, 1, [(0b0011, 0b1100)]),
+     [(1,), (3,), (4, 0, 0), (4, 0, 1)]),
+    ("alpha_shapes", (4, [0b0011, 0b1100], 1), [(1, 0), (1, 1), (2,)]),
+    ("rate_orders", (4, [0b1001, 0b0110], [-1, -1], False),
+     [(1, 0), (1, 1), (2, 0), (2, 1)]),
+    ("realise", (4, [0b1001, 0b0110], [-1, -1]),
+     [(1, 0), (1, 1), (2, 0), (2, 1)]),
+    ("realise_shapes", (6, 3, 1), [(1,), (2,)]),
+]
+class Index:
+    """An integer only through __index__: it has no comparisons."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+INTEGER_VALUES = [
+    pytest.param(value, id=name)
+    for value, name in [(1 << 31, "2^31"), (1 << 63, "2^63"), (1 << 70, "2^70"),
+                        (-(1 << 70), "-2^70"), (1.5, "1.5"), (True, "True"),
+                        (Index(3), "index")]
+]
+
+
+def replaced(args, path, value):
+    """args with the item at path (an index into args, then into the
+    sequence there) replaced by value."""
+    head, *rest = path
+    item = replaced(args[head], rest, value) if rest else value
+    return type(args)([*args[:head], item, *args[head + 1:]])
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", INTEGER_VALUES)
+    @pytest.mark.parametrize(
+        "name, args, path",
+        [pytest.param(name, args, path, id=f"{name}[{','.join(map(str, path))}]")
+         for name, args, paths in INTEGER_ARGUMENTS for path in paths],
+    )
+    def test_one_reader(self, compiled_kernel, name, args, path, value):
+        args = replaced(args, path, value)
+
+        def compiled():
+            try:
+                return getattr(compiled_kernel, name)(*args)
+            except OverflowError:
+                # the one reading on_overflow_pure re-runs: a degree of
+                # realise past int64
+                assert (name, path[0]) == ("realise", 2)
+                assert not -(1 << 63) <= value < 1 << 63
+                return pure.realise(*args)
+
+        outcome = same_outcome(compiled, lambda: getattr(pure, name)(*args))
+        if isinstance(value, float):
+            assert outcome == ("raised", TypeError)
+
+
 # (n, masks, degs): the smallest partition, then inputs both twins must
 # reject: fewer than two or more than MAX_BLOCKS blocks (17 singletons that
 # do partition their slots), mismatched lengths, degrees outside the
-# documented range, and masks that are not a partition of the n slots (the
-# rest of that rule is NON_PARTITIONS).
+# documented range, masks that are not a partition of the n slots (the
+# rest of that rule is NON_PARTITIONS), and a float mask or degree.
 RATE_EDGE_CASES = [
     (4, [0b0011, 0b1100], [-1, -1]),
     (4, [0b0011, 0b1100], [-(1 << 32), 1 << 32]),
@@ -545,6 +627,8 @@ RATE_EDGE_CASES = [
     (30, [0b11, 1 << 30], [-1, -1]),
     (4, [0b11, -4], [-1, -1]),
     (4, [0b11, 1 << 70], [-1, -1]),
+    (4, [3.0, 0b1100], [-1, -1]),
+    (4, [0b0011, 0b1100], [-1.0, -1]),
 ]
 
 
@@ -569,9 +653,9 @@ class TestRateOrders:
             )
 
     def test_rejections(self, impl):
-        for n, masks, degs in RATE_EDGE_CASES[2:]:
-            with pytest.raises(ValueError):
-                impl.rate_orders(n, masks, degs, False)
+        for args in RATE_EDGE_CASES[2:]:
+            with pytest.raises(refusal_type(args)):
+                impl.rate_orders(*args, False)
 
     @pytest.mark.parametrize("semismall", [False, True])
     @pytest.mark.parametrize("n, masks", NON_PARTITIONS)
@@ -600,12 +684,15 @@ class TestRateOrders:
             for call in range(1, 201):
                 result = compiled_kernel.rate_orders(9, masks, degs, False)
                 del result
-                try:
-                    compiled_kernel.rate_orders(
-                        9, masks, [-1, -1, 1 << 40], False
-                    )
-                except ValueError:
-                    pass
+                # refused after reading, and while reading its degrees
+                for refused, error in (
+                    ([-1, -1, 1 << 40], ValueError),
+                    ([-1, -1, -1.0], TypeError),
+                ):
+                    try:
+                        compiled_kernel.rate_orders(9, masks, refused, False)
+                    except error:
+                        pass
                 if call == 100:
                     mid = tracemalloc.get_traced_memory()[0]
             end = tracemalloc.get_traced_memory()[0]
@@ -615,8 +702,8 @@ class TestRateOrders:
 
 
 # (n, masks, degs) that realise must reject: blocks that overlap, leave a
-# slot uncovered or are empty, then n out of range, lengths that differ, and
-# masks outside the n slots.
+# slot uncovered or are empty, then n out of range, lengths that differ,
+# masks outside the n slots, and a float mask or degree.
 REALISE_EDGE_CASES = [
     (4, [0b0011, 0b0110], [-1, -1]),
     (4, [0b0011], [-1]),
@@ -627,6 +714,8 @@ REALISE_EDGE_CASES = [
     (4, [0b10011, 0b1100], [-1, -1]),
     (4, [-4, 0b0011], [-1, -1]),
     (4, [1 << 70, 0b1111], [-1, -1]),
+    (4, [0b1001, 6.0], [-1, -1]),
+    (4, [0b1001, 0b0110], [-1, -1.0]),
 ]
 
 # Degrees whose wall gate scales past 2^63: the compiled twin raises
@@ -681,7 +770,7 @@ class TestRealise:
             lambda: compiled_kernel.realise(*args),
             lambda: pure.realise(*args),
         )
-        assert outcome == ("raised", ValueError)
+        assert outcome == ("raised", refusal_type(args))
 
     def test_shape_edge_values(self, impl):
         for n in (0, 1):
@@ -708,6 +797,18 @@ class TestRealise:
         guarded = _kernel.on_overflow_pure(compiled_kernel.realise, pure.realise)
         assert guarded(*OVERFLOWING) == pure.realise(*OVERFLOWING) is None
         assert _kernel.realise(*OVERFLOWING) is None
+
+    def test_arguments_never_enter_the_fallback(self, compiled_kernel):
+        # an s or min_len past C int is read as the exact value compares
+        # (saturated only past int64), so on_overflow_pure stays for the
+        # arithmetic
+        def unused(*args):
+            raise AssertionError(f"{args} re-ran on pure")
+
+        entry = _kernel.on_overflow_pure(compiled_kernel.realise_shapes, unused)
+        assert entry(6, 1 << 40, 1) == []
+        assert entry(6, 1, 1 << 40) == []
+        assert compiled_kernel.scan_shapes(6, 1 << 40, False, 3) == ([], {})
 
     def test_no_reference_leak(self, compiled_kernel):
         tracemalloc.start()
@@ -876,7 +977,7 @@ class TestDumps:
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 8
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 9
 
 
 @lru_cache(maxsize=None)

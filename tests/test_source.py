@@ -5,8 +5,12 @@ import re
 from pathlib import Path
 
 import bodenhu
+from bodenhu import _kernel
+from bodenhu._kernel import pure
+from conftest import REPO_ROOT
 
 PACKAGE = Path(bodenhu.__file__).parent
+SPEEDUPS = PACKAGE / "_kernel" / "_speedups.c"
 
 
 def parsed_modules():
@@ -266,15 +270,20 @@ def test_pure_block_entries_read_one_partition_rule():
     assert {"realise", "rate_orders", "scan_partition_batch"} <= readers
 
 
-def c_recursive_functions(source):
-    """Names of the C functions defined in source that call themselves."""
+def c_functions(source):
+    """(name, body) of each C function defined in source."""
     definitions = re.finditer(
         r"^(\w+)\([^;{]*?\)\n\{\n(.*?)^\}", source, re.M | re.S
     )
+    return [(match[1], match[2]) for match in definitions]
+
+
+def c_recursive_functions(source):
+    """Names of the C functions defined in source that call themselves."""
     return [
-        match[1]
-        for match in definitions
-        if re.search(rf"\b{match[1]}\(", match[2])
+        name
+        for name, body in c_functions(source)
+        if re.search(rf"\b{name}\(", body)
     ]
 
 
@@ -286,5 +295,118 @@ def test_each_twin_has_one_shape_walk():
     kernel = PACKAGE / "_kernel"
     pure_tree = ast.parse((kernel / "pure.py").read_text())
     assert recursive_functions(pure_tree) == ["_walk_shapes.rec", "_encode"]
-    source = (kernel / "_speedups.c").read_text()
-    assert c_recursive_functions(source) == ["walk_shapes"]
+    assert c_recursive_functions(SPEEDUPS.read_text()) == ["walk_shapes"]
+
+
+# The entries with arguments to read: all but the JSON writer.
+PURE_ENTRIES = [name for name in _kernel.ENTRY_POINTS if name != "dumps"]
+
+
+def is_reader(node):
+    return getattr(node, "id", "").startswith("_read_")
+
+
+def reads_through_reader(stmt, name):
+    """Whether stmt binds name to a _read_* call taking name, or loops over
+    map(_read_*, name)."""
+    if isinstance(stmt, ast.For):
+        loop = stmt.iter
+        return (
+            isinstance(loop, ast.Call)
+            and getattr(loop.func, "id", None) == "map"
+            and is_reader(loop.args[0])
+            and getattr(loop.args[1], "id", None) == name
+        )
+    if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
+        return False
+    targets, values = stmt.targets[0], stmt.value
+    if isinstance(targets, ast.Tuple) and isinstance(values, ast.Tuple):
+        pairs = zip(targets.elts, values.elts)
+    else:
+        pairs = [(targets, values)]
+    return any(
+        isinstance(target, ast.Name) and target.id == name
+        and isinstance(value, ast.Call)
+        and is_reader(value.func)
+        and any(isinstance(a, ast.Name) and a.id == name for a in value.args)
+        for target, value in pairs
+    )
+
+
+def test_pure_entries_read_arguments_through_readers():
+    """The first statement of a pure entry that names an argument reads it
+    through a _read_* function, or hands every argument on to another entry
+    (scan_shapes to the batch).  The flag semismall and the batch's shapes,
+    each measured and then read in turn, are not integer arguments; only
+    _read_int calls operator.index."""
+    tree = ast.parse((PACKAGE / "_kernel" / "pure.py").read_text())
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    unread = []
+    for entry in PURE_ENTRIES:
+        func = functions[entry]
+        for arg in func.args.args:
+            if arg.arg in ("semismall", "masks_list"):
+                continue
+            stmt = next(
+                stmt
+                for stmt in func.body
+                if any(
+                    isinstance(node, ast.Name) and node.id == arg.arg
+                    for node in ast.walk(stmt)
+                )
+            )
+            handed_on = (
+                isinstance(stmt, ast.Return)
+                and isinstance(stmt.value, ast.Call)
+                and getattr(stmt.value.func, "id", None) in PURE_ENTRIES
+            )
+            if not (handed_on or reads_through_reader(stmt, arg.arg)):
+                unread.append(f"{entry}:{arg.arg}")
+    assert unread == []
+    index_calls = [
+        func.name
+        for func in functions.values()
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "index"
+    ]
+    assert index_calls == ["_read_int"]
+
+
+def test_compiled_entries_parse_no_integer_unit():
+    """Each compiled entry parses its arguments in one call whose format
+    holds no integer unit: integers go through the readers' O& converters,
+    which read them as pure.py does."""
+    formats = re.findall(
+        r'PyArg_ParseTupleAndKeywords\(\s*args,\s*kwds,\s*"([^"]*)"',
+        SPEEDUPS.read_text(),
+    )
+    assert len(formats) == len(PURE_ENTRIES)
+    assert [f for f in formats if set(f.split(":")[0]) & set("bBhHiIlkLKn")] == []
+
+
+# The C functions that may take Python integers or sequences apart: the
+# readers, alpha_shapes over its list of any length, and the JSON writer.
+C_READERS = {"read_int", "read_ints", "alpha_shapes", "write_int"}
+
+
+def test_compiled_arguments_are_read_only_by_the_readers():
+    found = {
+        name
+        for name, body in c_functions(SPEEDUPS.read_text())
+        if re.search(r"\b(PySequence_\w+|PyLong_As\w+|PyNumber_Index)\(", body)
+    }
+    assert found == C_READERS
+
+
+def test_kernel_api_is_one_number():
+    """_speedups.c, pure.py and README's example of a refused stale build
+    name the same KERNEL_API; this runs without a C compiler, which the
+    compiled-kernel tests need."""
+    (api,) = map(
+        int, re.findall(r"^#define KERNEL_API (\d+)$", SPEEDUPS.read_text(), re.M)
+    )
+    assert api == pure.KERNEL_API
+    readme = " ".join((REPO_ROOT / "README.md").read_text().split())
+    assert f"`API mismatch: extension {api - 1}, pure.py {api}`" in readme
