@@ -6,14 +6,17 @@ the partitions of the admissible blocks at one weight vector, and
 rate_orders, the rated cyclic orderings of one partition), the same
 realisation entry points (realise, a witness point for one candidate
 partition, and realise_shapes, every realisable candidate of one (n, s)
-with its witness) and the same JSON writer (dumps, the text of
+with its witness), the same wall listing (walls, the nonempty walls of one
+W(n, s) as (mask, d_check) pairs, each decided by the closed form
+wall_meets) and the same JSON writer (dumps, the text of
 json.dumps(payload, indent=2) for the CLI's payload types), and must agree
 bit for bit (the test suite enforces this).  Block input has one rule in
 both: the shapes of scan_partition_batch and the blocks of realise and
 rate_orders must partition the n slots, or the call raises ValueError.
 Both read every argument through one reader per kind (slot count, integer,
-integer list, partition) before any other check: a non-integer raises
-TypeError, and an integer counts at its exact value however large.  The
+integer list, partition, flag) before any other check: a non-integer raises
+TypeError, an integer counts at its exact value however large, and the
+semismall flag's truth is tested once.  The
 compiled module is taken only if it has every entry point and the same
 KERNEL_API as pure.py, so an extension built from an older _speedups.c
 falls back to the pure kernel instead of failing at import.  KERNEL_KIND
@@ -21,7 +24,8 @@ names the kernel in use; KERNEL_FALLBACK says why the compiled one was
 refused (None when it runs).  The compiled realisation works in checked
 64-bit integers and raises OverflowError where they would not suffice, or
 for a degree past 64 bits; on_overflow_pure re-runs that one call on
-pure.py, the only per-call fallback, which no other argument reaches.  The pure kernel is also the oracle the tests import directly.
+pure.py, the only per-call fallback, which no other argument reaches.
+The pure kernel is also the oracle the tests import directly.
 """
 
 import functools
@@ -32,7 +36,7 @@ from . import pure
 
 ENTRY_POINTS = (
     "scan_shapes", "scan_partition_batch", "alpha_shapes", "rate_orders",
-    "realise", "realise_shapes", "dumps",
+    "realise", "realise_shapes", "walls", "dumps",
 )
 
 
@@ -88,11 +92,13 @@ rate_orders = _impl.rate_orders
 dumps = _impl.dumps
 realise = _impl.realise
 realise_shapes = _impl.realise_shapes
+walls = _impl.walls
 if _impl is not pure:
     realise = on_overflow_pure(realise, pure.realise)
     realise_shapes = on_overflow_pure(realise_shapes, pure.realise_shapes)
 
 __all__ = [
     "scan_shapes", "scan_partition_batch", "alpha_shapes", "rate_orders",
-    "realise", "realise_shapes", "dumps", "KERNEL_KIND", "KERNEL_FALLBACK",
+    "realise", "realise_shapes", "walls", "dumps", "KERNEL_KIND",
+    "KERNEL_FALLBACK",
 ]

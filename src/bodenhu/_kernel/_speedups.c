@@ -5,9 +5,9 @@
  *
  * Twin of pure.py: the same entry points with the same arguments and the
  * same results, bit for bit.  The two scan entry points return the same
- * (violations, stats) in the same order; alpha_shapes, rate_orders and
- * realise_shapes return the same lists; realise returns the same witness;
- * dumps returns the same text.
+ * (violations, stats) in the same order; alpha_shapes, rate_orders,
+ * realise_shapes and walls return the same lists; realise returns the same
+ * witness; dumps returns the same text.
  *
  *   scan_shapes          enumerates the set partitions itself, in the
  *                        canonical order of partitions.iter_partition_shapes
@@ -76,13 +76,15 @@
  * as pure.py's through its _read_*: read_n (the slot count), read_int (an
  * integer, saturated at the ends of int64, where it still compares as the
  * exact value), read_ints (a list of masks or degrees, copied into a fixed
- * array) and read_partition (read masks that partition the slots).  A
- * non-integer raises TypeError before any other check, as in pure.py, and
- * no integer argument raises OverflowError but a degree of realise past
- * int64 (see below).
+ * array) and read_partition (read masks that partition the slots); the
+ * semismall flag is read by the "p" format, whose one truth test pure.py's
+ * _read_flag makes too.  A non-integer raises TypeError before any other
+ * check, as in pure.py, and no integer argument raises OverflowError but a
+ * degree of realise past int64 (see below).
  *
  *   alpha_shapes         lists the partitions of n slots into the
- *                        admissible blocks at one weight vector.
+ *                        admissible blocks at one weight vector, each a
+ *                        tuple of the caller's int objects.
  *   rate_orders          rates every cyclic ordering of one partition.
  *   realise              decides one candidate partition: a witness point
  *                        (nums, den) of W(n, s), or None.
@@ -90,6 +92,9 @@
  *                        of the shape walk, the degrees as an odometer with
  *                        the rightmost digit fastest (itertools.product
  *                        order).
+ *   walls                lists the nonempty walls of one W(n, s) as
+ *                        (mask, d_check) pairs through wall_meets, the
+ *                        closed form of realise's wall gate.
  *   dumps                writes the text of json.dumps(payload, indent=2)
  *                        into one growing byte buffer; see below.
  *
@@ -105,7 +110,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 9
+#define KERNEL_API 10
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -542,6 +547,7 @@ typedef struct {
     Py_ssize_t start[MAX_SLOTS + 1];
     unsigned long nodes;
     u64 acc[MAX_BLOCKS];
+    Py_ssize_t pick[MAX_BLOCKS]; /* acc[d] is blocks[pick[d]], if listed */
 } ShapeWalk;
 
 /* Enumerate the completions of the blocks acc[0..depth-1] over the slots of
@@ -587,6 +593,7 @@ walk_shapes(ShapeWalk *walk, u64 remaining, int depth)
             m = walk->blocks[i++];
             if ((m & remaining) != m)
                 continue;
+            walk->pick[depth] = i - 1;
         } else {
             if (s == rest)
                 return 0;
@@ -728,13 +735,31 @@ scan_partition_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     return scan_result(&scan, ok && !PyErr_Occurred());
 }
 
-/* Append the masks of sh to the list ctx as a tuple; -1 on error. */
+/* What alpha_shapes shares with its visit: the shapes found, the walk, and
+ * objs[i], the caller's int object of the walk's listed block i. */
+typedef struct {
+    PyObject *shapes;
+    PyObject *const *objs;
+    const ShapeWalk *walk;
+} Listing;
+
+/* Append the masks of sh to the listing as a tuple of the caller's int
+ * objects, as pure.py's shapes hold them; -1 on error. */
 static int
 append_shape(void *ctx, Shape *sh)
 {
-    PyObject *shape = masks_tuple(sh);
-    int rc = shape ? PyList_Append(ctx, shape) : -1;
-    Py_XDECREF(shape);
+    const Listing *li = ctx;
+    PyObject *shape = PyTuple_New(sh->L);
+    if (shape == NULL)
+        return -1;
+    for (int i = 0; i < sh->L; i++) {
+        int d = 0;
+        while (li->walk->acc[d] != sh->masks[i])
+            d++;
+        PyTuple_SET_ITEM(shape, i, Py_NewRef(li->objs[li->walk->pick[d]]));
+    }
+    int rc = PyList_Append(li->shapes, shape);
+    Py_DECREF(shape);
     return rc;
 }
 
@@ -746,7 +771,8 @@ PyDoc_STRVAR(alpha_shapes_doc,
 "Same contract as pure.alpha_shapes; see that function's docstring.");
 
 /* The shape walk over the given blocks, grouped by lowest slot with a
- * counting sort that keeps the input order. */
+ * counting sort that keeps the input order.  The shapes hold the caller's
+ * int objects, as pure.py's do, so they share one object per block. */
 static PyObject *
 alpha_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
@@ -760,19 +786,27 @@ alpha_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
                                      read_n, &n, &masks, read_int, &min_len))
         return NULL;
     /* any number of masks, so read_ints, which keeps MAX_SLOTS, does not
-     * serve: each is read in turn, as pure.py does */
-    given = PySequence_Tuple(masks);
+     * serve: each is read in turn, as pure.py does, from a list copy that
+     * holds every int object the shapes share */
+    given = PySequence_List(masks);
     if (given == NULL)
         return NULL;
-    const Py_ssize_t k = PyTuple_GET_SIZE(given);
+    const Py_ssize_t k = PyList_GET_SIZE(given);
     u64 *values = PyMem_Malloc((k + 1) * sizeof(u64));
     u64 *grouped = PyMem_Malloc((k + 1) * sizeof(u64));
-    if (values == NULL || grouped == NULL) {
+    PyObject **objs = PyMem_Malloc((k + 1) * sizeof(PyObject *));
+    if (values == NULL || grouped == NULL || objs == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (Py_ssize_t i = 0; i < k; i++) {
-        PyObject *item = PyTuple_GET_ITEM(given, i);
+        PyObject *item = PyList_GET_ITEM(given, i);
+        /* pure.py keeps operator.index(item), an exact int */
+        if (!PyLong_CheckExact(item)) {
+            if ((item = PyNumber_Index(item)) == NULL)
+                goto done;
+            PyList_SetItem(given, i, item);
+        }
         if (!read_int(item, &v))
             goto done;
         if (v <= 0 || (u64)v >> n || __builtin_popcountll((u64)v) < 2) {
@@ -788,18 +822,25 @@ alpha_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     if (shapes == NULL)
         goto done;
     ShapeWalk walk = {.min_len = min_len, .visit = append_shape,
-                      .ctx = shapes, .blocks = grouped};
+                      .blocks = grouped};
+    Listing li = {.shapes = shapes, .objs = objs, .walk = &walk};
+    walk.ctx = &li;
     for (int slot = 0; slot < n; slot++) {
         walk.start[slot + 1] = walk.start[slot] + count[slot + 1];
         fill[slot] = walk.start[slot];
     }
-    for (Py_ssize_t i = 0; i < k; i++)
-        grouped[fill[__builtin_ctzll(values[i])]++] = values[i];
+    /* the borrowed objects stay alive: given holds them until the end */
+    for (Py_ssize_t i = 0; i < k; i++) {
+        const Py_ssize_t at = fill[__builtin_ctzll(values[i])]++;
+        grouped[at] = values[i];
+        objs[at] = PyList_GET_ITEM(given, i);
+    }
     if (n >= 2 && walk_shapes(&walk, (1ULL << n) - 1, 0) < 0)
         Py_CLEAR(shapes);
 done:
     PyMem_Free(values);
     PyMem_Free(grouped);
+    PyMem_Free(objs);
     Py_DECREF(given);
     return shapes;
 }
@@ -1188,6 +1229,63 @@ wall_meets(int n, int s, u64 mask, i64 d_check, int *meets)
         }
     *meets = 0;
     return FM_OK;
+}
+
+/* Append (mask, d_check) to found for every nonempty wall of W(n, s), in
+ * the order of pure.walls; -1 on error. */
+static int
+list_walls(PyObject *found, int n, int s)
+{
+    int meets, rc;
+    for (u64 mask = 1; mask < 1ULL << n; mask += 2) {
+        /* a call at 30 slots runs over 2^29 masks */
+        if ((mask & 0xfff) == 1 && PyErr_CheckSignals() < 0)
+            return -1;
+        const int r = __builtin_popcountll(mask);
+        if (r < 2 || r > n - 2)
+            continue;
+        /* d_check in -(r - 1)..-1 and -s - d_check in -(n - r - 1)..-1 */
+        const int lo = 1 - (r < s ? r : s), hi = n - r - s < 0 ? n - r - s : 0;
+        for (int d = lo; d < hi; d++) {
+            if ((rc = wall_meets(n, s, mask, d, &meets)))
+                return fm_raise(rc);
+            if (!meets)
+                continue;
+            PyObject *wall = Py_BuildValue("(Ki)", mask, d);
+            rc = wall ? PyList_Append(found, wall) : -1;
+            Py_XDECREF(wall);
+            if (rc < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(walls_doc,
+"walls(n, s)\n"
+"--\n\n"
+"The nonempty walls of W(n, s) as (mask, d_check) pairs.\n\n"
+"Same contract as pure.walls; see that function's docstring.");
+
+static PyObject *
+walls(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"n", "s", NULL};
+    int n;
+    i64 s;
+    PyObject *found;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&:walls", kwlist,
+                                     read_n, &n, read_int, &s))
+        return NULL;
+    if (s <= 0 || s >= n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the weight sum s must lie strictly between 0 and n");
+        return NULL;
+    }
+    if ((found = PyList_New(0)) != NULL && list_walls(found, n, (int)s) < 0)
+        Py_CLEAR(found);
+    return found;
 }
 
 /* Decide the blocks masks[0..L-1] with degrees degs, nonempty, disjoint
@@ -1650,6 +1748,8 @@ static PyMethodDef speedups_methods[] = {
      METH_VARARGS | METH_KEYWORDS, realise_doc},
     {"realise_shapes", (PyCFunction)(void (*)(void))realise_shapes,
      METH_VARARGS | METH_KEYWORDS, realise_shapes_doc},
+    {"walls", (PyCFunction)(void (*)(void))walls,
+     METH_VARARGS | METH_KEYWORDS, walls_doc},
     {"dumps", dumps, METH_O, dumps_doc},
     {NULL, NULL, 0, NULL},
 };

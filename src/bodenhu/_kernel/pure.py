@@ -33,19 +33,22 @@ gate wall_meets, a pivot on each block's lowest slot, and the package's one
 Fourier-Motzkin solver, _solve_strict, on the integer chain rows, with the
 witness as integers over one denominator.  realise_shapes runs it over
 every candidate of one (n, s) in the order of iter_partition_shapes and
-itertools.product.  weightspace builds its general rational systems on the
-same _insert_row and _solve_strict, and its walls on wall_meets.  Here the
-integers grow as they must; the compiled twin checks every 64-bit
-operation and hands a call that overflows back to this one.
+itertools.product.  walls lists the nonempty walls of one W(n, s) through
+the same wall_meets, the one closed form of a wall in this twin.
+weightspace builds its general rational systems on the same _insert_row
+and _solve_strict.  Here the integers grow as they must; the compiled twin
+checks every 64-bit operation and hands a call that overflows back to this
+one.
 
 Every entry reads each argument through one reader per kind, twins of the
-compiled ones: _read_n, _read_int, _read_ints and _read_partition, all before
-any other check (a batch measures each shape against min_len first).  Both
-kernels accept at most MAX_BLOCKS blocks per scanned shape and raise
-ValueError beyond that.  Within those limits every quantity is a small
-machine integer: the pairing is bounded by a few thousand, far inside 64-bit
-range.  rate_orders also takes degrees up to MAX_DEGREE in absolute value,
-which keeps every rotation value below 2^50.
+compiled ones: _read_n, _read_int, _read_ints, _read_partition and
+_read_flag (the semismall flag, whose truth is tested once, as the "p"
+format does), all before any other check (a batch measures each shape
+against min_len first).  Both kernels accept at most MAX_BLOCKS blocks per
+scanned shape and raise ValueError beyond that.  Within those limits every
+quantity is a small machine integer: the pairing is bounded by a few
+thousand, far inside 64-bit range.  rate_orders also takes degrees up to
+MAX_DEGREE in absolute value, which keeps every rotation value below 2^50.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from ..core import MAX_SLOTS
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 9
+KERNEL_API = 10
 MAX_BLOCKS = 16
 MAX_DEGREE = 1 << 32
 
@@ -167,6 +170,11 @@ def _read_int(value) -> int:
     return index(value)
 
 
+def _read_flag(value) -> bool:
+    """value's truth, tested once, as the compiled twin's "p" format does."""
+    return bool(value)
+
+
 def _read_ints(values) -> tuple[int, ...]:
     """values, an iterable, as a tuple of ints, each read by _read_int."""
     return tuple(map(_read_int, values))
@@ -206,7 +214,10 @@ def scan_shapes(
     """Scan every partition shape of n slots with at least min_len blocks:
     scan_partition_batch over the shapes of iter_partition_shapes(n, min_len),
     in its order.  Raises as scan_partition_batch does."""
-    n, min_len = _read_n(n), _read_int(min_len)
+    n, s_filter, semismall, min_len = (
+        _read_n(n), _read_int(s_filter), _read_flag(semismall),
+        _read_int(min_len),
+    )
     return scan_partition_batch(
         n, s_filter, semismall, min_len, iter_partition_shapes(n, min_len)
     )
@@ -240,7 +251,10 @@ def scan_partition_batch(
     not skip but has more than MAX_BLOCKS blocks or does not partition the
     n slots; a shape is measured, and skipped, before it is read.
     """
-    n, s_filter, min_len = _read_n(n), _read_int(s_filter), _read_int(min_len)
+    n, s_filter, semismall, min_len = (
+        _read_n(n), _read_int(s_filter), _read_flag(semismall),
+        _read_int(min_len),
+    )
     violations: list = []
     stats: dict = {}
     for masks in masks_list:
@@ -334,7 +348,9 @@ def rate_orders(n: int, masks, degs, semismall: bool) -> tuple[list[dict], int]:
     Raises as the readers do, or ValueError unless 2 <= L <= MAX_BLOCKS,
     len(degs) == L and every |degree| <= MAX_DEGREE.
     """
-    n, masks, degs = _read_n(n), _read_ints(masks), _read_ints(degs)
+    n, masks, degs, semismall = (
+        _read_n(n), _read_ints(masks), _read_ints(degs), _read_flag(semismall)
+    )
     L = len(masks)
     if L < 2:
         raise ValueError("rotation values need at least two blocks")
@@ -487,6 +503,31 @@ def wall_meets(n: int, s: int, mask: int, d_check: int) -> bool:
             if below and above:
                 return True
     return False
+
+
+def walls(n: int, s: int) -> list[tuple[int, int]]:
+    """The nonempty walls of W(n, s) as (mask, d_check) pairs.
+
+    A wall is named by its canonical summand, the one containing slot 1:
+    masks run over the odd ones ascending, of rank 2..n-2, and degrees
+    ascending over -(r - 1)..-1 with the complementary summand's degree
+    -s - d_check in -(n - r - 1)..-1 as well.  wall_meets keeps those whose
+    wall meets the open W(n, s).
+
+    Raises as the readers do, or ValueError unless 0 < s < n.
+    """
+    n, s = _read_n(n), _read_int(s)
+    if not 0 < s < n:
+        raise ValueError("the weight sum s must lie strictly between 0 and n")
+    found = []
+    for mask in range(1, 1 << n, 2):
+        r = mask.bit_count()
+        if not 2 <= r <= n - 2:
+            continue
+        for d in range(max(1 - r, 1 - s), min(0, n - r - s)):
+            if wall_meets(n, s, mask, d):
+                found.append((mask, d))
+    return found
 
 
 def realise(n: int, masks, degs) -> Optional[tuple[tuple[int, ...], int]]:

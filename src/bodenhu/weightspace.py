@@ -5,13 +5,16 @@ integer coordinate sum s.  Walls are the hyperplanes deg_alpha(m) = 0 cut out
 by proper summands m of the one-vector; a weight vector is generic when it
 lies on no wall.  Everything here is decided exactly, never through floats
 or an epsilon.  Whether a wall meets W(N,s) has a closed form (wall_meets):
-the closure is a simplex with known vertices.  Partition systems and general
-systems go through one Fourier-Motzkin solver on integer rows, which handles
-strict inequalities natively (strict + strict combines to strict).  The
-solver and wall_meets live in the pure kernel (_kernel/pure.py) and are
-imported from there.  realise_blocks decides partition systems through the
-kernel's realise, compiled when it is built, and turns only the witness
-into Fractions; feasible builds the rows of a general rational system.
+the closure is a simplex with known vertices.  enumerate_walls lists the
+nonempty walls through the kernel's walls, compiled when it is built, which
+runs that closed form over every candidate wall; wall_meets itself is
+pure.py's.  Partition systems and general systems go through one
+Fourier-Motzkin solver on integer rows, which handles strict inequalities
+natively (strict + strict combines to strict); it lives in the pure kernel
+(_kernel/pure.py) and is imported from there.  realise_blocks decides
+partition systems through the kernel's realise, compiled when it is built,
+and turns only the witness into Fractions; feasible builds the rows of a
+general rational system.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .core import (
     _subset_sum_table,
     check_cap,
 )
+from . import _kernel
 from ._kernel import realise
 from ._kernel.pure import _Infeasible, _insert_row, _solve_strict, wall_meets
 
@@ -57,10 +61,11 @@ __all__ = [
 class Wall:
     """A nonempty wall of W(N,s), named by its canonical summand (m_1 = 1).
 
-    Instances are produced by enumerate_walls (which certifies nonemptiness
-    through the closed-form wall_meets) and by is_generic (where the tested
-    weight vector itself lies on the wall); both construction sites guarantee
-    the wall meets the open weight space.
+    Instances are produced by enumerate_walls, from the kernel's walls,
+    which certifies nonemptiness through the closed-form wall_meets in
+    either twin and builds them unchecked, and by is_generic, where the
+    tested weight vector itself lies on the wall; both construction sites
+    guarantee the wall meets the open weight space.
     """
 
     m: MultiplicityVector
@@ -75,6 +80,13 @@ class Wall:
             raise ValueError("wall rank must lie between 2 and N-2")
         if not -r < self.m.d_check < 0:
             raise ValueError("wall degree must lie strictly between -r and 0")
+
+    @classmethod
+    def _unchecked(cls, m: MultiplicityVector) -> "Wall":
+        """A wall from a representative the caller guarantees canonical."""
+        self = object.__new__(cls)
+        self.__dict__["m"] = m
+        return self
 
     def __str__(self) -> str:
         sup = ",".join(str(i) for i in self.m.support)
@@ -285,25 +297,18 @@ def partition_system(
 def enumerate_walls(ctx: ModuliContext, cap: int = DEFAULT_CAP) -> list[Wall]:
     """All nonempty walls of W(N,s), canonical representatives, sorted.
 
-    Candidates run over supports containing slot 1 (ascending bitmask) and
-    degrees ascending; each is kept only if the wall actually meets the open
-    weight space, which the closed form wall_meets decides.
+    The kernel's walls lists them: supports containing slot 1 (ascending
+    bitmask) of rank 2..N-2, degrees ascending, each kept only if its
+    complementary summand has an admissible degree too and the closed form
+    wall_meets finds the wall in the open weight space.  Every property
+    Wall checks holds by that construction, so they are built unchecked.
     """
     check_cap(ctx.n, cap)
-    n, s = ctx.n, ctx.s
-    walls = []
-    for mask in range(1, 1 << n, 2):
-        r = mask.bit_count()
-        if not 2 <= r <= n - 2:
-            continue
-        for d in range(-(r - 1), 0):
-            # The complementary summand needs an admissible degree too.
-            d2 = -s - d
-            if not -(n - r) < d2 < 0:
-                continue
-            if wall_meets(n, s, mask, d):
-                walls.append(Wall(MultiplicityVector.from_mask(n, d, mask)))
-    return walls
+    n = ctx.n
+    return [
+        Wall._unchecked(MultiplicityVector._from_mask_unchecked(n, d, mask))
+        for mask, d in _kernel.walls(n, ctx.s)
+    ]
 
 
 @lru_cache(maxsize=32)

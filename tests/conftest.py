@@ -168,6 +168,24 @@ def triple113() -> tuple[MultiplicityVector, ...]:
     return build_triple(11, TRIPLE_11_3)
 
 
+def kernel_line() -> str:
+    """The kernel the package selected, which the CLI tests run on, and for
+    the pure one why the compiled one was refused."""
+    from bodenhu._kernel import KERNEL_FALLBACK, KERNEL_KIND
+
+    return f"bodenhu kernel: {KERNEL_KIND} (fallback: {KERNEL_FALLBACK})"
+
+
+def pytest_report_header(config):
+    return kernel_line()
+
+
+def pytest_terminal_summary(terminalreporter):
+    # -q, as in the tier-1 command, drops the header; the summary stays
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(kernel_line())
+
+
 def c_compiler():
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     return shutil.which(shlex.split(cc)[0])

@@ -109,26 +109,32 @@ class TestKernelSelection:
 
     def test_refusal_names_the_reason(self, compiled_kernel):
         # stubs for the ways an in-place build can be refused: none at all,
-        # one from before every argument was read through one reader per
-        # kind (API 8), and one with the current number but without the
-        # realisation entries
+        # one from before the walls entry (API 9), one with the current
+        # number but without the realisation entries, and one without walls
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
         older = types.ModuleType("_speedups")
-        older.KERNEL_API = 8
+        older.KERNEL_API = 9
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
-        assert _kernel.refusal(older) == "API mismatch: extension 8, pure.py 9"
+        assert _kernel.refusal(older) == "API mismatch: extension 9, pure.py 10"
         assert _kernel.select(older) == (pure, "pure")
         without = types.ModuleType("_speedups")
         without.KERNEL_API = pure.KERNEL_API
         for name in ("scan_shapes", "scan_partition_batch", "alpha_shapes",
-                     "rate_orders", "dumps"):
+                     "rate_orders", "walls", "dumps"):
             setattr(without, name, getattr(compiled_kernel, name))
         assert _kernel.refusal(without) == (
             "missing entries: realise, realise_shapes"
         )
         assert _kernel.select(without) == (pure, "pure")
+        no_walls = types.ModuleType("_speedups")
+        no_walls.KERNEL_API = pure.KERNEL_API
+        for name in _kernel.ENTRY_POINTS:
+            if name != "walls":
+                setattr(no_walls, name, getattr(compiled_kernel, name))
+        assert _kernel.refusal(no_walls) == "missing entries: walls"
+        assert _kernel.select(no_walls) == (pure, "pure")
 
     def test_fallback_is_recorded(self):
         assert _kernel.KERNEL_FALLBACK == _kernel.refusal(_kernel._speedups)
@@ -465,6 +471,15 @@ class TestAlphaShapes:
                     iter_partition_shapes(n, min_len)
                 ), (n, min_len)
 
+    def test_shapes_hold_the_given_objects(self, impl):
+        # the shapes share the caller's int objects, as pure.py's do: no
+        # mask is built anew per shape
+        for n, masks, _ in seeded_blocks():
+            given = [int(str(mask)) for mask in masks]
+            ids = {id(mask) for mask in given}
+            shapes = impl.alpha_shapes(n, given, 1)
+            assert all(id(mask) in ids for shape in shapes for mask in shape)
+
     def test_no_reference_leak(self, compiled_kernel):
         n, masks, _ = seeded_blocks()[-3]  # dense N=14
         tracemalloc.start()
@@ -518,6 +533,7 @@ N_ENTRIES = [
     ("rate_orders", ([0b01, 0b10], [-1, -1], False)),
     ("realise", ([0b11], [-1])),
     ("realise_shapes", (1, 1)),
+    ("walls", (1,)),
 ]
 SLOT_COUNTS = [2, -1, 31, 1 << 70, -(1 << 70), 1.5]
 
@@ -557,6 +573,7 @@ INTEGER_ARGUMENTS = [
     ("realise", (4, [0b1001, 0b0110], [-1, -1]),
      [(1, 0), (1, 1), (2, 0), (2, 1)]),
     ("realise_shapes", (6, 3, 1), [(1,), (2,)]),
+    ("walls", (6, 3), [(1,)]),
 ]
 class Index:
     """An integer only through __index__: it has no comparisons."""
@@ -607,6 +624,47 @@ class TestIntegerArguments:
         outcome = same_outcome(compiled, lambda: getattr(pure, name)(*args))
         if isinstance(value, float):
             assert outcome == ("raised", TypeError)
+
+
+class FlagError(Exception):
+    """Raised by the truth test of Flag."""
+
+
+class Flag:
+    """A semismall flag whose truth test raises."""
+
+    def __bool__(self):
+        raise FlagError
+
+
+# (entry, arguments, what both twins raise) with a Flag for semismall: valid
+# otherwise, with no shape or too few blocks (where the pure twin, when it
+# tested the flag per shape, never reached the test), and with a float read
+# before the flag (TypeError) or after it (the flag's error).
+FLAG_ROWS = [
+    ("scan_shapes", (6, 0, Flag(), 3), FlagError),
+    ("scan_shapes", (1, 0, Flag(), 1), FlagError),
+    ("scan_shapes", (1.5, 0, Flag(), 1), TypeError),
+    ("scan_shapes", (6, 0.5, Flag(), 1), TypeError),
+    ("scan_shapes", (6, 0, Flag(), 1.5), FlagError),
+    ("scan_partition_batch", (4, 0, Flag(), 1, [(0b0011, 0b1100)]), FlagError),
+    ("scan_partition_batch", (4, 0, Flag(), 1, []), FlagError),
+    ("scan_partition_batch", (4, 0, Flag(), 1.5, []), FlagError),
+    ("scan_partition_batch", (4, 0, Flag(), 1, [(0b0011,)]), FlagError),
+    ("rate_orders", (4, [0b0011, 0b1100], [-1, -1], Flag()), FlagError),
+    ("rate_orders", (4, [0b0011], [-1], Flag()), FlagError),
+    ("rate_orders", (4, [0b0011, 0b1100], [-1, 1.5], Flag()), TypeError),
+]
+
+
+class TestSemismallFlag:
+    @pytest.mark.parametrize("name, args, raised", FLAG_ROWS)
+    def test_one_reader(self, compiled_kernel, name, args, raised):
+        outcome = same_outcome(
+            lambda: getattr(compiled_kernel, name)(*args),
+            lambda: getattr(pure, name)(*args),
+        )
+        assert outcome == ("raised", raised)
 
 
 # (n, masks, degs): the smallest partition, then inputs both twins must
@@ -862,6 +920,103 @@ class TestRealise:
         assert time.monotonic() - start < 2.0
 
 
+# (n, s): the smallest W(n, s), then arguments both twins must reject: s
+# at either end of 1..n-1 and beyond, too few or too many slots, and a
+# float n or s.
+WALL_EDGE_CASES = [
+    (2, 1),
+    (4, 2),
+    (6, 0),
+    (6, 6),
+    (6, -1),
+    (0, 0),
+    (1, 1),
+    (31, 15),
+    (6.0, 3),
+    (6, 3.0),
+]
+
+
+class TestWalls:
+    def test_bit_for_bit(self, compiled_kernel):
+        for n in range(2, 13):
+            for s in range(1, n):
+                assert compiled_kernel.walls(n, s) == pure.walls(n, s), (n, s)
+
+    @pytest.mark.parametrize("args", WALL_EDGE_CASES)
+    def test_edge_inputs(self, compiled_kernel, args):
+        outcome = same_outcome(
+            lambda: compiled_kernel.walls(*args), lambda: pure.walls(*args)
+        )
+        if args[0] in (2, 4):
+            assert outcome[0] == "value"
+        else:
+            assert outcome == ("raised", refusal_type(args))
+
+    def test_edge_values(self, impl):
+        assert impl.walls(2, 1) == []
+        assert impl.walls(4, 1) == []
+        assert impl.walls(4, 2) == [(0b1001, -1)]
+        for s in (0, 4):
+            with pytest.raises(ValueError, match="strictly between 0 and n"):
+                impl.walls(4, s)
+
+    def test_canonical_and_sorted(self, impl):
+        # slot 1 in every support, rank 2..n-2, both summands of admissible
+        # degree, ascending by mask and then degree, each pair once
+        for n in range(4, 10):
+            for s in range(1, n):
+                found = impl.walls(n, s)
+                assert found == sorted(set(found))
+                for mask, d in found:
+                    r = mask.bit_count()
+                    assert mask & 1 and 2 <= r <= n - 2
+                    assert -r < d < 0 and -(n - r) < -s - d < 0
+
+    def test_no_reference_leak(self, compiled_kernel):
+        tracemalloc.start()
+        try:
+            for call in range(1, 201):
+                result = compiled_kernel.walls(10, 5)
+                assert result
+                del result
+                try:
+                    compiled_kernel.walls(10, 10)
+                except ValueError:
+                    pass
+                if call == 100:
+                    mid = tracemalloc.get_traced_memory()[0]
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert end <= mid
+
+    def test_interruptible(self, compiled_kernel):
+        # 30 slots give 2^29 odd masks, minutes of work; the loop checks
+        # for signals every 2^11 of them.  Collections are off for the call,
+        # as in TestRealise.
+        class Stop(Exception):
+            pass
+
+        def stop(signum, frame):
+            raise Stop
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        collecting = gc.isenabled()
+        start = time.monotonic()
+        try:
+            gc.disable()
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(Stop):
+                compiled_kernel.walls(30, 15)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            if collecting:
+                gc.enable()
+        assert time.monotonic() - start < 2.0
+
+
 def reversed_mask(n, mask):
     return sum(1 << (n - 1 - i) for i in range(n) if mask >> i & 1)
 
@@ -977,7 +1132,7 @@ class TestDumps:
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 9
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 10
 
 
 @lru_cache(maxsize=None)

@@ -69,20 +69,34 @@ def test_no_indented_json_dumps():
     assert found == []
 
 
-# Private constructors that skip validation, and the enumeration modules
-# whose objects are valid by construction.
+# Private constructors that skip validation, the enumeration modules whose
+# objects are valid by construction, and the one function elsewhere that
+# builds objects from an enumerator: enumerate_walls, from the kernel's walls.
 UNCHECKED = ("_from_mask_unchecked", "_unchecked")
 ENUMERATORS = ("partitions.py", "smallness.py", "moduli.py")
+UNCHECKED_BUILDERS = {"weightspace.py": "enumerate_walls"}
 
 
 def test_unchecked_constructors_only_in_enumerators():
-    found = [
-        f"{path.relative_to(PACKAGE)}:{node.lineno}"
-        for path, tree in parsed_modules()
-        if path.relative_to(PACKAGE).as_posix() not in ENUMERATORS
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in UNCHECKED
-    ]
+    found = []
+    for path, tree in parsed_modules():
+        name = path.relative_to(PACKAGE).as_posix()
+        if name in ENUMERATORS:
+            continue
+        allowed = {
+            id(node)
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            and func.name == UNCHECKED_BUILDERS.get(name)
+            for node in ast.walk(func)
+        }
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in UNCHECKED
+            and id(node) not in allowed
+        ]
     assert found == []
 
 
@@ -335,10 +349,10 @@ def reads_through_reader(stmt, name):
 
 def test_pure_entries_read_arguments_through_readers():
     """The first statement of a pure entry that names an argument reads it
-    through a _read_* function, or hands every argument on to another entry
-    (scan_shapes to the batch).  The flag semismall and the batch's shapes,
-    each measured and then read in turn, are not integer arguments; only
-    _read_int calls operator.index."""
+    through a _read_* function, or hands every argument on to another entry.
+    The semismall flag is read once, by _read_flag, like the rest; the
+    batch's shapes, each measured and then read in turn, are the one
+    argument left out.  Only _read_int calls operator.index."""
     tree = ast.parse((PACKAGE / "_kernel" / "pure.py").read_text())
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -347,7 +361,7 @@ def test_pure_entries_read_arguments_through_readers():
     for entry in PURE_ENTRIES:
         func = functions[entry]
         for arg in func.args.args:
-            if arg.arg in ("semismall", "masks_list"):
+            if arg.arg == "masks_list":
                 continue
             stmt = next(
                 stmt
@@ -410,3 +424,55 @@ def test_kernel_api_is_one_number():
     assert api == pure.KERNEL_API
     readme = " ".join((REPO_ROOT / "README.md").read_text().split())
     assert f"`API mismatch: extension {api - 1}, pure.py {api}`" in readme
+
+
+def c_reaches(source, start, target):
+    """Whether the C function start calls target, directly or through other
+    functions defined in source."""
+    calls = {
+        name: set(re.findall(r"\b(\w+)\(", body))
+        for name, body in c_functions(source)
+    }
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name == target:
+            return True
+        if name in calls and name not in seen:
+            seen.add(name)
+            todo += calls[name]
+    return False
+
+
+def calls_of(func):
+    """The names func calls, as name or attribute, each with the name of the
+    object it is looked up on (None for a bare name)."""
+    return {
+        (getattr(node.func.value, "id", None), node.func.attr)
+        if isinstance(node.func, ast.Attribute)
+        else (None, getattr(node.func, "id", None))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+    }
+
+
+def top_function(path, name):
+    tree = ast.parse(path.read_text())
+    (func,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return func
+
+
+def test_walls_are_listed_through_each_twins_closed_form():
+    """Each twin lists the walls through its own wall_meets, the one closed
+    form of a wall in it, and enumerate_walls takes them from the kernel."""
+    assert (None, "wall_meets") in calls_of(
+        top_function(PACKAGE / "_kernel" / "pure.py", "walls")
+    )
+    assert c_reaches(SPEEDUPS.read_text(), "walls", "wall_meets")
+    assert ("_kernel", "walls") in calls_of(
+        top_function(PACKAGE / "weightspace.py", "enumerate_walls")
+    )
