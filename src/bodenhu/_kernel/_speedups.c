@@ -1241,10 +1241,9 @@ list_walls(PyObject *found, int n, int s)
         /* a call at 30 slots runs over 2^29 masks */
         if ((mask & 0xfff) == 1 && PyErr_CheckSignals() < 0)
             return -1;
+        /* d_check in -(r - 1)..-1 and -s - d_check in -(n - r - 1)..-1,
+         * none unless 2 <= r <= n - 2 */
         const int r = __builtin_popcountll(mask);
-        if (r < 2 || r > n - 2)
-            continue;
-        /* d_check in -(r - 1)..-1 and -s - d_check in -(n - r - 1)..-1 */
         const int lo = 1 - (r < s ? r : s), hi = n - r - s < 0 ? n - r - s : 0;
         for (int d = lo; d < hi; d++) {
             if ((rc = wall_meets(n, s, mask, d, &meets)))

@@ -509,10 +509,10 @@ def walls(n: int, s: int) -> list[tuple[int, int]]:
     """The nonempty walls of W(n, s) as (mask, d_check) pairs.
 
     A wall is named by its canonical summand, the one containing slot 1:
-    masks run over the odd ones ascending, of rank 2..n-2, and degrees
-    ascending over -(r - 1)..-1 with the complementary summand's degree
-    -s - d_check in -(n - r - 1)..-1 as well.  wall_meets keeps those whose
-    wall meets the open W(n, s).
+    masks run over the odd ones ascending, and degrees ascending over
+    -(r - 1)..-1 with the complementary summand's degree -s - d_check in
+    -(n - r - 1)..-1 as well, which leaves only ranks 2..n-2.  wall_meets
+    keeps those whose wall meets the open W(n, s).
 
     Raises as the readers do, or ValueError unless 0 < s < n.
     """
@@ -522,8 +522,7 @@ def walls(n: int, s: int) -> list[tuple[int, int]]:
     found = []
     for mask in range(1, 1 << n, 2):
         r = mask.bit_count()
-        if not 2 <= r <= n - 2:
-            continue
+        # empty unless 2 <= r <= n - 2
         for d in range(max(1 - r, 1 - s), min(0, n - r - s)):
             if wall_meets(n, s, mask, d):
                 found.append((mask, d))
