@@ -74,7 +74,7 @@ def test_no_indented_json_dumps():
 # builds objects from an enumerator: enumerate_walls, from the kernel's walls.
 UNCHECKED = ("_from_mask_unchecked", "_unchecked")
 ENUMERATORS = ("partitions.py", "smallness.py", "moduli.py")
-UNCHECKED_BUILDERS = {"weightspace.py": "enumerate_walls"}
+UNCHECKED_CALLERS = {"weightspace.py": "enumerate_walls"}
 
 
 def test_unchecked_constructors_only_in_enumerators():
@@ -87,7 +87,7 @@ def test_unchecked_constructors_only_in_enumerators():
             id(node)
             for func in tree.body
             if isinstance(func, ast.FunctionDef)
-            and func.name == UNCHECKED_BUILDERS.get(name)
+            and func.name == UNCHECKED_CALLERS.get(name)
             for node in ast.walk(func)
         }
         found += [
