@@ -26,7 +26,7 @@ import time
 import traceback
 from typing import Optional, Sequence
 
-from ._kernel import dumps, rate_orders
+from ._kernel import dumps, rate_orders, walls as kernel_walls
 from .core import (
     DEFAULT_CAP,
     MAX_SLOTS,
@@ -36,7 +36,7 @@ from .core import (
     mask_support,
     parse_weight_vector,
 )
-from .weightspace import enumerate_walls, find_generic_near
+from .weightspace import find_generic_near
 from .partitions import OrderedPartition, Partition, _alpha_shapes
 from .smallness import (
     MODES,
@@ -74,18 +74,18 @@ def _fractions(values) -> list[str]:
     return [str(v) for v in values]
 
 
+def _block(mask: int, degree: int) -> dict:
+    """The payload of one 0/1 block: its support slots and its degree."""
+    return {"support": mask_support(mask), "degree": degree}
+
+
 def _blocks_json(blocks: Sequence[MultiplicityVector]) -> list[dict]:
-    return [
-        {"support": list(b.support), "degree": b.d_check} for b in blocks
-    ]
+    return [_block(b.support_mask, b.d_check) for b in blocks]
 
 
 def _mask_blocks(degree: dict[int, int]) -> dict[int, dict]:
     """The payload block of each mask, shared by every listing entry."""
-    return {
-        mask: {"support": mask_support(mask), "degree": d}
-        for mask, d in degree.items()
-    }
+    return {mask: _block(mask, d) for mask, d in degree.items()}
 
 
 def _order_indices(partition: Partition, op: OrderedPartition) -> list[int]:
@@ -236,11 +236,7 @@ def _cmd_scan(args) -> tuple[int, dict]:
             oracle = classify(ModuliContext(n, s))
             agree = verdict.holds == oracle
             all_agree = all_agree and agree
-            walls = (
-                len(enumerate_walls(ModuliContext(n, s), args.cap))
-                if args.with_walls
-                else None
-            )
+            walls = len(kernel_walls(n, s)) if args.with_walls else None
             rows.append(
                 {
                     "n": n,
@@ -351,13 +347,17 @@ def _table_counterexample(payload: dict) -> str:
 
 
 def _cmd_walls(args) -> tuple[int, dict]:
-    walls = enumerate_walls(ModuliContext(args.n, args.s), args.cap)
+    # enumerate_walls lists the same walls as Wall objects; the payload
+    # needs only each (mask, degree) pair, so it is built from the kernel's.
+    ctx = ModuliContext(args.n, args.s)
+    check_cap(ctx.n, args.cap)
+    walls = [_block(mask, d) for mask, d in kernel_walls(ctx.n, ctx.s)]
     payload = {
         "command": "walls",
         "n": args.n,
         "s": args.s,
         "count": len(walls),
-        "walls": _blocks_json([w.m for w in walls]),
+        "walls": walls,
     }
     return 0, payload
 

@@ -14,6 +14,7 @@ kernel holds the shape stream, re-exported here as iter_partition_shapes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,16 +202,19 @@ def feasible_partitions(
     (lexicographic, total -s), the exact feasibility solver either certifies a
     weight vector realising the partition (yielded as the witness) or rules
     the candidate out.  Exhaustive and deterministic: one call of the
-    kernel's realise_shapes decides every candidate.
+    kernel's realise_shapes decides every candidate.  Within one call each
+    distinct (degree, mask) gets one block and each distinct witness entry
+    one Fraction, shared by every partition that uses it.
     """
     check_cap(ctx.n, cap)
     n = ctx.n
+    block = functools.cache(
+        functools.partial(MultiplicityVector._from_mask_unchecked, n)
+    )
+    fraction = functools.cache(Fraction)
     for masks, degs, nums, den in realise_shapes(n, ctx.s, min_len):
-        blocks = tuple(
-            MultiplicityVector._from_mask_unchecked(n, d, mask)
-            for mask, d in zip(masks, degs)
-        )
-        witness = tuple(Fraction(x, den) for x in nums)
+        blocks = tuple(map(block, degs, masks))
+        witness = tuple(map(fraction, nums, itertools.repeat(den)))
         yield Partition._unchecked(blocks), witness
 
 

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from bodenhu import (
     MODES,
+    ModuliContext,
     WeightVector,
     check_criterion,
     cli,
+    enumerate_walls,
     is_generic,
     parse_weight_vector,
 )
@@ -359,6 +361,17 @@ class TestScan:
         assert by_ns[(4, 2)]["walls"] == 1
         assert by_ns[(4, 1)]["walls"] == 0
 
+    def test_wall_counts_are_the_listings(self, capsys):
+        code, payload = run_json(
+            capsys, "scan", "--nmax", "10", "--with-walls"
+        )
+        assert code == 0
+        assert [(r["n"], r["s"], r["walls"]) for r in payload["rows"]] == [
+            (n, s, len(enumerate_walls(ModuliContext(n, s))))
+            for n in range(2, 11)
+            for s in range(1, n)
+        ]
+
     def test_timing_only_when_requested(self, capsys):
         code, payload = run_json(
             capsys, "scan", "--nmax", "4", "--no-deterministic"
@@ -439,6 +452,52 @@ class TestWalls:
         assert code == 0
         assert "walls n=4 s=2: 1" in out
         assert "{1,4}" in out
+
+    @pytest.mark.parametrize("twin", ["pure", "compiled"])
+    def test_payload_is_the_wall_objects(
+        self, capsys, monkeypatch, request, twin
+    ):
+        """walls prints the kernel's (mask, degree) pairs; they are the
+        walls enumerate_walls lists as objects, on either twin."""
+        expected = {
+            (n, s): {
+                "command": "walls",
+                "n": n,
+                "s": s,
+                "count": len(found),
+                "walls": [
+                    {"support": list(w.m.support), "degree": w.m.d_check}
+                    for w in found
+                ],
+            }
+            for n in range(4, 13)
+            for s in range(1, n)
+            for found in [enumerate_walls(ModuliContext(n, s))]
+        }
+        kernel = (
+            pure if twin == "pure" else request.getfixturevalue("compiled_kernel")
+        )
+        monkeypatch.setattr(cli, "kernel_walls", kernel.walls)
+        for (n, s), payload in expected.items():
+            argv = ("walls", "--n", str(n), "--s", str(s))
+            assert run_cli(capsys, *argv) == (
+                0, json.dumps(payload, indent=2) + "\n", ""
+            )
+            assert run_cli(capsys, *argv, "--format", "table") == (
+                0, cli._table_walls(payload) + "\n", ""
+            )
+
+    def test_cap_is_checked_before_the_listing(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("walls listed past the cap")
+
+        monkeypatch.setattr(cli, "kernel_walls", fail)
+        code, out, err = run_cli(capsys, "walls", "--n", "15", "--s", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: N=15 exceeds the enumeration cap 14\n"
+        code, out, err = run_cli(capsys, "walls", "--n", "15", "--s", "15")
+        assert (code, out) == (2, "")
+        assert err == "error: s=15 outside 0 < s < N=15\n"
 
 
 class TestFiber:

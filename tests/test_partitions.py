@@ -19,6 +19,7 @@ from bodenhu import (
     iter_partition_shapes,
     stable_rotation,
 )
+from bodenhu import _kernel
 from conftest import admissible_shapes, assert_public_rebuild, seeded_alphas
 
 # Counts of set partitions of n slots into blocks of size >= 2, n = 2..11.
@@ -231,6 +232,47 @@ class TestFeasiblePartitions:
         second = list(feasible_partitions(ctx))
         assert first == second
         assert len(first) == len({p for p, _ in first})
+
+    @pytest.mark.parametrize("min_len", [1, 3])
+    def test_one_object_per_block_and_entry(self, min_len):
+        """Within one call each (mask, degree) has one checked-equal block
+        and each witness entry one Fraction; the stream equals the one
+        built with a fresh block per partition and a fresh Fraction per
+        entry."""
+        for n in range(2, 9):
+            for s in range(1, n):
+                rows = _kernel.realise_shapes(n, s, min_len)
+                got = list(feasible_partitions(ModuliContext(n, s), min_len))
+                assert len(got) == len(rows)
+                blocks, entries = {}, {}
+                for (partition, witness), (masks, degs, nums, den) in zip(
+                    got, rows
+                ):
+                    for block, mask, d in zip(partition.blocks, masks, degs):
+                        checked = MultiplicityVector.from_mask(n, d, mask)
+                        assert block == checked
+                        assert (block.r, block.support_mask) == (
+                            checked.r, mask,
+                        )
+                        assert blocks.setdefault((mask, d), block) is block
+                    assert len(witness) == len(nums) == n
+                    for entry, x in zip(witness, nums):
+                        assert type(entry) is Fraction
+                        assert entry == Fraction(x, den)
+                        assert entries.setdefault((x, den), entry) is entry
+                fresh = [
+                    (
+                        Partition(
+                            tuple(
+                                MultiplicityVector.from_mask(n, d, mask)
+                                for mask, d in zip(masks, degs)
+                            )
+                        ),
+                        tuple(Fraction(x, den) for x in nums),
+                    )
+                    for masks, degs, nums, den in rows
+                ]
+                assert got == fresh
 
 
 class TestStability:
