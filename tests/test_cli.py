@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bodenhu import (
     MODES,
     ModuliContext,
+    Wall,
     WeightVector,
     check_criterion,
     cli,
@@ -324,6 +325,15 @@ class TestCheck:
         assert "violates" in out
 
 
+def no_wall_objects(monkeypatch):
+    """Make building a Wall object through enumerate_walls fail."""
+
+    def fail(*args):
+        raise AssertionError("the CLI built a Wall object")
+
+    monkeypatch.setattr(Wall, "_unchecked", fail)
+
+
 class TestScan:
     def test_agrees_up_to_eight(self, capsys):
         code, payload = run_json(capsys, "scan", "--nmax", "8")
@@ -361,16 +371,19 @@ class TestScan:
         assert by_ns[(4, 2)]["walls"] == 1
         assert by_ns[(4, 1)]["walls"] == 0
 
-    def test_wall_counts_are_the_listings(self, capsys):
-        code, payload = run_json(
-            capsys, "scan", "--nmax", "10", "--with-walls"
-        )
-        assert code == 0
-        assert [(r["n"], r["s"], r["walls"]) for r in payload["rows"]] == [
+    def test_wall_counts_are_the_listings(self, capsys, monkeypatch):
+        expected = [
             (n, s, len(enumerate_walls(ModuliContext(n, s))))
             for n in range(2, 11)
             for s in range(1, n)
         ]
+        no_wall_objects(monkeypatch)
+        code, payload = run_json(
+            capsys, "scan", "--nmax", "10", "--with-walls"
+        )
+        assert code == 0
+        rows = [(r["n"], r["s"], r["walls"]) for r in payload["rows"]]
+        assert rows == expected
 
     def test_timing_only_when_requested(self, capsys):
         code, payload = run_json(
@@ -478,6 +491,7 @@ class TestWalls:
             pure if twin == "pure" else request.getfixturevalue("compiled_kernel")
         )
         monkeypatch.setattr(cli, "kernel_walls", kernel.walls)
+        no_wall_objects(monkeypatch)
         for (n, s), payload in expected.items():
             argv = ("walls", "--n", str(n), "--s", str(s))
             assert run_cli(capsys, *argv) == (
