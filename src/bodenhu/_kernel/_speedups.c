@@ -18,8 +18,8 @@
  *
  * Every shape is a set partition of the n slots: the shape walk makes only
  * those, and read_partition refuses any other block input (the shapes of a
- * batch, the blocks of realise and rate_orders) with ValueError, as pure.py
- * does.  A shape's violation records start with its tuple of masks.
+ * batch and of rate_orders, the blocks of realise) with ValueError, as
+ * pure.py does.  A shape's violation records start with its tuple of masks.
  *
  * One shape walk, walk_shapes, serves scan_shapes, realise_shapes and
  * alpha_shapes and hands each shape to a per-entry callback.  They differ
@@ -78,14 +78,17 @@
  * exact value), read_ints (a list of masks or degrees, copied into a fixed
  * array) and read_partition (read masks that partition the slots); the
  * semismall flag is read by the "p" format, whose one truth test pure.py's
- * _read_flag makes too.  A non-integer raises TypeError before any other
+ * _read_flag makes too, and rate_orders reads its shapes one at a time
+ * after it, as pure.py's _read_shapes does.  A non-integer raises TypeError before any other
  * check, as in pure.py, and no integer argument raises OverflowError but a
  * degree of realise past int64 (see below).
  *
  *   alpha_shapes         lists the partitions of n slots into the
  *                        admissible blocks at one weight vector, each a
  *                        tuple of the caller's int objects.
- *   rate_orders          rates every cyclic ordering of one partition.
+ *   rate_orders          rates every cyclic ordering of each partition of
+ *                        a list, in one call (read_rated reads each shape
+ *                        and its degrees, rate_shape rates it).
  *   realise              decides one candidate partition: a witness point
  *                        (nums, den) of W(n, s), or None.
  *   realise_shapes       realises every candidate of one (n, s): the shapes
@@ -110,7 +113,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 10
+#define KERNEL_API 11
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -865,77 +868,137 @@ rated_order(const i64 *order, const i64 *rots, int L, int violates)
     return dict;
 }
 
-PyDoc_STRVAR(rate_orders_doc,
-"rate_orders(n, masks, degs, semismall)\n"
-"--\n\n"
-"Every cyclic ordering of one partition, rated by its rotation values.\n\n"
-"Same contract as pure.rate_orders; see that function's docstring.");
-
-static PyObject *
-rate_orders(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+/* One listed shape of rate_orders, read as pure._read_shapes reads it: its
+ * masks by read_ints, which must partition the n slots into 2..MAX_BLOCKS
+ * blocks, into sup and *L; then each mask's degree, looked up in degree
+ * with the mask as an int key and read by read_int, into degs; then the
+ * degree bound.  0, or -1 with the exception set. */
+static int
+read_rated(int n, PyObject *shape, PyObject *degree, u64 *sup, i64 *degs,
+           int *L)
 {
-    static char *kwlist[] = {"n", "masks", "degs", "semismall", NULL};
-    Ints masks, degs;
-    int n, semismall, ok = 1;
-    u64 sup[MAX_BLOCKS];
+    Ints masks;
+    if (!read_ints(shape, &masks))
+        return -1;
+    if (masks.len < 2) {
+        PyErr_SetString(PyExc_ValueError,
+                        "rotation values need at least two blocks");
+        return -1;
+    }
+    if (read_partition(n, &masks, sup, MAX_BLOCKS) < 0)
+        return -1;
+    *L = (int)masks.len;
+    for (int i = 0; i < *L; i++) {
+        PyObject *key = PyLong_FromUnsignedLongLong(sup[i]);
+        PyObject *d = key != NULL ? PyObject_GetItem(degree, key) : NULL;
+        const int ok = d != NULL && read_int(d, &degs[i]);
+        Py_XDECREF(key);
+        Py_XDECREF(d);
+        if (!ok)
+            return -1;
+    }
+    for (int i = 0; i < *L; i++)
+        if (degs[i] < -MAX_DEGREE || degs[i] > MAX_DEGREE) {
+            PyErr_SetString(PyExc_ValueError,
+                            "degrees must lie within -2^32..2^32");
+            return -1;
+        }
+    return 0;
+}
+
+/* The rated orderings of one shape as a new list, or NULL; *first is the
+ * index of its first violating ordering, or -1.  *rated counts the
+ * orderings of the whole call, so signals are checked every 1,024 of them
+ * across shapes. */
+static PyObject *
+rate_shape(int L, const u64 *sup, const i64 *degs, int semismall,
+           Py_ssize_t *first, Py_ssize_t *rated)
+{
     i64 rank[MAX_BLOCKS], q[MAX_BLOCKS];
     i64 X[MAX_BLOCKS][MAX_BLOCKS], pair[MAX_BLOCKS][MAX_BLOCKS];
     i64 order[MAX_BLOCKS], rots[MAX_BLOCKS];
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&O&p:rate_orders", kwlist,
-                                     read_n, &n, read_ints, &masks, read_ints,
-                                     &degs, &semismall))
-        return NULL;
-    if (masks.len < 2) {
-        PyErr_SetString(PyExc_ValueError,
-                        "rotation values need at least two blocks");
-        return NULL;
-    }
-    if (degs.len != masks.len) {
-        PyErr_SetString(PyExc_ValueError,
-                        "masks and degrees differ in length");
-        return NULL;
-    }
-    if (read_partition(n, &masks, sup, MAX_BLOCKS) < 0)
-        return NULL;
-    const int L = (int)masks.len;
-    for (int i = 0; i < L; i++) {
-        if (degs.v[i] < -MAX_DEGREE || degs.v[i] > MAX_DEGREE) {
-            PyErr_SetString(PyExc_ValueError,
-                            "degrees must lie within -2^32..2^32");
-            return NULL;
-        }
+    for (int i = 0; i < L; i++)
         rank[i] = __builtin_popcountll(sup[i]);
-    }
     cross_terms(L, sup, X);
-    place_degrees(L, rank, degs.v, X, pair);
+    place_degrees(L, rank, degs, X, pair);
     for (int i = 0; i < L; i++) {
         q[i] = 0;
         for (int j = 0; j < L; j++)
             q[i] += pair[i][j];
     }
 
-    Py_ssize_t nperm = 1, first = -1, idx = 0;
+    Py_ssize_t nperm = 1, idx = 0;
     for (int i = 2; i < L; i++)
         nperm *= i;
     PyObject *orderings = PyList_New(nperm);
     if (orderings == NULL)
         return NULL;
     const i64 bar = semismall ? L : L - 1;
+    int ok = 1;
+    *first = -1;
     for (int i = 0; i < L; i++)
         order[i] = i;
     do {
         const i64 least = rotations(L, pair, q, order, rots);
-        if (least >= bar && first < 0)
-            first = idx;
-        PyObject *rated = rated_order(order, rots, L, least >= bar);
-        if (rated != NULL)
-            PyList_SET_ITEM(orderings, idx, rated);
-        ok = rated != NULL
-             && ((++idx & 0x3ff) != 0 || PyErr_CheckSignals() == 0);
+        if (least >= bar && *first < 0)
+            *first = idx;
+        PyObject *one = rated_order(order, rots, L, least >= bar);
+        if (one != NULL)
+            PyList_SET_ITEM(orderings, idx++, one);
+        ok = one != NULL
+             && ((++*rated & 0x3ff) != 0 || PyErr_CheckSignals() == 0);
     } while (ok && next_perm(order + 1, L - 1));
-    PyObject *result = ok ? Py_BuildValue("(On)", orderings, first) : NULL;
-    Py_DECREF(orderings);
+    if (!ok)
+        Py_CLEAR(orderings);
+    return orderings;
+}
+
+PyDoc_STRVAR(rate_orders_doc,
+"rate_orders(n, shapes, degree, semismall)\n"
+"--\n\n"
+"Every cyclic ordering of each listed partition, rated by its rotation\n"
+"values.\n\n"
+"Same contract as pure.rate_orders; see that function's docstring.");
+
+static PyObject *
+rate_orders(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"n", "shapes", "degree", "semismall", NULL};
+    int n, semismall, L;
+    PyObject *shapes, *degree, *shape;
+    u64 sup[MAX_BLOCKS];
+    i64 degs[MAX_BLOCKS];
+    Py_ssize_t j = -1, rated = 0;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OOp:rate_orders", kwlist,
+                                     read_n, &n, &shapes, &degree, &semismall))
+        return NULL;
+    PyObject *iter = PyObject_GetIter(shapes);
+    if (iter == NULL)
+        return NULL;
+    PyObject *ratings = PyList_New(0), *first = Py_NewRef(Py_None);
+    while (ratings != NULL && (shape = PyIter_Next(iter)) != NULL) {
+        const int rc = read_rated(n, shape, degree, sup, degs, &L);
+        Py_DECREF(shape);
+        PyObject *orderings =
+            rc == 0 ? rate_shape(L, sup, degs, semismall, &j, &rated) : NULL;
+        if (orderings != NULL && j >= 0 && first == Py_None) {
+            Py_SETREF(first, Py_BuildValue("(nn)", PyList_GET_SIZE(ratings),
+                                           j));
+            if (first == NULL)
+                Py_CLEAR(orderings);
+        }
+        if (orderings == NULL || PyList_Append(ratings, orderings) < 0)
+            Py_CLEAR(ratings);
+        Py_XDECREF(orderings);
+    }
+    Py_DECREF(iter);
+    PyObject *result = NULL;
+    if (ratings != NULL && !PyErr_Occurred())
+        result = PyTuple_Pack(2, ratings, first);
+    Py_XDECREF(ratings);
+    Py_XDECREF(first);
     return result;
 }
 
@@ -1595,18 +1658,28 @@ write_str(Buf *b, PyObject *text)
     return buf_steal_ascii(b, PyObject_CallOneArg(encode_ascii, text));
 }
 
+/* An int inside int64 is written by a digit loop, lowest digit first, on
+ * its magnitude as u64, which INT64_MIN also has; a larger one by repr. */
 static int
 write_int(Buf *b, PyObject *value)
 {
     int overflow;
-    long long x = PyLong_AsLongLongAndOverflow(value, &overflow);
+    const i64 x = PyLong_AsLongLongAndOverflow(value, &overflow);
     if (overflow)
         return buf_steal_ascii(b, PyLong_Type.tp_repr(value));
     if (x == -1 && PyErr_Occurred())
         return -1;
-    char digits[32];
-    int len = snprintf(digits, sizeof digits, "%lld", x);
-    return buf_write(b, digits, len);
+    char digits[20];
+    char *const end = digits + sizeof digits;
+    char *p = end;
+    u64 u = x < 0 ? 0 - (u64)x : (u64)x;
+    do {
+        *--p = (char)('0' + u % 10);
+        u /= 10;
+    } while (u != 0);
+    if (x < 0)
+        *--p = '-';
+    return buf_write(b, p, end - p);
 }
 
 static int

@@ -8,7 +8,7 @@ the sum of P over an ordering's pairs, by r_{l+1} = r_l - 2 q[order[l]]:
 moving the head block to the back reverses its pairs (_rotations).
 
 Block input has one rule in both twins: the shapes of scan_partition_batch
-and the blocks of realise and rate_orders must be set partitions of the n
+and rate_orders and the blocks of realise must be set partitions of the n
 slots, which _read_partition checks; anything else raises ValueError.
 scan_partition_batch runs _scan_shape on each shape, and scan_shapes is that
 batch over every shape of iter_partition_shapes.  _scan_shape takes q in
@@ -23,10 +23,11 @@ rotation bound B - 2 max |q| lies below the margin (see _speedups.c), and
 this full walk is what that bound is checked against.  alpha_shapes lists
 the partitions into the admissible blocks at one weight vector through the
 same shape walk, _walk_shapes, with the listed blocks in place of every
-submask, and rate_orders rates every ordering of one of them from _pairing,
-P with its row sums.  dumps writes the CLI's JSON payloads.  Twin of the
-compiled kernel in _speedups.c, with the same decomposition; it must match
-it exactly and carry the same KERNEL_API.
+submask, and rate_orders rates every ordering of each partition of a list
+of them in one call, from _pairing, P with its row sums.  dumps writes the
+CLI's JSON payloads.  Twin of the compiled kernel in _speedups.c, with the
+same decomposition; it must match it exactly and carry the same
+KERNEL_API.
 
 realise decides one candidate partition of the slots: the closed-form wall
 gate wall_meets, a pivot on each block's lowest slot, and the package's one
@@ -44,8 +45,10 @@ Every entry reads each argument through one reader per kind, twins of the
 compiled ones: _read_n, _read_int, _read_ints, _read_partition and
 _read_flag (the semismall flag, whose truth is tested once, as the "p"
 format does), all before any other check (a batch measures each shape
-against min_len first).  Both kernels accept at most MAX_BLOCKS blocks per
-scanned shape and raise ValueError beyond that.  Within those limits every
+against min_len first; rate_orders reads its shapes and their degrees one
+shape at a time, through _read_shapes, after n and the flag).  Both kernels
+accept at most MAX_BLOCKS blocks per scanned shape and raise ValueError
+beyond that.  Within those limits every
 quantity is a small machine integer: the pairing is bounded by a few
 thousand, far inside 64-bit range.  rate_orders also takes degrees up to
 MAX_DEGREE in absolute value, which keeps every rotation value below 2^50.
@@ -63,7 +66,7 @@ from ..core import MAX_SLOTS
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 10
+KERNEL_API = 11
 MAX_BLOCKS = 16
 MAX_DEGREE = 1 << 32
 
@@ -332,50 +335,69 @@ def alpha_shapes(n: int, masks, min_len: int) -> list[tuple[int, ...]]:
     return list(_walk_shapes(n, min_len, by_low))
 
 
-def rate_orders(n: int, masks, degs, semismall: bool) -> tuple[list[dict], int]:
-    """Every cyclic ordering of one partition, rated by its rotation values.
+def _read_shapes(n: int, shapes, degree):
+    """Each listed shape of rate_orders as (masks, degs), read in turn.
 
-    masks and degs give the blocks, which must partition the n slots as
-    _read_partition checks, and their degrees.  An ordering violates the
-    margin when its least rotation value is at least L - 1 (semismall:
-    above it).
-
-    Returns (orderings, first).  orderings holds one dict {"order",
-    "rotation_deltas", "violates"} per ordering, ready for JSON, in the lex
-    order of itertools.permutations(range(1, L)) behind block 0; first is
-    the index of the first violating ordering, or -1.
-
-    Raises as the readers do, or ValueError unless 2 <= L <= MAX_BLOCKS,
-    len(degs) == L and every |degree| <= MAX_DEGREE.
+    The masks are read by _read_ints and must partition the n slots, as
+    _read_partition checks, into 2..MAX_BLOCKS blocks.  Then each mask's
+    degree is looked up in degree (a mask it lacks raises KeyError) and
+    read by _read_int, and every degree must lie within MAX_DEGREE.
     """
-    n, masks, degs, semismall = (
-        _read_n(n), _read_ints(masks), _read_ints(degs), _read_flag(semismall)
-    )
-    L = len(masks)
-    if L < 2:
-        raise ValueError("rotation values need at least two blocks")
-    if L > MAX_BLOCKS:
-        raise ValueError(f"kernel supports at most {MAX_BLOCKS} blocks")
-    if len(degs) != L:
-        raise ValueError("masks and degrees differ in length")
-    _read_partition(n, masks)
-    for d in degs:
-        if not -MAX_DEGREE <= d <= MAX_DEGREE:
-            raise ValueError("degrees must lie within -2^32..2^32")
-    pair, q = _pairing(masks, degs)
-    bar = L if semismall else L - 1
-    orderings: list[dict] = []
-    first = -1
-    for perm in itertools.permutations(range(1, L)):
-        order = (0,) + perm
-        rots = _rotations(pair, q, order)
-        violates = min(rots) >= bar
-        if violates and first < 0:
-            first = len(orderings)
-        orderings.append(
-            {"order": list(order), "rotation_deltas": rots, "violates": violates}
-        )
-    return orderings, first
+    for masks in shapes:
+        masks = _read_ints(masks)
+        if len(masks) < 2:
+            raise ValueError("rotation values need at least two blocks")
+        if len(masks) > MAX_BLOCKS:
+            raise ValueError(f"kernel supports at most {MAX_BLOCKS} blocks")
+        _read_partition(n, masks)
+        degs = [_read_int(degree[mask]) for mask in masks]
+        for d in degs:
+            if not -MAX_DEGREE <= d <= MAX_DEGREE:
+                raise ValueError("degrees must lie within -2^32..2^32")
+        yield masks, degs
+
+
+def rate_orders(
+    n: int, shapes, degree, semismall: bool
+) -> tuple[list[list[dict]], Optional[tuple[int, int]]]:
+    """Every cyclic ordering of each listed partition, rated by its rotation
+    values.
+
+    shapes lists the partitions, each a sequence of block masks that must
+    partition the n slots, and degree maps each mask to its degree; both
+    are read shape by shape, as _read_shapes says.  An ordering of L blocks
+    violates the margin when its least rotation value is at least L - 1
+    (semismall: above it).
+
+    Returns (ratings, first).  ratings[i] holds one dict {"order",
+    "rotation_deltas", "violates"} per ordering of shapes[i], ready for
+    JSON, in the lex order of itertools.permutations(range(1, L)) behind
+    block 0; first is (i, j) for the first violating ordering, ratings[i][j]
+    in that canonical order, or None.
+
+    Raises as the readers do: ValueError for a shape that does not
+    partition the n slots into 2..MAX_BLOCKS blocks or a degree past
+    MAX_DEGREE, KeyError for a mask that degree lacks.
+    """
+    n, semismall = _read_n(n), _read_flag(semismall)
+    ratings: list[list[dict]] = []
+    first = None
+    for masks, degs in _read_shapes(n, shapes, degree):
+        pair, q = _pairing(masks, degs)
+        bar = len(masks) if semismall else len(masks) - 1
+        orderings: list[dict] = []
+        for perm in itertools.permutations(range(1, len(masks))):
+            order = (0,) + perm
+            rots = _rotations(pair, q, order)
+            violates = min(rots) >= bar
+            if violates and first is None:
+                first = (len(ratings), len(orderings))
+            orderings.append(
+                {"order": list(order), "rotation_deltas": rots,
+                 "violates": violates}
+            )
+        ratings.append(orderings)
+    return ratings, first
 
 
 class _Infeasible(Exception):

@@ -155,27 +155,28 @@ def _cmd_check(args) -> tuple[int, dict]:
         )
     # Listing ids index all partitions; dropping those shorter than 3 keeps
     # the canonical order check_criterion scans, so the verdict comes from
-    # this listing.
+    # this listing, rated in one kernel call.
     shapes, degree = _alpha_shapes(alpha, 1, args.cap)
-    blocks = _mask_blocks(degree)
-    listing = []
+    ids = [i for i, masks in enumerate(shapes) if len(masks) >= 3]
+    ratings, first = rate_orders(
+        alpha.n, [shapes[i] for i in ids], degree, args.mode == "semismall"
+    )
     witness = None
-    semismall = args.mode == "semismall"
-    for i, masks in enumerate(shapes):
-        if len(masks) < 3:
-            continue
+    if first is not None:
+        k, j = first
+        masks = shapes[ids[k]]
         degs = [degree[mask] for mask in masks]
-        orderings, first = rate_orders(alpha.n, masks, degs, semismall)
-        if first >= 0 and witness is None:
-            witness = _witness(alpha, masks, degs, orderings[first])
-        listing.append(
-            {
-                "id": i,
-                "length": len(masks),
-                "blocks": [blocks[mask] for mask in masks],
-                "orderings": orderings,
-            }
-        )
+        witness = _witness(alpha, masks, degs, ratings[k][j])
+    blocks = _mask_blocks(degree)
+    listing = [
+        {
+            "id": i,
+            "length": len(shapes[i]),
+            "blocks": [blocks[mask] for mask in shapes[i]],
+            "orderings": orderings,
+        }
+        for i, orderings in zip(ids, ratings)
+    ]
     payload = {
         "command": "check",
         "n": alpha.n,

@@ -73,8 +73,22 @@ class ConstructionRangeError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a bare integer "p" into an exact Fraction."""
+    """Parse "p/q" or a bare integer "p" into an exact Fraction.
+
+    ASCII "p/q" with a nonzero q, and ASCII "p", each p with an optional
+    sign, are read with int(); any other text goes through
+    Fraction(text.strip()), which takes the same values and raises for
+    the rest.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num.startswith(("+", "-")) else num
     try:
+        if (
+            text.isascii()
+            and digits.isdigit()
+            and (not slash or den.isdigit() and den.strip("0"))
+        ):
+            return Fraction(int(num), int(den) if slash else 1)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}") from exc
@@ -86,12 +100,34 @@ def check_cap(n: int, cap: int = DEFAULT_CAP) -> None:
         raise CapExceededError(f"N={n} exceeds the enumeration cap {cap}")
 
 
+# _BYTE_SUPPORTS[k][byte] lists the slots of the set bits of byte when it
+# sits at bits 8k..8k+7; four tables cover MAX_SLOTS.  They are built on
+# first use, so an import that formats no block does not pay for them.
+_BYTE_SUPPORTS: list[tuple[tuple[int, ...], ...]] = []
+
+
 def mask_support(mask: int) -> list[int]:
-    """The 1-based slots of the set bits of mask (slot n on bit n-1), ascending."""
-    support = []
+    """The 1-based slots of the set bits of mask (slot n on bit n-1), ascending.
+
+    A byte at a time from _BYTE_SUPPORTS; bits past the fourth byte, beyond
+    every slot count, one at a time."""
+    if not _BYTE_SUPPORTS:
+        _BYTE_SUPPORTS.extend(
+            tuple(
+                tuple(8 * k + i + 1 for i in range(8) if byte >> i & 1)
+                for byte in range(256)
+            )
+            for k in range(4)
+        )
+    support: list[int] = []
+    for table in _BYTE_SUPPORTS:
+        support += table[mask & 0xFF]
+        mask >>= 8
+        if not mask:
+            return support
     while mask:
         low = mask & -mask
-        support.append(low.bit_length())
+        support.append(32 + low.bit_length())
         mask ^= low
     return support
 

@@ -149,22 +149,24 @@ class OrderedPartition:
 def _alpha_shapes(
     alpha: WeightVector, min_len: int, cap: int
 ) -> tuple[list[tuple[int, ...]], dict[int, int]]:
-    """The shapes of alpha_partitions as mask tuples, and each used degree.
+    """The shapes of alpha_partitions as mask tuples, and the block degrees.
 
     A block with support B is admissible iff sum_B alpha is an integer; its
     degree is then forced to -sum_B alpha.  The admissible masks are
-    alpha.integral_masks, from a meet-in-the-middle subset-sum search,
-    ascending, and the kernel's alpha_shapes lists the partitions into
-    them.  Returns the shapes and a dict from every mask they use to its
-    degree.
+    alpha.integral_masks of rank >= 2, from a meet-in-the-middle subset-sum
+    search, ascending, and the kernel's alpha_shapes lists the partitions
+    into them.  Returns the shapes and a dict from every admissible mask to
+    its degree.  With min_len <= 1 these are exactly the masks the shapes
+    use: the full mask is a shape by itself, and any other admissible mask
+    has an integral complement (alpha sums to s), of rank >= 2 since no
+    single entry, strictly between 0 and 1, is integral, so the two make a
+    shape.  With a larger min_len the dict may also hold masks that no
+    listed shape uses; callers look up only the masks of listed shapes.
     """
     check_cap(alpha.n, cap)
     masks = [mask for mask in alpha.integral_masks if mask.bit_count() >= 2]
     shapes = alpha_shapes(alpha.n, masks, min_len)
-    degree = {
-        mask: -(alpha.scaled_sum(mask) // alpha.denom)
-        for mask in set().union(*shapes)
-    }
+    degree = {mask: -(alpha.scaled_sum(mask) // alpha.denom) for mask in masks}
     return shapes, degree
 
 
@@ -175,11 +177,10 @@ def alpha_partitions(
 
     The partitions of _alpha_shapes: the shapes of
     iter_partition_shapes(n, min_len) whose blocks are all admissible at
-    alpha, in that order.  Each mask used by some partition gets one
-    block, shared by every partition that uses it.  Nothing is
-    re-validated: the shapes are sorted set partitions into blocks of size
-    >= 2, and a block sum strictly between 0 and r puts its degree in
-    [-(r-1), -1].
+    alpha, in that order.  Each admissible mask gets one block, shared by
+    every partition that uses it.  Nothing is re-validated: the shapes are
+    sorted set partitions into blocks of size >= 2, and a block sum
+    strictly between 0 and r puts its degree in [-(r-1), -1].
     """
     n = alpha.n
     shapes, degree = _alpha_shapes(alpha, min_len, cap)

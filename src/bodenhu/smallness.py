@@ -9,7 +9,9 @@ candidate whose rotation values all sit at or above the margin.
 
 At one weight vector the first violating ordering in canonical order is
 the witness, for check_criterion and the CLI alike; both rate the
-orderings through the kernel's rate_orders.
+orderings through the kernel's rate_orders, the CLI its whole listing in
+one call and check_criterion one partition per call, so that it can stop
+at the first violating one.
 
 verify_conjecture and scan_all_s quantify over the whole weight space through
 one shared scan: the rotation values depend only on (supports, degrees,
@@ -100,7 +102,7 @@ def _check_mode(mode: str) -> None:
 def _keys(
     blocks: tuple[MultiplicityVector, ...]
 ) -> tuple[list[int], list[int]]:
-    """The support masks and the degrees of blocks, for rate_orders."""
+    """The support masks and the degrees of blocks, for the pairing."""
     return [b.support_mask for b in blocks], [b.d_check for b in blocks]
 
 
@@ -137,11 +139,15 @@ def rated_orderings(
     """Each ordering representative with its rotation values and margin test.
 
     The representatives run as in ordering_representatives.  The kernel's
-    rate_orders rates all (L-1)! of them from one pairing matrix.
+    rate_orders rates all (L-1)! of them from one pairing matrix, with the
+    partition as a listing of one shape.
     """
     _check_mode(mode)
     blocks = partition.blocks
-    orderings, _ = rate_orders(partition.n, *_keys(blocks), mode == "semismall")
+    masks, degs = _keys(blocks)
+    (orderings,), _ = rate_orders(
+        partition.n, [masks], dict(zip(masks, degs)), mode == "semismall"
+    )
     for rated in orderings:
         op = OrderedPartition._unchecked(
             tuple(map(blocks.__getitem__, rated["order"]))
@@ -170,15 +176,19 @@ def check_criterion(
     Rates the orderings of the alpha-partitions of length >= 3 in canonical
     order (partitions in enumeration order, orderings in lex order) and
     stops at the first partition with a violation; its first violating
-    ordering is the witness.
+    ordering is the witness.  Each partition goes to rate_orders as a
+    listing of one shape, so only one partition's orderings are held at a
+    time.
     """
     _check_mode(mode)
     shapes, degree = _alpha_shapes(alpha, 3, cap)
     for masks in shapes:
-        degs = [degree[mask] for mask in masks]
-        orderings, first = rate_orders(alpha.n, masks, degs, mode == "semismall")
-        if first >= 0:
-            witness = _witness(alpha, masks, degs, orderings[first])
+        (orderings,), first = rate_orders(
+            alpha.n, [masks], degree, mode == "semismall"
+        )
+        if first is not None:
+            degs = [degree[mask] for mask in masks]
+            witness = _witness(alpha, masks, degs, orderings[first[1]])
             return Verdict(False, mode, witness)
     return Verdict(True, mode, None)
 

@@ -769,6 +769,19 @@ class TestEncoder:
         expected = json.dumps(payload, indent=2)
         assert [dumps(payload) for dumps in writers] == [expected] * len(writers)
 
+    def test_ints_at_the_digit_loop_boundaries(self, writers):
+        # the compiled writer formats ints within int64 with a digit loop,
+        # INT64_MIN included, and any larger one by repr
+        values = [0, 1, -1, 9, -9, 10, -10, (1 << 63) - 1, -(1 << 63),
+                  1 << 63, -(1 << 63) - 1, 1 << 64, -(1 << 64)]
+        payload = {"ints": values, "mixed": [*values, "x"], "one": values[-1]}
+        expected = json.dumps(payload, indent=2)
+        assert [dumps(payload) for dumps in writers] == [expected] * len(writers)
+        for value in values:
+            assert [dumps(value) for dumps in writers] == [str(value)] * len(
+                writers
+            )
+
     def test_cli_writes_through_the_selected_kernel(self):
         assert cli.dumps is _kernel.dumps
 

@@ -1,6 +1,7 @@
 """Frozen values and algebraic properties of the degree and pairing formulas."""
 
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             parse_rational("x")
 
+    @pytest.mark.parametrize(
+        "text",
+        [" 1/2", "+1/2", "-1/2", "1/0", "1.5", "1e3", "1_0/3", "\u00b2/3",
+         "\u0663/\u0664", "", "1/2/3", "3", "-0/7", "1/00", "12/18", "+",
+         "/2", "2/", "1 /2", "1" * 5000],
+    )
+    def test_parse_rational_is_fraction_of_stripped_text(self, text):
+        # the int() path for ASCII "p/q" and "p", and every other text
+        # through Fraction, take the values and refusals of Fraction alone
+        try:
+            expected = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError, match="^malformed rational"):
+                parse_rational(text)
+        else:
+            got = parse_rational(text)
+            assert type(got) is Fraction and got == expected
+
     def test_h1_needs_genus_at_least_two(self, triple94):
         with pytest.raises(ValueError):
             h1_dim(triple94[0], triple94[1], 1)
@@ -191,9 +210,24 @@ class TestValidation:
                 MultiplicityVector.from_mask(3, -1, mask)
 
     def test_mask_support(self):
-        for mask in range(1 << 10):
-            expected = [i + 1 for i in range(10) if mask >> i & 1]
-            assert mask_support(mask) == expected
+        # the byte tables against the bit loop they replaced, on every mask
+        # below 2^16 and on random masks of up to 64 bits, past the tables'
+        # four bytes
+        def bit_loop(mask):
+            support = []
+            while mask:
+                low = mask & -mask
+                support.append(low.bit_length())
+                mask ^= low
+            return support
+
+        for mask in range(1 << 16):
+            assert mask_support(mask) == bit_loop(mask)
+        rng = random.Random(64)
+        for _ in range(20000):
+            mask = rng.getrandbits(rng.randint(1, 64))
+            assert mask_support(mask) == bit_loop(mask)
+        assert mask_support(1 << 63 | 1) == [1, 64]
 
 
 class TestScaledForm:

@@ -510,10 +510,9 @@ class TestPairingOracle:
                     MultiplicityVector.from_mask(n, degree[mask], mask)
                     for mask in shape
                 ]
-                degs = [degree[mask] for mask in shape]
                 for mode in MODES:
-                    orderings, first = pure.rate_orders(
-                        n, shape, degs, mode == "semismall"
+                    (orderings,), first = pure.rate_orders(
+                        n, [shape], degree, mode == "semismall"
                     )
                     orders = [
                         (0,) + perm
@@ -531,7 +530,9 @@ class TestPairingOracle:
                             tuple(rots), mode
                         )
                         flags.append(rated_order["violates"])
-                    assert first == (flags.index(True) if True in flags else -1)
+                    assert first == (
+                        (0, flags.index(True)) if True in flags else None
+                    )
                     rated += len(orderings)
         assert rated == 2 * 11430
 

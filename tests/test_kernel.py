@@ -10,6 +10,7 @@ import gc
 import hashlib
 import itertools
 import math
+import operator
 import random
 import signal
 import subprocess
@@ -109,15 +110,16 @@ class TestKernelSelection:
 
     def test_refusal_names_the_reason(self, compiled_kernel):
         # stubs for the ways an in-place build can be refused: none at all,
-        # one from before the walls entry (API 9), one with the current
-        # number but without the realisation entries, and one without walls
+        # one from before rate_orders took a listing (API 10), one with the
+        # current number but without the realisation entries, and one
+        # without walls
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
         older = types.ModuleType("_speedups")
-        older.KERNEL_API = 9
+        older.KERNEL_API = 10
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
-        assert _kernel.refusal(older) == "API mismatch: extension 9, pure.py 10"
+        assert _kernel.refusal(older) == "API mismatch: extension 10, pure.py 11"
         assert _kernel.select(older) == (pure, "pure")
         without = types.ModuleType("_speedups")
         without.KERNEL_API = pure.KERNEL_API
@@ -383,13 +385,6 @@ def shape_cases():
             yield n, list(masks), min_len
 
 
-def rated_cases():
-    """(n, masks, degs) of every shape of length >= 2 of the seeded alphas."""
-    for n, masks, degree in seeded_blocks():
-        for shape in pure.alpha_shapes(n, masks, 2):
-            yield n, shape, [degree[mask] for mask in shape]
-
-
 def refusal_type(args):
     """The exception both twins raise for refused arguments: TypeError where
     one of them, or an item of one, is a float, which no reader takes, else
@@ -530,7 +525,7 @@ N_ENTRIES = [
     ("scan_shapes", (0, False, 3)),
     ("scan_partition_batch", (0, False, 1, [(0b11,)])),
     ("alpha_shapes", ([0b11], 1)),
-    ("rate_orders", ([0b01, 0b10], [-1, -1], False)),
+    ("rate_orders", ([[0b01, 0b10]], {0b01: -1, 0b10: -1}, False)),
     ("realise", ([0b11], [-1])),
     ("realise_shapes", (1, 1)),
     ("walls", (1,)),
@@ -560,7 +555,9 @@ class TestSlotCount:
 
 # Every integer argument of every entry but n: the entry, arguments valid
 # at their n, and the places of the integers in them (an argument's index,
-# then an item's for each mask and degree).  Each takes every value of
+# then an item's index or key, down to each mask and degree), named by
+# that path or, for rate_orders, by a label: 1,i for mask i of its shape
+# and 2,i for that mask's degree.  Each takes every value of
 # INTEGER_VALUES: past C int, past int64 either way, a float, a bool and an
 # object that is an integer only through __index__.
 INTEGER_ARGUMENTS = [
@@ -568,8 +565,9 @@ INTEGER_ARGUMENTS = [
     ("scan_partition_batch", (4, 0, False, 1, [(0b0011, 0b1100)]),
      [(1,), (3,), (4, 0, 0), (4, 0, 1)]),
     ("alpha_shapes", (4, [0b0011, 0b1100], 1), [(1, 0), (1, 1), (2,)]),
-    ("rate_orders", (4, [0b1001, 0b0110], [-1, -1], False),
-     [(1, 0), (1, 1), (2, 0), (2, 1)]),
+    ("rate_orders", (4, [[0b0011, 0b1100]], {0b0011: -1, 0b1100: -1}, False),
+     {"1,0": (1, 0, 0), "1,1": (1, 0, 1), "2,0": (2, 0b0011),
+      "2,1": (2, 0b1100)}),
     ("realise", (4, [0b1001, 0b0110], [-1, -1]),
      [(1, 0), (1, 1), (2, 0), (2, 1)]),
     ("realise_shapes", (6, 3, 1), [(1,), (2,)]),
@@ -595,9 +593,11 @@ INTEGER_VALUES = [
 
 def replaced(args, path, value):
     """args with the item at path (an index into args, then into the
-    sequence there) replaced by value."""
+    sequence there, or a key of the dict there) replaced by value."""
     head, *rest = path
     item = replaced(args[head], rest, value) if rest else value
+    if isinstance(args, dict):
+        return {**args, head: item}
     return type(args)([*args[:head], item, *args[head + 1:]])
 
 
@@ -605,8 +605,12 @@ class TestIntegerArguments:
     @pytest.mark.parametrize("value", INTEGER_VALUES)
     @pytest.mark.parametrize(
         "name, args, path",
-        [pytest.param(name, args, path, id=f"{name}[{','.join(map(str, path))}]")
-         for name, args, paths in INTEGER_ARGUMENTS for path in paths],
+        [pytest.param(name, args, path, id=f"{name}[{label}]")
+         for name, args, paths in INTEGER_ARGUMENTS
+         for label, path in (
+             paths.items() if isinstance(paths, dict)
+             else ((",".join(map(str, path)), path) for path in paths)
+         )],
     )
     def test_one_reader(self, compiled_kernel, name, args, path, value):
         args = replaced(args, path, value)
@@ -640,7 +644,8 @@ class Flag:
 # (entry, arguments, what both twins raise) with a Flag for semismall: valid
 # otherwise, with no shape or too few blocks (where the pure twin, when it
 # tested the flag per shape, never reached the test), and with a float read
-# before the flag (TypeError) or after it (the flag's error).
+# before the flag (TypeError) or after it (the flag's error): rate_orders
+# reads its shapes and their degrees after the flag.
 FLAG_ROWS = [
     ("scan_shapes", (6, 0, Flag(), 3), FlagError),
     ("scan_shapes", (1, 0, Flag(), 1), FlagError),
@@ -651,9 +656,15 @@ FLAG_ROWS = [
     ("scan_partition_batch", (4, 0, Flag(), 1, []), FlagError),
     ("scan_partition_batch", (4, 0, Flag(), 1.5, []), FlagError),
     ("scan_partition_batch", (4, 0, Flag(), 1, [(0b0011,)]), FlagError),
-    ("rate_orders", (4, [0b0011, 0b1100], [-1, -1], Flag()), FlagError),
-    ("rate_orders", (4, [0b0011], [-1], Flag()), FlagError),
-    ("rate_orders", (4, [0b0011, 0b1100], [-1, 1.5], Flag()), TypeError),
+    ("rate_orders", (4, [[0b0011, 0b1100]], {3: -1, 12: -1}, Flag()),
+     FlagError),
+    ("rate_orders", (4, [[0b0011]], {3: -1}, Flag()), FlagError),
+    ("rate_orders", (1.5, [[0b0011, 0b1100]], {3: -1, 12: -1}, Flag()),
+     TypeError),
+    ("rate_orders", (4, [[0b0011, 0b1100]], {3: -1, 12: 1.5}, Flag()),
+     FlagError),
+    ("rate_orders", (4, [[0b0011, 0b1100]], {3: -1}, Flag()), FlagError),
+    ("rate_orders", (4, [], {}, Flag()), FlagError),
 ]
 
 
@@ -667,88 +678,146 @@ class TestSemismallFlag:
         assert outcome == ("raised", raised)
 
 
-# (n, masks, degs): the smallest partition, then inputs both twins must
-# reject: fewer than two or more than MAX_BLOCKS blocks (17 singletons that
-# do partition their slots), mismatched lengths, degrees outside the
+# rate_orders' listing of (9, 4): a shape of two blocks, which cannot
+# violate (its two rotation values sum to 0), then the reference triple,
+# whose first ordering violates.
+LISTING_9 = [(0b000000011, 0b111111100), (0b11100, 0b11100000, 0b100000011)]
+DEGREE_9 = {0b000000011: -1, 0b111111100: -3, 0b11100: -1, 0b11100000: -2,
+            0b100000011: -1}
+PAIR_4 = {0b0011: -1, 0b1100: -1}
+
+# ((n, shapes, degree), what both twins raise, None where both return): the
+# smallest partition, degrees at the bound, an empty listing; then a mask
+# that degree lacks, shapes of fewer than two or more than MAX_BLOCKS blocks
+# (17 singletons that do partition their slots), degrees outside the
 # documented range, masks that are not a partition of the n slots (the
-# rest of that rule is NON_PARTITIONS), and a float mask or degree.
+# rest of that rule is NON_PARTITIONS), a float mask or degree, a refused
+# shape after a valid one, and a listing or a shape that is not iterable.
 RATE_EDGE_CASES = [
-    (4, [0b0011, 0b1100], [-1, -1]),
-    (4, [0b0011, 0b1100], [-(1 << 32), 1 << 32]),
-    (0, [], []),
-    (2, [0b11], [-1]),
-    (17, [1 << i for i in range(17)], [-1] * 17),
-    (4, [0b0011, 0b1100], [-1]),
-    (4, [0b0011, 0b1100], [-1, (1 << 32) + 1]),
-    (4, [0b0011, 0b1100], [-(1 << 32) - 1, -1]),
-    (4, [0, 0b1100], [-1, -1]),
-    (30, [0b11, 1 << 30], [-1, -1]),
-    (4, [0b11, -4], [-1, -1]),
-    (4, [0b11, 1 << 70], [-1, -1]),
-    (4, [3.0, 0b1100], [-1, -1]),
-    (4, [0b0011, 0b1100], [-1.0, -1]),
+    ((4, [[0b0011, 0b1100]], PAIR_4), None),
+    ((4, [[0b0011, 0b1100]], {0b0011: -(1 << 32), 0b1100: 1 << 32}), None),
+    ((4, [], {}), None),
+    ((4, [[0b0011, 0b1100]], {0b0011: -1}), KeyError),
+    ((0, [[]], {}), ValueError),
+    ((2, [[0b11]], {0b11: -1}), ValueError),
+    ((17, [[1 << i for i in range(17)]], {1 << i: -1 for i in range(17)}),
+     ValueError),
+    ((4, [[0b0011, 0b1100]], {0b0011: -1, 0b1100: (1 << 32) + 1}), ValueError),
+    ((4, [[0b0011, 0b1100]], {0b0011: -(1 << 32) - 1, 0b1100: -1}),
+     ValueError),
+    ((4, [[0, 0b1100]], {0: -1, 0b1100: -1}), ValueError),
+    ((30, [[0b11, 1 << 30]], {0b11: -1, 1 << 30: -1}), ValueError),
+    ((4, [[0b11, -4]], {0b11: -1, -4: -1}), ValueError),
+    ((4, [[0b11, 1 << 70]], {0b11: -1, 1 << 70: -1}), ValueError),
+    ((4, [[3.0, 0b1100]], PAIR_4), TypeError),
+    ((4, [[0b0011, 0b1100]], {0b0011: -1.0, 0b1100: -1}), TypeError),
+    ((4, [[0b0011, 0b1100], [0b1111]], {**PAIR_4, 0b1111: -2}), ValueError),
+    ((4, 5, PAIR_4), TypeError),
+    ((4, [5], PAIR_4), TypeError),
 ]
+
+
+def first_violation(ratings):
+    """(i, j) of the first violating ordering of a listing's ratings, or
+    None."""
+    return next(
+        (
+            (i, j)
+            for i, orderings in enumerate(ratings)
+            for j, rated in enumerate(orderings)
+            if rated["violates"]
+        ),
+        None,
+    )
 
 
 class TestRateOrders:
     @pytest.mark.parametrize("semismall", [False, True])
     def test_bit_for_bit(self, compiled_kernel, semismall):
+        # one call over every listed shape of each seeded alpha, in both
+        # twins, equals the one-shape calls concatenated
         rated = 0
-        for n, masks, degs in rated_cases():
-            expected = pure.rate_orders(n, masks, degs, semismall)
-            assert compiled_kernel.rate_orders(n, masks, degs, semismall) == (
+        for n, masks, degree in seeded_blocks():
+            shapes = pure.alpha_shapes(n, masks, 2)
+            expected = pure.rate_orders(n, shapes, degree, semismall)
+            assert compiled_kernel.rate_orders(n, shapes, degree, semismall) == (
                 expected
             )
-            rated += len(expected[0])
+            for impl in (pure, compiled_kernel):
+                ratings = [
+                    impl.rate_orders(n, [shape], degree, semismall)[0][0]
+                    for shape in shapes
+                ]
+                assert expected == (ratings, first_violation(ratings))
+            rated += sum(map(len, expected[0]))
         assert rated == 11430
 
-    @pytest.mark.parametrize("args", RATE_EDGE_CASES)
-    def test_edge_inputs(self, compiled_kernel, args):
+    @pytest.mark.parametrize(
+        "args, raised", RATE_EDGE_CASES,
+        ids=[f"args{i}" for i in range(len(RATE_EDGE_CASES))],
+    )
+    def test_edge_inputs(self, compiled_kernel, args, raised):
         for semismall in (False, True):
-            same_outcome(
+            outcome = same_outcome(
                 lambda: compiled_kernel.rate_orders(*args, semismall),
                 lambda: pure.rate_orders(*args, semismall),
             )
+            assert outcome[0] == ("value" if raised is None else "raised")
 
     def test_rejections(self, impl):
-        for args in RATE_EDGE_CASES[2:]:
-            with pytest.raises(refusal_type(args)):
-                impl.rate_orders(*args, False)
+        for args, raised in RATE_EDGE_CASES:
+            if raised is not None:
+                with pytest.raises(raised):
+                    impl.rate_orders(*args, False)
 
     @pytest.mark.parametrize("semismall", [False, True])
     @pytest.mark.parametrize("n, masks", NON_PARTITIONS)
     def test_non_partitions_raise(self, compiled_kernel, n, masks, semismall):
         # the rule of every entry taking blocks: three copies of the whole of
         # three slots once gave rotation values [-6, 2, 2] in both twins
-        degs = [-1] * len(masks)
+        degree = {mask: -1 for mask in masks}
         assert same_outcome(
-            lambda: compiled_kernel.rate_orders(n, masks, degs, semismall),
-            lambda: pure.rate_orders(n, masks, degs, semismall),
+            lambda: compiled_kernel.rate_orders(n, [masks], degree, semismall),
+            lambda: pure.rate_orders(n, [masks], degree, semismall),
         ) == ("raised", ValueError)
 
     def test_length_two(self, impl):
         # {1,2}:-1 then {3,4}:-1 over 4 slots
-        assert impl.rate_orders(4, [0b0011, 0b1100], [-1, -1], False) == (
-            [{"order": [0, 1], "rotation_deltas": [4, -4], "violates": False}],
-            -1,
+        assert impl.rate_orders(4, [[0b0011, 0b1100]], PAIR_4, False) == (
+            [[{"order": [0, 1], "rotation_deltas": [4, -4], "violates": False}]],
+            None,
         )
 
+    def test_first_counts_across_shapes(self, impl):
+        ratings, first = impl.rate_orders(9, LISTING_9, DEGREE_9, False)
+        assert [len(orderings) for orderings in ratings] == [1, 2]
+        assert first == (1, 0)
+        assert impl.rate_orders(9, LISTING_9[:1], DEGREE_9, False)[1] is None
+
     def test_no_reference_leak(self, compiled_kernel):
-        # the (9, 4) reference triple: its first ordering violates
-        masks, degs = [0b11100, 0b11100000, 0b100000011], [-1, -2, -1]
-        assert compiled_kernel.rate_orders(9, masks, degs, False)[1] == 0
+        assert compiled_kernel.rate_orders(9, LISTING_9, DEGREE_9, False)[1] == (
+            1, 0
+        )
+        # refused while reading the second shape, after the first is rated:
+        # a degree past the bound, a float degree, a mask with no degree,
+        # and a shape that does not partition the slots
+        refusals = [
+            (LISTING_9, {**DEGREE_9, 0b11100: 1 << 40}, ValueError),
+            (LISTING_9, {**DEGREE_9, 0b11100: -1.0}, TypeError),
+            (LISTING_9, {k: d for k, d in DEGREE_9.items() if k != 0b11100},
+             KeyError),
+            (LISTING_9[:1] + [(0b11, 0b11)], DEGREE_9, ValueError),
+        ]
         tracemalloc.start()
         try:
             for call in range(1, 201):
-                result = compiled_kernel.rate_orders(9, masks, degs, False)
+                result = compiled_kernel.rate_orders(
+                    9, LISTING_9 * 3, DEGREE_9, False
+                )
                 del result
-                # refused after reading, and while reading its degrees
-                for refused, error in (
-                    ([-1, -1, 1 << 40], ValueError),
-                    ([-1, -1, -1.0], TypeError),
-                ):
+                for shapes, degree, error in refusals:
                     try:
-                        compiled_kernel.rate_orders(9, masks, refused, False)
+                        compiled_kernel.rate_orders(9, shapes, degree, False)
                     except error:
                         pass
                 if call == 100:
@@ -757,6 +826,41 @@ class TestRateOrders:
         finally:
             tracemalloc.stop()
         assert end <= mid
+
+    def test_interruptible(self, compiled_kernel):
+        # a listing of short shapes, two orderings each: the signal check
+        # counts the orderings of the whole call, so a Ctrl-C ends it
+        # early, and shapes are left in the listing's iterator (a handler
+        # that ran only once the call returned would also raise, but would
+        # find the listing used up).  The listing is a list iterator and
+        # the degrees a dict, so no Python code runs during the call to
+        # take the signal in the kernel's stead; collections are off, as in
+        # TestScanShapes.
+        shape = (0b000011, 0b001100, 0b110000)
+        degree = {mask: -1 for mask in shape}
+        listing = iter([shape] * 100_000)
+
+        class Stop(Exception):
+            pass
+
+        def stop(signum, frame):
+            raise Stop
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        collecting = gc.isenabled()
+        start = time.monotonic()
+        try:
+            gc.disable()
+            signal.setitimer(signal.ITIMER_REAL, 0.02)
+            with pytest.raises(Stop):
+                compiled_kernel.rate_orders(6, listing, degree, False)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            if collecting:
+                gc.enable()
+        assert operator.length_hint(listing) > 0
+        assert time.monotonic() - start < 2.0
 
 
 # (n, masks, degs) that realise must reject: blocks that overlap, leave a
@@ -1132,7 +1236,7 @@ class TestDumps:
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 10
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 11
 
 
 @lru_cache(maxsize=None)

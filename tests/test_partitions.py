@@ -1,5 +1,6 @@
 """Partition enumeration, alpha-partitions, and stable rotations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,15 @@ from bodenhu import (
     stable_rotation,
 )
 from bodenhu import _kernel
-from conftest import admissible_shapes, assert_public_rebuild, seeded_alphas
+from bodenhu.partitions import _alpha_shapes
+from conftest import (
+    KINDS,
+    admissible_shapes,
+    assert_public_rebuild,
+    denominator,
+    seeded_alphas,
+    weight_vector,
+)
 
 # Counts of set partitions of n slots into blocks of size >= 2, n = 2..11.
 SHAPE_COUNTS = (1, 1, 4, 11, 41, 162, 715, 3425, 17722, 98253)
@@ -175,6 +184,20 @@ class TestAlphaPartitions:
         for partition in alpha_partitions(alpha94):
             for block in partition.blocks:
                 assert deg_alpha(block, alpha94) == 0
+
+    def test_degrees_cover_exactly_the_used_masks(self):
+        # _alpha_shapes takes its degrees over the admissible masks; with
+        # min_len 1 every one of them is used by some shape
+        rng = random.Random(914)
+        for n in range(9, 15):
+            for kind in KINDS:
+                alpha = weight_vector(rng, n, denominator(n, kind))
+                shapes, degree = _alpha_shapes(alpha, 1, 14)
+                assert set(degree) == set().union(*shapes)
+                for mask, d in degree.items():
+                    assert deg_alpha(
+                        MultiplicityVector.from_mask(n, d, mask), alpha
+                    ) == 0
 
 
 class TestEnumeratedObjectsAreValid:

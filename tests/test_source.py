@@ -269,7 +269,8 @@ def test_cli_does_not_rate_through_partition_objects():
 
 def test_pure_block_entries_read_one_partition_rule():
     """Every pure-kernel entry taking blocks reads them through
-    _read_partition, the twin of the compiled read_partition."""
+    _read_partition, the twin of the compiled read_partition: rate_orders
+    through _read_shapes, which reads its listing shape by shape."""
     tree = ast.parse((PACKAGE / "_kernel" / "pure.py").read_text())
     readers = {
         node.name
@@ -281,7 +282,10 @@ def test_pure_block_entries_read_one_partition_rule():
             for call in ast.walk(node)
         )
     }
-    assert {"realise", "rate_orders", "scan_partition_batch"} <= readers
+    assert {"realise", "_read_shapes", "scan_partition_batch"} <= readers
+    assert (None, "_read_shapes") in calls_of(
+        top_function(PACKAGE / "_kernel" / "pure.py", "rate_orders")
+    )
 
 
 def c_functions(source):
@@ -320,16 +324,21 @@ def is_reader(node):
     return getattr(node, "id", "").startswith("_read_")
 
 
+def takes(call, name):
+    """Whether the call takes the bare name as an argument."""
+    return any(isinstance(a, ast.Name) and a.id == name for a in call.args)
+
+
 def reads_through_reader(stmt, name):
     """Whether stmt binds name to a _read_* call taking name, or loops over
-    map(_read_*, name)."""
+    map(_read_*, name) or over a _read_* call taking name."""
     if isinstance(stmt, ast.For):
         loop = stmt.iter
-        return (
-            isinstance(loop, ast.Call)
-            and getattr(loop.func, "id", None) == "map"
+        return isinstance(loop, ast.Call) and (
+            getattr(loop.func, "id", None) == "map"
             and is_reader(loop.args[0])
             and getattr(loop.args[1], "id", None) == name
+            or is_reader(loop.func) and takes(loop, name)
         )
     if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
         return False
@@ -342,7 +351,7 @@ def reads_through_reader(stmt, name):
         isinstance(target, ast.Name) and target.id == name
         and isinstance(value, ast.Call)
         and is_reader(value.func)
-        and any(isinstance(a, ast.Name) and a.id == name for a in value.args)
+        and takes(value, name)
         for target, value in pairs
     )
 
@@ -350,8 +359,9 @@ def reads_through_reader(stmt, name):
 def test_pure_entries_read_arguments_through_readers():
     """The first statement of a pure entry that names an argument reads it
     through a _read_* function, or hands every argument on to another entry.
-    The semismall flag is read once, by _read_flag, like the rest; the
-    batch's shapes, each measured and then read in turn, are the one
+    The semismall flag is read once, by _read_flag, like the rest, and
+    rate_orders loops over _read_shapes of its shapes and their degrees;
+    the batch's shapes, each measured and then read in turn, are the one
     argument left out.  Only _read_int calls operator.index."""
     tree = ast.parse((PACKAGE / "_kernel" / "pure.py").read_text())
     functions = {
