@@ -1,22 +1,23 @@
 """Kernel selection: the compiled extension when it fits, else pure Python.
 
 Both implementations expose the same scan entry points (scan_shapes,
-scan_partition_batch), the same single-alpha entry points (alpha_shapes,
-the partitions of the admissible blocks at one weight vector, and
-rate_orders, the rated cyclic orderings of each partition of a listing,
-with the first violating one), the same
-realisation entry points (realise, a witness point for one candidate
-partition, and realise_shapes, every realisable candidate of one (n, s)
-with its witness), the same wall listing (walls, the nonempty walls of one
-W(n, s) as (mask, d_check) pairs, each decided by the closed form
-wall_meets) and the same JSON writer (dumps, the text of
-json.dumps(payload, indent=2) for the CLI's payload types), and must agree
-bit for bit (the test suite enforces this).  Block input has one rule in
-both: the shapes of scan_partition_batch and rate_orders and the blocks of
-realise must partition the n slots, or the call raises ValueError.
-Both read every argument through one reader per kind (slot count, integer,
-integer list, partition, flag) before any other check: a non-integer raises
-TypeError, an integer counts at its exact value however large, and the
+which with a settle callable stops each s at the first violating candidate
+settle accepts, and scan_partition_batch), the same single-alpha entry
+points (alpha_shapes, the partitions of the admissible blocks at one weight
+vector, and rate_orders, the rated cyclic orderings of each partition of a
+listing, with the first violating one), the same realisation entry points
+(realise, a witness point for one candidate partition, and realise_shapes,
+every realisable candidate of one (n, s) with its witness), the same wall
+listing (walls, the nonempty walls of one W(n, s) as (mask, d_check)
+pairs, each decided by the closed form wall_meets) and the same JSON
+writer (dumps, the text of json.dumps(payload, indent=2) for the CLI's
+payload types), and must agree bit for bit (the test suite enforces this).
+Block input has one rule in both: the shapes of scan_partition_batch and
+rate_orders and the blocks of realise must partition the n slots, or the
+call raises ValueError.  Both read every argument through one reader per
+kind (slot count, integer, integer list, partition, flag, settle callable)
+before any other check: a non-integer raises TypeError, an integer counts
+at its exact value however large, and the
 semismall flag's truth is tested once.  The
 compiled module is taken only if it has every entry point and the same
 KERNEL_API as pure.py, so an extension built from an older _speedups.c

@@ -13,8 +13,23 @@
  *                        canonical order of partitions.iter_partition_shapes
  *                        (the block of the lowest free slot first, its
  *                        co-members in ascending submask order), and scans
- *                        each one.  This is the whole exhaustive scan.
+ *                        each one: the whole exhaustive scan without a
+ *                        settle callable, and with one the scan that stops
+ *                        each s at its first accepted candidate (below).
  *   scan_partition_batch scans shapes handed over by the caller.
+ *
+ * Settle mode.  With a settle callable, scan_shape hands each violating
+ * candidate of a total s not yet settled to settle_first, which keeps only
+ * its lexicographically first violating order and calls settle with that
+ * record; a true result sets bit s of Scan.done.  From then on scan_shape
+ * rates no candidate of that s, and walk_shapes skips every node whose
+ * reachable totals are all in done (the reach test, at ShapeWalk), so the
+ * call ends once every live s is settled.  pure.py does not prune: it
+ * enumerates everything and calls settle for the same candidates, so
+ * compiled == pure checks the reach test.  The stats then come from the
+ * closed form (closed_form_dict over the labelled table), not from the
+ * candidates met; without settle, done only holds the totals s_filter
+ * keeps out, which the walk never tests.
  *
  * Every shape is a set partition of the n slots: the shape walk makes only
  * those, and read_partition refuses any other block input (the shapes of a
@@ -35,7 +50,8 @@
  * order[L-1] decide it and its reverse (0, order[L-1], ..., order[1])
  * together; the records of each degree assignment are then sorted back into
  * lexicographic order.  The loops run on C integers; Python objects are made
- * only for a violation record and for the stats dict, built once per call.
+ * only for a violation record, the settle call and the stats dict, built
+ * once per call.
  *
  * Each formula is written once, as in pure.py: cross_terms, pairing (one
  * entry of P, which place_degrees fills in), and rotations.  rate_orders
@@ -63,7 +79,9 @@
  * B costs O(L) per candidate: head[m] holds the sum over the pairs
  * i < j < m and depends only on digits 0..m-1 of the degree odometer, so
  * when digit k moves, head[k+1..L] are rebuilt from head[k], and a move of
- * the last digit alone adds the L - 1 terms |P[i][L-1]|.  At N = 10 the
+ * the last digit alone adds the L - 1 terms |P[i][L-1]|; a candidate that
+ * is not rated (its s kept out or settled) defers the rebuild to the next
+ * one that is.  The odometer keeps s along too (next_degrees).  At N = 10 the
  * walk runs for 0.29% of the candidates in small mode and 0.17% in
  * semismall mode (the one-sided B - 2 max q would keep 5.1% and 2.6%);
  * pure.py keeps the unbounded walk as the oracle.
@@ -76,10 +94,11 @@
  * as pure.py's through its _read_*: read_n (the slot count), read_int (an
  * integer, saturated at the ends of int64, where it still compares as the
  * exact value), read_ints (a list of masks or degrees, copied into a fixed
- * array) and read_partition (read masks that partition the slots); the
- * semismall flag is read by the "p" format, whose one truth test pure.py's
- * _read_flag makes too, and rate_orders reads its shapes one at a time
- * after it, as pure.py's _read_shapes does.  A non-integer raises TypeError before any other
+ * array), read_partition (read masks that partition the slots) and
+ * read_settle (None or a callable); the semismall flag is read by the "p"
+ * format, whose one truth test pure.py's _read_flag makes too, and
+ * rate_orders reads its shapes one at a time after it, as pure.py's
+ * _read_shapes does.  A non-integer raises TypeError before any other
  * check, as in pure.py, and no integer argument raises OverflowError but a
  * degree of realise past int64 (see below).
  *
@@ -113,7 +132,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 11
+#define KERNEL_API 12
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -142,11 +161,13 @@ typedef struct {
     PyObject *key;
 } Shape;
 
-/* What one call shares across its shapes. */
+/* What one call shares across its shapes.  done holds bit s for every
+ * total s that needs no more work: kept out by s_filter or, with a settle
+ * callable, settled. */
 typedef struct {
     int n, semismall;
-    i64 s_filter;
-    PyObject *violations;
+    PyObject *violations, *settle;
+    u64 done;
     Stats stats;
 } Scan;
 
@@ -171,14 +192,17 @@ next_perm(i64 *a, int m)
 }
 
 /* Advance the degree odometer degs, digit i over lo[i]..-1, rightmost digit
- * fastest.  Returns the lowest digit that moved (the digits after it were
- * reset), or -1 after the last assignment. */
+ * fastest, and keep *s = -sum(degs) along.  Returns the lowest digit that
+ * moved (the digits after it were reset), or -1 after the last
+ * assignment. */
 static inline int
-next_degrees(int L, i64 *degs, const i64 *lo)
+next_degrees(int L, i64 *degs, const i64 *lo, i64 *s)
 {
     for (int k = L - 1; k >= 0; k--) {
+        *s -= 1;
         if (++degs[k] <= -1)
             return k;
+        *s += degs[k] - lo[k];
         degs[k] = lo[k];
     }
     return -1;
@@ -248,6 +272,19 @@ read_n(PyObject *obj, void *out)
         return 0;
     }
     *(int *)out = (int)n;
+    return 1;
+}
+
+/* The settle argument of scan_shapes: None, or a callable (TypeError
+ * otherwise), borrowed into *(PyObject **)out. */
+static int
+read_settle(PyObject *obj, void *out)
+{
+    if (obj != Py_None && !PyCallable_Check(obj)) {
+        PyErr_SetString(PyExc_TypeError, "settle must be None or callable");
+        return 0;
+    }
+    *(PyObject **)out = obj;
     return 1;
 }
 
@@ -460,6 +497,28 @@ walk_orders(Scan *scan, Shape *sh, const i64 *degs, i64 p[][MAX_BLOCKS],
     return L >= 3 ? sort_tail(scan->violations, first) : 0;
 }
 
+/* Keep the first of the records that one candidate of total s appended
+ * from index first on, its lexicographically first violating order, and
+ * pass it to the settle callable; a true result settles s.  -1 on error. */
+static int
+settle_first(Scan *scan, Py_ssize_t first, i64 s)
+{
+    PyObject *list = scan->violations;
+    const Py_ssize_t end = PyList_GET_SIZE(list);
+    if (end == first)
+        return 0;
+    if (PyList_SetSlice(list, first + 1, end, NULL) < 0)
+        return -1;
+    PyObject *record = Py_NewRef(PyList_GET_ITEM(list, first));
+    PyObject *result = PyObject_Call(scan->settle, record, NULL);
+    const int truth = result ? PyObject_IsTrue(result) : -1;
+    Py_DECREF(record);
+    Py_XDECREF(result);
+    if (truth > 0)
+        scan->done |= 1ULL << s;
+    return truth < 0 ? -1 : 0;
+}
+
 /* Scan one shape; -1 on error. */
 static int
 scan_shape(Scan *scan, Shape *sh)
@@ -472,6 +531,7 @@ scan_shape(Scan *scan, Shape *sh)
     const i64 bar = L - 1 + (scan->semismall ? 1 : 0);
     Stats *stats = &scan->stats;
     u64 nperm = 1;
+    i64 s_val = 0;
 
     for (int i = 0; i < L; i++) {
         ranks[i] = __builtin_popcountll(sh->masks[i]);
@@ -482,6 +542,7 @@ scan_shape(Scan *scan, Shape *sh)
         if (ranks[i] < 2)
             return 0;
         lo[i] = degs[i] = -(ranks[i] - 1);
+        s_val -= lo[i];
     }
     cross_terms(L, sh->masks, X);
     for (int i = 2; i < L; i++)
@@ -489,41 +550,45 @@ scan_shape(Scan *scan, Shape *sh)
 
     /* head[m] = sum of |P[i][j]| over i < j < m, so B = head[L]; it depends
      * on digits 0..m-1 of the degree odometer, and a moved digit k changes
-     * head[k + 1] and every later one */
+     * head[k + 1] and every later one.  They are rebuilt only for a
+     * candidate that is rated, from the lowest digit moved since the last
+     * rebuild, stale. */
     head[0] = head[1] = 0;
-    int moved = 0;
+    int moved = 0, stale = 0;
     do {
-        i64 s_val = 0;
-        for (int i = 0; i < L; i++)
-            s_val -= degs[i];
-        for (int m = moved > 1 ? moved : 1; m < L; m++) {
+        if (moved < stale)
+            stale = moved;
+        if (scan->done >> s_val & 1)
+            continue;
+        for (int m = stale > 1 ? stale : 1; m < L; m++) {
             i64 h = head[m];
             for (int i = 0; i < m; i++)
                 h += llabs(pairing(ranks, degs, X, i, m));
             head[m + 1] = h;
         }
-        if (scan->s_filter == 0 || s_val == scan->s_filter) {
-            if (stats->candidates[s_val] == 0)
-                stats->seen[stats->nseen++] = (int)s_val;
-            stats->candidates[s_val] += 1;
-            stats->classes[s_val] += nperm;
+        stale = L;
+        if (stats->candidates[s_val] == 0)
+            stats->seen[stats->nseen++] = (int)s_val;
+        stats->candidates[s_val] += 1;
+        stats->classes[s_val] += nperm;
 
-            /* q[i] = delta(block i, one-vector), in closed form */
-            i64 qmax = 0;
-            for (int i = 0; i < L; i++) {
-                q[i] = -2 * ranks[i] * s_val - 2 * n * degs[i] + T[i];
-                const i64 size = llabs(q[i]);
-                if (size > qmax)
-                    qmax = size;
-            }
-            /* below the bound B - 2 max |q| no order meets the margin */
-            if (head[L] - 2 * qmax >= bar) {
-                place_degrees(L, ranks, degs, X, p);
-                if (walk_orders(scan, sh, degs, p, q, bar) < 0)
-                    return -1;
-            }
+        /* q[i] = delta(block i, one-vector), in closed form */
+        i64 qmax = 0;
+        for (int i = 0; i < L; i++) {
+            q[i] = -2 * ranks[i] * s_val - 2 * n * degs[i] + T[i];
+            const i64 size = llabs(q[i]);
+            if (size > qmax)
+                qmax = size;
         }
-    } while ((moved = next_degrees(L, degs, lo)) >= 0);
+        /* below the bound B - 2 max |q| no order meets the margin */
+        if (head[L] - 2 * qmax >= bar) {
+            const Py_ssize_t first = PyList_GET_SIZE(scan->violations);
+            place_degrees(L, ranks, degs, X, p);
+            if (walk_orders(scan, sh, degs, p, q, bar) < 0
+                || (scan->settle && settle_first(scan, first, s_val) < 0))
+                return -1;
+        }
+    } while ((moved = next_degrees(L, degs, lo, &s_val)) >= 0);
     return 0;
 }
 
@@ -541,7 +606,15 @@ scan_and_release(void *scan, Shape *sh)
  * returns -1 on error.  The blocks come from blocks, grouped by lowest
  * slot (slot i: start[i] .. start[i+1]-1), or from every submask of the
  * free slots when blocks is NULL.  acc holds the blocks chosen so far;
- * n <= 30 slots give at most 15 of them. */
+ * n <= 30 slots give at most 15 of them.
+ *
+ * The reach test: a shape of L blocks has its total s in [L, n - L], so a
+ * node with d blocks placed and slots still free reaches only the s in
+ * [k, n - k], k = max(d + 1, min_len), and a complete shape of L blocks
+ * those in [L, n - L]; reach[k] has their bits.  When done is given and
+ * *done covers every bit of a node's reach, the walk skips the node, and
+ * an ancestor stops as soon as it is covered; while *done is 0 nothing is
+ * tested. */
 typedef struct {
     i64 min_len;
     int (*visit)(void *ctx, Shape *sh);
@@ -549,9 +622,18 @@ typedef struct {
     const u64 *blocks;
     Py_ssize_t start[MAX_SLOTS + 1];
     unsigned long nodes;
+    const u64 *done;
+    u64 reach[MAX_SLOTS + 1];
     u64 acc[MAX_BLOCKS];
     Py_ssize_t pick[MAX_BLOCKS]; /* acc[d] is blocks[pick[d]], if listed */
 } ShapeWalk;
+
+/* Whether every total the reach bits name needs no more work. */
+static inline int
+covered(const ShapeWalk *walk, u64 reach)
+{
+    return walk->done && *walk->done && !(reach & ~*walk->done);
+}
 
 /* Enumerate the completions of the blocks acc[0..depth-1] over the slots of
  * remaining, covering its lowest slot first, and visit each complete shape
@@ -569,7 +651,7 @@ walk_shapes(ShapeWalk *walk, u64 remaining, int depth)
         return -1;
     if (remaining == 0) {
         Shape sh = {.L = depth, .key = NULL};
-        if (depth < walk->min_len)
+        if (depth < walk->min_len || covered(walk, walk->reach[depth]))
             return 0;
         for (int i = 0; i < depth; i++) {
             int j = i;
@@ -580,6 +662,11 @@ walk_shapes(ShapeWalk *walk, u64 remaining, int depth)
         return walk->visit(walk->ctx, &sh);
     }
     if (depth + __builtin_popcountll(remaining) / 2 < walk->min_len)
+        return 0;
+    /* k <= depth + popcount / 2 <= n / 2 */
+    const u64 reach =
+        walk->reach[depth + 1 > walk->min_len ? depth + 1 : walk->min_len];
+    if (covered(walk, reach))
         return 0;
     /* the blocks of the lowest free slot: its listed blocks that fit, in
      * their order, or that slot with each nonempty submask s of the other
@@ -608,27 +695,117 @@ walk_shapes(ShapeWalk *walk, u64 remaining, int depth)
         walk->acc[depth] = m;
         if (walk_shapes(walk, remaining ^ m, depth + 1) < 0)
             return -1;
+        if (covered(walk, reach))
+            return 0;
     }
 }
 
+__extension__ typedef unsigned __int128 u128;
+
+/* A new int of value v; NULL on error. */
+static PyObject *
+long_from_u128(u128 v)
+{
+    if (v >> 64 == 0)
+        return PyLong_FromUnsignedLongLong((u64)v);
+    PyObject *high = PyLong_FromUnsignedLongLong((u64)(v >> 64));
+    PyObject *bits = PyLong_FromLong(64);
+    PyObject *shifted = high && bits ? PyNumber_Lshift(high, bits) : NULL;
+    PyObject *low = PyLong_FromUnsignedLongLong((u64)v);
+    PyObject *out = shifted && low ? PyNumber_Or(shifted, low) : NULL;
+    Py_XDECREF(high);
+    Py_XDECREF(bits);
+    Py_XDECREF(shifted);
+    Py_XDECREF(low);
+    return out;
+}
+
+/* dict[s] = [candidates, classes]; -1 on error. */
+static int
+set_counts(PyObject *dict, int s, u128 candidates, u128 classes)
+{
+    PyObject *key = PyLong_FromLong(s);
+    PyObject *val = Py_BuildValue("[NN]", long_from_u128(candidates),
+                                  long_from_u128(classes));
+    int rc = (key && val) ? PyDict_SetItem(dict, key, val) : -1;
+    Py_XDECREF(key);
+    Py_XDECREF(val);
+    return rc;
+}
+
+/* The stats as counted, keys in the order first seen; NULL on error. */
 static PyObject *
 stats_dict(const Stats *stats)
 {
     PyObject *dict = PyDict_New();
-    if (dict == NULL)
-        return NULL;
-    for (int i = 0; i < stats->nseen; i++) {
-        int s = stats->seen[i];
-        PyObject *key = PyLong_FromLong(s);
-        PyObject *val = Py_BuildValue("[KK]", stats->candidates[s],
-                                      stats->classes[s]);
-        int rc = (key && val) ? PyDict_SetItem(dict, key, val) : -1;
-        Py_XDECREF(key);
-        Py_XDECREF(val);
-        if (rc < 0) {
-            Py_DECREF(dict);
-            return NULL;
+    for (int i = 0; dict && i < stats->nseen; i++) {
+        const int s = stats->seen[i];
+        if (set_counts(dict, s, stats->candidates[s], stats->classes[s]) < 0)
+            Py_CLEAR(dict);
+    }
+    return dict;
+}
+
+/* The candidate counts in closed form.  labelled[m][L][s] counts the set
+ * partitions of m labelled slots into L blocks of rank >= 2, each block of
+ * rank r with a degree -e, 1 <= e <= r - 1, the e summing to s: by the
+ * block of the lowest slot (Flajolet and Sedgewick, Analytic
+ * Combinatorics, ch. II),
+ *   f(m, L, s) = sum_r C(m - 1, r - 1) sum_{e=1}^{r-1} f(m - r, L - 1, s - e).
+ * Rows m are built on first use, up to the largest n asked for; no row
+ * changes once built.  128 bits hold every count up to 30 slots: the
+ * ordering classes, f times (L - 1)!, reach about 2.2e30 there. */
+static u128 labelled[MAX_SLOTS + 1][MAX_SLOTS / 2 + 1][MAX_SLOTS + 1];
+static int labelled_rows = -1; /* rows 0..labelled_rows are built */
+
+static void
+build_labelled(int n)
+{
+    for (int m = labelled_rows + 1; m <= n; m++) {
+        if (m == 0) {
+            labelled[0][0][0] = 1;
+            continue;
         }
+        u64 binom = 1; /* C(m - 1, r - 1) */
+        for (int r = 2; r <= m; r++) {
+            binom = binom * (u64)(m - r + 1) / (u64)(r - 1);
+            for (int L = 1; L <= m / 2; L++)
+                for (int t = 0; t <= m - r; t++) {
+                    const u128 f = labelled[m - r][L - 1][t];
+                    if (f == 0)
+                        continue;
+                    for (int e = 1; e < r; e++)
+                        labelled[m][L][t + e] += binom * f;
+                }
+        }
+    }
+    if (n > labelled_rows)
+        labelled_rows = n;
+}
+
+/* The stats a full scan of n slots counts, from the closed form, with the
+ * keys ascending: s -> [candidates, classes] over the shapes of at least
+ * min_len blocks, for s_filter alone unless it is 0, every s with a
+ * candidate; NULL on error. */
+static PyObject *
+closed_form_dict(int n, i64 s_filter, i64 min_len)
+{
+    PyObject *dict = PyDict_New();
+    build_labelled(n);
+    for (int s = 1; dict && s < n; s++) {
+        u128 candidates = 0, classes = 0, nperm = 1;
+        if (s_filter && s != s_filter)
+            continue;
+        for (int L = 1; L <= n / 2; L++) {
+            if (L >= 2)
+                nperm *= (u128)(L - 1);
+            if (L >= min_len) {
+                candidates += labelled[n][L][s];
+                classes += labelled[n][L][s] * nperm;
+            }
+        }
+        if (candidates && set_counts(dict, s, candidates, classes) < 0)
+            Py_CLEAR(dict);
     }
     return dict;
 }
@@ -639,17 +816,19 @@ scan_init(Scan *scan, int n, i64 s_filter, int semismall)
 {
     memset(scan, 0, sizeof(*scan));
     scan->n = n;
-    scan->s_filter = s_filter;
     scan->semismall = semismall;
+    /* the totals s_filter keeps out need no work */
+    scan->done = 0 < s_filter && s_filter < 64 ? ~(1ULL << s_filter)
+                 : s_filter ? ~0ULL : 0;
     scan->violations = PyList_New(0);
     return scan->violations ? 0 : -1;
 }
 
-/* (violations, stats) if ok, else NULL; releases the violations list. */
+/* (violations, dict), taking the reference to dict, or NULL when dict is
+ * NULL; releases the violations list. */
 static PyObject *
-scan_result(Scan *scan, int ok)
+scan_result(Scan *scan, PyObject *dict)
 {
-    PyObject *dict = ok ? stats_dict(&scan->stats) : NULL;
     PyObject *result = dict ? PyTuple_Pack(2, scan->violations, dict) : NULL;
     Py_XDECREF(dict);
     Py_DECREF(scan->violations);
@@ -657,29 +836,42 @@ scan_result(Scan *scan, int ok)
 }
 
 PyDoc_STRVAR(scan_shapes_doc,
-"scan_shapes(n, s_filter, semismall, min_len)\n"
+"scan_shapes(n, s_filter, semismall, min_len, settle=None)\n"
 "--\n\n"
 "Enumerate every partition shape of n slots and scan it for\n"
-"rotation-criterion violations.\n\n"
+"rotation-criterion violations; with settle, stop each s at the first\n"
+"candidate that settle accepts.\n\n"
 "Same contract as pure.scan_shapes; see that function's docstring.");
 
 static PyObject *
 scan_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"n", "s_filter", "semismall", "min_len", NULL};
+    static char *kwlist[] = {"n", "s_filter", "semismall", "min_len",
+                             "settle", NULL};
     int n, semismall;
     i64 s_filter, min_len;
+    PyObject *settle = Py_None;
     Scan scan;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&pO&:scan_shapes", kwlist,
-                                     read_n, &n, read_int, &s_filter,
-                                     &semismall, read_int, &min_len)
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&pO&|O&:scan_shapes",
+                                     kwlist, read_n, &n, read_int, &s_filter,
+                                     &semismall, read_int, &min_len,
+                                     read_settle, &settle)
         || scan_init(&scan, n, s_filter, semismall) < 0)
         return NULL;
     ShapeWalk walk = {.min_len = min_len, .visit = scan_and_release,
                       .ctx = &scan};
+    if (settle != Py_None) {
+        scan.settle = settle;
+        walk.done = &scan.done;
+        for (int k = 1; 2 * k <= n; k++)
+            walk.reach[k] = (2ULL << (n - k)) - (1ULL << k);
+    }
     int ok = n < 2 || walk_shapes(&walk, (1ULL << n) - 1, 0) == 0;
-    return scan_result(&scan, ok);
+    PyObject *dict = !ok ? NULL
+                     : settle == Py_None ? stats_dict(&scan.stats)
+                     : closed_form_dict(n, s_filter, min_len);
+    return scan_result(&scan, dict);
 }
 
 PyDoc_STRVAR(scan_batch_doc,
@@ -735,7 +927,8 @@ scan_partition_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
         Py_DECREF(shape);
     }
     Py_XDECREF(shapes);
-    return scan_result(&scan, ok && !PyErr_Occurred());
+    ok = ok && !PyErr_Occurred();
+    return scan_result(&scan, ok ? stats_dict(&scan.stats) : NULL);
 }
 
 /* What alpha_shapes shares with its visit: the shapes found, the walk, and
@@ -1496,17 +1689,14 @@ realise_shape(void *ctx, Shape *sh)
 {
     Realisation *re = ctx;
     const int L = sh->L;
-    i64 degs[MAX_BLOCKS], lo[MAX_BLOCKS], nums[MAX_SLOTS], den, most = 0;
+    i64 degs[MAX_BLOCKS], lo[MAX_BLOCKS], nums[MAX_SLOTS], den, s = 0;
     for (int i = 0; i < L; i++) {
         lo[i] = degs[i] = 1 - __builtin_popcountll(sh->masks[i]);
-        most -= lo[i];
+        s -= lo[i];
     }
-    if (re->s < L || re->s > most)
+    if (re->s < L || re->s > s)
         return 0; /* no assignment sums to -s */
     do {
-        i64 s = 0;
-        for (int i = 0; i < L; i++)
-            s -= degs[i];
         if (s == re->s) {
             const int rc = realise_blocks(&re->fm, re->n, L, sh->masks, degs,
                                           nums, &den);
@@ -1516,7 +1706,7 @@ realise_shape(void *ctx, Shape *sh)
                 && record_found(re->found, sh, degs, nums, re->n, den) < 0)
                 return -1;
         }
-    } while (next_degrees(L, degs, lo) >= 0);
+    } while (next_degrees(L, degs, lo, &s) >= 0);
     return 0;
 }
 

@@ -10,24 +10,28 @@ moving the head block to the back reverses its pairs (_rotations).
 Block input has one rule in both twins: the shapes of scan_partition_batch
 and rate_orders and the blocks of realise must be set partitions of the n
 slots, which _read_partition checks; anything else raises ValueError.
-scan_partition_batch runs _scan_shape on each shape, and scan_shapes is that
-batch over every shape of iter_partition_shapes.  _scan_shape takes q in
-closed form, delta(block, one-vector), O(L) per candidate against O(L^2) for
-row sums, since building P and q is most of the scan's time, and inlines r_0
-and the prefix maximum, calling _rotations only for a violation: through
-_rotations the N = 11 scan was slower in 9 of 10 concurrent pairs, by 5%
-(small) and 12% (semismall) in the median and up to 31%.  This is the
-plain oracle: every ordering is evaluated on its own.  It is deliberately
-unpruned: the compiled twin skips the ordering walk of each candidate whose
-rotation bound B - 2 max |q| lies below the margin (see _speedups.c), and
-this full walk is what that bound is checked against.  alpha_shapes lists
-the partitions into the admissible blocks at one weight vector through the
-same shape walk, _walk_shapes, with the listed blocks in place of every
-submask, and rate_orders rates every ordering of each partition of a list
-of them in one call, from _pairing, P with its row sums.  dumps writes the
-CLI's JSON payloads.  Twin of the compiled kernel in _speedups.c, with the
-same decomposition; it must match it exactly and carry the same
-KERNEL_API.
+scan_partition_batch runs _scan_shape on each shape, and scan_shapes is
+that batch over every shape of iter_partition_shapes; with a settle
+callable it hands each violating candidate of an s not yet settled to
+settle, and returns those records with the stats, keys ascending.
+_scan_shape takes q in closed form, delta(block, one-vector), O(L) per
+candidate against O(L^2) for row sums, since building P and q is most of
+the scan's time, and inlines r_0 and the prefix maximum, calling _rotations
+only for a violation: through _rotations the N = 11 scan was slower in 9 of
+10 concurrent pairs, by 5% (small) and 12% (semismall) in the median and up
+to 31%.  This is the plain oracle: every ordering is evaluated on its own.
+It is deliberately unpruned: the compiled twin skips the ordering walk of
+each candidate whose rotation bound B - 2 max |q| lies below the margin
+(see _speedups.c), and this full walk is what that bound is checked
+against.  Likewise it enumerates every shape in settle mode, where the
+compiled twin skips the subtrees whose totals are all settled and takes the
+stats from the closed form.  alpha_shapes lists the partitions into the
+admissible blocks at one weight vector through the same shape walk,
+_walk_shapes, with the listed blocks in place of every submask, and
+rate_orders rates every ordering of each partition of a list of them in one
+call, from _pairing, P with its row sums.  dumps writes the CLI's JSON
+payloads.  Twin of the compiled kernel in _speedups.c, with the same
+decomposition; it must match it exactly and carry the same KERNEL_API.
 
 realise decides one candidate partition of the slots: the closed-form wall
 gate wall_meets, a pivot on each block's lowest slot, and the package's one
@@ -42,11 +46,12 @@ checks every 64-bit operation and hands a call that overflows back to this
 one.
 
 Every entry reads each argument through one reader per kind, twins of the
-compiled ones: _read_n, _read_int, _read_ints, _read_partition and
-_read_flag (the semismall flag, whose truth is tested once, as the "p"
-format does), all before any other check (a batch measures each shape
-against min_len first; rate_orders reads its shapes and their degrees one
-shape at a time, through _read_shapes, after n and the flag).  Both kernels
+compiled ones: _read_n, _read_int, _read_ints, _read_partition, _read_flag
+(the semismall flag, whose truth is tested once, as the "p" format does)
+and _read_settle (None or a callable), all before any other check (a batch
+measures each shape against min_len first; rate_orders reads its shapes
+and their degrees one shape at a time, through _read_shapes, after n and
+the flag).  Both kernels
 accept at most MAX_BLOCKS blocks per scanned shape and raise ValueError
 beyond that.  Within those limits every
 quantity is a small machine integer: the pairing is bounded by a few
@@ -66,7 +71,7 @@ from ..core import MAX_SLOTS
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 11
+KERNEL_API = 12
 MAX_BLOCKS = 16
 MAX_DEGREE = 1 << 32
 
@@ -178,6 +183,14 @@ def _read_flag(value) -> bool:
     return bool(value)
 
 
+def _read_settle(value):
+    """value, the settle argument of scan_shapes: None, or a callable
+    (TypeError otherwise)."""
+    if value is not None and not callable(value):
+        raise TypeError("settle must be None or callable")
+    return value
+
+
 def _read_ints(values) -> tuple[int, ...]:
     """values, an iterable, as a tuple of ints, each read by _read_int."""
     return tuple(map(_read_int, values))
@@ -212,18 +225,46 @@ def _read_partition(n: int, masks: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def scan_shapes(
-    n: int, s_filter: int, semismall: bool, min_len: int
+    n: int, s_filter: int, semismall: bool, min_len: int, settle=None
 ) -> tuple[list, dict]:
-    """Scan every partition shape of n slots with at least min_len blocks:
-    scan_partition_batch over the shapes of iter_partition_shapes(n, min_len),
-    in its order.  Raises as scan_partition_batch does."""
-    n, s_filter, semismall, min_len = (
+    """Scan every partition shape of n slots with at least min_len blocks,
+    in the order of iter_partition_shapes(n, min_len).
+
+    With settle None this is scan_partition_batch over those shapes, and
+    raises as it does.  With a callable settle, a total s is live until it
+    is settled: for each live candidate with a violating ordering, in
+    canonical order, settle(masks, degs, order, rots) is called once, with
+    the candidate's lexicographically first violating ordering, and a true
+    result (its truth tested once, as _read_flag does) settles s.  Returns
+    (records, stats): records are the argument tuples passed to settle, in
+    order, and stats the full scan's, its keys ascending.  An exception
+    from settle propagates.  This twin still enumerates and counts every
+    candidate; the compiled one skips the work a settled s no longer
+    needs and takes stats from the closed form.
+    """
+    n, s_filter, semismall, min_len, settle = (
         _read_n(n), _read_int(s_filter), _read_flag(semismall),
-        _read_int(min_len),
+        _read_int(min_len), _read_settle(settle),
     )
-    return scan_partition_batch(
-        n, s_filter, semismall, min_len, iter_partition_shapes(n, min_len)
-    )
+    shapes = iter_partition_shapes(n, min_len)
+    if settle is None:
+        return scan_partition_batch(n, s_filter, semismall, min_len, shapes)
+    records: list = []
+    stats: dict = {}
+    settled: set = set()
+    for masks in shapes:
+        violations: list = []
+        _scan_shape(n, s_filter, semismall, masks, violations, stats)
+        last = None
+        for record in violations:
+            s = -sum(record[1])
+            if record[1] == last or s in settled:
+                continue
+            last = record[1]
+            records.append(record)
+            if _read_flag(settle(*record)):
+                settled.add(s)
+    return records, dict(sorted(stats.items()))
 
 
 def scan_partition_batch(

@@ -16,10 +16,11 @@ at the first violating one.
 verify_conjecture and scan_all_s quantify over the whole weight space through
 one shared scan: the rotation values depend only on (supports, degrees,
 order), so one call of the integer kernel's scan_shapes enumerates and
-scans all combinatorial candidates of an N, and the exact feasibility
-solver runs only on the rare violating ones.  Per s, the first realisable
-violation yields a concrete weight vector, which is re-checked through
-check_criterion.
+scans the combinatorial candidates of an N, and the exact feasibility
+solver runs only on the rare violating ones, from inside that call.  Per
+s, the first realisable violation yields a concrete weight vector, which is
+re-checked through check_criterion, and settles s: the kernel does no more
+work for it, and takes the counts from their closed form.
 """
 
 from __future__ import annotations
@@ -193,38 +194,53 @@ def check_criterion(
     return Verdict(True, mode, None)
 
 
+def _settler(
+    n: int, mode: str, cap: int, witnesses: dict[int, Witness]
+) -> Callable[..., bool]:
+    """The scan's settle callable: whether a violating candidate is the
+    witness of its s.
+
+    realise_blocks decides whether a point of W(n, s) realises the
+    candidate.  If one does, its weight vector must fail check_criterion
+    too, or AssertionError; the witness goes into witnesses under its s.
+    """
+
+    def settle(masks, degs, order, rots) -> bool:
+        point = weightspace.realise_blocks(n, list(zip(masks, degs)))
+        if point is None:
+            return False
+        alpha = WeightVector(point)
+        if check_criterion(alpha, mode, cap).holds:
+            raise AssertionError(
+                "witness weight vector failed the check_criterion re-check"
+            )
+        witnesses[-sum(degs)] = _witness(
+            alpha, masks, degs, {"order": order, "rotation_deltas": rots}
+        )
+        return True
+
+    return settle
+
+
 def _scan(n: int, s_filter: int, mode: str, cap: int) -> dict[int, dict]:
     """The scan behind verify_conjecture and scan_all_s.
 
     One kernel call enumerates and scans every shape of length >= 3,
     keeping only total degree -s_filter (every s when s_filter is 0).  Per
     s, the first violating and realisable candidate in canonical order is
-    the witness, and its weight vector must fail check_criterion too.  The
-    kernel reports all orderings of a candidate consecutively, so a
-    candidate that fails to realise is solved once.  Returns s ->
+    the witness, and its weight vector must fail check_criterion too: the
+    kernel hands each violating candidate of an s still open to _settler's
+    callable, once, and settles s at the first it accepts.  The counts come
+    with the kernel's result.  Returns s ->
     {"verdict": Verdict, "candidates": int, "classes": int}.
     """
     _check_mode(mode)
     check_cap(n, cap)
-    viols, stats = scan_shapes(n, s_filter, mode == "semismall", 3)
     witnesses: dict[int, Witness] = {}
-    unrealisable = None
-    for masks, degs, order, rots in viols:
-        s = -sum(degs)
-        if s in witnesses or (masks, degs) == unrealisable:
-            continue
-        point = weightspace.realise_blocks(n, list(zip(masks, degs)))
-        if point is None:
-            unrealisable = (masks, degs)
-            continue
-        alpha = WeightVector(point)
-        if check_criterion(alpha, mode, cap).holds:
-            raise AssertionError(
-                "witness weight vector failed the check_criterion re-check"
-            )
-        witnesses[s] = _witness(
-            alpha, masks, degs, {"order": order, "rotation_deltas": rots}
-        )
+    _, stats = scan_shapes(
+        n, s_filter, mode == "semismall", 3,
+        _settler(n, mode, cap, witnesses),
+    )
     out: dict[int, dict] = {}
     for s in [s_filter] if s_filter else range(1, n):
         witness = witnesses.get(s)

@@ -361,7 +361,9 @@ def is_near(
     halves are sorted by residue (alpha.residue_order); for each high half
     two bisections find the low halves that land in that range (which may
     wrap around), and only those masks are tested exactly, in ascending
-    order.  Near alpha, up is tiny and the range holds almost no masks.
+    order.  Near alpha, up is tiny and the range holds almost no masks;
+    with width 0 (up < 1/D) it holds none, since no scaled sum has a
+    residue above D - 1, and beta is near alpha without a look at a mask.
     """
     if alpha.n != beta.n:
         raise DimensionMismatchError(
@@ -373,11 +375,13 @@ def is_near(
         )
     n = alpha.n
     den_a, den_b = alpha.denom, beta.denom
-    h, low_a, high_a = alpha.half_sums
-    _, low_b, high_b = beta.half_sums
     width = sum(
         max(b * den_a - a * den_b, 0) for a, b in zip(alpha.nums, beta.nums)
     ) // den_b
+    if width == 0:
+        return True, None
+    h, low_a, high_a = alpha.half_sums
+    _, low_b, high_b = beta.half_sums
     by_residue, residues = alpha.residue_order
     full = (1 << n) - 1
     for hi, (ta_hi, tb_hi) in enumerate(zip(high_a, high_b)):

@@ -19,7 +19,7 @@ from bodenhu import (
     is_generic,
     parse_weight_vector,
 )
-from bodenhu import _kernel, smallness
+from bodenhu import _kernel, smallness, weightspace
 from bodenhu._kernel import pure
 from bodenhu.cli import main
 from conftest import ALPHA_9_4, ALPHA_11_3, c_compiler
@@ -685,6 +685,41 @@ class TestInternalErrors:
             assert last == f"internal error: {type(exc).__name__}: {exc}"
         else:
             assert last == f"error: {exc}"
+
+
+    @pytest.mark.parametrize("twin", ["pure", "compiled"])
+    @pytest.mark.parametrize(
+        "failure, message",
+        [
+            ("recheck", "AssertionError: witness weight vector failed the "
+             "check_criterion re-check"),
+            ("realise", "MemoryError: injected"),
+        ],
+    )
+    def test_exit_code_for_failure_in_the_settle_callable(
+        self, capsys, monkeypatch, request, twin, failure, message
+    ):
+        # raised inside the kernel's scan_shapes, from the callable that
+        # settles each s: N = 9 is the first N with a violating candidate
+        kernel = (
+            pure if twin == "pure" else request.getfixturevalue("compiled_kernel")
+        )
+        monkeypatch.setattr(smallness, "scan_shapes", kernel.scan_shapes)
+        if failure == "recheck":
+            monkeypatch.setattr(
+                smallness, "check_criterion",
+                lambda alpha, mode, cap: smallness.Verdict(True, mode, None),
+            )
+        else:
+            def fail(n, blocks):
+                raise MemoryError("injected")
+
+            monkeypatch.setattr(weightspace, "realise_blocks", fail)
+        for mode in ("small", "semismall"):
+            got, out, err = run_cli(capsys, "scan", "--nmax", "9", "--mode", mode)
+            assert got == 3
+            assert out == ""
+            assert err.strip().splitlines()[-1] == f"internal error: {message}"
 
 
 def _nongeneric_alphas(seed, count):

@@ -353,6 +353,33 @@ class TestNearWindow:
                             edge += residue == denom - w
         assert edge >= 100
 
+    @given(alphas(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_beta_within_one_residue(self, alpha, data):
+        # beta moves mass t from slot j to slot i, up = t: below 1/D the
+        # window is empty (width 0) and alpha has no binding mask; at 1/D
+        # and past it the window opens
+        n = alpha.n
+        i, j = data.draw(
+            st.permutations(range(n)).map(lambda order: order[:2])
+        )
+        denom = _common_denominator(alpha)
+        t = data.draw(
+            st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(99, 100),
+                             Fraction(1), Fraction(3, 2)])
+        ) / denom
+        entries = list(alpha.entries)
+        entries[i] += t
+        entries[j] -= t
+        if not _is_interior(entries):
+            return
+        beta = WeightVector(tuple(entries))
+        assert _window(alpha, beta) == (denom, floor(t * denom))
+        if t < Fraction(1, denom):
+            assert ref_is_near(alpha, beta) == (True, None)
+        assert is_near(alpha, beta) == ref_is_near(alpha, beta)
+        assert is_near(beta, alpha) == ref_is_near(beta, alpha)
+
     def test_large_denominator_points(self):
         checked = 0
         for alpha, beta in TestLargeDenominators().points():

@@ -28,9 +28,10 @@ from bodenhu import (
     delta_seq,
     iter_partition_shapes,
 )
-from bodenhu import _kernel
+from bodenhu import _kernel, smallness, weightspace
 from bodenhu._kernel import KERNEL_KIND, pure
-from bodenhu.smallness import violates_margin
+from bodenhu.core import DEFAULT_CAP
+from bodenhu.smallness import MODES, violates_margin
 from conftest import REPO_ROOT, c_compiler, seeded_blocks
 
 
@@ -110,16 +111,16 @@ class TestKernelSelection:
 
     def test_refusal_names_the_reason(self, compiled_kernel):
         # stubs for the ways an in-place build can be refused: none at all,
-        # one from before rate_orders took a listing (API 10), one with the
-        # current number but without the realisation entries, and one
-        # without walls
+        # one from before scan_shapes took a settle callable (API 11), one
+        # with the current number but without the realisation entries, and
+        # one without walls
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
         older = types.ModuleType("_speedups")
-        older.KERNEL_API = 10
+        older.KERNEL_API = 11
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
-        assert _kernel.refusal(older) == "API mismatch: extension 10, pure.py 11"
+        assert _kernel.refusal(older) == "API mismatch: extension 11, pure.py 12"
         assert _kernel.select(older) == (pure, "pure")
         without = types.ModuleType("_speedups")
         without.KERNEL_API = pure.KERNEL_API
@@ -1236,7 +1237,7 @@ class TestDumps:
         for name in _kernel.ENTRY_POINTS:
             setattr(older, name, getattr(compiled_kernel, name))
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 11
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 12
 
 
 @lru_cache(maxsize=None)
@@ -1288,6 +1289,274 @@ class TestClosedFormCounts:
         assert closed_form_stats(8) == {
             3: [490, 980], 4: [875, 2170], 5: [490, 980],
         }
+
+
+def accept_all(*record):
+    return True
+
+
+def reject_all(*record):
+    return False
+
+
+def scan_settle(n, semismall):
+    """The scan's own settle callable, with a witness table of its own."""
+    return smallness._settler(n, MODES[semismall], DEFAULT_CAP, {})
+
+
+def first_records(records):
+    """The first record of each candidate, in order: what a settle that
+    accepts nothing is handed."""
+    out = []
+    for record in records:
+        if not out or record[:2] != out[-1][:2]:
+            out.append(record)
+    return out
+
+
+def first_of_each_s(records):
+    """The first record of each total s, in order: what a settle that
+    accepts everything is handed."""
+    seen = set()
+    out = []
+    for record in records:
+        s = -sum(record[1])
+        if s not in seen:
+            seen.add(s)
+            out.append(record)
+    return out
+
+
+def sorted_stats(stats):
+    return dict(sorted(stats.items()))
+
+
+@lru_cache(maxsize=None)
+def pure_settled(n, s_filter, semismall, min_len, kind):
+    """pure.scan_shapes with the settle callable named by kind, or the
+    exception type it raises; cached, as the pure twin is slow at N = 10."""
+    settle = scan_settle(n, semismall) if kind == "scan" else SETTLES[kind]
+    try:
+        return "value", pure.scan_shapes(n, s_filter, semismall, min_len, settle)
+    except Exception as exc:  # the type is what is compared
+        return "raised", type(exc)
+
+
+SETTLES = {"accept": accept_all, "reject": reject_all}
+
+# (n, s_filter, min_len): settle-mode calls the walk ends early on although
+# their counts pass 2^64: at 30 slots a total of 30 - min_len leaves every
+# block its largest degree, and the first such candidate violates.
+WIDE_COUNTS = [(30, 22, 8), (30, 21, 9), (30, 20, 10)]
+
+
+class TestSettle:
+    """scan_shapes with a settle callable: each s stops at its first
+    accepted candidate, and the counts are the full scan's."""
+
+    @pytest.mark.parametrize("kind", ["scan", "accept", "reject"])
+    def test_bit_for_bit(self, compiled_kernel, kind):
+        # the pure twin at N = 10 only as the CLI's scan calls it;
+        # test_accept_and_reject_model_the_full_scan covers the rest there
+        for n in range(2, 11):
+            grid = itertools.product((0, n // 2), (False, True), (1, 3))
+            for s_filter, semismall, min_len in grid:
+                if n == 10 and (kind, s_filter, min_len) != ("scan", 0, 3):
+                    continue
+                args = (n, s_filter, semismall, min_len)
+                settle = (
+                    scan_settle(n, semismall) if kind == "scan"
+                    else SETTLES[kind]
+                )
+                try:
+                    got = "value", compiled_kernel.scan_shapes(*args, settle)
+                except Exception as exc:  # the type is what is compared
+                    got = "raised", type(exc)
+                expected = pure_settled(*args, kind)
+                assert got == expected, args
+                if got[0] == "value":
+                    assert list(got[1][1]) == sorted(got[1][1]), args
+
+    @pytest.mark.parametrize("kind", ["accept", "reject"])
+    def test_accept_and_reject_model_the_full_scan(self, impl, kind):
+        # rejecting everything hands over the first record of every
+        # candidate, accepting everything the first record of every s; the
+        # stats are the full scan's, keys ascending
+        model = first_records if kind == "reject" else first_of_each_s
+        for n in range(2, 11 if impl is not pure else 9):
+            grid = itertools.product((0, n // 2), (False, True), (1, 3))
+            for args in ((n, *rest) for rest in grid):
+                records, stats = pure_scan_shapes(*args)
+                got = impl.scan_shapes(*args, SETTLES[kind])
+                expected = model(first_records(records)), sorted_stats(stats)
+                assert got == expected, args
+                assert list(got[1]) == list(expected[1]), args
+
+    @pytest.mark.parametrize("semismall", [False, True])
+    def test_witnesses_are_the_first_realisable_violations(
+        self, impl, semismall
+    ):
+        for n in range(2, 11 if impl is not pure else 10):
+            records, _ = pure_scan_shapes(n, 0, semismall, 3)
+            expected = {}
+            for masks, degs, order, rots in first_records(records):
+                s = -sum(degs)
+                if s not in expected and weightspace.realise_blocks(
+                    n, list(zip(masks, degs))
+                ):
+                    expected[s] = (masks, degs, order, rots)
+            witnesses = {}
+            settle = smallness._settler(
+                n, MODES[semismall], DEFAULT_CAP, witnesses
+            )
+            accepted = {}
+
+            def tracking(*record):
+                if settle(*record):
+                    accepted[-sum(record[1])] = record
+                    return True
+                return False
+
+            impl.scan_shapes(n, 0, semismall, 3, tracking)
+            assert accepted == expected, n
+            assert set(witnesses) == set(expected), n
+
+    def test_stats_are_the_closed_form(self, compiled_kernel):
+        for n in range(2, 13):
+            for semismall, min_len in itertools.product((False, True), (1, 3)):
+                stats = compiled_kernel.scan_shapes(
+                    n, 0, semismall, min_len, accept_all
+                )[1]
+                assert stats == closed_form_stats(n, min_len), (n, min_len)
+                assert list(stats) == sorted(stats)
+                if n >= 4:
+                    filtered = compiled_kernel.scan_shapes(
+                        n, n // 2, semismall, min_len, reject_all
+                    )[1]
+                    assert filtered == {
+                        s: stats[s] for s in [n // 2] if s in stats
+                    }
+
+    @pytest.mark.parametrize("n, s_filter, min_len", WIDE_COUNTS)
+    def test_counts_past_64_bits(self, compiled_kernel, n, s_filter, min_len):
+        # each call takes milliseconds; a reach test that drops the first
+        # candidate would walk the 30 slots for good, so a timer ends it
+        class Overdue(Exception):
+            pass
+
+        def overdue(signum, frame):
+            raise Overdue
+
+        previous = signal.signal(signal.SIGALRM, overdue)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 10.0)
+            records, stats = compiled_kernel.scan_shapes(
+                n, s_filter, False, min_len, accept_all
+            )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(records) == 1
+        assert stats == {s_filter: closed_form_stats(n, min_len)[s_filter]}
+        assert stats[s_filter][0] >= 1 << 64
+
+    def test_no_live_total(self, impl):
+        # a filter no candidate meets: no call of settle, no stats
+        for s_filter in (-1, 9, 1 << 70):
+            assert impl.scan_shapes(9, s_filter, False, 3, accept_all) == (
+                [], {},
+            )
+        assert impl.scan_shapes(1, 0, False, 1, accept_all) == ([], {})
+
+    def test_each_s_is_settled_once(self, impl):
+        # every third call is accepted: no s is offered again once accepted
+        calls = []
+
+        def settle(*record):
+            calls.append(record)
+            return len(calls) % 3 == 0
+
+        records, _ = impl.scan_shapes(9, 0, False, 1, settle)
+        assert records == calls
+        assert len(calls) >= 6
+        accepted = [-sum(record[1]) for record in calls[2::3]]
+        assert len(set(accepted)) == len(accepted)
+        for i, record in enumerate(calls):
+            assert -sum(record[1]) not in accepted[: i // 3]
+
+    def test_settle_errors_propagate(self, impl):
+        class Stop(Exception):
+            pass
+
+        def stop(*record):
+            raise Stop
+
+        with pytest.raises(Stop):
+            impl.scan_shapes(9, 0, False, 3, stop)
+        with pytest.raises(FlagError):
+            impl.scan_shapes(9, 0, False, 3, lambda *record: Flag())
+        # refused when read, before the walk: None or a callable only
+        with pytest.raises(TypeError, match="settle must be None or callable"):
+            impl.scan_shapes(9, 0, False, 3, 5)
+        assert impl.scan_shapes(9, 0, False, 3, None) == pure_scan_shapes(
+            9, 0, False, 3
+        )
+
+    def test_truth_is_tested_once(self, impl):
+        tested = []
+
+        class Once:
+            def __bool__(self):
+                tested.append(1)
+                return True
+
+        records, _ = impl.scan_shapes(9, 0, False, 3, lambda *r: Once())
+        assert len(tested) == len(records) > 0
+
+    def test_no_reference_leak(self, compiled_kernel):
+        # small mode with min_len=1 violates at every one-block shape, so
+        # records are made, trimmed and passed on every call
+        tracemalloc.start()
+        try:
+            for call in range(1, 201):
+                for settle in (accept_all, reject_all):
+                    result = compiled_kernel.scan_shapes(8, 0, False, 1, settle)
+                    assert result[0]
+                    del result
+                try:
+                    compiled_kernel.scan_shapes(8, 0, False, 1, nested_lists)
+                except TypeError:
+                    pass
+                if call == 100:
+                    mid = tracemalloc.get_traced_memory()[0]
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert end <= mid
+
+    def test_interruptible(self, compiled_kernel):
+        # as TestScanShapes::test_interruptible, with a settle that accepts
+        # nothing, so no s ends the walk early
+        class Stop(Exception):
+            pass
+
+        def stop(signum, frame):
+            raise Stop
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        collecting = gc.isenabled()
+        start = time.monotonic()
+        try:
+            gc.disable()
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(Stop):
+                compiled_kernel.scan_shapes(14, 0, False, 3, reject_all)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            if collecting:
+                gc.enable()
+        assert time.monotonic() - start < 2.0
 
 
 class TestKernelBehaviour:
