@@ -27,12 +27,15 @@ refused (None when it runs).  The compiled realisation works in checked
 64-bit integers and raises OverflowError where they would not suffice, or
 for a degree past 64 bits; on_overflow_pure re-runs that one call on
 pure.py, the only per-call fallback, which no other argument reaches.
-The pure kernel is also the oracle the tests import directly.
+entries binds the entry points of either twin; this module is the only
+place they are bound, and every other module calls them as
+_kernel.<entry>, so rebinding them here switches the twin for the whole
+package.  The pure kernel is also the oracle the tests import directly.
 """
 
 import functools
 from types import ModuleType
-from typing import Optional
+from typing import Callable, Optional
 
 from . import pure
 
@@ -80,6 +83,16 @@ def on_overflow_pure(compiled_entry, pure_entry):
     return entry
 
 
+def entries(twin: ModuleType) -> dict[str, Callable]:
+    """ENTRY_POINTS of the twin module by name, as the package calls them:
+    the compiled realise and realise_shapes through on_overflow_pure."""
+    bound = {name: getattr(twin, name) for name in ENTRY_POINTS}
+    if twin is not pure:
+        for name in ("realise", "realise_shapes"):
+            bound[name] = on_overflow_pure(bound[name], getattr(pure, name))
+    return bound
+
+
 try:
     from . import _speedups
 except ImportError:
@@ -87,20 +100,6 @@ except ImportError:
 
 _impl, KERNEL_KIND = select(_speedups)
 KERNEL_FALLBACK = refusal(_speedups)
-scan_shapes = _impl.scan_shapes
-scan_partition_batch = _impl.scan_partition_batch
-alpha_shapes = _impl.alpha_shapes
-rate_orders = _impl.rate_orders
-dumps = _impl.dumps
-realise = _impl.realise
-realise_shapes = _impl.realise_shapes
-walls = _impl.walls
-if _impl is not pure:
-    realise = on_overflow_pure(realise, pure.realise)
-    realise_shapes = on_overflow_pure(realise_shapes, pure.realise_shapes)
+globals().update(entries(_impl))
 
-__all__ = [
-    "scan_shapes", "scan_partition_batch", "alpha_shapes", "rate_orders",
-    "realise", "realise_shapes", "walls", "dumps", "KERNEL_KIND",
-    "KERNEL_FALLBACK",
-]
+__all__ = [*ENTRY_POINTS, "KERNEL_KIND", "KERNEL_FALLBACK"]

@@ -26,7 +26,6 @@ import time
 import traceback
 from typing import Optional, Sequence
 
-from ._kernel import dumps, rate_orders, walls as kernel_walls
 from .core import (
     DEFAULT_CAP,
     MAX_SLOTS,
@@ -48,7 +47,7 @@ from .smallness import (
     scan_all_s,
 )
 from .moduli import check_genus, fiber_report
-from . import selftest
+from . import _kernel, selftest
 
 __all__ = ["main"]
 
@@ -158,7 +157,7 @@ def _cmd_check(args) -> tuple[int, dict]:
     # this listing, rated in one kernel call.
     shapes, degree = _alpha_shapes(alpha, 1, args.cap)
     ids = [i for i, masks in enumerate(shapes) if len(masks) >= 3]
-    ratings, first = rate_orders(
+    ratings, first = _kernel.rate_orders(
         alpha.n, [shapes[i] for i in ids], degree, args.mode == "semismall"
     )
     witness = None
@@ -237,7 +236,7 @@ def _cmd_scan(args) -> tuple[int, dict]:
             oracle = classify(ModuliContext(n, s))
             agree = verdict.holds == oracle
             all_agree = all_agree and agree
-            walls = len(kernel_walls(n, s)) if args.with_walls else None
+            walls = len(_kernel.walls(n, s)) if args.with_walls else None
             rows.append(
                 {
                     "n": n,
@@ -352,7 +351,7 @@ def _cmd_walls(args) -> tuple[int, dict]:
     # needs only each (mask, degree) pair, so it is built from the kernel's.
     ctx = ModuliContext(args.n, args.s)
     check_cap(ctx.n, args.cap)
-    walls = [_block(mask, d) for mask, d in kernel_walls(ctx.n, ctx.s)]
+    walls = [_block(mask, d) for mask, d in _kernel.walls(ctx.n, ctx.s)]
     payload = {
         "command": "walls",
         "n": args.n,
@@ -644,7 +643,7 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(dumps(payload))
+        print(_kernel.dumps(payload))
     else:
         print(render(payload))
     return code

@@ -110,7 +110,10 @@ def mask_support(mask: int) -> list[int]:
     """The 1-based slots of the set bits of mask (slot n on bit n-1), ascending.
 
     A byte at a time from _BYTE_SUPPORTS; bits past the fourth byte, beyond
-    every slot count, one at a time."""
+    every slot count, one at a time.  A negative mask, which has no finite
+    set of bits, raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"a support mask must be nonnegative, got {mask}")
     if not _BYTE_SUPPORTS:
         _BYTE_SUPPORTS.extend(
             tuple(

@@ -29,8 +29,7 @@ from .core import (
     WeightVector,
     check_cap,
 )
-from . import weightspace
-from ._kernel import alpha_shapes, realise_shapes
+from . import _kernel, weightspace
 from ._kernel.pure import iter_partition_shapes
 
 __all__ = [
@@ -165,7 +164,7 @@ def _alpha_shapes(
     """
     check_cap(alpha.n, cap)
     masks = [mask for mask in alpha.integral_masks if mask.bit_count() >= 2]
-    shapes = alpha_shapes(alpha.n, masks, min_len)
+    shapes = _kernel.alpha_shapes(alpha.n, masks, min_len)
     degree = {mask: -(alpha.scaled_sum(mask) // alpha.denom) for mask in masks}
     return shapes, degree
 
@@ -213,7 +212,7 @@ def feasible_partitions(
         functools.partial(MultiplicityVector._from_mask_unchecked, n)
     )
     fraction = functools.cache(Fraction)
-    for masks, degs, nums, den in realise_shapes(n, ctx.s, min_len):
+    for masks, degs, nums, den in _kernel.realise_shapes(n, ctx.s, min_len):
         blocks = tuple(map(block, degs, masks))
         witness = tuple(map(fraction, nums, itertools.repeat(den)))
         yield Partition._unchecked(blocks), witness

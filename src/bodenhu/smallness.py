@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from . import weightspace
-from ._kernel import rate_orders, scan_shapes
+from . import _kernel, weightspace
 from ._kernel.pure import _pairing, _rotations
 from .core import (
     DEFAULT_CAP,
@@ -57,7 +56,6 @@ __all__ = [
     "rotation_deltas",
     "violates_margin",
     "ordering_representatives",
-    "rated_orderings",
     "check_criterion",
     "verify_conjecture",
     "scan_all_s",
@@ -134,28 +132,6 @@ def ordering_representatives(partition: Partition) -> Iterator[OrderedPartition]
         yield OrderedPartition._unchecked(first + perm)
 
 
-def rated_orderings(
-    partition: Partition, mode: str
-) -> Iterator[tuple[OrderedPartition, tuple[int, ...], bool]]:
-    """Each ordering representative with its rotation values and margin test.
-
-    The representatives run as in ordering_representatives.  The kernel's
-    rate_orders rates all (L-1)! of them from one pairing matrix, with the
-    partition as a listing of one shape.
-    """
-    _check_mode(mode)
-    blocks = partition.blocks
-    masks, degs = _keys(blocks)
-    (orderings,), _ = rate_orders(
-        partition.n, [masks], dict(zip(masks, degs)), mode == "semismall"
-    )
-    for rated in orderings:
-        op = OrderedPartition._unchecked(
-            tuple(map(blocks.__getitem__, rated["order"]))
-        )
-        yield op, tuple(rated["rotation_deltas"]), rated["violates"]
-
-
 def _witness(
     alpha: WeightVector, masks: tuple[int, ...], degs, rated: dict
 ) -> Witness:
@@ -184,7 +160,7 @@ def check_criterion(
     _check_mode(mode)
     shapes, degree = _alpha_shapes(alpha, 3, cap)
     for masks in shapes:
-        (orderings,), first = rate_orders(
+        (orderings,), first = _kernel.rate_orders(
             alpha.n, [masks], degree, mode == "semismall"
         )
         if first is not None:
@@ -237,7 +213,7 @@ def _scan(n: int, s_filter: int, mode: str, cap: int) -> dict[int, dict]:
     _check_mode(mode)
     check_cap(n, cap)
     witnesses: dict[int, Witness] = {}
-    _, stats = scan_shapes(
+    _, stats = _kernel.scan_shapes(
         n, s_filter, mode == "semismall", 3,
         _settler(n, mode, cap, witnesses),
     )

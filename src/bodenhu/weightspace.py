@@ -36,7 +36,6 @@ from .core import (
     check_cap,
 )
 from . import _kernel
-from ._kernel import realise
 from ._kernel.pure import _Infeasible, _insert_row, _solve_strict, wall_meets
 
 __all__ = [
@@ -229,7 +228,9 @@ def realise_blocks(
     block's lowest slot and Fourier-Motzkin on the chain rows, the steps
     feasible takes on the same system, so the witness is the same.
     """
-    found = realise(n, [mask for mask, _ in blocks], [d for _, d in blocks])
+    found = _kernel.realise(
+        n, [mask for mask, _ in blocks], [d for _, d in blocks]
+    )
     if found is None:
         return None
     nums, den = found

@@ -1,5 +1,6 @@
 """Shared fixtures: the frozen reference inputs used across test modules,
-and the compiled kernel built fresh from the current _speedups.c."""
+the compiled kernel built fresh from the current _speedups.c, and the
+kernel twin a test runs the package on."""
 
 import importlib.machinery
 import importlib.util
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import pytest
 
-from bodenhu import MultiplicityVector, Partition, WeightVector
+from bodenhu import MultiplicityVector, Partition, WeightVector, _kernel
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -218,3 +219,24 @@ def compiled_kernel(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(
+    params=[pytest.param("pure", id=pytest.HIDDEN_PARAM), "compiled"]
+)
+def kernel_twin(request, monkeypatch):
+    """Run the test on each kernel twin, whatever the package selected.
+
+    Every entry point on bodenhu._kernel is rebound, through the binding
+    function the import uses, to pure.py or to the fresh compiled build;
+    the rest of the package calls the entries through that module.  The
+    pure run keeps the test's plain id, the compiled one adds "compiled".
+    """
+    twin = (
+        _kernel.pure
+        if request.param == "pure"
+        else request.getfixturevalue("compiled_kernel")
+    )
+    for name, entry in _kernel.entries(twin).items():
+        monkeypatch.setattr(_kernel, name, entry)
+    return request.param

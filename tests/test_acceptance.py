@@ -2,7 +2,7 @@
 
 Each test prints "[criterion N] PASS" or "[criterion N] FAIL" so a plain
 pytest -v run shows one line per criterion.  Zero tolerance throughout: every
-assertion is exact.
+assertion is exact.  Every criterion runs on both kernel twins.
 """
 
 import functools
@@ -44,6 +44,8 @@ from conftest import ALPHA_9_4, TRIPLE_9_4, build_triple, build_weight
 
 SCAN_BUDGET_SECONDS = 600.0
 
+pytestmark = pytest.mark.usefixtures("kernel_twin")
+
 
 def criterion(number):
     def wrap(fn):
@@ -61,9 +63,10 @@ def criterion(number):
     return wrap
 
 
-@pytest.fixture(scope="module")
-def pool():
-    """Every feasible partition with 4 to 9 slots, with a realising witness."""
+@functools.cache
+def twin_pool(twin):
+    """Every feasible partition with 4 to 9 slots, with a realising witness,
+    as the twin bound on bodenhu._kernel finds them."""
     out = {}
     for n in range(4, 10):
         rows = []
@@ -72,6 +75,11 @@ def pool():
                 rows.append((partition, WeightVector(witness)))
         out[n] = rows
     return out
+
+
+@pytest.fixture
+def pool(kernel_twin):
+    return twin_pool(kernel_twin)
 
 
 @criterion(1)

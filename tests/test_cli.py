@@ -97,7 +97,7 @@ STDOUT_DIGESTS = {
         "a506d11bbb8b7674a0741d24049421f034a239c5b473bd276f29b47e06c6122e",
         "fa93566a2370b1998d82cb7b2b88876a8a5b273d0cfa31c29361a53594fbd13d",
     ),
-    # N=12 through the compiled kernel (see COMPILED_SCAN_CASES).
+    # N=12 through the compiled kernel only (see DIGEST_RUNS).
     "scan-12-small": (
         ["scan", "--nmax", "12"],
         "3b66e8cc957c323e60a773502c71218c95c6b00f82d218a3a36687f03f158b5f",
@@ -219,10 +219,22 @@ STDOUT_DIGESTS = {
         "c081cb6c2cacfcdfadc63028a3d5776e85c2451fcdc1c5f10ab88b0e9133c2a8",
     ),
 }
-# Cases that scan on the freshly built compiled kernel, whatever kernel the
-# package selected: they pin its rotation bound at N = 12, where the pure
-# kernel would take minutes.
+# Cases that pin the compiled scan's rotation bound at N = 12, where the
+# pure kernel would take minutes: they run on the compiled twin only.
 COMPILED_SCAN_CASES = {"scan-12-small", "scan-12-semismall"}
+# (case, format, twin) of every digest run: each case in both formats on
+# both twins, with the kernel_twin fixture's ids, but the COMPILED_SCAN_CASES
+# on the compiled twin only, under the plain id.
+DIGEST_RUNS = [
+    pytest.param(case, fmt, twin, id=f"{prefix}{case}-{fmt}")
+    for case in sorted(STDOUT_DIGESTS)
+    for fmt in ("json", "table")
+    for twin, prefix in (
+        [("compiled", "")]
+        if case in COMPILED_SCAN_CASES
+        else [("pure", ""), ("compiled", "compiled-")]
+    )
+]
 
 
 # One alpha per rejection class of WeightVector, with its exact message.  A
@@ -466,10 +478,8 @@ class TestWalls:
         assert "walls n=4 s=2: 1" in out
         assert "{1,4}" in out
 
-    @pytest.mark.parametrize("twin", ["pure", "compiled"])
-    def test_payload_is_the_wall_objects(
-        self, capsys, monkeypatch, request, twin
-    ):
+    @pytest.mark.parametrize("kernel_twin", ["pure", "compiled"], indirect=True)
+    def test_payload_is_the_wall_objects(self, capsys, monkeypatch, kernel_twin):
         """walls prints the kernel's (mask, degree) pairs; they are the
         walls enumerate_walls lists as objects, on either twin."""
         expected = {
@@ -487,10 +497,6 @@ class TestWalls:
             for s in range(1, n)
             for found in [enumerate_walls(ModuliContext(n, s))]
         }
-        kernel = (
-            pure if twin == "pure" else request.getfixturevalue("compiled_kernel")
-        )
-        monkeypatch.setattr(cli, "kernel_walls", kernel.walls)
         no_wall_objects(monkeypatch)
         for (n, s), payload in expected.items():
             argv = ("walls", "--n", str(n), "--s", str(s))
@@ -505,7 +511,7 @@ class TestWalls:
         def fail(*args):
             raise AssertionError("walls listed past the cap")
 
-        monkeypatch.setattr(cli, "kernel_walls", fail)
+        monkeypatch.setattr(_kernel, "walls", fail)
         code, out, err = run_cli(capsys, "walls", "--n", "15", "--s", "3")
         assert (code, out) == (2, "")
         assert err == "error: N=15 exceeds the enumeration cap 14\n"
@@ -687,7 +693,7 @@ class TestInternalErrors:
             assert last == f"error: {exc}"
 
 
-    @pytest.mark.parametrize("twin", ["pure", "compiled"])
+    @pytest.mark.parametrize("kernel_twin", ["pure", "compiled"], indirect=True)
     @pytest.mark.parametrize(
         "failure, message",
         [
@@ -697,14 +703,10 @@ class TestInternalErrors:
         ],
     )
     def test_exit_code_for_failure_in_the_settle_callable(
-        self, capsys, monkeypatch, request, twin, failure, message
+        self, capsys, monkeypatch, kernel_twin, failure, message
     ):
         # raised inside the kernel's scan_shapes, from the callable that
         # settles each s: N = 9 is the first N with a violating candidate
-        kernel = (
-            pure if twin == "pure" else request.getfixturevalue("compiled_kernel")
-        )
-        monkeypatch.setattr(smallness, "scan_shapes", kernel.scan_shapes)
         if failure == "recheck":
             monkeypatch.setattr(
                 smallness, "check_criterion",
@@ -818,23 +820,23 @@ class TestEncoder:
             )
 
     def test_cli_writes_through_the_selected_kernel(self):
-        assert cli.dumps is _kernel.dumps
+        # the CLI binds no writer of its own: it calls _kernel.dumps, the
+        # writer of whichever twin is bound there
+        assert not hasattr(cli, "dumps")
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("fmt", ["json", "table"])
-    @pytest.mark.parametrize("case", sorted(STDOUT_DIGESTS))
-    def test_stdout_digest(self, capsys, monkeypatch, request, case, fmt):
+    @pytest.mark.parametrize(
+        "case, fmt, kernel_twin", DIGEST_RUNS, indirect=["kernel_twin"]
+    )
+    def test_stdout_digest(self, capsys, case, fmt, kernel_twin):
         argv, json_digest, table_digest = STDOUT_DIGESTS[case]
-        if case in COMPILED_SCAN_CASES:
-            compiled = request.getfixturevalue("compiled_kernel")
-            monkeypatch.setattr(smallness, "scan_shapes", compiled.scan_shapes)
         code, out, _ = run_cli(capsys, *argv, "--format", fmt)
         digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         assert digest == (json_digest if fmt == "json" else table_digest)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_check_agrees_with_check_criterion(self, capsys, mode):
+    def test_check_agrees_with_check_criterion(self, capsys, kernel_twin, mode):
         alphas = _nongeneric_alphas(seed=12, count=30)
         failing = 0
         for alpha in alphas:

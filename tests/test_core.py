@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,22 @@ class TestValidation:
             mask = rng.getrandbits(rng.randint(1, 64))
             assert mask_support(mask) == bit_loop(mask)
         assert mask_support(1 << 63 | 1) == [1, 64]
+
+    def test_mask_support_refuses_negative_masks(self):
+        # a negative mask has no finite set of bits: it must raise, not
+        # walk them forever, so the walk is cut off after five seconds
+        def stop(signum, frame):
+            raise TimeoutError("mask_support did not return")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            for mask in (-1, -2, -(1 << 40), -(1 << 70) + 1):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    mask_support(mask)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestScaledForm:

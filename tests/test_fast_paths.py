@@ -38,14 +38,10 @@ from bodenhu import (
     rotation_deltas,
     subset_sums,
 )
-from bodenhu import smallness
+from bodenhu import _kernel
 from bodenhu._kernel import pure
 from bodenhu.partitions import _stable_rotation
-from bodenhu.smallness import (
-    ordering_representatives,
-    rated_orderings,
-    violates_margin,
-)
+from bodenhu.smallness import ordering_representatives, violates_margin
 from conftest import (
     KINDS,
     admissible_shapes,
@@ -492,7 +488,7 @@ class TestRotationOracle:
         def every_ordering(*args):
             raise AssertionError("rotation_deltas rated every ordering")
 
-        monkeypatch.setattr(smallness, "rate_orders", every_ordering)
+        monkeypatch.setattr(_kernel, "rate_orders", every_ordering)
         rng = random.Random(9)
         slots = rng.sample(range(1, 21), 20)
         seq = []
@@ -563,23 +559,41 @@ class TestPairingOracle:
                     rated += len(orderings)
         assert rated == 2 * 11430
 
-    def test_rated_orderings_match_delta_seq(self):
+    def test_rated_orderings_match_delta_seq(self, kernel_twin):
+        # each partition as a listing of one shape, as check_criterion
+        # rates it, through the twin's rate_orders
         rng = random.Random(412)
         rated = 0
         draws = itertools.product(range(4, 13), ("dense", "medium"), range(3))
         for n, kind, _ in draws:
             alpha = weight_vector(rng, n, denominator(n, kind))
             for partition in alpha_partitions(alpha, 2):
+                blocks = partition.blocks
+                masks = [b.support_mask for b in blocks]
+                degree = {b.support_mask: b.d_check for b in blocks}
                 reps = list(ordering_representatives(partition))
                 for mode in MODES:
-                    triples = list(rated_orderings(partition, mode))
-                    assert [op for op, _, _ in triples] == reps
-                    for op, rots, violates in triples:
+                    (orderings,), first = _kernel.rate_orders(
+                        n, [masks], degree, mode == "semismall"
+                    )
+                    assert [
+                        tuple(map(blocks.__getitem__, o["order"]))
+                        for o in orderings
+                    ] == [op.seq for op in reps]
+                    flags = []
+                    for op, rated_order in zip(reps, orderings):
                         seq = op.seq
+                        rots = tuple(rated_order["rotation_deltas"])
                         assert rots == tuple(
                             delta_seq(seq[l:] + seq[:l])
                             for l in range(len(seq))
                         )
-                        assert violates == violates_margin(rots, mode)
+                        assert rated_order["violates"] == violates_margin(
+                            rots, mode
+                        )
+                        flags.append(rated_order["violates"])
                         rated += 1
+                    assert first == (
+                        (0, flags.index(True)) if True in flags else None
+                    )
         assert rated > 5000

@@ -139,6 +139,38 @@ class TestKernelSelection:
         assert _kernel.refusal(no_walls) == "missing entries: walls"
         assert _kernel.select(no_walls) == (pure, "pure")
 
+    def test_entries_guard_only_the_compiled_realisation(self, compiled_kernel):
+        # the binding of a twin: each entry is the twin's own object, but
+        # the compiled realise and realise_shapes, which re-run on pure
+        # when the compiled call raises OverflowError
+        guarded = ("realise", "realise_shapes")
+        assert _kernel.entries(pure) == {
+            name: getattr(pure, name) for name in _kernel.ENTRY_POINTS
+        }
+        bound = _kernel.entries(compiled_kernel)
+        assert list(bound) == list(_kernel.ENTRY_POINTS)
+        for name, entry in bound.items():
+            assert (entry is getattr(compiled_kernel, name)) == (
+                name not in guarded
+            )
+        with pytest.raises(OverflowError):
+            compiled_kernel.realise(*OVERFLOWING)
+        assert bound["realise"](*OVERFLOWING) == pure.realise(*OVERFLOWING)
+
+        def overflowing(*args):
+            raise OverflowError("stub")
+
+        stub = types.ModuleType("_speedups")
+        for name in _kernel.ENTRY_POINTS:
+            setattr(stub, name, getattr(compiled_kernel, name))
+        for name in guarded:
+            setattr(stub, name, overflowing)
+        bound = _kernel.entries(stub)
+        assert bound["realise"](4, [0b1001, 0b0110], [-1, -1]) == pure.realise(
+            4, [0b1001, 0b0110], [-1, -1]
+        )
+        assert bound["realise_shapes"](7, 3, 1) == pure.realise_shapes(7, 3, 1)
+
     def test_fallback_is_recorded(self):
         assert _kernel.KERNEL_FALLBACK == _kernel.refusal(_kernel._speedups)
         assert (_kernel.KERNEL_FALLBACK is None) == (KERNEL_KIND == "compiled")

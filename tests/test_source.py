@@ -254,16 +254,34 @@ def test_partitions_leave_the_degree_loop_to_the_kernel():
     assert found == []
 
 
-def test_cli_does_not_rate_through_partition_objects():
-    """check takes its listing straight from the kernel's rate_orders."""
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    found = [
-        node.lineno
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id == "rated_orderings")
-        or (isinstance(node, ast.Attribute) and node.attr == "rated_orderings")
-        or (isinstance(node, ast.alias) and node.name == "rated_orderings")
-    ]
+def test_kernel_entries_are_bound_in_one_place():
+    """Only bodenhu._kernel binds the twin's entry points; every other
+    module calls them as _kernel.<entry>, so rebinding them there switches
+    the twin for the whole package."""
+    kernel_modules = ("_kernel", "_kernel.pure")
+    found = []
+    for path, tree in parsed_modules():
+        if path.parent == PACKAGE / "_kernel":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level == 0:
+                    module = module.removeprefix("bodenhu.")
+                if module in kernel_modules:
+                    found += [
+                        f"{path.name}:{node.lineno} imports {alias.name}"
+                        for alias in node.names
+                        if alias.name in _kernel.ENTRY_POINTS
+                    ]
+        found += [
+            f"{path.name}:{node.lineno} binds {node.value.attr}"
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute)
+            and getattr(node.value.value, "id", None) in ("_kernel", "pure")
+            and node.value.attr in _kernel.ENTRY_POINTS
+        ]
     assert found == []
 
 
