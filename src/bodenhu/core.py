@@ -331,8 +331,18 @@ def _subset_sum_table(values: Sequence[int]) -> tuple[int, ...]:
 
 
 def parse_weight_vector(text: str) -> WeightVector:
-    """Parse a comma-separated list of rationals into a WeightVector."""
-    parts = [p for p in text.split(",") if p.strip()]
+    """Parse a comma-separated list of rationals into a WeightVector.
+
+    Blank text is the vector of no entries, which WeightVector refuses.
+    Otherwise no entry may be blank, so that a doubled, leading or trailing
+    comma is refused rather than changing N.
+    """
+    if not text.strip():
+        return WeightVector(())
+    parts = text.split(",")
+    for i, part in enumerate(parts, 1):
+        if not part.strip():
+            raise ValueError(f"weight entry {i} of {len(parts)} is empty")
     return WeightVector(tuple(parse_rational(p) for p in parts))
 
 

@@ -1,7 +1,10 @@
 """Shared fixtures: the frozen reference inputs used across test modules,
-the compiled kernel built fresh from the current _speedups.c, and the
-kernel twin a test runs the package on."""
+the compiled kernel built fresh from the current _speedups.c, the kernel
+twin a test runs the package on, and the one leak, Ctrl-C and scan memo
+harness of the twin tests."""
 
+import contextlib
+import gc
 import importlib.machinery
 import importlib.util
 import os
@@ -9,15 +12,19 @@ import pathlib
 import random
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
+import time
+import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
-from bodenhu import MultiplicityVector, Partition, WeightVector, _kernel
+from bodenhu import MultiplicityVector, Partition, WeightVector
+from bodenhu import _kernel, cli, smallness
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -192,51 +199,153 @@ def c_compiler():
     return shutil.which(shlex.split(cc)[0])
 
 
-@pytest.fixture(scope="session")
-def compiled_kernel(tmp_path_factory):
-    """The compiled kernel, freshly built from the current _speedups.c."""
-    if c_compiler() is None:
-        pytest.skip("no C compiler found to build the compiled kernel")
-    out = tmp_path_factory.mktemp("kernel_build")
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out), "--build-temp", str(out / "temp")],
-        cwd=REPO_ROOT, capture_output=True, text=True,
-    )
-    built = [
-        out / "bodenhu" / "_kernel" / f"_speedups{suffix}"
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES
-    ]
-    built = [path for path in built if path.exists()]
-    if not built:
-        pytest.fail(
-            "a C compiler is present but _speedups.c did not build:\n"
-            + build.stdout + build.stderr
-        )
+# The flags of the UndefinedBehaviorSanitizer build (test_sanitizer.py).
+# sysconfig's CFLAGS carry -fwrapv, which defines signed overflow and so
+# turns its check off; setuptools puts CFLAGS from the environment after
+# them, and -fno-wrapv there turns it back on.
+UBSAN = {
+    "CFLAGS": "-O1 -g -fno-wrapv -fsanitize=undefined -fno-sanitize-recover=all",
+    "LDFLAGS": "-fsanitize=undefined",
+}
+
+
+def built(build):
+    """Wait for a build from kernel_builds and return the extension's path."""
+    out, process = build
+    log = process.communicate()[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = out / "bodenhu" / "_kernel" / f"_speedups{suffix}"
+        if path.exists():
+            return path
+    pytest.fail("a C compiler is present but _speedups.c did not build:\n" + log)
+
+
+def load_kernel(path):
+    """The compiled kernel module built at path."""
     spec = importlib.util.spec_from_file_location(
-        "bodenhu._kernel._speedups", built[0]
+        "bodenhu._kernel._speedups", path
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.fixture(
-    params=[pytest.param("pure", id=pytest.HIDDEN_PARAM), "compiled"]
-)
-def kernel_twin(request, monkeypatch):
-    """Run the test on each kernel twin, whatever the package selected.
+@pytest.fixture(scope="session")
+def kernel_builds(tmp_path_factory):
+    """The fresh builds of _speedups.c, plain and with UBSAN's flags, started
+    together so that the second runs beside the tests on another core."""
+    if c_compiler() is None:
+        pytest.skip("no C compiler found to build the compiled kernel")
+    builds = []
+    for flags in ({}, UBSAN):
+        out = tmp_path_factory.mktemp("kernel_build")
+        builds.append((out, subprocess.Popen(
+            [sys.executable, "setup.py", "build_ext",
+             "--build-lib", str(out), "--build-temp", str(out / "temp")],
+            cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, env={**os.environ, **flags},
+        )))
+    yield builds
+    for _, process in builds:
+        process.kill()
+        process.wait()
+        process.stdout.close()
 
-    Every entry point on bodenhu._kernel is rebound, through the binding
-    function the import uses, to pure.py or to the fresh compiled build;
-    the rest of the package calls the entries through that module.  The
-    pure run keeps the test's plain id, the compiled one adds "compiled".
-    """
-    twin = (
+
+@pytest.fixture(scope="session")
+def compiled_kernel(kernel_builds):
+    """The compiled kernel, freshly built from the current _speedups.c."""
+    return load_kernel(built(kernel_builds[0]))
+
+
+TWINS = ("pure", "compiled")
+
+# For the tests that ran on the selected kernel alone before they ran on
+# both twins: the pure run keeps the plain id, the compiled run adds
+# "compiled".
+PURE_RUN_UNNAMED = pytest.mark.parametrize(
+    "twin",
+    [pytest.param("pure", id=pytest.HIDDEN_PARAM), "compiled"],
+    indirect=True,
+)
+
+
+@pytest.fixture(params=TWINS)
+def twin(request, monkeypatch):
+    """The kernel twin the test runs on, pure.py or the fresh compiled build,
+    whatever the package selected: every entry on bodenhu._kernel is rebound
+    to it through the binding function the import uses, so the rest of the
+    package calls it too, and the test gets the twin module."""
+    module = (
         _kernel.pure
         if request.param == "pure"
         else request.getfixturevalue("compiled_kernel")
     )
-    for name, entry in _kernel.entries(twin).items():
+    for name, entry in _kernel.entries(module).items():
         monkeypatch.setattr(_kernel, name, entry)
-    return request.param
+    return module
+
+
+def assert_no_growth(one_round):
+    """Run one_round 200 times: the memory traced after call 200 must be no
+    higher than after call 100, as it would be if a round leaked."""
+    tracemalloc.start()
+    try:
+        for call in range(1, 201):
+            one_round()
+            if call == 100:
+                mid = tracemalloc.get_traced_memory()[0]
+        end = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert end <= mid
+
+
+@contextlib.contextmanager
+def alarm(after):
+    """Raise TimeoutError in the main thread `after` seconds in, as Ctrl-C
+    raises KeyboardInterrupt: a deadline, or the stand-in for Ctrl-C."""
+
+    def ring(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, after)
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_interrupted(call, after=0.2):
+    """call() must end by an alarm() `after` seconds in, within 2 s: the
+    kernel's signal checks let Ctrl-C end a long call.  Collections are off
+    for the call, since a gc callback (hypothesis installs one) could take
+    the signal and swallow the handler's exception."""
+    collecting = gc.isenabled()
+    start = time.monotonic()
+    try:
+        gc.disable()
+        with pytest.raises(TimeoutError), alarm(after):
+            call()
+    finally:
+        if collecting:
+            gc.enable()
+    assert time.monotonic() - start < 2.0
+
+
+@pytest.fixture
+def scan_memo(twin, monkeypatch):
+    """The CLI's scan takes each scan_all_s result from session_scan, so the
+    json and table runs of a scan and the acceptance scan share one pure
+    scan per mode.  The twin fixture does not install it: a test that
+    injects a failure into the scan must run the scan."""
+    monkeypatch.setattr(cli, "scan_all_s", partial(session_scan, twin))
+
+
+@lru_cache(maxsize=None)
+def session_scan(twin, n, mode, cap):
+    """scan_all_s(n, mode, cap) on the bound twin, once per session; the
+    CLI only reads the result."""
+    return smallness.scan_all_s(n, mode, cap)

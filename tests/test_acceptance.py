@@ -40,11 +40,17 @@ from bodenhu import (
 from bodenhu.cli import main as cli_main
 from bodenhu.selftest import random_mult_vector, random_weight_vector
 from bodenhu.smallness import MODES, ordering_representatives
-from conftest import ALPHA_9_4, TRIPLE_9_4, build_triple, build_weight
+from conftest import (
+    ALPHA_9_4,
+    PURE_RUN_UNNAMED,
+    TRIPLE_9_4,
+    build_triple,
+    build_weight,
+)
 
 SCAN_BUDGET_SECONDS = 600.0
 
-pytestmark = pytest.mark.usefixtures("kernel_twin")
+pytestmark = [PURE_RUN_UNNAMED, pytest.mark.usefixtures("twin")]
 
 
 def criterion(number):
@@ -78,12 +84,12 @@ def twin_pool(twin):
 
 
 @pytest.fixture
-def pool(kernel_twin):
-    return twin_pool(kernel_twin)
+def pool(twin):
+    return twin_pool(twin)
 
 
 @criterion(1)
-def test_criterion_1_classification_scan(capsys):
+def test_criterion_1_classification_scan(capsys, scan_memo):
     started = time.perf_counter()
     code = cli_main(["scan", "--nmax", "11", "--mode", "small"])
     elapsed = time.perf_counter() - started

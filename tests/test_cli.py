@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bodenhu import (
     MODES,
@@ -22,7 +22,7 @@ from bodenhu import (
 from bodenhu import _kernel, smallness, weightspace
 from bodenhu._kernel import pure
 from bodenhu.cli import main
-from conftest import ALPHA_9_4, ALPHA_11_3, c_compiler
+from conftest import ALPHA_9_4, ALPHA_11_3, PURE_RUN_UNNAMED, TWINS
 
 ALPHA_9_4_ARG = ",".join(ALPHA_9_4)
 GENERIC_3 = "1/7,2/7,4/7"
@@ -223,7 +223,7 @@ STDOUT_DIGESTS = {
 # pure kernel would take minutes: they run on the compiled twin only.
 COMPILED_SCAN_CASES = {"scan-12-small", "scan-12-semismall"}
 # (case, format, twin) of every digest run: each case in both formats on
-# both twins, with the kernel_twin fixture's ids, but the COMPILED_SCAN_CASES
+# both twins, with the ids of PURE_RUN_UNNAMED, but the COMPILED_SCAN_CASES
 # on the compiled twin only, under the plain id.
 DIGEST_RUNS = [
     pytest.param(case, fmt, twin, id=f"{prefix}{case}-{fmt}")
@@ -243,6 +243,12 @@ DIGEST_RUNS = [
 REJECTED_ALPHAS = [
     ("1/2", "a weight vector needs at least two entries"),
     ("", "a weight vector needs at least two entries"),
+    (" ", "a weight vector needs at least two entries"),
+    ("1/3,,2/3", "weight entry 2 of 3 is empty"),
+    ("1/3, ,2/3", "weight entry 2 of 3 is empty"),
+    (",1/3,2/3", "weight entry 1 of 3 is empty"),
+    ("1/3,2/3,", "weight entry 3 of 3 is empty"),
+    ("1/2,", "weight entry 2 of 2 is empty"),
     ("0,1/3,2/3", "weights must lie strictly between 0 and 1"),
     ("-1/3,2/3,2/3", "weights must lie strictly between 0 and 1"),
     ("1/3,2/3,1", "weights must lie strictly between 0 and 1"),
@@ -321,6 +327,9 @@ class TestCheck:
         assert str(info.value) == message
         code, out, err = run_cli(capsys, "check", f"--alpha={text}")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_blanks_around_entries_are_kept(self):
+        assert parse_weight_vector(" 1/3, 2/3 ") == parse_weight_vector("1/3,2/3")
 
     def test_malformed_alpha(self, capsys):
         code, out, err = run_cli(capsys, "check", "--alpha", "1/7,junk,4/7")
@@ -478,8 +487,7 @@ class TestWalls:
         assert "walls n=4 s=2: 1" in out
         assert "{1,4}" in out
 
-    @pytest.mark.parametrize("kernel_twin", ["pure", "compiled"], indirect=True)
-    def test_payload_is_the_wall_objects(self, capsys, monkeypatch, kernel_twin):
+    def test_payload_is_the_wall_objects(self, capsys, monkeypatch, twin):
         """walls prints the kernel's (mask, degree) pairs; they are the
         walls enumerate_walls lists as objects, on either twin."""
         expected = {
@@ -693,7 +701,7 @@ class TestInternalErrors:
             assert last == f"error: {exc}"
 
 
-    @pytest.mark.parametrize("kernel_twin", ["pure", "compiled"], indirect=True)
+    @pytest.mark.parametrize("twin", TWINS, indirect=True)
     @pytest.mark.parametrize(
         "failure, message",
         [
@@ -703,7 +711,7 @@ class TestInternalErrors:
         ],
     )
     def test_exit_code_for_failure_in_the_settle_callable(
-        self, capsys, monkeypatch, kernel_twin, failure, message
+        self, capsys, monkeypatch, twin, failure, message
     ):
         # raised inside the kernel's scan_shapes, from the callable that
         # settles each s: N = 9 is the first N with a violating candidate
@@ -759,23 +767,18 @@ PAYLOADS = st.recursive(
 )
 
 
-@pytest.fixture(scope="session")
-def writers(request):
-    """pure.dumps, and the compiled dumps freshly built wherever a C
-    compiler exists, so the pure writer is checked even without one."""
-    if c_compiler() is None:
-        return [pure.dumps]
-    return [pure.dumps, request.getfixturevalue("compiled_kernel").dumps]
-
-
 class TestEncoder:
-    """Both JSON writers against json.dumps(payload, indent=2)."""
+    """Each twin's JSON writer against json.dumps(payload, indent=2)."""
 
-    @settings(max_examples=300)
+    # the twin fixture's binding holds for every example of the test
+    @PURE_RUN_UNNAMED
+    @settings(
+        max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(PAYLOADS)
-    def test_matches_json_dumps(self, writers, payload):
-        expected = json.dumps(payload, indent=2)
-        assert [dumps(payload) for dumps in writers] == [expected] * len(writers)
+    def test_matches_json_dumps(self, twin, payload):
+        assert twin.dumps(payload) == json.dumps(payload, indent=2)
 
     @pytest.mark.parametrize(
         "value",
@@ -789,35 +792,34 @@ class TestEncoder:
         ],
         ids=["fraction", "set", "tuple", "nested-fraction", "int-key", "none-key"],
     )
-    def test_other_types_raise(self, writers, value):
+    @PURE_RUN_UNNAMED
+    def test_other_types_raise(self, twin, value):
         messages = set()
-        for dumps in writers:
+        for dumps in (twin.dumps, pure.dumps):
             with pytest.raises(TypeError) as info:
                 dumps(value)
             messages.add(str(info.value))
         assert len(messages) == 1
 
-    def test_strings_at_the_plain_copy_boundaries(self, writers):
+    @PURE_RUN_UNNAMED
+    def test_strings_at_the_plain_copy_boundaries(self, twin):
         # the compiled writer copies printable ASCII without a quote or a
         # backslash as it is; every other string goes through the escaper
         texts = [" ", "~", "\x1f", "\x7f", '"', "\\", "\x00", "\xe9",
                  "\u2028", "\ud800", "\U0001f600", "plain text"]
         payload = {text: [text, f"a{text}b"] for text in texts}
-        expected = json.dumps(payload, indent=2)
-        assert [dumps(payload) for dumps in writers] == [expected] * len(writers)
+        assert twin.dumps(payload) == json.dumps(payload, indent=2)
 
-    def test_ints_at_the_digit_loop_boundaries(self, writers):
+    @PURE_RUN_UNNAMED
+    def test_ints_at_the_digit_loop_boundaries(self, twin):
         # the compiled writer formats ints within int64 with a digit loop,
         # INT64_MIN included, and any larger one by repr
         values = [0, 1, -1, 9, -9, 10, -10, (1 << 63) - 1, -(1 << 63),
                   1 << 63, -(1 << 63) - 1, 1 << 64, -(1 << 64)]
         payload = {"ints": values, "mixed": [*values, "x"], "one": values[-1]}
-        expected = json.dumps(payload, indent=2)
-        assert [dumps(payload) for dumps in writers] == [expected] * len(writers)
+        assert twin.dumps(payload) == json.dumps(payload, indent=2)
         for value in values:
-            assert [dumps(value) for dumps in writers] == [str(value)] * len(
-                writers
-            )
+            assert twin.dumps(value) == str(value)
 
     def test_cli_writes_through_the_selected_kernel(self):
         # the CLI binds no writer of its own: it calls _kernel.dumps, the
@@ -826,17 +828,16 @@ class TestEncoder:
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize(
-        "case, fmt, kernel_twin", DIGEST_RUNS, indirect=["kernel_twin"]
-    )
-    def test_stdout_digest(self, capsys, case, fmt, kernel_twin):
+    @pytest.mark.parametrize("case, fmt, twin", DIGEST_RUNS, indirect=["twin"])
+    def test_stdout_digest(self, capsys, scan_memo, case, fmt):
         argv, json_digest, table_digest = STDOUT_DIGESTS[case]
         code, out, _ = run_cli(capsys, *argv, "--format", fmt)
         digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         assert digest == (json_digest if fmt == "json" else table_digest)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_check_agrees_with_check_criterion(self, capsys, kernel_twin, mode):
+    @PURE_RUN_UNNAMED
+    def test_check_agrees_with_check_criterion(self, capsys, twin, mode):
         alphas = _nongeneric_alphas(seed=12, count=30)
         failing = 0
         for alpha in alphas:

@@ -2,7 +2,6 @@
 
 import pickle
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -28,6 +27,7 @@ from bodenhu import (
     parse_weight_vector,
 )
 from bodenhu.core import mask_support
+from conftest import alarm
 
 
 @st.composite
@@ -233,18 +233,10 @@ class TestValidation:
     def test_mask_support_refuses_negative_masks(self):
         # a negative mask has no finite set of bits: it must raise, not
         # walk them forever, so the walk is cut off after five seconds
-        def stop(signum, frame):
-            raise TimeoutError("mask_support did not return")
-
-        previous = signal.signal(signal.SIGALRM, stop)
-        signal.setitimer(signal.ITIMER_REAL, 5)
-        try:
+        with alarm(5):
             for mask in (-1, -2, -(1 << 40), -(1 << 70) + 1):
                 with pytest.raises(ValueError, match="nonnegative"):
                     mask_support(mask)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
 
 
 class TestScaledForm:

@@ -44,6 +44,7 @@ from bodenhu.partitions import _stable_rotation
 from bodenhu.smallness import ordering_representatives, violates_margin
 from conftest import (
     KINDS,
+    PURE_RUN_UNNAMED,
     admissible_shapes,
     denominator,
     seeded_blocks,
@@ -559,7 +560,8 @@ class TestPairingOracle:
                     rated += len(orderings)
         assert rated == 2 * 11430
 
-    def test_rated_orderings_match_delta_seq(self, kernel_twin):
+    @PURE_RUN_UNNAMED
+    def test_rated_orderings_match_delta_seq(self, twin):
         # each partition as a listing of one shape, as check_criterion
         # rates it, through the twin's rate_orders
         rng = random.Random(412)

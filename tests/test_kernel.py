@@ -6,18 +6,15 @@ in-place build left over from an older source can never stand in for the
 code under test.
 """
 
-import gc
 import hashlib
 import itertools
 import math
 import operator
 import random
-import signal
 import subprocess
 import sysconfig
-import time
-import tracemalloc
 import types
+from contextlib import suppress
 from functools import lru_cache
 
 import pytest
@@ -32,14 +29,14 @@ from bodenhu import _kernel, smallness, weightspace
 from bodenhu._kernel import KERNEL_KIND, pure
 from bodenhu.core import DEFAULT_CAP
 from bodenhu.smallness import MODES, violates_margin
-from conftest import REPO_ROOT, c_compiler, seeded_blocks
-
-
-@pytest.fixture(params=["pure", "compiled"])
-def impl(request):
-    if request.param == "pure":
-        return pure
-    return request.getfixturevalue("compiled_kernel")
+from conftest import (
+    REPO_ROOT,
+    alarm,
+    assert_interrupted,
+    assert_no_growth,
+    c_compiler,
+    seeded_blocks,
+)
 
 
 @lru_cache(maxsize=None)
@@ -66,14 +63,14 @@ UNPRUNED_SCAN_DIGESTS = {
 }
 
 
-def run_scan(impl, n, s_filter=0, semismall=False, min_len=3):
-    if impl is pure:
+def run_scan(twin, n, s_filter=0, semismall=False, min_len=3):
+    if twin is pure:
         # pure.scan_shapes is the batch entry over these very shapes
         # (TestScanShapes checks it); its results are cached for reuse
         viols, stats = pure_scan_shapes(n, s_filter, semismall, min_len)
         return list(viols), dict(stats)
     masks_list = list(iter_partition_shapes(n, min_len))
-    return impl.scan_partition_batch(n, s_filter, semismall, min_len, masks_list)
+    return twin.scan_partition_batch(n, s_filter, semismall, min_len, masks_list)
 
 
 def blocks_of_record(n, record):
@@ -87,6 +84,16 @@ def blocks_of_record(n, record):
     return tuple(blocks[i] for i in order)
 
 
+def stub_build(compiled, api=pure.KERNEL_API, names=_kernel.ENTRY_POINTS):
+    """A stand-in for an in-place build: KERNEL_API api and the entries
+    names of the compiled twin."""
+    stub = types.ModuleType("_speedups")
+    stub.KERNEL_API = api
+    for name in names:
+        setattr(stub, name, getattr(compiled, name))
+    return stub
+
+
 class TestKernelSelection:
     def test_kind_is_reported(self):
         assert KERNEL_KIND in ("pure", "compiled")
@@ -98,14 +105,9 @@ class TestKernelSelection:
     def test_stale_builds_fall_back_to_pure(self, compiled_kernel):
         # an extension built from an older _speedups.c: an entry point is
         # missing, or the API number differs
-        older = types.ModuleType("_speedups")
-        older.KERNEL_API = pure.KERNEL_API
-        older.scan_partition_batch = compiled_kernel.scan_partition_batch
+        older = stub_build(compiled_kernel, names=["scan_partition_batch"])
         assert _kernel.select(older) == (pure, "pure")
-        other = types.ModuleType("_speedups")
-        other.KERNEL_API = pure.KERNEL_API + 1
-        for name in _kernel.ENTRY_POINTS:
-            setattr(other, name, getattr(compiled_kernel, name))
+        other = stub_build(compiled_kernel, api=pure.KERNEL_API + 1)
         assert _kernel.select(other) == (pure, "pure")
         assert _kernel.select(None) == (pure, "pure")
 
@@ -116,26 +118,20 @@ class TestKernelSelection:
         # one without walls
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
-        older = types.ModuleType("_speedups")
-        older.KERNEL_API = 11
-        for name in _kernel.ENTRY_POINTS:
-            setattr(older, name, getattr(compiled_kernel, name))
+        older = stub_build(compiled_kernel, api=11)
         assert _kernel.refusal(older) == "API mismatch: extension 11, pure.py 12"
         assert _kernel.select(older) == (pure, "pure")
-        without = types.ModuleType("_speedups")
-        without.KERNEL_API = pure.KERNEL_API
-        for name in ("scan_shapes", "scan_partition_batch", "alpha_shapes",
-                     "rate_orders", "walls", "dumps"):
-            setattr(without, name, getattr(compiled_kernel, name))
+        without = stub_build(compiled_kernel, names=[
+            "scan_shapes", "scan_partition_batch", "alpha_shapes",
+            "rate_orders", "walls", "dumps",
+        ])
         assert _kernel.refusal(without) == (
             "missing entries: realise, realise_shapes"
         )
         assert _kernel.select(without) == (pure, "pure")
-        no_walls = types.ModuleType("_speedups")
-        no_walls.KERNEL_API = pure.KERNEL_API
-        for name in _kernel.ENTRY_POINTS:
-            if name != "walls":
-                setattr(no_walls, name, getattr(compiled_kernel, name))
+        no_walls = stub_build(compiled_kernel, names=[
+            name for name in _kernel.ENTRY_POINTS if name != "walls"
+        ])
         assert _kernel.refusal(no_walls) == "missing entries: walls"
         assert _kernel.select(no_walls) == (pure, "pure")
 
@@ -160,9 +156,7 @@ class TestKernelSelection:
         def overflowing(*args):
             raise OverflowError("stub")
 
-        stub = types.ModuleType("_speedups")
-        for name in _kernel.ENTRY_POINTS:
-            setattr(stub, name, getattr(compiled_kernel, name))
+        stub = stub_build(compiled_kernel)
         for name in guarded:
             setattr(stub, name, overflowing)
         bound = _kernel.entries(stub)
@@ -272,12 +266,12 @@ class TestKernelEquivalence:
         assert list(got[1]) == list(expected[1])  # same stats key order
 
     @pytest.mark.parametrize("n, masks", NON_PARTITIONS)
-    def test_non_partitions_raise(self, impl, n, masks):
+    def test_non_partitions_raise(self, twin, n, masks):
         for semismall in (False, True):
             with pytest.raises(ValueError):
-                impl.scan_partition_batch(n, 0, semismall, 0, [masks])
+                twin.scan_partition_batch(n, 0, semismall, 0, [masks])
         with pytest.raises(ValueError):
-            impl.realise(n, masks, [-1] * len(masks))
+            twin.realise(n, masks, [-1] * len(masks))
 
     def test_shuffled_partitions_bit_for_bit(self, compiled_kernel):
         # the rotation bound and the reverse-pair shortcut hold on every
@@ -304,24 +298,14 @@ class TestKernelEquivalence:
         # shape is refused runs the error path after its records are made
         shapes = list(iter_partition_shapes(8, 1))
         refused = [shapes[0], (0b11,)]
-        tracemalloc.start()
-        try:
-            for call in range(1, 201):
-                result = compiled_kernel.scan_partition_batch(
-                    8, 0, False, 1, shapes
-                )
-                assert result[0]
-                del result
-                try:
-                    compiled_kernel.scan_partition_batch(8, 0, False, 1, refused)
-                except ValueError:
-                    pass
-                if call == 100:
-                    mid = tracemalloc.get_traced_memory()[0]
-            end = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert end <= mid
+
+        def one_round():
+            result = compiled_kernel.scan_partition_batch(8, 0, False, 1, shapes)
+            assert result[0]
+            with suppress(ValueError):
+                compiled_kernel.scan_partition_batch(8, 0, False, 1, refused)
+
+        assert_no_growth(one_round)
 
 
 class TestScanShapes:
@@ -334,46 +318,38 @@ class TestScanShapes:
                 assert got == expected, args
                 assert list(got[1]) == list(expected[1]), args  # key order
 
-    def test_equals_the_batch_entry(self, impl):
-        for n in range(2, 9 if impl is pure else 11):
+    def test_equals_the_batch_entry(self, twin):
+        for n in range(2, 9 if twin is pure else 11):
             for min_len in (1, 3):
                 for semismall in (False, True):
                     masks_list = list(iter_partition_shapes(n, min_len))
-                    expected = impl.scan_partition_batch(
+                    expected = twin.scan_partition_batch(
                         n, 0, semismall, min_len, masks_list
                     )
-                    got = impl.scan_shapes(n, 0, semismall, min_len)
+                    got = twin.scan_shapes(n, 0, semismall, min_len)
                     assert got == expected
                     assert list(got[1]) == list(expected[1])
 
-    def test_trivial_sizes(self, impl):
+    def test_trivial_sizes(self, twin):
         for n in (0, 1):
-            assert impl.scan_shapes(n, 0, False, 1) == ([], {})
-        assert impl.scan_shapes(2, 0, False, 1) == (
+            assert twin.scan_shapes(n, 0, False, 1) == ([], {})
+        assert twin.scan_shapes(2, 0, False, 1) == (
             [((0b11,), (-1,), (0,), (0,))], {1: [1, 1]},
         )
 
-    def test_capacity_limits(self, impl):
+    def test_capacity_limits(self, twin):
         with pytest.raises(ValueError, match="0 to 30 slots"):
-            impl.scan_shapes(31, 0, False, 3)
+            twin.scan_shapes(31, 0, False, 3)
         with pytest.raises(ValueError, match="0 to 30 slots"):
-            impl.scan_shapes(-1, 0, False, 3)
+            twin.scan_shapes(-1, 0, False, 3)
 
     def test_no_reference_leak(self, compiled_kernel):
         # small mode with min_len=1 records violations (single blocks), so
         # the record-building path runs on every call
-        tracemalloc.start()
-        try:
-            for call in range(1, 201):
-                result = compiled_kernel.scan_shapes(8, 0, False, 1)
-                assert result[0]
-                del result
-                if call == 100:
-                    mid = tracemalloc.get_traced_memory()[0]
-            end = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert end <= mid
+        def one_round():
+            assert compiled_kernel.scan_shapes(8, 0, False, 1)[0]
+
+        assert_no_growth(one_round)
 
     @pytest.mark.parametrize("n, semismall", sorted(UNPRUNED_SCAN_DIGESTS))
     def test_rotation_bound_drops_nothing(self, compiled_kernel, n, semismall):
@@ -385,30 +361,8 @@ class TestScanShapes:
         # a signal handler that raises (as SIGINT's does) must end a long
         # scan: N = 14 runs for about 20 s, far past the bound below (N = 13
         # no longer does), and the enumerator checks for signals once per
-        # choice of the first two blocks.  The call allocates a record per
-        # violation, so a collection could run a gc callback (hypothesis
-        # installs one) that takes the signal and swallows the handler's
-        # exception; collections are off for the call.
-        class Stop(Exception):
-            pass
-
-        def stop(signum, frame):
-            raise Stop
-
-        previous = signal.signal(signal.SIGALRM, stop)
-        collecting = gc.isenabled()
-        start = time.monotonic()
-        try:
-            gc.disable()
-            signal.setitimer(signal.ITIMER_REAL, 0.2)
-            with pytest.raises(Stop):
-                compiled_kernel.scan_shapes(14, 0, False, 3)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-            if collecting:
-                gc.enable()
-        assert time.monotonic() - start < 2.0
+        # choice of the first two blocks
+        assert_interrupted(lambda: compiled_kernel.scan_shapes(14, 0, False, 3))
 
 
 def shape_cases():
@@ -442,6 +396,14 @@ def same_outcome(call_a, call_b):
     return outcomes[0]
 
 
+def twins_agree(compiled, name, *args):
+    """same_outcome of the entry name of both twins, on args."""
+    return same_outcome(
+        lambda: getattr(compiled, name)(*args),
+        lambda: getattr(pure, name)(*args),
+    )
+
+
 # (n, masks, min_len): no admissible block, slots 3 and 4 covered by no
 # block, min_len pruning, too few slots, and masks each twin must reject,
 # among them a float.
@@ -473,82 +435,56 @@ class TestAlphaShapes:
 
     @pytest.mark.parametrize("args", SHAPE_EDGE_CASES)
     def test_edge_inputs(self, compiled_kernel, args):
-        same_outcome(
-            lambda: compiled_kernel.alpha_shapes(*args),
-            lambda: pure.alpha_shapes(*args),
-        )
+        twins_agree(compiled_kernel, "alpha_shapes", *args)
 
-    def test_edge_values(self, impl):
-        assert impl.alpha_shapes(4, [], 1) == []
-        assert impl.alpha_shapes(5, [0b00011, 0b01100, 0b00101], 1) == []
+    def test_edge_values(self, twin):
+        assert twin.alpha_shapes(4, [], 1) == []
+        assert twin.alpha_shapes(5, [0b00011, 0b01100, 0b00101], 1) == []
         masks = [0b0011, 0b1100, 0b1111]
-        assert impl.alpha_shapes(4, masks, 1) == [(0b0011, 0b1100), (0b1111,)]
-        assert impl.alpha_shapes(4, masks, 2) == [(0b0011, 0b1100)]
-        assert impl.alpha_shapes(4, masks, 3) == []
+        assert twin.alpha_shapes(4, masks, 1) == [(0b0011, 0b1100), (0b1111,)]
+        assert twin.alpha_shapes(4, masks, 2) == [(0b0011, 0b1100)]
+        assert twin.alpha_shapes(4, masks, 3) == []
         with pytest.raises(ValueError, match="rank >= 2 within 4 slots"):
-            impl.alpha_shapes(4, [0b10011], 1)
+            twin.alpha_shapes(4, [0b10011], 1)
 
-    def test_every_block_gives_the_submask_walk(self, impl):
+    def test_every_block_gives_the_submask_walk(self, twin):
         # the listed blocks and every submask are the two block sources of
         # one shape walk: listing every block of rank >= 2, ascending, must
         # give the shapes of iter_partition_shapes in its order
         for n in range(11):
             masks = [mask for mask in range(1 << n) if mask.bit_count() >= 2]
             for min_len in (1, 3):
-                assert impl.alpha_shapes(n, masks, min_len) == list(
+                assert twin.alpha_shapes(n, masks, min_len) == list(
                     iter_partition_shapes(n, min_len)
                 ), (n, min_len)
 
-    def test_shapes_hold_the_given_objects(self, impl):
+    def test_shapes_hold_the_given_objects(self, twin):
         # the shapes share the caller's int objects, as pure.py's do: no
         # mask is built anew per shape
         for n, masks, _ in seeded_blocks():
             given = [int(str(mask)) for mask in masks]
             ids = {id(mask) for mask in given}
-            shapes = impl.alpha_shapes(n, given, 1)
+            shapes = twin.alpha_shapes(n, given, 1)
             assert all(id(mask) in ids for shape in shapes for mask in shape)
 
     def test_no_reference_leak(self, compiled_kernel):
         n, masks, _ = seeded_blocks()[-3]  # dense N=14
-        tracemalloc.start()
-        try:
-            for call in range(1, 201):
-                result = compiled_kernel.alpha_shapes(n, list(masks), 1)
-                assert result
-                del result
-                try:
-                    compiled_kernel.alpha_shapes(n, [3, 1 << n], 1)
-                except ValueError:
-                    pass
-                if call == 100:
-                    mid = tracemalloc.get_traced_memory()[0]
-            end = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert end <= mid
+
+        def one_round():
+            assert compiled_kernel.alpha_shapes(n, list(masks), 1)
+            with suppress(ValueError):
+                compiled_kernel.alpha_shapes(n, [3, 1 << n], 1)
+
+        assert_no_growth(one_round)
 
     def test_interruptible(self, compiled_kernel):
         # every pair of 29 slots: an odd slot count leaves no partition, so
         # the search runs for ages without emitting a shape; it checks for
         # signals every few thousand nodes
         pairs = [(1 << i) | (1 << j) for i in range(29) for j in range(i + 1, 29)]
-
-        class Stop(Exception):
-            pass
-
-        def stop(signum, frame):
-            raise Stop
-
-        previous = signal.signal(signal.SIGALRM, stop)
-        start = time.monotonic()
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 0.2)
-            with pytest.raises(Stop):
-                compiled_kernel.alpha_shapes(29, sorted(pairs), 1)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert time.monotonic() - start < 2.0
+        assert_interrupted(
+            lambda: compiled_kernel.alpha_shapes(29, sorted(pairs), 1)
+        )
 
 
 # Every kernel entry that takes n, with arguments that are valid at n = 2,
@@ -570,20 +506,17 @@ class TestSlotCount:
     @pytest.mark.parametrize("n", SLOT_COUNTS)
     @pytest.mark.parametrize("name, args", N_ENTRIES)
     def test_one_reader(self, compiled_kernel, name, args, n):
-        outcome = same_outcome(
-            lambda: getattr(compiled_kernel, name)(n, *args),
-            lambda: getattr(pure, name)(n, *args),
-        )
+        outcome = twins_agree(compiled_kernel, name, n, *args)
         if n == 2:
             assert outcome[0] == "value"
         elif isinstance(n, float):
             assert outcome == ("raised", TypeError)
         else:
-            for impl in (compiled_kernel, pure):
+            for twin in (compiled_kernel, pure):
                 with pytest.raises(
                     ValueError, match="^kernel supports 0 to 30 slots$"
                 ):
-                    getattr(impl, name)(n, *args)
+                    getattr(twin, name)(n, *args)
 
 
 # Every integer argument of every entry but n: the entry, arguments valid
@@ -704,10 +637,7 @@ FLAG_ROWS = [
 class TestSemismallFlag:
     @pytest.mark.parametrize("name, args, raised", FLAG_ROWS)
     def test_one_reader(self, compiled_kernel, name, args, raised):
-        outcome = same_outcome(
-            lambda: getattr(compiled_kernel, name)(*args),
-            lambda: getattr(pure, name)(*args),
-        )
+        outcome = twins_agree(compiled_kernel, name, *args)
         assert outcome == ("raised", raised)
 
 
@@ -776,9 +706,9 @@ class TestRateOrders:
             assert compiled_kernel.rate_orders(n, shapes, degree, semismall) == (
                 expected
             )
-            for impl in (pure, compiled_kernel):
+            for twin in (pure, compiled_kernel):
                 ratings = [
-                    impl.rate_orders(n, [shape], degree, semismall)[0][0]
+                    twin.rate_orders(n, [shape], degree, semismall)[0][0]
                     for shape in shapes
                 ]
                 assert expected == (ratings, first_violation(ratings))
@@ -791,17 +721,16 @@ class TestRateOrders:
     )
     def test_edge_inputs(self, compiled_kernel, args, raised):
         for semismall in (False, True):
-            outcome = same_outcome(
-                lambda: compiled_kernel.rate_orders(*args, semismall),
-                lambda: pure.rate_orders(*args, semismall),
+            outcome = twins_agree(
+                compiled_kernel, "rate_orders", *args, semismall
             )
             assert outcome[0] == ("value" if raised is None else "raised")
 
-    def test_rejections(self, impl):
+    def test_rejections(self, twin):
         for args, raised in RATE_EDGE_CASES:
             if raised is not None:
                 with pytest.raises(raised):
-                    impl.rate_orders(*args, False)
+                    twin.rate_orders(*args, False)
 
     @pytest.mark.parametrize("semismall", [False, True])
     @pytest.mark.parametrize("n, masks", NON_PARTITIONS)
@@ -809,23 +738,22 @@ class TestRateOrders:
         # the rule of every entry taking blocks: three copies of the whole of
         # three slots once gave rotation values [-6, 2, 2] in both twins
         degree = {mask: -1 for mask in masks}
-        assert same_outcome(
-            lambda: compiled_kernel.rate_orders(n, [masks], degree, semismall),
-            lambda: pure.rate_orders(n, [masks], degree, semismall),
+        assert twins_agree(
+            compiled_kernel, "rate_orders", n, [masks], degree, semismall
         ) == ("raised", ValueError)
 
-    def test_length_two(self, impl):
+    def test_length_two(self, twin):
         # {1,2}:-1 then {3,4}:-1 over 4 slots
-        assert impl.rate_orders(4, [[0b0011, 0b1100]], PAIR_4, False) == (
+        assert twin.rate_orders(4, [[0b0011, 0b1100]], PAIR_4, False) == (
             [[{"order": [0, 1], "rotation_deltas": [4, -4], "violates": False}]],
             None,
         )
 
-    def test_first_counts_across_shapes(self, impl):
-        ratings, first = impl.rate_orders(9, LISTING_9, DEGREE_9, False)
+    def test_first_counts_across_shapes(self, twin):
+        ratings, first = twin.rate_orders(9, LISTING_9, DEGREE_9, False)
         assert [len(orderings) for orderings in ratings] == [1, 2]
         assert first == (1, 0)
-        assert impl.rate_orders(9, LISTING_9[:1], DEGREE_9, False)[1] is None
+        assert twin.rate_orders(9, LISTING_9[:1], DEGREE_9, False)[1] is None
 
     def test_no_reference_leak(self, compiled_kernel):
         assert compiled_kernel.rate_orders(9, LISTING_9, DEGREE_9, False)[1] == (
@@ -841,24 +769,14 @@ class TestRateOrders:
              KeyError),
             (LISTING_9[:1] + [(0b11, 0b11)], DEGREE_9, ValueError),
         ]
-        tracemalloc.start()
-        try:
-            for call in range(1, 201):
-                result = compiled_kernel.rate_orders(
-                    9, LISTING_9 * 3, DEGREE_9, False
-                )
-                del result
-                for shapes, degree, error in refusals:
-                    try:
-                        compiled_kernel.rate_orders(9, shapes, degree, False)
-                    except error:
-                        pass
-                if call == 100:
-                    mid = tracemalloc.get_traced_memory()[0]
-            end = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert end <= mid
+
+        def one_round():
+            compiled_kernel.rate_orders(9, LISTING_9 * 3, DEGREE_9, False)
+            for shapes, degree, error in refusals:
+                with suppress(error):
+                    compiled_kernel.rate_orders(9, shapes, degree, False)
+
+        assert_no_growth(one_round)
 
     def test_interruptible(self, compiled_kernel):
         # a listing of short shapes, two orderings each: the signal check
@@ -867,33 +785,15 @@ class TestRateOrders:
         # that ran only once the call returned would also raise, but would
         # find the listing used up).  The listing is a list iterator and
         # the degrees a dict, so no Python code runs during the call to
-        # take the signal in the kernel's stead; collections are off, as in
-        # TestScanShapes.
+        # take the signal in the kernel's stead.
         shape = (0b000011, 0b001100, 0b110000)
         degree = {mask: -1 for mask in shape}
         listing = iter([shape] * 100_000)
-
-        class Stop(Exception):
-            pass
-
-        def stop(signum, frame):
-            raise Stop
-
-        previous = signal.signal(signal.SIGALRM, stop)
-        collecting = gc.isenabled()
-        start = time.monotonic()
-        try:
-            gc.disable()
-            signal.setitimer(signal.ITIMER_REAL, 0.02)
-            with pytest.raises(Stop):
-                compiled_kernel.rate_orders(6, listing, degree, False)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-            if collecting:
-                gc.enable()
+        assert_interrupted(
+            lambda: compiled_kernel.rate_orders(6, listing, degree, False),
+            after=0.02,
+        )
         assert operator.length_hint(listing) > 0
-        assert time.monotonic() - start < 2.0
 
 
 # (n, masks, degs) that realise must reject: blocks that overlap, leave a
@@ -932,7 +832,7 @@ class TestRealise:
                         pure_realise_shapes(n, s, min_len)
                     ), (n, s, min_len)
 
-    def test_shapes_are_the_realisable_candidates(self, impl):
+    def test_shapes_are_the_realisable_candidates(self, twin):
         # realise_shapes keeps exactly the candidates realise accepts, with
         # their witnesses, in shape order and then product order
         for n in range(2, 8):
@@ -942,12 +842,12 @@ class TestRealise:
                     ranges = [range(1 - m.bit_count(), 0) for m in masks]
                     for degs in itertools.product(*ranges):
                         found = (
-                            impl.realise(n, masks, degs)
+                            twin.realise(n, masks, degs)
                             if sum(degs) == -s else None
                         )
                         if found is not None:
                             expected.append((masks, degs, *found))
-                assert impl.realise_shapes(n, s, 1) == expected, (n, s)
+                assert twin.realise_shapes(n, s, 1) == expected, (n, s)
 
     def test_any_degrees_bit_for_bit(self, compiled_kernel):
         # the inputs of test_weightspace's test_any_degrees: degrees from -n
@@ -961,20 +861,17 @@ class TestRealise:
 
     @pytest.mark.parametrize("args", REALISE_EDGE_CASES)
     def test_edge_inputs(self, compiled_kernel, args):
-        outcome = same_outcome(
-            lambda: compiled_kernel.realise(*args),
-            lambda: pure.realise(*args),
-        )
+        outcome = twins_agree(compiled_kernel, "realise", *args)
         assert outcome == ("raised", refusal_type(args))
 
-    def test_shape_edge_values(self, impl):
+    def test_shape_edge_values(self, twin):
         for n in (0, 1):
-            assert impl.realise_shapes(n, 0, 1) == []
-        assert impl.realise_shapes(4, 0, 1) == []
-        assert impl.realise_shapes(4, 4, 1) == []
+            assert twin.realise_shapes(n, 0, 1) == []
+        assert twin.realise_shapes(4, 0, 1) == []
+        assert twin.realise_shapes(4, 4, 1) == []
         for n in (31, -1):
             with pytest.raises(ValueError, match="0 to 30 slots"):
-                impl.realise_shapes(n, 1, 1)
+                twin.realise_shapes(n, 1, 1)
 
     def test_overflow_reruns_on_pure(self, compiled_kernel):
         def overflowing(*args):
@@ -1006,55 +903,22 @@ class TestRealise:
         assert compiled_kernel.scan_shapes(6, 1 << 40, False, 3) == ([], {})
 
     def test_no_reference_leak(self, compiled_kernel):
-        tracemalloc.start()
-        try:
-            for call in range(1, 201):
-                result = compiled_kernel.realise_shapes(6, 3, 1)
-                assert result
-                del result
-                assert compiled_kernel.realise(4, [0b1001, 0b0110], [-1, -1])
-                for args, error in (
-                    (REALISE_EDGE_CASES[0], ValueError),
-                    (OVERFLOWING, OverflowError),
-                ):
-                    try:
-                        compiled_kernel.realise(*args)
-                    except error:
-                        pass
-                if call == 100:
-                    mid = tracemalloc.get_traced_memory()[0]
-            end = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert end <= mid
+        def one_round():
+            assert compiled_kernel.realise_shapes(6, 3, 1)
+            assert compiled_kernel.realise(4, [0b1001, 0b0110], [-1, -1])
+            for args, error in (
+                (REALISE_EDGE_CASES[0], ValueError),
+                (OVERFLOWING, OverflowError),
+            ):
+                with suppress(error):
+                    compiled_kernel.realise(*args)
+
+        assert_no_growth(one_round)
 
     def test_interruptible(self, compiled_kernel):
         # N = 12 at s = 6 runs for seconds; the shape walk checks for
-        # signals once per choice of the first two blocks.  The call
-        # allocates a record per realised candidate, so a collection could
-        # run a gc callback (hypothesis installs one) that takes the signal
-        # and swallows the handler's exception; collections are off for the
-        # call.
-        class Stop(Exception):
-            pass
-
-        def stop(signum, frame):
-            raise Stop
-
-        previous = signal.signal(signal.SIGALRM, stop)
-        collecting = gc.isenabled()
-        start = time.monotonic()
-        try:
-            gc.disable()
-            signal.setitimer(signal.ITIMER_REAL, 0.2)
-            with pytest.raises(Stop):
-                compiled_kernel.realise_shapes(12, 6, 1)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-            if collecting:
-                gc.enable()
-        assert time.monotonic() - start < 2.0
+        # signals once per choice of the first two blocks
+        assert_interrupted(lambda: compiled_kernel.realise_shapes(12, 6, 1))
 
 
 # (n, s): the smallest W(n, s), then arguments both twins must reject: s
@@ -1082,28 +946,26 @@ class TestWalls:
 
     @pytest.mark.parametrize("args", WALL_EDGE_CASES)
     def test_edge_inputs(self, compiled_kernel, args):
-        outcome = same_outcome(
-            lambda: compiled_kernel.walls(*args), lambda: pure.walls(*args)
-        )
+        outcome = twins_agree(compiled_kernel, "walls", *args)
         if args[0] in (2, 4):
             assert outcome[0] == "value"
         else:
             assert outcome == ("raised", refusal_type(args))
 
-    def test_edge_values(self, impl):
-        assert impl.walls(2, 1) == []
-        assert impl.walls(4, 1) == []
-        assert impl.walls(4, 2) == [(0b1001, -1)]
+    def test_edge_values(self, twin):
+        assert twin.walls(2, 1) == []
+        assert twin.walls(4, 1) == []
+        assert twin.walls(4, 2) == [(0b1001, -1)]
         for s in (0, 4):
             with pytest.raises(ValueError, match="strictly between 0 and n"):
-                impl.walls(4, s)
+                twin.walls(4, s)
 
-    def test_canonical_and_sorted(self, impl):
+    def test_canonical_and_sorted(self, twin):
         # slot 1 in every support, rank 2..n-2, both summands of admissible
         # degree, ascending by mask and then degree, each pair once
         for n in range(4, 10):
             for s in range(1, n):
-                found = impl.walls(n, s)
+                found = twin.walls(n, s)
                 assert found == sorted(set(found))
                 for mask, d in found:
                     r = mask.bit_count()
@@ -1111,47 +973,17 @@ class TestWalls:
                     assert -r < d < 0 and -(n - r) < -s - d < 0
 
     def test_no_reference_leak(self, compiled_kernel):
-        tracemalloc.start()
-        try:
-            for call in range(1, 201):
-                result = compiled_kernel.walls(10, 5)
-                assert result
-                del result
-                try:
-                    compiled_kernel.walls(10, 10)
-                except ValueError:
-                    pass
-                if call == 100:
-                    mid = tracemalloc.get_traced_memory()[0]
-            end = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert end <= mid
+        def one_round():
+            assert compiled_kernel.walls(10, 5)
+            with suppress(ValueError):
+                compiled_kernel.walls(10, 10)
+
+        assert_no_growth(one_round)
 
     def test_interruptible(self, compiled_kernel):
         # 30 slots give 2^29 odd masks, minutes of work; the loop checks
-        # for signals every 2^11 of them.  Collections are off for the call,
-        # as in TestRealise.
-        class Stop(Exception):
-            pass
-
-        def stop(signum, frame):
-            raise Stop
-
-        previous = signal.signal(signal.SIGALRM, stop)
-        collecting = gc.isenabled()
-        start = time.monotonic()
-        try:
-            gc.disable()
-            signal.setitimer(signal.ITIMER_REAL, 0.2)
-            with pytest.raises(Stop):
-                compiled_kernel.walls(30, 15)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-            if collecting:
-                gc.enable()
-        assert time.monotonic() - start < 2.0
+        # for signals every 2^11 of them
+        assert_interrupted(lambda: compiled_kernel.walls(30, 15))
 
 
 def reversed_mask(n, mask):
@@ -1216,16 +1048,16 @@ class TestDumps:
     and selection; TestEncoder in test_cli.py checks both writers against
     json.dumps on random payloads."""
 
-    def test_deep_nesting_raises_recursion_error(self, impl):
+    def test_deep_nesting_raises_recursion_error(self, twin):
         deep = nested_lists(100_000)
         with pytest.raises(RecursionError):
-            impl.dumps(deep)
+            twin.dumps(deep)
         with pytest.raises(RecursionError):
-            impl.dumps({"a": deep})
+            twin.dumps({"a": deep})
 
-    def test_nesting_below_the_limit_encodes(self, impl):
+    def test_nesting_below_the_limit_encodes(self, twin):
         value = nested_lists(200)
-        assert impl.dumps(value) == pure.dumps(value)
+        assert twin.dumps(value) == pure.dumps(value)
 
     def test_no_reference_leak(self, compiled_kernel):
         # every branch: escaped and plain strings, small and big ints,
@@ -1240,34 +1072,22 @@ class TestDumps:
         bad = [payload, {"x": 1j}]
         with pytest.raises(TypeError):
             compiled_kernel.dumps(bad)
-        tracemalloc.start()
-        try:
-            for call in range(1, 201):
-                text = compiled_kernel.dumps(payload)
-                del text
-                try:
-                    compiled_kernel.dumps(bad)
-                except TypeError:
-                    pass
-                if call == 100:
-                    mid = tracemalloc.get_traced_memory()[0]
-            end = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert end <= mid
+
+        def one_round():
+            compiled_kernel.dumps(payload)
+            with suppress(TypeError):
+                compiled_kernel.dumps(bad)
+
+        assert_no_growth(one_round)
 
     def test_builds_without_dumps_fall_back_to_pure(self, compiled_kernel):
         # an extension built before dumps existed: the entry point is
         # missing, or it carries the previous API number
-        without = types.ModuleType("_speedups")
-        without.KERNEL_API = pure.KERNEL_API
-        without.scan_shapes = compiled_kernel.scan_shapes
-        without.scan_partition_batch = compiled_kernel.scan_partition_batch
+        without = stub_build(
+            compiled_kernel, names=["scan_shapes", "scan_partition_batch"]
+        )
         assert _kernel.select(without) == (pure, "pure")
-        older = types.ModuleType("_speedups")
-        older.KERNEL_API = 2
-        for name in _kernel.ENTRY_POINTS:
-            setattr(older, name, getattr(compiled_kernel, name))
+        older = stub_build(compiled_kernel, api=2)
         assert _kernel.select(older) == (pure, "pure")
         assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 12
 
@@ -1410,25 +1230,25 @@ class TestSettle:
                     assert list(got[1][1]) == sorted(got[1][1]), args
 
     @pytest.mark.parametrize("kind", ["accept", "reject"])
-    def test_accept_and_reject_model_the_full_scan(self, impl, kind):
+    def test_accept_and_reject_model_the_full_scan(self, twin, kind):
         # rejecting everything hands over the first record of every
         # candidate, accepting everything the first record of every s; the
         # stats are the full scan's, keys ascending
         model = first_records if kind == "reject" else first_of_each_s
-        for n in range(2, 11 if impl is not pure else 9):
+        for n in range(2, 11 if twin is not pure else 9):
             grid = itertools.product((0, n // 2), (False, True), (1, 3))
             for args in ((n, *rest) for rest in grid):
                 records, stats = pure_scan_shapes(*args)
-                got = impl.scan_shapes(*args, SETTLES[kind])
+                got = twin.scan_shapes(*args, SETTLES[kind])
                 expected = model(first_records(records)), sorted_stats(stats)
                 assert got == expected, args
                 assert list(got[1]) == list(expected[1]), args
 
     @pytest.mark.parametrize("semismall", [False, True])
     def test_witnesses_are_the_first_realisable_violations(
-        self, impl, semismall
+        self, twin, semismall
     ):
-        for n in range(2, 11 if impl is not pure else 10):
+        for n in range(2, 11 if twin is not pure else 10):
             records, _ = pure_scan_shapes(n, 0, semismall, 3)
             expected = {}
             for masks, degs, order, rots in first_records(records):
@@ -1449,7 +1269,7 @@ class TestSettle:
                     return True
                 return False
 
-            impl.scan_shapes(n, 0, semismall, 3, tracking)
+            twin.scan_shapes(n, 0, semismall, 3, tracking)
             assert accepted == expected, n
             assert set(witnesses) == set(expected), n
 
@@ -1473,34 +1293,23 @@ class TestSettle:
     def test_counts_past_64_bits(self, compiled_kernel, n, s_filter, min_len):
         # each call takes milliseconds; a reach test that drops the first
         # candidate would walk the 30 slots for good, so a timer ends it
-        class Overdue(Exception):
-            pass
-
-        def overdue(signum, frame):
-            raise Overdue
-
-        previous = signal.signal(signal.SIGALRM, overdue)
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 10.0)
+        with alarm(10.0):
             records, stats = compiled_kernel.scan_shapes(
                 n, s_filter, False, min_len, accept_all
             )
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert len(records) == 1
         assert stats == {s_filter: closed_form_stats(n, min_len)[s_filter]}
         assert stats[s_filter][0] >= 1 << 64
 
-    def test_no_live_total(self, impl):
+    def test_no_live_total(self, twin):
         # a filter no candidate meets: no call of settle, no stats
         for s_filter in (-1, 9, 1 << 70):
-            assert impl.scan_shapes(9, s_filter, False, 3, accept_all) == (
+            assert twin.scan_shapes(9, s_filter, False, 3, accept_all) == (
                 [], {},
             )
-        assert impl.scan_shapes(1, 0, False, 1, accept_all) == ([], {})
+        assert twin.scan_shapes(1, 0, False, 1, accept_all) == ([], {})
 
-    def test_each_s_is_settled_once(self, impl):
+    def test_each_s_is_settled_once(self, twin):
         # every third call is accepted: no s is offered again once accepted
         calls = []
 
@@ -1508,7 +1317,7 @@ class TestSettle:
             calls.append(record)
             return len(calls) % 3 == 0
 
-        records, _ = impl.scan_shapes(9, 0, False, 1, settle)
+        records, _ = twin.scan_shapes(9, 0, False, 1, settle)
         assert records == calls
         assert len(calls) >= 6
         accepted = [-sum(record[1]) for record in calls[2::3]]
@@ -1516,7 +1325,7 @@ class TestSettle:
         for i, record in enumerate(calls):
             assert -sum(record[1]) not in accepted[: i // 3]
 
-    def test_settle_errors_propagate(self, impl):
+    def test_settle_errors_propagate(self, twin):
         class Stop(Exception):
             pass
 
@@ -1524,17 +1333,17 @@ class TestSettle:
             raise Stop
 
         with pytest.raises(Stop):
-            impl.scan_shapes(9, 0, False, 3, stop)
+            twin.scan_shapes(9, 0, False, 3, stop)
         with pytest.raises(FlagError):
-            impl.scan_shapes(9, 0, False, 3, lambda *record: Flag())
+            twin.scan_shapes(9, 0, False, 3, lambda *record: Flag())
         # refused when read, before the walk: None or a callable only
         with pytest.raises(TypeError, match="settle must be None or callable"):
-            impl.scan_shapes(9, 0, False, 3, 5)
-        assert impl.scan_shapes(9, 0, False, 3, None) == pure_scan_shapes(
+            twin.scan_shapes(9, 0, False, 3, 5)
+        assert twin.scan_shapes(9, 0, False, 3, None) == pure_scan_shapes(
             9, 0, False, 3
         )
 
-    def test_truth_is_tested_once(self, impl):
+    def test_truth_is_tested_once(self, twin):
         tested = []
 
         class Once:
@@ -1542,64 +1351,37 @@ class TestSettle:
                 tested.append(1)
                 return True
 
-        records, _ = impl.scan_shapes(9, 0, False, 3, lambda *r: Once())
+        records, _ = twin.scan_shapes(9, 0, False, 3, lambda *r: Once())
         assert len(tested) == len(records) > 0
 
     def test_no_reference_leak(self, compiled_kernel):
         # small mode with min_len=1 violates at every one-block shape, so
         # records are made, trimmed and passed on every call
-        tracemalloc.start()
-        try:
-            for call in range(1, 201):
-                for settle in (accept_all, reject_all):
-                    result = compiled_kernel.scan_shapes(8, 0, False, 1, settle)
-                    assert result[0]
-                    del result
-                try:
-                    compiled_kernel.scan_shapes(8, 0, False, 1, nested_lists)
-                except TypeError:
-                    pass
-                if call == 100:
-                    mid = tracemalloc.get_traced_memory()[0]
-            end = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert end <= mid
+        def one_round():
+            for settle in (accept_all, reject_all):
+                assert compiled_kernel.scan_shapes(8, 0, False, 1, settle)[0]
+            with suppress(TypeError):
+                compiled_kernel.scan_shapes(8, 0, False, 1, nested_lists)
+
+        assert_no_growth(one_round)
 
     def test_interruptible(self, compiled_kernel):
         # as TestScanShapes::test_interruptible, with a settle that accepts
         # nothing, so no s ends the walk early
-        class Stop(Exception):
-            pass
-
-        def stop(signum, frame):
-            raise Stop
-
-        previous = signal.signal(signal.SIGALRM, stop)
-        collecting = gc.isenabled()
-        start = time.monotonic()
-        try:
-            gc.disable()
-            signal.setitimer(signal.ITIMER_REAL, 0.2)
-            with pytest.raises(Stop):
-                compiled_kernel.scan_shapes(14, 0, False, 3, reject_all)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-            if collecting:
-                gc.enable()
-        assert time.monotonic() - start < 2.0
+        assert_interrupted(
+            lambda: compiled_kernel.scan_shapes(14, 0, False, 3, reject_all)
+        )
 
 
 class TestKernelBehaviour:
-    def test_frozen_stats(self, impl):
-        assert run_scan(impl, 6)[1] == {3: [15, 30]}
-        assert run_scan(impl, 7)[1] == {3: [105, 210], 4: [105, 210]}
-        assert run_scan(impl, 8)[1] == {
+    def test_frozen_stats(self, twin):
+        assert run_scan(twin, 6)[1] == {3: [15, 30]}
+        assert run_scan(twin, 7)[1] == {3: [105, 210], 4: [105, 210]}
+        assert run_scan(twin, 8)[1] == {
             3: [490, 980], 4: [875, 2170], 5: [490, 980],
         }
 
-    def test_stats_match_brute_force(self, impl):
+    def test_stats_match_brute_force(self, twin):
         import math
 
         for n in (6, 7):
@@ -1612,11 +1394,11 @@ class TestKernelBehaviour:
                     acc = expected.setdefault(s, [0, 0])
                     acc[0] += 1
                     acc[1] += math.factorial(L - 1)
-            assert run_scan(impl, n)[1] == expected
+            assert run_scan(twin, n)[1] == expected
 
-    def test_s_filter_restricts_to_one_total(self, impl):
-        full_viols, full_stats = run_scan(impl, 9)
-        viols, stats = run_scan(impl, 9, s_filter=4)
+    def test_s_filter_restricts_to_one_total(self, twin):
+        full_viols, full_stats = run_scan(twin, 9)
+        viols, stats = run_scan(twin, 9, s_filter=4)
         assert set(stats) == {4}
         assert stats[4] == full_stats[4]
         masks_list = list(iter_partition_shapes(9, 3))
@@ -1626,50 +1408,50 @@ class TestKernelBehaviour:
         assert all(-sum(rec[1]) == 4 for rec in viols)
         assert masks_list  # enumeration nonempty sanity
 
-    def test_min_len_skips_short_shapes(self, impl):
+    def test_min_len_skips_short_shapes(self, twin):
         full_block = ((1 << 5) - 1,)
-        assert impl.scan_partition_batch(5, 0, False, 3, [full_block]) == (
+        assert twin.scan_partition_batch(5, 0, False, 3, [full_block]) == (
             [],
             {},
         )
 
-    def test_rank_below_two_yields_no_candidate(self, impl):
+    def test_rank_below_two_yields_no_candidate(self, twin):
         # a rank-1 block has the empty degree range (-(r-1), 0)
-        assert impl.scan_partition_batch(3, 0, False, 1, [(0b1, 0b110)]) == (
+        assert twin.scan_partition_batch(3, 0, False, 1, [(0b1, 0b110)]) == (
             [],
             {},
         )
-        assert impl.scan_partition_batch(
+        assert twin.scan_partition_batch(
             5, 0, False, 3, [(0b1, 0b110, 0b11000)]
         ) == ([], {})
 
-    def test_capacity_limits(self, impl):
+    def test_capacity_limits(self, twin):
         with pytest.raises(ValueError, match="0 to 30 slots"):
-            impl.scan_partition_batch(31, 0, False, 3, [])
+            twin.scan_partition_batch(31, 0, False, 3, [])
         blocks = tuple(0b11 << 2 * i for i in range(17))
         with pytest.raises(ValueError, match="at most 16 blocks"):
-            impl.scan_partition_batch(30, 0, False, 3, [blocks])
-        assert impl.scan_partition_batch(30, 0, False, 18, [blocks]) == (
+            twin.scan_partition_batch(30, 0, False, 3, [blocks])
+        assert twin.scan_partition_batch(30, 0, False, 18, [blocks]) == (
             [],
             {},
         )
 
-    def test_length_two_never_violates(self, impl):
+    def test_length_two_never_violates(self, twin):
         for n in (4, 5, 6):
-            viols, _ = run_scan(impl, n, min_len=2)
+            viols, _ = run_scan(twin, n, min_len=2)
             for rec in viols:
                 assert len(rec[0]) >= 3
 
-    def test_no_violations_through_eight_slots(self, impl):
+    def test_no_violations_through_eight_slots(self, twin):
         for n in range(4, 9):
             for semismall in (False, True):
-                viols, _ = run_scan(impl, n, semismall=semismall)
+                viols, _ = run_scan(twin, n, semismall=semismall)
                 assert viols == []
 
-    def test_violations_match_exact_arithmetic(self, impl):
+    def test_violations_match_exact_arithmetic(self, twin):
         masks_list = list(iter_partition_shapes(9, 3))
         for semismall in (False, True):
-            viols, _ = impl.scan_partition_batch(
+            viols, _ = twin.scan_partition_batch(
                 9, 0, semismall, 3, masks_list
             )
             assert viols
@@ -1683,19 +1465,19 @@ class TestKernelBehaviour:
                 mode = "semismall" if semismall else "small"
                 assert violates_margin(rots, mode)
 
-    def test_records_stay_in_enumeration_order(self, impl):
-        viols, _ = run_scan(impl, 9)
+    def test_records_stay_in_enumeration_order(self, twin):
+        viols, _ = run_scan(twin, 9)
         index = {masks: pi for pi, masks in enumerate(iter_partition_shapes(9, 3))}
         indices = [index[rec[0]] for rec in viols]
         assert indices == sorted(indices)
 
-    def test_orderings_of_one_candidate_stay_lexicographic(self, impl):
+    def test_orderings_of_one_candidate_stay_lexicographic(self, twin):
         # Two N=11 shapes with several violating orderings per candidate.
         # (0, 2, 3, 1) is the reverse of (0, 1, 3, 2), which comes before
         # (0, 2, 1, 3): a kernel that decides reverse pairs together must
         # still report (0, 2, 1, 3) first.
         shapes = [(52, 265, 704, 1026), (52, 264, 704, 1027)]
-        viols, _ = impl.scan_partition_batch(11, 0, False, 3, shapes)
+        viols, _ = twin.scan_partition_batch(11, 0, False, 3, shapes)
         degs = (-1, -1, -2, -1)
         assert [rec[:3] for rec in viols] == [
             (shapes[0], degs, (0, 2, 1, 3)),

@@ -504,3 +504,22 @@ def test_walls_are_listed_through_each_twins_closed_form():
     assert ("_kernel", "walls") in calls_of(
         top_function(PACKAGE / "weightspace.py", "enumerate_walls")
     )
+
+
+def test_the_test_harness_lives_in_conftest():
+    """Only conftest.py starts tracemalloc, sets a signal timer or runs
+    setup.py build_ext: the leak check, the Ctrl-C check and the kernel
+    build are written once, there."""
+    found = []
+    for path in sorted((REPO_ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            command = isinstance(node, (ast.List, ast.Tuple)) and {
+                "setup.py", "build_ext"
+            } <= {elt.value for elt in node.elts if isinstance(elt, ast.Constant)}
+            if path.name != "conftest.py" and (
+                command
+                or isinstance(node, ast.Call) and ast.unparse(node.func)
+                in ("tracemalloc.start", "signal.setitimer")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
