@@ -13,7 +13,6 @@ setup(
         Extension(
             "bodenhu._kernel._speedups",
             ["src/bodenhu/_kernel/_speedups.c"],
-            extra_compile_args=["-O3"],
             optional=True,
         )
     ]

@@ -165,7 +165,10 @@ def _cmd_check(args) -> tuple[int, dict]:
         k, j = first
         masks = shapes[ids[k]]
         degs = [degree[mask] for mask in masks]
-        witness = _witness(alpha, masks, degs, ratings[k][j])
+        rated = ratings[k][j]
+        witness = _witness(
+            alpha, masks, degs, rated["order"], rated["rotation_deltas"]
+        )
     blocks = _mask_blocks(degree)
     listing = [
         {

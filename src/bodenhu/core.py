@@ -1,8 +1,10 @@
 """Exact value types and the closed-form pairings on multiplicity vectors.
 
 All weights are `fractions.Fraction` and every derived quantity is either a
-Fraction or an integer.  Nothing in the package uses floating point: wall
+Fraction or an integer.  No decision in the package uses floating point: wall
 membership is an exact equality test and must never be decided by an epsilon.
+The only floats are the timings that `scan --no-deterministic` writes
+(`time_ms`, from `time.perf_counter()` through `round(..., 1)`).
 
 Conventions used throughout:
 

@@ -154,7 +154,11 @@ def fiber_report(xi: Partition, beta: WeightVector, g: int = 2) -> FiberReport:
         dim = fiber_component_dim(sigma, g)
         components.append((sigma, dim))
         margins.append(codim - 2 * dim)
-    report = FiberReport(xi, g, tuple(components), codim, tuple(margins))
+    try:
+        report = FiberReport(xi, g, tuple(components), codim, tuple(margins))
+    except ValueError as exc:
+        # the components and margins were computed here, not given
+        raise AssertionError(f"fiber report is inconsistent: {exc}") from exc
     if len(report.components) != math.factorial(len(xi) - 1):
         raise AssertionError("fiber report must list every cyclic ordering")
     return report

@@ -133,16 +133,21 @@ def ordering_representatives(partition: Partition) -> Iterator[OrderedPartition]
 
 
 def _witness(
-    alpha: WeightVector, masks: tuple[int, ...], degs, rated: dict
+    alpha: WeightVector, masks: tuple[int, ...], degs, order, rots
 ) -> Witness:
-    """The witness at alpha from one rated ordering of the shape masks,
-    validated by the checked constructors whichever kernel found it."""
-    blocks = [
-        MultiplicityVector.from_mask(alpha.n, d, mask)
-        for mask, d in zip(masks, degs)
-    ]
-    op = OrderedPartition(tuple(blocks[i] for i in rated["order"]))
-    return Witness(op, tuple(rated["rotation_deltas"]), alpha)
+    """The witness at alpha from one rated ordering (order, rots) of the
+    shape masks, validated by the checked constructors whichever kernel
+    found it.  A record they refuse is the program's fault, not the input's:
+    AssertionError."""
+    try:
+        blocks = [
+            MultiplicityVector.from_mask(alpha.n, d, mask)
+            for mask, d in zip(masks, degs)
+        ]
+        op = OrderedPartition(tuple(blocks[i] for i in order))
+        return Witness(op, tuple(rots), alpha)
+    except ValueError as exc:
+        raise AssertionError(f"kernel record is not a witness: {exc}") from exc
 
 
 def check_criterion(
@@ -165,7 +170,10 @@ def check_criterion(
         )
         if first is not None:
             degs = [degree[mask] for mask in masks]
-            witness = _witness(alpha, masks, degs, orderings[first[1]])
+            rated = orderings[first[1]]
+            witness = _witness(
+                alpha, masks, degs, rated["order"], rated["rotation_deltas"]
+            )
             return Verdict(False, mode, witness)
     return Verdict(True, mode, None)
 
@@ -190,9 +198,7 @@ def _settler(
             raise AssertionError(
                 "witness weight vector failed the check_criterion re-check"
             )
-        witnesses[-sum(degs)] = _witness(
-            alpha, masks, degs, {"order": order, "rotation_deltas": rots}
-        )
+        witnesses[-sum(degs)] = _witness(alpha, masks, degs, order, rots)
         return True
 
     return settle

@@ -200,21 +200,26 @@ def c_compiler():
 
 
 # The flags of the UndefinedBehaviorSanitizer build (test_sanitizer.py).
-# sysconfig's CFLAGS carry -fwrapv, which defines signed overflow and so
-# turns its check off; setuptools puts CFLAGS from the environment after
-# them, and -fno-wrapv there turns it back on.
+# setup.py compiles with sysconfig's CFLAGS, then these: their -O1 sets the
+# level, and their -fno-wrapv turns back on the signed-overflow check that
+# the -fwrapv in sysconfig's CFLAGS turns off.
 UBSAN = {
     "CFLAGS": "-O1 -g -fno-wrapv -fsanitize=undefined -fno-sanitize-recover=all",
     "LDFLAGS": "-fsanitize=undefined",
 }
 
 
+@lru_cache(maxsize=None)
+def build_log(build):
+    """Wait for a build from kernel_builds and return its output."""
+    return build[1].communicate()[0]
+
+
 def built(build):
     """Wait for a build from kernel_builds and return the extension's path."""
-    out, process = build
-    log = process.communicate()[0]
+    log = build_log(build)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = out / "bodenhu" / "_kernel" / f"_speedups{suffix}"
+        path = build[0] / "bodenhu" / "_kernel" / f"_speedups{suffix}"
         if path.exists():
             return path
     pytest.fail("a C compiler is present but _speedups.c did not build:\n" + log)
@@ -233,11 +238,14 @@ def load_kernel(path):
 @pytest.fixture(scope="session")
 def kernel_builds(tmp_path_factory):
     """The fresh builds of _speedups.c, plain and with UBSAN's flags, started
-    together so that the second runs beside the tests on another core."""
+    together so that the second runs beside the tests on another core.  The
+    plain build adds -Wextra to the environment's CFLAGS, which README's
+    sanitizer runs set, and its log is the warnings test's."""
     if c_compiler() is None:
         pytest.skip("no C compiler found to build the compiled kernel")
     builds = []
-    for flags in ({}, UBSAN):
+    plain = {"CFLAGS": f"{os.environ.get('CFLAGS', '')} -Wextra".lstrip()}
+    for flags in (plain, UBSAN):
         out = tmp_path_factory.mktemp("kernel_build")
         builds.append((out, subprocess.Popen(
             [sys.executable, "setup.py", "build_ext",

@@ -19,7 +19,7 @@ from bodenhu import (
     is_generic,
     parse_weight_vector,
 )
-from bodenhu import _kernel, smallness, weightspace
+from bodenhu import _kernel, moduli, smallness, weightspace
 from bodenhu._kernel import pure
 from bodenhu.cli import main
 from conftest import ALPHA_9_4, ALPHA_11_3, PURE_RUN_UNNAMED, TWINS
@@ -730,6 +730,47 @@ class TestInternalErrors:
             assert got == 3
             assert out == ""
             assert err.strip().splitlines()[-1] == f"internal error: {message}"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--alpha", ALPHA_9_4_ARG],
+             "kernel record is not a witness: "
+             "block supports must be pairwise disjoint"),
+            (["fiber", "--alpha", ALPHA_9_4_ARG, "--id", "3"],
+             "fiber report is inconsistent: "
+             "margin must be genus independent"),
+        ],
+        ids=["witness", "fiber"],
+    )
+    def test_exit_code_for_a_result_its_own_checks_refuse(
+        self, capsys, monkeypatch, argv, message
+    ):
+        # the package's checks of its own results raise AssertionError, not
+        # the ValueError of bad input, however the checked constructors word it
+        if argv[0] == "check":
+            rate_orders = _kernel.rate_orders
+
+            def zeroed(*args):
+                # the first violating ordering, with every position 0
+                ratings, first = rate_orders(*args)
+                k, j = first
+                rated = ratings[k][j]
+                ratings[k][j] = {**rated, "order": [0] * len(rated["order"])}
+                return ratings, first
+
+            monkeypatch.setattr(_kernel, "rate_orders", zeroed)
+        else:
+            dim = moduli.fiber_component_dim
+            monkeypatch.setattr(
+                moduli, "fiber_component_dim", lambda sigma, g: dim(sigma, g) + 1
+            )
+        got, out, err = run_cli(capsys, *argv)
+        assert got == 3
+        assert out == ""
+        assert err.strip().splitlines()[-1] == (
+            f"internal error: AssertionError: {message}"
+        )
 
 
 def _nongeneric_alphas(seed, count):

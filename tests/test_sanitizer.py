@@ -11,7 +11,7 @@ import sysconfig
 
 import pytest
 
-from conftest import REPO_ROOT, UBSAN, built
+from conftest import REPO_ROOT, UBSAN, build_log, built
 
 CANARY = ("#include <limits.h>\nint main(int argc, char **argv) "
           "{ volatile int big = INT_MAX; return big + argc < 0; }\n")
@@ -77,8 +77,15 @@ def test_compiled_twin_is_clean_under_ubsan(tmp_path, kernel_builds):
         pytest.skip(f"cannot link -fsanitize=undefined: {build.stderr}")
     canary = subprocess.run([tmp_path / "canary"], capture_output=True, text=True)
     assert "runtime error: signed integer overflow" in canary.stderr
+    # the build runs at UBSAN's -O1: its -O comes after sysconfig's -O3
+    ubsan = built(kernel_builds[1])
+    compile_line = next(
+        shlex.split(line) for line in build_log(kernel_builds[1]).splitlines()
+        if " -c " in line and "_speedups.c" in line
+    )
+    assert [arg for arg in compile_line if arg.startswith("-O")][-1] == "-O1"
     child = subprocess.run(
-        [sys.executable, "-c", CHILD, str(built(kernel_builds[1]))],
+        [sys.executable, "-c", CHILD, str(ubsan)],
         capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ,
              "PYTHONPATH": f"{REPO_ROOT / 'src'}:{REPO_ROOT / 'tests'}"},
