@@ -3,9 +3,10 @@
 Both implementations expose the same scan entry points (scan_shapes,
 which with a settle callable stops each s at the first violating candidate
 settle accepts, and scan_partition_batch), the same single-alpha entry
-points (alpha_shapes, the partitions of the admissible blocks at one weight
-vector, and rate_orders, the rated cyclic orderings of each partition of a
-listing, with the first violating one), the same realisation entry points
+points (admissible, the blocks that can occur at one weight vector mapped
+to their degrees, alpha_shapes, the partitions into those blocks, and
+rate_orders, the rated cyclic orderings of each partition of a listing,
+with the first violating one), the same realisation entry points
 (realise, a witness point for one candidate partition, and realise_shapes,
 every realisable candidate of one (n, s) with its witness), the same wall
 listing (walls, the nonempty walls of one W(n, s) as (mask, d_check)
@@ -23,14 +24,15 @@ compiled module is taken only if it has every entry point and the same
 KERNEL_API as pure.py, so an extension built from an older _speedups.c
 falls back to the pure kernel instead of failing at import.  KERNEL_KIND
 names the kernel in use; KERNEL_FALLBACK says why the compiled one was
-refused (None when it runs).  The compiled realisation works in checked
-64-bit integers and raises OverflowError where they would not suffice, or
-for a degree past 64 bits; on_overflow_pure re-runs that one call on
-pure.py, the only per-call fallback, which no other argument reaches.
-entries binds the entry points of either twin; this module is the only
-place they are bound, and every other module calls them as
-_kernel.<entry>, so rebinding them here switches the twin for the whole
-package.  The pure kernel is also the oracle the tests import directly.
+refused (None when it runs).  The compiled realisation and admissible
+work in checked 64-bit integers and raise OverflowError where they would
+not suffice, or for a degree, scaled entry or denominator past 64 bits;
+on_overflow_pure re-runs that one call, with the same positional and
+keyword arguments, on pure.py, the only per-call fallback, which no other
+argument reaches.  entries binds the entry points of either twin; this
+module is the only place they are bound, and every other module calls
+them as _kernel.<entry>, so rebinding them here switches the twin for the
+whole package.  The pure kernel is also the oracle the tests import directly.
 """
 
 import functools
@@ -40,8 +42,8 @@ from typing import Callable, Optional
 from . import pure
 
 ENTRY_POINTS = (
-    "scan_shapes", "scan_partition_batch", "alpha_shapes", "rate_orders",
-    "realise", "realise_shapes", "walls", "dumps",
+    "scan_shapes", "scan_partition_batch", "admissible", "alpha_shapes",
+    "rate_orders", "realise", "realise_shapes", "walls", "dumps",
 )
 
 
@@ -68,27 +70,28 @@ def select(compiled: Optional[ModuleType]) -> tuple[ModuleType, str]:
 def on_overflow_pure(compiled_entry, pure_entry):
     """compiled_entry, re-run on pure_entry when it raises OverflowError.
 
-    The compiled realisation works in checked 64-bit integers and raises
-    OverflowError where Python's would grow; pure's exact ints then decide
-    that one call.
+    The compiled realisation and admissible work in checked 64-bit
+    integers and raise OverflowError where Python's would grow; pure's
+    exact ints then decide that one call, on the same arguments.
     """
 
     @functools.wraps(pure_entry)
-    def entry(*args):
+    def entry(*args, **kwargs):
         try:
-            return compiled_entry(*args)
+            return compiled_entry(*args, **kwargs)
         except OverflowError:
-            return pure_entry(*args)
+            return pure_entry(*args, **kwargs)
 
     return entry
 
 
 def entries(twin: ModuleType) -> dict[str, Callable]:
     """ENTRY_POINTS of the twin module by name, as the package calls them:
-    the compiled realise and realise_shapes through on_overflow_pure."""
+    the compiled admissible, realise and realise_shapes through
+    on_overflow_pure."""
     bound = {name: getattr(twin, name) for name in ENTRY_POINTS}
     if twin is not pure:
-        for name in ("realise", "realise_shapes"):
+        for name in ("admissible", "realise", "realise_shapes"):
             bound[name] = on_overflow_pure(bound[name], getattr(pure, name))
     return bound
 

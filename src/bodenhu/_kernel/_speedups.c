@@ -5,9 +5,10 @@
  *
  * Twin of pure.py: the same entry points with the same arguments and the
  * same results, bit for bit.  The two scan entry points return the same
- * (violations, stats) in the same order; alpha_shapes, rate_orders,
- * realise_shapes and walls return the same lists; realise returns the same
- * witness; dumps returns the same text.
+ * (violations, stats) in the same order; admissible returns the same dict
+ * in the same order; alpha_shapes, rate_orders, realise_shapes and walls
+ * return the same lists; realise returns the same witness; dumps returns
+ * the same text.
  *
  *   scan_shapes          enumerates the set partitions itself, in the
  *                        canonical order of partitions.iter_partition_shapes
@@ -100,8 +101,13 @@
  * rate_orders reads its shapes one at a time after it, as pure.py's
  * _read_shapes does.  A non-integer raises TypeError before any other
  * check, as in pure.py, and no integer argument raises OverflowError but a
- * degree of realise past int64 (see below).
+ * degree of realise, or a scaled entry or denominator of admissible, past
+ * int64 (see below).  Every entry takes its arguments by position or by
+ * pure.py's parameter names.
  *
+ *   admissible           maps every mask of rank >= 2 whose scaled subset
+ *                        sum the denominator divides to its degree, at one
+ *                        weight vector, by a meet-in-the-middle search.
  *   alpha_shapes         lists the partitions of n slots into the
  *                        admissible blocks at one weight vector, each a
  *                        tuple of the caller's int objects.
@@ -125,6 +131,9 @@
  * largest row entry is 468 and the largest witness integer 161,280, far
  * inside that range; past it, or for a degree past int64, the entries raise
  * OverflowError and _kernel/__init__.py re-runs the call on pure.py.
+ * admissible checks its subset sums the same way and raises OverflowError
+ * past int64, and for a scaled entry or denominator past it, as for a
+ * weight vector whose common denominator passes 2^64.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -132,7 +141,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 12
+#define KERNEL_API 13
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -1740,6 +1749,162 @@ realise_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 }
 
 /*
+ * Admissible blocks at one weight vector nums / denom, as pure.py's
+ * admissible finds them: the subset sums of the low half nums[0..h-1] and
+ * of the high half nums[h..n-1], h = n / 2, in checked int64; the low
+ * halves sorted by residue modulo denom, ties by mask; and for each high
+ * half, ascending, a bisection for the low halves of the residue that
+ * completes an integer, which come in ascending mask order.  A scaled
+ * entry or denominator past int64, or a sum past it, raises OverflowError,
+ * on which _kernel/__init__.py re-runs the call on pure.py.
+ */
+
+/* One low half: the residue of its scaled sum modulo denom, and its mask. */
+typedef struct {
+    i64 residue;
+    u64 lo;
+} Half;
+
+static int
+half_order(const void *a, const void *b)
+{
+    const Half *x = a, *y = b;
+    if (x->residue != y->residue)
+        return x->residue < y->residue ? -1 : 1;
+    return (x->lo > y->lo) - (x->lo < y->lo);
+}
+
+/* sums[m] = the sum of values[0..k-1] over the bits of m, every m < 2^k;
+ * FM_OVERFLOW when one leaves int64. */
+static int
+subset_sum_table(const i64 *values, int k, i64 *sums)
+{
+    sums[0] = 0;
+    for (int i = 0; i < k; i++)
+        for (u64 m = 0; m < 1ULL << i; m++)
+            CHECKED(ADD(sums[m], values[i], &sums[m | 1ULL << i]));
+    return FM_OK;
+}
+
+/* Set admissible's OverflowError; returns -1. */
+static int
+admissible_overflow(void)
+{
+    PyErr_SetString(PyExc_OverflowError,
+                    "admissible blocks leave 64-bit integers");
+    return -1;
+}
+
+/* Insert mask: -(sum // denom) into found for every mask of rank >= 2
+ * whose scaled sum denom divides, ascending, from the tables low, high and
+ * the sorted halves; -1 with the exception set on error. */
+static int
+insert_admissible(PyObject *found, int h, u64 nhigh, const i64 *low,
+                  const i64 *high, const Half *halves, i64 denom)
+{
+    const u64 nlow = 1ULL << h;
+    for (u64 hi = 0; hi < nhigh; hi++) {
+        if (PyErr_CheckSignals() < 0)
+            return -1;
+        /* the low residue that completes an integer: -high[hi] mod denom */
+        const i64 r = high[hi] % denom, want = r > 0 ? denom - r : -r;
+        u64 a = 0, b = nlow;
+        while (a < b) {
+            const u64 mid = a + (b - a) / 2;
+            if (halves[mid].residue < want)
+                a = mid + 1;
+            else
+                b = mid;
+        }
+        for (; a < nlow && halves[a].residue == want; a++) {
+            const u64 mask = halves[a].lo | hi << h;
+            i64 sum, degree;
+            if (__builtin_popcountll(mask) < 2)
+                continue;
+            if (ADD(low[halves[a].lo], high[hi], &sum)
+                || SUB((i64)0, sum / denom, &degree))
+                return admissible_overflow();
+            PyObject *key = PyLong_FromUnsignedLongLong(mask);
+            PyObject *value = key ? PyLong_FromLongLong(degree) : NULL;
+            const int rc = value ? PyDict_SetItem(found, key, value) : -1;
+            Py_XDECREF(key);
+            Py_XDECREF(value);
+            if (rc < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(admissible_doc,
+"admissible(n, nums, denom)\n"
+"--\n\n"
+"The admissible blocks at the weight vector nums / denom: a dict from\n"
+"every mask of rank >= 2 whose scaled subset sum denom divides to its\n"
+"degree, ascending.\n\n"
+"Same contract as pure.admissible; see that function's docstring.  Raises\n"
+"OverflowError where 64-bit integers do not suffice.");
+
+static PyObject *
+admissible(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"n", "nums", "denom", NULL};
+    int n, rc = -1;
+    Ints nums;
+    i64 denom;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&O&:admissible", kwlist,
+                                     read_n, &n, read_ints, &nums, read_int,
+                                     &denom))
+        return NULL;
+    if (nums.len != n) {
+        PyErr_SetString(PyExc_ValueError, "nums must hold n values");
+        return NULL;
+    }
+    if (denom <= 0) {
+        PyErr_SetString(PyExc_ValueError, "denom must be positive");
+        return NULL;
+    }
+    /* a value at either end of int64 may stand for one read_int saturated */
+    int saturated = denom == INT64_MAX;
+    for (int i = 0; i < n; i++)
+        saturated |= nums.v[i] == INT64_MIN || nums.v[i] == INT64_MAX;
+    if (saturated) {
+        admissible_overflow();
+        return NULL;
+    }
+    const int h = n / 2;
+    const u64 nlow = 1ULL << h, nhigh = 1ULL << (n - h);
+    i64 *low = PyMem_Malloc(nlow * sizeof(i64));
+    i64 *high = PyMem_Malloc(nhigh * sizeof(i64));
+    Half *halves = PyMem_Malloc(nlow * sizeof(Half));
+    PyObject *found = PyDict_New();
+    if (low == NULL || high == NULL || halves == NULL || found == NULL) {
+        if (found != NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    if (subset_sum_table(nums.v, h, low) != FM_OK
+        || subset_sum_table(nums.v + h, n - h, high) != FM_OK) {
+        admissible_overflow();
+        goto done;
+    }
+    for (u64 lo = 0; lo < nlow; lo++) {
+        const i64 r = low[lo] % denom;
+        halves[lo] = (Half){r < 0 ? r + denom : r, lo};
+    }
+    qsort(halves, nlow, sizeof(Half), half_order);
+    rc = insert_admissible(found, h, nhigh, low, high, halves, denom);
+done:
+    PyMem_Free(low);
+    PyMem_Free(high);
+    PyMem_Free(halves);
+    if (rc < 0)
+        Py_CLEAR(found);
+    return found;
+}
+
+/*
  * JSON writer.  The output is pure ASCII: strings go through
  * json.encoder.encode_basestring_ascii unless they are printable ASCII
  * without a quote or a backslash, which are copied as they are.  It accepts
@@ -1970,12 +2135,18 @@ write_value(Buf *b, PyObject *value, int depth)
 }
 
 PyDoc_STRVAR(dumps_doc,
-"dumps(payload) -> str\n\n"
+"dumps(payload)\n"
+"--\n\n"
 "The text of json.dumps(payload, indent=2); see pure.dumps.");
 
 static PyObject *
-dumps(PyObject *Py_UNUSED(self), PyObject *payload)
+dumps(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
+    static char *kwlist[] = {"payload", NULL};
+    PyObject *payload;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:dumps", kwlist, &payload))
+        return NULL;
     if (encode_ascii == NULL) {
         PyObject *encoder = PyImport_ImportModule("json.encoder");
         if (encoder == NULL)
@@ -2002,6 +2173,8 @@ static PyMethodDef speedups_methods[] = {
      METH_VARARGS | METH_KEYWORDS, scan_shapes_doc},
     {"scan_partition_batch", (PyCFunction)(void (*)(void))scan_partition_batch,
      METH_VARARGS | METH_KEYWORDS, scan_batch_doc},
+    {"admissible", (PyCFunction)(void (*)(void))admissible,
+     METH_VARARGS | METH_KEYWORDS, admissible_doc},
     {"alpha_shapes", (PyCFunction)(void (*)(void))alpha_shapes,
      METH_VARARGS | METH_KEYWORDS, alpha_shapes_doc},
     {"rate_orders", (PyCFunction)(void (*)(void))rate_orders,
@@ -2012,7 +2185,8 @@ static PyMethodDef speedups_methods[] = {
      METH_VARARGS | METH_KEYWORDS, realise_shapes_doc},
     {"walls", (PyCFunction)(void (*)(void))walls,
      METH_VARARGS | METH_KEYWORDS, walls_doc},
-    {"dumps", dumps, METH_O, dumps_doc},
+    {"dumps", (PyCFunction)(void (*)(void))dumps,
+     METH_VARARGS | METH_KEYWORDS, dumps_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -25,9 +25,11 @@ each candidate whose rotation bound B - 2 max |q| lies below the margin
 (see _speedups.c), and this full walk is what that bound is checked
 against.  Likewise it enumerates every shape in settle mode, where the
 compiled twin skips the subtrees whose totals are all settled and takes the
-stats from the closed form.  alpha_shapes lists the partitions into the
-admissible blocks at one weight vector through the same shape walk,
-_walk_shapes, with the listed blocks in place of every submask, and
+stats from the closed form.  admissible finds the blocks that can occur
+at one weight vector, with their degrees, by a meet-in-the-middle
+subset-sum search; alpha_shapes lists the partitions into those blocks
+through the same shape walk, _walk_shapes, with the listed blocks in place
+of every submask, and
 rate_orders rates every ordering of each partition of a list of them in one
 call, from _pairing, P with its row sums.  dumps writes the CLI's JSON
 payloads.  Twin of the compiled kernel in _speedups.c, with the same
@@ -42,8 +44,8 @@ itertools.product.  walls lists the nonempty walls of one W(n, s) through
 the same wall_meets, the one closed form of a wall in this twin.
 weightspace builds its general rational systems on the same _insert_row
 and _solve_strict.  Here the integers grow as they must; the compiled twin
-checks every 64-bit operation and hands a call that overflows back to this
-one.
+checks every 64-bit operation of the realisation and of admissible and
+hands a call that overflows back to this one.
 
 Every entry reads each argument through one reader per kind, twins of the
 compiled ones: _read_n, _read_int, _read_ints, _read_partition, _read_flag
@@ -65,13 +67,14 @@ import itertools
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import index, mul
-from typing import Iterator, Optional
-
-from ..core import MAX_SLOTS
+from typing import Iterator, Optional, Sequence
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 12
+KERNEL_API = 13
+# Both kernels keep per-slot state in fixed arrays of this size, so no
+# enumeration cap may exceed it; core re-exports it.
+MAX_SLOTS = 30
 MAX_BLOCKS = 16
 MAX_DEGREE = 1 << 32
 
@@ -352,11 +355,53 @@ def _scan_shape(n, s_filter, semismall, masks, violations, stats) -> None:
                 violations.append((masks, degs, order, rots))
 
 
+def _subset_sum_table(values: Sequence[int]) -> tuple[int, ...]:
+    """sums[mask] = the sum of values over the bits of mask, for every mask."""
+    sums = [0]
+    for x in values:
+        sums += [t + x for t in sums]
+    return tuple(sums)
+
+
+def admissible(n: int, nums, denom: int) -> dict[int, int]:
+    """The admissible blocks at the weight vector nums / denom: every mask
+    of rank >= 2 whose scaled subset sum is divisible by denom, mapped to
+    its degree -(sum // denom), inserted in ascending mask order.
+
+    Meet in the middle (Horowitz and Sahni 1974): with h = n // 2, the
+    subset sums of nums[:h] (low) and of nums[h:] (high) are tabulated, and
+    lo | hi << h is admissible iff low[lo] and high[hi] are opposite modulo
+    denom, so the low halves are bucketed by residue and each high half
+    makes one lookup: 2^(n/2) plus the output, never all 2^n sums.
+
+    Raises as the readers do, or ValueError unless nums holds n values and
+    denom is positive.
+    """
+    n, nums, denom = _read_n(n), _read_ints(nums), _read_int(denom)
+    if len(nums) != n:
+        raise ValueError("nums must hold n values")
+    if denom <= 0:
+        raise ValueError("denom must be positive")
+    h = n // 2
+    low, high = _subset_sum_table(nums[:h]), _subset_sum_table(nums[h:])
+    buckets: dict[int, list[int]] = {}
+    for lo, t in enumerate(low):
+        buckets.setdefault(t % denom, []).append(lo)
+    found: dict[int, int] = {}
+    for hi, t in enumerate(high):
+        for lo in buckets.get(-t % denom, ()):
+            mask = lo | hi << h
+            if mask.bit_count() >= 2:
+                found[mask] = -((low[lo] + t) // denom)
+    return found
+
+
 def alpha_shapes(n: int, masks, min_len: int) -> list[tuple[int, ...]]:
     """The partitions of n slots into the given blocks, as sorted mask tuples.
 
     masks are the admissible blocks at one weight vector, ascending, each of
-    rank >= 2 within the n slots.  They are grouped by lowest slot, keeping
+    rank >= 2 within the n slots: the keys of admissible's dict, which may
+    be passed as it is.  They are grouped by lowest slot, keeping
     their order, and are the block source of the one shape walk,
     _walk_shapes.  With the ascending admissible masks this lists, in the
     same order, the shapes of iter_partition_shapes(n, min_len) whose blocks

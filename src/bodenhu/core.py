@@ -24,6 +24,9 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
+from . import _kernel
+from ._kernel.pure import MAX_SLOTS, _subset_sum_table
+
 __all__ = [
     "Rational",
     "DimensionMismatchError",
@@ -50,12 +53,9 @@ __all__ = [
 Rational = Fraction
 
 # Enumeration routines refuse N beyond this unless the caller raises the cap
-# explicitly (the CLI exposes it via BODENHU_CAP_N).
+# explicitly (the CLI exposes it via BODENHU_CAP_N).  No cap may exceed
+# MAX_SLOTS, the slot count both kernels are built for.
 DEFAULT_CAP = 14
-
-# Both scan kernels keep per-slot state in fixed arrays of this size
-# (_kernel/_speedups.c has the same bound), so no cap may exceed it.
-MAX_SLOTS = 30
 
 
 class DimensionMismatchError(ValueError):
@@ -286,30 +286,20 @@ class WeightVector:
         return low[mask & ((1 << h) - 1)] + high[mask >> h]
 
     @cached_property
-    def integral_masks(self) -> tuple[int, ...]:
-        """The masks whose subset sum is an integer, ascending.
-
-        Meet in the middle (Horowitz and Sahni 1974): lo | hi << h is
-        integral iff low[lo] and high[hi] are opposite modulo D, so the low
-        halves are bucketed by residue and each high half makes one lookup.
+    def admissible(self) -> dict[int, int]:
+        """The admissible blocks at alpha: every mask of rank >= 2 whose
+        subset sum is an integer, ascending, mapped to its degree, minus
+        that sum.  One call of the kernel's admissible; callers only read
+        the dict.  Past the kernel's MAX_SLOTS slots it raises ValueError.
         """
-        h, low, high = self.half_sums
-        buckets: dict[int, list[int]] = {}
-        for lo, t in enumerate(low):
-            buckets.setdefault(t % self.denom, []).append(lo)
-        out: list[int] = []
-        for hi, t in enumerate(high):
-            los = buckets.get(-t % self.denom)
-            if los:
-                out.extend([lo | hi << h for lo in los])
-        return tuple(out)
+        return _kernel.admissible(self.n, self.nums, self.denom)
 
     @cached_property
     def wall_mask(self) -> int:
-        """The smallest integral mask holding slot 1 with rank 2..N-2 (the
-        first wall through alpha), or 0 when alpha is generic."""
-        for mask in self.integral_masks:
-            if mask & 1 and 2 <= mask.bit_count() <= self.n - 2:
+        """The smallest admissible mask holding slot 1 with rank at most
+        N-2 (the first wall through alpha), or 0 when alpha is generic."""
+        for mask in self.admissible:
+            if mask & 1 and mask.bit_count() <= self.n - 2:
                 return mask
         return 0
 
@@ -322,14 +312,6 @@ class WeightVector:
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.entries)
-
-
-def _subset_sum_table(values: Sequence[int]) -> tuple[int, ...]:
-    """sums[mask] = the sum of values over the bits of mask, for every mask."""
-    sums = [0]
-    for x in values:
-        sums += [t + x for t in sums]
-    return tuple(sums)
 
 
 def parse_weight_vector(text: str) -> WeightVector:

@@ -151,22 +151,21 @@ def _alpha_shapes(
     """The shapes of alpha_partitions as mask tuples, and the block degrees.
 
     A block with support B is admissible iff sum_B alpha is an integer; its
-    degree is then forced to -sum_B alpha.  The admissible masks are
-    alpha.integral_masks of rank >= 2, from a meet-in-the-middle subset-sum
-    search, ascending, and the kernel's alpha_shapes lists the partitions
-    into them.  Returns the shapes and a dict from every admissible mask to
-    its degree.  With min_len <= 1 these are exactly the masks the shapes
-    use: the full mask is a shape by itself, and any other admissible mask
-    has an integral complement (alpha sums to s), of rank >= 2 since no
-    single entry, strictly between 0 and 1, is integral, so the two make a
-    shape.  With a larger min_len the dict may also hold masks that no
-    listed shape uses; callers look up only the masks of listed shapes.
+    degree is then forced to -sum_B alpha.  alpha.admissible, one call of
+    the kernel's admissible kept on alpha, maps the admissible masks of
+    rank >= 2, ascending, to their degrees, and the kernel's alpha_shapes
+    lists the partitions into its keys.  Returns the shapes and that dict,
+    which callers only read.  With min_len <= 1 its keys are exactly the
+    masks the shapes use: the full mask is a shape by itself, and any other
+    admissible mask has an integral complement (alpha sums to s), of rank
+    >= 2 since no single entry, strictly between 0 and 1, is integral, so
+    the two make a shape.  With a larger min_len the dict may also hold
+    masks that no listed shape uses; callers look up only the masks of
+    listed shapes.
     """
     check_cap(alpha.n, cap)
-    masks = [mask for mask in alpha.integral_masks if mask.bit_count() >= 2]
-    shapes = _kernel.alpha_shapes(alpha.n, masks, min_len)
-    degree = {mask: -(alpha.scaled_sum(mask) // alpha.denom) for mask in masks}
-    return shapes, degree
+    degree = alpha.admissible
+    return _kernel.alpha_shapes(alpha.n, degree, min_len), degree
 
 
 def alpha_partitions(

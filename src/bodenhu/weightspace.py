@@ -32,11 +32,16 @@ from .core import (
     ModuliContext,
     MultiplicityVector,
     WeightVector,
-    _subset_sum_table,
     check_cap,
 )
 from . import _kernel
-from ._kernel.pure import _Infeasible, _insert_row, _solve_strict, wall_meets
+from ._kernel.pure import (
+    _Infeasible,
+    _insert_row,
+    _solve_strict,
+    _subset_sum_table,
+    wall_meets,
+)
 
 __all__ = [
     "Wall",
@@ -331,14 +336,15 @@ def is_generic(alpha: WeightVector) -> tuple[bool, Optional[Wall]]:
     """Whether alpha avoids every wall; on failure, the first violated wall.
 
     The first wall is the smallest canonical support (slot 1 included) of
-    rank 2..N-2 with an integral subset sum: alpha.wall_mask, taken from the
-    ascending meet-in-the-middle list of integral masks and kept on alpha.
-    The offending wall is nonempty because alpha itself lies on it.
+    rank 2..N-2 with an integral subset sum: alpha.wall_mask, the first
+    such key of alpha.admissible, the kernel's ascending dict of admissible
+    blocks kept on alpha, which also gives its degree.  The offending wall
+    is nonempty because alpha itself lies on it.
     """
     mask = alpha.wall_mask
     if not mask:
         return True, None
-    degree = -(alpha.scaled_sum(mask) // alpha.denom)
+    degree = alpha.admissible[mask]
     return False, Wall(MultiplicityVector.from_mask(alpha.n, degree, mask))
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 
 import pytest
 
-from bodenhu import MultiplicityVector, Partition, WeightVector
+from bodenhu import MultiplicityVector, Partition, WeightVector, subset_sums
 from bodenhu import _kernel, cli, smallness
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -121,22 +121,28 @@ def admissible_shapes(
 def seeded_blocks() -> tuple[tuple[int, tuple[int, ...], dict[int, int]], ...]:
     """(N, masks, degree) for one alpha of each kind and each N = 4..14.
 
-    masks are the blocks of rank >= 2 whose alpha sum is an integer,
-    ascending, and degree maps each to minus that sum.
+    degree is alpha.admissible: it maps the blocks of rank >= 2 whose alpha
+    sum is an integer to minus that sum, and masks are its keys, ascending.
     """
     rng = random.Random(1412)
     out = []
     for n in range(4, 15):
         for kind in KINDS:
-            alpha = weight_vector(rng, n, denominator(n, kind))
-            masks = tuple(
-                mask for mask in alpha.integral_masks if mask.bit_count() >= 2
-            )
-            degree = {
-                mask: -(alpha.scaled_sum(mask) // alpha.denom) for mask in masks
-            }
-            out.append((n, masks, degree))
+            degree = weight_vector(rng, n, denominator(n, kind)).admissible
+            out.append((n, tuple(degree), degree))
     return tuple(out)
+
+
+def ref_admissible(alpha: WeightVector) -> dict[int, int]:
+    """The admissible blocks of alpha from the full table of subset_sums:
+    each mask of rank >= 2 whose sum is an integer, ascending, mapped to
+    minus that sum."""
+    denom, sums = subset_sums(alpha.entries)
+    return {
+        mask: -(sums[mask] // denom)
+        for mask in range(1 << alpha.n)
+        if mask.bit_count() >= 2 and sums[mask] % denom == 0
+    }
 
 
 def assert_public_rebuild(obj) -> None:
@@ -326,11 +332,12 @@ def alarm(after):
         signal.signal(signal.SIGALRM, previous)
 
 
-def assert_interrupted(call, after=0.2):
-    """call() must end by an alarm() `after` seconds in, within 2 s: the
-    kernel's signal checks let Ctrl-C end a long call.  Collections are off
-    for the call, since a gc callback (hypothesis installs one) could take
-    the signal and swallow the handler's exception."""
+def assert_interrupted(call, after=0.2, within=2.0):
+    """call() must end by an alarm() `after` seconds in, within `within`
+    seconds: the kernel's signal checks let Ctrl-C end a long call.
+    Collections are off for the call, since a gc callback (hypothesis
+    installs one) could take the signal and swallow the handler's
+    exception."""
     collecting = gc.isenabled()
     start = time.monotonic()
     try:
@@ -340,7 +347,7 @@ def assert_interrupted(call, after=0.2):
     finally:
         if collecting:
             gc.enable()
-    assert time.monotonic() - start < 2.0
+    assert time.monotonic() - start < within
 
 
 @pytest.fixture

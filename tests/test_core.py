@@ -251,7 +251,7 @@ class TestScaledForm:
         filled = WeightVector(alpha94.entries)
         is_near(filled, find_generic_near(filled))
         alpha_partitions(filled)
-        for name in ("half_sums", "integral_masks", "wall_mask", "residue_order"):
+        for name in ("half_sums", "admissible", "wall_mask", "residue_order"):
             assert name in vars(filled) and name not in vars(alpha94)
         for copy in (filled, pickle.loads(pickle.dumps(filled)),
                      pickle.loads(pickle.dumps(alpha94))):

@@ -1,8 +1,8 @@
 """Integer fast paths against slow, independent Fraction references.
 
-The weight-space primitives run on integers over one common denominator, the
-integral subsets come from a meet-in-the-middle search, and the rotation
-values from a pairing matrix of support-mask popcounts.  The references
+The weight-space primitives run on integers over one common denominator,
+the admissible blocks come from the kernel's meet-in-the-middle search, and
+the rotation values from a pairing matrix of support-mask popcounts.  The references
 below are the direct definitions: Fraction subset sums with a denominator
 test, a 2^N scan, a floor per support, core.delta per pair and delta_seq of
 every rotation.  Every return must match exactly, including the first wall
@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from math import floor, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bodenhu import (
@@ -47,6 +48,7 @@ from conftest import (
     PURE_RUN_UNNAMED,
     admissible_shapes,
     denominator,
+    ref_admissible,
     seeded_blocks,
     weight_vector,
 )
@@ -189,7 +191,12 @@ class TestWeightSpaceOracles:
     @given(alphas(min_n=2, max_n=12))
     @settings(max_examples=120, deadline=None)
     def test_integral_masks(self, alpha):
-        assert list(alpha.integral_masks) == ref_integral_masks(alpha)
+        # the admissible blocks are the integral masks but the empty one
+        # (no single entry is integral), each with its degree, in order
+        assert [0, *alpha.admissible] == ref_integral_masks(alpha)
+        assert list(alpha.admissible.items()) == list(
+            ref_admissible(alpha).items()
+        )
 
     def test_pure_alpha_shapes(self):
         # the pure kernel's recursion over the admissible blocks against the
@@ -440,15 +447,33 @@ class TestLargeDenominators:
             assert is_near(beta, alpha) == ref_is_near(beta, alpha)
             assert alpha_partitions(beta) == ref_alpha_partitions(beta, 1)
 
-    def test_integral_masks_match_references(self):
+    def big_points(self):
         big = [
             beta
             for _, beta in self.points()
             if _common_denominator(beta) > 2**64
         ]
         assert len(big) == 18
-        for beta in big:
-            assert list(beta.integral_masks) == ref_integral_masks(beta)
+        return big
+
+    def test_integral_masks_match_references(self):
+        for beta in self.big_points():
+            assert [0, *beta.admissible] == ref_integral_masks(beta)
+            assert list(beta.admissible.items()) == list(
+                ref_admissible(beta).items()
+            )
+
+    def test_compiled_admissible_reruns_on_pure(self, compiled_kernel):
+        # past 64 bits the compiled admissible refuses, and the binding
+        # hands the call to pure.py
+        bound = _kernel.entries(compiled_kernel)["admissible"]
+        for beta in self.big_points():
+            args = (beta.n, beta.nums, beta.denom)
+            with pytest.raises(OverflowError):
+                compiled_kernel.admissible(*args)
+            assert list(bound(*args).items()) == list(
+                pure.admissible(*args).items()
+            )
 
 
 @st.composite

@@ -7,6 +7,7 @@ code under test.
 """
 
 import hashlib
+import inspect
 import itertools
 import math
 import operator
@@ -28,11 +29,15 @@ from bodenhu._kernel import KERNEL_KIND, pure
 from bodenhu.core import DEFAULT_CAP
 from bodenhu.smallness import MODES, violates_margin
 from conftest import (
+    KINDS,
     alarm,
     assert_interrupted,
     assert_no_growth,
     build_log,
+    denominator,
+    ref_admissible,
     seeded_blocks,
+    weight_vector,
 )
 
 
@@ -91,6 +96,21 @@ def stub_build(compiled, api=pure.KERNEL_API, names=_kernel.ENTRY_POINTS):
     return stub
 
 
+# Arguments every entry accepts, by name: a call of each on either twin
+# returns a value.
+VALID_ARGUMENTS = {
+    "scan_shapes": (6, 0, False, 3, None),
+    "scan_partition_batch": (4, 0, False, 1, [(0b0011, 0b1100)]),
+    "admissible": (4, [1, 2, 3, 6], 4),
+    "alpha_shapes": (4, [0b0011, 0b1100, 0b1111], 1),
+    "rate_orders": (4, [[0b0011, 0b1100]], {0b0011: -1, 0b1100: -1}, False),
+    "realise": (4, [0b1001, 0b0110], [-1, -1]),
+    "realise_shapes": (6, 3, 1),
+    "walls": (6, 3),
+    "dumps": ({"n": [1, 2], "s": None},),
+}
+
+
 class TestKernelSelection:
     def test_kind_is_reported(self):
         assert KERNEL_KIND in ("pure", "compiled")
@@ -110,17 +130,17 @@ class TestKernelSelection:
 
     def test_refusal_names_the_reason(self, compiled_kernel):
         # stubs for the ways an in-place build can be refused: none at all,
-        # one from before scan_shapes took a settle callable (API 11), one
-        # with the current number but without the realisation entries, and
-        # one without walls
+        # one from before admissible was added (API 12), one with the
+        # current number but without the realisation entries, and one
+        # without walls
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
-        older = stub_build(compiled_kernel, api=11)
-        assert _kernel.refusal(older) == "API mismatch: extension 11, pure.py 12"
+        older = stub_build(compiled_kernel, api=12)
+        assert _kernel.refusal(older) == "API mismatch: extension 12, pure.py 13"
         assert _kernel.select(older) == (pure, "pure")
         without = stub_build(compiled_kernel, names=[
-            "scan_shapes", "scan_partition_batch", "alpha_shapes",
-            "rate_orders", "walls", "dumps",
+            "scan_shapes", "scan_partition_batch", "admissible",
+            "alpha_shapes", "rate_orders", "walls", "dumps",
         ])
         assert _kernel.refusal(without) == (
             "missing entries: realise, realise_shapes"
@@ -134,9 +154,9 @@ class TestKernelSelection:
 
     def test_entries_guard_only_the_compiled_realisation(self, compiled_kernel):
         # the binding of a twin: each entry is the twin's own object, but
-        # the compiled realise and realise_shapes, which re-run on pure
-        # when the compiled call raises OverflowError
-        guarded = ("realise", "realise_shapes")
+        # the compiled admissible, realise and realise_shapes, which re-run
+        # on pure when the compiled call raises OverflowError
+        guarded = ("admissible", "realise", "realise_shapes")
         assert _kernel.entries(pure) == {
             name: getattr(pure, name) for name in _kernel.ENTRY_POINTS
         }
@@ -146,9 +166,11 @@ class TestKernelSelection:
             assert (entry is getattr(compiled_kernel, name)) == (
                 name not in guarded
             )
-        with pytest.raises(OverflowError):
-            compiled_kernel.realise(*OVERFLOWING)
-        assert bound["realise"](*OVERFLOWING) == pure.realise(*OVERFLOWING)
+        for name, args in (("realise", OVERFLOWING),
+                           ("admissible", ADMISSIBLE_OVERFLOWING)):
+            with pytest.raises(OverflowError):
+                getattr(compiled_kernel, name)(*args)
+            assert bound[name](*args) == getattr(pure, name)(*args)
 
         def overflowing(*args):
             raise OverflowError("stub")
@@ -161,6 +183,18 @@ class TestKernelSelection:
             4, [0b1001, 0b0110], [-1, -1]
         )
         assert bound["realise_shapes"](7, 3, 1) == pure.realise_shapes(7, 3, 1)
+        assert bound["admissible"](4, [1, 2, 3, 6], 4) == pure.admissible(
+            4, [1, 2, 3, 6], 4
+        )
+
+    @pytest.mark.parametrize("name", _kernel.ENTRY_POINTS)
+    def test_entries_take_keywords(self, twin, name):
+        # every entry, as the package calls it, takes its arguments by
+        # pure.py's parameter names too, through on_overflow_pure as well
+        args = VALID_ARGUMENTS[name]
+        params = inspect.signature(getattr(pure, name)).parameters
+        entry = getattr(_kernel, name)
+        assert entry(**dict(zip(params, args))) == entry(*args)
 
     def test_fallback_is_recorded(self):
         assert _kernel.KERNEL_FALLBACK == _kernel.refusal(_kernel._speedups)
@@ -392,6 +426,109 @@ def twins_agree(compiled, name, *args):
     )
 
 
+@lru_cache(maxsize=None)
+def admissible_alphas():
+    """Four seeded weight vectors of each kind for each N = 2..14."""
+    rng = random.Random(3141)
+    return tuple(
+        weight_vector(rng, n, denominator(n, kind))
+        for n in range(2, 15)
+        for kind in KINDS
+        for _ in range(4)
+    )
+
+
+# (n, nums, denom): no slot, one slot, two slots with and without an
+# integral sum, and entries of either sign, which give degrees of either
+# sign; then arguments both twins must reject: nums shorter or longer than
+# n, a denominator of 0 or below, n outside 0..30, and a float entry or
+# denominator.
+ADMISSIBLE_VALUES = [
+    ((0, [], 1), {}),
+    ((1, [1], 2), {}),
+    ((2, [1, 1], 2), {0b11: -1}),
+    ((2, [1, 2], 2), {}),
+    ((3, [-3, 0, 3], 3), {0b011: 1, 0b101: 0, 0b110: -1, 0b111: 0}),
+]
+ADMISSIBLE_EDGE_CASES = [(args, None) for args, _ in ADMISSIBLE_VALUES] + [
+    (args, refusal_type(args))
+    for args in [
+        (3, [1, 2], 3),
+        (3, [1, 2, 3, 4], 3),
+        (3, [1, 2, 3], 0),
+        (3, [1, 2, 3], -6),
+        (31, [1] * 31, 2),
+        (-1, [], 1),
+        (2, [1, 1.0], 2),
+        (2, [1, 1], 2.0),
+    ]
+]
+
+# Scaled entries whose sums pass 2^63 only for the masks holding slots 2
+# and 4, after five smaller masks are in the dict: the compiled twin raises
+# OverflowError where pure's ints decide.
+ADMISSIBLE_OVERFLOWING = (4, [1, 1 << 62, 1, 1 << 62], 1)
+
+
+class TestAdmissible:
+    def test_bit_for_bit(self, compiled_kernel):
+        for alpha in admissible_alphas():
+            args = (alpha.n, alpha.nums, alpha.denom)
+            assert list(compiled_kernel.admissible(*args).items()) == list(
+                pure.admissible(*args).items()
+            ), args
+
+    def test_matches_the_subset_sums(self, twin):
+        # every mask of rank >= 2 with an integral sum, ascending, with its
+        # degree, as the full table of subset_sums gives them
+        for alpha in admissible_alphas():
+            found = twin.admissible(alpha.n, alpha.nums, alpha.denom)
+            assert list(found.items()) == list(ref_admissible(alpha).items())
+
+    @pytest.mark.parametrize("args, raised", ADMISSIBLE_EDGE_CASES)
+    def test_edge_inputs(self, compiled_kernel, args, raised):
+        outcome = twins_agree(compiled_kernel, "admissible", *args)
+        if raised is None:
+            assert outcome[0] == "value"
+        else:
+            assert outcome == ("raised", raised)
+
+    def test_edge_values(self, twin):
+        for args, expected in ADMISSIBLE_VALUES:
+            assert list(twin.admissible(*args).items()) == list(
+                expected.items()
+            ), args
+        with pytest.raises(ValueError, match="^nums must hold n values$"):
+            twin.admissible(3, [1, 2], 3)
+        with pytest.raises(ValueError, match="^denom must be positive$"):
+            twin.admissible(3, [1, 2, 3], 0)
+
+    def test_no_reference_leak(self, compiled_kernel):
+        alpha = admissible_alphas()[-12]  # dense N = 14
+
+        def one_round():
+            assert compiled_kernel.admissible(alpha.n, alpha.nums, alpha.denom)
+            for args, error in (
+                ((3, [1, 2], 3), ValueError),
+                ((2, [1 << 70, 1], 2), OverflowError),
+                (ADMISSIBLE_OVERFLOWING, OverflowError),
+            ):
+                with suppress(error):
+                    compiled_kernel.admissible(*args)
+
+        assert_no_growth(one_round)
+
+    def test_interruptible(self, compiled_kernel):
+        # the search is as long as its output: denominator 1 makes all 2^22
+        # masks of rank >= 2 admissible, about half a second of work, and
+        # the search checks for signals once per high half, so the alarm
+        # must end it long before
+        assert_interrupted(
+            lambda: compiled_kernel.admissible(22, [0] * 22, 1),
+            after=0.02, within=0.3,
+        )
+
+
 # (n, masks, min_len): no admissible block, slots 3 and 4 covered by no
 # block, min_len pruning, too few slots, and masks each twin must reject,
 # among them a float.
@@ -486,6 +623,7 @@ N_ENTRIES = [
     ("realise", ([0b11], [-1])),
     ("realise_shapes", (1, 1)),
     ("walls", (1,)),
+    ("admissible", ([1, 3], 2)),
 ]
 SLOT_COUNTS = [2, -1, 31, 1 << 70, -(1 << 70), 1.5]
 
@@ -518,6 +656,7 @@ INTEGER_ARGUMENTS = [
     ("scan_shapes", (6, 0, False, 3), [(1,), (3,)]),
     ("scan_partition_batch", (4, 0, False, 1, [(0b0011, 0b1100)]),
      [(1,), (3,), (4, 0, 0), (4, 0, 1)]),
+    ("admissible", (4, [1, 2, 3, 6], 4), [(1, 0), (1, 3), (2,)]),
     ("alpha_shapes", (4, [0b0011, 0b1100], 1), [(1, 0), (1, 1), (2,)]),
     ("rate_orders", (4, [[0b0011, 0b1100]], {0b0011: -1, 0b1100: -1}, False),
      {"1,0": (1, 0, 0), "1,1": (1, 0, 1), "2,0": (2, 0b0011),
@@ -573,11 +712,14 @@ class TestIntegerArguments:
             try:
                 return getattr(compiled_kernel, name)(*args)
             except OverflowError:
-                # the one reading on_overflow_pure re-runs: a degree of
-                # realise past int64
-                assert (name, path[0]) == ("realise", 2)
+                # the readings on_overflow_pure re-runs: a degree of
+                # realise, and a scaled entry or the denominator of
+                # admissible, past int64
+                assert (name, path[0]) in (
+                    ("realise", 2), ("admissible", 1), ("admissible", 2)
+                )
                 assert not -(1 << 63) <= value < 1 << 63
-                return pure.realise(*args)
+                return getattr(pure, name)(*args)
 
         outcome = same_outcome(compiled, lambda: getattr(pure, name)(*args))
         if isinstance(value, float):
@@ -1077,7 +1219,7 @@ class TestDumps:
         assert _kernel.select(without) == (pure, "pure")
         older = stub_build(compiled_kernel, api=2)
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 12
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 13
 
 
 @lru_cache(maxsize=None)

@@ -18,8 +18,10 @@ CANARY = ("#include <limits.h>\nint main(int argc, char **argv) "
 
 # The subset, run on the build given as argv[1]: scan_shapes for N <= 9 in
 # both modes, without settle and with the scan's own, then rate_orders,
-# alpha_shapes, realise_shapes, walls and dumps at small N, and the edge
-# inputs of test_kernel.py; every value or exception type must be pure's.
+# alpha_shapes, realise_shapes, walls and dumps at small N, admissible on
+# its seeded points (N <= 14) and past int64, and the edge inputs of
+# test_kernel.py; every value or exception type must be pure's, and an
+# admissible past int64 must re-run on pure.
 CHILD = """
 import sys
 from functools import partial
@@ -27,8 +29,9 @@ from bodenhu import _kernel, smallness
 from bodenhu._kernel import pure
 from bodenhu.core import DEFAULT_CAP
 from conftest import load_kernel, seeded_blocks
-from test_kernel import (RATE_EDGE_CASES, REALISE_EDGE_CASES, SHAPE_EDGE_CASES,
-                         WALL_EDGE_CASES, twins_agree)
+from test_kernel import (ADMISSIBLE_EDGE_CASES, ADMISSIBLE_OVERFLOWING,
+                         RATE_EDGE_CASES, REALISE_EDGE_CASES, SHAPE_EDGE_CASES,
+                         WALL_EDGE_CASES, admissible_alphas, twins_agree)
 
 ubsan = load_kernel(sys.argv[1])
 for name, entry in _kernel.entries(ubsan).items():
@@ -46,6 +49,10 @@ for n, masks, degree in seeded_blocks():
         for semismall in (False, True):
             same("rate_orders", n, shapes, degree, semismall)
         same("dumps", pure.rate_orders(n, shapes, degree, False))
+for alpha in admissible_alphas():
+    same("admissible", alpha.n, alpha.nums, alpha.denom)
+for args in (ADMISSIBLE_OVERFLOWING, (2, [1 << 62, 1 << 62], 1)):
+    assert _kernel.admissible(*args) == pure.admissible(*args)
 for n in range(9):
     for s in range(-1, n + 2):
         same("realise_shapes", n, s, 1)
@@ -55,6 +62,8 @@ for n in range(2, 11):
 same("dumps", [0, -1, 2**63 - 1, -2**63, 2**64, 1.5, "a\\u00e9\\n", None])
 for args, _ in RATE_EDGE_CASES:
     same("rate_orders", *args, False)
+for args, _ in ADMISSIBLE_EDGE_CASES:
+    same("admissible", *args)
 for name, rows in [("realise", REALISE_EDGE_CASES), ("walls", WALL_EDGE_CASES),
                    ("alpha_shapes", SHAPE_EDGE_CASES)]:
     for args in rows:

@@ -167,7 +167,9 @@ def test_weight_space_caches_only_subset_sums():
 
 
 def test_only_subset_sums_builds_the_full_table():
-    """check and fiber decide from the two half tables of WeightVector.half_sums.
+    """check and fiber decide from half tables: the kernel's admissible
+    tabulates the two halves of each weight vector, and is_near bisects
+    those of WeightVector.half_sums.
 
     subset_sums builds all 2^N subset sums and stays public with its cache;
     nothing in the package may call or otherwise refer to it.
@@ -213,13 +215,13 @@ KERNEL_FORMULAS = {"_pair_delta", "_cross_terms", "_place_degrees", "_pairing",
                    "_rotations", "_scan_shape", "rate_orders", "alpha_shapes",
                    "_rated_orders", "iter_partition_shapes", "_walk_shapes",
                    "_solve_strict", "_insert_row", "wall_meets", "realise",
-                   "realise_shapes"}
+                   "realise_shapes", "_subset_sum_table"}
 
 
 def test_single_alpha_formulas_live_in_the_pure_kernel():
     """The pairing and rotation formulas, the per-shape scan, the shape
-    recursions and the Fourier-Motzkin realisation are defined once, in
-    _kernel/pure.py, as the twin of _speedups.c."""
+    recursions, the subset-sum table and the Fourier-Motzkin realisation
+    are defined once, in _kernel/pure.py, as the twin of _speedups.c."""
     outside = [
         (path.relative_to(PACKAGE).as_posix(), tree)
         for path, tree in parsed_modules()
@@ -417,14 +419,14 @@ def test_pure_entries_read_arguments_through_readers():
 
 
 def test_compiled_entries_parse_no_integer_unit():
-    """Each compiled entry parses its arguments in one call whose format
-    holds no integer unit: integers go through the readers' O& converters,
-    which read them as pure.py does."""
+    """Each compiled entry, dumps too, parses its arguments in one call,
+    by position or keyword, whose format holds no integer unit: integers go
+    through the readers' O& converters, which read them as pure.py does."""
     formats = re.findall(
         r'PyArg_ParseTupleAndKeywords\(\s*args,\s*kwds,\s*"([^"]*)"',
         SPEEDUPS.read_text(),
     )
-    assert len(formats) == len(PURE_ENTRIES)
+    assert len(formats) == len(_kernel.ENTRY_POINTS)
     assert [f for f in formats if set(f.split(":")[0]) & set("bBhHiIlkLKn")] == []
 
 
