@@ -8,7 +8,9 @@ to their degrees, alpha_shapes, the partitions into those blocks, and
 rate_orders, the rated cyclic orderings of each partition of a listing,
 with the first violating one), the same realisation entry points
 (realise, a witness point for one candidate partition, and realise_shapes,
-every realisable candidate of one (n, s) with its witness), the same wall
+every realisable candidate of one (n, s) with its witness, as rows of
+indices into the call's distinct blocks and reduced witness entries), the
+same wall
 listing (walls, the nonempty walls of one W(n, s) as (mask, d_check)
 pairs, each decided by the closed form wall_meets) and the same JSON
 writer (dumps, the text of json.dumps(payload, indent=2) for the CLI's

@@ -6,9 +6,9 @@
  * Twin of pure.py: the same entry points with the same arguments and the
  * same results, bit for bit.  The two scan entry points return the same
  * (violations, stats) in the same order; admissible returns the same dict
- * in the same order; alpha_shapes, rate_orders, realise_shapes and walls
- * return the same lists; realise returns the same witness; dumps returns
- * the same text.
+ * in the same order; alpha_shapes, rate_orders and walls return the same
+ * lists; realise_shapes returns the same tables and rows; realise returns
+ * the same witness; dumps returns the same text.
  *
  *   scan_shapes          enumerates the set partitions itself, in the
  *                        canonical order of partitions.iter_partition_shapes
@@ -119,7 +119,10 @@
  *   realise_shapes       realises every candidate of one (n, s): the shapes
  *                        of the shape walk, the degrees as an odometer with
  *                        the rightmost digit fastest (itertools.product
- *                        order).
+ *                        order); returns the distinct blocks and reduced
+ *                        witness entries once each, interned exactly
+ *                        (Intern), and per realisable candidate a row of
+ *                        indices into them.
  *   walls                lists the nonempty walls of one W(n, s) as
  *                        (mask, d_check) pairs through wall_meets, the
  *                        closed form of realise's wall gate.
@@ -141,7 +144,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 13
+#define KERNEL_API 14
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -1673,21 +1676,120 @@ realise(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     return NULL;
 }
 
-/* What realise_shapes shares across its shapes. */
+/*
+ * realise_shapes interns what its candidates share: Intern holds the
+ * distinct (a, b) pairs of int64 it was given, in first-use order, and
+ * finds each by open addressing on the exact pair, so no two pairs share a
+ * key however large they are.  One table holds the blocks (mask, d_check),
+ * one the witness entries as reduced (p, q).
+ */
+typedef struct {
+    i64 *pairs;          /* pair i at pairs[2i], pairs[2i + 1] */
+    Py_ssize_t len, cap; /* pairs held and room for; cap a power of 2 */
+    Py_ssize_t *slots;   /* 2 cap slots: the index of a pair + 1, or 0 */
+} Intern;
+
+static void
+intern_free(Intern *t)
+{
+    PyMem_Free(t->pairs);
+    PyMem_Free(t->slots);
+}
+
+/* The first free slot for (a, b) or the slot holding it, in 2 cap slots. */
+static inline Py_ssize_t *
+intern_slot(const Intern *t, i64 a, i64 b)
+{
+    const u64 mask = 2 * (u64)t->cap - 1;
+    u64 h = ((u64)a * 0x9E3779B97F4A7C15ULL ^ (u64)b) * 0xBF58476D1CE4E5B9ULL;
+    for (h ^= h >> 31;; h++) {
+        Py_ssize_t *slot = &t->slots[h & mask];
+        const Py_ssize_t at = *slot - 1;
+        if (at < 0 || (t->pairs[2 * at] == a && t->pairs[2 * at + 1] == b))
+            return slot;
+    }
+}
+
+/* The index of (a, b) in t, appended when new; -1 when out of memory. */
+static Py_ssize_t
+intern_pair(Intern *t, i64 a, i64 b)
+{
+    if (t->len == t->cap) {
+        const Py_ssize_t cap = t->cap ? 2 * t->cap : 64;
+        i64 *pairs = PyMem_Realloc(t->pairs, 2 * cap * sizeof(i64));
+        Py_ssize_t *slots = PyMem_Calloc(2 * cap, sizeof(Py_ssize_t));
+        if (pairs == NULL || slots == NULL) {
+            PyMem_Free(slots);
+            if (pairs != NULL)
+                t->pairs = pairs;
+            return -1;
+        }
+        PyMem_Free(t->slots);
+        t->pairs = pairs;
+        t->slots = slots;
+        t->cap = cap;
+        for (Py_ssize_t i = 0; i < t->len; i++)
+            *intern_slot(t, pairs[2 * i], pairs[2 * i + 1]) = i + 1;
+    }
+    Py_ssize_t *slot = intern_slot(t, a, b);
+    if (*slot == 0) {
+        t->pairs[2 * t->len] = a;
+        t->pairs[2 * t->len + 1] = b;
+        *slot = ++t->len;
+    }
+    return *slot - 1;
+}
+
+/* What realise_shapes shares across its shapes.  rows holds, for each
+ * realisable candidate, its block count L, its L block indices and its n
+ * entry indices. */
 typedef struct {
     int n;
     i64 s;
     FM fm;
-    PyObject *found;
+    Intern blocks, entries;
+    Py_ssize_t *rows, len, size, nrows;
 } Realisation;
 
-/* Append (masks, degs, nums, den) to found; -1 on error. */
+/* Append index to re->rows; -1 when index is -1 or out of memory. */
 static int
-record_found(PyObject *found, const Shape *sh, const i64 *degs,
-             const i64 *nums, int n, i64 den)
+push_index(Realisation *re, Py_ssize_t index)
 {
-    return append_record(found, masks_tuple(sh), int_seq(degs, sh->L, 0),
-                         int_seq(nums, n, 0), PyLong_FromLongLong(den));
+    if (index < 0)
+        return -1;
+    if (re->len == re->size) {
+        const Py_ssize_t size = re->size ? 2 * re->size : 1024;
+        Py_ssize_t *rows = PyMem_Realloc(re->rows, size * sizeof(Py_ssize_t));
+        if (rows == NULL)
+            return -1;
+        re->rows = rows;
+        re->size = size;
+    }
+    re->rows[re->len++] = index;
+    return 0;
+}
+
+/* Record a realisable candidate: intern its blocks and its witness
+ * entries nums[v] / den, den > 0, each reduced; FM_NOMEM on error. */
+static int
+record_found(Realisation *re, const Shape *sh, const i64 *degs,
+             const i64 *nums, i64 den)
+{
+    if (push_index(re, sh->L) < 0)
+        return FM_NOMEM;
+    for (int i = 0; i < sh->L; i++)
+        if (push_index(re, intern_pair(&re->blocks, (i64)sh->masks[i],
+                                       degs[i])) < 0)
+            return FM_NOMEM;
+    for (int v = 0; v < re->n; v++) {
+        /* 1 <= g <= den, so both quotients are exact and in range */
+        const i64 g = (i64)gcd_u64(abs_u64(nums[v]), (u64)den);
+        if (push_index(re, intern_pair(&re->entries, nums[v] / g, den / g))
+            < 0)
+            return FM_NOMEM;
+    }
+    re->nrows++;
+    return FM_OK;
 }
 
 /* Realise every degree assignment of shape sh that sums to -s, the
@@ -1707,23 +1809,91 @@ realise_shape(void *ctx, Shape *sh)
         return 0; /* no assignment sums to -s */
     do {
         if (s == re->s) {
-            const int rc = realise_blocks(&re->fm, re->n, L, sh->masks, degs,
-                                          nums, &den);
+            int rc = realise_blocks(&re->fm, re->n, L, sh->masks, degs, nums,
+                                    &den);
+            if (rc == FM_OK)
+                rc = record_found(re, sh, degs, nums, den);
             if (rc < 0)
                 return fm_raise(rc);
-            if (rc == FM_OK
-                && record_found(re->found, sh, degs, nums, re->n, den) < 0)
-                return -1;
         }
     } while (next_degrees(L, degs, lo, &s) >= 0);
     return 0;
+}
+
+/* The pairs of t as a new list of 2-tuples; NULL on error. */
+static PyObject *
+pair_list(const Intern *t)
+{
+    PyObject *list = PyList_New(t->len);
+    for (Py_ssize_t i = 0; list != NULL && i < t->len; i++) {
+        PyObject *pair = int_seq(t->pairs + 2 * i, 2, 0);
+        if (pair == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, pair);
+    }
+    return list;
+}
+
+/* A new tuple of the len objects index[at[0..len-1]]; NULL on error. */
+static PyObject *
+index_tuple(PyObject **index, const Py_ssize_t *at, Py_ssize_t len)
+{
+    PyObject *t = PyTuple_New(len);
+    for (Py_ssize_t i = 0; t != NULL && i < len; i++)
+        PyTuple_SET_ITEM(t, i, Py_NewRef(index[at[i]]));
+    return t;
+}
+
+/* (blocks, entries, rows) of a finished realisation, the rows' indices
+ * sharing one int object per value; NULL on error. */
+static PyObject *
+realised(const Realisation *re)
+{
+    const Py_ssize_t most = re->blocks.len > re->entries.len
+                                ? re->blocks.len : re->entries.len;
+    PyObject **index = PyMem_Calloc(most + 1, sizeof(PyObject *));
+    PyObject *blocks = pair_list(&re->blocks);
+    PyObject *entries = pair_list(&re->entries);
+    PyObject *rows = PyList_New(re->nrows), *result = NULL;
+    if (index == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (blocks == NULL || entries == NULL || rows == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < most; i++)
+        if ((index[i] = PyLong_FromSsize_t(i)) == NULL)
+            goto done;
+    const Py_ssize_t *at = re->rows;
+    for (Py_ssize_t r = 0; r < re->nrows; r++) {
+        const Py_ssize_t L = *at++;
+        PyObject *b = index_tuple(index, at, L);
+        PyObject *e = index_tuple(index, at + L, re->n);
+        PyObject *row = (b && e) ? PyTuple_Pack(2, b, e) : NULL;
+        Py_XDECREF(b);
+        Py_XDECREF(e);
+        if (row == NULL)
+            goto done;
+        PyList_SET_ITEM(rows, r, row);
+        at += L + re->n;
+    }
+    result = PyTuple_Pack(3, blocks, entries, rows);
+done:
+    for (Py_ssize_t i = 0; index != NULL && i < most; i++)
+        Py_XDECREF(index[i]);
+    PyMem_Free(index);
+    Py_XDECREF(blocks);
+    Py_XDECREF(entries);
+    Py_XDECREF(rows);
+    return result;
 }
 
 PyDoc_STRVAR(realise_shapes_doc,
 "realise_shapes(n, s, min_len)\n"
 "--\n\n"
 "Every candidate partition of n slots with total degree -s that some\n"
-"point of W(n, s) realises, as (masks, degs, nums, den).\n\n"
+"point of W(n, s) realises, as (blocks, entries, rows).\n\n"
 "Same contract as pure.realise_shapes; see that function's docstring.\n"
 "Raises OverflowError where 64-bit integers do not suffice.");
 
@@ -1733,19 +1903,22 @@ realise_shapes(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     static char *kwlist[] = {"n", "s", "min_len", NULL};
     i64 min_len;
     Realisation re;
+    PyObject *result = NULL;
 
     memset(&re, 0, sizeof(re));
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&O&:realise_shapes",
                                      kwlist, read_n, &re.n, read_int, &re.s,
-                                     read_int, &min_len)
-        || (re.found = PyList_New(0)) == NULL)
+                                     read_int, &min_len))
         return NULL;
     ShapeWalk walk = {.min_len = min_len, .visit = realise_shape, .ctx = &re};
-    if (0 < re.s && re.s < re.n
-        && walk_shapes(&walk, (1ULL << re.n) - 1, 0) < 0)
-        Py_CLEAR(re.found);
+    if (!(0 < re.s && re.s < re.n)
+        || walk_shapes(&walk, (1ULL << re.n) - 1, 0) == 0)
+        result = realised(&re);
     fm_free(&re.fm);
-    return re.found;
+    intern_free(&re.blocks);
+    intern_free(&re.entries);
+    PyMem_Free(re.rows);
+    return result;
 }
 
 /*

@@ -40,7 +40,9 @@ gate wall_meets, a pivot on each block's lowest slot, and the package's one
 Fourier-Motzkin solver, _solve_strict, on the integer chain rows, with the
 witness as integers over one denominator.  realise_shapes runs it over
 every candidate of one (n, s) in the order of iter_partition_shapes and
-itertools.product.  walls lists the nonempty walls of one W(n, s) through
+itertools.product, and hands back the blocks and reduced witness entries
+of the realisable ones once each, with a row of indices per candidate.
+walls lists the nonempty walls of one W(n, s) through
 the same wall_meets, the one closed form of a wall in this twin.
 weightspace builds its general rational systems on the same _insert_row
 and _solve_strict.  Here the integers grow as they must; the compiled twin
@@ -71,7 +73,7 @@ from typing import Iterator, Optional, Sequence
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 13
+KERNEL_API = 14
 # Both kernels keep per-slot state in fixed arrays of this size, so no
 # enumeration cap may exceed it; core re-exports it.
 MAX_SLOTS = 30
@@ -710,30 +712,51 @@ def realise(n: int, masks, degs) -> Optional[tuple[tuple[int, ...], int]]:
     return tuple(nums), den
 
 
-def realise_shapes(n: int, s: int, min_len: int) -> list[tuple]:
+def realise_shapes(n: int, s: int, min_len: int) -> tuple[list, list, list]:
     """Every candidate partition of n slots with total degree -s that some
     point of W(n,s) realises, with its witness.
 
     The candidates are the shapes of iter_partition_shapes(n, min_len), in
     its order, each with its degree assignments d_i in -(r_i - 1)..-1
     summing to -s, in itertools.product order (the rightmost degree
-    fastest).  Returns [(masks, degs, nums, den), ...] over the candidates
-    realise accepts, (nums, den) its witness.
+    fastest).  Returns (blocks, entries, rows): blocks holds the distinct
+    (mask, d_check) of the candidates realise accepts and entries the
+    distinct coordinates of their witnesses (nums, den), each as the
+    reduced (p, q), q > 0, both in first-use order; rows holds one
+    (block indices, entry indices) per accepted candidate, in candidate
+    order, so that candidate's blocks and witness x_v = p / q are the
+    table entries they index.
 
     Raises as the readers do.
     """
     n, s, min_len = _read_n(n), _read_int(s), _read_int(min_len)
-    found: list[tuple] = []
-    if not 0 < s < n:
-        return found
-    for masks in iter_partition_shapes(n, min_len):
-        ranges = [range(1 - mask.bit_count(), 0) for mask in masks]
-        for degs in itertools.product(*ranges):
-            if sum(degs) == -s:
-                witness = realise(n, masks, degs)
+    blocks: dict[tuple[int, int], int] = {}
+    entries: dict[tuple[int, int], int] = {}
+    rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    if 0 < s < n:
+        for masks in iter_partition_shapes(n, min_len):
+            ranges = [range(1 - mask.bit_count(), 0) for mask in masks]
+            for degs in itertools.product(*ranges):
+                witness = realise(n, masks, degs) if sum(degs) == -s else None
                 if witness is not None:
-                    found.append((masks, degs, *witness))
-    return found
+                    nums, den = witness
+                    rows.append((
+                        tuple(
+                            blocks.setdefault(block, len(blocks))
+                            for block in zip(masks, degs)
+                        ),
+                        tuple(
+                            entries.setdefault(_reduced(x, den), len(entries))
+                            for x in nums
+                        ),
+                    ))
+    return list(blocks), list(entries), rows
+
+
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    """p / q in lowest terms, for q > 0."""
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 # json.dumps spells the non-finite floats this way (allow_nan=True).

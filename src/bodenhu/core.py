@@ -103,9 +103,12 @@ def check_cap(n: int, cap: int = DEFAULT_CAP) -> None:
 
 
 # _BYTE_SUPPORTS[k][byte] lists the slots of the set bits of byte when it
-# sits at bits 8k..8k+7; four tables cover MAX_SLOTS.  They are built on
-# first use, so an import that formats no block does not pay for them.
+# sits at bits 8k..8k+7; four tables cover MAX_SLOTS.  _BYTE_MULTS[byte] is
+# the 0/1 multiplicities of byte's eight slots, lowest bit first.  They are
+# built on first use, so an import that builds or formats no block does not
+# pay for them.
 _BYTE_SUPPORTS: list[tuple[tuple[int, ...], ...]] = []
+_BYTE_MULTS: list[tuple[int, ...]] = []
 
 
 def mask_support(mask: int) -> list[int]:
@@ -135,6 +138,19 @@ def mask_support(mask: int) -> list[int]:
         support.append(32 + low.bit_length())
         mask ^= low
     return support
+
+
+def _mask_mults(n: int, mask: int) -> tuple[int, ...]:
+    """The 0/1 multiplicities of the n slots of mask, slot i on bit i - 1:
+    a byte at a time from _BYTE_MULTS, cut to n slots."""
+    if not _BYTE_MULTS:
+        _BYTE_MULTS.extend(
+            tuple(byte >> i & 1 for i in range(8)) for byte in range(256)
+        )
+    mults: tuple[int, ...] = ()
+    for shift in range(0, n, 8):
+        mults += _BYTE_MULTS[mask >> shift & 0xFF]
+    return mults[:n]
 
 
 @dataclass(frozen=True)
@@ -182,7 +198,7 @@ class MultiplicityVector:
         """Build the 0/1 vector over n slots whose support_mask is mask."""
         if mask >> n:
             raise ValueError(f"support mask {mask:#x} has bits beyond slot {n}")
-        m = cls(d_check, tuple(mask >> i & 1 for i in range(n)))
+        m = cls(d_check, _mask_mults(n, mask))
         m.__dict__["support_mask"] = mask
         return m
 
@@ -197,7 +213,7 @@ class MultiplicityVector:
         self = object.__new__(cls)
         self.__dict__.update(
             d_check=d_check,
-            mults=tuple(mask >> i & 1 for i in range(n)),
+            mults=_mask_mults(n, mask),
             r=mask.bit_count(),
             support_mask=mask,
         )

@@ -14,7 +14,6 @@ kernel holds the shape stream, re-exported here as iter_partition_shapes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,20 +200,24 @@ def feasible_partitions(
     (lexicographic, total -s), the exact feasibility solver either certifies a
     weight vector realising the partition (yielded as the witness) or rules
     the candidate out.  Exhaustive and deterministic: one call of the
-    kernel's realise_shapes decides every candidate.  Within one call each
-    distinct (degree, mask) gets one block and each distinct witness entry
-    one Fraction, shared by every partition that uses it.
+    kernel's realise_shapes decides every candidate and hands back its
+    distinct blocks and witness entries once each, so each distinct
+    (degree, mask) gets one block and each distinct witness value one
+    Fraction, shared by every partition of the call that uses it.
     """
     check_cap(ctx.n, cap)
     n = ctx.n
-    block = functools.cache(
-        functools.partial(MultiplicityVector._from_mask_unchecked, n)
-    )
-    fraction = functools.cache(Fraction)
-    for masks, degs, nums, den in _kernel.realise_shapes(n, ctx.s, min_len):
-        blocks = tuple(map(block, degs, masks))
-        witness = tuple(map(fraction, nums, itertools.repeat(den)))
-        yield Partition._unchecked(blocks), witness
+    blocks, entries, rows = _kernel.realise_shapes(n, ctx.s, min_len)
+    block = [
+        MultiplicityVector._from_mask_unchecked(n, d, mask)
+        for mask, d in blocks
+    ]
+    value = [Fraction(p, q) for p, q in entries]
+    for block_ix, entry_ix in rows:
+        yield (
+            Partition._unchecked(tuple(map(block.__getitem__, block_ix))),
+            tuple(map(value.__getitem__, entry_ix)),
+        )
 
 
 def is_alpha_stable_seq(seq: OrderedPartition, alpha: WeightVector) -> bool:

@@ -7,6 +7,7 @@ import contextlib
 import gc
 import importlib.machinery
 import importlib.util
+import itertools
 import os
 import pathlib
 import random
@@ -23,7 +24,13 @@ from functools import lru_cache, partial
 
 import pytest
 
-from bodenhu import MultiplicityVector, Partition, WeightVector, subset_sums
+from bodenhu import (
+    MultiplicityVector,
+    Partition,
+    WeightVector,
+    iter_partition_shapes,
+    subset_sums,
+)
 from bodenhu import _kernel, cli, smallness
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -115,6 +122,19 @@ def admissible_shapes(
         for shape in sorted(shapes)
         if len(shape) >= min_len
     ]
+
+
+def realisable_candidates(realise, n, s):
+    """(masks, degs, nums, den) of each candidate of one (n, s) that realise
+    accepts, realise deciding them one at a time: the shapes of
+    iter_partition_shapes(n, 1), each with its degree assignments of total
+    -s in itertools.product order, with the witness realise gives."""
+    for masks in iter_partition_shapes(n, 1):
+        ranges = [range(1 - mask.bit_count(), 0) for mask in masks]
+        for degs in itertools.product(*ranges):
+            found = realise(n, masks, degs) if sum(degs) == -s else None
+            if found is not None:
+                yield (masks, degs, *found)
 
 
 @lru_cache(maxsize=None)
@@ -281,6 +301,12 @@ PURE_RUN_UNNAMED = pytest.mark.parametrize(
     "twin",
     [pytest.param("pure", id=pytest.HIDDEN_PARAM), "compiled"],
     indirect=True,
+)
+
+
+# For the tests that run on the compiled twin alone, under their plain ids.
+COMPILED_RUN_UNNAMED = pytest.mark.parametrize(
+    "twin", [pytest.param("compiled", id=pytest.HIDDEN_PARAM)], indirect=True
 )
 
 

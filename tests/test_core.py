@@ -1,7 +1,10 @@
 """Frozen values and algebraic properties of the degree and pairing formulas."""
 
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +30,7 @@ from bodenhu import (
     parse_weight_vector,
 )
 from bodenhu.core import mask_support
-from conftest import alarm
+from conftest import REPO_ROOT, alarm
 
 
 @st.composite
@@ -229,6 +232,37 @@ class TestValidation:
             mask = rng.getrandbits(rng.randint(1, 64))
             assert mask_support(mask) == bit_loop(mask)
         assert mask_support(1 << 63 | 1) == [1, 64]
+
+    def test_mask_mults(self):
+        # the byte table against the per-bit definition it replaced, for
+        # every slot count the kernels take, on masks with bits in every
+        # byte, bit 29 among them; an import that builds no block leaves
+        # the table unbuilt
+        def per_bit(n, mask):
+            return tuple(mask >> i & 1 for i in range(n))
+
+        rng = random.Random(30)
+        for n in range(1, 31):
+            full = (1 << n) - 1
+            masks = {full, 1, 1 << n - 1, *(
+                pattern & full
+                for pattern in (0x15555555, 0x2AAAAAAA, 0x01010101, 0x20808080)
+            )}
+            masks.update(rng.getrandbits(n) for _ in range(50))
+            masks.discard(0)
+            for mask in masks:
+                mults = per_bit(n, mask)
+                assert MultiplicityVector.from_mask(n, -1, mask).mults == mults
+                unchecked = MultiplicityVector._from_mask_unchecked(n, -1, mask)
+                assert unchecked.mults == mults
+                assert unchecked.r == sum(mults)
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import bodenhu.cli, bodenhu.core as core; "
+             "print(len(core._BYTE_MULTS))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert fresh.stdout == "0\n"
 
     def test_mask_support_refuses_negative_masks(self):
         # a negative mask has no finite set of bits: it must raise, not

@@ -14,6 +14,7 @@ import operator
 import random
 import types
 from contextlib import suppress
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -35,6 +36,7 @@ from conftest import (
     assert_no_growth,
     build_log,
     denominator,
+    realisable_candidates,
     ref_admissible,
     seeded_blocks,
     weight_vector,
@@ -135,8 +137,8 @@ class TestKernelSelection:
         # without walls
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
-        older = stub_build(compiled_kernel, api=12)
-        assert _kernel.refusal(older) == "API mismatch: extension 12, pure.py 13"
+        older = stub_build(compiled_kernel, api=13)
+        assert _kernel.refusal(older) == "API mismatch: extension 13, pure.py 14"
         assert _kernel.select(older) == (pure, "pure")
         without = stub_build(compiled_kernel, names=[
             "scan_shapes", "scan_partition_batch", "admissible",
@@ -953,6 +955,14 @@ def pure_realise_shapes(n, s, min_len):
     return pure.realise_shapes(n, s, min_len)
 
 
+def assert_interned(table, uses):
+    """table holds distinct values, and uses, the index tuples of the rows,
+    index each of them, first in table order."""
+    assert len(set(table)) == len(table)
+    first = dict.fromkeys(i for ix in uses for i in ix)
+    assert list(first) == list(range(len(table)))
+
+
 class TestRealise:
     def test_shapes_bit_for_bit(self, compiled_kernel):
         for n in range(0, 10):
@@ -964,20 +974,28 @@ class TestRealise:
 
     def test_shapes_are_the_realisable_candidates(self, twin):
         # realise_shapes keeps exactly the candidates realise accepts, with
-        # their witnesses, in shape order and then product order
+        # their witnesses, in shape order and then product order; each row,
+        # expanded through the two tables, is one of them
         for n in range(2, 8):
             for s in range(1, n):
-                expected = []
-                for masks in iter_partition_shapes(n, 1):
-                    ranges = [range(1 - m.bit_count(), 0) for m in masks]
-                    for degs in itertools.product(*ranges):
-                        found = (
-                            twin.realise(n, masks, degs)
-                            if sum(degs) == -s else None
-                        )
-                        if found is not None:
-                            expected.append((masks, degs, *found))
-                assert twin.realise_shapes(n, s, 1) == expected, (n, s)
+                expected = [
+                    (masks, degs, tuple(
+                        Fraction(x, den).as_integer_ratio() for x in nums
+                    ))
+                    for masks, degs, nums, den
+                    in realisable_candidates(twin.realise, n, s)
+                ]
+                blocks, entries, rows = twin.realise_shapes(n, s, 1)
+                got = []
+                for block_ix, entry_ix in rows:
+                    masks, degs = zip(*(blocks[i] for i in block_ix))
+                    witness = tuple(entries[i] for i in entry_ix)
+                    got.append((masks, degs, witness))
+                assert got == expected, (n, s)
+                assert_interned(blocks, [ix for ix, _ in rows])
+                assert_interned(entries, [ix for _, ix in rows])
+                for p, q in entries:
+                    assert q > 0 and math.gcd(p, q) == 1, (p, q)
 
     def test_any_degrees_bit_for_bit(self, compiled_kernel):
         # the inputs of test_weightspace's test_any_degrees: degrees from -n
@@ -996,9 +1014,9 @@ class TestRealise:
 
     def test_shape_edge_values(self, twin):
         for n in (0, 1):
-            assert twin.realise_shapes(n, 0, 1) == []
-        assert twin.realise_shapes(4, 0, 1) == []
-        assert twin.realise_shapes(4, 4, 1) == []
+            assert twin.realise_shapes(n, 0, 1) == ([], [], [])
+        assert twin.realise_shapes(4, 0, 1) == ([], [], [])
+        assert twin.realise_shapes(4, 4, 1) == ([], [], [])
         for n in (31, -1):
             with pytest.raises(ValueError, match="0 to 30 slots"):
                 twin.realise_shapes(n, 1, 1)
@@ -1028,13 +1046,13 @@ class TestRealise:
             raise AssertionError(f"{args} re-ran on pure")
 
         entry = _kernel.on_overflow_pure(compiled_kernel.realise_shapes, unused)
-        assert entry(6, 1 << 40, 1) == []
-        assert entry(6, 1, 1 << 40) == []
+        assert entry(6, 1 << 40, 1) == ([], [], [])
+        assert entry(6, 1, 1 << 40) == ([], [], [])
         assert compiled_kernel.scan_shapes(6, 1 << 40, False, 3) == ([], {})
 
     def test_no_reference_leak(self, compiled_kernel):
         def one_round():
-            assert compiled_kernel.realise_shapes(6, 3, 1)
+            assert compiled_kernel.realise_shapes(6, 3, 1)[2]
             assert compiled_kernel.realise(4, [0b1001, 0b0110], [-1, -1])
             for args, error in (
                 (REALISE_EDGE_CASES[0], ValueError),
@@ -1219,7 +1237,7 @@ class TestDumps:
         assert _kernel.select(without) == (pure, "pure")
         older = stub_build(compiled_kernel, api=2)
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 13
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 14
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -21,12 +22,15 @@ from bodenhu import (
     stable_rotation,
 )
 from bodenhu import _kernel
+from bodenhu._kernel import pure
 from bodenhu.partitions import _alpha_shapes
 from conftest import (
+    COMPILED_RUN_UNNAMED,
     KINDS,
     admissible_shapes,
     assert_public_rebuild,
     denominator,
+    realisable_candidates,
     seeded_alphas,
     weight_vector,
 )
@@ -222,6 +226,8 @@ class TestEnumeratedObjectsAreValid:
                     assert_public_rebuild(partition)
 
 
+@COMPILED_RUN_UNNAMED
+@pytest.mark.usefixtures("twin")
 class TestFeasiblePartitions:
     def test_reference_triple_is_realisable(self, triple94):
         target = Partition(triple94)
@@ -259,43 +265,68 @@ class TestFeasiblePartitions:
     @pytest.mark.parametrize("min_len", [1, 3])
     def test_one_object_per_block_and_entry(self, min_len):
         """Within one call each (mask, degree) has one checked-equal block
-        and each witness entry one Fraction; the stream equals the one
-        built with a fresh block per partition and a fresh Fraction per
-        entry."""
+        and each distinct witness value one Fraction; the stream equals the
+        one built from the kernel's rows with a fresh block per partition
+        and a fresh Fraction per entry."""
         for n in range(2, 9):
             for s in range(1, n):
-                rows = _kernel.realise_shapes(n, s, min_len)
+                blocks, entries, rows = _kernel.realise_shapes(n, s, min_len)
                 got = list(feasible_partitions(ModuliContext(n, s), min_len))
                 assert len(got) == len(rows)
-                blocks, entries = {}, {}
-                for (partition, witness), (masks, degs, nums, den) in zip(
-                    got, rows
-                ):
-                    for block, mask, d in zip(partition.blocks, masks, degs):
-                        checked = MultiplicityVector.from_mask(n, d, mask)
-                        assert block == checked
-                        assert (block.r, block.support_mask) == (
-                            checked.r, mask,
+                shared_blocks, shared_values = {}, {}
+                for partition, witness in got:
+                    for block in partition.blocks:
+                        checked = MultiplicityVector.from_mask(
+                            n, block.d_check, block.support_mask
                         )
-                        assert blocks.setdefault((mask, d), block) is block
-                    assert len(witness) == len(nums) == n
-                    for entry, x in zip(witness, nums):
+                        assert block == checked
+                        assert block.r == checked.r
+                        key = (block.support_mask, block.d_check)
+                        assert shared_blocks.setdefault(key, block) is block
+                    assert len(witness) == n
+                    for entry in witness:
                         assert type(entry) is Fraction
-                        assert entry == Fraction(x, den)
-                        assert entries.setdefault((x, den), entry) is entry
+                        assert shared_values.setdefault(entry, entry) is entry
+                assert len(shared_blocks) == len(blocks)
+                assert len(shared_values) == len(entries)
                 fresh = [
                     (
                         Partition(
                             tuple(
                                 MultiplicityVector.from_mask(n, d, mask)
-                                for mask, d in zip(masks, degs)
+                                for mask, d in map(blocks.__getitem__, block_ix)
                             )
                         ),
-                        tuple(Fraction(x, den) for x in nums),
+                        tuple(Fraction(*entries[i]) for i in entry_ix),
                     )
-                    for masks, degs, nums, den in rows
+                    for block_ix, entry_ix in rows
                 ]
                 assert got == fresh
+
+
+@lru_cache(maxsize=None)
+def realised_stream(n, s):
+    """feasible_partitions(ModuliContext(n, s)) as pure.realise decides it
+    candidate by candidate, built through the public constructors."""
+    return [
+        (
+            Partition(tuple(
+                MultiplicityVector.from_mask(n, d, mask)
+                for mask, d in zip(masks, degs)
+            )),
+            tuple(Fraction(x, den) for x in nums),
+        )
+        for masks, degs, nums, den in realisable_candidates(pure.realise, n, s)
+    ]
+
+
+def test_feasible_partitions_agree_on_both_twins(twin):
+    # each twin's stream equals the one realise gives candidate by
+    # candidate, so the pure and compiled streams are equal
+    for n in range(2, 9):
+        for s in range(1, n):
+            got = list(feasible_partitions(ModuliContext(n, s)))
+            assert got == realised_stream(n, s), (n, s)
 
 
 class TestStability:
