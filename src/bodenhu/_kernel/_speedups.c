@@ -144,7 +144,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 14
+#define KERNEL_API 15
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -2082,7 +2082,8 @@ done:
  * json.encoder.encode_basestring_ascii unless they are printable ASCII
  * without a quote or a backslash, which are copied as they are.  It accepts
  * exactly pure.dumps's types (exact dict with str keys, list, str, int,
- * bool, None, float) and raises the same TypeError for anything else.
+ * bool and None) and raises the same TypeError for anything else, a float
+ * included.
  */
 
 typedef struct {
@@ -2210,19 +2211,6 @@ write_int(Buf *b, PyObject *value)
     return buf_write(b, p, end - p);
 }
 
-static int
-write_float(Buf *b, PyObject *value)
-{
-    double x = PyFloat_AS_DOUBLE(value);
-    if (Py_IS_NAN(x))
-        return buf_write(b, "NaN", 3);
-    if (Py_IS_INFINITY(x) && x > 0)
-        return buf_write(b, "Infinity", 8);
-    if (Py_IS_INFINITY(x))
-        return buf_write(b, "-Infinity", 9);
-    return buf_steal_ascii(b, PyFloat_Type.tp_repr(value));
-}
-
 static int write_value(Buf *b, PyObject *value, int depth);
 
 /* Items are held while they are written: writing allocates, and a garbage
@@ -2296,8 +2284,6 @@ write_value(Buf *b, PyObject *value, int depth)
         return buf_write(b, "true", 4);
     if (value == Py_False)
         return buf_write(b, "false", 5);
-    if (PyFloat_CheckExact(value))
-        return write_float(b, value);
     if (PyList_CheckExact(value))
         return write_list(b, value, depth);
     if (PyDict_CheckExact(value))

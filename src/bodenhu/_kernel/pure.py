@@ -73,7 +73,7 @@ from typing import Iterator, Optional, Sequence
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 14
+KERNEL_API = 15
 # Both kernels keep per-slot state in fixed arrays of this size, so no
 # enumeration cap may exceed it; core re-exports it.
 MAX_SLOTS = 30
@@ -492,8 +492,14 @@ class _Infeasible(Exception):
     """A row 0 < b with b <= 0: the strict system has no solution."""
 
 
-def _insert_row(rows: dict, coeffs: tuple[int, ...], b: int) -> None:
-    """Dedupe rows by coefficient vector, keeping the tightest bound."""
+def _insert_row(rows: dict, coeffs: Sequence[int], b: int) -> None:
+    """Divide the row coeffs.y < b by the gcd of its entries, then add it to
+    rows unless a row with the same coefficients is there, which keeps the
+    smaller b.  A zero row 0 < b is dropped, or _Infeasible when b <= 0."""
+    g = gcd(*coeffs, b)
+    if g > 1:
+        coeffs, b = [c // g for c in coeffs], b // g
+    coeffs = tuple(coeffs)
     if not any(coeffs):
         if b <= 0:
             raise _Infeasible
@@ -538,12 +544,7 @@ def _solve_strict(rows: dict, k: int) -> Optional[tuple[list[int], int]]:
                 for cl, bl in lowers:
                     a, m = cu[j], -cl[j]
                     comb = tuple(m * u + a * l for u, l in zip(cu, cl))
-                    bc = m * bu + a * bl
-                    g = gcd(*comb, bc)
-                    if g > 1:
-                        comb = tuple(c // g for c in comb)
-                        bc //= g
-                    _insert_row(keep, comb, bc)
+                    _insert_row(keep, comb, m * bu + a * bl)
             rows = keep
             eliminated.append((j, lowers, uppers))
             remaining.remove(j)
@@ -653,8 +654,9 @@ def realise(n: int, masks, degs) -> Optional[tuple[tuple[int, ...], int]]:
     x_p = -d_check - sum_{B - p} x_v, the pivot a Gauss-Jordan elimination
     of the equalities picks too; substituted into the chain rows
     -x_1 < 0, x_i - x_{i+1} < 0, x_n < 1, every coefficient stays in
-    {0, +-1, +-2}.  Each row is divided by the gcd of its coefficients and
-    bound, and _solve_strict solves the rest over the free slots.
+    {0, +-1, +-2}.  _insert_row divides each row by the gcd of its
+    coefficients and bound, and _solve_strict solves the rest over the free
+    slots.
 
     Raises as the readers do, or ValueError for lengths that differ.
     """
@@ -692,11 +694,7 @@ def realise(n: int, masks, degs) -> Optional[tuple[tuple[int, ...], int]]:
                         row[index_of[w]] -= a
                 else:
                     row[index_of[v]] += a
-            g = gcd(*row, b)
-            if g > 1:
-                row = [c // g for c in row]
-                b //= g
-            _insert_row(rows, tuple(row), b)
+            _insert_row(rows, row, b)
     except _Infeasible:
         return None
     found = _solve_strict(rows, len(free))
@@ -759,19 +757,15 @@ def _reduced(p: int, q: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-# json.dumps spells the non-finite floats this way (allow_nan=True).
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def dumps(payload) -> str:
     """The text of json.dumps(payload, indent=2), built without its encoder.
 
     With any indent the standard library runs its pure-Python encoder, one
     generator frame per container.  Payloads hold only exact dicts with str
-    keys, lists, str, int, bool and None, plus the float timings of
-    --no-deterministic; a list of only ints or only strs is joined in one
-    go.  Any other type raises TypeError, as json.dumps does for Fraction,
-    and nesting deeper than the recursion limit raises RecursionError.
+    keys, lists, str, int, bool and None; a list of only ints or only strs
+    is joined in one go.  Any other type, float and Fraction among them,
+    raises the TypeError json.dumps raises for a Fraction, and nesting
+    deeper than the recursion limit raises RecursionError.
     """
     out: list[str] = []
     _encode(payload, "\n", out)
@@ -788,9 +782,6 @@ def _encode(value, newline: str, out: list[str]) -> None:
         out.append("null")
     elif kind is bool:
         out.append("true" if value else "false")
-    elif kind is float:
-        text = float.__repr__(value)
-        out.append(_NONFINITE.get(text, text))
     elif kind is list:
         if not value:
             out.append("[]")

@@ -24,7 +24,7 @@ import os
 import sys
 import time
 import traceback
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     DEFAULT_CAP,
@@ -40,7 +40,7 @@ from .partitions import OrderedPartition, Partition, _alpha_shapes
 from .smallness import (
     MODES,
     Witness,
-    _witness,
+    _rated_witness,
     classify,
     construction_transcript,
     rotation_deltas,
@@ -82,9 +82,20 @@ def _blocks_json(blocks: Sequence[MultiplicityVector]) -> list[dict]:
     return [_block(b.support_mask, b.d_check) for b in blocks]
 
 
-def _mask_blocks(degree: dict[int, int]) -> dict[int, dict]:
-    """The payload block of each mask, shared by every listing entry."""
-    return {mask: _block(mask, d) for mask, d in degree.items()}
+def _listing(
+    shapes: Sequence[tuple[int, ...]], degree: dict[int, int], ids: Iterable[int]
+) -> list[dict]:
+    """The single-alpha listing entry of each shape id: its id, length and
+    blocks, each mask's payload block built once and shared."""
+    blocks = {mask: _block(mask, d) for mask, d in degree.items()}
+    return [
+        {
+            "id": i,
+            "length": len(shapes[i]),
+            "blocks": [blocks[mask] for mask in shapes[i]],
+        }
+        for i in ids
+    ]
 
 
 def _order_indices(partition: Partition, op: OrderedPartition) -> list[int]:
@@ -163,22 +174,10 @@ def _cmd_check(args) -> tuple[int, dict]:
     witness = None
     if first is not None:
         k, j = first
-        masks = shapes[ids[k]]
-        degs = [degree[mask] for mask in masks]
-        rated = ratings[k][j]
-        witness = _witness(
-            alpha, masks, degs, rated["order"], rated["rotation_deltas"]
-        )
-    blocks = _mask_blocks(degree)
-    listing = [
-        {
-            "id": i,
-            "length": len(shapes[i]),
-            "blocks": [blocks[mask] for mask in shapes[i]],
-            "orderings": orderings,
-        }
-        for i, orderings in zip(ids, ratings)
-    ]
+        witness = _rated_witness(alpha, shapes[ids[k]], degree, ratings[k][j])
+    listing = _listing(shapes, degree, ids)
+    for entry, orderings in zip(listing, ratings):
+        entry["orderings"] = orderings
     payload = {
         "command": "check",
         "n": alpha.n,
@@ -226,10 +225,11 @@ def _cmd_scan(args) -> tuple[int, dict]:
     rows = []
     all_agree = True
     for n in range(2, args.nmax + 1):
-        started = time.perf_counter()
+        started = time.perf_counter_ns()
         per_s = scan_all_s(n, args.mode, args.cap)
+        # whole milliseconds, rounded to nearest
         elapsed = (
-            round((time.perf_counter() - started) * 1000.0, 1)
+            (time.perf_counter_ns() - started + 500_000) // 1_000_000
             if args.no_deterministic
             else None
         )
@@ -387,20 +387,12 @@ def _cmd_fiber(args) -> tuple[int, dict]:
     check_genus(args.genus)
     shapes, degree = _alpha_shapes(alpha, 1, args.cap)
     if args.id is None:
-        blocks = _mask_blocks(degree)
         payload = {
             "command": "fiber",
             "n": alpha.n,
             "s": alpha.s,
             "alpha": _fractions(alpha.entries),
-            "partitions": [
-                {
-                    "id": i,
-                    "length": len(masks),
-                    "blocks": [blocks[mask] for mask in masks],
-                }
-                for i, masks in enumerate(shapes)
-            ],
+            "partitions": _listing(shapes, degree, range(len(shapes))),
         }
         return 0, payload
     if not 0 <= args.id < len(shapes):

@@ -1,10 +1,9 @@
 """Exact value types and the closed-form pairings on multiplicity vectors.
 
 All weights are `fractions.Fraction` and every derived quantity is either a
-Fraction or an integer.  No decision in the package uses floating point: wall
-membership is an exact equality test and must never be decided by an epsilon.
-The only floats are the timings that `scan --no-deterministic` writes
-(`time_ms`, from `time.perf_counter()` through `round(..., 1)`).
+Fraction or an integer.  Nothing in the package uses floating point: wall
+membership is an exact equality test and must never be decided by an epsilon,
+and the timings that `scan --no-deterministic` writes are whole milliseconds.
 
 Conventions used throughout:
 
@@ -53,8 +52,8 @@ __all__ = [
 Rational = Fraction
 
 # Enumeration routines refuse N beyond this unless the caller raises the cap
-# explicitly (the CLI exposes it via BODENHU_CAP_N).  No cap may exceed
-# MAX_SLOTS, the slot count both kernels are built for.
+# explicitly (the CLI exposes it via --cap and BODENHU_CAP_N).  No cap may
+# exceed MAX_SLOTS, the slot count both kernels are built for.
 DEFAULT_CAP = 14
 
 
@@ -348,19 +347,19 @@ def parse_weight_vector(text: str) -> WeightVector:
 
 @dataclass(frozen=True)
 class ModuliContext:
-    """Moduli data (N, s, g): N weight slots, integer sum s, genus g >= 2."""
+    """Moduli data (N, s): N weight slots and integer weight sum s.
+
+    Nothing here depends on the genus; the fiber report takes it on its own.
+    """
 
     n: int
     s: int
-    g: int = 2
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("need at least two weight slots")
         if not 0 < self.s < self.n:
             raise ValueError(f"s={self.s} outside 0 < s < N={self.n}")
-        if self.g < 2:
-            raise ValueError("genus must be at least 2")
 
     def one_vector(self) -> MultiplicityVector:
         """The vector (N, -s | 1, ..., 1) every candidate class must sum to."""

@@ -150,6 +150,17 @@ def _witness(
         raise AssertionError(f"kernel record is not a witness: {exc}") from exc
 
 
+def _rated_witness(
+    alpha: WeightVector, masks: tuple[int, ...], degree: dict[int, int], rated
+) -> Witness:
+    """The witness at alpha from one rate_orders record of the shape masks,
+    with each block's degree from degree."""
+    degs = [degree[mask] for mask in masks]
+    return _witness(
+        alpha, masks, degs, rated["order"], rated["rotation_deltas"]
+    )
+
+
 def check_criterion(
     alpha: WeightVector, mode: str, cap: int = DEFAULT_CAP
 ) -> Verdict:
@@ -169,11 +180,7 @@ def check_criterion(
             alpha.n, [masks], degree, mode == "semismall"
         )
         if first is not None:
-            degs = [degree[mask] for mask in masks]
-            rated = orderings[first[1]]
-            witness = _witness(
-                alpha, masks, degs, rated["order"], rated["rotation_deltas"]
-            )
+            witness = _rated_witness(alpha, masks, degree, orderings[first[1]])
             return Verdict(False, mode, witness)
     return Verdict(True, mode, None)
 
@@ -388,7 +395,7 @@ def _construct(
         raise ValueError("group scale t must be a positive integer")
 
     if s > n - s:
-        alpha_d, op_d, e = _construct(ModuliContext(n, n - s, ctx.g), t)
+        alpha_d, op_d, e = _construct(ModuliContext(n, n - s), t)
         alpha = dual_weight(alpha_d)
         op = OrderedPartition(tuple(dual_mult(b) for b in reversed(op_d.seq)))
         # Duality reverses the pairing, so the length-3 rotation values

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .core import (
@@ -136,21 +136,11 @@ def _substitute(row: list[Fraction], rhs: Fraction, pivots: dict) -> Fraction:
 
 def _normalize_int_row(
     coeffs: Sequence[Fraction], rhs: Fraction
-) -> tuple[tuple[int, ...], int]:
-    """Scale a strict inequality to primitive integer form (gcd 1)."""
-    denom = rhs.denominator
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    b = int(rhs * denom)
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    g = gcd(g, b)
-    if g > 1:
-        ints = [c // g for c in ints]
-        b //= g
-    return tuple(ints), b
+) -> tuple[list[int], int]:
+    """Scale a strict inequality to integers by clearing its denominators;
+    _insert_row divides out the gcd."""
+    denom = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    return [int(c * denom) for c in coeffs], int(rhs * denom)
 
 
 def feasible(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
@@ -200,8 +190,7 @@ def feasible(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
             row = [Fraction(c) for c in coeffs]
             b = _substitute(row, Fraction(rhs), pivots)
             reduced = tuple(row[v] for v in free)
-            ints, ib = _normalize_int_row(reduced, b)
-            _insert_row(rows, ints, ib)
+            _insert_row(rows, *_normalize_int_row(reduced, b))
     except _Infeasible:
         return None
     found = _solve_strict(rows, len(free))

@@ -407,12 +407,23 @@ class TestScan:
         assert rows == expected
 
     def test_timing_only_when_requested(self, capsys):
+        # whole milliseconds: an int in JSON, its digits in the table
         code, payload = run_json(
-            capsys, "scan", "--nmax", "4", "--no-deterministic"
+            capsys, "scan", "--nmax", "6", "--no-deterministic"
         )
         assert code == 0
         for row in payload["rows"]:
-            assert isinstance(row["time_ms"], float)
+            assert type(row["time_ms"]) is int and row["time_ms"] >= 0
+        code, out, err = run_cli(
+            capsys, "scan", "--nmax", "6", "--no-deterministic",
+            "--format", "table",
+        )
+        assert code == 0 and err == ""
+        header, *rows = out.splitlines()[:-1]
+        column = header.split().index("time_ms")
+        cells = [row.split()[column] for row in rows]
+        assert len(cells) == len(payload["rows"])
+        assert all(cell.isdigit() for cell in cells)
 
     def test_nmax_validation(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--nmax", "1")
@@ -795,7 +806,6 @@ PAYLOAD_SCALARS = (
     st.none()
     | st.booleans()
     | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.floats(allow_nan=True, allow_infinity=True)
     | st.text()
 )
 PAYLOADS = st.recursive(
@@ -830,8 +840,16 @@ class TestEncoder:
             {"blocks": [{"support": [1, 2], "degree": Fraction(-1)}]},
             {1: "int key"},
             {"outer": {None: "None key"}},
+            1.5,
+            float("nan"),
+            float("inf"),
+            {"time_ms": [0, 1.5]},
+            [{"x": float("nan")}],
+            {"rows": [float("-inf")]},
         ],
-        ids=["fraction", "set", "tuple", "nested-fraction", "int-key", "none-key"],
+        ids=["fraction", "set", "tuple", "nested-fraction", "int-key",
+             "none-key", "float", "nan", "inf", "nested-float", "nested-nan",
+             "nested-inf"],
     )
     @PURE_RUN_UNNAMED
     def test_other_types_raise(self, twin, value):

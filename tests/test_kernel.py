@@ -132,13 +132,13 @@ class TestKernelSelection:
 
     def test_refusal_names_the_reason(self, compiled_kernel):
         # stubs for the ways an in-place build can be refused: none at all,
-        # one from before admissible was added (API 12), one with the
-        # current number but without the realisation entries, and one
-        # without walls
+        # one from before the JSON writers refused floats (API 14), one
+        # with the current number but without the realisation entries, and
+        # one without walls
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
-        older = stub_build(compiled_kernel, api=13)
-        assert _kernel.refusal(older) == "API mismatch: extension 13, pure.py 14"
+        older = stub_build(compiled_kernel, api=14)
+        assert _kernel.refusal(older) == "API mismatch: extension 14, pure.py 15"
         assert _kernel.select(older) == (pure, "pure")
         without = stub_build(compiled_kernel, names=[
             "scan_shapes", "scan_partition_batch", "admissible",
@@ -1208,23 +1208,28 @@ class TestDumps:
         assert twin.dumps(value) == pure.dumps(value)
 
     def test_no_reference_leak(self, compiled_kernel):
-        # every branch: escaped and plain strings, small and big ints,
-        # finite and non-finite floats, and a TypeError halfway through
+        # every branch: escaped and plain strings, small and big ints, and
+        # a TypeError halfway through, on a float or a complex
         payload = {
             "plain": "abc",
             "escaped": 'a"b\\c\u00e9\n',
             "ints": [0, -1, 2**70],
-            "floats": [1.5, float("nan"), float("-inf")],
             "flags": [True, False, None, {}, []],
         }
-        bad = [payload, {"x": 1j}]
-        with pytest.raises(TypeError):
-            compiled_kernel.dumps(bad)
+        bad = [
+            [payload, {"x": 1j}],
+            [payload, {"floats": [1.5]}],
+            [payload, [float("nan")], float("-inf")],
+        ]
+        for value in bad:
+            with pytest.raises(TypeError):
+                compiled_kernel.dumps(value)
 
         def one_round():
             compiled_kernel.dumps(payload)
-            with suppress(TypeError):
-                compiled_kernel.dumps(bad)
+            for value in bad:
+                with suppress(TypeError):
+                    compiled_kernel.dumps(value)
 
         assert_no_growth(one_round)
 
@@ -1237,7 +1242,7 @@ class TestDumps:
         assert _kernel.select(without) == (pure, "pure")
         older = stub_build(compiled_kernel, api=2)
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 14
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 15
 
 
 @lru_cache(maxsize=None)

@@ -59,7 +59,8 @@ for n in range(9):
 for n in range(2, 11):
     for s in range(1, n):
         same("walls", n, s)
-same("dumps", [0, -1, 2**63 - 1, -2**63, 2**64, 1.5, "a\\u00e9\\n", None])
+same("dumps", [0, -1, 2**63 - 1, -2**63, 2**64, "a\\u00e9\\n", None])
+assert same("dumps", [0, 1.5]) == ("raised", TypeError)
 for args, _ in RATE_EDGE_CASES:
     same("rate_orders", *args, False)
 for args, _ in ADMISSIBLE_EDGE_CASES:

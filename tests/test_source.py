@@ -30,6 +30,41 @@ def test_no_assert_statements():
     assert found == []
 
 
+FLOAT_CLOCKS = ("perf_counter", "time", "monotonic", "process_time")
+
+
+def is_float(node):
+    """A float literal, the name float, or a call of a float clock."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is float
+    if isinstance(node, ast.Name):
+        return node.id == "float"
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            return func.attr in FLOAT_CLOCKS
+        return getattr(func, "id", None) in FLOAT_CLOCKS
+    return False
+
+
+def test_no_float_in_the_package():
+    """Exact arithmetic everywhere: no module makes or names a float, the
+    clock is read in integer nanoseconds, and the compiled twin has no
+    floating type."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if is_float(node)
+    ]
+    found += [
+        f"{SPEEDUPS.name}:{number}"
+        for number, line in enumerate(SPEEDUPS.read_text().splitlines(), 1)
+        if re.search(r"PyFloat_|\bdouble\b", line)
+    ]
+    assert found == []
+
+
 def reads_environment(node):
     """os.environ / os.getenv, or either name imported from os."""
     names = ("environ", "getenv")
