@@ -74,8 +74,8 @@ from typing import Iterator, Optional, Sequence
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
 KERNEL_API = 15
-# Both kernels keep per-slot state in fixed arrays of this size, so no
-# enumeration cap may exceed it; core re-exports it.
+# Both kernels keep per-slot state in fixed arrays of this size, so it bounds
+# every library call and the CLI's enumeration cap; core re-exports it.
 MAX_SLOTS = 30
 MAX_BLOCKS = 16
 MAX_DEGREE = 1 << 32

@@ -29,9 +29,10 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     DEFAULT_CAP,
     MAX_SLOTS,
+    CapExceededError,
     ModuliContext,
     MultiplicityVector,
-    check_cap,
+    check_genus,
     mask_support,
     parse_weight_vector,
 )
@@ -46,7 +47,7 @@ from .smallness import (
     rotation_deltas,
     scan_all_s,
 )
-from .moduli import check_genus, fiber_report
+from .moduli import fiber_report
 from . import _kernel, selftest
 
 __all__ = ["main"]
@@ -67,6 +68,12 @@ def _resolve_cap(cap: Optional[int]) -> int:
             f"cap {cap} exceeds the scan kernels' limit of {MAX_SLOTS} slots"
         )
     return cap
+
+
+def check_cap(n: int, cap: int) -> None:
+    """Refuse an enumerating command whose N exceeds the cap."""
+    if n > cap:
+        raise CapExceededError(f"N={n} exceeds the enumeration cap {cap}")
 
 
 def _fractions(values) -> list[str]:
@@ -166,7 +173,7 @@ def _cmd_check(args) -> tuple[int, dict]:
     # Listing ids index all partitions; dropping those shorter than 3 keeps
     # the canonical order check_criterion scans, so the verdict comes from
     # this listing, rated in one kernel call.
-    shapes, degree = _alpha_shapes(alpha, 1, args.cap)
+    shapes, degree = _alpha_shapes(alpha, 1)
     ids = [i for i, masks in enumerate(shapes) if len(masks) >= 3]
     ratings, first = _kernel.rate_orders(
         alpha.n, [shapes[i] for i in ids], degree, args.mode == "semismall"
@@ -226,7 +233,7 @@ def _cmd_scan(args) -> tuple[int, dict]:
     all_agree = True
     for n in range(2, args.nmax + 1):
         started = time.perf_counter_ns()
-        per_s = scan_all_s(n, args.mode, args.cap)
+        per_s = scan_all_s(n, args.mode)
         # whole milliseconds, rounded to nearest
         elapsed = (
             (time.perf_counter_ns() - started + 500_000) // 1_000_000
@@ -310,7 +317,7 @@ def _table_scan(payload: dict) -> str:
 def _cmd_counterexample(args) -> tuple[int, dict]:
     ctx = ModuliContext(args.n, args.s)
     check_cap(args.n, args.cap)
-    alpha, op, checks = construction_transcript(ctx, args.t, args.cap)
+    alpha, op, checks = construction_transcript(ctx, args.t)
     payload = {
         "command": "counterexample",
         "n": args.n,
@@ -385,7 +392,8 @@ def _table_walls(payload: dict) -> str:
 def _cmd_fiber(args) -> tuple[int, dict]:
     alpha = parse_weight_vector(args.alpha)
     check_genus(args.genus)
-    shapes, degree = _alpha_shapes(alpha, 1, args.cap)
+    check_cap(alpha.n, args.cap)
+    shapes, degree = _alpha_shapes(alpha, 1)
     if args.id is None:
         payload = {
             "command": "fiber",

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import index
 from typing import Iterable, Sequence
 
 from . import _kernel
@@ -37,6 +38,7 @@ __all__ = [
     "MultiplicityVector",
     "WeightVector",
     "ModuliContext",
+    "check_genus",
     "mask_support",
     "parse_rational",
     "parse_weight_vector",
@@ -51,9 +53,9 @@ __all__ = [
 
 Rational = Fraction
 
-# Enumeration routines refuse N beyond this unless the caller raises the cap
-# explicitly (the CLI exposes it via --cap and BODENHU_CAP_N).  No cap may
-# exceed MAX_SLOTS, the slot count both kernels are built for.
+# The CLI refuses N beyond this unless --cap or BODENHU_CAP_N raises it, to
+# no more than MAX_SLOTS, the slot count both kernels are built for.  The
+# library takes no cap: its calls run up to MAX_SLOTS.
 DEFAULT_CAP = 14
 
 
@@ -62,7 +64,7 @@ class DimensionMismatchError(ValueError):
 
 
 class CapExceededError(ValueError):
-    """Raised when an enumeration would exceed the configured N cap."""
+    """Raised by the CLI when N exceeds its enumeration cap."""
 
 
 class NotGenericError(ValueError):
@@ -95,10 +97,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}") from exc
 
 
-def check_cap(n: int, cap: int = DEFAULT_CAP) -> None:
-    """Guard enumeration entry points against runaway N."""
-    if n > cap:
-        raise CapExceededError(f"N={n} exceeds the enumeration cap {cap}")
+def check_genus(g: int) -> None:
+    """Reject a genus that is not an integer >= 2."""
+    if not isinstance(g, int) or g < 2:
+        raise ValueError(f"genus must be an integer >= 2, got {g!r}")
 
 
 # _BYTE_SUPPORTS[k][byte] lists the slots of the set bits of byte when it
@@ -158,7 +160,8 @@ class MultiplicityVector:
 
     `mults` are nonnegative integers, not all zero; `r` is their sum.  The
     degree offset `d_check` may be any integer here (per-block range rules are
-    enforced by the partition layer, not by the raw vector).
+    enforced by the partition layer, not by the raw vector).  Both are read
+    with operator.index, so a value that is not an integer raises TypeError.
     """
 
     d_check: int
@@ -166,7 +169,7 @@ class MultiplicityVector:
     r: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mults = tuple(int(m) for m in self.mults)
+        mults = tuple(map(index, self.mults))
         if not mults:
             raise ValueError("multiplicity vector needs at least one slot")
         if any(m < 0 for m in mults):
@@ -175,7 +178,7 @@ class MultiplicityVector:
         if total <= 0:
             raise ValueError("total multiplicity r must be positive")
         object.__setattr__(self, "mults", mults)
-        object.__setattr__(self, "d_check", int(self.d_check))
+        object.__setattr__(self, "d_check", index(self.d_check))
         object.__setattr__(self, "r", total)
 
     @classmethod
@@ -442,8 +445,7 @@ def h1_dim(m: MultiplicityVector, m2: MultiplicityVector, g: int) -> Fraction:
     delta matches r r' + sum m_n m'_n in that case).
     """
     _require_same_n(m, m2)
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    check_genus(g)
     return Fraction(_twice_h1_dim(m, m2, g), 2)
 
 

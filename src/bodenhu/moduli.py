@@ -23,6 +23,7 @@ from .core import (
     MultiplicityVector,
     WeightVector,
     _twice_h1_dim,
+    check_genus,
     delta_seq,
 )
 from .partitions import (
@@ -35,18 +36,11 @@ from .smallness import ordering_representatives
 
 __all__ = [
     "FiberReport",
-    "check_genus",
     "moduli_dim",
     "stratum_codim",
     "fiber_component_dim",
     "fiber_report",
 ]
-
-
-def check_genus(g: int) -> None:
-    """Reject a genus that is not an integer >= 2."""
-    if not isinstance(g, int) or g < 2:
-        raise ValueError(f"genus must be an integer >= 2, got {g!r}")
 
 
 def moduli_dim(m: MultiplicityVector, g: int) -> Fraction:

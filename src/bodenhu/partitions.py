@@ -20,13 +20,11 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import (
-    DEFAULT_CAP,
     DimensionMismatchError,
     ModuliContext,
     MultiplicityVector,
     NotGenericError,
     WeightVector,
-    check_cap,
 )
 from . import _kernel, weightspace
 from ._kernel.pure import iter_partition_shapes
@@ -145,7 +143,7 @@ class OrderedPartition:
 
 
 def _alpha_shapes(
-    alpha: WeightVector, min_len: int, cap: int
+    alpha: WeightVector, min_len: int
 ) -> tuple[list[tuple[int, ...]], dict[int, int]]:
     """The shapes of alpha_partitions as mask tuples, and the block degrees.
 
@@ -162,14 +160,11 @@ def _alpha_shapes(
     masks that no listed shape uses; callers look up only the masks of
     listed shapes.
     """
-    check_cap(alpha.n, cap)
     degree = alpha.admissible
     return _kernel.alpha_shapes(alpha.n, degree, min_len), degree
 
 
-def alpha_partitions(
-    alpha: WeightVector, min_len: int = 1, cap: int = DEFAULT_CAP
-) -> list[Partition]:
+def alpha_partitions(alpha: WeightVector, min_len: int = 1) -> list[Partition]:
     """All partitions of the one-vector whose block degrees are exact at alpha.
 
     The partitions of _alpha_shapes: the shapes of
@@ -180,7 +175,7 @@ def alpha_partitions(
     strictly between 0 and r puts its degree in [-(r-1), -1].
     """
     n = alpha.n
-    shapes, degree = _alpha_shapes(alpha, min_len, cap)
+    shapes, degree = _alpha_shapes(alpha, min_len)
     block_of = {
         mask: MultiplicityVector._from_mask_unchecked(n, d, mask)
         for mask, d in degree.items()
@@ -192,7 +187,7 @@ def alpha_partitions(
 
 
 def feasible_partitions(
-    ctx: ModuliContext, min_len: int = 1, cap: int = DEFAULT_CAP
+    ctx: ModuliContext, min_len: int = 1
 ) -> Iterator[tuple[Partition, tuple[Fraction, ...]]]:
     """Stream every candidate partition realisable somewhere in W(N,s).
 
@@ -205,7 +200,6 @@ def feasible_partitions(
     (degree, mask) gets one block and each distinct witness value one
     Fraction, shared by every partition of the call that uses it.
     """
-    check_cap(ctx.n, cap)
     n = ctx.n
     blocks, entries, rows = _kernel.realise_shapes(n, ctx.s, min_len)
     block = [

@@ -33,12 +33,10 @@ from typing import Callable, Iterator, Optional
 from . import _kernel, weightspace
 from ._kernel.pure import _pairing, _rotations
 from .core import (
-    DEFAULT_CAP,
     ConstructionRangeError,
     ModuliContext,
     MultiplicityVector,
     WeightVector,
-    check_cap,
     deg_alpha,
     dual_mult,
     dual_weight,
@@ -161,9 +159,7 @@ def _rated_witness(
     )
 
 
-def check_criterion(
-    alpha: WeightVector, mode: str, cap: int = DEFAULT_CAP
-) -> Verdict:
+def check_criterion(alpha: WeightVector, mode: str) -> Verdict:
     """Decide the criterion at one weight vector.
 
     Rates the orderings of the alpha-partitions of length >= 3 in canonical
@@ -174,7 +170,7 @@ def check_criterion(
     time.
     """
     _check_mode(mode)
-    shapes, degree = _alpha_shapes(alpha, 3, cap)
+    shapes, degree = _alpha_shapes(alpha, 3)
     for masks in shapes:
         (orderings,), first = _kernel.rate_orders(
             alpha.n, [masks], degree, mode == "semismall"
@@ -186,7 +182,7 @@ def check_criterion(
 
 
 def _settler(
-    n: int, mode: str, cap: int, witnesses: dict[int, Witness]
+    n: int, mode: str, witnesses: dict[int, Witness]
 ) -> Callable[..., bool]:
     """The scan's settle callable: whether a violating candidate is the
     witness of its s.
@@ -201,7 +197,7 @@ def _settler(
         if point is None:
             return False
         alpha = WeightVector(point)
-        if check_criterion(alpha, mode, cap).holds:
+        if check_criterion(alpha, mode).holds:
             raise AssertionError(
                 "witness weight vector failed the check_criterion re-check"
             )
@@ -211,7 +207,7 @@ def _settler(
     return settle
 
 
-def _scan(n: int, s_filter: int, mode: str, cap: int) -> dict[int, dict]:
+def _scan(n: int, s_filter: int, mode: str) -> dict[int, dict]:
     """The scan behind verify_conjecture and scan_all_s.
 
     One kernel call enumerates and scans every shape of length >= 3,
@@ -224,11 +220,10 @@ def _scan(n: int, s_filter: int, mode: str, cap: int) -> dict[int, dict]:
     {"verdict": Verdict, "candidates": int, "classes": int}.
     """
     _check_mode(mode)
-    check_cap(n, cap)
     witnesses: dict[int, Witness] = {}
     _, stats = _kernel.scan_shapes(
         n, s_filter, mode == "semismall", 3,
-        _settler(n, mode, cap, witnesses),
+        _settler(n, mode, witnesses),
     )
     out: dict[int, dict] = {}
     for s in [s_filter] if s_filter else range(1, n):
@@ -242,9 +237,7 @@ def _scan(n: int, s_filter: int, mode: str, cap: int) -> dict[int, dict]:
     return out
 
 
-def verify_conjecture(
-    ctx: ModuliContext, mode: str, cap: int = DEFAULT_CAP
-) -> Verdict:
+def verify_conjecture(ctx: ModuliContext, mode: str) -> Verdict:
     """Decide whether the criterion holds for every weight vector of W(N,s).
 
     Equivalent to scanning feasible_partitions(ctx, 3) and testing every
@@ -253,18 +246,16 @@ def verify_conjecture(
     and realisable candidate in canonical order is the witness.  Every
     witness weight vector is re-checked through check_criterion.
     """
-    return _scan(ctx.n, ctx.s, mode, cap)[ctx.s]["verdict"]
+    return _scan(ctx.n, ctx.s, mode)[ctx.s]["verdict"]
 
 
-def scan_all_s(
-    n: int, mode: str, cap: int = DEFAULT_CAP
-) -> dict[int, dict]:
+def scan_all_s(n: int, mode: str) -> dict[int, dict]:
     """Evaluate verify_conjecture for every s of one N in a single pass.
 
     Returns s -> {"verdict": Verdict, "candidates": int, "classes": int}
     where the counts cover length >= 3 shapes with that total degree.
     """
-    return _scan(n, 0, mode, cap)
+    return _scan(n, 0, mode)
 
 
 def classify(ctx: ModuliContext) -> bool:
@@ -308,10 +299,7 @@ def _expected_rotations(n: int, s: int, t: int) -> tuple[int, ...]:
 
 
 def _postcondition_checks(
-    alpha: WeightVector,
-    op: OrderedPartition,
-    expected: tuple[int, ...],
-    cap: int = DEFAULT_CAP,
+    alpha: WeightVector, op: OrderedPartition, expected: tuple[int, ...]
 ) -> list[tuple[str, bool, str]]:
     """The verifiable facts about a constructed counterexample."""
     checks = []
@@ -341,8 +329,8 @@ def _postcondition_checks(
             f"min rotation {min(rots)} vs margin {len(op.seq) - 1}",
         )
     )
-    small = check_criterion(alpha, "small", cap)
-    semi = check_criterion(alpha, "semismall", cap)
+    small = check_criterion(alpha, "small")
+    semi = check_criterion(alpha, "semismall")
     checks.append(
         (
             "check_criterion fails at alpha in both modes",
@@ -354,7 +342,7 @@ def _postcondition_checks(
 
 
 def construct_counterexample(
-    ctx: ModuliContext, t: int = 1, cap: int = DEFAULT_CAP
+    ctx: ModuliContext, t: int = 1
 ) -> tuple[WeightVector, OrderedPartition]:
     """A weight vector and ordered triple violating both margins at (N, s).
 
@@ -364,12 +352,12 @@ def construct_counterexample(
     return the fixed reference data.  The construction is verified through
     construction_transcript, which raises AssertionError if a check fails.
     """
-    alpha, op, _ = construction_transcript(ctx, t, cap)
+    alpha, op, _ = construction_transcript(ctx, t)
     return alpha, op
 
 
 def construction_transcript(
-    ctx: ModuliContext, t: int = 1, cap: int = DEFAULT_CAP
+    ctx: ModuliContext, t: int = 1
 ) -> tuple[WeightVector, OrderedPartition, list[tuple[str, bool, str]]]:
     """The construction plus its verification checks, for reporting layers.
 
@@ -379,7 +367,7 @@ def construction_transcript(
     has passed.
     """
     alpha, op, expected = _construct(ctx, t)
-    checks = _postcondition_checks(alpha, op, expected, cap)
+    checks = _postcondition_checks(alpha, op, expected)
     bad = [name for name, ok, _ in checks if not ok]
     if bad:
         raise AssertionError(f"construction self-check failed: {bad}")

@@ -27,12 +27,10 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .core import (
-    DEFAULT_CAP,
     DimensionMismatchError,
     ModuliContext,
     MultiplicityVector,
     WeightVector,
-    check_cap,
 )
 from . import _kernel
 from ._kernel.pure import (
@@ -289,7 +287,7 @@ def partition_system(
     return sys
 
 
-def enumerate_walls(ctx: ModuliContext, cap: int = DEFAULT_CAP) -> list[Wall]:
+def enumerate_walls(ctx: ModuliContext) -> list[Wall]:
     """All nonempty walls of W(N,s), canonical representatives, sorted.
 
     The kernel's walls lists them: supports containing slot 1 (ascending
@@ -298,7 +296,6 @@ def enumerate_walls(ctx: ModuliContext, cap: int = DEFAULT_CAP) -> list[Wall]:
     wall_meets finds the wall in the open weight space.  Every property
     Wall checks holds by that construction, so they are built unchecked.
     """
-    check_cap(ctx.n, cap)
     n = ctx.n
     return [
         Wall._unchecked(MultiplicityVector._from_mask_unchecked(n, d, mask))

@@ -386,7 +386,7 @@ def scan_memo(twin, monkeypatch):
 
 
 @lru_cache(maxsize=None)
-def session_scan(twin, n, mode, cap):
-    """scan_all_s(n, mode, cap) on the bound twin, once per session; the
-    CLI only reads the result."""
-    return smallness.scan_all_s(n, mode, cap)
+def session_scan(twin, n, mode):
+    """scan_all_s(n, mode) on the bound twin, once per session; the CLI
+    only reads the result."""
+    return smallness.scan_all_s(n, mode)

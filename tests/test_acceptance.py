@@ -142,7 +142,7 @@ def test_criterion_3_low_weight_sum_vacuity():
         for _ in range(200):
             alpha = random_weight_vector(rng, n, 2)
             assert alpha.s == 2
-            assert alpha_partitions(alpha, 3, cap=12) == []
+            assert alpha_partitions(alpha, 3) == []
 
 
 def _all_disjoint_pairs(n):

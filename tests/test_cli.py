@@ -476,6 +476,24 @@ class TestCounterexample:
         assert "[ok]" in out
         assert "FAIL" not in out
 
+    def test_cap_is_checked_before_the_construction(
+        self, capsys, monkeypatch
+    ):
+        def fail(*args):
+            raise AssertionError("blocks listed past the cap")
+
+        monkeypatch.setattr(_kernel, "admissible", fail)
+        code, out, err = run_cli(
+            capsys, "counterexample", "--n", "15", "--s", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: N=15 exceeds the enumeration cap 14\n"
+        code, out, err = run_cli(
+            capsys, "counterexample", "--n", "15", "--s", "15"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: s=15 outside 0 < s < N=15\n"
+
 
 class TestWalls:
     def test_empty(self, capsys):
@@ -593,6 +611,25 @@ class TestFiber:
         assert code == 0
         assert "stratum codim = 79" in out
 
+    def test_cap_is_checked_before_the_listing(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("partitions listed past the cap")
+
+        monkeypatch.setattr(_kernel, "alpha_shapes", fail)
+        alpha = ",".join(f"{k}/20" for k in range(1, 16))
+        for id_args in (["--id", "0"], []):
+            code, out, err = run_cli(
+                capsys, "fiber", "--alpha", alpha, *id_args
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: N=15 exceeds the enumeration cap 14\n"
+        # the genus is still checked first
+        code, out, err = run_cli(
+            capsys, "fiber", "--alpha", alpha, "--genus", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: genus must be an integer >= 2, got 1\n"
+
 
 class TestSelftest:
     def test_small_run_passes(self, capsys):
@@ -678,6 +715,30 @@ class TestDeterminismAndCaps:
         )
         assert code == 0
 
+    def test_the_cap_is_the_clis_alone(self, capsys, twin):
+        """The CLI refuses N = 15 unless its cap is raised; library calls
+        take no cap and refuse only past the kernels' 30 slots."""
+        alpha15 = ",".join(f"{k}/20" for k in range(1, 16))
+        assert run_cli(capsys, "check", "--alpha", alpha15) == (
+            2, "", "error: N=15 exceeds the enumeration cap 14\n"
+        )
+        verdict = check_criterion(parse_weight_vector(alpha15), "small")
+        assert not verdict.holds
+        assert verdict.witness.alpha == parse_weight_vector(alpha15)
+        code, payload = run_json(
+            capsys, "walls", "--n", "15", "--s", "2", "--cap", "15"
+        )
+        assert code == 0
+        assert payload["count"] == len(enumerate_walls(ModuliContext(15, 2)))
+        for call in (
+            lambda: enumerate_walls(ModuliContext(31, 2)),
+            lambda: smallness.scan_all_s(31, "small"),
+        ):
+            with pytest.raises(
+                ValueError, match="^kernel supports 0 to 30 slots$"
+            ):
+                call()
+
     def test_check_respects_cap(self, capsys):
         code, out, err = run_cli(
             capsys, "check", "--alpha", ALPHA_9_4_ARG, "--cap", "8"
@@ -729,7 +790,7 @@ class TestInternalErrors:
         if failure == "recheck":
             monkeypatch.setattr(
                 smallness, "check_criterion",
-                lambda alpha, mode, cap: smallness.Verdict(True, mode, None),
+                lambda alpha, mode: smallness.Verdict(True, mode, None),
             )
         else:
             def fail(n, blocks):
@@ -808,14 +869,20 @@ PAYLOAD_SCALARS = (
     | st.integers(min_value=-(10**40), max_value=10**40)
     | st.text()
 )
-PAYLOADS = st.recursive(
-    PAYLOAD_SCALARS,
-    lambda children: st.lists(children, max_size=6)
-    | st.lists(st.integers(), max_size=6)
-    | st.lists(st.text(max_size=4), max_size=6)
-    | st.dictionaries(st.text(max_size=6), children, max_size=6),
-    max_leaves=40,
-)
+
+
+def nest_payloads(children):
+    """One level of nesting over children, for st.recursive: lists and
+    string-keyed dicts of children, and flat lists of integers and text."""
+    return (
+        st.lists(children, max_size=6)
+        | st.lists(st.integers(), max_size=6)
+        | st.lists(st.text(max_size=4), max_size=6)
+        | st.dictionaries(st.text(max_size=6), children, max_size=6)
+    )
+
+
+PAYLOADS = st.recursive(PAYLOAD_SCALARS, nest_payloads, max_leaves=40)
 
 
 class TestEncoder:

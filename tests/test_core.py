@@ -161,6 +161,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             MultiplicityVector(-1, (0, 0))
 
+    @pytest.mark.parametrize(
+        "d_check, mults",
+        [
+            (-1.9, (1.5, 0.5, 1)),
+            (-1, (1, Fraction(1), 1)),
+            (-1.0, (1, 1)),
+            (Fraction(-1), (1, 1)),
+        ],
+        ids=["floats", "fraction-mult", "float-degree", "fraction-degree"],
+    )
+    def test_non_integers_are_refused(self, d_check, mults):
+        # read with operator.index, as the kernel reads integers, not
+        # truncated by int()
+        with pytest.raises(TypeError):
+            MultiplicityVector(d_check, mults)
+
     def test_dimension_mismatch(self):
         m = MultiplicityVector(-1, (1, 1))
         m3 = MultiplicityVector(-1, (1, 1, 0))
@@ -196,6 +212,9 @@ class TestValidation:
     def test_h1_needs_genus_at_least_two(self, triple94):
         with pytest.raises(ValueError):
             h1_dim(triple94[0], triple94[1], 1)
+        # the one genus rule: an integer, as fiber_component_dim requires
+        with pytest.raises(ValueError, match="^genus must be an integer"):
+            h1_dim(triple94[0], triple94[1], Fraction(5, 2))
 
     def test_delta_seq_needs_two(self, triple94):
         with pytest.raises(ValueError):

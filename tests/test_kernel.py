@@ -27,7 +27,6 @@ from bodenhu import (
 )
 from bodenhu import _kernel, smallness, weightspace
 from bodenhu._kernel import KERNEL_KIND, pure
-from bodenhu.core import DEFAULT_CAP
 from bodenhu.smallness import MODES, violates_margin
 from conftest import (
     KINDS,
@@ -1306,7 +1305,7 @@ def reject_all(*record):
 
 def scan_settle(n, semismall):
     """The scan's own settle callable, with a witness table of its own."""
-    return smallness._settler(n, MODES[semismall], DEFAULT_CAP, {})
+    return smallness._settler(n, MODES[semismall], {})
 
 
 def first_records(records):
@@ -1411,9 +1410,7 @@ class TestSettle:
                 ):
                     expected[s] = (masks, degs, order, rots)
             witnesses = {}
-            settle = smallness._settler(
-                n, MODES[semismall], DEFAULT_CAP, witnesses
-            )
+            settle = smallness._settler(n, MODES[semismall], witnesses)
             accepted = {}
 
             def tracking(*record):

@@ -196,7 +196,7 @@ class TestAlphaPartitions:
         for n in range(9, 15):
             for kind in KINDS:
                 alpha = weight_vector(rng, n, denominator(n, kind))
-                shapes, degree = _alpha_shapes(alpha, 1, 14)
+                shapes, degree = _alpha_shapes(alpha, 1)
                 assert set(degree) == set().union(*shapes)
                 for mask, d in degree.items():
                     assert deg_alpha(

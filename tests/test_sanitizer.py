@@ -27,7 +27,6 @@ import sys
 from functools import partial
 from bodenhu import _kernel, smallness
 from bodenhu._kernel import pure
-from bodenhu.core import DEFAULT_CAP
 from conftest import load_kernel, seeded_blocks
 from test_kernel import (ADMISSIBLE_EDGE_CASES, ADMISSIBLE_OVERFLOWING,
                          RATE_EDGE_CASES, REALISE_EDGE_CASES, SHAPE_EDGE_CASES,
@@ -40,7 +39,7 @@ same = partial(twins_agree, ubsan)
 for n in range(2, 10):
     for semismall, mode in ((False, "small"), (True, "semismall")):
         same("scan_shapes", n, 0, semismall, 3)
-        settle = smallness._settler(n, mode, DEFAULT_CAP, {})
+        settle = smallness._settler(n, mode, {})
         same("scan_shapes", n, 0, semismall, 3, settle)
 for n, masks, degree in seeded_blocks():
     if n <= 10:

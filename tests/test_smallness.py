@@ -370,7 +370,7 @@ class TestConstructions:
             assert not check_criterion(alpha, mode).holds
 
     def test_group_scale_two(self):
-        alpha, op = construct_counterexample(ModuliContext(18, 7), t=2, cap=18)
+        alpha, op = construct_counterexample(ModuliContext(18, 7), t=2)
         assert rotation_deltas(op) == (12, 12, 12)
         assert all(deg_alpha(b, alpha) == 0 for b in op.seq)
 
@@ -385,9 +385,9 @@ class TestConstructions:
         calls = []
         original = smallness.check_criterion
 
-        def counted(alpha, mode, cap):
+        def counted(alpha, mode):
             calls.append(mode)
-            return original(alpha, mode, cap)
+            return original(alpha, mode)
 
         monkeypatch.setattr(smallness, "check_criterion", counted)
         construct_counterexample(ModuliContext(10, 6))

@@ -91,6 +91,37 @@ def test_only_the_cli_reads_the_environment():
     assert found == []
 
 
+def parameter_names(node):
+    """The parameter names of a def or lambda, of every kind."""
+    a = node.args
+    names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    return names + [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+
+
+def applies_cap(node):
+    """A def or lambda with a parameter named cap, or a call of check_cap."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return "cap" in parameter_names(node)
+    if isinstance(node, ast.Call):
+        names = (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        return "check_cap" in names
+    return False
+
+
+def test_only_the_cli_applies_the_cap():
+    """The slot-count cap is the CLI's rule: outside cli.py no function
+    takes a cap and nothing calls check_cap, so library calls run up to
+    the kernels' MAX_SLOTS."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path, tree in parsed_modules()
+        if path != PACKAGE / "cli.py"
+        for node in ast.walk(tree)
+        if applies_cap(node)
+    ]
+    assert found == []
+
+
 def test_no_indented_json_dumps():
     """Payloads go through _kernel.dumps; json.dumps with an indent is slow."""
     found = [
