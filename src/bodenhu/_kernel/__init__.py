@@ -10,15 +10,17 @@ with the first violating one), the same realisation entry points
 (realise, a witness point for one candidate partition, and realise_shapes,
 every realisable candidate of one (n, s) with its witness, as rows of
 indices into the call's distinct blocks and reduced witness entries), the
-same wall
-listing (walls, the nonempty walls of one W(n, s) as (mask, d_check)
-pairs, each decided by the closed form wall_meets) and the same JSON
+same wall listing (walls, the nonempty walls of one W(n, s) as
+(mask, d_check) pairs, each decided by the closed form wall_meets), the
+same block formatter (blocks, the package's one: a payload dict
+{"support": [...], "degree": d} per (mask, degree) pair) and the same JSON
 writer (dumps, the text of json.dumps(payload, indent=2) for the CLI's
 payload types), and must agree bit for bit (the test suite enforces this).
 Block input has one rule in both: the shapes of scan_partition_batch and
 rate_orders and the blocks of realise must partition the n slots, or the
 call raises ValueError.  Both read every argument through one reader per
-kind (slot count, integer, integer list, partition, flag, settle callable)
+kind (slot count, integer, integer list, partition, flag, settle callable,
+(mask, degree) pair)
 before any other check: a non-integer raises TypeError, an integer counts
 at its exact value however large, and the
 semismall flag's truth is tested once.  The
@@ -45,7 +47,7 @@ from . import pure
 
 ENTRY_POINTS = (
     "scan_shapes", "scan_partition_batch", "admissible", "alpha_shapes",
-    "rate_orders", "realise", "realise_shapes", "walls", "dumps",
+    "rate_orders", "realise", "realise_shapes", "walls", "blocks", "dumps",
 )
 
 

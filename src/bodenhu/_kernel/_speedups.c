@@ -1,14 +1,14 @@
 /*
  * Compiled kernel, written against the CPython C API: the scan, the
- * single-alpha decision, the realisation of candidate partitions and the
- * JSON writer.
+ * single-alpha decision, the realisation of candidate partitions, the block
+ * formatter and the JSON writer.
  *
  * Twin of pure.py: the same entry points with the same arguments and the
  * same results, bit for bit.  The two scan entry points return the same
  * (violations, stats) in the same order; admissible returns the same dict
- * in the same order; alpha_shapes, rate_orders and walls return the same
- * lists; realise_shapes returns the same tables and rows; realise returns
- * the same witness; dumps returns the same text.
+ * in the same order; alpha_shapes, rate_orders, walls and blocks return the
+ * same lists; realise_shapes returns the same tables and rows; realise
+ * returns the same witness; dumps returns the same text.
  *
  *   scan_shapes          enumerates the set partitions itself, in the
  *                        canonical order of partitions.iter_partition_shapes
@@ -95,9 +95,10 @@
  * as pure.py's through its _read_*: read_n (the slot count), read_int (an
  * integer, saturated at the ends of int64, where it still compares as the
  * exact value), read_ints (a list of masks or degrees, copied into a fixed
- * array), read_partition (read masks that partition the slots) and
- * read_settle (None or a callable); the semismall flag is read by the "p"
- * format, whose one truth test pure.py's _read_flag makes too, and
+ * array), read_partition (read masks that partition the slots),
+ * read_settle (None or a callable) and read_pair (a (mask, degree) pair of
+ * blocks); the semismall flag is read by the "p" format, whose one truth
+ * test pure.py's _read_flag makes too, and
  * rate_orders reads its shapes one at a time after it, as pure.py's
  * _read_shapes does.  A non-integer raises TypeError before any other
  * check, as in pure.py, and no integer argument raises OverflowError but a
@@ -126,6 +127,10 @@
  *   walls                lists the nonempty walls of one W(n, s) as
  *                        (mask, d_check) pairs through wall_meets, the
  *                        closed form of realise's wall gate.
+ *   blocks               formats (mask, degree) pairs, each read by
+ *                        read_pair, as the CLI's payload blocks
+ *                        {"support": [...], "degree": d}: the package's
+ *                        one block formatter.
  *   dumps                writes the text of json.dumps(payload, indent=2)
  *                        into one growing byte buffer; see below.
  *
@@ -144,7 +149,7 @@
 #include <string.h>
 
 /* Must equal pure.KERNEL_API; _kernel/__init__.py refuses any other. */
-#define KERNEL_API 15
+#define KERNEL_API 16
 #define MAX_SLOTS 30
 #define MAX_BLOCKS 16
 /* s = -sum(degs) <= sum(rank - 1) <= MAX_BLOCKS * MAX_SLOTS */
@@ -359,6 +364,53 @@ read_partition(int n, const Ints *blocks, u64 *masks, int most)
         PyErr_SetString(PyExc_ValueError, "blocks must cover every slot");
         return -1;
     }
+    return 0;
+}
+
+/* A (mask, degree) pair of blocks, read as pure._read_pair reads it:
+ * unpacked as Python unpacks two targets, an exact tuple of two at once and
+ * any other iterable by taking at most three values from it (TypeError for
+ * an item that is not iterable, ValueError for fewer or more than two
+ * values), the mask by read_int and the degree by PyNumber_Index, which
+ * gives the exact int pure's _read_int returns, as a new reference in
+ * *degree; then ValueError unless the mask lies in 1..2^30 - 1.  0, or -1
+ * with the exception set and nothing held. */
+static int
+read_pair(PyObject *pair, u64 *mask, PyObject **degree)
+{
+    PyObject *item[3];
+    int got = 0;
+    if (PyTuple_CheckExact(pair) && PyTuple_GET_SIZE(pair) == 2) {
+        for (; got < 2; got++)
+            item[got] = Py_NewRef(PyTuple_GET_ITEM(pair, got));
+    } else {
+        PyObject *iter = PyObject_GetIter(pair);
+        if (iter == NULL)
+            return -1;
+        while (got < 3 && (item[got] = PyIter_Next(iter)) != NULL)
+            got++;
+        Py_DECREF(iter);
+    }
+    i64 v = 0;
+    *degree = NULL;
+    if (PyErr_Occurred())
+        ; /* raised by the iteration, as unpacking would raise it */
+    else if (got != 2)
+        PyErr_SetString(PyExc_ValueError,
+                        "a block must be a (mask, degree) pair");
+    else if (read_int(item[0], &v))
+        *degree = PyNumber_Index(item[1]);
+    for (int i = 0; i < got; i++)
+        Py_DECREF(item[i]);
+    if (*degree == NULL)
+        return -1;
+    if (v < 1 || v >= 1LL << MAX_SLOTS) {
+        PyErr_SetString(PyExc_ValueError,
+                        "a block mask must lie in 1..2^30 - 1");
+        Py_CLEAR(*degree);
+        return -1;
+    }
+    *mask = (u64)v;
     return 0;
 }
 
@@ -1555,6 +1607,70 @@ walls(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
     return found;
 }
 
+/* Interned keys of the dicts of blocks, made when the module is created. */
+static PyObject *key_support, *key_degree;
+
+/* {"support": the 1-based slots of mask ascending, "degree": degree} as a
+ * new dict, or NULL. */
+static PyObject *
+block_dict(u64 mask, PyObject *degree)
+{
+    PyObject *support = PyList_New(__builtin_popcountll(mask));
+    for (Py_ssize_t i = 0; support != NULL && mask; mask &= mask - 1, i++) {
+        PyObject *slot = PyLong_FromLong(__builtin_ctzll(mask) + 1);
+        if (slot == NULL)
+            Py_CLEAR(support);
+        else
+            PyList_SET_ITEM(support, i, slot);
+    }
+    PyObject *dict = support != NULL ? PyDict_New() : NULL;
+    if (dict != NULL
+        && (PyDict_SetItem(dict, key_support, support) < 0
+            || PyDict_SetItem(dict, key_degree, degree) < 0))
+        Py_CLEAR(dict);
+    Py_XDECREF(support);
+    return dict;
+}
+
+PyDoc_STRVAR(blocks_doc,
+"blocks(pairs)\n"
+"--\n\n"
+"The payload block {\"support\": [...], \"degree\": d} of each\n"
+"(mask, degree) pair, in input order.\n\n"
+"Same contract as pure.blocks; see that function's docstring.");
+
+static PyObject *
+blocks(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"pairs", NULL};
+    PyObject *pairs, *pair, *degree;
+    u64 mask;
+    Py_ssize_t read = 0;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:blocks", kwlist, &pairs))
+        return NULL;
+    PyObject *iter = PyObject_GetIter(pairs);
+    if (iter == NULL)
+        return NULL;
+    PyObject *found = PyList_New(0);
+    while (found != NULL && (pair = PyIter_Next(iter)) != NULL) {
+        const int rc = read_pair(pair, &mask, &degree);
+        Py_DECREF(pair);
+        PyObject *block = rc == 0 ? block_dict(mask, degree) : NULL;
+        if (rc == 0)
+            Py_DECREF(degree);
+        /* a list of any length: signals are checked every 4,096 pairs */
+        if (block == NULL || PyList_Append(found, block) < 0
+            || ((++read & 0xfff) == 0 && PyErr_CheckSignals() < 0))
+            Py_CLEAR(found);
+        Py_XDECREF(block);
+    }
+    Py_DECREF(iter);
+    if (found != NULL && PyErr_Occurred())
+        Py_CLEAR(found);
+    return found;
+}
+
 /* Decide the blocks masks[0..L-1] with degrees degs, nonempty, disjoint
  * and covering the n slots: FM_OK with the witness nums[0..n-1] over *den,
  * or FM_EMPTY when no point of W(n, s) realises them. */
@@ -2344,6 +2460,8 @@ static PyMethodDef speedups_methods[] = {
      METH_VARARGS | METH_KEYWORDS, realise_shapes_doc},
     {"walls", (PyCFunction)(void (*)(void))walls,
      METH_VARARGS | METH_KEYWORDS, walls_doc},
+    {"blocks", (PyCFunction)(void (*)(void))blocks,
+     METH_VARARGS | METH_KEYWORDS, blocks_doc},
     {"dumps", (PyCFunction)(void (*)(void))dumps,
      METH_VARARGS | METH_KEYWORDS, dumps_doc},
     {NULL, NULL, 0, NULL},
@@ -2370,9 +2488,13 @@ PyInit__speedups(void)
             || (key_rotations = PyUnicode_InternFromString("rotation_deltas"))
                    == NULL
             || (key_violates = PyUnicode_InternFromString("violates"))
-                   == NULL)) {
+                   == NULL
+            || (key_support = PyUnicode_InternFromString("support")) == NULL
+            || (key_degree = PyUnicode_InternFromString("degree")) == NULL)) {
         Py_CLEAR(key_order);
         Py_CLEAR(key_rotations);
+        Py_CLEAR(key_violates);
+        Py_CLEAR(key_support);
         return NULL;
     }
     PyObject *module = PyModule_Create(&speedups_module);

@@ -1,5 +1,5 @@
 """Pure-Python kernel: the scan, the single-alpha decision, the realisation
-of candidate partitions and the JSON writer.
+of candidate partitions, the block formatter and the JSON writer.
 
 Each formula is written once: the pairing matrix P[i][j] = delta(block i,
 block j) = 2(r_i d_j - r_j d_i) + X[i][j] (_cross_terms builds X from the
@@ -44,6 +44,10 @@ itertools.product, and hands back the blocks and reduced witness entries
 of the realisable ones once each, with a row of indices per candidate.
 walls lists the nonempty walls of one W(n, s) through
 the same wall_meets, the one closed form of a wall in this twin.
+blocks formats (mask, degree) pairs as the CLI's payload blocks, each
+{"support": [...], "degree": d}, through mask_support, the package's one
+mask->support helper, which lives here because this twin imports nothing
+from the package.
 weightspace builds its general rational systems on the same _insert_row
 and _solve_strict.  Here the integers grow as they must; the compiled twin
 checks every 64-bit operation of the realisation and of admissible and
@@ -51,11 +55,12 @@ hands a call that overflows back to this one.
 
 Every entry reads each argument through one reader per kind, twins of the
 compiled ones: _read_n, _read_int, _read_ints, _read_partition, _read_flag
-(the semismall flag, whose truth is tested once, as the "p" format does)
-and _read_settle (None or a callable), all before any other check (a batch
-measures each shape against min_len first; rate_orders reads its shapes
-and their degrees one shape at a time, through _read_shapes, after n and
-the flag).  Both kernels
+(the semismall flag, whose truth is tested once, as the "p" format does),
+_read_settle (None or a callable) and _read_pair (a (mask, degree) pair),
+all before any other check (a batch measures each shape against min_len
+first; rate_orders reads its shapes and their degrees one shape at a time,
+through _read_shapes, after n and the flag; blocks reads its pairs one at
+a time).  Both kernels
 accept at most MAX_BLOCKS blocks per scanned shape and raise ValueError
 beyond that.  Within those limits every
 quantity is a small machine integer: the pairing is bounded by a few
@@ -73,7 +78,7 @@ from typing import Iterator, Optional, Sequence
 
 # Bumped whenever an entry point is added or its contract changes;
 # _speedups.c defines the same number.
-KERNEL_API = 15
+KERNEL_API = 16
 # Both kernels keep per-slot state in fixed arrays of this size, so it bounds
 # every library call and the CLI's enumeration cap; core re-exports it.
 MAX_SLOTS = 30
@@ -227,6 +232,17 @@ def _read_partition(n: int, masks: tuple[int, ...]) -> tuple[int, ...]:
     if covered != (1 << n) - 1:
         raise ValueError("blocks must cover every slot")
     return masks
+
+
+def _read_pair(pair) -> tuple[int, int]:
+    """pair, one (mask, degree) block of blocks: unpacked as two values,
+    each read by _read_int, then ValueError unless the mask lies in
+    1..2^MAX_SLOTS - 1."""
+    mask, degree = pair
+    mask, degree = _read_int(mask), _read_int(degree)
+    if not 0 < mask < 1 << MAX_SLOTS:
+        raise ValueError(f"a block mask must lie in 1..2^{MAX_SLOTS} - 1")
+    return mask, degree
 
 
 def scan_shapes(
@@ -637,6 +653,60 @@ def walls(n: int, s: int) -> list[tuple[int, int]]:
         for d in range(max(1 - r, 1 - s), min(0, n - r - s)):
             if wall_meets(n, s, mask, d):
                 found.append((mask, d))
+    return found
+
+
+# _BYTE_SUPPORTS[k][byte] lists the slots of the set bits of byte when it
+# sits at bits 8k..8k+7; four tables cover MAX_SLOTS.  They are built on
+# first use, so an import that formats no block does not pay for them.
+_BYTE_SUPPORTS: list[tuple[tuple[int, ...], ...]] = []
+
+
+def mask_support(mask: int) -> list[int]:
+    """The 1-based slots of the set bits of mask (slot n on bit n-1), ascending.
+
+    The package's one mask->support helper, kept in this twin, which
+    imports nothing from the package, so that blocks can use it;
+    bodenhu.core re-exports it.  A byte at a time from _BYTE_SUPPORTS; bits past the fourth byte,
+    beyond every slot count, one at a time.  A negative mask, which has no
+    finite set of bits, raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"a support mask must be nonnegative, got {mask}")
+    if not _BYTE_SUPPORTS:
+        _BYTE_SUPPORTS.extend(
+            tuple(
+                tuple(8 * k + i + 1 for i in range(8) if byte >> i & 1)
+                for byte in range(256)
+            )
+            for k in range(4)
+        )
+    support: list[int] = []
+    for table in _BYTE_SUPPORTS:
+        support += table[mask & 0xFF]
+        mask >>= 8
+        if not mask:
+            return support
+    while mask:
+        low = mask & -mask
+        support.append(32 + low.bit_length())
+        mask ^= low
+    return support
+
+
+def blocks(pairs) -> list[dict]:
+    """The payload block of each (mask, degree) pair, in input order: a new
+    {"support": mask_support(mask), "degree": degree} dict per pair, keys
+    in that order, the package's one block formatter.
+
+    Each pair is read by _read_pair, so the degree comes back as _read_int
+    returns it: an int at its exact value, True as 1.  Raises as that
+    reader does: TypeError for an item that is not iterable or a value
+    that is not an integer, ValueError for an item that yields fewer or
+    more than two values or a mask outside 1..2^MAX_SLOTS - 1.
+    """
+    found = []
+    for mask, degree in map(_read_pair, pairs):
+        found.append({"support": mask_support(mask), "degree": degree})
     return found
 
 

@@ -33,7 +33,6 @@ from .core import (
     ModuliContext,
     MultiplicityVector,
     check_genus,
-    mask_support,
     parse_weight_vector,
 )
 from .weightspace import find_generic_near
@@ -80,21 +79,18 @@ def _fractions(values) -> list[str]:
     return [str(v) for v in values]
 
 
-def _block(mask: int, degree: int) -> dict:
-    """The payload of one 0/1 block: its support slots and its degree."""
-    return {"support": mask_support(mask), "degree": degree}
-
-
 def _blocks_json(blocks: Sequence[MultiplicityVector]) -> list[dict]:
-    return [_block(b.support_mask, b.d_check) for b in blocks]
+    """The payload blocks of 0/1 blocks, from the kernel's block formatter."""
+    return _kernel.blocks([(b.support_mask, b.d_check) for b in blocks])
 
 
 def _listing(
     shapes: Sequence[tuple[int, ...]], degree: dict[int, int], ids: Iterable[int]
 ) -> list[dict]:
     """The single-alpha listing entry of each shape id: its id, length and
-    blocks, each mask's payload block built once and shared."""
-    blocks = {mask: _block(mask, d) for mask, d in degree.items()}
+    blocks, each mask's payload block built once, in one kernel call, and
+    shared."""
+    blocks = dict(zip(degree, _kernel.blocks(degree.items())))
     return [
         {
             "id": i,
@@ -361,7 +357,7 @@ def _cmd_walls(args) -> tuple[int, dict]:
     # needs only each (mask, degree) pair, so it is built from the kernel's.
     ctx = ModuliContext(args.n, args.s)
     check_cap(ctx.n, args.cap)
-    walls = [_block(mask, d) for mask, d in _kernel.walls(ctx.n, ctx.s)]
+    walls = _kernel.blocks(_kernel.walls(ctx.n, ctx.s))
     payload = {
         "command": "walls",
         "n": args.n,

@@ -25,7 +25,7 @@ from operator import index
 from typing import Iterable, Sequence
 
 from . import _kernel
-from ._kernel.pure import MAX_SLOTS, _subset_sum_table
+from ._kernel.pure import MAX_SLOTS, _subset_sum_table, mask_support
 
 __all__ = [
     "Rational",
@@ -103,42 +103,10 @@ def check_genus(g: int) -> None:
         raise ValueError(f"genus must be an integer >= 2, got {g!r}")
 
 
-# _BYTE_SUPPORTS[k][byte] lists the slots of the set bits of byte when it
-# sits at bits 8k..8k+7; four tables cover MAX_SLOTS.  _BYTE_MULTS[byte] is
-# the 0/1 multiplicities of byte's eight slots, lowest bit first.  They are
-# built on first use, so an import that builds or formats no block does not
-# pay for them.
-_BYTE_SUPPORTS: list[tuple[tuple[int, ...], ...]] = []
+# _BYTE_MULTS[byte] is the 0/1 multiplicities of byte's eight slots, lowest
+# bit first, built on first use, so an import that builds no block does not
+# pay for it.
 _BYTE_MULTS: list[tuple[int, ...]] = []
-
-
-def mask_support(mask: int) -> list[int]:
-    """The 1-based slots of the set bits of mask (slot n on bit n-1), ascending.
-
-    A byte at a time from _BYTE_SUPPORTS; bits past the fourth byte, beyond
-    every slot count, one at a time.  A negative mask, which has no finite
-    set of bits, raises ValueError."""
-    if mask < 0:
-        raise ValueError(f"a support mask must be nonnegative, got {mask}")
-    if not _BYTE_SUPPORTS:
-        _BYTE_SUPPORTS.extend(
-            tuple(
-                tuple(8 * k + i + 1 for i in range(8) if byte >> i & 1)
-                for byte in range(256)
-            )
-            for k in range(4)
-        )
-    support: list[int] = []
-    for table in _BYTE_SUPPORTS:
-        support += table[mask & 0xFF]
-        mask >>= 8
-        if not mask:
-            return support
-    while mask:
-        low = mask & -mask
-        support.append(32 + low.bit_length())
-        mask ^= low
-    return support
 
 
 def _mask_mults(n: int, mask: int) -> tuple[int, ...]:

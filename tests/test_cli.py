@@ -517,8 +517,10 @@ class TestWalls:
         assert "{1,4}" in out
 
     def test_payload_is_the_wall_objects(self, capsys, monkeypatch, twin):
-        """walls prints the kernel's (mask, degree) pairs; they are the
-        walls enumerate_walls lists as objects, on either twin."""
+        """walls prints the kernel's (mask, degree) pairs through its block
+        formatter; they are the walls enumerate_walls lists as objects, on
+        either twin.  The expected supports are read off the multiplicities,
+        not through mask_support, the formatter's own helper."""
         expected = {
             (n, s): {
                 "command": "walls",
@@ -526,11 +528,16 @@ class TestWalls:
                 "s": s,
                 "count": len(found),
                 "walls": [
-                    {"support": list(w.m.support), "degree": w.m.d_check}
+                    {
+                        "support": [
+                            i + 1 for i, m in enumerate(w.m.mults) if m
+                        ],
+                        "degree": w.m.d_check,
+                    }
                     for w in found
                 ],
             }
-            for n in range(4, 13)
+            for n in range(2, 13)
             for s in range(1, n)
             for found in [enumerate_walls(ModuliContext(n, s))]
         }

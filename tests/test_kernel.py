@@ -108,6 +108,7 @@ VALID_ARGUMENTS = {
     "realise": (4, [0b1001, 0b0110], [-1, -1]),
     "realise_shapes": (6, 3, 1),
     "walls": (6, 3),
+    "blocks": ([(0b11, -1), (0b1100, -2)],),
     "dumps": ({"n": [1, 2], "s": None},),
 }
 
@@ -131,17 +132,17 @@ class TestKernelSelection:
 
     def test_refusal_names_the_reason(self, compiled_kernel):
         # stubs for the ways an in-place build can be refused: none at all,
-        # one from before the JSON writers refused floats (API 14), one
-        # with the current number but without the realisation entries, and
-        # one without walls
+        # one from before the kernel formatted blocks (API 15), one with the
+        # current number but without the realisation entries, and one
+        # without walls
         assert _kernel.refusal(compiled_kernel) is None
         assert _kernel.refusal(None) == "no extension"
-        older = stub_build(compiled_kernel, api=14)
-        assert _kernel.refusal(older) == "API mismatch: extension 14, pure.py 15"
+        older = stub_build(compiled_kernel, api=15)
+        assert _kernel.refusal(older) == "API mismatch: extension 15, pure.py 16"
         assert _kernel.select(older) == (pure, "pure")
         without = stub_build(compiled_kernel, names=[
             "scan_shapes", "scan_partition_batch", "admissible",
-            "alpha_shapes", "rate_orders", "walls", "dumps",
+            "alpha_shapes", "rate_orders", "walls", "blocks", "dumps",
         ])
         assert _kernel.refusal(without) == (
             "missing entries: realise, realise_shapes"
@@ -1133,6 +1134,117 @@ class TestWalls:
         assert_interrupted(lambda: compiled_kernel.walls(30, 15))
 
 
+class LongPair:
+    """A pair that yields three values and then fails: unpacking it into two
+    targets reads the third value, raises ValueError and reads no fourth."""
+
+    def __iter__(self):
+        yield from (0b11, -1, 0)
+        raise AssertionError("a fourth value was read")
+
+
+# pairs arguments of blocks: the smallest and largest masks, a degree past
+# 64 bits, True as a degree, a pair given as a list and an empty list, then
+# arguments both twins must reject: mask 0, a negative mask, mask 2^30, a
+# float mask or degree, a 3-tuple, a pair of one value, a pair that yields
+# too many values, an item that is not iterable and a pairs argument that
+# is not iterable.
+BLOCK_EDGE_CASES = [
+    ([(1, -1), ((1 << 30) - 1, 0)], None),
+    ([(0b101, 1 << 70), (0b11, -(1 << 70))], None),
+    ([(0b11, True), (0b11, False)], None),
+    ([[0b11, -1]], None),
+    ([], None),
+    ([(0, -1)], ValueError),
+    ([(0b11, -1), (-3, -1)], ValueError),
+    ([(1 << 30, -1)], ValueError),
+    ([(3.0, -1)], TypeError),
+    ([(0b11, -1.0)], TypeError),
+    ([(0b11, -1, 0)], ValueError),
+    ([(0b11,)], ValueError),
+    ([LongPair()], ValueError),
+    ([(0b11, -1), 3], TypeError),
+    (3, TypeError),
+]
+
+
+def seeded_pairs(seed):
+    """(n, pairs) for N = 2..30: 200 random nonempty masks within n slots,
+    each with a degree from -n..n, past 64 bits or True."""
+    rng = random.Random(seed)
+    for n in range(2, 31):
+        degrees = [*range(-n, n + 1), 1 << 64, -(1 << 80), True]
+        yield n, [
+            (rng.randrange(1, 1 << n), rng.choice(degrees)) for _ in range(200)
+        ]
+
+
+def block_of(mask, degree):
+    """The payload block of a pair, by the definition, bit by bit."""
+    return {
+        "support": [i + 1 for i in range(mask.bit_length()) if mask >> i & 1],
+        "degree": int(degree),
+    }
+
+
+class TestBlocks:
+    def test_bit_for_bit(self, compiled_kernel):
+        for n, pairs in seeded_pairs(33):
+            found = compiled_kernel.blocks(pairs)
+            assert found == pure.blocks(pairs), n
+            assert pure.dumps(found) == pure.dumps(pure.blocks(pairs)), n
+
+    def test_is_the_definition(self, twin):
+        # keys in payload order, the degree an exact int, one new dict and
+        # one new support list per pair, in input order, from any iterable
+        for n, pairs in seeded_pairs(34):
+            found = twin.blocks(iter(pairs))
+            assert found == [block_of(mask, d) for mask, d in pairs], n
+            assert all(list(b) == ["support", "degree"] for b in found)
+            assert all(type(b["degree"]) is int for b in found)
+        assert twin.blocks({0b110: -1, 0b11: 2}.items()) == [
+            {"support": [2, 3], "degree": -1}, {"support": [1, 2], "degree": 2}
+        ]
+        a, b = twin.blocks([(0b11, -1), (0b11, -1)])
+        assert a == b and a is not b and a["support"] is not b["support"]
+
+    @pytest.mark.parametrize("pairs, raised", BLOCK_EDGE_CASES)
+    def test_edge_inputs(self, compiled_kernel, pairs, raised):
+        outcome = twins_agree(compiled_kernel, "blocks", pairs)
+        if raised is None:
+            assert outcome == ("value", [block_of(*pair) for pair in pairs])
+        else:
+            assert outcome == ("raised", raised)
+
+    def test_no_reference_leak(self, compiled_kernel):
+        walls = pure.walls(9, 4)
+
+        def one_round():
+            # a new degree object each round, which a leaked reference to
+            # it, or to a pair holding it, would keep alive
+            big = int("9" * 30)
+            assert len(compiled_kernel.blocks(walls)) == len(walls)
+            assert compiled_kernel.blocks({0b11: big}.items())
+            for pairs in ([(0b11, -1), (0b101, big), (0, big)],
+                          [(0b11, big), (0b11, 1.5)],
+                          [[0b11, big], (0b11, -1, big)],
+                          [[0b11, big], [0b11, -1, big], LongPair()]):
+                with suppress(ValueError, TypeError):
+                    compiled_kernel.blocks(pairs)
+
+        assert_no_growth(one_round)
+
+    def test_interruptible(self, compiled_kernel):
+        # 100,000 pairs, each behind 5,000 falsy items that filter skips in
+        # C: seconds of work on little memory; the loop checks for signals
+        # every 4,096 pairs
+        gap = [0] * 5000 + [(0b11, -1)]
+        pairs = filter(
+            None, itertools.chain.from_iterable(itertools.repeat(gap, 100_000))
+        )
+        assert_interrupted(lambda: compiled_kernel.blocks(pairs))
+
+
 def reversed_mask(n, mask):
     return sum(1 << (n - 1 - i) for i in range(n) if mask >> i & 1)
 
@@ -1241,7 +1353,7 @@ class TestDumps:
         assert _kernel.select(without) == (pure, "pure")
         older = stub_build(compiled_kernel, api=2)
         assert _kernel.select(older) == (pure, "pure")
-        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 15
+        assert pure.KERNEL_API == compiled_kernel.KERNEL_API == 16
 
 
 @lru_cache(maxsize=None)

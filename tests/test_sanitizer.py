@@ -18,10 +18,11 @@ CANARY = ("#include <limits.h>\nint main(int argc, char **argv) "
 
 # The subset, run on the build given as argv[1]: scan_shapes for N <= 9 in
 # both modes, without settle and with the scan's own, then rate_orders,
-# alpha_shapes, realise_shapes, walls and dumps at small N, admissible on
-# its seeded points (N <= 14) and past int64, and the edge inputs of
-# test_kernel.py; every value or exception type must be pure's, and an
-# admissible past int64 must re-run on pure.
+# alpha_shapes, realise_shapes, walls and dumps at small N, blocks on those
+# walls and on seeded pairs (N <= 30), admissible on its seeded points
+# (N <= 14) and past int64, and the edge inputs of test_kernel.py; every
+# value or exception type must be pure's, and an admissible past int64 must
+# re-run on pure.
 CHILD = """
 import sys
 from functools import partial
@@ -29,8 +30,9 @@ from bodenhu import _kernel, smallness
 from bodenhu._kernel import pure
 from conftest import load_kernel, seeded_blocks
 from test_kernel import (ADMISSIBLE_EDGE_CASES, ADMISSIBLE_OVERFLOWING,
-                         RATE_EDGE_CASES, REALISE_EDGE_CASES, SHAPE_EDGE_CASES,
-                         WALL_EDGE_CASES, admissible_alphas, twins_agree)
+                         BLOCK_EDGE_CASES, RATE_EDGE_CASES, REALISE_EDGE_CASES,
+                         SHAPE_EDGE_CASES, WALL_EDGE_CASES, admissible_alphas,
+                         seeded_pairs, twins_agree)
 
 ubsan = load_kernel(sys.argv[1])
 for name, entry in _kernel.entries(ubsan).items():
@@ -58,12 +60,17 @@ for n in range(9):
 for n in range(2, 11):
     for s in range(1, n):
         same("walls", n, s)
+        same("blocks", pure.walls(n, s))
+for n, pairs in seeded_pairs(33):
+    same("blocks", pairs)
 same("dumps", [0, -1, 2**63 - 1, -2**63, 2**64, "a\\u00e9\\n", None])
 assert same("dumps", [0, 1.5]) == ("raised", TypeError)
 for args, _ in RATE_EDGE_CASES:
     same("rate_orders", *args, False)
 for args, _ in ADMISSIBLE_EDGE_CASES:
     same("admissible", *args)
+for pairs, _ in BLOCK_EDGE_CASES:
+    same("blocks", pairs)
 for name, rows in [("realise", REALISE_EDGE_CASES), ("walls", WALL_EDGE_CASES),
                    ("alpha_shapes", SHAPE_EDGE_CASES)]:
     for args in rows:

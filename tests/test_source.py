@@ -135,6 +135,40 @@ def test_no_indented_json_dumps():
     assert found == []
 
 
+def makes_support_key(node):
+    """A dict display, dict() call or item assignment that puts the key
+    "support" into a dict."""
+    if isinstance(node, ast.Dict):
+        return any(
+            isinstance(key, ast.Constant) and key.value == "support"
+            for key in node.keys
+        )
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+        return any(k.arg == "support" for k in node.keywords)
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == "support"
+    )
+
+
+def test_one_block_formatter():
+    """Every payload block {"support": [...], "degree": d} comes from the
+    kernel's blocks: no module outside the two twins puts the key
+    "support" into a dict, though the table writers read it."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path, tree in parsed_modules()
+        if path != PACKAGE / "_kernel" / "pure.py"
+        for node in ast.walk(tree)
+        if makes_support_key(node)
+    ]
+    assert found == []
+    pure_tree = ast.parse((PACKAGE / "_kernel" / "pure.py").read_text())
+    assert any(makes_support_key(node) for node in ast.walk(pure_tree))
+
+
 # Private constructors that skip validation, the enumeration modules whose
 # objects are valid by construction, and the one function elsewhere that
 # builds objects from an enumerator: enumerate_walls, from the kernel's walls.
@@ -497,8 +531,10 @@ def test_compiled_entries_parse_no_integer_unit():
 
 
 # The C functions that may take Python integers or sequences apart: the
-# readers, alpha_shapes over its list of any length, and the JSON writer.
-C_READERS = {"read_int", "read_ints", "alpha_shapes", "write_int"}
+# readers (read_pair unpacks a (mask, degree) pair of blocks and takes its
+# degree as an exact int), alpha_shapes over its list of any length, and
+# the JSON writer.
+C_READERS = {"read_int", "read_ints", "read_pair", "alpha_shapes", "write_int"}
 
 
 def test_compiled_arguments_are_read_only_by_the_readers():
