@@ -32,8 +32,9 @@ through the same shape walk, _walk_shapes, with the listed blocks in place
 of every submask, and
 rate_orders rates every ordering of each partition of a list of them in one
 call, from _pairing, P with its row sums.  dumps writes the CLI's JSON
-payloads.  Twin of the compiled kernel in _speedups.c, with the same
-decomposition; it must match it exactly and carry the same KERNEL_API.
+payloads, one item at a time.  Twin of the compiled kernel in _speedups.c,
+with the same decomposition; it must match it exactly and carry the same
+KERNEL_API.
 
 realise decides one candidate partition of the slots: the closed-form wall
 gate wall_meets, a pivot on each block's lowest slot, and the package's one
@@ -46,8 +47,10 @@ walls lists the nonempty walls of one W(n, s) through
 the same wall_meets, the one closed form of a wall in this twin.
 blocks formats (mask, degree) pairs as the CLI's payload blocks, each
 {"support": [...], "degree": d}, through mask_support, the package's one
-mask->support helper, which lives here because this twin imports nothing
-from the package.
+mask->support helper, a loop over the set bits with no lookup table, which
+lives here because this twin imports nothing from the package.  blocks,
+mask_support and dumps keep no fast path of their own: with the compiled
+kernel the CLI builds its blocks and its JSON in C.
 weightspace builds its general rational systems on the same _insert_row
 and _solve_strict.  Here the integers grow as they must; the compiled twin
 checks every 64-bit operation of the realisation and of admissible and
@@ -656,39 +659,20 @@ def walls(n: int, s: int) -> list[tuple[int, int]]:
     return found
 
 
-# _BYTE_SUPPORTS[k][byte] lists the slots of the set bits of byte when it
-# sits at bits 8k..8k+7; four tables cover MAX_SLOTS.  They are built on
-# first use, so an import that formats no block does not pay for them.
-_BYTE_SUPPORTS: list[tuple[tuple[int, ...], ...]] = []
-
-
 def mask_support(mask: int) -> list[int]:
     """The 1-based slots of the set bits of mask (slot n on bit n-1), ascending.
 
     The package's one mask->support helper, kept in this twin, which
     imports nothing from the package, so that blocks can use it;
-    bodenhu.core re-exports it.  A byte at a time from _BYTE_SUPPORTS; bits past the fourth byte,
-    beyond every slot count, one at a time.  A negative mask, which has no
-    finite set of bits, raises ValueError."""
+    bodenhu.core re-exports it.  It takes the lowest set bit off until none
+    is left.  A negative mask, which has no finite set of bits, raises
+    ValueError."""
     if mask < 0:
         raise ValueError(f"a support mask must be nonnegative, got {mask}")
-    if not _BYTE_SUPPORTS:
-        _BYTE_SUPPORTS.extend(
-            tuple(
-                tuple(8 * k + i + 1 for i in range(8) if byte >> i & 1)
-                for byte in range(256)
-            )
-            for k in range(4)
-        )
     support: list[int] = []
-    for table in _BYTE_SUPPORTS:
-        support += table[mask & 0xFF]
-        mask >>= 8
-        if not mask:
-            return support
     while mask:
         low = mask & -mask
-        support.append(32 + low.bit_length())
+        support.append(low.bit_length())
         mask ^= low
     return support
 
@@ -832,8 +816,8 @@ def dumps(payload) -> str:
 
     With any indent the standard library runs its pure-Python encoder, one
     generator frame per container.  Payloads hold only exact dicts with str
-    keys, lists, str, int, bool and None; a list of only ints or only strs
-    is joined in one go.  Any other type, float and Fraction among them,
+    keys, lists, str, int, bool and None, each written by one walk of
+    _encode.  Any other type, float and Fraction among them,
     raises the TypeError json.dumps raises for a Fraction, and nesting
     deeper than the recursion limit raises RecursionError.
     """
@@ -857,14 +841,6 @@ def _encode(value, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        kinds = set(map(type, value))
-        if kinds == {int} or kinds == {str}:
-            each = int.__repr__ if kinds == {int} else encode_basestring_ascii
-            out.append(
-                "[" + inner + ("," + inner).join(map(each, value))
-                + newline + "]"
-            )
-            return
         sep = "[" + inner
         for item in value:
             out.append(sep)

@@ -628,9 +628,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run(args)
     except Exception as exc:
         # Status 1 means "witness found", so a crash must never exit with it.
-        traceback.print_exc()
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _report(
+            traceback.format_exc()
+            + f"internal error: {type(exc).__name__}: {exc}"
+        )
         return 3
+
+
+def _report(text: str) -> None:
+    """Print text to stderr, dropping it if stderr cannot be written, so
+    that the exit code survives the report."""
+    try:
+        print(text, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -639,7 +650,7 @@ def _run(args: argparse.Namespace) -> int:
         run, render = _COMMANDS[args.command]
         code, payload = run(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     if args.format == "json":
         print(_kernel.dumps(payload))

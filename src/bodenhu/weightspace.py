@@ -65,9 +65,9 @@ class Wall:
 
     Instances are produced by enumerate_walls, from the kernel's walls,
     which certifies nonemptiness through the closed-form wall_meets in
-    either twin and builds them unchecked, and by is_generic, where the
-    tested weight vector itself lies on the wall; both construction sites
-    guarantee the wall meets the open weight space.
+    either twin, and by is_generic, where the tested weight vector itself
+    lies on the wall; both construction sites guarantee the wall meets the
+    open weight space.
     """
 
     m: MultiplicityVector
@@ -82,13 +82,6 @@ class Wall:
             raise ValueError("wall rank must lie between 2 and N-2")
         if not -r < self.m.d_check < 0:
             raise ValueError("wall degree must lie strictly between -r and 0")
-
-    @classmethod
-    def _unchecked(cls, m: MultiplicityVector) -> "Wall":
-        """A wall from a representative the caller guarantees canonical."""
-        self = object.__new__(cls)
-        self.__dict__["m"] = m
-        return self
 
     def __str__(self) -> str:
         sup = ",".join(str(i) for i in self.m.support)
@@ -293,12 +286,11 @@ def enumerate_walls(ctx: ModuliContext) -> list[Wall]:
     The kernel's walls lists them: supports containing slot 1 (ascending
     bitmask) of rank 2..N-2, degrees ascending, each kept only if its
     complementary summand has an admissible degree too and the closed form
-    wall_meets finds the wall in the open weight space.  Every property
-    Wall checks holds by that construction, so they are built unchecked.
+    wall_meets finds the wall in the open weight space.
     """
     n = ctx.n
     return [
-        Wall._unchecked(MultiplicityVector._from_mask_unchecked(n, d, mask))
+        Wall(MultiplicityVector.from_mask(n, d, mask))
         for mask, d in _kernel.walls(n, ctx.s)
     ]
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from bodenhu import (
     is_generic,
     parse_weight_vector,
 )
-from bodenhu import _kernel, moduli, smallness, weightspace
+from bodenhu import _kernel, core, moduli, smallness, weightspace
 from bodenhu._kernel import pure
 from bodenhu.cli import main
 from conftest import ALPHA_9_4, ALPHA_11_3, PURE_RUN_UNNAMED, TWINS
@@ -347,12 +348,12 @@ class TestCheck:
 
 
 def no_wall_objects(monkeypatch):
-    """Make building a Wall object through enumerate_walls fail."""
+    """Make building any Wall object fail."""
 
     def fail(*args):
         raise AssertionError("the CLI built a Wall object")
 
-    monkeypatch.setattr(Wall, "_unchecked", fail)
+    monkeypatch.setattr(Wall, "__init__", fail)
 
 
 class TestScan:
@@ -562,6 +563,32 @@ class TestWalls:
         code, out, err = run_cli(capsys, "walls", "--n", "15", "--s", "15")
         assert (code, out) == (2, "")
         assert err == "error: s=15 outside 0 < s < N=15\n"
+
+
+@pytest.mark.parametrize("twin", ["compiled"], indirect=True)
+def test_compiled_commands_leave_the_python_formatters_alone(
+    capsys, monkeypatch, twin
+):
+    """On the compiled twin the blocks and the JSON of walls, of a check
+    that prints a witness and of fiber --id are built in C: pure.py's
+    mask_support (bound in core too) and dumps are never called."""
+
+    def fail(*args):
+        raise AssertionError("a Python formatter ran")
+
+    monkeypatch.setattr(pure, "mask_support", fail)
+    monkeypatch.setattr(core, "mask_support", fail)
+    monkeypatch.setattr(pure, "dumps", fail)
+    for argv, code in [
+        (["check", "--alpha", ALPHA_9_4_ARG], 1),
+        (["fiber", "--alpha", ALPHA_9_4_ARG, "--id", "0"], 0),
+    ]:
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, err) == (code, "")
+    # fiber may build a Wall in find_generic_near's is_generic; walls may not
+    no_wall_objects(monkeypatch)
+    code, payload = run_json(capsys, "walls", "--n", "9", "--s", "4")
+    assert (code, payload["count"]) == (0, 223)
 
 
 class TestFiber:
@@ -850,6 +877,31 @@ class TestInternalErrors:
         assert err.strip().splitlines()[-1] == (
             f"internal error: AssertionError: {message}"
         )
+
+    @staticmethod
+    def unwritable(monkeypatch, *streams):
+        def fail(text):
+            raise OSError(28, "No space left on device")
+
+        for stream in streams:
+            monkeypatch.setattr(stream, "write", fail)
+
+    def test_exit_code_survives_a_stderr_that_cannot_be_written(
+        self, capsys, monkeypatch
+    ):
+        # the report of bad input is lost, its exit code is not
+        self.unwritable(monkeypatch, sys.stderr)
+        assert main(["check", "--alpha", "1/2,1/2"]) == 2
+        assert capsys.readouterr() == ("", "")
+
+    def test_exit_code_survives_stdout_and_stderr_that_cannot_be_written(
+        self, capsys, monkeypatch
+    ):
+        # the payload of a failing alpha cannot be printed, nor the crash
+        # reported: an internal error, never the 1 of a witness printed
+        self.unwritable(monkeypatch, sys.stdout, sys.stderr)
+        assert main(["check", "--alpha", ALPHA_9_4_ARG]) == 3
+        assert capsys.readouterr() == ("", "")
 
 
 def _nongeneric_alphas(seed, count):

@@ -233,16 +233,10 @@ class TestValidation:
                 MultiplicityVector.from_mask(3, -1, mask)
 
     def test_mask_support(self):
-        # the byte tables against the bit loop they replaced, on every mask
-        # below 2^16 and on random masks of up to 64 bits, past the tables'
-        # four bytes
+        # the lowest-bit loop against the per-bit definition, on every mask
+        # below 2^16 and on random masks of up to 64 bits, past every slot
         def bit_loop(mask):
-            support = []
-            while mask:
-                low = mask & -mask
-                support.append(low.bit_length())
-                mask ^= low
-            return support
+            return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
         for mask in range(1 << 16):
             assert mask_support(mask) == bit_loop(mask)
